@@ -2,23 +2,23 @@
 //! CI service gates.
 //!
 //! * `cargo run --release -p fle-bench --bin bench_service` — sweep the
-//!   concurrent backend at shard counts {1, 4, num_cpus} (2000 four-processor
+//!   async backend at shard counts {1, 4, num_cpus} (2000 four-processor
 //!   elections each, closed loop) plus an overload sweep at multiples of the
-//!   sustainable rate, and write `BENCH_service.json`.
-//! * `-- --smoke` — run 1000 concurrent instances with correctness
-//!   assertions (zero lost or duplicate outcomes, exactly one winner each)
-//!   and gate on a >3x throughput regression against the recording.
+//!   sustainable rate, the density sweep at n ∈ {4, 16, 64} and the
+//!   executor density storm, and write `BENCH_service.json`.
+//! * `-- --smoke` — run 1000 concurrent instances on the async backend with
+//!   correctness assertions (zero lost or duplicate outcomes, exactly one
+//!   winner each, balanced accounting) and gate on a >3x throughput
+//!   regression against the recording.
 //! * `-- --overload-smoke` — offer 2x the sustainable rate under the shed
 //!   policy and gate on the overload properties: nonzero shed, bounded queue
 //!   depth, intact admitted work, balanced accounting, goodput holding up.
 //! * `-- --metrics-smoke` — run the same storm with per-shard metrics on and
 //!   off; assert the snapshot invariants (per-shard sums equal the aggregate
 //!   stats, every instance attributed) and gate on recorder overhead.
-//! * `-- --async-smoke` — the density gate for the task-multiplexed backend:
-//!   submit thousands of executor instances before awaiting any (peak
-//!   in-flight must clear the floor, zero lost/duplicate outcomes), then run
-//!   the closed-loop smoke storm on `BackendKind::Async` with the full
-//!   correctness assertions.
+//! * `-- --async-smoke` — the density gate for the task executor: stage
+//!   thousands of executor instances before any runs (peak in-flight must
+//!   clear the floor, zero lost/duplicate outcomes).
 
 use fle_bench::service_load;
 
@@ -59,11 +59,10 @@ fn main() {
 
     if args.iter().any(|arg| arg == "--async-smoke") {
         match service_load::async_smoke_check() {
-            Ok((storm, service_per_sec)) => {
+            Ok(storm) => {
                 println!(
                     "async-smoke OK: peak {} concurrent instances (n={}) over {} task workers \
-                     ({:.0} instances/s executor-direct), service storm on the async backend \
-                     at {service_per_sec:.0} instances/s, all outcomes verified",
+                     ({:.0} instances/s executor-direct), all outcomes verified",
                     storm.peak_in_flight, storm.n, storm.task_workers, storm.instances_per_sec,
                 );
             }

@@ -24,12 +24,12 @@
 //! it measures: exactly one result per admitted key (nothing lost, nothing
 //! duplicated), exactly one winner per election instance, and the service's
 //! accounting invariant `submitted = completed + failed + shed + drained`.
-//! The standard recording ([`record_default`]) sweeps the concurrent backend
-//! at shard counts {1, 4, `num_cpus`}, the concurrent-vs-async backend
-//! density sweep at n ∈ {4, 16, 64} ([`density_sweep`]), and the
-//! executor-direct density storm ([`executor_density_storm`] — every
-//! instance in flight at once, `peak_in_flight` measured), and writes
-//! `BENCH_service.json`; [`smoke_check`], [`overload_smoke_check`] and
+//! The standard recording ([`record_default`]) sweeps the async backend at
+//! shard counts {1, 4, `num_cpus`}, the density sweep at n ∈ {4, 16, 64}
+//! ([`density_sweep`]), and the executor-direct density storm
+//! ([`executor_density_storm`] — every instance in flight at once,
+//! `peak_in_flight` measured), and writes `BENCH_service.json`;
+//! [`smoke_check`], [`overload_smoke_check`], [`metrics_smoke_check`] and
 //! [`async_smoke_check`] are the CI gates.
 
 use crate::hist::LogHistogram;
@@ -61,12 +61,12 @@ pub struct LoadSpec {
 }
 
 impl LoadSpec {
-    /// A closed-loop spec on the concurrent backend: `instances` elections
-    /// of size `n` over `shards` shards, with twice as many clients as
-    /// shards (enough to keep every shard busy).
+    /// A closed-loop spec on the async backend: `instances` elections of
+    /// size `n` over `shards` shards, with twice as many clients as shards
+    /// (enough to keep every shard busy).
     pub fn concurrent(shards: usize, instances: usize, n: usize) -> Self {
         LoadSpec {
-            backend: BackendKind::Concurrent,
+            backend: BackendKind::Async,
             shards,
             instances,
             n,
@@ -368,7 +368,7 @@ pub fn open_loop_overload_observed(
     rate_per_sec: f64,
 ) -> (OverloadResult, Option<MetricsSnapshot>) {
     assert!(rate_per_sec > 0.0, "the offered rate must be positive");
-    let config = ServiceConfig::new(spec.shards, BackendKind::Concurrent)
+    let config = ServiceConfig::new(spec.shards, BackendKind::Async)
         .with_queue_capacity(spec.queue_capacity)
         .with_overload_policy(spec.policy);
     let service = ElectionService::new(config);
@@ -494,24 +494,15 @@ pub fn sequential_reference(spec: LoadSpec) -> f64 {
     spec.instances as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The backend-density sweep: the same closed-loop storm at system sizes
-/// n ∈ {4, 16, 64} on both the concurrent and the async backend. The
-/// concurrent backend spends n OS threads per in-flight instance (spawned
-/// and joined per run), the async backend multiplexes the n participant
-/// tasks of every instance over one fixed worker pool — so the gap between
-/// the two columns at a given n is the price of thread-per-participant
-/// execution, and it widens as n grows. Instance counts shrink with n to
+/// The density sweep: the same closed-loop storm on the async backend at
+/// system sizes n ∈ {4, 16, 64}, whose n participant tasks per instance
+/// share one fixed executor worker pool. Instance counts shrink with n to
 /// keep total work roughly level across the sweep.
 pub fn density_sweep(shards: usize) -> Vec<LoadResult> {
-    let mut points = Vec::new();
-    for (n, instances) in [(4usize, 800usize), (16, 400), (64, 120)] {
-        for backend in [BackendKind::Concurrent, BackendKind::Async] {
-            points.push(closed_loop(
-                LoadSpec::concurrent(shards, instances, n).with_backend(backend),
-            ));
-        }
-    }
-    points
+    [(4usize, 800usize), (16, 400), (64, 120)]
+        .into_iter()
+        .map(|(n, instances)| closed_loop(LoadSpec::concurrent(shards, instances, n)))
+        .collect()
 }
 
 /// The measurement of one executor-direct density storm
@@ -537,7 +528,7 @@ pub struct DensityStorm {
 /// `instances` n-participant elections all staged *before any task runs*:
 /// the pool starts paused, the whole batch is submitted (so `instances × n`
 /// cooperative tasks are genuinely in flight at once — a load shape that
-/// would need `instances × n` OS threads on the concurrent backend), and
+/// would need `instances × n` OS threads at one thread per participant), and
 /// the workers are then released to drain it. Verifies while it measures:
 /// every ticket resolves exactly once with n outcomes and one winner
 /// (nothing lost, nothing duplicated, namespaces don't interfere), and the
@@ -616,23 +607,18 @@ pub const DENSITY_STORM_N: usize = 16;
 /// OS thread" claim, asserted rather than assumed).
 pub const DENSITY_MIN_PEAK: usize = 5000;
 
-/// The CI async-smoke gate, two halves:
-///
-/// 1. **Density**: [`executor_density_storm`] with
-///    [`DENSITY_STORM_INSTANCES`] instances of size [`DENSITY_STORM_N`] —
-///    every outcome verified (zero lost or duplicate, one winner each,
-///    in-flight accounting returns to zero) and the peak concurrency must
-///    reach [`DENSITY_MIN_PEAK`], proving the executor really multiplexes
-///    thousands of instances over its fixed pool.
-/// 2. **Service**: the standard closed-loop smoke storm on
-///    `BackendKind::Async` — the same correctness assertions the concurrent
-///    smoke makes (one result per key, one winner per instance, balanced
-///    accounting invariant, per-shard metrics agreeing with the aggregate).
+/// The CI async-smoke gate: [`executor_density_storm`] with
+/// [`DENSITY_STORM_INSTANCES`] instances of size [`DENSITY_STORM_N`] —
+/// every outcome verified (zero lost or duplicate, one winner each,
+/// in-flight accounting returns to zero) and the peak concurrency must
+/// reach [`DENSITY_MIN_PEAK`], proving the executor really multiplexes
+/// thousands of instances over its fixed pool. (The service storm on the
+/// async backend is [`smoke_check`]'s.)
 ///
 /// # Errors
 /// Returns a description of the failure (the correctness assertions inside
-/// the storms panic instead — a lost outcome is a bug, not a gate trip).
-pub fn async_smoke_check() -> Result<(DensityStorm, f64), String> {
+/// the storm panic instead — a lost outcome is a bug, not a gate trip).
+pub fn async_smoke_check() -> Result<DensityStorm, String> {
     let storm = executor_density_storm(DENSITY_STORM_INSTANCES, DENSITY_STORM_N);
     if storm.peak_in_flight < DENSITY_MIN_PEAK {
         return Err(format!(
@@ -641,10 +627,7 @@ pub fn async_smoke_check() -> Result<(DensityStorm, f64), String> {
             storm.peak_in_flight, storm.instances
         ));
     }
-    let spec =
-        LoadSpec::concurrent(SMOKE_SHARDS, SMOKE_INSTANCES, 4).with_backend(BackendKind::Async);
-    let service = closed_loop(spec);
-    Ok((storm, service.instances_per_sec))
+    Ok(storm)
 }
 
 /// Render load + overload + density results as the `BENCH_service.json`
@@ -668,9 +651,9 @@ pub fn to_json(
     out.push_str(
         "  \"methodology\": \"clients = 2 x shards closed-loop threads, each keeping one \
          instance in flight; every run asserts exactly one result per key and one winner per \
-         instance; latency is submit-to-completion including queueing; concurrent backend = \
-         namespaced shared registers, threads per instance = n; percentiles from a log-scaled \
-         histogram (<= 1.6% bucket error)\",\n",
+         instance; latency is submit-to-completion including queueing; async backend = \
+         participant tasks on one process-wide executor over namespaced shared registers; \
+         percentiles from a log-scaled histogram (<= 1.6% bucket error)\",\n",
     );
     out.push_str("  \"points\": [\n");
     for (index, p) in points.iter().enumerate() {
@@ -731,10 +714,9 @@ pub fn to_json(
     out.push_str("  ],\n");
     out.push_str(
         "  \"density_methodology\": \"the same closed-loop storm at n in {4, 16, 64} on the \
-         concurrent and async backends (instance counts shrink with n to keep total work \
-         level): concurrent spawns and joins n OS threads per instance, async multiplexes the \
-         n participant tasks over one fixed executor pool, so the per-n gap prices \
-         thread-per-participant execution; executor_storm drives the executor directly: the \
+         async backend (instance counts shrink with n to keep total work level), the n \
+         participant tasks of every instance multiplexed over one fixed executor pool; \
+         executor_storm drives the executor directly: the \
          whole batch is staged on a paused pool, then the workers are released to drain it — \
          peak_in_flight is the measured concurrency high-water mark, instances_per_sec the \
          drain rate, with every outcome verified (none lost, none duplicated, one winner \
@@ -836,7 +818,7 @@ pub fn record(path: &Path, specs: &[LoadSpec], overload_shards: usize) -> Record
     }
 }
 
-/// The standard recording: the concurrent backend at shard counts
+/// The standard recording: the async backend at shard counts
 /// {1, 4, `num_cpus`} (deduplicated), 2000 four-processor elections each,
 /// plus the overload sweep, density n-sweep, and executor storm at 4 shards.
 pub fn record_default() -> Recording {
@@ -897,7 +879,7 @@ pub const SMOKE_REGRESSION_FACTOR: f64 = 3.0;
 /// regression even on a slow runner.
 pub const SMOKE_MIN_SEQUENTIAL_FRACTION: f64 = 1.0 / 3.0;
 
-/// The CI service-smoke gate: run [`SMOKE_INSTANCES`] concurrent-backend
+/// The CI service-smoke gate: run [`SMOKE_INSTANCES`] async-backend
 /// instances (correctness asserted throughout — zero lost or duplicate
 /// outcomes, one winner each, balanced accounting), then compare throughput
 /// with the recorded `BENCH_service.json`.
@@ -1095,7 +1077,7 @@ mod tests {
 
     #[test]
     fn retry_with_backoff_eventually_admits_against_a_tiny_queue() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent)
+        let config = ServiceConfig::new(1, BackendKind::Async)
             .with_queue_capacity(1)
             .with_overload_policy(OverloadPolicy::Shed);
         let service = ElectionService::new(config);
@@ -1138,8 +1120,8 @@ mod tests {
         spec.base_key = 500_000;
         let overload = vec![open_loop_overload(spec, 20_000.0)];
         let density = vec![
+            closed_loop(LoadSpec::concurrent(1, 12, 3).with_backend(BackendKind::Sim)),
             closed_loop(LoadSpec::concurrent(1, 12, 3)),
-            closed_loop(LoadSpec::concurrent(1, 12, 3).with_backend(BackendKind::Async)),
         ];
         let storm = executor_density_storm(32, 3);
         let metrics = points[0].metrics.clone();
@@ -1162,7 +1144,7 @@ mod tests {
         let dense = recorded_density_instances_per_sec(&json, "async", 3).expect("parseable");
         assert!(
             (dense - density[1].instances_per_sec).abs() < 1.0,
-            "the density parser must pick the async point, not the concurrent one"
+            "the density parser must pick the async point, not the sim one"
         );
         assert_eq!(recorded_density_instances_per_sec(&json, "async", 99), None);
     }
@@ -1174,13 +1156,6 @@ mod tests {
         assert!(json.trim_end().ends_with('}'));
         assert!(!json.contains("\"metrics\""));
         assert!(!json.contains("\"executor_storm\""));
-    }
-
-    #[test]
-    fn async_backend_load_also_verifies() {
-        let spec = LoadSpec::concurrent(2, 32, 4).with_backend(BackendKind::Async);
-        let result = closed_loop(spec);
-        assert!(result.instances_per_sec > 0.0);
     }
 
     #[test]

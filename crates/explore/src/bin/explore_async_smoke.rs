@@ -1,8 +1,8 @@
 //! CI smoke sweep for schedule exploration of the **task executor**.
 //!
-//! The async twin of `explore_shm_smoke`: runs the full attack library
+//! The executor twin of `explore_smoke`: runs the full attack library
 //! against every healthy scenario at n ∈ {4, 8} on the task-multiplexed
-//! executor (participants as cooperative tasks behind the same schedule
+//! executor (participants as cooperative tasks behind schedule
 //! gates, serialized under adversary-chosen interleavings), with fixed
 //! seeds, and asserts that **zero** violations are found — the paper's
 //! invariants must survive every strategy on the backend that multiplexes

@@ -1,7 +1,7 @@
 //! CI smoke sweep for schedule exploration **under injected faults**.
 //!
-//! The robustness twin of `explore_shm_smoke`: the same attack strategies
-//! and safety oracles hunt the concurrent backend, but every episode now
+//! The robustness twin of `explore_async_smoke`: the same attack strategies
+//! and safety oracles hunt the gated task executor, but every episode now
 //! runs behind a seeded [`fle_runtime::FaultyMemory`] decorator
 //! ([`ShmConfig::faults`]). Two sweeps:
 //!
@@ -23,7 +23,7 @@
 
 use fle_explore::oracles::ELECTION_LIVENESS;
 use fle_explore::{
-    replay_shm, shrink_shm, ElectionScenario, ExploreBackend, Explorer, Scenario, ShmConfig,
+    replay_exec, shrink_exec, ElectionScenario, ExploreBackend, Explorer, Scenario, ShmConfig,
 };
 use fle_runtime::{CrashSpec, FaultPlan};
 
@@ -42,7 +42,7 @@ fn main() {
     for n in [4usize, 8] {
         let scenario = ElectionScenario { n, k: n };
         let report = Explorer::new(&scenario)
-            .with_backend(ExploreBackend::Concurrent(benign))
+            .with_backend(ExploreBackend::Async(benign))
             .with_sim_seeds(0..3)
             .with_strategy_seeds(0..2)
             .hunt();
@@ -69,7 +69,7 @@ fn main() {
     };
     let scenario = ElectionScenario { n: 4, k: 4 };
     let hunt = Explorer::new(&scenario)
-        .with_backend(ExploreBackend::Concurrent(crashing))
+        .with_backend(ExploreBackend::Async(crashing))
         .with_sim_seeds(0..4)
         .hunt();
     match hunt.first_violation() {
@@ -83,9 +83,9 @@ fn main() {
                 );
             }
             let (replay_a, consumed_a) =
-                replay_shm(&scenario, found.plan.sim_seed, &found.decisions, &crashing);
+                replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &crashing);
             let (replay_b, consumed_b) =
-                replay_shm(&scenario, found.plan.sim_seed, &found.decisions, &crashing);
+                replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &crashing);
             let deterministic = replay_a == replay_b
                 && consumed_a == consumed_b
                 && replay_a.as_ref().map(|v| v.oracle) == Some(found.violation.oracle);
@@ -96,7 +96,7 @@ fn main() {
                     scenario.name()
                 );
             }
-            let minimal = shrink_shm(&scenario, found, 300, &crashing);
+            let minimal = shrink_exec(&scenario, found, 300, &crashing);
             println!(
                 "  {:<40} caught ({}; trace {} -> {} decisions in {} replays)",
                 scenario.name(),

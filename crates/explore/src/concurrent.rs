@@ -1,13 +1,12 @@
-//! Hunting the **gate-serialized backends**: the same strategies, oracles,
-//! traces and shrinker as the simulator, pointed at real threads
-//! ([`run_episode_shm`]) or at cooperative tasks on the shared
-//! [`Executor`] ([`run_episode_exec`]).
+//! Hunting the **gate-serialized executor**: the same strategies, oracles,
+//! traces and shrinker as the simulator, pointed at cooperative tasks on the
+//! shared [`Executor`] ([`run_episode_exec`]).
 //!
-//! `fle_runtime::run_scheduled` serializes the participant threads of a
+//! [`fle_runtime::run_gated`] serializes the participant tasks of a
 //! [`fle_runtime::SharedRegisters`] run at their [`fle_model::SchedulePoint`]
 //! gates and lets a picker choose the interleaving. This module adapts that
-//! picker interface to the simulator's [`Adversary`] so the entire PR 3
-//! pipeline transfers unchanged:
+//! picker interface to the simulator's [`Adversary`] so the entire
+//! simulator pipeline transfers unchanged:
 //!
 //! * every attack strategy ([`crate::strategies`]) sees a synthetic
 //!   [`SystemObservation`] + [`EnabledEvents`] view in which each gated
@@ -20,25 +19,25 @@
 //! * every violation is recorded by [`RecordingAdversary`] as a
 //!   [`DecisionTrace`] (`s<i>` = grant the i-th waiting participant,
 //!   `c<p>` = crash processor p — same codec as the simulator), replayed by
-//!   [`ReplayAdversary`] and minimized by [`crate::shrink_shm`]'s ddmin.
+//!   [`ReplayAdversary`] and minimized by [`crate::shrink_exec`]'s ddmin.
 //!
 //! Determinism: one episode = fresh register bank + seeded per-participant
 //! coin streams + fully serialized grants, so the execution is a pure
 //! function of `(scenario, sim_seed, decision sequence)` — independent of
-//! machine load, OS scheduling and explorer thread count. That is what makes
-//! a counterexample found on real threads replayable from its compact text
-//! form alone.
+//! machine load, OS scheduling, executor worker count and explorer thread
+//! count. That is what makes a counterexample found on the executor
+//! replayable from its compact text form alone.
 //!
 //! # Example
 //!
-//! Point a hunt at the concurrent backend (the healthy election survives):
+//! Point a hunt at the executor (the healthy election survives):
 //!
 //! ```
 //! use fle_explore::{ElectionScenario, ExploreBackend, Explorer, ShmConfig};
 //!
 //! let scenario = ElectionScenario { n: 3, k: 3 };
 //! let report = Explorer::new(&scenario)
-//!     .with_backend(ExploreBackend::Concurrent(ShmConfig::default()))
+//!     .with_backend(ExploreBackend::Async(ShmConfig::default()))
 //!     .with_sim_seeds(0..1)
 //!     .with_strategy_seeds(0..1)
 //!     .with_threads(2)
@@ -54,8 +53,8 @@ use crate::scenario::Scenario;
 use crate::strategies::PreemptionBound;
 use fle_model::{CancelToken, ProcId};
 use fle_runtime::{
-    run_gated, run_scheduled_faulty, Executor, FaultPlan, GateCommand, GateObservation,
-    GateScheduler, ScheduleConfig, ScheduledReport, SharedRegisters,
+    run_gated, Executor, FaultPlan, GateCommand, GateObservation, GateScheduler, ScheduleConfig,
+    SharedRegisters,
 };
 use fle_sim::{
     Adversary, Decision, DecisionTrace, EnabledEvent, EnabledEvents, ExecutionReport,
@@ -63,7 +62,7 @@ use fle_sim::{
 };
 use std::sync::Arc;
 
-/// How the concurrent backend is exercised during a hunt.
+/// How the gated executor is exercised during a hunt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShmConfig {
     /// Lock shards of the per-episode register bank.
@@ -79,12 +78,12 @@ pub struct ShmConfig {
     /// event budget.
     pub max_grants: Option<u64>,
     /// Deterministic fault injection under every episode (`None` = fault
-    /// free): a [`fle_runtime::FaultyMemory`] decorator between the gated
-    /// register bank and each participant. The whole exploration stack —
-    /// strategies, oracles, recorded traces, replay, ddmin — works unchanged
-    /// against the service-under-faults; episodes stay a pure function of
-    /// `(scenario, sim_seed, decisions, plan)` because the fault stream is
-    /// seeded by the plan, not the clock.
+    /// free): a [`fle_runtime::FaultyMemory`] decorator between the
+    /// register bank and each gated participant. The whole exploration
+    /// stack — strategies, oracles, recorded traces, replay, ddmin — works
+    /// unchanged against the service-under-faults; episodes stay a pure
+    /// function of `(scenario, sim_seed, decisions, plan)` because the fault
+    /// stream is seeded by the plan, not the clock.
     pub faults: Option<FaultPlan>,
 }
 
@@ -201,19 +200,6 @@ impl GateScheduler for OnlineAdversaryScheduler<'_> {
     }
 }
 
-/// Which gate-serialized substrate hosts the participants of an episode:
-/// one OS thread per participant (`run_scheduled_faulty`) or cooperative
-/// tasks on the shared task [`Executor`] (`run_gated`). Both present the
-/// identical [`GateScheduler`] interface, so everything above the gate —
-/// strategies, oracles, traces, replay, ddmin — is substrate-blind.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum GatedSubstrate {
-    /// One OS thread per participant.
-    Threads,
-    /// Cooperative tasks on the shared executor.
-    Tasks,
-}
-
 /// The process-wide executor hosting every task-backed episode. Episodes
 /// hunted in parallel share the pool safely: each episode's control loop
 /// serializes only its own gate, and a gated schedule admits one task at a
@@ -223,16 +209,15 @@ fn explore_executor() -> &'static Executor {
     EXECUTOR.get_or_init(Executor::with_default_config)
 }
 
-/// Drive one scenario on a gate-serialized backend under `adversary`,
-/// checking the scenario's oracles after every grant. Returns the violation
-/// (if any) and the number of grants executed. The probe sees every ctx the
-/// oracles see, including the post-run final check.
+/// Drive one scenario on the gated executor under `adversary`, checking the
+/// scenario's oracles after every grant. Returns the violation (if any) and
+/// the number of grants executed. The probe sees every ctx the oracles see,
+/// including the post-run final check.
 pub(crate) fn drive_gated(
     scenario: &dyn Scenario,
     sim_seed: u64,
     adversary: &mut dyn Adversary,
     config: &ShmConfig,
-    substrate: GatedSubstrate,
     probe: &mut dyn CoverageProbe,
 ) -> (Option<Violation>, u64) {
     let participants = scenario.participants();
@@ -254,28 +239,17 @@ pub(crate) fn drive_gated(
         violation: None,
         report: ExecutionReport::default(),
     };
-    let report: ScheduledReport = match substrate {
-        GatedSubstrate::Threads => run_scheduled_faulty(
-            &registers,
-            0,
-            sim_seed,
-            scenario.protocols(),
-            sched_config,
-            &mut scheduler,
-            config.faults,
-        ),
-        GatedSubstrate::Tasks => run_gated(
-            explore_executor(),
-            &registers,
-            0,
-            sim_seed,
-            scenario.protocols(),
-            sched_config,
-            &mut scheduler,
-            config.faults,
-            &CancelToken::none(),
-        ),
-    };
+    let report = run_gated(
+        explore_executor(),
+        &registers,
+        0,
+        sim_seed,
+        scenario.protocols(),
+        sched_config,
+        &mut scheduler,
+        config.faults,
+        &CancelToken::none(),
+    );
 
     let mut oracles = scheduler.oracles;
     let probe = scheduler.probe;
@@ -336,31 +310,13 @@ pub(crate) fn drive_gated(
     (None, report.grants)
 }
 
-/// [`drive_gated`] on participant threads (the concurrent backend).
-pub(crate) fn drive_shm(
-    scenario: &dyn Scenario,
-    sim_seed: u64,
-    adversary: &mut dyn Adversary,
-    config: &ShmConfig,
-) -> (Option<Violation>, u64) {
-    drive_gated(
-        scenario,
-        sim_seed,
-        adversary,
-        config,
-        GatedSubstrate::Threads,
-        &mut NullProbe,
-    )
-}
-
-/// Run one episode of `plan` against `scenario` on a gate-serialized
-/// substrate: build the strategy (preemption-bounded if configured), record
-/// its decisions, evaluate the oracles online after every grant.
-fn run_episode_gated(
+/// Run one episode of `plan` against `scenario` on the task executor:
+/// build the strategy (preemption-bounded if configured), record its
+/// decisions, evaluate the oracles online after every grant.
+pub fn run_episode_exec(
     scenario: &dyn Scenario,
     plan: &EpisodePlan,
     config: &ShmConfig,
-    substrate: GatedSubstrate,
 ) -> EpisodeOutcome {
     let strategy = plan.strategy.build(plan.strategy_seed);
     let bounded: Box<dyn Adversary> = match config.preemption_bound {
@@ -373,7 +329,6 @@ fn run_episode_gated(
         plan.sim_seed,
         &mut recording,
         config,
-        substrate,
         &mut NullProbe,
     );
     match violation {
@@ -387,49 +342,11 @@ fn run_episode_gated(
     }
 }
 
-/// Run one episode of `plan` against `scenario` on the concurrent backend:
-/// build the strategy (preemption-bounded if configured), record its
-/// decisions, evaluate the oracles online after every grant.
-pub fn run_episode_shm(
-    scenario: &dyn Scenario,
-    plan: &EpisodePlan,
-    config: &ShmConfig,
-) -> EpisodeOutcome {
-    run_episode_gated(scenario, plan, config, GatedSubstrate::Threads)
-}
-
-/// Run one episode of `plan` against `scenario` on the task executor: same
-/// strategies, oracles and trace codec as [`run_episode_shm`], but the
-/// participants are cooperative tasks multiplexed on the process-wide
-/// [`Executor`] instead of one OS thread each.
-pub fn run_episode_exec(
-    scenario: &dyn Scenario,
-    plan: &EpisodePlan,
-    config: &ShmConfig,
-) -> EpisodeOutcome {
-    run_episode_gated(scenario, plan, config, GatedSubstrate::Tasks)
-}
-
-/// Replay a decision trace against the scenario on the concurrent backend;
-/// returns the violation it reproduces (if any) and how many trace decisions
-/// were consumed before it fired. The concurrent twin of
-/// [`crate::explorer::replay`].
-pub fn replay_shm(
-    scenario: &dyn Scenario,
-    sim_seed: u64,
-    decisions: &DecisionTrace,
-    config: &ShmConfig,
-) -> (Option<Violation>, usize) {
-    let mut replayer = ReplayAdversary::new(decisions);
-    let (violation, _grants) = drive_shm(scenario, sim_seed, &mut replayer, config);
-    let consumed = replayer.consumed();
-    (violation, consumed)
-}
-
-/// Replay a decision trace against the scenario on the task executor. A
-/// trace recorded by [`run_episode_exec`] replays here decision-for-decision
-/// — and, because the gate interface is substrate-blind, traces recorded on
-/// participant threads replay on tasks (and vice versa) too.
+/// Replay a decision trace against the scenario on the task executor;
+/// returns the violation it reproduces (if any) and how many trace
+/// decisions were consumed before it fired. The executor twin of
+/// [`crate::explorer::replay`]: a trace recorded by [`run_episode_exec`]
+/// replays here decision-for-decision.
 pub fn replay_exec(
     scenario: &dyn Scenario,
     sim_seed: u64,
@@ -437,14 +354,8 @@ pub fn replay_exec(
     config: &ShmConfig,
 ) -> (Option<Violation>, usize) {
     let mut replayer = ReplayAdversary::new(decisions);
-    let (violation, _grants) = drive_gated(
-        scenario,
-        sim_seed,
-        &mut replayer,
-        config,
-        GatedSubstrate::Tasks,
-        &mut NullProbe,
-    );
+    let (violation, _grants) =
+        drive_gated(scenario, sim_seed, &mut replayer, config, &mut NullProbe);
     let consumed = replayer.consumed();
     (violation, consumed)
 }
@@ -454,28 +365,13 @@ mod tests {
     use super::*;
     use crate::scenario::ElectionScenario;
     use crate::strategies::StrategySpec;
+    use fle_runtime::CrashSpec;
 
     fn plan(strategy: StrategySpec, sim_seed: u64) -> EpisodePlan {
         EpisodePlan {
             strategy,
             sim_seed,
             strategy_seed: 0,
-        }
-    }
-
-    #[test]
-    fn healthy_election_episodes_are_clean_on_the_concurrent_backend() {
-        let scenario = ElectionScenario { n: 4, k: 4 };
-        let config = ShmConfig::default();
-        for strategy in StrategySpec::library() {
-            for sim_seed in 0..2 {
-                match run_episode_shm(&scenario, &plan(strategy, sim_seed), &config) {
-                    EpisodeOutcome::Clean { events } => assert!(events > 0),
-                    EpisodeOutcome::Violated(found) => {
-                        panic!("healthy election violated on shm: {found}")
-                    }
-                }
-            }
         }
     }
 
@@ -489,7 +385,7 @@ mod tests {
             ..ShmConfig::default()
         };
         for sim_seed in 0..3 {
-            let outcome = run_episode_shm(
+            let outcome = run_episode_exec(
                 &scenario,
                 &plan(StrategySpec::SplitBrain { burst: 4 }, sim_seed),
                 &config,
@@ -499,10 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn benign_faults_are_masked_and_fail_stop_crashes_are_caught() {
-        use fle_runtime::{CrashSpec, FaultPlan};
-        let scenario = ElectionScenario { n: 4, k: 4 };
+    fn benign_faults_are_masked() {
         // Delays and transient collect failures are masked: still clean.
+        let scenario = ElectionScenario { n: 4, k: 4 };
         let benign = ShmConfig {
             faults: Some(
                 FaultPlan::new(1)
@@ -511,31 +406,12 @@ mod tests {
             ),
             ..ShmConfig::default()
         };
-        let outcome = run_episode_shm(
+        let outcome = run_episode_exec(
             &scenario,
             &plan(StrategySpec::SplitBrain { burst: 4 }, 0),
             &benign,
         );
         assert!(matches!(outcome, EpisodeOutcome::Clean { .. }));
-
-        // Fail-stopping every participant after two ops leaves everyone a
-        // loser: the election-liveness oracle must fire.
-        let crashing = ShmConfig {
-            faults: Some(FaultPlan::new(2).with_crash(CrashSpec::lose_all(2))),
-            ..ShmConfig::default()
-        };
-        match run_episode_shm(
-            &scenario,
-            &plan(StrategySpec::SplitBrain { burst: 4 }, 0),
-            &crashing,
-        ) {
-            EpisodeOutcome::Violated(found) => {
-                assert_eq!(found.violation.oracle, crate::oracles::ELECTION_LIVENESS);
-            }
-            EpisodeOutcome::Clean { .. } => {
-                panic!("a fail-stop of every participant must violate liveness")
-            }
-        }
     }
 
     #[test]
@@ -555,25 +431,19 @@ mod tests {
     }
 
     #[test]
-    fn executor_episodes_are_deterministic_and_match_the_thread_substrate() {
-        // The gate fully serializes both substrates, so for the same plan
-        // the thread-backed and task-backed episodes execute the identical
-        // schedule — grant counts and outcomes included.
+    fn executor_episodes_are_deterministic() {
+        // The gate fully serializes the executor, so the same plan executes
+        // the identical schedule every time — grant counts included.
         let scenario = ElectionScenario { n: 4, k: 4 };
         let config = ShmConfig::default();
         for sim_seed in 0..3 {
             let p = plan(StrategySpec::SplitBrain { burst: 4 }, sim_seed);
-            let threads = run_episode_shm(&scenario, &p, &config);
-            let tasks = run_episode_exec(&scenario, &p, &config);
-            let tasks_again = run_episode_exec(&scenario, &p, &config);
-            match (&threads, &tasks, &tasks_again) {
-                (
-                    EpisodeOutcome::Clean { events: a },
-                    EpisodeOutcome::Clean { events: b },
-                    EpisodeOutcome::Clean { events: c },
-                ) => {
-                    assert_eq!(a, b, "seed {sim_seed}: substrates agree on grant count");
-                    assert_eq!(b, c, "seed {sim_seed}: the executor repeats itself");
+            match (
+                run_episode_exec(&scenario, &p, &config),
+                run_episode_exec(&scenario, &p, &config),
+            ) {
+                (EpisodeOutcome::Clean { events: a }, EpisodeOutcome::Clean { events: b }) => {
+                    assert_eq!(a, b, "seed {sim_seed}: the executor repeats itself");
                 }
                 other => panic!("seed {sim_seed}: unexpected outcomes {other:?}"),
             }
@@ -587,7 +457,7 @@ mod tests {
         // trace replays on the executor; ddmin minimizes it there too.
         let scenario = ElectionScenario { n: 4, k: 4 };
         let crashing = ShmConfig {
-            faults: Some(FaultPlan::new(2).with_crash(fle_runtime::CrashSpec::lose_all(2))),
+            faults: Some(FaultPlan::new(2).with_crash(CrashSpec::lose_all(2))),
             ..ShmConfig::default()
         };
         let found = match run_episode_exec(
@@ -624,7 +494,7 @@ mod tests {
             max_grants: Some(3),
             ..ShmConfig::default()
         };
-        let outcome = run_episode_shm(
+        let outcome = run_episode_exec(
             &scenario,
             &plan(StrategySpec::SplitBrain { burst: 4 }, 0),
             &config,

@@ -8,7 +8,7 @@
 //!
 //! 1. **Signal** ([`SignalProbe`]): every episode is observed at each oracle
 //!    check point (per event on the simulator, per grant on the gated
-//!    backends, per super-round barrier on the partitioned engine) and
+//!    executor, per super-round barrier on the partitioned engine) and
 //!    condensed into a set of *feature codes* — per-round sifting-survivor
 //!    profiles, phase footprints, outcome multisets and oracle near-miss
 //!    buckets — plus an interleaving-class hash over the decision sequence.
@@ -28,7 +28,7 @@
 //! same episode budget and reports how many episodes each needed to first
 //! kill a mutant — the honesty check behind the numbers in EXPERIMENTS.md.
 
-use crate::concurrent::{drive_gated, GatedSubstrate};
+use crate::concurrent::drive_gated;
 use crate::corpus::Corpus;
 use crate::explorer::{drive, DriveOutcome, EpisodePlan, ExploreBackend};
 use crate::mutate::MutationEngine;
@@ -354,16 +354,14 @@ fn run_probed(
             CoverageJob::Seed(plan) => {
                 let strategy = plan.strategy.build(plan.strategy_seed);
                 match backend {
-                    // Honor the gated backends' preemption bound for
+                    // Honor the gated executor's preemption bound for
                     // strategy episodes, like the blind explorer does.
-                    ExploreBackend::Concurrent(cfg) | ExploreBackend::Async(cfg) => {
-                        match cfg.preemption_bound {
-                            Some(bound) => {
-                                Box::new(crate::strategies::PreemptionBound::new(strategy, bound))
-                            }
-                            None => strategy,
+                    ExploreBackend::Async(cfg) => match cfg.preemption_bound {
+                        Some(bound) => {
+                            Box::new(crate::strategies::PreemptionBound::new(strategy, bound))
                         }
-                    }
+                        None => strategy,
+                    },
                     _ => strategy,
                 }
             }
@@ -378,22 +376,9 @@ fn run_probed(
                     (Some(violation), events)
                 }
             },
-            ExploreBackend::Concurrent(config) => drive_gated(
-                scenario,
-                sim_seed,
-                &mut recording,
-                &config,
-                GatedSubstrate::Threads,
-                &mut probe,
-            ),
-            ExploreBackend::Async(config) => drive_gated(
-                scenario,
-                sim_seed,
-                &mut recording,
-                &config,
-                GatedSubstrate::Tasks,
-                &mut probe,
-            ),
+            ExploreBackend::Async(config) => {
+                drive_gated(scenario, sim_seed, &mut recording, &config, &mut probe)
+            }
             ExploreBackend::Partitioned(_) => unreachable!("handled above"),
         };
         (violation, recording.into_trace(), events)

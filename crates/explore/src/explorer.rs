@@ -11,7 +11,7 @@
 //! deterministic and results come back in job order, a hunt's outcome is
 //! bitwise independent of the thread count.
 
-use crate::concurrent::{run_episode_exec, run_episode_shm, ShmConfig};
+use crate::concurrent::{run_episode_exec, ShmConfig};
 use crate::coverage::{CoverageProbe, NullProbe};
 use crate::oracles::{budget_violation, OracleCtx, Violation};
 use crate::partitioned::{run_episode_partitioned, PartitionedConfig};
@@ -25,28 +25,26 @@ use std::fmt;
 
 /// Which execution substrate a hunt sweeps.
 ///
-/// Episodes on both backends share the strategy library, the oracles, the
-/// seed grids and the [`DecisionTrace`] codec; only the meaning of a
-/// `Schedule(i)` decision differs (the i-th enabled simulator event versus
-/// the i-th gated participant thread).
+/// Episodes on every backend share the strategy library, the oracles and
+/// the seed grids, and the simulator and the gated executor share the
+/// [`DecisionTrace`] codec; only the meaning of a `Schedule(i)` decision
+/// differs (the i-th enabled simulator event versus the i-th gated
+/// participant task).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExploreBackend {
     /// The discrete-event simulator (`fle_sim::Simulator`).
     #[default]
     Sim,
-    /// The schedule-controlled concurrent backend
-    /// (`fle_runtime::SharedRegisters` behind `run_scheduled` gates).
-    Concurrent(ShmConfig),
     /// The partitioned parallel simulator
     /// (`fle_sim::ParallelSimulator`): one adversary per partition, oracles
     /// checked at every super-round barrier, violations replayed by plan
     /// rather than by decision trace (see [`crate::partitioned`]).
     Partitioned(PartitionedConfig),
-    /// The task-multiplexed executor behind the same schedule gates as
-    /// [`ExploreBackend::Concurrent`]: identical strategies, oracles and
-    /// trace codec, but participants are cooperative tasks on a shared
-    /// worker pool instead of one OS thread each — so wide hunts do not
-    /// multiply `episodes × participants` into thread counts.
+    /// The task-multiplexed executor behind schedule gates
+    /// (`fle_runtime::SharedRegisters` under `fle_runtime::run_gated`):
+    /// identical strategies, oracles and trace codec as the simulator, with
+    /// participants as cooperative tasks on a shared worker pool — so wide
+    /// hunts do not multiply `episodes × participants` into thread counts.
     Async(ShmConfig),
 }
 
@@ -311,7 +309,6 @@ impl<'a> Explorer<'a> {
         let backend = self.backend;
         let outcomes = self.runner.map(&plans, move |plan| match backend {
             ExploreBackend::Sim => run_episode(scenario, plan),
-            ExploreBackend::Concurrent(config) => run_episode_shm(scenario, plan, &config),
             ExploreBackend::Partitioned(config) => run_episode_partitioned(scenario, plan, &config),
             ExploreBackend::Async(config) => run_episode_exec(scenario, plan, &config),
         });

@@ -57,7 +57,7 @@ pub mod scenario;
 pub mod shrink;
 pub mod strategies;
 
-pub use concurrent::{replay_exec, replay_shm, run_episode_exec, run_episode_shm, ShmConfig};
+pub use concurrent::{replay_exec, run_episode_exec, ShmConfig};
 pub use corpus::{Corpus, CorpusEntry};
 pub use coverage::{
     compare_kill_time, trace_class, CoverageConfig, CoverageExplorer, CoverageProbe,
@@ -74,5 +74,5 @@ pub use partitioned::{run_episode_partitioned, PartitionedConfig};
 pub use scenario::{
     standard_scenarios, ElectionScenario, RenamingScenario, Scenario, SiftScenario,
 };
-pub use shrink::{shrink, shrink_exec, shrink_shm, shrink_with, ShrinkResult};
+pub use shrink::{shrink, shrink_exec, shrink_with, ShrinkResult};
 pub use strategies::{PreemptionBound, StrategySpec};

@@ -23,8 +23,7 @@ use fle_sim::Simulator;
 /// returns plain [`fle_model::Protocol`] state machines, which the explorer
 /// either installs into a discrete-event simulator
 /// ([`Scenario::install`], the default implementation) or hands to the
-/// schedule-controlled concurrent runner (`crate::concurrent`) — the same
-/// oracles guard both.
+/// gated executor (`crate::concurrent`) — the same oracles guard both.
 ///
 /// Implementations must be `Sync` because the explorer shares one scenario
 /// across its worker threads (each worker builds its own protocol instances
@@ -56,8 +55,8 @@ pub trait Scenario: Sync {
 
     /// Optional override of the engine's event budget (`None` keeps the
     /// default `O(n²)` budget of [`fle_sim::SimConfig`] on the simulator and
-    /// the [`fle_runtime::ScheduleConfig`] grant budget on the concurrent
-    /// backend).
+    /// the [`fle_runtime::ScheduleConfig`] grant budget on the gated
+    /// executor).
     fn max_events(&self) -> Option<u64> {
         None
     }

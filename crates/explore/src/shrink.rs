@@ -20,7 +20,7 @@
 //! can be serialized with [`DecisionTrace::to_compact_string`] and replayed
 //! from text alone.
 
-use crate::concurrent::{replay_exec, replay_shm, ShmConfig};
+use crate::concurrent::{replay_exec, ShmConfig};
 use crate::explorer::{replay, FoundViolation};
 use crate::oracles::Violation;
 use crate::scenario::Scenario;
@@ -61,25 +61,10 @@ pub fn shrink(scenario: &dyn Scenario, found: &FoundViolation, max_replays: usiz
 }
 
 /// Minimize `found` with at most `max_replays` re-executions, replaying on
-/// the **concurrent backend** (the counterexample must have been found
-/// there: grant indices only mean the same thing on the backend that
-/// recorded them). Same ddmin, same keep-predicate, different substrate.
-pub fn shrink_shm(
-    scenario: &dyn Scenario,
-    found: &FoundViolation,
-    max_replays: usize,
-    config: &ShmConfig,
-) -> ShrinkResult {
-    let sim_seed = found.plan.sim_seed;
-    shrink_with(found, max_replays, |trace| {
-        replay_shm(scenario, sim_seed, trace, config)
-    })
-}
-
-/// Minimize `found` with at most `max_replays` re-executions, replaying on
-/// the **task executor** ([`crate::run_episode_exec`]'s substrate). Same
-/// ddmin, same keep-predicate; the gate interface makes grant indices mean
-/// the same thing as on the concurrent backend.
+/// the **task executor** ([`crate::run_episode_exec`]'s substrate; the
+/// counterexample must have been found there, since grant indices only mean
+/// the same thing on the backend that recorded them). Same ddmin, same
+/// keep-predicate, different substrate.
 pub fn shrink_exec(
     scenario: &dyn Scenario,
     found: &FoundViolation,
@@ -366,12 +351,12 @@ mod tests {
     }
 
     #[test]
-    fn shrink_with_minimizes_on_the_concurrent_backend() {
+    fn shrink_with_minimizes_on_the_task_executor() {
         // The backend-generic core pointed at a real gated replay: a
-        // fail-stop fault plan violates election liveness on threads; the
-        // ddmin core wired to `replay_shm` minimizes the trace and the
+        // fail-stop fault plan violates election liveness on the executor;
+        // the ddmin core wired to `replay_exec` minimizes the trace and the
         // result still reproduces there.
-        use crate::concurrent::{replay_shm, run_episode_shm, ShmConfig};
+        use crate::concurrent::{replay_exec, run_episode_exec, ShmConfig};
         use crate::explorer::EpisodeOutcome;
         use fle_runtime::{CrashSpec, FaultPlan};
 
@@ -385,15 +370,15 @@ mod tests {
             sim_seed: 0,
             strategy_seed: 0,
         };
-        let found = match run_episode_shm(&scenario, &plan, &config) {
+        let found = match run_episode_exec(&scenario, &plan, &config) {
             EpisodeOutcome::Violated(found) => *found,
             EpisodeOutcome::Clean { .. } => panic!("fail-stopping everyone violates liveness"),
         };
         let result = shrink_with(&found, 120, |trace| {
-            replay_shm(&scenario, 0, trace, &config)
+            replay_exec(&scenario, 0, trace, &config)
         });
         assert!(result.minimized.len() <= found.decisions.len());
-        let (violation, _) = replay_shm(&scenario, 0, &result.minimized, &config);
+        let (violation, _) = replay_exec(&scenario, 0, &result.minimized, &config);
         assert_eq!(violation.map(|v| v.oracle), Some(found.violation.oracle));
     }
 

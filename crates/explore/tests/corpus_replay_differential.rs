@@ -1,27 +1,22 @@
-//! Cross-backend corpus-replay differential: traces recorded on the
-//! simulator are *valid schedules* on the gate-serialized backends (the
-//! tolerant replayers guarantee it), and the two gated substrates — one OS
-//! thread per participant vs. cooperative tasks — are decision-for-decision
-//! identical behind the gate, so a corpus trace must replay to the **same
-//! oracle verdict** on Concurrent and Async, whatever that verdict is.
+//! Cross-backend corpus replay: traces recorded on the simulator are *valid
+//! schedules* on the gated task executor (the tolerant replayers guarantee
+//! it), so a Sim-built corpus can seed executor hunts.
 //!
 //! Two layers:
 //!
 //! * healthy corpus entries (recorded by a Sim coverage hunt over the real
-//!   election) replay clean on both gated substrates;
-//! * sabotage counterexamples found on Sim replay to substrate-identical
-//!   verdicts on Concurrent and Async — and at least one of them *transfers*
-//!   (refires `unique-leader` on both), which is what makes a Sim-built
-//!   corpus worth seeding gated hunts with.
+//!   election) replay clean on the executor, deterministically;
+//! * sabotage counterexamples found on Sim replay on the executor, and at
+//!   least two of them *transfer* (refire `unique-leader` there), which is
+//!   what makes a Sim-built corpus worth seeding gated hunts with.
 
 use fle_explore::sabotage::SabotagedElectionScenario;
 use fle_explore::{
-    replay_exec, replay_shm, CoverageConfig, CoverageExplorer, ElectionScenario, Explorer,
-    ShmConfig,
+    replay_exec, CoverageConfig, CoverageExplorer, ElectionScenario, Explorer, ShmConfig,
 };
 
 #[test]
-fn healthy_sim_corpus_traces_replay_clean_on_both_gated_substrates() {
+fn healthy_sim_corpus_traces_replay_clean_on_the_task_executor() {
     let scenario = ElectionScenario { n: 4, k: 4 };
     let report = CoverageExplorer::new(&scenario)
         .with_config(CoverageConfig {
@@ -39,25 +34,19 @@ fn healthy_sim_corpus_traces_replay_clean_on_both_gated_substrates() {
     );
     let config = ShmConfig::default();
     for entry in report.corpus.entries() {
-        let (shm, shm_consumed) = replay_shm(&scenario, entry.sim_seed, &entry.trace, &config);
-        let (exec, exec_consumed) = replay_exec(&scenario, entry.sim_seed, &entry.trace, &config);
+        let first = replay_exec(&scenario, entry.sim_seed, &entry.trace, &config);
         assert!(
-            shm.is_none(),
-            "healthy corpus trace flagged on threads: {shm:?}"
+            first.0.is_none(),
+            "healthy corpus trace flagged on the executor: {:?}",
+            first.0
         );
-        assert!(
-            exec.is_none(),
-            "healthy corpus trace flagged on tasks: {exec:?}"
-        );
-        assert_eq!(
-            shm_consumed, exec_consumed,
-            "the gate makes both substrates consume the identical prefix"
-        );
+        let again = replay_exec(&scenario, entry.sim_seed, &entry.trace, &config);
+        assert_eq!(first, again, "replay on the executor is deterministic");
     }
 }
 
 #[test]
-fn sabotage_counterexamples_get_substrate_identical_verdicts_and_some_transfer() {
+fn some_sabotage_counterexamples_transfer_to_the_task_executor() {
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     // Sim-side hunt: the DropWrites mutant yields a pile of unique-leader
     // counterexamples across the seed grid.
@@ -70,24 +59,15 @@ fn sabotage_counterexamples_get_substrate_identical_verdicts_and_some_transfer()
     let mut transferred = 0usize;
     for found in &report.violations {
         assert_eq!(found.violation.oracle, "unique-leader");
-        let seed = found.plan.sim_seed;
-        let (shm, _) = replay_shm(&scenario, seed, &found.decisions, &config);
-        let (exec, _) = replay_exec(&scenario, seed, &found.decisions, &config);
-        // The gate interface is substrate-blind: threads and tasks must
-        // agree on every trace, transferred or not.
-        assert_eq!(
-            shm.as_ref().map(|v| v.oracle),
-            exec.as_ref().map(|v| v.oracle),
-            "threads and tasks disagree on seed {seed}"
-        );
-        if shm.as_ref().map(|v| v.oracle) == Some("unique-leader") {
+        let (exec, _) = replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &config);
+        if exec.as_ref().map(|v| v.oracle) == Some("unique-leader") {
             transferred += 1;
         }
     }
     // Pinned empirically (seeds 0..8, default library): starve@1,
-    // split-brain@4 and several weighted walks refire on the gated
-    // substrates. A regression here means Sim decision indices stopped
-    // mapping onto gated grant indices closely enough to transfer.
+    // split-brain@4 and several weighted walks refire on the executor. A
+    // regression here means Sim decision indices stopped mapping onto gated
+    // grant indices closely enough to transfer.
     assert!(
         transferred >= 2,
         "expected at least two Sim counterexamples to transfer, got {transferred}"

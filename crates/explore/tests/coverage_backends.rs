@@ -23,7 +23,6 @@ fn healthy_elections_stay_clean_while_coverage_grows_on_every_backend() {
     let scenario = ElectionScenario { n: 4, k: 4 };
     let backends = [
         ExploreBackend::Sim,
-        ExploreBackend::Concurrent(ShmConfig::default()),
         ExploreBackend::Partitioned(PartitionedConfig::default()),
         ExploreBackend::Async(ShmConfig::default()),
     ];
@@ -55,10 +54,10 @@ fn healthy_elections_stay_clean_while_coverage_grows_on_every_backend() {
 }
 
 #[test]
-fn the_guided_hunt_kills_the_mutant_on_the_concurrent_backend() {
+fn the_guided_hunt_kills_the_mutant_on_the_task_executor() {
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     let report = CoverageExplorer::new(&scenario)
-        .with_backend(ExploreBackend::Concurrent(ShmConfig::default()))
+        .with_backend(ExploreBackend::Async(ShmConfig::default()))
         .with_config(CoverageConfig {
             budget: 64,
             batch: 8,

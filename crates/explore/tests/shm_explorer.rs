@@ -1,13 +1,14 @@
-//! End-to-end exploration of the **concurrent backend**: the PR 3 pipeline
-//! (strategies → online oracles → recorded trace → ddmin shrinker) pointed
-//! at `SharedRegisters` behind schedule gates instead of the simulator.
+//! End-to-end exploration of the **gated task executor**: the simulator's
+//! pipeline (strategies → online oracles → recorded trace → ddmin shrinker)
+//! pointed at `SharedRegisters` behind schedule gates instead of the
+//! simulator.
 
 use fle_explore::sabotage::{SabotagedElectionScenario, SabotagedSiftScenario};
 use fle_explore::{
-    replay_shm, shrink_shm, standard_scenarios, ExploreBackend, Explorer, ShmConfig,
+    replay_exec, shrink_exec, standard_scenarios, ExploreBackend, Explorer, ShmConfig,
 };
 
-const SHM: ExploreBackend = ExploreBackend::Concurrent(ShmConfig {
+const EXEC: ExploreBackend = ExploreBackend::Async(ShmConfig {
     shards: 4,
     preemption_bound: None,
     max_grants: None,
@@ -15,10 +16,10 @@ const SHM: ExploreBackend = ExploreBackend::Concurrent(ShmConfig {
 });
 
 #[test]
-fn healthy_scenarios_survive_every_strategy_on_the_concurrent_backend() {
+fn healthy_scenarios_survive_every_strategy_on_the_task_executor() {
     for scenario in standard_scenarios(&[4]) {
         let report = Explorer::new(scenario.as_ref())
-            .with_backend(SHM)
+            .with_backend(EXEC)
             .with_sim_seeds(0..2)
             .with_strategy_seeds(0..1)
             .hunt();
@@ -34,31 +35,31 @@ fn healthy_scenarios_survive_every_strategy_on_the_concurrent_backend() {
 }
 
 #[test]
-fn sabotaged_election_is_caught_replayed_and_shrunk_on_real_threads() {
+fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_task_executor() {
     let config = ShmConfig::default();
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     let hunt = Explorer::new(&scenario)
-        .with_backend(ExploreBackend::Concurrent(config))
+        .with_backend(ExploreBackend::Async(config))
         .with_sim_seeds(0..8)
         .hunt();
     let found = hunt
         .first_violation()
-        .expect("the write-dropping election mutant must be caught on the concurrent backend");
+        .expect("the write-dropping election mutant must be caught on the executor");
     assert_eq!(found.violation.oracle, "unique-leader");
 
     // The recorded trace replays deterministically: two independent replays
-    // re-execute the threads and reach the identical verdict at the
-    // identical decision.
-    let first = replay_shm(&scenario, found.plan.sim_seed, &found.decisions, &config);
-    let second = replay_shm(&scenario, found.plan.sim_seed, &found.decisions, &config);
+    // re-execute the tasks and reach the identical verdict at the identical
+    // decision.
+    let first = replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &config);
+    let second = replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &config);
     let violation = first.0.as_ref().expect("replay reproduces the violation");
     assert_eq!(violation.oracle, "unique-leader");
     assert_eq!(first.0, second.0, "replay verdicts must be identical");
     assert_eq!(first.1, second.1, "replay consumption must be identical");
 
-    // ddmin minimizes the real-thread counterexample; the result is itself
-    // a replayable counterexample.
-    let minimal = shrink_shm(&scenario, found, 300, &config);
+    // ddmin minimizes the executor counterexample; the result is itself a
+    // replayable counterexample.
+    let minimal = shrink_exec(&scenario, found, 300, &config);
     assert!(minimal.minimized.len() <= found.decisions.len());
     assert!(
         minimal.ratio() <= 0.25,
@@ -67,7 +68,7 @@ fn sabotaged_election_is_caught_replayed_and_shrunk_on_real_threads() {
         minimal.minimized.len(),
         minimal.ratio()
     );
-    let (replayed, _) = replay_shm(&scenario, found.plan.sim_seed, &minimal.minimized, &config);
+    let (replayed, _) = replay_exec(&scenario, found.plan.sim_seed, &minimal.minimized, &config);
     assert_eq!(
         replayed.expect("the minimized trace still fails").oracle,
         "unique-leader"
@@ -75,10 +76,10 @@ fn sabotaged_election_is_caught_replayed_and_shrunk_on_real_threads() {
 }
 
 #[test]
-fn sabotaged_sift_wipeout_is_caught_on_real_threads() {
+fn sabotaged_sift_wipeout_is_caught_on_the_task_executor() {
     let scenario = SabotagedSiftScenario { n: 4, bias: 0.1 };
     let hunt = Explorer::new(&scenario)
-        .with_backend(SHM)
+        .with_backend(EXEC)
         .with_sim_seeds(0..8)
         .hunt();
     let found = hunt
@@ -88,13 +89,13 @@ fn sabotaged_sift_wipeout_is_caught_on_real_threads() {
 }
 
 #[test]
-fn concurrent_hunts_are_deterministic_across_worker_thread_counts() {
+fn executor_hunts_are_deterministic_across_worker_thread_counts() {
     // The explorer's worker-thread count must not influence what a hunt
     // finds: episodes are deterministic and results come back in grid order.
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     let hunt = |threads: usize| {
         Explorer::new(&scenario)
-            .with_backend(SHM)
+            .with_backend(EXEC)
             .with_sim_seeds(0..4)
             .with_threads(threads)
             .hunt()
@@ -122,13 +123,13 @@ fn preemption_bounded_hunts_still_catch_the_mutant() {
     };
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     let hunt = Explorer::new(&scenario)
-        .with_backend(ExploreBackend::Concurrent(config))
+        .with_backend(ExploreBackend::Async(config))
         .with_sim_seeds(0..8)
         .hunt();
     let found = hunt
         .first_violation()
         .expect("bounded preemption still finds the double election");
-    let (replayed, _) = replay_shm(&scenario, found.plan.sim_seed, &found.decisions, &config);
+    let (replayed, _) = replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &config);
     assert_eq!(
         replayed.expect("replays without the bound").oracle,
         "unique-leader"

@@ -12,9 +12,11 @@
 //! * the **threaded message-passing runtime** (`fle_runtime`), registers
 //!   emulated by quorum `communicate(propagate / collect)` traffic over real
 //!   channels (ABND95),
-//! * the **in-process concurrent backend** (`fle_runtime::SharedRegisters`),
+//! * the **in-process shared registers** (`fle_runtime::SharedRegisters`),
 //!   registers as real shared state behind sharded locks, where contention
-//!   comes from the hardware rather than from emulated quorums.
+//!   comes from the hardware rather than from emulated quorums; the task
+//!   executor drives them through [`DriveMachine`], the inside-out form of
+//!   [`drive`].
 //!
 //! [`drive`] is the one loop every synchronous backend shares: feed the
 //! protocol the response to its previous action until it returns.
@@ -178,9 +180,9 @@ pub enum DriveStep {
 /// participants over a handful of OS threads: a parked participant is just a
 /// `DriveMachine` plus its protocol, not a blocked thread.
 ///
-/// The blocking drivers ([`drive`], [`drive_cancellable`],
-/// [`crate::drive_scheduled`]) are thin wrappers over this machine and are
-/// pinned byte-identical to the original loops by differential tests.
+/// The blocking drivers ([`drive`], [`drive_cancellable`]) are thin
+/// wrappers over this machine and are pinned byte-identical to the original
+/// loops by differential tests.
 #[derive(Debug)]
 pub struct DriveMachine {
     /// The response the next protocol step consumes; `None` while an [`Op`]

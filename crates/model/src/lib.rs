@@ -14,11 +14,9 @@
 //!   backend implements, with [`drive`] as the shared protocol driver and
 //!   [`DriveMachine`] as its resumable inside-out form (one suspended
 //!   participant = one machine, not one blocked thread),
-//! * [`ScheduledMemory`] — the schedule-gate extension of that contract:
-//!   backends that announce each operation as a [`SchedulePoint`] and block
-//!   until granted become adversarially schedulable (and hence replayable)
-//!   even when their concurrency comes from real threads; [`drive_scheduled`]
-//!   is the gated driver,
+//! * [`SchedulePoint`] — the schedule-gate vocabulary: a backend that parks
+//!   each participant at the point of its next operation until a scheduler
+//!   grants it becomes adversarially schedulable (and hence replayable),
 //! * [`wire`] — the wire messages exchanged by the backends,
 //! * [`metrics`] — the complexity accounting shared by the simulator and the
 //!   threaded runtime (message complexity, communicate-call counts).
@@ -85,7 +83,7 @@ pub use ids::{splitmix64, ElectionContext, InstanceId, ProcId, Slot};
 pub use metrics::{ExecutionMetrics, ProcessMetrics};
 pub use partition::{PartitionMap, RouteKey};
 pub use protocol::{LocalStateView, Protocol};
-pub use schedule::{drive_scheduled, GateVerdict, SchedulePoint, ScheduledMemory};
+pub use schedule::SchedulePoint;
 pub use store::{CollectCache, ReplicaStore};
 pub use value::{Key, Priority, ProcSet, Status, Value};
 pub use view::{BitRow, CollectedViews, View};

@@ -1,114 +1,38 @@
-//! Schedule control for concurrent backends: the gate half of the
-//! [`SharedMemory`] contract.
+//! Schedule points: the granularity at which an adversary interleaves
+//! processors on a concurrent backend.
 //!
 //! The discrete-event simulator gives the adversary total control over
 //! interleavings because *it* owns the event loop. A concurrent backend does
-//! not: its interleavings come from real threads racing for locks, which is
-//! exactly the concurrency model shipped to users — and exactly the one the
-//! adversarial explorer could not reach. This module closes that gap with a
-//! *schedule gate*: a backend that implements [`ScheduledMemory`] announces
-//! every upcoming shared-memory operation as a [`SchedulePoint`] and blocks
-//! in [`ScheduledMemory::reach`] until an external controller grants it. A
-//! controller that only ever grants one processor at a time therefore
-//! serializes the execution into an adversary-chosen interleaving of the
-//! *real* backend's operations — same locks, same copy-on-write snapshots,
-//! same register bank — while staying deterministic enough to record, replay
-//! and delta-debug (see `fle_runtime::sched` and `fle_explore::concurrent`).
+//! not, so it needs a *schedule gate*: before every shared-memory operation
+//! (and before returning) a participant announces the operation as a
+//! [`SchedulePoint`] and waits until a scheduler grants it. A scheduler that
+//! grants one participant at a time serializes the execution into an
+//! adversary-chosen interleaving of the *real* backend's operations — same
+//! locks, same copy-on-write snapshots, same register bank — while staying
+//! deterministic enough to record, replay and delta-debug.
 //!
-//! [`drive_scheduled`] is the gated twin of [`crate::drive`]: it passes every
-//! action (including the final [`Action::Return`], whose visibility order
-//! matters to linearizability checks) through the gate, and translates a
-//! [`GateVerdict::Crashed`] verdict into the processor stopping silently —
-//! the shared-memory analogue of the adversary crashing a processor
-//! mid-protocol.
+//! The gate loop itself lives in `fle_runtime::exec` (`run_gated`): each
+//! participant is a resumable [`crate::DriveMachine`] task that parks at its
+//! gate, and [`crate::Op::point`] names the point an operation executes at.
+//! The scheduler vocabulary (`GateScheduler`, `GateCommand`, …) lives in
+//! `fle_runtime::sched`.
 //!
 //! # Determinism guarantee
 //!
-//! If (a) the controller's grant sequence is a deterministic function of the
+//! If (a) the scheduler's grant sequence is a deterministic function of the
 //! observable gate states, and (b) each processor's local computation and
 //! randomness are deterministic between gates (seeded RNGs), then the entire
 //! execution — every register state, coin flip and outcome — is a
 //! deterministic function of the grant sequence. This is what makes a
-//! recorded decision trace on the concurrent backend replayable.
-//!
-//! # Example
-//!
-//! A gate that grants everything immediately turns [`drive_scheduled`] back
-//! into [`crate::drive`]; one that refuses models a crash:
-//!
-//! ```
-//! use fle_model::{
-//!     drive_scheduled, Action, GateVerdict, LocalStateView, Outcome, Protocol, Response,
-//!     SchedulePoint, ScheduledMemory, SharedMemory,
-//! };
-//! use fle_model::{CollectedViews, InstanceId, Key, Value};
-//!
-//! struct Open<M>(M, Vec<SchedulePoint>);
-//!
-//! impl<M: SharedMemory> SharedMemory for Open<M> {
-//!     fn propagate(&mut self, entries: Vec<(Key, Value)>) {
-//!         self.0.propagate(entries)
-//!     }
-//!     fn collect(&mut self, instance: InstanceId) -> CollectedViews {
-//!         self.0.collect(instance)
-//!     }
-//!     fn flip(&mut self, prob_one: f64) -> bool {
-//!         self.0.flip(prob_one)
-//!     }
-//!     fn choose(&mut self, choices: &[u64]) -> u64 {
-//!         self.0.choose(choices)
-//!     }
-//! }
-//!
-//! impl<M: SharedMemory> ScheduledMemory for Open<M> {
-//!     fn reach(&mut self, point: SchedulePoint, _state: LocalStateView) -> GateVerdict {
-//!         self.1.push(point); // an always-open gate, logging the points
-//!         GateVerdict::Proceed
-//!     }
-//! }
-//!
-//! struct FlipOnce;
-//! impl Protocol for FlipOnce {
-//!     fn step(&mut self, response: Response) -> Action {
-//!         match response {
-//!             Response::Start => Action::Flip { prob_one: 1.0 },
-//!             _ => Action::Return(Outcome::Win),
-//!         }
-//!     }
-//!     fn adversary_view(&self) -> LocalStateView {
-//!         LocalStateView::new("flip-once", "run")
-//!     }
-//! }
-//!
-//! struct Coin;
-//! impl SharedMemory for Coin {
-//!     fn propagate(&mut self, _entries: Vec<(Key, Value)>) {}
-//!     fn collect(&mut self, _instance: InstanceId) -> CollectedViews {
-//!         CollectedViews::from_shared(Vec::new())
-//!     }
-//!     fn flip(&mut self, prob_one: f64) -> bool {
-//!         prob_one >= 1.0
-//!     }
-//!     fn choose(&mut self, _choices: &[u64]) -> u64 {
-//!         0
-//!     }
-//! }
-//!
-//! let mut gated = Open(Coin, Vec::new());
-//! let outcome = drive_scheduled(&mut FlipOnce, &mut gated);
-//! assert_eq!(outcome, Some(Outcome::Win));
-//! assert_eq!(gated.1, vec![SchedulePoint::Flip, SchedulePoint::Return]);
-//! ```
+//! recorded decision trace on a concurrent backend replayable.
 
-use crate::action::{Action, Outcome};
-use crate::backend::{DriveMachine, DriveStep, SharedMemory};
-use crate::protocol::{LocalStateView, Protocol};
+use crate::action::Action;
 use std::fmt;
 
 /// The kind of shared-memory operation a processor is about to perform — the
-/// granularity at which an external controller may interleave processors.
+/// granularity at which a gate scheduler may interleave processors.
 ///
-/// One `SchedulePoint` is the concurrent backend's analogue of one
+/// One `SchedulePoint` is a concurrent backend's analogue of one
 /// schedulable event in the simulator: everything a processor does *between*
 /// two points is local computation the adversary cannot subdivide (matching
 /// the paper's model, where a step is "a local computation followed by one
@@ -153,210 +77,11 @@ impl fmt::Display for SchedulePoint {
     }
 }
 
-/// What the controller tells a processor blocked at a gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateVerdict {
-    /// Perform the announced operation and continue to the next gate.
-    Proceed,
-    /// Stop immediately without performing the operation: the adversary
-    /// crashed this processor. [`drive_scheduled`] returns `None`.
-    Crashed,
-}
-
-/// A [`SharedMemory`] whose operations pass through an external schedule
-/// gate.
-///
-/// # Contract
-///
-/// * [`ScheduledMemory::reach`] is called exactly once before each
-///   shared-memory operation (and once before returning), with the point the
-///   processor is about to execute and a fresh [`LocalStateView`] snapshot —
-///   the strong adversary's window into local state, per the paper's model.
-/// * `reach` may block for arbitrarily long (an asynchronous system has no
-///   speed guarantees); it must eventually return once the controller grants
-///   or crashes the processor.
-/// * After `GateVerdict::Crashed` the processor must not touch the shared
-///   memory again.
-pub trait ScheduledMemory: SharedMemory {
-    /// Announce that this processor is about to execute `point`, hand the
-    /// controller a snapshot of the local state the strong adversary may
-    /// inspect, and block until the gate opens.
-    fn reach(&mut self, point: SchedulePoint, state: LocalStateView) -> GateVerdict;
-}
-
-impl<M: ScheduledMemory + ?Sized> ScheduledMemory for &mut M {
-    fn reach(&mut self, point: SchedulePoint, state: LocalStateView) -> GateVerdict {
-        (**self).reach(point, state)
-    }
-}
-
-/// Drive `protocol` against `memory`, passing every action through the
-/// schedule gate: the gated twin of [`crate::drive`].
-///
-/// Returns `Some(outcome)` when the protocol returns normally and `None`
-/// when the gate crashed the processor (the processor then simply stops, as
-/// a crashed processor does — it never produces an outcome).
-pub fn drive_scheduled<P, M>(protocol: &mut P, mut memory: M) -> Option<Outcome>
-where
-    P: Protocol + ?Sized,
-    M: ScheduledMemory,
-{
-    let mut machine = DriveMachine::new();
-    loop {
-        let (point, step) = match machine.step(protocol) {
-            DriveStep::Done(outcome) => (SchedulePoint::Return, DriveStep::Done(outcome)),
-            DriveStep::NeedOp(op) => (op.point(), DriveStep::NeedOp(op)),
-        };
-        match memory.reach(point, protocol.adversary_view()) {
-            GateVerdict::Crashed => return None,
-            GateVerdict::Proceed => {}
-        }
-        match step {
-            DriveStep::Done(outcome) => return Some(outcome),
-            DriveStep::NeedOp(op) => {
-                let response = op.perform(&mut memory);
-                machine.resume(response);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::Response;
-    use crate::ids::{ElectionContext, InstanceId, ProcId, Slot};
-    use crate::store::ReplicaStore;
-    use crate::value::{Key, Value};
-    use crate::view::CollectedViews;
-
-    /// A scripted gate over a single-replica memory: proceeds until the
-    /// scripted number of grants runs out, then crashes.
-    struct ScriptedGate {
-        store: ReplicaStore,
-        grants_left: usize,
-        points: Vec<SchedulePoint>,
-    }
-
-    impl ScriptedGate {
-        fn new(grants_left: usize) -> Self {
-            ScriptedGate {
-                store: ReplicaStore::new(),
-                grants_left,
-                points: Vec::new(),
-            }
-        }
-    }
-
-    impl SharedMemory for ScriptedGate {
-        fn propagate(&mut self, entries: Vec<(Key, Value)>) {
-            self.store.apply_all(&entries);
-        }
-
-        fn collect(&mut self, instance: InstanceId) -> CollectedViews {
-            CollectedViews::from_shared(vec![(ProcId(0), self.store.view_arc(instance))])
-        }
-
-        fn flip(&mut self, prob_one: f64) -> bool {
-            prob_one >= 0.5
-        }
-
-        fn choose(&mut self, choices: &[u64]) -> u64 {
-            choices.first().copied().unwrap_or(0)
-        }
-    }
-
-    impl ScheduledMemory for ScriptedGate {
-        fn reach(&mut self, point: SchedulePoint, _state: LocalStateView) -> GateVerdict {
-            self.points.push(point);
-            if self.grants_left == 0 {
-                return GateVerdict::Crashed;
-            }
-            self.grants_left -= 1;
-            GateVerdict::Proceed
-        }
-    }
-
-    /// Propagate a flag, collect it, flip, return Win iff flag and coin.
-    struct RoundTrip {
-        stage: u8,
-        saw_flag: bool,
-    }
-
-    impl Protocol for RoundTrip {
-        fn step(&mut self, response: Response) -> Action {
-            let instance = InstanceId::door(ElectionContext::Standalone);
-            match self.stage {
-                0 => {
-                    self.stage = 1;
-                    Action::Propagate {
-                        entries: vec![(Key::global(instance), Value::Flag(true))],
-                    }
-                }
-                1 => {
-                    self.stage = 2;
-                    Action::Collect { instance }
-                }
-                2 => {
-                    let views = response.expect_views();
-                    self.saw_flag = views.responses().iter().any(|(_, view)| {
-                        view.get(&Slot::Global).and_then(Value::as_flag) == Some(true)
-                    });
-                    self.stage = 3;
-                    Action::Flip { prob_one: 1.0 }
-                }
-                _ => {
-                    let coin = response.expect_coin();
-                    Action::Return(if self.saw_flag && coin {
-                        Outcome::Win
-                    } else {
-                        Outcome::Lose
-                    })
-                }
-            }
-        }
-
-        fn adversary_view(&self) -> LocalStateView {
-            LocalStateView::new("round-trip", "test").with_round(u64::from(self.stage))
-        }
-    }
-
-    #[test]
-    fn gated_drive_announces_every_point_in_order() {
-        let mut memory = ScriptedGate::new(usize::MAX);
-        let mut protocol = RoundTrip {
-            stage: 0,
-            saw_flag: false,
-        };
-        assert_eq!(
-            drive_scheduled(&mut protocol, &mut memory),
-            Some(Outcome::Win)
-        );
-        assert_eq!(
-            memory.points,
-            vec![
-                SchedulePoint::Propagate,
-                SchedulePoint::Collect,
-                SchedulePoint::Flip,
-                SchedulePoint::Return,
-            ]
-        );
-    }
-
-    #[test]
-    fn a_crash_verdict_stops_the_processor_before_the_operation() {
-        // Two grants: propagate and collect run, the flip is refused.
-        let mut memory = ScriptedGate::new(2);
-        let mut protocol = RoundTrip {
-            stage: 0,
-            saw_flag: false,
-        };
-        assert_eq!(drive_scheduled(&mut protocol, &mut memory), None);
-        // The crash arrived *at* the flip gate: three points announced, the
-        // flag round-tripped (stage 2 consumed the collect), no coin flipped.
-        assert_eq!(memory.points.len(), 3);
-        assert!(protocol.saw_flag);
-    }
+    use crate::action::Outcome;
+    use crate::ids::InstanceId;
 
     #[test]
     fn schedule_points_map_actions_and_display() {
@@ -385,70 +110,5 @@ mod tests {
             SchedulePoint::Return
         );
         assert_eq!(SchedulePoint::Collect.to_string(), "collect");
-    }
-
-    #[test]
-    fn mutable_references_implement_the_trait() {
-        let mut memory = ScriptedGate::new(usize::MAX);
-        let by_ref: &mut ScriptedGate = &mut memory;
-        let mut protocol = RoundTrip {
-            stage: 0,
-            saw_flag: false,
-        };
-        assert_eq!(drive_scheduled(&mut protocol, by_ref), Some(Outcome::Win));
-    }
-
-    /// The original gated loop, verbatim, kept as the reference the
-    /// machine-based [`drive_scheduled`] is differenced against.
-    fn legacy_drive_scheduled<P, M>(protocol: &mut P, mut memory: M) -> Option<Outcome>
-    where
-        P: Protocol + ?Sized,
-        M: ScheduledMemory,
-    {
-        let mut response = Response::Start;
-        loop {
-            let action = protocol.step(response);
-            let point = SchedulePoint::of(&action);
-            match memory.reach(point, protocol.adversary_view()) {
-                GateVerdict::Crashed => return None,
-                GateVerdict::Proceed => {}
-            }
-            match action {
-                Action::Return(outcome) => return Some(outcome),
-                action => {
-                    response = memory
-                        .perform(action)
-                        .expect("only Action::Return yields no response");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn machine_gated_drive_is_byte_identical_to_the_legacy_loop() {
-        // Across every crash position (0..=5 grants): same verdict, same
-        // announced points, same protocol-local state as the original loop.
-        for grants in 0..=5usize {
-            let mut legacy_memory = ScriptedGate::new(grants);
-            let mut legacy_protocol = RoundTrip {
-                stage: 0,
-                saw_flag: false,
-            };
-            let legacy_outcome = legacy_drive_scheduled(&mut legacy_protocol, &mut legacy_memory);
-
-            let mut memory = ScriptedGate::new(grants);
-            let mut protocol = RoundTrip {
-                stage: 0,
-                saw_flag: false,
-            };
-            let outcome = drive_scheduled(&mut protocol, &mut memory);
-
-            assert_eq!(outcome, legacy_outcome, "grants {grants}");
-            assert_eq!(memory.points, legacy_memory.points, "grants {grants}");
-            assert_eq!(
-                protocol.saw_flag, legacy_protocol.saw_flag,
-                "grants {grants}"
-            );
-        }
     }
 }

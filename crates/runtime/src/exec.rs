@@ -1,55 +1,46 @@
 //! The task-multiplexed cooperative executor: thousands of participants per
 //! OS thread.
 //!
-//! [`run_concurrent`](crate::run_concurrent) spawns one OS thread per
-//! participant per instance — realistic, but at the service's measured
-//! throughput that is tens of thousands of thread spawns per second, and it
-//! is exactly why the density of in-flight instances was capped. This module
-//! removes the thread-per-participant cost: a participant is a
-//! [`DriveMachine`] plus its protocol and register handle — a few hundred
-//! bytes of suspended state — and a small pool of worker threads polls those
-//! tasks cooperatively from a shared run queue. One OS thread hosts
-//! thousands of participants instead of one.
+//! A participant is a [`DriveMachine`] plus its protocol and register handle
+//! — a few hundred bytes of suspended state — and a small pool of worker
+//! threads polls those tasks cooperatively from a shared run queue. One OS
+//! thread hosts thousands of participants, and an instance costs no thread
+//! spawn at all.
 //!
 //! Two execution modes share the pool:
 //!
 //! * **Free-running** ([`Executor::submit`]): each participant task performs
 //!   a bounded burst of shared-memory operations per poll and goes back to
-//!   the queue, so instances interleave at operation granularity — the same
-//!   concurrency the thread-per-participant backend exhibits, minus the
-//!   spawn cost. The instance's [`CancelToken`] is polled before every
-//!   operation (every yield point), fail-stop abandonment converts to
-//!   [`Outcome::Lose`] exactly as in [`crate::drive_faulty`], and a
-//!   panicking task poisons only its own instance's ticket: the worker
+//!   the queue, so instances interleave at operation granularity. The
+//!   instance's [`CancelToken`] is polled before every operation (every
+//!   yield point), fail-stop abandonment converts to [`Outcome::Lose`], and
+//!   a panicking task poisons only its own instance's ticket: the worker
 //!   thread survives and keeps polling everyone else.
-//! * **Gated** ([`run_gated`]): the executor's implementation of the
-//!   schedule-gate contract. Instead of blocking a thread in
-//!   [`fle_model::ScheduledMemory::reach`], a task *parks* — ownership of
-//!   the suspended task moves into its gate slot — and the caller's control
-//!   loop (a faithful replica of [`crate::run_scheduled_faulty`]'s) wakes
-//!   exactly one task per grant by re-injecting it into the run queue. The
-//!   whole exploration stack (strategies, oracles, record/replay, ddmin)
-//!   drives the executor's interleavings unchanged, and the run is
-//!   deterministic given the scheduler's decisions and the seed,
+//! * **Gated** ([`run_gated`]): the schedule-gate loop. Before each
+//!   operation a task *parks* at the operation's [`SchedulePoint`] —
+//!   ownership of the suspended task moves into its gate slot — and the
+//!   caller's control loop wakes exactly one task per grant by re-injecting
+//!   it into the run queue. The whole exploration stack (strategies,
+//!   oracles, record/replay, ddmin) drives the executor's interleavings, and
+//!   the run is deterministic given the scheduler's decisions and the seed,
 //!   independent of the worker count.
 //!
 //! # Determinism ledger (gated mode)
 //!
-//! *Yield points*: every shared-memory operation plus the final return, the
-//! same [`SchedulePoint`]s the thread-per-participant scheduled runner
-//! gates. *Wake order*: one task at a time, chosen by the
-//! [`GateScheduler`] at quiescence (all live tasks parked), so the waiting
-//! set at each decision is a pure function of the grant history. *Seed
-//! policy*: participant coins come from
-//! [`SharedRegisters::handle_seeded`] (`seed + proc·0x9e37`, the simulator's
-//! convention), fault streams from the [`FaultPlan`] seed. Consequently a
-//! FIFO-gated executor run is outcome-identical to `fle_sim::SimMemory::
-//! run_all` and to [`crate::run_scheduled`], for any number of workers —
-//! the differential tests pin all three together.
+//! *Yield points*: every shared-memory operation plus the final return.
+//! *Wake order*: one task at a time, chosen by the [`GateScheduler`] at
+//! quiescence (all live tasks parked), so the waiting set at each decision
+//! is a pure function of the grant history. *Seed policy*: participant
+//! coins come from [`SharedRegisters::handle_seeded`] (`seed + proc·0x9e37`,
+//! the simulator's convention), fault streams from the [`FaultPlan`] seed.
+//! Consequently a FIFO-gated executor run is outcome-identical to
+//! `fle_sim::SimMemory::run_all` for any number of workers — the
+//! differential tests pin the two together.
 //!
-//! One documented divergence: a task that panics mid-poll is recorded as a
-//! *crashed* participant in gated mode (the scheduled runner re-raises the
-//! panic instead), because a pooled worker must outlive any one task.
+//! *Panics*: a task that panics mid-poll is recorded as crashed so the loop
+//! can finish (its worker survives), and [`run_gated`] then re-raises the
+//! first panic's payload on the caller — a protocol bug never passes for an
+//! adversary crash. Tasks lost to executor shutdown stay plain crashes.
 
 use crate::faulty::{FaultPlan, FaultStats, FaultyMemory};
 use crate::sched::{
@@ -210,9 +201,8 @@ struct InstanceShared {
     failure: Mutex<Option<Failure>>,
     done: crossbeam_channel::Sender<ExecResult>,
     pool: Arc<Pool>,
-    /// Whether fault counters are surfaced in the report. Mirrors the
-    /// concurrent runner's dispatch: a no-op plan reports
-    /// [`FaultStats::default`], not the decorator's op counts.
+    /// Whether fault counters are surfaced in the report: a no-op plan
+    /// reports [`FaultStats::default`], not the decorator's op counts.
     merge_faults: bool,
 }
 
@@ -321,10 +311,9 @@ struct GatedTask {
     pending: GatedPending,
 }
 
-/// The lifecycle of one gated participant slot. Unlike the scheduled
-/// runner's thread-backed slots there are no `Granted`/`Doomed` handshake
-/// states: granting re-injects the parked task (phase goes straight back to
-/// `Running`) and dooming drops it in place.
+/// The lifecycle of one gated participant slot: granting re-injects the
+/// parked task (phase goes straight back to `Running`) and dooming drops it
+/// in place.
 enum GatePhase {
     /// In the run queue or being polled by a worker.
     Running,
@@ -350,9 +339,11 @@ struct GateShared {
     /// can wait for quiescence.
     quiesce: Condvar,
     fault_totals: Mutex<FaultStats>,
-    /// Whether fault counters should be merged (a [`FaultPlan`] was given),
-    /// mirroring `run_scheduled_faulty`'s plan-present behavior.
+    /// Whether fault counters should be merged (a [`FaultPlan`] was given).
     merge_faults: bool,
+    /// The first panic a task raised, re-raised on the caller once the run
+    /// has finished.
+    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
 }
 
 impl GateShared {
@@ -372,6 +363,7 @@ impl GateShared {
             quiesce: Condvar::new(),
             fault_totals: Mutex::new(FaultStats::default()),
             merge_faults,
+            panic: Mutex::new(None),
         }
     }
 
@@ -401,6 +393,13 @@ impl GateShared {
         let mut slots = self.slots.lock().expect(LOCK);
         slots[slot].phase = GatePhase::Done(Some(outcome));
         self.quiesce.notify_all();
+    }
+
+    /// A task panicked mid-poll: keep the first payload for the caller and
+    /// crash the slot so the control loop can finish the run.
+    fn panicked(&self, slot: usize, payload: Box<dyn Any + Send + 'static>) {
+        self.panic.lock().expect(LOCK).get_or_insert(payload);
+        self.crash_slot(slot);
     }
 
     /// Terminal fallback: the task panicked or was lost to executor
@@ -537,10 +536,9 @@ impl Executor {
     }
 
     /// Submit one free-running instance: `participants` run over the
-    /// registers of `namespace` (coins seeded exactly as
-    /// [`crate::run_concurrent`]'s, via [`SharedRegisters::handle`]), each
-    /// behind a [`FaultyMemory`] under `plan`, with `cancel` polled before
-    /// every shared-memory operation.
+    /// registers of `namespace` (coins seeded by [`SharedRegisters::handle`],
+    /// which mixes in the namespace), each behind a [`FaultyMemory`] under
+    /// `plan`, with `cancel` polled before every shared-memory operation.
     ///
     /// Returns immediately; the [`InFlight`] ticket resolves when the last
     /// participant reaches a terminal state. Submission after shutdown
@@ -655,11 +653,11 @@ fn worker_loop(pool: &Arc<Pool>) {
     }
 }
 
-/// Poll one free-running task for up to `ops_per_poll` operations. The body
-/// mirrors [`crate::drive_faulty`] exactly — poll the cancel token, convert
-/// abandonment to [`Outcome::Lose`], step, perform — just sliced into
-/// resumable bursts. A panic anywhere in the protocol or memory poisons only
-/// this task's instance; the worker survives.
+/// Poll one free-running task for up to `ops_per_poll` operations: before
+/// each step, poll the cancel token and convert fail-stop abandonment to
+/// [`Outcome::Lose`]; then step and perform. A panic anywhere in the
+/// protocol or memory poisons only this task's instance; the worker
+/// survives.
 fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
     let instance = Arc::clone(&task.instance);
     let polled = catch_unwind(AssertUnwindSafe(move || {
@@ -701,11 +699,11 @@ fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
 }
 
 /// Poll one gated task: execute whatever its last grant authorized, then
-/// step the protocol to its next gate and park. The body mirrors
-/// [`crate::drive_scheduled_faulty`] — abandonment gates through
-/// [`SchedulePoint::Return`] before converting to [`Outcome::Lose`] — except
-/// that a panic records the participant as crashed instead of unwinding the
-/// caller (a pooled worker must outlive any one task).
+/// step the protocol to its next gate and park. Fail-stop abandonment gates
+/// through [`SchedulePoint::Return`] before converting to [`Outcome::Lose`],
+/// so the grant accounting stays consistent. A panic is caught here (a
+/// pooled worker must outlive any one task) and handed to the gate, which
+/// re-raises it on [`run_gated`]'s caller.
 fn poll_gated(task: GatedTask) {
     let gate = Arc::clone(&task.gate);
     let slot = task.slot;
@@ -746,16 +744,25 @@ fn poll_gated(task: GatedTask) {
             }
         }
     }));
-    if polled.is_err() {
-        gate.crash_slot(slot);
+    if let Err(payload) = polled {
+        gate.panicked(slot, payload);
     }
 }
 
 /// Run one instance on the executor under an explicit schedule: the
-/// executor's implementation of the schedule-gate contract, semantically
-/// identical to [`crate::run_scheduled_faulty`] (same grant accounting,
-/// crash budget, degradation and stop rules) but hosted on pooled tasks
-/// instead of one thread per participant.
+/// schedule-gate loop.
+///
+/// Participants are sorted by processor id and each is wrapped in a
+/// [`FaultyMemory`] under `plan` (a no-op plan when `None`); coins are
+/// seeded by [`SharedRegisters::handle_seeded`], so a [`FifoScheduler`] run
+/// is coin-for-coin comparable with `fle_sim::SimMemory`. At every
+/// quiescent point the loop harvests returns and crashes, then asks
+/// `scheduler` for one [`GateCommand`]: out-of-range grants clamp to the
+/// last waiting participant, crashes beyond the budget or of participants
+/// that are not waiting degrade to `Run(0)`, and a stop (or the grant
+/// budget running out) crashes everyone still parked. The registers written
+/// under `namespace` are left in place; retire them with
+/// [`SharedRegisters::retire`] when done.
 ///
 /// Additionally polls `cancel` at every quiescent decision point: a tripped
 /// token aborts the run like a [`GateCommand::Stop`] (every parked task is
@@ -765,6 +772,10 @@ fn poll_gated(task: GatedTask) {
 /// Deterministic given (`seed`, scheduler decisions) for **any** worker
 /// count: only the granted task runs between decisions, so the waiting set
 /// at each quiescent point is a pure function of the grant history.
+///
+/// # Panics
+/// Re-raises, once the run has finished, the first panic any participant
+/// task raised.
 #[allow(clippy::too_many_arguments)]
 pub fn run_gated(
     executor: &Executor,
@@ -896,13 +907,18 @@ pub fn run_gated(
                 doom(&gate, &mut slots[slot_indices[pos]]);
             }
             command => {
-                // Illegal crashes degrade to the oldest waiting grant,
-                // mirroring the scheduled runner's tolerant replay
-                // semantics.
+                // Out-of-range grants clamp and illegal crashes degrade to
+                // the oldest waiting grant, mirroring the tolerant replay
+                // semantics of the simulator's `ReplayAdversary`.
                 let pick = match command {
-                    GateCommand::Run(pick) => pick % waiting.len(),
+                    GateCommand::Run(pick) => pick.min(waiting.len() - 1),
                     _ => 0,
                 };
+                // Count the grant before recording the interval start so
+                // both ends of an interval use the post-increment counter,
+                // matching the simulator's convention — otherwise a loser
+                // returning at grant g and a winner starting at grant g+1
+                // would look concurrent to the linearizability check.
                 report.grants += 1;
                 report
                     .progress
@@ -918,6 +934,9 @@ pub fn run_gated(
         }
     }
 
+    if let Some(payload) = gate.panic.lock().expect(LOCK).take() {
+        std::panic::resume_unwind(payload);
+    }
     report.faults = match gate.fault_totals.lock() {
         Ok(guard) => *guard,
         Err(poisoned) => *poisoned.into_inner(),
@@ -925,9 +944,9 @@ pub fn run_gated(
     report
 }
 
-/// Doom one parked slot in place: merge its task's fault counters (matching
-/// the scheduled runner, which merges on the crash-verdict exit path too),
-/// drop the task, and record the crash.
+/// Doom one parked slot in place: merge its task's fault counters (a doomed
+/// participant's faults count like a finished one's), drop the task, and
+/// record the crash.
 fn doom(gate: &GateShared, slot: &mut GateSlot) {
     if let Some(task) = slot.parked.take() {
         gate.merge(&task.memory.stats());
@@ -936,10 +955,9 @@ fn doom(gate: &GateShared, slot: &mut GateSlot) {
 }
 
 /// Run one instance fully sequentialized on the executor — the gated FIFO
-/// schedule, outcome-identical to `fle_sim::SimMemory::run_all` and to
-/// [`crate::run_scheduled`] with a [`FifoScheduler`] — and return its
-/// report. The deterministic face of the async backend, used by the
-/// differential suite.
+/// schedule, outcome-identical to `fle_sim::SimMemory::run_all` — and
+/// return its report. The deterministic face of the async backend, used by
+/// the differential suite.
 pub fn run_gated_fifo(
     executor: &Executor,
     registers: &Arc<SharedRegisters>,
@@ -965,12 +983,35 @@ pub fn run_gated_fifo(
 mod tests {
     use super::*;
     use crate::faulty::CrashSpec;
-    use crate::sched::run_scheduled_faulty;
     use crate::{election_participants, renaming_participants};
+    use fle_model::{Action, Response};
     use std::collections::BTreeSet;
 
     fn small_executor(workers: usize) -> Executor {
         Executor::new(ExecutorConfig::new(workers).with_ops_per_poll(4))
+    }
+
+    /// One fault-free gated run of `participants` at `seed` on a fresh bank.
+    fn gated(
+        workers: usize,
+        seed: u64,
+        participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
+        config: ScheduleConfig,
+        scheduler: &mut dyn GateScheduler,
+    ) -> ScheduledReport {
+        let executor = small_executor(workers);
+        let registers = Arc::new(SharedRegisters::new(2));
+        run_gated(
+            &executor,
+            &registers,
+            0,
+            seed,
+            participants,
+            config,
+            scheduler,
+            None,
+            &CancelToken::none(),
+        )
     }
 
     #[test]
@@ -1009,40 +1050,205 @@ mod tests {
     }
 
     #[test]
-    fn gated_fifo_matches_the_thread_per_participant_scheduled_runner() {
-        let executor = small_executor(2);
-        for seed in 0..4u64 {
-            let exec_registers = Arc::new(SharedRegisters::new(2));
-            let exec_report = run_gated_fifo(
-                &executor,
-                &exec_registers,
-                0,
-                seed,
-                election_participants(4),
+    fn fifo_schedule_elects_exactly_one_leader() {
+        let k = 4;
+        let report = gated(
+            2,
+            3,
+            election_participants(k),
+            ScheduleConfig::for_participants(k),
+            &mut FifoScheduler,
+        );
+        assert_eq!(report.progress.winners().len(), 1);
+        assert_eq!(report.progress.outcomes.len(), k);
+        assert!(report.progress.crashed.is_empty());
+        assert!(!report.stopped);
+        assert!(report.grants > 0);
+    }
+
+    #[test]
+    fn fifo_schedule_runs_participants_in_order() {
+        // Under FIFO, participant i's return grant precedes participant
+        // i+1's first grant: the run is genuinely sequential.
+        let report = gated(
+            2,
+            9,
+            election_participants(3),
+            ScheduleConfig::for_participants(3),
+            &mut FifoScheduler,
+        );
+        assert_eq!(
+            report.progress.intervals[&ProcId(0)].0,
+            1,
+            "interval bounds count grants post-increment, like the simulator"
+        );
+        for i in 0..2usize {
+            let (_, end) = report.progress.intervals[&ProcId(i)];
+            let (start, _) = report.progress.intervals[&ProcId(i + 1)];
+            assert!(
+                end.expect("finished") < start,
+                "participant {i} must finish strictly before {} starts",
+                i + 1
             );
-            let sched_registers = Arc::new(SharedRegisters::new(2));
-            let sched_report = crate::run_scheduled(
-                &sched_registers,
-                0,
-                seed,
-                election_participants(4),
-                ScheduleConfig::for_participants(4),
-                &mut FifoScheduler,
-            );
-            assert_eq!(
-                exec_report.progress.outcomes, sched_report.progress.outcomes,
-                "seed {seed}"
-            );
-            assert_eq!(
-                exec_report.progress.intervals, sched_report.progress.intervals,
-                "seed {seed}"
-            );
-            assert_eq!(exec_report.grants, sched_report.grants, "seed {seed}");
-            assert_eq!(exec_report.stopped, sched_report.stopped);
         }
     }
 
-    /// Round-robin over waiting participants, for interleaving equivalence.
+    /// Grants `waiting.len() + overshoot`: out of range at every decision.
+    struct PastTheEnd(usize);
+
+    impl GateScheduler for PastTheEnd {
+        fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
+            GateCommand::Run(obs.waiting.len() + self.0)
+        }
+    }
+
+    #[test]
+    fn out_of_range_grants_clamp_to_the_highest_waiting_participant() {
+        // Clamping grants the highest-id parked participant every time, so
+        // participant 3 runs to completion first — alone, hence the winner —
+        // then 2, then 1, then 0. (Wrapping the index modulo the waiting
+        // count would grant participant j instead, and elect it.)
+        for workers in [1usize, 3] {
+            for overshoot in 0..3usize {
+                let report = gated(
+                    workers,
+                    7,
+                    election_participants(4),
+                    ScheduleConfig::for_participants(4),
+                    &mut PastTheEnd(overshoot),
+                );
+                let label = format!("workers {workers}, Run(len + {overshoot})");
+                assert_eq!(report.progress.winners(), vec![ProcId(3)], "{label}");
+                for i in 1..4usize {
+                    let (_, end) = report.progress.intervals[&ProcId(i)];
+                    let (start, _) = report.progress.intervals[&ProcId(i - 1)];
+                    assert!(
+                        end.expect("finished") < start,
+                        "{label}: participant {i} must finish before {} starts",
+                        i - 1
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crashes_remove_participants_and_respect_the_budget() {
+        /// Crashes processors 0 and 1 at the first opportunity, then FIFO.
+        struct CrashTwo;
+        impl GateScheduler for CrashTwo {
+            fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
+                for victim in [ProcId(0), ProcId(1)] {
+                    if obs.crash_budget_left > 0
+                        && obs.waiting.iter().any(|w| w.proc == victim)
+                        && !obs.progress.crashed.contains(&victim)
+                    {
+                        return GateCommand::Crash(victim);
+                    }
+                }
+                GateCommand::Run(0)
+            }
+        }
+        // Budget 1: only the first crash lands, the second degrades.
+        let report = gated(
+            2,
+            2,
+            election_participants(5),
+            ScheduleConfig::for_participants(5).with_crash_budget(1),
+            &mut CrashTwo,
+        );
+        assert_eq!(report.progress.crashed, vec![ProcId(0)]);
+        assert_eq!(report.progress.outcomes.len(), 4, "survivors all return");
+        assert_eq!(report.progress.winners().len(), 1);
+    }
+
+    #[test]
+    fn stop_crashes_everyone_and_marks_the_report() {
+        struct StopAfter(u64);
+        impl GateScheduler for StopAfter {
+            fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
+                if obs.grants_made >= self.0 {
+                    GateCommand::Stop
+                } else {
+                    GateCommand::Run(0)
+                }
+            }
+        }
+        let report = gated(
+            2,
+            1,
+            election_participants(4),
+            ScheduleConfig::for_participants(4),
+            &mut StopAfter(3),
+        );
+        assert!(report.stopped);
+        assert!(!report.budget_exhausted);
+        assert_eq!(report.grants, 3);
+        assert_eq!(
+            report.progress.outcomes.len() + report.progress.crashed.len(),
+            4
+        );
+        assert!(!report.progress.crashed.is_empty());
+    }
+
+    #[test]
+    fn grant_budget_exhaustion_stops_the_run() {
+        let report = gated(
+            2,
+            1,
+            election_participants(4),
+            ScheduleConfig::for_participants(4).with_max_grants(5),
+            &mut FifoScheduler,
+        );
+        assert!(report.stopped);
+        assert!(report.budget_exhausted);
+        assert_eq!(report.grants, 5);
+        assert!(!report.progress.crashed.is_empty());
+    }
+
+    #[test]
+    fn panicking_protocols_propagate_instead_of_deadlocking() {
+        struct Bomb;
+        impl Protocol for Bomb {
+            fn step(&mut self, _response: Response) -> Action {
+                panic!("deliberate test panic");
+            }
+            fn adversary_view(&self) -> LocalStateView {
+                LocalStateView::new("bomb", "armed")
+            }
+        }
+        // The panicking task is crashed so the loop can finish (this test
+        // hanging = the crash fallback is broken), then the payload reaches
+        // the caller instead of passing for an adversary crash.
+        let executor = small_executor(2);
+        let registers = Arc::new(SharedRegisters::new(1));
+        let mut participants = election_participants(2);
+        participants.push((ProcId(2), Box::new(Bomb)));
+        let raised = catch_unwind(AssertUnwindSafe(|| {
+            run_gated(
+                &executor,
+                &registers,
+                0,
+                4,
+                participants,
+                ScheduleConfig::for_participants(3),
+                &mut FifoScheduler,
+                None,
+                &CancelToken::none(),
+            )
+        }));
+        let payload = raised.expect_err("a protocol panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"deliberate test panic")
+        );
+        // The workers outlive the panic: the same pool runs the next
+        // instance to completion.
+        let report = run_gated_fifo(&executor, &registers, 1, 4, election_participants(3));
+        assert_eq!(report.progress.winners().len(), 1);
+    }
+
+    /// Round-robin over waiting participants, for interleaving tests.
     struct RoundRobin {
         next: usize,
     }
@@ -1053,47 +1259,6 @@ mod tests {
             self.next = self.next.wrapping_add(1);
             GateCommand::Run(pick)
         }
-    }
-
-    #[test]
-    fn gated_round_robin_matches_the_scheduled_runner_under_faults() {
-        let executor = small_executor(4);
-        let plan = FaultPlan::new(41)
-            .with_collect_failures(400, 3)
-            .with_crash(CrashSpec::lose_all(40));
-        let exec_registers = Arc::new(SharedRegisters::new(2));
-        let exec_report = run_gated(
-            &executor,
-            &exec_registers,
-            0,
-            5,
-            election_participants(4),
-            ScheduleConfig::for_participants(4),
-            &mut RoundRobin { next: 0 },
-            Some(plan),
-            &CancelToken::none(),
-        );
-        let sched_registers = Arc::new(SharedRegisters::new(2));
-        let sched_report = run_scheduled_faulty(
-            &sched_registers,
-            0,
-            5,
-            election_participants(4),
-            ScheduleConfig::for_participants(4),
-            &mut RoundRobin { next: 0 },
-            Some(plan),
-        );
-        assert_eq!(
-            exec_report.progress.outcomes,
-            sched_report.progress.outcomes
-        );
-        assert_eq!(
-            exec_report.progress.intervals,
-            sched_report.progress.intervals
-        );
-        assert_eq!(exec_report.progress.crashed, sched_report.progress.crashed);
-        assert_eq!(exec_report.grants, sched_report.grants);
-        assert_eq!(exec_report.faults, sched_report.faults);
     }
 
     #[test]
@@ -1121,6 +1286,10 @@ mod tests {
         assert_eq!(lone.grants, pooled.grants);
         let names: BTreeSet<usize> = lone.progress.names().values().copied().collect();
         assert_eq!(names.len(), 5, "renaming still assigns unique names");
+        assert!(
+            names.iter().all(|&u| (1..=5).contains(&u)),
+            "and tight ones"
+        );
     }
 
     /// Trips a cancel token once enough grants have happened, then keeps

@@ -21,24 +21,19 @@
 //!   stops at its `k`-th shared-memory operation, either by panicking
 //!   ([`CrashMode::Panic`], exercising crash *containment* in the service's
 //!   shard workers) or by silently abandoning the protocol and returning
-//!   [`Outcome::Lose`] ([`CrashMode::Lose`], a fail-stop that keeps every
-//!   participant's outcome observable so liveness oracles can fire on it).
+//!   [`Outcome::Lose`](fle_model::Outcome::Lose) ([`CrashMode::Lose`], a
+//!   fail-stop that keeps every participant's outcome observable so
+//!   liveness oracles can fire on it).
 //!
-//! Because [`FaultyMemory`] also forwards [`ScheduledMemory`], the decorator
-//! slides between a gated handle and its protocol: the whole exploration
-//! stack (strategies, oracles, record/replay, ddmin shrinking) hunts the
-//! backend *under injected faults* without modification — see
-//! [`crate::run_scheduled_faulty`] and `fle_explore`.
+//! The executor wraps every participant's register handle in a
+//! [`FaultyMemory`] in both of its modes, so the whole exploration stack
+//! (strategies, oracles, record/replay, ddmin shrinking) hunts the backend
+//! *under injected faults* without modification — see [`crate::run_gated`]
+//! and `fle_explore`.
 
-use crate::report::RuntimeReport;
-use crate::shm::SharedRegisters;
-use fle_model::{
-    Action, CancelToken, CollectedViews, GateVerdict, InstanceId, Key, Outcome, ProcId,
-    ProcessMetrics, Protocol, Response, SchedulePoint, ScheduledMemory, SharedMemory, Value,
-};
+use fle_model::{CollectedViews, InstanceId, Key, ProcId, SharedMemory, Value};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Which processors a [`CrashSpec`] applies to.
@@ -57,8 +52,9 @@ pub enum CrashMode {
     /// worker must contain with `catch_unwind`.
     Panic,
     /// Fail-stop: the processor performs no further shared-memory effects
-    /// and returns [`Outcome::Lose`]. Every participant still produces an
-    /// outcome, so safety *and* liveness oracles observe the run.
+    /// and returns [`Outcome::Lose`](fle_model::Outcome::Lose). Every
+    /// participant still produces an outcome, so safety *and* liveness
+    /// oracles observe the run.
     Lose,
 }
 
@@ -211,8 +207,8 @@ impl FaultStats {
     }
 }
 
-/// A [`SharedMemory`] (and [`ScheduledMemory`]) decorator injecting the
-/// faults of a [`FaultPlan`] beneath any backend.
+/// A [`SharedMemory`] decorator injecting the faults of a [`FaultPlan`]
+/// beneath any backend.
 ///
 /// Each instance owns an independent ChaCha stream seeded from
 /// `(plan.seed, proc)`, so the fault sequence a processor experiences is a
@@ -250,8 +246,9 @@ impl<M> FaultyMemory<M> {
     }
 
     /// Whether a [`CrashMode::Lose`] crash has triggered: the processor must
-    /// perform no further protocol steps (the faulty drive loops check this
-    /// and return [`Outcome::Lose`]).
+    /// perform no further protocol steps (the executor checks this before
+    /// every step and returns
+    /// [`Outcome::Lose`](fle_model::Outcome::Lose)).
     pub fn abandoned(&self) -> bool {
         self.abandoned
     }
@@ -347,205 +344,37 @@ impl<M: SharedMemory> SharedMemory for FaultyMemory<M> {
     }
 }
 
-impl<M: ScheduledMemory> ScheduledMemory for FaultyMemory<M> {
-    fn reach(&mut self, point: SchedulePoint, state: fle_model::LocalStateView) -> GateVerdict {
-        self.inner.reach(point, state)
-    }
-}
-
-/// [`fle_model::drive`] over a [`FaultyMemory`]: polls `cancel` before every
-/// step and converts a fail-stop abandonment into [`Outcome::Lose`].
-///
-/// Returns `None` only when cancelled.
-pub fn drive_faulty<P, M>(
-    protocol: &mut P,
-    memory: &mut FaultyMemory<M>,
-    cancel: &CancelToken,
-) -> Option<Outcome>
-where
-    P: Protocol + ?Sized,
-    M: SharedMemory,
-{
-    let mut response = Response::Start;
-    loop {
-        if cancel.is_cancelled() {
-            return None;
-        }
-        if memory.abandoned() {
-            return Some(Outcome::Lose);
-        }
-        match protocol.step(response) {
-            Action::Return(outcome) => return Some(outcome),
-            action => {
-                response = memory
-                    .perform(action)
-                    .expect("only Action::Return yields no response");
-            }
-        }
-    }
-}
-
-/// [`fle_model::drive_scheduled`] over a [`FaultyMemory`]: every operation
-/// still parks at its schedule gate; a fail-stop abandonment gates through
-/// [`SchedulePoint::Return`] (so the grant accounting stays consistent) and
-/// then returns [`Outcome::Lose`].
-///
-/// Returns `None` when the *scheduler* crashed the processor at a gate.
-pub fn drive_scheduled_faulty<P, M>(
-    protocol: &mut P,
-    memory: &mut FaultyMemory<M>,
-) -> Option<Outcome>
-where
-    P: Protocol + ?Sized,
-    M: ScheduledMemory,
-{
-    let mut response = Response::Start;
-    loop {
-        if memory.abandoned() {
-            return match ScheduledMemory::reach(
-                memory,
-                SchedulePoint::Return,
-                protocol.adversary_view(),
-            ) {
-                GateVerdict::Crashed => None,
-                GateVerdict::Proceed => Some(Outcome::Lose),
-            };
-        }
-        let action = protocol.step(response);
-        let point = SchedulePoint::of(&action);
-        match ScheduledMemory::reach(memory, point, protocol.adversary_view()) {
-            GateVerdict::Crashed => return None,
-            GateVerdict::Proceed => {}
-        }
-        match action {
-            Action::Return(outcome) => return Some(outcome),
-            action => {
-                response = memory
-                    .perform(action)
-                    .expect("only Action::Return yields no response");
-            }
-        }
-    }
-}
-
-/// [`crate::run_concurrent`] under a [`FaultPlan`] and a [`CancelToken`]:
-/// one OS thread per participant over the shared registers, each behind its
-/// own [`FaultyMemory`].
-///
-/// Returns `None` when the token tripped before every participant finished
-/// (the namespace's registers are left partially written — retire them).
-/// Panic-mode injected crashes propagate to the caller, exactly like a
-/// genuine protocol panic. Otherwise returns the report plus the merged
-/// fault counters.
-pub fn run_concurrent_faulty(
-    registers: &Arc<SharedRegisters>,
-    namespace: u64,
-    seed: u64,
-    participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
-    plan: &FaultPlan,
-    cancel: &CancelToken,
-) -> Option<(RuntimeReport, FaultStats)> {
-    type Finished = (ProcId, Option<Outcome>, ProcessMetrics, FaultStats);
-    let plan = plan.for_namespace(namespace);
-    let results: Vec<Finished> = std::thread::scope(|scope| {
-        let handles: Vec<_> = participants
-            .into_iter()
-            .map(|(proc, mut protocol)| {
-                let mut memory =
-                    FaultyMemory::new(registers.handle(namespace, proc, seed), proc, plan);
-                scope.spawn(move || {
-                    let outcome = drive_faulty(protocol.as_mut(), &mut memory, cancel);
-                    (proc, outcome, memory.inner().metrics(), memory.stats())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .expect("participant threads propagate panics to the caller")
-            })
-            .collect()
-    });
-
-    let mut report = RuntimeReport::default();
-    let mut faults = FaultStats::default();
-    let mut cancelled = false;
-    for (proc, outcome, metrics, stats) in results {
-        faults.merge(&stats);
-        match outcome {
-            Some(outcome) => {
-                report.outcomes.insert(proc, outcome);
-                *report.metrics.proc_mut(proc) = metrics;
-            }
-            None => cancelled = true,
-        }
-    }
-    if cancelled {
-        None
-    } else {
-        Some((report, faults))
-    }
-}
-
-/// [`crate::run_concurrent`] with cooperative cancellation but no faults.
-///
-/// Returns `None` when the token tripped mid-run (retire the namespace).
-pub fn run_concurrent_cancellable(
-    registers: &Arc<SharedRegisters>,
-    namespace: u64,
-    seed: u64,
-    participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
-    cancel: &CancelToken,
-) -> Option<RuntimeReport> {
-    run_concurrent_faulty(
-        registers,
-        namespace,
-        seed,
-        participants,
-        &FaultPlan::default(),
-        cancel,
-    )
-    .map(|(report, _)| report)
-}
-
-/// Shared accumulator the scheduled runner uses to merge per-thread
-/// [`FaultStats`] (participant threads merge on every exit path except a
-/// panic).
-pub(crate) type SharedFaultStats = Mutex<FaultStats>;
-
-/// Merge `stats` into the shared accumulator, tolerating a poisoned lock
-/// (another participant may have panicked by injection).
-pub(crate) fn merge_shared(shared: &SharedFaultStats, stats: &FaultStats) {
-    match shared.lock() {
-        Ok(mut guard) => guard.merge(stats),
-        Err(poisoned) => poisoned.into_inner().merge(stats),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{FifoScheduler, ScheduleConfig};
-    use crate::{election_participants, run_scheduled_faulty};
+    use crate::sched::{FifoScheduler, ScheduleConfig, ScheduledReport};
+    use crate::{
+        election_participants, run_gated, ExecResult, Executor, ExecutorConfig, SharedRegisters,
+    };
+    use fle_model::{CancelToken, Outcome};
+    use std::sync::Arc;
+
+    /// A FIFO-gated four-participant election at `seed` under `plan`.
+    fn gated(seed: u64, plan: Option<FaultPlan>) -> ScheduledReport {
+        let executor = Executor::new(ExecutorConfig::new(2));
+        let registers = Arc::new(SharedRegisters::new(2));
+        run_gated(
+            &executor,
+            &registers,
+            0,
+            seed,
+            election_participants(4),
+            ScheduleConfig::for_participants(4),
+            &mut FifoScheduler,
+            plan,
+            &CancelToken::none(),
+        )
+    }
 
     #[test]
     fn noop_plan_is_an_identity_decorator() {
-        let run = |plan: Option<FaultPlan>| {
-            let registers = Arc::new(SharedRegisters::new(2));
-            run_scheduled_faulty(
-                &registers,
-                0,
-                7,
-                election_participants(4),
-                ScheduleConfig::for_participants(4),
-                &mut FifoScheduler,
-                plan,
-            )
-        };
-        let bare = run(None);
-        let decorated = run(Some(FaultPlan::new(9)));
+        let bare = gated(7, None);
+        let decorated = gated(7, Some(FaultPlan::new(9)));
         assert!(FaultPlan::new(9).is_noop());
         assert_eq!(bare.progress.outcomes, decorated.progress.outcomes);
         assert_eq!(bare.grants, decorated.grants);
@@ -556,24 +385,11 @@ mod tests {
 
     #[test]
     fn faults_are_deterministic_given_the_seed() {
-        let run = || {
-            let registers = Arc::new(SharedRegisters::new(2));
-            run_scheduled_faulty(
-                &registers,
-                0,
-                5,
-                election_participants(4),
-                ScheduleConfig::for_participants(4),
-                &mut FifoScheduler,
-                Some(
-                    FaultPlan::new(41)
-                        .with_delays(300, 20)
-                        .with_collect_failures(400, 3),
-                ),
-            )
-        };
-        let a = run();
-        let b = run();
+        let plan = FaultPlan::new(41)
+            .with_delays(300, 20)
+            .with_collect_failures(400, 3);
+        let a = gated(5, Some(plan));
+        let b = gated(5, Some(plan));
         assert_eq!(a.progress.outcomes, b.progress.outcomes);
         assert_eq!(a.grants, b.grants);
         assert_eq!(a.faults, b.faults, "same seed, same injected faults");
@@ -583,70 +399,24 @@ mod tests {
 
     #[test]
     fn lose_all_crash_leaves_no_winner() {
+        let executor = Executor::new(ExecutorConfig::new(2));
         let registers = Arc::new(SharedRegisters::new(2));
         let plan = FaultPlan::new(3).with_crash(CrashSpec::lose_all(2));
-        let (report, faults) = run_concurrent_faulty(
+        let ticket = executor.submit(
             &registers,
             0,
             11,
             election_participants(4),
             &plan,
-            &CancelToken::none(),
-        )
-        .expect("not cancelled");
+            CancelToken::none(),
+        );
+        let report = match ticket.wait() {
+            ExecResult::Completed(report) => report,
+            other => panic!("unexpected {other:?}"),
+        };
         assert_eq!(report.outcomes.len(), 4, "every participant returns");
         assert!(report.winners().is_empty(), "a crashed field elects nobody");
-        assert_eq!(faults.crashes, 4);
+        assert_eq!(report.faults.crashes, 4);
         assert!(report.outcomes.values().all(|o| *o == Outcome::Lose));
-    }
-
-    #[test]
-    #[should_panic(expected = "participant threads propagate panics")]
-    fn panic_mode_propagates_like_a_real_panic() {
-        let registers = Arc::new(SharedRegisters::new(1));
-        let plan = FaultPlan::new(1).with_crash(CrashSpec::panic_proc(ProcId(0), 2));
-        let _ = run_concurrent_faulty(
-            &registers,
-            0,
-            1,
-            election_participants(3),
-            &plan,
-            &CancelToken::none(),
-        );
-    }
-
-    #[test]
-    fn cancelled_token_aborts_the_run() {
-        let registers = Arc::new(SharedRegisters::new(1));
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        assert!(run_concurrent_faulty(
-            &registers,
-            0,
-            1,
-            election_participants(3),
-            &FaultPlan::default(),
-            &cancel,
-        )
-        .is_none());
-        assert!(
-            run_concurrent_cancellable(&registers, 1, 1, election_participants(3), &cancel)
-                .is_none()
-        );
-    }
-
-    #[test]
-    fn uncancelled_cancellable_run_matches_normal_completion() {
-        let registers = Arc::new(SharedRegisters::new(2));
-        let report = run_concurrent_cancellable(
-            &registers,
-            0,
-            9,
-            election_participants(5),
-            &CancelToken::none(),
-        )
-        .expect("never cancelled");
-        assert_eq!(report.winners().len(), 1);
-        assert_eq!(report.outcomes.len(), 5);
     }
 }

@@ -8,23 +8,24 @@
 //! * [`ThreadedRuntime`] — the **message-passing** backend: one OS thread per
 //!   processor, point-to-point crossbeam channels, and the quorum-based
 //!   `communicate(propagate / collect)` primitive implemented with actual
-//!   request/reply traffic (ABND95).
-//! * [`SharedRegisters`] — the **in-process concurrent** backend: the
+//!   request/reply traffic (ABND95). Asynchrony comes from the
+//!   operating-system scheduler; additional jitter can be injected per
+//!   message ([`RuntimeConfig::with_max_delay_micros`]) and a minority of
+//!   nodes can be made unresponsive to exercise the `t < n/2` fault
+//!   tolerance ([`RuntimeConfig::with_unresponsive`]).
+//! * [`SharedRegisters`] — the **in-process shared-memory** backend: the
 //!   registers as real shared state behind sharded locks, where `propagate`
 //!   is a locked merge and `collect` an atomic copy-on-write snapshot; see
-//!   [`shm`].
+//!   [`shm`]. Its participants run as cooperative tasks on the [`Executor`]
+//!   ([`exec`]), optionally behind a seeded [`FaultyMemory`] ([`faulty`]).
 //!
-//! Asynchrony comes from the operating-system scheduler; additional jitter
-//! can be injected per message ([`RuntimeConfig::with_max_delay_micros`]) and
-//! a minority of nodes can be made unresponsive to exercise the `t < n/2`
-//! fault tolerance ([`RuntimeConfig::with_unresponsive`]).
-//!
-//! The concurrent backend can also run under **schedule control**
-//! ([`sched`], [`run_scheduled`]): participant threads park at
-//! [`fle_model::SchedulePoint`] gates and a pluggable [`GateScheduler`]
-//! chooses the interleaving, turning real-thread executions deterministic,
-//! adversary-drivable and replayable — the bridge `fle-explore` uses to hunt
-//! this backend with the same strategies and oracles as the simulator.
+//! The executor runs an instance either free-running
+//! ([`Executor::submit`]) or under **schedule control** ([`run_gated`]):
+//! participant tasks park at [`fle_model::SchedulePoint`] gates and a
+//! pluggable [`GateScheduler`] ([`sched`]) chooses the interleaving, turning
+//! executions deterministic, adversary-drivable and replayable — the bridge
+//! `fle-explore` uses to hunt this backend with the same strategies and
+//! oracles as the simulator.
 //!
 //! # Example
 //!
@@ -59,19 +60,15 @@ pub use exec::{
     run_gated, run_gated_fifo, ExecReport, ExecResult, Executor, ExecutorConfig, ExecutorStats,
     InFlight,
 };
-pub use faulty::{
-    drive_faulty, drive_scheduled_faulty, run_concurrent_cancellable, run_concurrent_faulty,
-    CrashMode, CrashSpec, CrashVictim, FaultPlan, FaultStats, FaultyMemory,
-};
+pub use faulty::{CrashMode, CrashSpec, CrashVictim, FaultPlan, FaultStats, FaultyMemory};
 use fle_model::{CancelToken, ProcId, Protocol};
 use node::{Envelope, NodeResult, NodeRunner};
 pub use report::RuntimeReport;
 pub use sched::{
-    run_scheduled, run_scheduled_faulty, FifoScheduler, GateCommand, GateObservation,
-    GateScheduler, ScheduleConfig, ScheduleController, ScheduledProgress, ScheduledReport,
-    WaitingAt,
+    FifoScheduler, GateCommand, GateObservation, GateScheduler, ScheduleConfig, ScheduledProgress,
+    ScheduledReport, WaitingAt,
 };
-pub use shm::{run_concurrent, GatedRegisterHandle, RegisterHandle, SharedRegisters};
+pub use shm::{RegisterHandle, SharedRegisters};
 use std::error::Error;
 use std::fmt;
 use std::thread;

@@ -1,72 +1,79 @@
-//! The schedule-controlled runner for the concurrent backend: real threads,
-//! adversary-chosen interleavings.
+//! The schedule-gate vocabulary: what a gate scheduler observes at every
+//! decision and what it may command.
 //!
-//! [`run_concurrent`](crate::run_concurrent) lets the operating system
-//! interleave participant threads — realistic, but unrepeatable and outside
-//! any adversary's control. This module adds the other half: every
-//! participant runs through [`fle_model::drive_scheduled`], so each of its
-//! shared-memory operations (`propagate` / `collect` / `flip` / `choose`,
-//! plus the final return) blocks at a [`SchedulePoint`] gate until the
-//! [`ScheduleController`] grants it. The controller only ever grants **one**
-//! processor at a time and waits for it to reach its next gate before
-//! granting again, which serializes the execution into an explicit
-//! interleaving of real backend operations:
+//! [`run_gated`](crate::run_gated) hosts every participant of an instance as
+//! a task on the [`Executor`](crate::Executor) and parks it at a
+//! [`SchedulePoint`] gate before each of its shared-memory operations
+//! (`propagate` / `collect` / `flip` / `choose`, plus the final return). At
+//! every decision the loop hands a [`GateObservation`] to a pluggable
+//! [`GateScheduler`], which answers with one [`GateCommand`]: grant one
+//! parked participant, crash one, or stop. Only one grant is ever
+//! outstanding, so the execution is serialized into an explicit interleaving
+//! of real backend operations:
 //!
 //! * the *operations* are the genuine article — the same sharded locks and
-//!   copy-on-write snapshots of [`SharedRegisters`] that production traffic
-//!   exercises;
-//! * the *interleaving* is chosen by a pluggable [`GateScheduler`], which
-//!   observes exactly what the paper's strong adaptive adversary may observe
-//!   (who is enabled, each processor's [`LocalStateView`] including coins,
-//!   the crash budget) and picks who moves next or who crashes;
+//!   copy-on-write snapshots of [`crate::SharedRegisters`] that production
+//!   traffic exercises;
+//! * the *interleaving* is chosen by the scheduler, which observes exactly
+//!   what the paper's strong adaptive adversary may observe (who is enabled,
+//!   each processor's [`LocalStateView`] including coins, the crash budget);
 //! * the whole run is **deterministic** in the scheduler's choices: with
 //!   seeded per-processor RNGs, replaying the same grant sequence reproduces
-//!   the same registers, coins and outcomes regardless of OS scheduling or
-//!   machine load — which is what makes decision-trace record/replay and
-//!   ddmin shrinking (in `fle-explore`) work on real threads.
+//!   the same registers, coins and outcomes regardless of OS scheduling,
+//!   machine load or worker count — which is what makes decision-trace
+//!   record/replay and ddmin shrinking (in `fle-explore`) work.
 //!
-//! Quiescence is the key invariant: the controller waits until every live
+//! Quiescence is the key invariant: the loop waits until every live
 //! participant is parked at a gate before consulting the scheduler, so the
 //! picker always sees the complete set of enabled operations (the analogue
-//! of the simulator's enabled-event set) and never races a running thread.
+//! of the simulator's enabled-event set) and never races a running task.
 //!
 //! Bounded preemption — limiting how often the schedule may switch away
-//! from a thread that could continue (the CHESS heuristic) — is a property
-//! of the *picker*, not the runner: wrap any scheduler's decisions in a
-//! preemption counter (see `fle_explore`'s `PreemptionBound` adversary
-//! combinator) and the runner executes the bounded schedule unchanged.
+//! from a participant that could continue (the CHESS heuristic) — is a
+//! property of the *picker*, not the loop: wrap any scheduler's decisions in
+//! a preemption counter (see `fle_explore`'s `PreemptionBound` adversary
+//! combinator) and the loop executes the bounded schedule unchanged.
 //!
 //! # Example
 //!
-//! Run an election fully sequentialized (processor 0 to completion, then 1,
-//! …) — the gated twin of `fle_sim::SimMemory::run_all`:
+//! A scheduler that always grants the highest-id parked participant:
 //!
 //! ```
-//! use fle_runtime::{election_participants, FifoScheduler, ScheduleConfig, SharedRegisters};
+//! use fle_model::CancelToken;
+//! use fle_runtime::{
+//!     election_participants, run_gated, Executor, ExecutorConfig, GateCommand, GateObservation,
+//!     GateScheduler, ScheduleConfig, SharedRegisters,
+//! };
 //! use std::sync::Arc;
 //!
+//! struct Newest;
+//!
+//! impl GateScheduler for Newest {
+//!     fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
+//!         GateCommand::Run(obs.waiting.len() - 1)
+//!     }
+//! }
+//!
+//! let executor = Executor::new(ExecutorConfig::new(2));
 //! let registers = Arc::new(SharedRegisters::new(4));
-//! let report = fle_runtime::run_scheduled(
+//! let report = run_gated(
+//!     &executor,
 //!     &registers,
 //!     0,
 //!     7,
 //!     election_participants(3),
 //!     ScheduleConfig::for_participants(3),
-//!     &mut FifoScheduler,
+//!     &mut Newest,
+//!     None,
+//!     &CancelToken::none(),
 //! );
 //! assert_eq!(report.progress.winners().len(), 1);
 //! assert!(!report.stopped);
 //! ```
 
-use crate::faulty::{
-    drive_scheduled_faulty, merge_shared, FaultPlan, FaultStats, FaultyMemory, SharedFaultStats,
-};
-use crate::shm::{GatedRegisterHandle, SharedRegisters};
-use fle_model::{
-    drive_scheduled, GateVerdict, LocalStateView, Outcome, ProcId, Protocol, SchedulePoint,
-};
+use crate::faulty::FaultStats;
+use fle_model::{LocalStateView, Outcome, ProcId, SchedulePoint};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Limits of one schedule-controlled run.
 #[derive(Debug, Clone, Copy)]
@@ -125,7 +132,7 @@ pub struct WaitingAt {
 pub struct GateObservation<'a> {
     /// Number of participants in this run.
     pub participants: usize,
-    /// Grants made so far (the concurrent backend's event counter).
+    /// Grants made so far (the gate loop's event counter).
     pub grants_made: u64,
     /// Remaining crash budget.
     pub crash_budget_left: usize,
@@ -142,7 +149,8 @@ pub enum GateCommand {
     /// Grant the `index`-th entry of [`GateObservation::waiting`] (indices
     /// out of range clamp to the last waiting entry — the same tolerance as
     /// `fle_sim::ReplayAdversary`, so an edited replay stays a valid
-    /// schedule and both substrates sanitize identically).
+    /// schedule and the gate loop sanitizes it exactly as the simulator
+    /// does).
     Run(usize),
     /// Crash the given processor. Ignored (treated as `Run(0)`) when the
     /// budget is spent or the processor is not waiting, so schedulers can be
@@ -154,8 +162,8 @@ pub enum GateCommand {
     Stop,
 }
 
-/// Picks the next grant at every quiescent point of a scheduled run — the
-/// concurrent backend's analogue of `fle_sim::Adversary`.
+/// Picks the next grant at every quiescent point of a gated run — the gate
+/// loop's analogue of `fle_sim::Adversary`.
 pub trait GateScheduler {
     /// Choose the next command. `obs.waiting` is never empty.
     fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand;
@@ -190,7 +198,8 @@ pub struct ScheduledProgress {
     /// bounds are 1-based post-increment grant counts, matching the
     /// simulator's event-counter convention for its intervals.
     pub intervals: BTreeMap<ProcId, (u64, Option<u64>)>,
-    /// Participants crashed by the scheduler (or by a stop).
+    /// Participants crashed by the scheduler, by a stop, or by executor
+    /// shutdown.
     pub crashed: Vec<ProcId>,
 }
 
@@ -228,556 +237,6 @@ pub struct ScheduledReport {
     /// Whether the abort was caused by the grant budget running out.
     pub budget_exhausted: bool,
     /// Injected-fault counters, merged over all participants. All zero when
-    /// the run used no [`FaultPlan`].
+    /// the run used no [`crate::FaultPlan`].
     pub faults: FaultStats,
-}
-
-/// The lifecycle of one participant slot, driven from both sides: the
-/// participant thread moves `Running → Waiting` (at a gate) and
-/// `Granted → Running` (through it), the controller moves
-/// `Waiting → Granted | Doomed`, and terminal states are `Done`/`Crashed`.
-#[derive(Debug)]
-enum SlotPhase {
-    /// Executing between gates (local computation or the granted operation).
-    Running,
-    /// Parked at a gate.
-    Waiting(SchedulePoint, LocalStateView),
-    /// Gate opened; the thread has not yet re-acquired the lock.
-    Granted,
-    /// Crash verdict pending; the thread has not yet acknowledged it.
-    Doomed,
-    /// Returned with the recorded outcome (taken by the harvester).
-    Done(Option<Outcome>),
-    /// Acknowledged a crash (or panicked).
-    Crashed,
-}
-
-#[derive(Debug)]
-struct Slot {
-    proc: ProcId,
-    phase: SlotPhase,
-    harvested: bool,
-}
-
-/// The gate shared by all participant threads of one scheduled run.
-///
-/// Constructed internally by [`run_scheduled`]; participant handles
-/// ([`GatedRegisterHandle`]) park at their gates and the runner's control
-/// loop grants them one at a time.
-#[derive(Debug)]
-pub struct ScheduleController {
-    inner: Mutex<Vec<Slot>>,
-    gate: Condvar,
-}
-
-const LOCK: &str = "no schedule-gate user panics while holding the lock";
-
-impl ScheduleController {
-    fn new(procs: &[ProcId]) -> Self {
-        ScheduleController {
-            inner: Mutex::new(
-                procs
-                    .iter()
-                    .map(|&proc| Slot {
-                        proc,
-                        phase: SlotPhase::Running,
-                        harvested: false,
-                    })
-                    .collect(),
-            ),
-            gate: Condvar::new(),
-        }
-    }
-
-    /// Called by participant `slot`'s thread before each operation: park at
-    /// the gate and block until the controller grants or crashes it.
-    pub(crate) fn reach(
-        &self,
-        slot: usize,
-        point: SchedulePoint,
-        state: LocalStateView,
-    ) -> GateVerdict {
-        let mut slots = self.inner.lock().expect(LOCK);
-        slots[slot].phase = SlotPhase::Waiting(point, state);
-        self.gate.notify_all();
-        loop {
-            match slots[slot].phase {
-                SlotPhase::Granted => {
-                    slots[slot].phase = SlotPhase::Running;
-                    return GateVerdict::Proceed;
-                }
-                SlotPhase::Doomed => {
-                    slots[slot].phase = SlotPhase::Crashed;
-                    self.gate.notify_all();
-                    return GateVerdict::Crashed;
-                }
-                _ => slots = self.gate.wait(slots).expect(LOCK),
-            }
-        }
-    }
-
-    /// Called by a participant thread after its protocol returned.
-    fn finished(&self, slot: usize, outcome: Outcome) {
-        let mut slots = self.inner.lock().expect(LOCK);
-        slots[slot].phase = SlotPhase::Done(Some(outcome));
-        self.gate.notify_all();
-    }
-
-    /// Last-resort transition used by the panic guard: a thread that dies
-    /// without reaching a terminal state counts as crashed, so the control
-    /// loop never waits on it forever.
-    fn abort(&self, slot: usize) {
-        let mut slots = self.inner.lock().expect(LOCK);
-        if !matches!(slots[slot].phase, SlotPhase::Done(_) | SlotPhase::Crashed) {
-            slots[slot].phase = SlotPhase::Crashed;
-            self.gate.notify_all();
-        }
-    }
-}
-
-/// Marks the slot crashed if the participant thread unwinds (a protocol
-/// panic) so the controller cannot deadlock on a dead thread.
-struct AbortGuard<'c> {
-    controller: &'c ScheduleController,
-    slot: usize,
-}
-
-impl Drop for AbortGuard<'_> {
-    fn drop(&mut self) {
-        self.controller.abort(self.slot);
-    }
-}
-
-/// Run one protocol instance on the concurrent backend under an explicit
-/// schedule: one OS thread per participant, every shared-memory operation
-/// gated, the interleaving chosen by `scheduler`.
-///
-/// Participants are sorted by processor id; `seed` feeds each participant's
-/// coin stream exactly as `fle_sim::SimMemory` would (`seed + proc·0x9e37`),
-/// so a [`FifoScheduler`] run is coin-for-coin comparable with the
-/// sequential simulator adapter. The registers written under `namespace` are
-/// left in place for inspection; retire them with
-/// [`SharedRegisters::retire`] when done.
-///
-/// The run is deterministic in `scheduler`'s decisions: same decisions, same
-/// seed → same outcomes, registers and report, independent of OS scheduling.
-pub fn run_scheduled(
-    registers: &Arc<SharedRegisters>,
-    namespace: u64,
-    seed: u64,
-    participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
-    config: ScheduleConfig,
-    scheduler: &mut dyn GateScheduler,
-) -> ScheduledReport {
-    run_scheduled_faulty(
-        registers,
-        namespace,
-        seed,
-        participants,
-        config,
-        scheduler,
-        None,
-    )
-}
-
-/// [`run_scheduled`] with each participant's gated handle wrapped in a
-/// [`FaultyMemory`] when `plan` is given: the adversary-chosen interleaving
-/// *and* the injected faults are both deterministic, so exploration
-/// strategies, record/replay and ddmin shrinking work unchanged on runs
-/// under faults. `ScheduledReport::faults` carries the merged counters.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheduled_faulty(
-    registers: &Arc<SharedRegisters>,
-    namespace: u64,
-    seed: u64,
-    mut participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
-    config: ScheduleConfig,
-    scheduler: &mut dyn GateScheduler,
-    plan: Option<FaultPlan>,
-) -> ScheduledReport {
-    participants.sort_by_key(|(proc, _)| *proc);
-    let procs: Vec<ProcId> = participants.iter().map(|(proc, _)| *proc).collect();
-    let controller = ScheduleController::new(&procs);
-    let fault_totals: SharedFaultStats = Mutex::new(FaultStats::default());
-    let mut report = ScheduledReport::default();
-
-    std::thread::scope(|scope| {
-        for (slot, (proc, mut protocol)) in participants.into_iter().enumerate() {
-            let controller = &controller;
-            let fault_totals = &fault_totals;
-            let gated = GatedRegisterHandle::new(
-                registers.handle_seeded(namespace, proc, seed),
-                controller,
-                slot,
-            );
-            scope.spawn(move || {
-                let _guard = AbortGuard { controller, slot };
-                match plan {
-                    None => {
-                        let mut memory = gated;
-                        if let Some(outcome) = drive_scheduled(protocol.as_mut(), &mut memory) {
-                            controller.finished(slot, outcome);
-                        }
-                    }
-                    Some(plan) => {
-                        let mut memory =
-                            FaultyMemory::new(gated, proc, plan.for_namespace(namespace));
-                        let outcome = drive_scheduled_faulty(protocol.as_mut(), &mut memory);
-                        merge_shared(fault_totals, &memory.stats());
-                        if let Some(outcome) = outcome {
-                            controller.finished(slot, outcome);
-                        }
-                    }
-                }
-                // A crash verdict already moved the slot to Crashed.
-            });
-        }
-
-        let mut crash_budget_left = config.crash_budget;
-        let mut stopping = false;
-        loop {
-            // Wait for quiescence: every slot parked at a gate or terminal.
-            let mut slots = controller.inner.lock().expect(LOCK);
-            while slots.iter().any(|s| {
-                matches!(
-                    s.phase,
-                    SlotPhase::Running | SlotPhase::Granted | SlotPhase::Doomed
-                )
-            }) {
-                slots = controller.gate.wait(slots).expect(LOCK);
-            }
-
-            // Harvest terminal transitions into the progress report.
-            for slot in slots.iter_mut() {
-                if slot.harvested {
-                    continue;
-                }
-                match &mut slot.phase {
-                    SlotPhase::Done(outcome) => {
-                        let outcome = outcome.take().expect("outcomes are harvested once");
-                        report.progress.outcomes.insert(slot.proc, outcome);
-                        report
-                            .progress
-                            .intervals
-                            .entry(slot.proc)
-                            .or_insert((report.grants, None))
-                            .1 = Some(report.grants);
-                        slot.harvested = true;
-                    }
-                    SlotPhase::Crashed => {
-                        report.progress.crashed.push(slot.proc);
-                        slot.harvested = true;
-                    }
-                    _ => {}
-                }
-            }
-
-            // Collect the waiting set (slot order = ascending processor
-            // id), keeping slot indices in a parallel vector so the
-            // snapshot handed to the scheduler is cloned exactly once.
-            let mut slot_indices = Vec::new();
-            let mut waiting: Vec<WaitingAt> = Vec::new();
-            for (index, slot) in slots.iter().enumerate() {
-                if let SlotPhase::Waiting(point, state) = &slot.phase {
-                    slot_indices.push(index);
-                    waiting.push(WaitingAt {
-                        proc: slot.proc,
-                        point: *point,
-                        state: state.clone(),
-                    });
-                }
-            }
-            if waiting.is_empty() {
-                break; // every participant finished or crashed
-            }
-
-            if report.grants >= config.max_grants && !stopping {
-                report.budget_exhausted = true;
-                stopping = true;
-            }
-            let command = if stopping {
-                GateCommand::Stop
-            } else {
-                // Consult the scheduler outside the lock: it may be an
-                // arbitrarily expensive oracle-checking adversary, and every
-                // participant is parked, so nothing races the snapshot.
-                drop(slots);
-                let command = scheduler.pick(&GateObservation {
-                    participants: procs.len(),
-                    grants_made: report.grants,
-                    crash_budget_left,
-                    waiting: &waiting,
-                    progress: &report.progress,
-                });
-                slots = controller.inner.lock().expect(LOCK);
-                command
-            };
-
-            match command {
-                GateCommand::Stop => {
-                    report.stopped = true;
-                    stopping = true;
-                    for slot in slots.iter_mut() {
-                        if matches!(slot.phase, SlotPhase::Waiting(..)) {
-                            slot.phase = SlotPhase::Doomed;
-                        }
-                    }
-                    controller.gate.notify_all();
-                }
-                GateCommand::Crash(victim)
-                    if crash_budget_left > 0
-                        && waiting.iter().any(|entry| entry.proc == victim) =>
-                {
-                    crash_budget_left -= 1;
-                    let pos = waiting
-                        .iter()
-                        .position(|entry| entry.proc == victim)
-                        .expect("victim verified waiting above");
-                    slots[slot_indices[pos]].phase = SlotPhase::Doomed;
-                    controller.gate.notify_all();
-                }
-                command => {
-                    // Illegal crashes degrade to the oldest waiting grant,
-                    // mirroring the tolerant replay semantics of the
-                    // simulator's `ReplayAdversary`.
-                    let pick = match command {
-                        GateCommand::Run(pick) => pick.min(waiting.len() - 1),
-                        _ => 0,
-                    };
-                    // Count the grant before recording the interval start so
-                    // both ends of an interval use the post-increment counter,
-                    // matching the simulator's convention — otherwise a loser
-                    // returning at grant g and a winner starting at grant g+1
-                    // would look concurrent to the linearizability check.
-                    report.grants += 1;
-                    report
-                        .progress
-                        .intervals
-                        .entry(waiting[pick].proc)
-                        .or_insert((report.grants, None));
-                    slots[slot_indices[pick]].phase = SlotPhase::Granted;
-                    controller.gate.notify_all();
-                }
-            }
-        }
-    });
-
-    report.faults = match fault_totals.lock() {
-        Ok(guard) => *guard,
-        Err(poisoned) => *poisoned.into_inner(),
-    };
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{election_participants, renaming_participants};
-    use std::collections::BTreeSet;
-
-    /// Round-robin over waiting participants, for interleaving tests.
-    struct RoundRobin {
-        next: usize,
-    }
-
-    impl GateScheduler for RoundRobin {
-        fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
-            let pick = self.next % obs.waiting.len();
-            self.next = self.next.wrapping_add(1);
-            GateCommand::Run(pick)
-        }
-    }
-
-    #[test]
-    fn fifo_schedule_elects_exactly_one_leader() {
-        let registers = Arc::new(SharedRegisters::new(2));
-        let report = run_scheduled(
-            &registers,
-            0,
-            3,
-            election_participants(4),
-            ScheduleConfig::for_participants(4),
-            &mut FifoScheduler,
-        );
-        assert_eq!(report.progress.winners().len(), 1);
-        assert_eq!(report.progress.outcomes.len(), 4);
-        assert!(report.progress.crashed.is_empty());
-        assert!(!report.stopped);
-        assert!(report.grants > 0);
-    }
-
-    #[test]
-    fn fifo_schedule_runs_participants_in_order() {
-        // Under FIFO, participant i's return grant precedes participant
-        // i+1's first grant: the run is genuinely sequential.
-        let registers = Arc::new(SharedRegisters::new(1));
-        let report = run_scheduled(
-            &registers,
-            0,
-            9,
-            election_participants(3),
-            ScheduleConfig::for_participants(3),
-            &mut FifoScheduler,
-        );
-        assert_eq!(
-            report.progress.intervals[&ProcId(0)].0,
-            1,
-            "interval bounds count grants post-increment, like the simulator"
-        );
-        for i in 0..2usize {
-            let (_, end) = report.progress.intervals[&ProcId(i)];
-            let (start, _) = report.progress.intervals[&ProcId(i + 1)];
-            assert!(
-                end.expect("finished") < start,
-                "participant {i} must finish strictly before {} starts",
-                i + 1
-            );
-        }
-    }
-
-    #[test]
-    fn round_robin_renaming_assigns_unique_tight_names() {
-        let registers = Arc::new(SharedRegisters::new(4));
-        let n = 5;
-        let report = run_scheduled(
-            &registers,
-            1,
-            11,
-            renaming_participants(n, n),
-            ScheduleConfig::for_participants(n),
-            &mut RoundRobin { next: 0 },
-        );
-        let names: BTreeSet<usize> = report.progress.names().values().copied().collect();
-        assert_eq!(names.len(), n);
-        assert!(names.iter().all(|&u| (1..=n).contains(&u)));
-    }
-
-    #[test]
-    fn identical_schedules_are_deterministic() {
-        let run = || {
-            let registers = Arc::new(SharedRegisters::new(3));
-            run_scheduled(
-                &registers,
-                0,
-                5,
-                election_participants(4),
-                ScheduleConfig::for_participants(4),
-                &mut RoundRobin { next: 0 },
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.progress.outcomes, b.progress.outcomes);
-        assert_eq!(a.progress.intervals, b.progress.intervals);
-        assert_eq!(a.grants, b.grants);
-    }
-
-    #[test]
-    fn crashes_remove_participants_and_respect_the_budget() {
-        /// Crashes processors 0 and 1 at the first opportunity, then FIFO.
-        struct CrashTwo;
-        impl GateScheduler for CrashTwo {
-            fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
-                for victim in [ProcId(0), ProcId(1)] {
-                    if obs.crash_budget_left > 0
-                        && obs.waiting.iter().any(|w| w.proc == victim)
-                        && !obs.progress.crashed.contains(&victim)
-                    {
-                        return GateCommand::Crash(victim);
-                    }
-                }
-                GateCommand::Run(0)
-            }
-        }
-        let registers = Arc::new(SharedRegisters::new(2));
-        // Budget 1: only the first crash lands, the second degrades.
-        let report = run_scheduled(
-            &registers,
-            0,
-            2,
-            election_participants(5),
-            ScheduleConfig::for_participants(5).with_crash_budget(1),
-            &mut CrashTwo,
-        );
-        assert_eq!(report.progress.crashed, vec![ProcId(0)]);
-        assert_eq!(report.progress.outcomes.len(), 4, "survivors all return");
-        assert_eq!(report.progress.winners().len(), 1);
-    }
-
-    #[test]
-    fn stop_crashes_everyone_and_marks_the_report() {
-        struct StopAfter(u64);
-        impl GateScheduler for StopAfter {
-            fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
-                if obs.grants_made >= self.0 {
-                    GateCommand::Stop
-                } else {
-                    GateCommand::Run(0)
-                }
-            }
-        }
-        let registers = Arc::new(SharedRegisters::new(2));
-        let report = run_scheduled(
-            &registers,
-            0,
-            1,
-            election_participants(4),
-            ScheduleConfig::for_participants(4),
-            &mut StopAfter(3),
-        );
-        assert!(report.stopped);
-        assert!(!report.budget_exhausted);
-        assert_eq!(report.grants, 3);
-        assert_eq!(
-            report.progress.outcomes.len() + report.progress.crashed.len(),
-            4
-        );
-        assert!(!report.progress.crashed.is_empty());
-    }
-
-    #[test]
-    fn grant_budget_exhaustion_stops_the_run() {
-        let registers = Arc::new(SharedRegisters::new(2));
-        let report = run_scheduled(
-            &registers,
-            0,
-            1,
-            election_participants(4),
-            ScheduleConfig::for_participants(4).with_max_grants(5),
-            &mut FifoScheduler,
-        );
-        assert!(report.stopped);
-        assert!(report.budget_exhausted);
-        assert_eq!(report.grants, 5);
-        assert!(!report.progress.crashed.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "scoped thread panicked")]
-    fn panicking_protocols_propagate_instead_of_deadlocking() {
-        use fle_model::{Action, Response};
-        struct Bomb;
-        impl Protocol for Bomb {
-            fn step(&mut self, _response: Response) -> Action {
-                panic!("deliberate test panic");
-            }
-            fn adversary_view(&self) -> LocalStateView {
-                LocalStateView::new("bomb", "armed")
-            }
-        }
-        // Without the abort guard the control loop would wait forever on the
-        // dead thread; with it, the run completes and the scope re-raises
-        // the participant's panic (this test hanging = the guard is broken).
-        let registers = Arc::new(SharedRegisters::new(1));
-        let mut participants = election_participants(2);
-        participants.push((ProcId(2), Box::new(Bomb)));
-        let _ = run_scheduled(
-            &registers,
-            0,
-            4,
-            participants,
-            ScheduleConfig::for_participants(3),
-            &mut FifoScheduler,
-        );
-    }
 }

@@ -10,8 +10,8 @@
 //! directly: `propagate` is a merge under the owning shard's lock, `collect`
 //! is an atomic copy-on-write snapshot (a refcount bump). Quorums are
 //! trivially satisfied (the one true copy *is* the majority), so contention
-//! comes from the hardware — threads racing for shard locks — rather than
-//! from emulated message interleavings.
+//! comes from the hardware — executor workers racing for shard locks —
+//! rather than from emulated message interleavings.
 //!
 //! Register banks are **namespaced**: every value lives under a caller-chosen
 //! `namespace` key, so thousands of protocol instances can share one bank
@@ -24,20 +24,30 @@
 //! # Example
 //!
 //! ```
-//! use fle_core::LeaderElection;
-//! use fle_model::ProcId;
-//! use fle_runtime::{election_participants, run_concurrent, SharedRegisters};
+//! use fle_model::CancelToken;
+//! use fle_runtime::{
+//!     election_participants, ExecResult, Executor, ExecutorConfig, FaultPlan, SharedRegisters,
+//! };
 //! use std::sync::Arc;
 //!
+//! let executor = Executor::new(ExecutorConfig::new(2));
 //! let registers = Arc::new(SharedRegisters::new(8));
-//! let report = run_concurrent(&registers, 0, 42, election_participants(4));
-//! assert_eq!(report.winners().len(), 1);
+//! let ticket = executor.submit(
+//!     &registers,
+//!     0,
+//!     42,
+//!     election_participants(4),
+//!     &FaultPlan::default(),
+//!     CancelToken::none(),
+//! );
+//! match ticket.wait() {
+//!     ExecResult::Completed(report) => assert_eq!(report.winners().len(), 1),
+//!     other => panic!("unexpected {other:?}"),
+//! }
 //! ```
 
-use crate::report::RuntimeReport;
 use fle_model::{
-    splitmix64, CollectedViews, InstanceId, Key, Outcome, ProcId, ProcessMetrics, Protocol,
-    SharedMemory, Value, View,
+    splitmix64, CollectedViews, InstanceId, Key, ProcId, ProcessMetrics, SharedMemory, Value, View,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -157,10 +167,10 @@ impl SharedRegisters {
     }
 
     /// A handle whose coin stream ignores the namespace: seeded exactly like
-    /// `fle_sim::SimMemory` (`seed + me·0x9e37`). Used by the
-    /// schedule-controlled runner ([`crate::run_scheduled`]) so that a fully
-    /// sequentialized gated run draws the same coins as the sequential
-    /// simulator adapter and the two can be compared outcome-for-outcome.
+    /// `fle_sim::SimMemory` (`seed + me·0x9e37`). Used by the gate loop
+    /// ([`crate::run_gated`]) so that a fully sequentialized gated run draws
+    /// the same coins as the sequential simulator adapter and the two can be
+    /// compared outcome-for-outcome.
     pub fn handle_seeded(
         self: &Arc<Self>,
         namespace: u64,
@@ -232,112 +242,14 @@ impl SharedMemory for RegisterHandle {
     }
 }
 
-/// A [`RegisterHandle`] whose every operation passes through a
-/// [`crate::sched::ScheduleController`] gate: the schedule-controlled face
-/// of the concurrent backend.
-///
-/// The handle performs the *same* operations as an ungated
-/// [`RegisterHandle`] — the same sharded locks, the same copy-on-write
-/// snapshots, the same coin stream — but announces each one as a
-/// [`fle_model::SchedulePoint`] first and blocks until the controller grants
-/// it, which is how `fle_runtime::run_scheduled` serializes real threads
-/// under an adversary-chosen interleaving. Constructed only by
-/// [`crate::run_scheduled`].
-#[derive(Debug)]
-pub struct GatedRegisterHandle<'c> {
-    inner: RegisterHandle,
-    controller: &'c crate::sched::ScheduleController,
-    slot: usize,
-}
-
-impl<'c> GatedRegisterHandle<'c> {
-    pub(crate) fn new(
-        inner: RegisterHandle,
-        controller: &'c crate::sched::ScheduleController,
-        slot: usize,
-    ) -> Self {
-        GatedRegisterHandle {
-            inner,
-            controller,
-            slot,
-        }
-    }
-}
-
-impl fle_model::SharedMemory for GatedRegisterHandle<'_> {
-    fn propagate(&mut self, entries: Vec<(Key, Value)>) {
-        self.inner.propagate(entries);
-    }
-
-    fn collect(&mut self, instance: InstanceId) -> CollectedViews {
-        self.inner.collect(instance)
-    }
-
-    fn flip(&mut self, prob_one: f64) -> bool {
-        self.inner.flip(prob_one)
-    }
-
-    fn choose(&mut self, choices: &[u64]) -> u64 {
-        self.inner.choose(choices)
-    }
-}
-
-impl fle_model::ScheduledMemory for GatedRegisterHandle<'_> {
-    fn reach(
-        &mut self,
-        point: fle_model::SchedulePoint,
-        state: fle_model::LocalStateView,
-    ) -> fle_model::GateVerdict {
-        self.controller.reach(self.slot, point, state)
-    }
-}
-
-/// Run one protocol instance on the concurrent backend: one OS thread per
-/// participant, all hammering the same shared registers under `namespace`.
-///
-/// The registers written under `namespace` are left in place so the caller
-/// can inspect them; retire them with [`SharedRegisters::retire`] when done.
-pub fn run_concurrent(
-    registers: &Arc<SharedRegisters>,
-    namespace: u64,
-    seed: u64,
-    participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
-) -> RuntimeReport {
-    let results: Vec<(ProcId, Outcome, ProcessMetrics)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = participants
-            .into_iter()
-            .map(|(proc, mut protocol)| {
-                let mut memory = registers.handle(namespace, proc, seed);
-                scope.spawn(move || {
-                    let outcome = fle_model::drive(protocol.as_mut(), &mut memory);
-                    (proc, outcome, memory.metrics())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .expect("participant threads propagate panics to the caller")
-            })
-            .collect()
-    });
-
-    let mut report = RuntimeReport::default();
-    for (proc, outcome, metrics) in results {
-        report.outcomes.insert(proc, outcome);
-        *report.metrics.proc_mut(proc) = metrics;
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::election_participants;
-    use fle_core::{Renaming, RenamingConfig};
-    use fle_model::Slot;
+    use crate::{
+        election_participants, renaming_participants, ExecReport, ExecResult, Executor,
+        ExecutorConfig, FaultPlan,
+    };
+    use fle_model::{CancelToken, Slot};
 
     #[test]
     fn writes_round_trip_through_snapshots() {
@@ -386,11 +298,33 @@ mod tests {
         assert_eq!(registers.snapshot(0, InstanceId::Contended).len(), 2);
     }
 
+    /// Run one instance to completion on a small executor.
+    fn run(
+        registers: &Arc<SharedRegisters>,
+        namespace: u64,
+        seed: u64,
+        participants: Vec<(ProcId, Box<dyn fle_model::Protocol + Send>)>,
+    ) -> ExecReport {
+        let executor = Executor::new(ExecutorConfig::new(2));
+        let ticket = executor.submit(
+            registers,
+            namespace,
+            seed,
+            participants,
+            &FaultPlan::default(),
+            CancelToken::none(),
+        );
+        match ticket.wait() {
+            ExecResult::Completed(report) => report,
+            other => panic!("namespace {namespace}: unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn concurrent_election_elects_exactly_one_leader() {
         let registers = Arc::new(SharedRegisters::new(4));
         for seed in 0..5u64 {
-            let report = run_concurrent(&registers, seed, seed, election_participants(8));
+            let report = run(&registers, seed, seed, election_participants(8));
             assert_eq!(report.winners().len(), 1, "seed {seed}");
             assert_eq!(report.outcomes.len(), 8);
             registers.retire(seed);
@@ -402,18 +336,15 @@ mod tests {
     fn concurrent_renaming_assigns_unique_tight_names() {
         let registers = Arc::new(SharedRegisters::new(4));
         let n = 6;
-        let config = RenamingConfig::new(n);
-        let participants = (0..n)
-            .map(|i| {
-                let p = ProcId(i);
-                (
-                    p,
-                    Box::new(Renaming::new(p, config)) as Box<dyn Protocol + Send>,
-                )
+        let report = run(&registers, 1, 9, renaming_participants(n, n));
+        let names: std::collections::BTreeSet<usize> = report
+            .outcomes
+            .values()
+            .filter_map(|o| match o {
+                fle_model::Outcome::Name(u) => Some(*u),
+                _ => None,
             })
             .collect();
-        let report = run_concurrent(&registers, 1, 9, participants);
-        let names: std::collections::BTreeSet<usize> = report.names().values().copied().collect();
         assert_eq!(names.len(), n, "all names distinct");
         assert!(names.iter().all(|&u| (1..=n).contains(&u)));
     }
@@ -424,8 +355,8 @@ mod tests {
         // same bank: each elects exactly one winner and neither observes the
         // other's registers.
         let registers = Arc::new(SharedRegisters::new(1));
-        let left = run_concurrent(&registers, 100, 3, election_participants(4));
-        let right = run_concurrent(&registers, 200, 3, election_participants(4));
+        let left = run(&registers, 100, 3, election_participants(4));
+        let right = run(&registers, 200, 3, election_participants(4));
         assert_eq!(left.winners().len(), 1);
         assert_eq!(right.winners().len(), 1);
         assert_eq!(registers.live_namespaces(), 2);

@@ -2,43 +2,37 @@
 //!
 //! A backend takes an [`InstanceSpec`] and runs one complete protocol
 //! instance — every participant to its outcome — under a cooperative
-//! [`CancelToken`] (the service's in-flight deadline enforcement). The four
-//! implementations cover the repo's four execution substrates:
+//! [`CancelToken`] (the service's in-flight deadline enforcement). The three
+//! implementations cover the repo's three execution substrates:
 //!
 //! * [`SimBackend`] — the deterministic discrete-event simulator: each
 //!   instance is a fresh [`fle_sim::Simulator`] run under a seeded fair
 //!   adversary, reproducible bit-for-bit from `(spec.seed, spec.n)`.
 //! * [`ThreadedBackend`] — the message-passing runtime: one OS thread per
 //!   processor and quorum `communicate` traffic over channels.
-//! * [`ConcurrentBackend`] — the in-process shared-memory backend: every
-//!   participant is a thread hammering one namespaced
-//!   [`fle_runtime::SharedRegisters`] bank, so thousands of instances share
-//!   (and contend on) the same sharded registers. With a
-//!   [`FaultPlan`] attached ([`BackendKind::build`]'s `faults` argument) the
-//!   bank is wrapped in a [`fle_runtime::FaultyMemory`] per participant:
-//!   seeded delays, transient collect failures, and crash injection.
-//! * [`AsyncBackend`] — the task-multiplexed cooperative executor: each
+//! * [`AsyncBackend`] — the in-process shared-memory backend: each
 //!   participant is a resumable [`fle_model::DriveMachine`] task on a small
-//!   process-wide [`fle_runtime::Executor`] worker pool, so thousands of
-//!   in-flight instances cost tasks, not OS threads. Register access,
-//!   coin seeding, and fault decoration are identical to the concurrent
-//!   backend; only the unit of concurrency changes.
+//!   process-wide [`fle_runtime::Executor`] worker pool, all of them over
+//!   one namespaced [`fle_runtime::SharedRegisters`] bank, so thousands of
+//!   in-flight instances share (and contend on) the same sharded registers
+//!   and cost tasks, not OS threads. With a [`FaultPlan`] attached
+//!   ([`BackendKind::build`]'s `faults` argument) every participant's
+//!   handle is wrapped in a [`fle_runtime::FaultyMemory`]: seeded delays,
+//!   transient collect failures, and crash injection.
 //!
-//! Fault plans apply **only** to the concurrent and async backends: the
-//! sim's memory is the event queue itself (the adversary already plays the
-//! faults) and the threaded backend's memory is its node runners, neither
-//! of which the decorator can wrap. The other backends silently ignore the
-//! plan.
+//! Fault plans apply **only** to the async backend: the sim's memory is the
+//! event queue itself (the adversary already plays the faults) and the
+//! threaded backend's memory is its node runners, neither of which the
+//! decorator can wrap. The other backends silently ignore the plan.
 //!
 //! Isolation: the sim and threaded backends isolate instances by
-//! construction (each run owns its replicas); the concurrent backend
-//! namespaces every register access by `spec.key`.
+//! construction (each run owns its replicas); the async backend namespaces
+//! every register access by `spec.key`.
 
 use crate::{InstanceSpec, Workload};
 use fle_model::{CancelToken, Outcome, ProcId, Protocol};
 use fle_runtime::{
-    run_concurrent_cancellable, run_concurrent_faulty, ExecResult, Executor, FaultPlan, FaultStats,
-    RuntimeConfig, SharedRegisters, ThreadedRuntime,
+    ExecResult, Executor, FaultPlan, FaultStats, RuntimeConfig, SharedRegisters, ThreadedRuntime,
 };
 use fle_sim::{RandomAdversary, SimConfig, Simulator};
 use std::collections::BTreeMap;
@@ -48,9 +42,7 @@ use std::sync::{Arc, OnceLock};
 /// Everything one completed run produced: the participants' outcomes plus
 /// the fault-injection counters accumulated along the way (zero for
 /// backends without fault injection). The service's observability layer
-/// merges the fault counters into the owning shard's recorder — before
-/// this struct existed, the concurrent backend measured them and threw
-/// them away.
+/// merges the fault counters into the owning shard's recorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutput {
     /// Outcome of every participant.
@@ -76,9 +68,8 @@ pub enum BackendKind {
     Sim,
     /// Real-thread message passing ([`ThreadedBackend`]).
     Threaded,
-    /// In-process concurrent shared registers ([`ConcurrentBackend`]).
-    Concurrent,
-    /// Task-multiplexed cooperative executor ([`AsyncBackend`]).
+    /// Task-multiplexed cooperative executor over shared registers
+    /// ([`AsyncBackend`]).
     Async,
 }
 
@@ -88,14 +79,12 @@ impl BackendKind {
         match self {
             BackendKind::Sim => "sim",
             BackendKind::Threaded => "threaded",
-            BackendKind::Concurrent => "concurrent",
             BackendKind::Async => "async",
         }
     }
 
     /// Build the backend, attaching the service's shared register bank and
-    /// optional fault plan (both used only by [`BackendKind::Concurrent`]
-    /// and [`BackendKind::Async`]).
+    /// optional fault plan (both used only by [`BackendKind::Async`]).
     pub fn build(
         self,
         registers: &Arc<SharedRegisters>,
@@ -104,10 +93,6 @@ impl BackendKind {
         match self {
             BackendKind::Sim => Box::new(SimBackend),
             BackendKind::Threaded => Box::new(ThreadedBackend),
-            BackendKind::Concurrent => Box::new(ConcurrentBackend {
-                registers: Arc::clone(registers),
-                faults: faults.copied(),
-            }),
             BackendKind::Async => Box::new(AsyncBackend {
                 registers: Arc::clone(registers),
                 faults: faults.copied(),
@@ -216,45 +201,6 @@ impl InstanceBackend for ThreadedBackend {
     }
 }
 
-/// In-process concurrent backend: participants are threads over one shared,
-/// namespaced register bank, optionally behind a fault-injection decorator.
-#[derive(Debug)]
-pub struct ConcurrentBackend {
-    pub(crate) registers: Arc<SharedRegisters>,
-    pub(crate) faults: Option<FaultPlan>,
-}
-
-impl InstanceBackend for ConcurrentBackend {
-    fn name(&self) -> &'static str {
-        "concurrent"
-    }
-
-    fn run(&self, spec: &InstanceSpec, cancel: &CancelToken) -> Option<RunOutput> {
-        match self.faults {
-            Some(plan) if !plan.is_noop() => run_concurrent_faulty(
-                &self.registers,
-                spec.key,
-                spec.seed,
-                protocols(spec),
-                &plan,
-                cancel,
-            )
-            .map(|(report, faults)| RunOutput {
-                outcomes: report.outcomes,
-                faults,
-            }),
-            _ => run_concurrent_cancellable(
-                &self.registers,
-                spec.key,
-                spec.seed,
-                protocols(spec),
-                cancel,
-            )
-            .map(|report| RunOutput::clean(report.outcomes)),
-        }
-    }
-}
-
 /// The process-wide task executor behind every [`AsyncBackend`].
 ///
 /// [`BackendKind::build`] runs once per shard worker, but the whole point
@@ -269,10 +215,10 @@ fn shared_executor() -> &'static Executor {
 }
 
 /// Task-multiplexed backend: participants are cooperative
-/// [`fle_model::DriveMachine`] tasks on the process-wide [`Executor`],
-/// sharing the same namespaced register bank (and the same coin seeding,
-/// so outcomes match the concurrent backend instance-for-instance) while
-/// consuming zero dedicated OS threads per instance.
+/// [`fle_model::DriveMachine`] tasks on the process-wide [`Executor`] over
+/// one shared, namespaced register bank, optionally behind a
+/// fault-injection decorator, consuming zero dedicated OS threads per
+/// instance.
 #[derive(Debug)]
 pub struct AsyncBackend {
     pub(crate) registers: Arc<SharedRegisters>,
@@ -301,8 +247,8 @@ impl InstanceBackend for AsyncBackend {
             }),
             ExecResult::Cancelled => None,
             // Re-raise on the calling shard worker so the service's panic
-            // containment (and its per-shard fail accounting) sees the same
-            // unwind a thread-per-participant backend would produce.
+            // containment (and its per-shard fail accounting) sees the
+            // participant's own unwind.
             ExecResult::Panicked(payload) => std::panic::resume_unwind(payload),
         }
     }
@@ -315,14 +261,9 @@ mod tests {
     #[test]
     fn every_backend_elects_exactly_one_winner() {
         let registers = Arc::new(SharedRegisters::new(2));
-        for (slot, kind) in [
-            BackendKind::Sim,
-            BackendKind::Threaded,
-            BackendKind::Concurrent,
-            BackendKind::Async,
-        ]
-        .into_iter()
-        .enumerate()
+        for (slot, kind) in [BackendKind::Sim, BackendKind::Threaded, BackendKind::Async]
+            .into_iter()
+            .enumerate()
         {
             // One namespace per backend: the service retires a key's
             // registers after each run, the test bank does not.
@@ -343,14 +284,9 @@ mod tests {
     #[test]
     fn every_backend_renames_uniquely() {
         let registers = Arc::new(SharedRegisters::new(2));
-        for (slot, kind) in [
-            BackendKind::Sim,
-            BackendKind::Threaded,
-            BackendKind::Concurrent,
-            BackendKind::Async,
-        ]
-        .into_iter()
-        .enumerate()
+        for (slot, kind) in [BackendKind::Sim, BackendKind::Threaded, BackendKind::Async]
+            .into_iter()
+            .enumerate()
         {
             let backend = kind.build(&registers, None);
             let spec = InstanceSpec::renaming(43 + slot as u64 * 100, 4).with_seed(3);
@@ -401,37 +337,12 @@ mod tests {
         let registers = Arc::new(SharedRegisters::new(2));
         let cancel = CancelToken::new();
         cancel.cancel();
-        for kind in [
-            BackendKind::Sim,
-            BackendKind::Threaded,
-            BackendKind::Concurrent,
-            BackendKind::Async,
-        ] {
+        for kind in [BackendKind::Sim, BackendKind::Threaded, BackendKind::Async] {
             let backend = kind.build(&registers, None);
             let spec = InstanceSpec::election(44, 4);
             assert!(
                 backend.run(&spec, &cancel).is_none(),
                 "{kind}: a cancelled run returns no outcomes"
-            );
-        }
-    }
-
-    #[test]
-    fn the_async_backend_matches_the_concurrent_backend_outcome_for_outcome() {
-        // Same bank shape, same key, same seed: the executor's tasks use the
-        // identical coin-seeding convention as the thread-per-participant
-        // runner, so the two backends agree on every participant's outcome.
-        for seed in 0..4u64 {
-            let concurrent_bank = Arc::new(SharedRegisters::new(2));
-            let concurrent = BackendKind::Concurrent.build(&concurrent_bank, None);
-            let async_bank = Arc::new(SharedRegisters::new(2));
-            let asynchronous = BackendKind::Async.build(&async_bank, None);
-            let spec = InstanceSpec::election(7, 4).with_seed(seed);
-            let none = CancelToken::none();
-            assert_eq!(
-                concurrent.run(&spec, &none),
-                asynchronous.run(&spec, &none),
-                "seed {seed}"
             );
         }
     }
@@ -450,23 +361,6 @@ mod tests {
         assert!(
             output.faults.ops > 0,
             "the decorator's counters surface through RunOutput"
-        );
-    }
-
-    #[test]
-    fn a_faulty_concurrent_backend_still_elects_a_winner() {
-        let registers = Arc::new(SharedRegisters::new(2));
-        let plan = FaultPlan::new(3)
-            .with_delays(200, 50)
-            .with_collect_failures(200, 2);
-        let backend = BackendKind::Concurrent.build(&registers, Some(&plan));
-        let spec = InstanceSpec::election(45, 4);
-        let output = backend.run(&spec, &CancelToken::none()).unwrap();
-        let winners = output.outcomes.values().filter(|o| o.is_win()).count();
-        assert_eq!(winners, 1, "delays and transient failures are masked");
-        assert!(
-            output.faults.ops > 0,
-            "the fault decorator's counters surface through RunOutput"
         );
     }
 }

@@ -5,12 +5,12 @@
 //! `(key, system size, workload, seed)` — and the service multiplexes
 //! thousands of them across a fixed pool of shard workers, each instance
 //! executing on one of the pluggable [`backend`]s (deterministic simulator,
-//! threaded message passing, the in-process concurrent shared-memory
-//! backend — where all instances contend on one namespaced
-//! [`fle_runtime::SharedRegisters`] bank — or the task-multiplexed async
-//! backend, which runs every participant as a cooperative task on a small
-//! process-wide [`fle_runtime::Executor`] pool, so thousands of in-flight
-//! instances cost tasks rather than OS threads).
+//! threaded message passing, or the task-multiplexed async backend, which
+//! runs every participant as a cooperative task on a small process-wide
+//! [`fle_runtime::Executor`] pool over one namespaced
+//! [`fle_runtime::SharedRegisters`] bank, so all instances contend on the
+//! same registers and thousands in flight cost tasks rather than OS
+//! threads).
 //!
 //! Design:
 //!
@@ -39,7 +39,7 @@
 //!   shard worker keeps draining its queue. Per-shard [`FailStats`] count
 //!   the containments.
 //! * **Fault injection** — [`ServiceConfig::with_fault_plan`] slides a
-//!   [`fle_runtime::FaultyMemory`] under every instance of the *concurrent*
+//!   [`fle_runtime::FaultyMemory`] under every instance of the *async*
 //!   backend: seeded deterministic delays, transient collect failures and
 //!   crash-at-op-k, for robustness tests and overload benchmarks. (The sim
 //!   and threaded backends ignore the plan: their memory is not the
@@ -57,7 +57,7 @@
 //!   [`ElectionService::status`] for a bounded number of *epochs* (an epoch
 //!   closes after [`ServiceConfig::epoch_size`] completions on that shard);
 //!   once an instance's epoch falls out of the retention window, its record
-//!   *and its registers in the concurrent bank* are purged, so a service
+//!   *and its registers in the shared bank* are purged, so a service
 //!   that has processed a million instances holds state for only the recent
 //!   window. Duplicate submission of a live (un-retired) key is rejected.
 //!
@@ -66,7 +66,7 @@
 //! ```
 //! use fle_service::{BackendKind, ElectionService, InstanceSpec, ServiceConfig};
 //!
-//! let service = ElectionService::new(ServiceConfig::new(2, BackendKind::Concurrent));
+//! let service = ElectionService::new(ServiceConfig::new(2, BackendKind::Async));
 //! let tickets: Vec<_> = (0..16)
 //!     .map(|key| {
 //!         service
@@ -91,8 +91,7 @@ pub mod backend;
 
 pub use admission::OverloadPolicy;
 pub use backend::{
-    AsyncBackend, BackendKind, ConcurrentBackend, InstanceBackend, RunOutput, SimBackend,
-    ThreadedBackend,
+    AsyncBackend, BackendKind, InstanceBackend, RunOutput, SimBackend, ThreadedBackend,
 };
 pub use fle_obs::{MetricsSnapshot, ShardSnapshot};
 
@@ -115,7 +114,7 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// The execution backend instances run on.
     pub backend: BackendKind,
-    /// Lock shards of the concurrent backend's register bank.
+    /// Lock shards of the async backend's register bank.
     pub register_shards: usize,
     /// Completions per shard that close an epoch.
     pub epoch_size: usize,
@@ -127,7 +126,7 @@ pub struct ServiceConfig {
     /// What a full shard queue does with new submissions.
     pub overload: OverloadPolicy,
     /// Optional deterministic fault injection under every instance of the
-    /// concurrent backend.
+    /// async backend.
     pub fault_plan: Option<FaultPlan>,
     /// Whether each shard carries an always-on [`fle_obs::ShardRecorder`]
     /// (on by default; the overhead is a few relaxed atomics plus one
@@ -193,7 +192,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Inject deterministic faults under every concurrent-backend instance.
+    /// Inject deterministic faults under every async-backend instance.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -221,7 +220,7 @@ pub enum Workload {
 /// One instance submitted to the service.
 #[derive(Debug, Clone, Copy)]
 pub struct InstanceSpec {
-    /// Caller-chosen identity; also the register namespace on the concurrent
+    /// Caller-chosen identity; also the register namespace on the async
     /// backend and the default seed.
     pub key: u64,
     /// System size (processors / replicas) of the instance.
@@ -448,7 +447,7 @@ pub struct ServiceStats {
     pub retired: u64,
     /// Epochs closed across all shards.
     pub epochs_closed: u64,
-    /// Namespaces still live in the concurrent register bank (0 unless the
+    /// Namespaces still live in the shared register bank (0 unless the
     /// retention window still covers recent instances).
     pub live_register_namespaces: usize,
     /// Highest queue depth any shard reached (≤ queue capacity, always).
@@ -590,7 +589,7 @@ pub struct ElectionService {
 
 impl ElectionService {
     /// Start the service: one worker thread per shard, all sharing one
-    /// register bank (used by the concurrent backend).
+    /// register bank (used by the async backend).
     pub fn new(config: ServiceConfig) -> Self {
         let registers = Arc::new(SharedRegisters::new(config.register_shards));
         let mut queues = Vec::with_capacity(config.shards);
@@ -638,7 +637,7 @@ impl ElectionService {
         &self.config
     }
 
-    /// The shared register bank (the concurrent backend's state). Exposed so
+    /// The shared register bank (the async backend's state). Exposed so
     /// tests and benchmarks can assert isolation and retirement.
     pub fn registers(&self) -> &Arc<SharedRegisters> {
         &self.registers
@@ -1039,7 +1038,7 @@ mod tests {
     use super::*;
     use fle_runtime::CrashSpec;
 
-    /// A fault plan that slows every concurrent instance down to tens of
+    /// A fault plan that slows every async instance down to tens of
     /// milliseconds — long enough that work submitted behind it is
     /// deterministically still queued when the test acts.
     fn slow_plan() -> FaultPlan {
@@ -1091,7 +1090,7 @@ mod tests {
 
     #[test]
     fn statuses_progress_to_done_and_then_retire() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent)
+        let config = ServiceConfig::new(1, BackendKind::Async)
             .with_epoch_size(2)
             .with_retained_epochs(1);
         let service = ElectionService::new(config);
@@ -1133,31 +1132,10 @@ mod tests {
     }
 
     #[test]
-    fn a_storm_of_concurrent_instances_each_elects_one_winner() {
-        let service = ElectionService::new(ServiceConfig::new(4, BackendKind::Concurrent));
-        let tickets: Vec<Ticket> = (0..200)
-            .map(|key| service.submit(InstanceSpec::election(key, 4)).unwrap())
-            .collect();
-        let mut seen = std::collections::BTreeSet::new();
-        for ticket in tickets {
-            let result = ticket.wait().unwrap();
-            assert!(seen.insert(result.key), "no duplicate results");
-            assert_eq!(result.outcomes.len(), 4);
-            assert!(result.winner().is_some(), "instance {}", result.key);
-        }
-        assert_eq!(seen.len(), 200, "no lost results");
-        let stats = service.shutdown();
-        assert_eq!(stats.completed, 200);
-        assert_eq!(stats.submitted, 200);
-        stats.check_invariant().unwrap();
-    }
-
-    #[test]
     fn a_storm_of_async_instances_each_elects_one_winner() {
-        // Same storm as the concurrent test, but instances run as
-        // cooperative tasks on the process-wide executor: the service's
-        // shard workers submit and wait, the executor multiplexes every
-        // participant over its own small pool.
+        // Instances run as cooperative tasks on the process-wide executor:
+        // the service's shard workers submit and wait, the executor
+        // multiplexes every participant over its own small pool.
         let service = ElectionService::new(ServiceConfig::new(4, BackendKind::Async));
         let tickets: Vec<Ticket> = (0..200)
             .map(|key| service.submit(InstanceSpec::election(key, 4)).unwrap())
@@ -1181,9 +1159,10 @@ mod tests {
         // A crash-at-op plan scoped to one key: that instance's executor
         // task panics, the panic is re-raised on the shard worker, and the
         // service's containment turns it into InstanceFailed — all other
-        // keys complete.
+        // keys complete. The crash fires at op 1, which every participant
+        // performs (processor 0 can lose after a single collect).
         let plan =
-            FaultPlan::new(5).with_crash(CrashSpec::panic_proc(ProcId(0), 2).only_namespace(3));
+            FaultPlan::new(5).with_crash(CrashSpec::panic_proc(ProcId(0), 1).only_namespace(3));
         let config = ServiceConfig::new(2, BackendKind::Async).with_fault_plan(plan);
         let service = ElectionService::new(config);
         let tickets: Vec<Ticket> = (0..8)
@@ -1204,29 +1183,8 @@ mod tests {
     }
 
     #[test]
-    fn async_deadlines_cancel_in_flight_instances() {
-        // The deadline trips while the instance's tasks are live on the
-        // executor: each task observes the tripped token at its next poll,
-        // drains, and the ticket resolves DeadlineExceeded.
-        let config = ServiceConfig::new(1, BackendKind::Async).with_fault_plan(slow_plan());
-        let service = ElectionService::new(config);
-        let doomed = service
-            .submit(InstanceSpec::election(0, 4).with_deadline(Duration::from_millis(5)))
-            .unwrap();
-        assert_eq!(doomed.wait().unwrap_err(), SubmitError::DeadlineExceeded(0));
-        assert_eq!(service.status(0), InstanceStatus::Failed);
-        let fresh = service.submit_wait(InstanceSpec::election(1, 4)).unwrap();
-        assert!(fresh.winner().is_some(), "the shard keeps serving");
-        let stats = service.shutdown();
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.fail.cancelled_in_flight, 1);
-        assert_eq!(stats.completed, 1);
-        stats.check_invariant().unwrap();
-    }
-
-    #[test]
     fn renaming_instances_return_distinct_tight_names() {
-        let service = ElectionService::new(ServiceConfig::new(2, BackendKind::Concurrent));
+        let service = ElectionService::new(ServiceConfig::new(2, BackendKind::Async));
         for key in 0..8 {
             let result = service.submit_wait(InstanceSpec::renaming(key, 4)).unwrap();
             let names: std::collections::BTreeSet<usize> =
@@ -1241,7 +1199,7 @@ mod tests {
     fn shutdown_finishes_in_flight_work_but_fails_queued_tickets_promptly() {
         // One shard; the fault plan makes the first instance take tens of
         // milliseconds, so the two behind it are still queued at shutdown.
-        let config = ServiceConfig::new(1, BackendKind::Concurrent).with_fault_plan(slow_plan());
+        let config = ServiceConfig::new(1, BackendKind::Async).with_fault_plan(slow_plan());
         let service = ElectionService::new(config);
         let first = service.submit(InstanceSpec::election(0, 4)).unwrap();
         let queued: Vec<Ticket> = (1..3)
@@ -1268,7 +1226,7 @@ mod tests {
 
     #[test]
     fn shed_policy_refuses_when_the_queue_is_full() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent)
+        let config = ServiceConfig::new(1, BackendKind::Async)
             .with_fault_plan(slow_plan())
             .with_queue_capacity(1)
             .with_overload_policy(OverloadPolicy::Shed);
@@ -1297,7 +1255,7 @@ mod tests {
 
     #[test]
     fn block_policy_times_out_into_overloaded() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent)
+        let config = ServiceConfig::new(1, BackendKind::Async)
             .with_fault_plan(slow_plan())
             .with_queue_capacity(1)
             .with_overload_policy(OverloadPolicy::Block {
@@ -1325,7 +1283,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_displaces_the_queued_job() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent)
+        let config = ServiceConfig::new(1, BackendKind::Async)
             .with_fault_plan(slow_plan())
             .with_queue_capacity(1)
             .with_overload_policy(OverloadPolicy::DropOldest);
@@ -1357,7 +1315,7 @@ mod tests {
 
     #[test]
     fn deadlines_expire_in_queue() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent).with_fault_plan(slow_plan());
+        let config = ServiceConfig::new(1, BackendKind::Async).with_fault_plan(slow_plan());
         let service = ElectionService::new(config);
         let running = service.submit(InstanceSpec::election(0, 4)).unwrap();
         // Queued behind tens of milliseconds of work with a 1 ms budget.
@@ -1374,7 +1332,10 @@ mod tests {
 
     #[test]
     fn deadlines_cancel_in_flight_and_retire_the_namespace() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent).with_fault_plan(slow_plan());
+        // The deadline trips while the instance's tasks are live on the
+        // executor: each task observes the tripped token at its next poll,
+        // drains, and the ticket resolves DeadlineExceeded.
+        let config = ServiceConfig::new(1, BackendKind::Async).with_fault_plan(slow_plan());
         let service = ElectionService::new(config);
         let doomed = service
             .submit(InstanceSpec::election(0, 4).with_deadline(Duration::from_millis(5)))
@@ -1386,19 +1347,24 @@ mod tests {
             0,
             "a cancelled instance's partial registers are retired"
         );
+        let fresh = service.submit_wait(InstanceSpec::election(1, 4)).unwrap();
+        assert!(fresh.winner().is_some(), "the shard keeps serving");
         let stats = service.shutdown();
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.fail.cancelled_in_flight, 1);
+        assert_eq!(stats.completed, 1);
         stats.check_invariant().unwrap();
     }
 
     #[test]
     fn a_panicking_instance_is_contained_to_itself() {
-        // Poison exactly one key: processor 0 panics at its second operation
-        // of instance 13, and only there.
+        // Poison exactly one key: processor 0 panics at its first operation
+        // of instance 13, and only there. Op 1 is the only one every
+        // participant is sure to perform: processor 0 can find the door
+        // closed at its first collect and lose right after it.
         let plan =
-            FaultPlan::new(5).with_crash(CrashSpec::panic_proc(ProcId(0), 2).only_namespace(13));
-        let config = ServiceConfig::new(1, BackendKind::Concurrent).with_fault_plan(plan);
+            FaultPlan::new(5).with_crash(CrashSpec::panic_proc(ProcId(0), 1).only_namespace(13));
+        let config = ServiceConfig::new(1, BackendKind::Async).with_fault_plan(plan);
         let service = ElectionService::new(config);
 
         let poisoned = service.submit(InstanceSpec::election(13, 4)).unwrap();
@@ -1429,12 +1395,7 @@ mod tests {
 
     #[test]
     fn racing_submitters_on_one_key_admit_exactly_one() {
-        for kind in [
-            BackendKind::Sim,
-            BackendKind::Threaded,
-            BackendKind::Concurrent,
-            BackendKind::Async,
-        ] {
+        for kind in [BackendKind::Sim, BackendKind::Threaded, BackendKind::Async] {
             let service = Arc::new(ElectionService::new(ServiceConfig::new(2, kind)));
             let barrier = Arc::new(std::sync::Barrier::new(8));
             let racers: Vec<_> = (0..8)
@@ -1529,7 +1490,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_agrees_with_stats_after_a_storm() {
-        let config = ServiceConfig::new(4, BackendKind::Concurrent)
+        let config = ServiceConfig::new(4, BackendKind::Async)
             .with_epoch_size(16)
             .with_retained_epochs(1);
         let service = ElectionService::new(config);
@@ -1573,7 +1534,7 @@ mod tests {
 
     #[test]
     fn fault_activity_surfaces_in_the_metrics() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent)
+        let config = ServiceConfig::new(1, BackendKind::Async)
             .with_fault_plan(FaultPlan::new(9).with_delays(500, 100));
         let service = ElectionService::new(config);
         for key in 0..8 {
@@ -1592,7 +1553,7 @@ mod tests {
 
     #[test]
     fn dropping_the_service_fails_queued_tickets() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent).with_fault_plan(slow_plan());
+        let config = ServiceConfig::new(1, BackendKind::Async).with_fault_plan(slow_plan());
         let service = ElectionService::new(config);
         let first = service.submit(InstanceSpec::election(0, 4)).unwrap();
         let queued = service.submit(InstanceSpec::election(1, 4)).unwrap();

@@ -1,41 +1,20 @@
 //! A storm of concurrent election instances through the sharded service.
 //!
 //! Thousands of independent leader elections are submitted to an
-//! [`ElectionService`] running on either in-process backend: every
-//! instance's registers live (namespaced) in one shared, sharded register
-//! bank, and finished instances are retired epoch by epoch so the bank
-//! stays small no matter how many instances have been served. On the
-//! `concurrent` backend every participant is a real OS thread (spawned and
-//! joined per instance); on the `async` backend the participants are
-//! cooperative tasks multiplexed over one fixed executor pool, so the same
-//! storm runs without a single per-participant thread.
+//! [`ElectionService`] running on the async backend: every instance's
+//! registers live (namespaced) in one shared, sharded register bank, and
+//! finished instances are retired epoch by epoch so the bank stays small no
+//! matter how many instances have been served. The participants are
+//! cooperative tasks multiplexed over one fixed executor pool, so the storm
+//! runs without a single per-participant thread.
 //!
-//! Run with `cargo run --release --example service_storm` (concurrent) or
-//! `cargo run --release --example service_storm -- --backend async`.
+//! Run with `cargo run --release --example service_storm`.
 
 use fast_leader_election::prelude::*;
 use std::time::Instant;
 
-fn parse_backend() -> BackendKind {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|arg| arg == "--backend") {
-        None => BackendKind::Concurrent,
-        Some(index) => match args.get(index + 1).map(String::as_str) {
-            Some("concurrent") => BackendKind::Concurrent,
-            Some("async") => BackendKind::Async,
-            other => {
-                eprintln!(
-                    "usage: service_storm [--backend {{concurrent,async}}] \
-                     (got {other:?})"
-                );
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
 fn main() {
-    let backend = parse_backend();
+    let backend = BackendKind::Async;
     // Cap the shard count so every shard completes several epochs over the
     // storm (the retirement assertions below rely on the first-submitted
     // instance's shard closing at least one epoch after it finishes).
@@ -102,10 +81,9 @@ fn main() {
         stats.retired, stats.epochs_closed,
     );
 
-    // The always-on per-shard recorders say *where* the time went — on
-    // either backend: which shard ran slowest, whose queue got deepest, and
-    // whether instances spent their latency waiting for a worker or
-    // actually electing.
+    // The always-on per-shard recorders say *where* the time went: which
+    // shard ran slowest, whose queue got deepest, and whether instances
+    // spent their latency waiting for a worker or actually electing.
     let metrics = metrics.expect("metrics are on by default");
     stats
         .check_metrics(&metrics)

@@ -14,11 +14,11 @@
 //! |-------|----------|
 //! | [`model`] (`fle-model`) | protocol state-machine interface, the `SharedMemory` backend contract, register values, wire messages, complexity metrics |
 //! | [`sim`] (`fle-sim`) | deterministic discrete-event simulator: quorum `communicate`, adaptive adversaries, crash injection; sequential `SimMemory` adapter |
-//! | [`runtime`] (`fle-runtime`) | real-thread backends: message passing over crossbeam channels, in-process concurrent `SharedRegisters`, and the schedule-controlled runner (`run_scheduled`) |
+//! | [`runtime`] (`fle-runtime`) | real-thread backends: message passing over crossbeam channels, and in-process `SharedRegisters` driven by the task executor, free-running or behind schedule gates (`run_gated`) |
 //! | [`core`] (`fle-core`) | PoisonPill, Heterogeneous PoisonPill, doorway, pre-round, the full election, renaming |
 //! | [`baselines`] (`fle-baselines`) | tournament-tree test-and-set (AGTV92), random-order renaming (AAG+10) |
 //! | [`service`] (`fle-service`) | sharded multi-instance election/renaming service over the pluggable backends |
-//! | [`explore`] (`fle-explore`) | adversarial schedule exploration over both the simulator and the concurrent backend: attack strategies, safety oracles, counterexample shrinking |
+//! | [`explore`] (`fle-explore`) | adversarial schedule exploration over both the simulator and the gated executor: attack strategies, safety oracles, counterexample shrinking |
 //! | [`analysis`] (`fle-analysis`) | statistics, `log*`/`log²`/`√n` reference curves, table rendering |
 //!
 //! # Quickstart
@@ -81,7 +81,7 @@ pub mod prelude {
         Renaming, RenamingConfig,
     };
     pub use fle_explore::{
-        replay_shm, shrink, shrink_shm, ExploreBackend, Explorer, Oracle, Scenario, ShmConfig,
+        replay_exec, shrink, shrink_exec, ExploreBackend, Explorer, Oracle, Scenario, ShmConfig,
         StrategySpec, Violation,
     };
     pub use fle_model::{
@@ -89,8 +89,7 @@ pub mod prelude {
         ProcId, Protocol, Response, SharedMemory,
     };
     pub use fle_runtime::{
-        election_participants, renaming_participants, run_concurrent, run_concurrent_cancellable,
-        run_concurrent_faulty, run_gated, run_gated_fifo, run_scheduled, run_scheduled_faulty,
+        election_participants, renaming_participants, run_gated, run_gated_fifo,
         run_threaded_leader_election, run_threaded_renaming, CrashMode, CrashSpec, CrashVictim,
         ExecReport, ExecResult, Executor, ExecutorConfig, FaultPlan, FaultStats, FaultyMemory,
         FifoScheduler, GateScheduler, InFlight, RuntimeConfig, ScheduleConfig, SharedRegisters,

@@ -13,9 +13,8 @@
 //!   schedule reproduces `SimMemory::run_all` outcome-for-outcome at any
 //!   worker count.
 //!
-//! Byte-identical sim schedules across the refactor are covered separately
-//! and exhaustively by `tests/event_set_equivalence.rs`, which this PR
-//! leaves untouched.
+//! Byte-identical sim schedules are covered separately and exhaustively by
+//! `tests/event_set_equivalence.rs`.
 
 use fast_leader_election::prelude::*;
 use fle_sim::SimMemory;
@@ -50,14 +49,8 @@ fn election_on_all_backends(
         .expect("the threaded election terminates");
     results.push(("threaded", report.outcomes));
 
-    // 4. The in-process concurrent shared-register backend.
-    let registers = Arc::new(SharedRegisters::new(4));
-    let report = run_concurrent(&registers, seed, seed, election_participants(k));
-    results.push(("concurrent", report.outcomes));
-
-    // 5. The task-multiplexed executor, free-running: same registers shape,
-    // same coin seeding, but participants are cooperative tasks on a small
-    // worker pool instead of threads.
+    // 4. The task-multiplexed executor, free-running: participants are
+    // cooperative tasks on a small worker pool over shared registers.
     let executor = Executor::new(ExecutorConfig::new(2));
     let registers = Arc::new(SharedRegisters::new(4));
     let ticket = executor.submit(
@@ -165,10 +158,6 @@ fn renaming_is_tight_and_unique_on_every_backend() {
         .expect("the threaded renaming terminates");
     all.push(("threaded", report.names()));
 
-    let registers = Arc::new(SharedRegisters::new(2));
-    let report = run_concurrent(&registers, 0, seed, renaming_participants(n, n));
-    all.push(("concurrent", report.names()));
-
     let executor = Executor::new(ExecutorConfig::new(2));
     let registers = Arc::new(SharedRegisters::new(2));
     let ticket = executor.submit(
@@ -217,16 +206,20 @@ fn gated_async_elections_match_the_sequential_adapter_bit_for_bit() {
     // *equal*, not merely invariant-preserving. This is the async backend's
     // entry into the deterministic tier of the differential suite.
     let executor = Executor::new(ExecutorConfig::new(3));
-    for (n, k) in [(4usize, 4usize), (5, 3), (8, 8)] {
-        for seed in 0..3u64 {
+    for (n, k) in [(3usize, 3usize), (4, 4), (5, 3), (6, 6), (8, 8)] {
+        for seed in 0..4u64 {
             let mut memory = SimMemory::new(n, seed);
             let sequential = memory.run_all(election_participants(k));
             let registers = Arc::new(SharedRegisters::new(2));
             let report = run_gated_fifo(&executor, &registers, 0, seed, election_participants(k));
-            assert_eq!(
-                report.progress.outcomes, sequential,
-                "n={n} k={k} seed={seed}"
+            let label = format!("n={n} k={k} seed={seed}");
+            assert!(
+                !report.stopped,
+                "{label}: a sequential run always completes"
             );
+            assert!(report.progress.crashed.is_empty(), "{label}");
+            assert_eq!(report.progress.outcomes, sequential, "{label}");
+            assert_eq!(report.progress.winners().len(), 1, "{label}");
         }
     }
 }
@@ -234,13 +227,21 @@ fn gated_async_elections_match_the_sequential_adapter_bit_for_bit() {
 #[test]
 fn gated_async_renaming_matches_the_sequential_adapter_bit_for_bit() {
     let executor = Executor::new(ExecutorConfig::new(3));
-    for seed in 0..3u64 {
-        let n = 4;
-        let mut memory = SimMemory::new(n, seed);
-        let sequential = memory.run_all(renaming_participants(n, n));
-        let registers = Arc::new(SharedRegisters::new(2));
-        let report = run_gated_fifo(&executor, &registers, 0, seed, renaming_participants(n, n));
-        assert_eq!(report.progress.outcomes, sequential, "seed={seed}");
+    for n in [4usize, 5] {
+        for seed in 0..4u64 {
+            let mut memory = SimMemory::new(n, seed);
+            let sequential = memory.run_all(renaming_participants(n, n));
+            let registers = Arc::new(SharedRegisters::new(2));
+            let report =
+                run_gated_fifo(&executor, &registers, 0, seed, renaming_participants(n, n));
+            assert_eq!(report.progress.outcomes, sequential, "n={n} seed={seed}");
+            let names: BTreeSet<usize> = report.progress.names().values().copied().collect();
+            assert_eq!(names.len(), n, "n={n} seed={seed}: names distinct");
+            assert!(
+                names.iter().all(|&u| (1..=n).contains(&u)),
+                "n={n} seed={seed}"
+            );
+        }
     }
 }
 
@@ -270,7 +271,6 @@ fn the_executor_is_deterministic_per_seed_and_any_worker_count() {
 
 #[test]
 fn async_instances_on_one_register_bank_do_not_interfere() {
-    // The free-running analog of the concurrent non-interference test:
     // 16 namespaced elections share one executor and one register bank.
     let executor = Executor::new(ExecutorConfig::new(4));
     let registers = Arc::new(SharedRegisters::new(2));
@@ -300,16 +300,27 @@ fn async_instances_on_one_register_bank_do_not_interfere() {
 #[test]
 fn concurrent_instances_on_one_register_bank_do_not_interfere() {
     // Many elections race on the same shared register bank under distinct
-    // namespaces, in parallel; each must independently elect one winner.
+    // namespaces, each submitted and awaited from its own caller thread in
+    // parallel; each must independently elect one winner.
+    let executor = Executor::new(ExecutorConfig::new(4));
     let registers = Arc::new(SharedRegisters::new(2));
     let results: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..16u64)
             .map(|namespace| {
-                let registers = Arc::clone(&registers);
+                let (executor, registers) = (&executor, &registers);
                 scope.spawn(move || {
-                    run_concurrent(&registers, namespace, namespace, election_participants(3))
-                        .winners()
-                        .len()
+                    let ticket = executor.submit(
+                        registers,
+                        namespace,
+                        namespace,
+                        election_participants(3),
+                        &FaultPlan::default(),
+                        CancelToken::none(),
+                    );
+                    match ticket.wait() {
+                        ExecResult::Completed(report) => report.winners().len(),
+                        other => panic!("namespace {namespace}: unexpected {other:?}"),
+                    }
                 })
             })
             .collect();
