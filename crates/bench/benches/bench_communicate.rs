@@ -6,16 +6,9 @@
 //! processor performs `ROUNDS` alternations of *propagate a status carrying a
 //! participant list* (the largest value the real algorithms ship) and
 //! *collect the same instance*, under the sequential adversary (deterministic
-//! schedules, no protocol-level branching). Each n is measured under both
-//! payload modes:
-//!
-//! * `shared` — the production path: refcount-shared broadcast payloads,
-//!   copy-on-write snapshot / delta collect replies,
-//! * `clone` — [`fle_sim::SimConfig::with_naive_payloads`]: one entry-list
-//!   clone per propagate send, one full view copy per collect reply.
-//!
-//! Both modes execute byte-identical schedules, so the ratio is a pure
-//! payload-cost measurement.
+//! schedules, no protocol-level branching), on the production payload path:
+//! refcount-shared broadcast payloads, copy-on-write snapshot / delta
+//! collect replies.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fle_model::{Action, InstanceId, Key, LocalStateView, Outcome, ProcId, Protocol, Response};
@@ -64,12 +57,8 @@ impl Protocol for Chatter {
     }
 }
 
-fn run_chatter(n: usize, naive_payloads: bool) -> u64 {
-    let mut config = SimConfig::new(n).with_seed(11);
-    if naive_payloads {
-        config = config.with_naive_payloads();
-    }
-    let mut sim = Simulator::new(config);
+fn run_chatter(n: usize) -> u64 {
+    let mut sim = Simulator::new(SimConfig::new(n).with_seed(11));
     // Cap the chatterers: each call still broadcasts to all n replicas (the
     // payload cost under measurement scales with n), but wall-clock per
     // iteration stays bounded at the largest size.
@@ -97,10 +86,7 @@ fn bench_communicate(c: &mut Criterion) {
     // Participant count is capped in `run_chatter`; n controls replica count.
     for n in [16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::new("shared", n), &n, |b, &n| {
-            b.iter(|| black_box(run_chatter(n, false)))
-        });
-        group.bench_with_input(BenchmarkId::new("clone", n), &n, |b, &n| {
-            b.iter(|| black_box(run_chatter(n, true)))
+            b.iter(|| black_box(run_chatter(n)))
         });
     }
     group.finish();

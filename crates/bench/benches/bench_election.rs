@@ -2,10 +2,9 @@
 //! construction vs the Θ(log n) tournament baseline, plus the threaded
 //! runtime. Counterpart of experiment E3.
 //!
-//! Also records `BENCH_baseline.json`: election events/sec at
-//! n ∈ {16, 64, 256} under the incremental scheduler vs the naive
-//! rebuild-per-event scheduler, so perf PRs have a trajectory to compare
-//! against.
+//! Also records `BENCH_baseline.json`: production-engine election
+//! events/sec at n ∈ {16, 64, 256, 1024}, so perf PRs have a trajectory to
+//! compare against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -46,17 +45,13 @@ fn election(c: &mut Criterion) {
 }
 
 fn scheduler_baseline(_c: &mut Criterion) {
-    // Single-threaded dedicated timing (not criterion-sampled) so the two
-    // engine modes are directly comparable; writes BENCH_baseline.json.
+    // Single-threaded dedicated timing (not criterion-sampled), the same
+    // measurement as the bench_baseline bin; writes BENCH_baseline.json.
     let points = fle_bench::baseline::record_default();
     for p in &points {
         println!(
-            "baseline n={:<4} production {:>12.0} ev/s   clone payloads {:>12.0} ev/s   naive {:>12} ev/s",
-            p.n,
-            p.incremental_events_per_sec,
-            p.clone_payload_events_per_sec,
-            p.naive_events_per_sec
-                .map_or("-".to_string(), |v| format!("{v:.0}")),
+            "baseline n={:<4} production {:>12.0} ev/s",
+            p.n, p.incremental_events_per_sec,
         );
     }
 }

@@ -1,24 +1,11 @@
-//! The simulator-throughput baseline: production engine vs its two retained
-//! reference implementations.
+//! The simulator-throughput baseline: the production engine in events/s.
 //!
 //! Measures full leader elections (all `n` processors participate, fair
-//! random adversary) in events per second under three engine modes:
-//!
-//! * **incremental** — the production configuration: enabled events served
-//!   from incrementally maintained indexes (PR 1) *and* O(1) payloads —
-//!   refcount-shared broadcasts, copy-on-write snapshot / delta collect
-//!   replies, arena-recycled trial buffers (PR 2),
-//! * **clone payloads** — [`fle_sim::SimConfig::with_naive_payloads`]: the
-//!   historical payload path (entry-list clone per propagate send, full view
-//!   copy per collect reply) on top of the incremental scheduler,
-//! * **naive** — [`fle_sim::SimConfig::with_naive_event_set`]: additionally
-//!   the historical rebuild-the-event-list-per-event scheduler. Skipped above
-//!   [`NAIVE_SCHEDULER_LIMIT`], where a single trial would take minutes.
-//!
-//! All modes execute *byte-identical schedules* (asserted here via the event
-//! counts, and end-to-end by `tests/event_set_equivalence.rs`), so the ratios
-//! are pure cost measurements. The result is recorded in
-//! `BENCH_baseline.json` so future performance PRs have a trajectory to
+//! random adversary) in events per second in the production configuration:
+//! enabled events served from incrementally maintained indexes, O(1)
+//! payloads (refcount-shared broadcasts, copy-on-write snapshot / delta
+//! collect replies) and arena-recycled trial buffers. The result is recorded
+//! in `BENCH_baseline.json` so future performance PRs have a trajectory to
 //! compare against; [`smoke_check`] re-measures one point and fails loudly if
 //! throughput regressed far below the recording (the CI smoke-perf job).
 
@@ -30,49 +17,23 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Largest `n` at which the naive rebuild-per-event scheduler is measured.
-pub const NAIVE_SCHEDULER_LIMIT: usize = 256;
-
-/// Throughput of the engine modes at one system size.
+/// Production-engine throughput at one system size.
 #[derive(Debug, Clone)]
 pub struct BaselinePoint {
     /// System size (all `n` processors participate).
     pub n: usize,
     /// Seeds measured.
     pub trials: u64,
-    /// Total events executed across all trials (identical in every mode).
+    /// Total events executed across all trials.
     pub events: u64,
     /// Events per second in the production configuration.
     pub incremental_events_per_sec: f64,
-    /// Events per second with the historical clone-per-message payloads.
-    pub clone_payload_events_per_sec: f64,
-    /// Events per second with the naive rebuild-per-event scheduler
-    /// (`None` above [`NAIVE_SCHEDULER_LIMIT`]).
-    pub naive_events_per_sec: Option<f64>,
 }
 
-impl BaselinePoint {
-    /// Production over naive-scheduler throughput, where measured.
-    pub fn speedup(&self) -> Option<f64> {
-        self.naive_events_per_sec
-            .map(|naive| self.incremental_events_per_sec / naive)
-    }
-
-    /// Production over clone-payload throughput.
-    pub fn payload_speedup(&self) -> f64 {
-        self.incremental_events_per_sec / self.clone_payload_events_per_sec
-    }
-}
-
-/// Engine configuration under measurement.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    Incremental,
-    ClonePayloads,
-    NaiveScheduler,
-}
-
-fn run_elections(n: usize, trials: u64, mode: Mode) -> (f64, u64) {
+/// Run `trials` seeded elections at size `n`; `validate` switches on the
+/// engine's reference mode ([`SimConfig::with_event_set_validation`]).
+/// Returns the wall-clock seconds and the events executed.
+fn run_elections(n: usize, trials: u64, validate: bool) -> (f64, u64) {
     let mut events = 0u64;
     // One explicit arena threaded through the trial loop: after the first
     // trial the engine re-allocates (almost) nothing.
@@ -80,10 +41,8 @@ fn run_elections(n: usize, trials: u64, mode: Mode) -> (f64, u64) {
     let start = Instant::now();
     for seed in 0..trials {
         let mut config = SimConfig::new(n).with_seed(seed);
-        match mode {
-            Mode::Incremental => {}
-            Mode::ClonePayloads => config = config.with_naive_payloads(),
-            Mode::NaiveScheduler => config = config.with_naive_payloads().with_naive_event_set(),
+        if validate {
+            config = config.with_event_set_validation();
         }
         let mut sim = Simulator::from_arena(config, arena);
         for i in 0..n {
@@ -99,30 +58,15 @@ fn run_elections(n: usize, trials: u64, mode: Mode) -> (f64, u64) {
     (start.elapsed().as_secs_f64(), events)
 }
 
-/// Measure the engine modes at one size (single-threaded, for comparable
-/// timings).
+/// Measure the production engine at one size (single-threaded, for
+/// comparable timings).
 pub fn measure_point(n: usize, trials: u64) -> BaselinePoint {
-    let (incremental_secs, events) = run_elections(n, trials, Mode::Incremental);
-    let (clone_secs, clone_events) = run_elections(n, trials, Mode::ClonePayloads);
-    assert_eq!(
-        events, clone_events,
-        "payload modes must execute identical schedules"
-    );
-    let naive_events_per_sec = (n <= NAIVE_SCHEDULER_LIMIT).then(|| {
-        let (naive_secs, naive_events) = run_elections(n, trials, Mode::NaiveScheduler);
-        assert_eq!(
-            events, naive_events,
-            "all engine modes must execute identical schedules"
-        );
-        naive_events as f64 / naive_secs
-    });
+    let (secs, events) = run_elections(n, trials, false);
     BaselinePoint {
         n,
         trials,
         events,
-        incremental_events_per_sec: events as f64 / incremental_secs,
-        clone_payload_events_per_sec: events as f64 / clone_secs,
-        naive_events_per_sec,
+        incremental_events_per_sec: events as f64 / secs,
     }
 }
 
@@ -141,33 +85,18 @@ pub fn to_json(points: &[BaselinePoint]) -> String {
         "  \"workload\": \"full leader election, all n participate, random adversary\",\n",
     );
     out.push_str(
-        "  \"methodology\": \"single-threaded wall clock over `trials` seeded runs; all modes \
-         execute byte-identical schedules; incremental = O(1) scheduling (PR 1) + O(1) payloads \
-         (PR 2); clone_payload = incremental scheduler with per-message payload clones; naive = \
-         per-event rebuild scheduler, measured only for n <= 256 and null above\",\n",
+        "  \"methodology\": \"single-threaded wall clock over `trials` seeded runs of the \
+         production engine: incremental enabled-event indexes, shared broadcast payloads, \
+         copy-on-write or delta collect replies, arena-recycled trial buffers\",\n",
     );
     out.push_str("  \"points\": [\n");
     for (index, p) in points.iter().enumerate() {
         let comma = if index + 1 < points.len() { "," } else { "" };
-        let naive = p
-            .naive_events_per_sec
-            .map_or("null".to_string(), |v| format!("{v:.1}"));
-        let speedup = p
-            .speedup()
-            .map_or("null".to_string(), |v| format!("{v:.2}"));
         let _ = writeln!(
             out,
             "    {{\"n\": {}, \"trials\": {}, \"events\": {}, \
-             \"incremental_events_per_sec\": {:.1}, \
-             \"clone_payload_events_per_sec\": {:.1}, \
-             \"naive_events_per_sec\": {naive}, \
-             \"payload_speedup\": {:.2}, \"speedup\": {speedup}}}{comma}",
-            p.n,
-            p.trials,
-            p.events,
-            p.incremental_events_per_sec,
-            p.clone_payload_events_per_sec,
-            p.payload_speedup(),
+             \"incremental_events_per_sec\": {:.1}}}{comma}",
+            p.n, p.trials, p.events, p.incremental_events_per_sec,
         );
     }
     out.push_str("  ]\n}\n");
@@ -204,7 +133,7 @@ pub fn recorded_events_per_sec(json: &str, n: usize) -> Option<f64> {
     let key = "\"incremental_events_per_sec\": ";
     let start = line.find(key)? + key.len();
     let rest = &line[start..];
-    let end = rest.find(',').unwrap_or(rest.len());
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
 }
 
@@ -215,51 +144,63 @@ pub fn recorded_events_per_sec(json: &str, n: usize) -> Option<f64> {
 pub const SMOKE_REGRESSION_FACTOR: f64 = 3.0;
 
 /// Machine-independent backstop for the smoke gate: the production engine
-/// must beat the naive rebuild-per-event scheduler by at least this factor
-/// *in the same run*. The recorded ratio is > 10×, so 2× only trips on a
-/// genuine production-path regression, never on a slow runner.
-pub const SMOKE_MIN_SPEEDUP: f64 = 2.0;
+/// must beat the reference mode ([`SimConfig::with_event_set_validation`])
+/// by at least this factor *in the same run*, both at seed 0 with one trial.
+///
+/// The reference mode runs the production engine plus its checks, so a
+/// production slowdown by `s` moves the ratio from `R` to `1 + (R − 1)/s`,
+/// and the floor `F` trips at `s = (R − 1)/(F − 1)`. `F` is
+/// `1 + 2·(R − 1)/R_naive`, rounded up, from same-machine medians: it trips
+/// no later than the retired floor of 2 on the production / naive-scheduler
+/// ratio `R_naive` did (at `s = R_naive/2`).
+pub const SMOKE_MIN_VALIDATION_RATIO: f64 = 11.0;
 
-/// Run the smoke gate; returns `(measured, recorded)` on success.
+/// Run the smoke gate; returns `(measured, recorded, ratio)` on success:
+/// production events/s at n = 64, the recorded value, and the same-run
+/// production / reference-mode ratio.
 ///
 /// The absolute comparison against the recorded baseline catches
 /// regressions, but the recording comes from the reference machine — a CI
 /// runner several times slower would fail it with no code change. So the
 /// gate only fails when **both** signals agree: absolute events/s fell more
 /// than [`SMOKE_REGRESSION_FACTOR`]× below the recording **and** the
-/// same-run production-vs-naive ratio fell below [`SMOKE_MIN_SPEEDUP`]
-/// (machine-independent). A slow runner passes the second check; a real
-/// engine regression fails both.
+/// same-run production / reference-mode ratio fell below
+/// [`SMOKE_MIN_VALIDATION_RATIO`] (machine-independent). A slow runner
+/// passes the second check; a real engine regression fails both.
 ///
 /// # Errors
 /// Returns a description of the failure: missing/unparseable recording, or a
 /// regression confirmed by both signals.
-pub fn smoke_check() -> Result<(f64, f64), String> {
+pub fn smoke_check() -> Result<(f64, f64, f64), String> {
     let path = baseline_path();
     let json = std::fs::read_to_string(&path)
         .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
     let recorded = recorded_events_per_sec(&json, 64)
         .ok_or_else(|| format!("no n=64 point recorded in {}", path.display()))?;
-    let point = measure_point(64, 1);
-    let measured = point.incremental_events_per_sec;
-    let absolute_regressed = measured * SMOKE_REGRESSION_FACTOR < recorded;
-    if absolute_regressed {
-        let ratio = point.speedup().unwrap_or(f64::INFINITY);
-        if ratio < SMOKE_MIN_SPEEDUP {
+    let (production_secs, events) = run_elections(64, 1, false);
+    let (validation_secs, validation_events) = run_elections(64, 1, true);
+    assert_eq!(
+        events, validation_events,
+        "the reference mode must execute the production schedule"
+    );
+    let measured = events as f64 / production_secs;
+    let ratio = validation_secs / production_secs;
+    if measured * SMOKE_REGRESSION_FACTOR < recorded {
+        if ratio < SMOKE_MIN_VALIDATION_RATIO {
             return Err(format!(
                 "events/s regressed at n=64: measured {measured:.0} is more than \
                  {SMOKE_REGRESSION_FACTOR}x below the recorded {recorded:.0}, and the \
-                 same-run production/naive ratio {ratio:.2}x is below the \
-                 {SMOKE_MIN_SPEEDUP}x floor"
+                 same-run production/validation ratio {ratio:.2}x is below the \
+                 {SMOKE_MIN_VALIDATION_RATIO}x floor"
             ));
         }
         eprintln!(
             "smoke-perf note: absolute events/s below the recording \
              (measured {measured:.0} vs recorded {recorded:.0}) but the same-run \
-             production/naive ratio {ratio:.2}x is healthy — assuming a slower machine"
+             production/validation ratio {ratio:.2}x is healthy — assuming a slower machine"
         );
     }
-    Ok((measured, recorded))
+    Ok((measured, recorded, ratio))
 }
 
 #[cfg(test)]
@@ -267,38 +208,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_modes_agree_and_render_to_json() {
+    fn measured_points_render_to_json() {
         // Small sizes keep the test fast; the full run uses 256 and 1024.
         let points = measure(&[(16, 2), (48, 1)]);
         assert_eq!(points.len(), 2);
         for p in &points {
             assert!(p.events > 0);
             assert!(p.incremental_events_per_sec > 0.0);
-            assert!(p.clone_payload_events_per_sec > 0.0);
-            assert!(p.naive_events_per_sec.is_some());
         }
         let json = to_json(&points);
         assert!(json.contains("\"n\": 16"));
-        assert!(json.contains("payload_speedup"));
         assert!(json.contains("methodology"));
         // The smoke gate's parser must read back what we write.
         let parsed = recorded_events_per_sec(&json, 16).expect("parseable");
         assert!((parsed - points[0].incremental_events_per_sec).abs() < 1.0);
+        assert_eq!(recorded_events_per_sec(&json, 64), None);
     }
 
     #[test]
-    fn naive_scheduler_is_skipped_above_the_limit() {
-        let json = to_json(&[BaselinePoint {
-            n: 1024,
-            trials: 1,
-            events: 100,
-            incremental_events_per_sec: 5.0,
-            clone_payload_events_per_sec: 4.0,
-            naive_events_per_sec: None,
-        }]);
-        assert!(json.contains("\"naive_events_per_sec\": null"));
-        assert!(json.contains("\"speedup\": null"));
-        assert_eq!(recorded_events_per_sec(&json, 1024), Some(5.0));
-        assert_eq!(recorded_events_per_sec(&json, 64), None);
+    fn the_recorded_baseline_parses() {
+        let json = std::fs::read_to_string(baseline_path()).expect("BENCH_baseline.json");
+        for n in [16, 64, 256, 1024] {
+            assert!(recorded_events_per_sec(&json, n).is_some_and(|v| v > 0.0));
+        }
     }
 }

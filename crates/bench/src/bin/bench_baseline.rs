@@ -1,15 +1,15 @@
 //! Record the simulator-throughput baseline: full leader elections at
-//! n ∈ {16, 64, 256, 1024} in events/sec — production engine vs the retained
-//! clone-payload and naive-scheduler reference modes — written to
-//! `BENCH_baseline.json`.
+//! n ∈ {16, 64, 256, 1024} in events/sec on the production engine, written
+//! to `BENCH_baseline.json`.
 //!
 //! Run with `cargo run --release -p fle-bench --bin bench_baseline`.
 //!
 //! `--smoke` instead re-measures n = 64 with a single trial and exits
 //! non-zero if events/s regressed more than 3x below the recorded baseline
-//! *and* the same-run production-vs-naive ratio confirms it is a code
-//! regression rather than a slower machine (the CI smoke-perf gate;
-//! generous thresholds, loud not flaky).
+//! *and* the same-run ratio of production to reference-mode
+//! (`SimConfig::with_event_set_validation`) throughput at seed 0 confirms it
+//! is a code regression rather than a slower machine (the CI smoke-perf
+//! gate; generous thresholds, loud not flaky).
 //!
 //! `--parallel` measures the partitioned-engine sweep (one giant k-of-n
 //! election at n ∈ {4096, 65536, 262144}, partition counts {1, 2, num_cpus})
@@ -65,10 +65,11 @@ fn main() {
     }
     if std::env::args().any(|arg| arg == "--smoke") {
         match fle_bench::baseline::smoke_check() {
-            Ok((measured, recorded)) => {
+            Ok((measured, recorded, ratio)) => {
                 println!(
-                    "smoke-perf OK: n=64 measured {measured:.0} events/s \
-                     (recorded baseline {recorded:.0})"
+                    "smoke-perf OK: n=64 measured {measured:.0} events/s (recorded baseline \
+                     {recorded:.0}); production/validation ratio {ratio:.2}x (floor {}x)",
+                    fle_bench::baseline::SMOKE_MIN_VALIDATION_RATIO,
                 );
             }
             Err(message) => {
@@ -79,29 +80,13 @@ fn main() {
         return;
     }
 
-    println!("election throughput baseline (identical schedules in every mode)\n");
+    println!("election throughput baseline (production engine)\n");
     let points = fle_bench::baseline::record_default();
-    println!(
-        "{:>6} {:>9} {:>18} {:>22} {:>14} {:>9} {:>9}",
-        "n",
-        "events",
-        "production (ev/s)",
-        "clone payloads (ev/s)",
-        "naive (ev/s)",
-        "payload",
-        "total"
-    );
+    println!("{:>6} {:>9} {:>18}", "n", "events", "production (ev/s)");
     for p in &points {
         println!(
-            "{:>6} {:>9} {:>18.0} {:>22.0} {:>14} {:>8.2}x {:>9}",
-            p.n,
-            p.events,
-            p.incremental_events_per_sec,
-            p.clone_payload_events_per_sec,
-            p.naive_events_per_sec
-                .map_or("-".to_string(), |v| format!("{v:.0}")),
-            p.payload_speedup(),
-            p.speedup().map_or("-".to_string(), |v| format!("{v:.2}x")),
+            "{:>6} {:>9} {:>18.0}",
+            p.n, p.events, p.incremental_events_per_sec
         );
     }
 }

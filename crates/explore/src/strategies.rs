@@ -230,12 +230,11 @@ impl Starve {
         self.victims = (0..n)
             .map(|i| {
                 // splitmix64 of (seed, processor): a fixed pseudo-random set.
-                let mut z = self
-                    .seed
-                    .wrapping_add((i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                (z ^ (z >> 31)).is_multiple_of(u64::from(self.denominator))
+                fle_model::splitmix64(
+                    self.seed
+                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64)),
+                )
+                .is_multiple_of(u64::from(self.denominator))
             })
             .collect();
         if self.victims.iter().all(|&v| v) {

@@ -70,14 +70,11 @@ impl ReplicaStore {
             .unwrap_or_else(|| self.empty.clone())
     }
 
-    /// The node's current view of `instance` as a fully detached copy — the
-    /// historical deep-clone path, reproduced faithfully (no storage shared
-    /// with the live view). Prefer [`ReplicaStore::view_arc`] on hot paths.
+    /// The node's current view of `instance` as an owned value: a plain copy
+    /// of [`ReplicaStore::view_arc`] (its slot blocks stay shared
+    /// copy-on-write). Prefer `view_arc` on hot paths.
     pub fn view_of(&self, instance: InstanceId) -> View {
-        self.instances
-            .get(&instance)
-            .map(|view| view.detached_clone())
-            .unwrap_or_default()
+        View::clone(&self.view_arc(instance))
     }
 
     /// Answer a collect whose requester already holds this node's view of
@@ -179,7 +176,7 @@ fn empty_delta_entries() -> Arc<[(crate::ids::Slot, Value)]> {
 /// responder while still turning repeat collects into deltas. Collecting a
 /// different instance resets every entry to "nothing known" (version 0),
 /// which makes responders fall back to full snapshots — always correct.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CollectCache {
     instance: Option<InstanceId>,
     /// Bumped whenever the tracked instance changes; entries from older

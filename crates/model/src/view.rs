@@ -301,32 +301,6 @@ impl View {
     pub fn is_empty(&self) -> bool {
         self.occupied == 0
     }
-
-    /// A copy that shares no *slot storage* with `self`: every cell block
-    /// is re-allocated and copied. (Values clone as values do — a spilled
-    /// [`crate::value::ProcSet`] list still clones by refcount.)
-    ///
-    /// `clone` shares the blocks structurally (copy-on-write), which is what
-    /// every hot path wants; this detached variant exists for the retained
-    /// clone-per-message payload baseline, whose point is to reproduce the
-    /// historical cost of materializing the slot array of a full view per
-    /// collect reply.
-    pub fn detached_clone(&self) -> View {
-        let detach = |table: &CellTable| CellTable {
-            chunks: table
-                .chunks
-                .iter()
-                .map(|chunk| Arc::new(Chunk::clone(chunk)))
-                .collect(),
-        };
-        View {
-            procs: detach(&self.procs),
-            names: detach(&self.names),
-            global: self.global.clone(),
-            occupied: self.occupied,
-            version: self.version,
-        }
-    }
 }
 
 impl PartialEq for View {

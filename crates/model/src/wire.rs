@@ -59,21 +59,6 @@ impl ViewTransfer {
             ViewTransfer::Delta { version, .. } => *version,
         }
     }
-
-    /// The full view, panicking on a delta.
-    ///
-    /// # Panics
-    /// Panics when the transfer is a delta. Used by the retained clone
-    /// payload path, which never produces deltas.
-    pub fn expect_full(self) -> Arc<View> {
-        match self {
-            ViewTransfer::Full(view) => view,
-            ViewTransfer::Delta { since, version, .. } => panic!(
-                "expected a full view transfer, got a delta ({since} → {version}); \
-                 delta replies require the shared payload path on both endpoints"
-            ),
-        }
-    }
 }
 
 /// A point-to-point message.
@@ -238,7 +223,6 @@ mod tests {
         view.insert(crate::ids::Slot::Global, Value::Flag(true));
         let full = ViewTransfer::Full(Arc::new(view));
         assert_eq!(full.version(), 1);
-        assert_eq!(full.expect_full().len(), 1);
 
         let delta = ViewTransfer::Delta {
             since: 3,

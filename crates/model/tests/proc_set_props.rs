@@ -10,14 +10,11 @@ use std::collections::BTreeSet;
 /// Derive a pseudo-random member list from a seed (splitmix64): arbitrary
 /// sizes, duplicates included on purpose.
 fn members_from(seed: u64, len: usize, span: u64) -> Vec<ProcId> {
-    let mut state = seed;
-    (0..len)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ProcId(((z ^ (z >> 31)) % span.max(1)) as usize)
+    (0..len as u64)
+        .map(|i| {
+            let z =
+                fle_model::splitmix64(seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i)));
+            ProcId((z % span.max(1)) as usize)
         })
         .collect()
 }

@@ -111,12 +111,10 @@ impl ObliviousAdversary {
 impl Adversary for ObliviousAdversary {
     fn decide(&mut self, observation: &SystemObservation, enabled: &EnabledEvents<'_>) -> Decision {
         // splitmix64 of (seed, event index): depends only on predetermined data.
-        let mut x = self
-            .seed
-            .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(observation.events_executed + 1));
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
+        let x = fle_model::splitmix64(
+            self.seed
+                .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(observation.events_executed)),
+        );
         Decision::Schedule((x % enabled.len() as u64) as usize)
     }
 

@@ -8,25 +8,29 @@
 //! messages in an [`OrderedMsgSet`] over a [`MessageSlab`]) as state changes,
 //! so offering the adversary its choices costs O(1) per event plus O(log)
 //! index maintenance — not a scan over all `n` processes and every in-flight
-//! message as in the original implementation. Two reference modes exist for
-//! testing and benchmarking:
-//!
-//! * [`SimConfig::with_naive_event_set`] rebuilds the enabled-event vector
-//!   from scratch before every decision (the historical O(n + messages)
-//!   behaviour). Executions are **byte-identical** to the incremental mode —
-//!   the differential tests and the `BENCH_baseline` speedup measurement rely
-//!   on this.
-//! * [`SimConfig::with_event_set_validation`] asserts before every decision
-//!   that the incremental indexes agree with a brute-force recomputation.
+//! message.
 //!
 //! Payload cost is O(1) per event as well: a propagate broadcast builds its
 //! entry list once and refcount-shares it across all `n − 1` sends, collect
 //! replies are copy-on-write snapshots or per-responder deltas (only the
 //! entries the requester has not seen), and back-to-back trials recycle the
-//! engine's buffers through a [`crate::SimArena`]. The historical
-//! clone-per-message payload path survives behind
-//! [`SimConfig::with_naive_payloads`] — it too is **byte-identical** in
-//! schedules, reports and metrics, which the differential tests assert.
+//! engine's buffers through a [`crate::SimArena`].
+//!
+//! # The reference mode
+//!
+//! [`SimConfig::with_event_set_validation`] is the engine's one reference
+//! mode. It runs the production engine and checks both optimizations as it
+//! goes:
+//!
+//! * before every decision, the incremental indexes must materialize to
+//!   exactly the event list a brute-force scan of all processors and
+//!   in-flight messages yields ([`Simulator::enabled_events_brute_force`]);
+//! * whenever a responder builds a collect reply, resolving the reply
+//!   against a copy of the requester's delta cache must give the responder's
+//!   full view.
+//!
+//! The checks only read engine state, so a validated run executes the same
+//! schedule as a production run. They cost O(n + messages) per event.
 
 use crate::adversary::Adversary;
 use crate::arena::SimArena;
@@ -39,10 +43,12 @@ use crate::observation::{
 use crate::process::{PendingWork, SimProcess};
 use crate::report::ExecutionReport;
 use crate::trace::{Trace, TraceEvent};
-use fle_model::{Action, CollectedViews, Key, ProcId, Protocol, Response, Value, WireMessage};
+use fle_model::{
+    Action, CollectedViews, InstanceId, Key, ProcId, Protocol, Response, Value, ViewTransfer,
+    WireMessage,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Configuration of a simulated execution.
@@ -60,22 +66,12 @@ pub struct SimConfig {
     pub max_events: u64,
     /// Whether to record the full execution trace.
     pub record_trace: bool,
-    /// Rebuild the enabled-event list from scratch before every decision
-    /// instead of serving it from the incremental indexes. Semantically
-    /// identical (same schedules, same reports); kept as the performance
-    /// baseline and as the reference half of the differential tests.
-    pub naive_event_set: bool,
-    /// Assert before every decision that the incremental enabled-event
-    /// indexes exactly match a brute-force recomputation. For tests; costs
-    /// O(n + messages) per event.
+    /// Run the reference mode (see the module docs): assert before every
+    /// decision that the incremental enabled-event indexes exactly match a
+    /// brute-force recomputation, and that every collect reply resolves to
+    /// the responder's full view. For tests; costs O(n + messages) per
+    /// event.
     pub validate_event_set: bool,
-    /// Use the historical clone-per-message payload path: every propagate
-    /// send carries its own copy of the entry list and every collect reply a
-    /// freshly cloned full view, instead of refcount-shared broadcasts and
-    /// copy-on-write/delta view transfers. Semantically identical (same
-    /// schedules, same reports); kept as the payload-cost baseline and as
-    /// the reference half of the payload differential tests.
-    pub naive_payloads: bool,
     /// Number of partitions for the partitioned parallel engine
     /// ([`crate::ParallelSimulator`]). `0` (the default) means "sequential
     /// legacy mode": the engine draws all coins from one global
@@ -102,9 +98,7 @@ impl SimConfig {
             seed: 0,
             max_events: default_event_budget(n),
             record_trace: false,
-            naive_event_set: false,
             validate_event_set: false,
-            naive_payloads: false,
             partitions: 0,
         }
     }
@@ -137,26 +131,12 @@ impl SimConfig {
         self
     }
 
-    /// Use the naive rebuild-per-event scheduler (performance baseline).
-    #[must_use]
-    pub fn with_naive_event_set(mut self) -> Self {
-        self.naive_event_set = true;
-        self
-    }
-
-    /// Cross-check the incremental event indexes against brute force before
-    /// every decision.
+    /// Run the reference mode: cross-check the incremental event indexes
+    /// against brute force before every decision, and every collect reply
+    /// against the responder's full view.
     #[must_use]
     pub fn with_event_set_validation(mut self) -> Self {
         self.validate_event_set = true;
-        self
-    }
-
-    /// Use the historical clone-per-message payload path (performance
-    /// baseline; schedules and reports are identical to the shared path).
-    #[must_use]
-    pub fn with_naive_payloads(mut self) -> Self {
-        self.naive_payloads = true;
         self
     }
 
@@ -200,10 +180,6 @@ pub struct Simulator {
     enabled_steps: IndexedBitSet,
     /// Deliverable messages (recipient not crashed), ascending by message id.
     enabled_msgs: OrderedMsgSet,
-    /// Mirror of the slab keyed by message id; maintained only in naive mode,
-    /// where the per-event rebuild iterates it exactly like the historical
-    /// `BTreeMap<MessageId, InFlightMessage>` scan.
-    naive_index: Option<BTreeMap<MessageId, u32>>,
     /// Live (registered, not crashed, not returned) participants.
     live_participants: usize,
     next_message_id: u64,
@@ -286,11 +262,9 @@ impl Simulator {
             crash_budget_left: config.crash_budget,
             processes: observations,
         };
-        let naive_index = config.naive_event_set.then(BTreeMap::new);
         Simulator {
             enabled_steps,
             enabled_msgs,
-            naive_index,
             live_participants: 0,
             config,
             processes,
@@ -436,16 +410,7 @@ impl Simulator {
             return Err(self.budget_exhausted());
         }
 
-        // In naive mode the event list is rebuilt from scratch for every
-        // decision — the historical cost profile the benchmarks compare
-        // against. The rebuilt list is identical, element for element, to
-        // the incremental view, so schedules and reports do not change.
-        let snapshot: Option<Vec<EnabledEvent>> =
-            self.config.naive_event_set.then(|| self.naive_snapshot());
-        let enabled_len = match &snapshot {
-            Some(events) => events.len(),
-            None => self.enabled_steps.len() + self.enabled_msgs.len(),
-        };
+        let enabled_len = self.enabled_steps.len() + self.enabled_msgs.len();
 
         if enabled_len == 0 {
             // Every live participant is blocked on a quorum that can never
@@ -463,12 +428,8 @@ impl Simulator {
         }
 
         let decision = {
-            let enabled = match &snapshot {
-                Some(events) => EnabledEvents::from_slice(events),
-                None => {
-                    EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.in_flight)
-                }
-            };
+            let enabled =
+                EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.in_flight);
             adversary.decide(&self.observation, &enabled)
         };
 
@@ -477,24 +438,7 @@ impl Simulator {
                 self.crash(victim)?;
             }
             Decision::Schedule(index) => {
-                let resolved = match &snapshot {
-                    Some(events) => events.get(index).copied().map(|event| {
-                        let slot = match event {
-                            EnabledEvent::Deliver { id, .. } => Some(
-                                *self
-                                    .naive_index
-                                    .as_ref()
-                                    .expect("naive index exists in naive mode")
-                                    .get(&id)
-                                    .expect("enabled message is in the naive index"),
-                            ),
-                            EnabledEvent::Step(_) => None,
-                        };
-                        (event, slot)
-                    }),
-                    None => self.resolve_live(index),
-                };
-                let Some((event, slot)) = resolved else {
+                let Some((event, slot)) = self.resolve_live(index) else {
                     return Err(SimError::InvalidDecision {
                         reason: format!(
                             "index {index} out of bounds for {enabled_len} enabled events"
@@ -560,15 +504,6 @@ impl Simulator {
         self.run(adversary).expect("simulation failed")
     }
 
-    /// Whether the incremental enabled-event indexes are maintained: always,
-    /// except in pure naive mode, which keeps only its own id-ordered map so
-    /// the recorded naive-vs-incremental speedup measures the historical cost
-    /// profile without paying for both bookkeeping schemes. Validation mode
-    /// needs the incremental indexes even when naive mode is on.
-    fn maintains_incremental(&self) -> bool {
-        !self.config.naive_event_set || self.config.validate_event_set
-    }
-
     fn budget_exhausted(&self) -> SimError {
         SimError::EventBudgetExhausted {
             budget: self.config.max_events,
@@ -596,45 +531,10 @@ impl Simulator {
         Some((message.to_event(), Some(slot)))
     }
 
-    /// The historical per-event rebuild: scan every processor, then walk the
-    /// id-ordered message index, skipping messages to crashed recipients.
-    fn naive_snapshot(&self) -> Vec<EnabledEvent> {
-        let mut events = Vec::new();
-        for process in &self.processes {
-            if process.step_enabled() {
-                events.push(EnabledEvent::Step(process.id));
-            }
-        }
-        let index = self
-            .naive_index
-            .as_ref()
-            .expect("naive index exists in naive mode");
-        for (&id, &slot) in index {
-            let message = self
-                .in_flight
-                .get(slot)
-                .expect("naive index mirrors the slab");
-            debug_assert_eq!(message.id, id);
-            // Messages to crashed processors remain deliverable (they are
-            // simply ignored on arrival), but there is no point offering them
-            // to the adversary: delivering them can never unblock anyone.
-            if !self.processes[message.to.index()].crashed {
-                events.push(message.to_event());
-            }
-        }
-        events
-    }
-
-    /// The enabled events as the adversary would see them, materialized.
-    /// In pure naive mode the incremental indexes are not maintained, so the
-    /// list is served from the naive rebuild instead (same contents, same
-    /// order).
+    /// The enabled events as the adversary sees them, materialized from the
+    /// incremental indexes.
     pub fn enabled_events_vec(&self) -> Vec<EnabledEvent> {
-        if self.maintains_incremental() {
-            EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.in_flight).to_vec()
-        } else {
-            self.naive_snapshot()
-        }
+        EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.in_flight).to_vec()
     }
 
     /// The enabled events recomputed from first principles: a full scan of
@@ -668,6 +568,32 @@ impl Simulator {
         );
     }
 
+    /// The reference check on a collect reply: resolving `transfer` against
+    /// a copy of the requester's delta cache must give the responder's full
+    /// view. The check is exact because the requester's cache entry for this
+    /// responder cannot change between this send and the reply's record:
+    /// the call is still outstanding (so no new `prepare`), and a responder
+    /// answers each call once.
+    fn assert_reply_resolves_to_full_view(
+        &self,
+        requester: ProcId,
+        responder: ProcId,
+        instance: InstanceId,
+        transfer: &ViewTransfer,
+    ) {
+        let resolved = self.processes[requester.index()]
+            .collect_cache
+            .clone()
+            .resolve(responder, transfer.clone());
+        let full = self.processes[responder.index()].replica.view_arc(instance);
+        assert_eq!(
+            *resolved, *full,
+            "collect reply from {responder} to {requester} for {instance} does not resolve \
+             to the responder's view after {} events",
+            self.events_executed
+        );
+    }
+
     /// Update the scalar fields of the persistent observation. The
     /// per-processor entries are refreshed incrementally by
     /// [`Simulator::refresh_process_observation`] whenever a processor's
@@ -683,10 +609,7 @@ impl Simulator {
     /// steps, receives a delivery, crashes or is registered.
     fn refresh_process_observation(&mut self, p: ProcId) {
         let process = &self.processes[p.index()];
-        let step_enabled = process.step_enabled();
-        if self.maintains_incremental() {
-            self.enabled_steps.set(p.index(), step_enabled);
-        }
+        self.enabled_steps.set(p.index(), process.step_enabled());
         let phase = if process.crashed {
             ProcessPhase::Crashed
         } else if !process.participates() {
@@ -736,28 +659,26 @@ impl Simulator {
         self.processes[victim.index()].crashed = true;
         self.crashes.push(victim);
         // Deliveries to the victim can never unblock anyone now; retire them
-        // from the enabled set (the messages stay in flight, matching the
-        // historical semantics of filtering them out of every rebuild).
-        if self.maintains_incremental() {
-            let mut doomed = std::mem::take(&mut self.scratch_slots);
-            doomed.clear();
-            doomed.extend(
-                self.enabled_msgs
-                    .iter()
-                    .filter(|&(_, slot)| {
-                        self.in_flight
-                            .get(slot)
-                            .expect("enabled message indexes a live slab slot")
-                            .to
-                            == victim
-                    })
-                    .map(|(_, slot)| slot),
-            );
-            for &slot in &doomed {
-                self.enabled_msgs.remove_slot(slot);
-            }
-            self.scratch_slots = doomed;
+        // from the enabled set (the messages stay in flight, and
+        // `enabled_events_brute_force` skips them the same way).
+        let mut doomed = std::mem::take(&mut self.scratch_slots);
+        doomed.clear();
+        doomed.extend(
+            self.enabled_msgs
+                .iter()
+                .filter(|&(_, slot)| {
+                    self.in_flight
+                        .get(slot)
+                        .expect("enabled message indexes a live slab slot")
+                        .to
+                        == victim
+                })
+                .map(|(_, slot)| slot),
+        );
+        for &slot in &doomed {
+            self.enabled_msgs.remove_slot(slot);
         }
+        self.scratch_slots = doomed;
         self.report.trace.push(TraceEvent::Crash { proc: victim });
         self.refresh_process_observation(victim);
         Ok(())
@@ -835,34 +756,26 @@ impl Simulator {
                     seen,
                 };
                 // One shared payload for the whole broadcast: every send is a
-                // refcount bump. The naive baseline clones the entry list per
-                // target instead (the historical cost profile).
+                // refcount bump.
                 let shared: Arc<[(Key, Value)]> = entries.into();
                 for target in 0..n {
                     if target == index {
                         continue;
                     }
-                    let entries = if self.config.naive_payloads {
-                        // One fresh copy per target — the historical cost.
-                        Arc::from(&*shared)
-                    } else {
-                        shared.clone()
-                    };
                     self.send(
                         proc,
                         ProcId(target),
-                        WireMessage::Propagate { seq, entries },
+                        WireMessage::Propagate {
+                            seq,
+                            entries: shared.clone(),
+                        },
                     );
                 }
                 self.maybe_complete_quorum(proc, quorum);
             }
             Action::Collect { instance } => {
                 let seq = self.processes[index].fresh_seq();
-                let own_view = if self.config.naive_payloads {
-                    Arc::new(self.processes[index].replica.view_of(instance))
-                } else {
-                    self.processes[index].replica.view_arc(instance)
-                };
+                let own_view = self.processes[index].replica.view_arc(instance);
                 {
                     let metrics = self.report.metrics.proc_mut(proc);
                     metrics.communicate_calls += 1;
@@ -875,20 +788,14 @@ impl Simulator {
                     views: vec![(proc, own_view)],
                     seen,
                 };
-                if !self.config.naive_payloads {
-                    self.processes[index].collect_cache.prepare(instance, n);
-                }
+                self.processes[index].collect_cache.prepare(instance, n);
                 for target in 0..n {
                     if target == index {
                         continue;
                     }
                     // Tell each responder which of its versions we already
                     // hold, so it can reply with a delta.
-                    let known = if self.config.naive_payloads {
-                        0
-                    } else {
-                        self.processes[index].collect_cache.known(ProcId(target))
-                    };
+                    let known = self.processes[index].collect_cache.known(ProcId(target));
                     self.send(
                         proc,
                         ProcId(target),
@@ -1035,23 +942,15 @@ impl Simulator {
         // under their sender, replies under the caller awaiting them.
         let call_owner = if is_request { from } else { to };
         self.processes[call_owner.index()].call_msgs.push(slot);
-        if self.maintains_incremental() && !self.processes[to.index()].crashed {
+        if !self.processes[to.index()].crashed {
             self.enabled_msgs.insert(id, slot);
-        }
-        if let Some(index) = self.naive_index.as_mut() {
-            index.insert(id, slot);
         }
     }
 
     /// Remove a message from the slab and every index that may reference it.
     fn remove_message(&mut self, slot: u32) -> Option<InFlightMessage> {
         let message = self.in_flight.remove(slot)?;
-        if self.maintains_incremental() {
-            self.enabled_msgs.remove_slot(slot);
-        }
-        if let Some(index) = self.naive_index.as_mut() {
-            index.remove(&message.id);
-        }
+        self.enabled_msgs.remove_slot(slot);
         Some(message)
     }
 
@@ -1089,19 +988,20 @@ impl Simulator {
                 known,
             } => {
                 if self.call_outstanding(message.from, seq) {
-                    // Shared path: a copy-on-write snapshot when the
-                    // requester holds nothing, otherwise only the entries
-                    // written since the version it reported. Naive path:
-                    // the historical full deep clone per reply.
-                    let view = if self.config.naive_payloads {
-                        fle_model::ViewTransfer::Full(Arc::new(
-                            self.processes[to_index].replica.view_of(instance),
-                        ))
-                    } else {
-                        self.processes[to_index]
-                            .replica
-                            .transfer_since(instance, known)
-                    };
+                    // A copy-on-write snapshot when the requester holds
+                    // nothing, otherwise only the entries written since the
+                    // version it reported.
+                    let view = self.processes[to_index]
+                        .replica
+                        .transfer_since(instance, known);
+                    if self.config.validate_event_set {
+                        self.assert_reply_resolves_to_full_view(
+                            message.from,
+                            message.to,
+                            instance,
+                            &view,
+                        );
+                    }
                     self.send(
                         message.to,
                         message.from,
@@ -1114,8 +1014,7 @@ impl Simulator {
                 self.purge_if_completed(message.to);
             }
             WireMessage::CollectReply { seq, view } => {
-                let naive = self.config.naive_payloads;
-                self.processes[to_index].record_view(message.from, seq, view, naive, quorum);
+                self.processes[to_index].record_view(message.from, seq, view, quorum);
                 self.purge_if_completed(message.to);
             }
         }
@@ -1315,52 +1214,6 @@ mod tests {
         assert_eq!(a.total_messages(), b.total_messages());
         // A different adversary seed virtually always yields a different schedule.
         assert_ne!(a.trace.digest(), c.trace.digest());
-    }
-
-    #[test]
-    fn naive_and_incremental_event_sets_agree() {
-        let run = |naive: bool, validate: bool| {
-            let mut config = SimConfig::new(7).with_seed(5).with_trace();
-            if naive {
-                config = config.with_naive_event_set();
-            }
-            if validate {
-                config = config.with_event_set_validation();
-            }
-            let mut sim = Simulator::new(config);
-            for i in 0..7 {
-                sim.add_participant(ProcId(i), Box::new(PropagateCollect::new(ProcId(i))));
-            }
-            sim.run(&mut RandomAdversary::with_seed(23)).unwrap()
-        };
-        let incremental = run(false, true);
-        let naive = run(true, false);
-        assert_eq!(incremental.trace.digest(), naive.trace.digest());
-        assert_eq!(incremental.trace.len(), naive.trace.len());
-        assert_eq!(incremental.total_messages(), naive.total_messages());
-        assert_eq!(incremental.outcomes, naive.outcomes);
-        assert_eq!(incremental.events_executed, naive.events_executed);
-    }
-
-    #[test]
-    fn naive_and_shared_payloads_agree() {
-        let run = |naive_payloads: bool| {
-            let mut config = SimConfig::new(7).with_seed(5).with_trace();
-            if naive_payloads {
-                config = config.with_naive_payloads();
-            }
-            let mut sim = Simulator::new(config);
-            for i in 0..7 {
-                sim.add_participant(ProcId(i), Box::new(PropagateCollect::new(ProcId(i))));
-            }
-            sim.run(&mut RandomAdversary::with_seed(23)).unwrap()
-        };
-        let shared = run(false);
-        let naive = run(true);
-        assert_eq!(shared.trace.digest(), naive.trace.digest());
-        assert_eq!(shared.total_messages(), naive.total_messages());
-        assert_eq!(shared.outcomes, naive.outcomes);
-        assert_eq!(shared.events_executed, naive.events_executed);
     }
 
     #[test]

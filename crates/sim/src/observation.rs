@@ -95,8 +95,7 @@ pub struct EnabledEvents<'a> {
 
 #[derive(Debug)]
 enum EnabledInner<'a> {
-    /// A plain slice: used by unit tests and by the engine's naive
-    /// (rebuild-per-event) reference mode.
+    /// A plain slice: used by unit tests.
     Slice(&'a [EnabledEvent]),
     /// Zero-copy view over the engine's live indexes.
     Live {
@@ -107,7 +106,7 @@ enum EnabledInner<'a> {
 }
 
 impl<'a> EnabledEvents<'a> {
-    /// Wrap an explicit event list (tests, reference mode).
+    /// Wrap an explicit event list (tests).
     pub fn from_slice(events: &'a [EnabledEvent]) -> Self {
         EnabledEvents {
             inner: EnabledInner::Slice(events),

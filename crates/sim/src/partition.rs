@@ -811,7 +811,7 @@ impl PartitionEngine {
             }
             WireMessage::CollectReply { seq, view } => {
                 self.process_mut(to)
-                    .record_view(message.from, seq, view, false, quorum);
+                    .record_view(message.from, seq, view, quorum);
                 self.purge_if_completed(to);
             }
         }
@@ -895,13 +895,12 @@ impl ParallelSimulator {
     /// (a value of 0 means 1). Defaults to canonical mode with no crashes.
     ///
     /// # Panics
-    /// Panics if the config enables `naive_event_set`, `naive_payloads` or
-    /// `validate_event_set` — those reference modes exist only in the
-    /// sequential engine.
+    /// Panics if the config enables `validate_event_set` — the reference
+    /// mode exists only in the sequential engine.
     pub fn new(mut config: SimConfig) -> Self {
         assert!(
-            !config.naive_event_set && !config.naive_payloads && !config.validate_event_set,
-            "the partitioned engine does not support the naive/validation reference modes"
+            !config.validate_event_set,
+            "the partitioned engine does not support the validation reference mode"
         );
         config.partitions = config.partitions.clamp(1, config.n);
         let map = PartitionMap::new(config.n, config.partitions);

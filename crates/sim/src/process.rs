@@ -187,15 +187,12 @@ impl SimProcess {
     ///
     /// `transfer` is resolved against the delta cache only when the reply is
     /// actually recorded (right sequence number, responder not yet counted),
-    /// so stale or duplicate traffic never perturbs the cache. With
-    /// `naive_payloads` the transfer is taken as the full view it must be
-    /// (the clone path never produces deltas) and the cache stays untouched.
+    /// so stale or duplicate traffic never perturbs the cache.
     pub fn record_view(
         &mut self,
         from: ProcId,
         seq: CallSeq,
         transfer: ViewTransfer,
-        naive_payloads: bool,
         quorum: usize,
     ) {
         if let PendingWork::AwaitingViews {
@@ -205,12 +202,7 @@ impl SimProcess {
         } = &mut self.pending
         {
             if *want == seq && seen.set(from.index()) {
-                let view = if naive_payloads {
-                    transfer.expect_full()
-                } else {
-                    self.collect_cache.resolve(from, transfer)
-                };
-                views.push((from, view));
+                views.push((from, self.collect_cache.resolve(from, transfer)));
                 if views.len() >= quorum {
                     let collected = std::mem::take(views);
                     self.pending = PendingWork::ResponseReady(Response::Views(
@@ -293,13 +285,13 @@ mod tests {
             views: vec![(ProcId(0), Arc::new(View::new()))],
             seen,
         };
-        p.record_view(ProcId(1), 4, full(View::new()), false, 3);
-        p.record_view(ProcId(1), 4, full(View::new()), false, 3);
+        p.record_view(ProcId(1), 4, full(View::new()), 3);
+        p.record_view(ProcId(1), 4, full(View::new()), 3);
         assert!(
             !p.step_enabled(),
             "duplicate responder must not fill the quorum"
         );
-        p.record_view(ProcId(2), 4, full(View::new()), false, 3);
+        p.record_view(ProcId(2), 4, full(View::new()), 3);
         assert!(p.step_enabled());
     }
 

@@ -13,11 +13,9 @@ use proptest::prelude::*;
 fn decisions_from(seed: u64, len: usize, span: u64) -> Vec<Decision> {
     let mut state = seed;
     let mut step = move || {
+        let z = fle_model::splitmix64(state);
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     };
     (0..len)
         .map(|_| {

@@ -1,24 +1,21 @@
-//! Differential tests for the simulator's performance modes.
+//! Differential tests for the simulator's reference mode.
 //!
 //! The simulator maintains its enabled-event set incrementally (see
 //! `fle_sim::event_set`) and ships message payloads as refcount-shared
 //! broadcasts and copy-on-write / delta view transfers (see
-//! `fle_model::wire`); these tests pin both optimizations to the original
-//! semantics:
+//! `fle_model::wire`). `with_event_set_validation()` is the engine's one
+//! reference mode and pins both optimizations to first principles as the
+//! run goes:
 //!
-//! 1. **Per-step differential check** — `with_event_set_validation()` makes
-//!    the engine assert, before *every* adversary decision, that the
-//!    incremental indexes materialize to exactly the same ordered event list
-//!    as a brute-force rescan of all processors and in-flight messages.
-//! 2. **Whole-run equivalence** — the naive rebuild-per-event scheduler
-//!    (`with_naive_event_set()`, the historical implementation's cost
-//!    profile) must produce byte-identical execution reports: same trace
-//!    digest, same outcomes, same metrics, same event counts, for every
-//!    `(seed, adversary)` pair.
-//! 3. **Payload-path equivalence** — the clone-per-message payload path
-//!    (`with_naive_payloads()`) must produce byte-identical reports to the
-//!    shared/delta path, alone and combined with the naive scheduler, across
-//!    the election, renaming and crashy workloads.
+//! * before *every* adversary decision, the incremental indexes must
+//!   materialize to exactly the same ordered event list as a brute-force
+//!   rescan of all processors and in-flight messages;
+//! * whenever a responder builds a collect reply, resolving it against a
+//!   copy of the requester's delta cache must give the responder's full
+//!   view.
+//!
+//! The checks only read engine state, so a validated run must also produce a
+//! byte-identical report to the production run of the same configuration.
 
 use fast_leader_election::prelude::*;
 
@@ -106,130 +103,49 @@ fn assert_reports_identical(a: &ExecutionReport, b: &ExecutionReport, context: &
 }
 
 /// The incremental enabled-event set matches a brute-force rebuild at every
-/// single decision point, across system sizes, seeds and all four adversary
-/// families — including executions with crashes.
+/// single decision point, and every collect reply resolves to the
+/// responder's full view, across system sizes, seeds and all four adversary
+/// families — including renaming and executions with crashes. Each validated
+/// run also reproduces the production run's report byte for byte.
 #[test]
 fn incremental_event_set_matches_brute_force_at_every_step() {
-    for n in [1usize, 2, 3, 5, 9, 16] {
+    for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16] {
         for seed in 0..3u64 {
             for kind in 0..4u8 {
-                let report = run_election(n, seed, kind, |c| c.with_event_set_validation());
-                assert!(!report.winners().is_empty() || n == 0);
-            }
-        }
-    }
-    for n in [2usize, 4, 6] {
-        for seed in 0..2u64 {
-            run_renaming_sim(n, seed, seed as u8, |c| c.with_event_set_validation());
-        }
-    }
-    for n in [4usize, 7, 10] {
-        for seed in 0..3u64 {
-            run_crashy_election(n, seed, |c| c.with_event_set_validation());
-        }
-    }
-}
-
-/// A fixed `(seed, adversary)` pair yields byte-identical execution reports
-/// under the incremental scheduler and under the naive rebuild-per-event
-/// scheduler (the pre-refactor behaviour).
-#[test]
-fn naive_and_incremental_schedulers_yield_identical_reports() {
-    for n in [1usize, 2, 4, 8, 13] {
-        for seed in 0..3u64 {
-            for kind in 0..4u8 {
-                let incremental = run_election(n, seed, kind, |c| c);
-                let naive = run_election(n, seed, kind, SimConfig::with_naive_event_set);
+                let validated = run_election(n, seed, kind, SimConfig::with_event_set_validation);
+                assert!(!validated.winners().is_empty());
+                let production = run_election(n, seed, kind, |c| c);
                 assert_reports_identical(
-                    &incremental,
-                    &naive,
+                    &validated,
+                    &production,
                     &format!("election n={n} seed={seed} kind={kind}"),
                 );
             }
         }
     }
-    for n in [3usize, 5] {
+    for n in 2usize..=6 {
         for seed in 0..2u64 {
-            let incremental = run_renaming_sim(n, seed, 0, |c| c);
-            let naive = run_renaming_sim(n, seed, 0, SimConfig::with_naive_event_set);
-            assert_reports_identical(&incremental, &naive, &format!("renaming n={n} seed={seed}"));
+            for kind in 0..2u8 {
+                let validated =
+                    run_renaming_sim(n, seed, kind, SimConfig::with_event_set_validation);
+                let production = run_renaming_sim(n, seed, kind, |c| c);
+                assert_reports_identical(
+                    &validated,
+                    &production,
+                    &format!("renaming n={n} seed={seed} kind={kind}"),
+                );
+            }
         }
     }
-    for n in [5usize, 9] {
+    for n in [4usize, 5, 7, 9, 10] {
         for seed in 0..3u64 {
-            let incremental = run_crashy_election(n, seed, |c| c);
-            let naive = run_crashy_election(n, seed, SimConfig::with_naive_event_set);
+            let validated = run_crashy_election(n, seed, SimConfig::with_event_set_validation);
+            let production = run_crashy_election(n, seed, |c| c);
             assert_reports_identical(
-                &incremental,
-                &naive,
+                &validated,
+                &production,
                 &format!("crashy election n={n} seed={seed}"),
             );
-        }
-    }
-}
-
-/// The shared/delta payload path produces byte-identical execution reports
-/// to the retained clone-per-message path: same trace, outcomes, metrics and
-/// event counts for every `(workload, seed, adversary)` combination. This is
-/// the differential gate for the O(1)-payload data plane (shared broadcast
-/// `Arc`s, copy-on-write snapshots, delta collect replies).
-#[test]
-fn clone_and_shared_payload_paths_yield_identical_reports() {
-    for n in [1usize, 2, 4, 8, 13] {
-        for seed in 0..3u64 {
-            for kind in 0..4u8 {
-                let shared = run_election(n, seed, kind, |c| c);
-                let cloned = run_election(n, seed, kind, SimConfig::with_naive_payloads);
-                assert_reports_identical(
-                    &shared,
-                    &cloned,
-                    &format!("payload election n={n} seed={seed} kind={kind}"),
-                );
-            }
-        }
-    }
-    for n in [3usize, 5] {
-        for seed in 0..2u64 {
-            let shared = run_renaming_sim(n, seed, 0, |c| c);
-            let cloned = run_renaming_sim(n, seed, 0, SimConfig::with_naive_payloads);
-            assert_reports_identical(
-                &shared,
-                &cloned,
-                &format!("payload renaming n={n} seed={seed}"),
-            );
-        }
-    }
-    for n in [5usize, 9] {
-        for seed in 0..3u64 {
-            let shared = run_crashy_election(n, seed, |c| c);
-            let cloned = run_crashy_election(n, seed, SimConfig::with_naive_payloads);
-            assert_reports_identical(
-                &shared,
-                &cloned,
-                &format!("payload crashy election n={n} seed={seed}"),
-            );
-        }
-    }
-}
-
-/// Both reference axes at once: the fully naive engine (rebuild-per-event
-/// scheduler + clone-per-message payloads) agrees with the fully optimized
-/// one, so the two optimizations cannot mask each other's divergences.
-#[test]
-fn fully_naive_and_fully_optimized_engines_agree() {
-    for n in [2usize, 7, 12] {
-        for seed in 0..2u64 {
-            for kind in 0..4u8 {
-                let optimized = run_election(n, seed, kind, |c| c);
-                let naive = run_election(n, seed, kind, |c| {
-                    c.with_naive_event_set().with_naive_payloads()
-                });
-                assert_reports_identical(
-                    &optimized,
-                    &naive,
-                    &format!("fully-naive election n={n} seed={seed} kind={kind}"),
-                );
-            }
         }
     }
 }
