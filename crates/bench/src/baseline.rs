@@ -110,11 +110,42 @@ pub fn baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json")
 }
 
+/// Everything after the sequential `"points"` array of a recorded document,
+/// if that holds a `parallel` section (written by
+/// [`crate::parallel::record_parallel_preserving`]).
+fn parallel_tail(existing: &str) -> Option<&str> {
+    let mut offset = existing.find("\"points\"")?;
+    for line in existing[offset..].split_inclusive('\n') {
+        offset += line.len();
+        if matches!(line.trim(), "]," | "]") {
+            let tail = &existing[offset..];
+            return tail.contains("\"parallel").then_some(tail);
+        }
+    }
+    None
+}
+
+/// Render `points` as the `BENCH_baseline.json` document, keeping the
+/// `parallel` section of the `existing` document byte for byte.
+fn splice_sequential_points(existing: &str, points: &[BaselinePoint]) -> String {
+    let fresh = to_json(points);
+    match parallel_tail(existing) {
+        Some(tail) => {
+            let head = fresh
+                .strip_suffix("  ]\n}\n")
+                .expect("to_json closes the points array last");
+            format!("{head}  ],\n{tail}")
+        }
+        None => fresh,
+    }
+}
+
 /// Measure the given specifications and write `BENCH_baseline.json` at
-/// `path`; returns the points.
+/// `path`, keeping a recorded `parallel` section; returns the points.
 pub fn record(path: &Path, specs: &[(usize, u64)]) -> Vec<BaselinePoint> {
     let points = measure(specs);
-    write_or_warn(path, &to_json(&points));
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    write_or_warn(path, &splice_sequential_points(&existing, &points));
     points
 }
 
@@ -223,6 +254,39 @@ mod tests {
         let parsed = recorded_events_per_sec(&json, 16).expect("parseable");
         assert!((parsed - points[0].incremental_events_per_sec).abs() < 1.0);
         assert_eq!(recorded_events_per_sec(&json, 64), None);
+    }
+
+    #[test]
+    fn recording_keeps_the_parallel_section() {
+        let path = std::env::temp_dir().join(format!(
+            "fle_bench_baseline_{}_keeps_parallel.json",
+            std::process::id()
+        ));
+        let parallel = "  \"parallel_workload\": \"k-of-n\",\n  \"parallel\": [\n    \
+                        {\"n\": 4096, \"k\": 64, \"partitions\": [{\"p\": 1}]}\n  ]\n}\n";
+        let old_points = "{\n  \"benchmark\": \"election_events_per_sec\",\n  \"points\": [\n    \
+                          {\"n\": 16, \"incremental_events_per_sec\": 1.0}\n  ],\n";
+        std::fs::write(&path, format!("{old_points}{parallel}")).expect("temporary file");
+        let points = record(&path, &[(8, 1)]);
+        let written = std::fs::read_to_string(&path).expect("recorded file");
+        assert!(written.ends_with(&format!("  ],\n{parallel}")), "{written}");
+        assert!(written.starts_with(to_json(&points).trim_end_matches("  ]\n}\n")));
+        assert_eq!(
+            recorded_events_per_sec(&written, 8),
+            recorded_events_per_sec(&to_json(&points), 8)
+        );
+        assert_eq!(recorded_events_per_sec(&written, 16), None);
+
+        // Re-recording is idempotent on the parallel section, and a document
+        // without one is written fresh.
+        record(&path, &[(8, 1)]);
+        let again = std::fs::read_to_string(&path).expect("recorded file");
+        assert!(again.ends_with(&format!("  ],\n{parallel}")));
+        std::fs::write(&path, to_json(&points)).expect("temporary file");
+        let points = record(&path, &[(8, 1)]);
+        let fresh = std::fs::read_to_string(&path).expect("recorded file");
+        assert_eq!(fresh, to_json(&points));
+        std::fs::remove_file(&path).expect("remove temporary file");
     }
 
     #[test]

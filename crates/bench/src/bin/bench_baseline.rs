@@ -1,6 +1,7 @@
 //! Record the simulator-throughput baseline: full leader elections at
 //! n ∈ {16, 64, 256, 1024} in events/sec on the production engine, written
-//! to `BENCH_baseline.json`.
+//! to the `points` of `BENCH_baseline.json`; a recorded `parallel` section
+//! is kept byte for byte.
 //!
 //! Run with `cargo run --release -p fle-bench --bin bench_baseline`.
 //!

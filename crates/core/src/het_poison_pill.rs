@@ -18,11 +18,9 @@
 //! survivors) and Lemma 3.7 (O(log² k) expected high-flip survivors) together
 //! bound the expected survivor count by O(log² k) under any schedule.
 
-#[cfg(test)]
-use fle_model::Slot;
 use fle_model::{
-    Action, CollectedViews, ElectionContext, InstanceId, Key, LocalStateView, Outcome, Priority,
-    ProcId, Protocol, Response, Status, Value,
+    Action, BitRow, CollectedViews, ElectionContext, InstanceId, Key, LocalStateView, Outcome,
+    Priority, ProcId, Protocol, Response, Slot, Status, Value,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,28 +84,43 @@ impl HeterogeneousPoisonPill {
     /// some member of `L` is never reported with low priority.
     ///
     /// One pass over every view entry, accumulating `L` and the "reported
-    /// low" set as bitmaps. The heterogeneous lists can carry up to `k`
-    /// processors each, so the historical per-element `BTreeSet` insertion
-    /// (O(quorum × slots × |ℓ| · log)) dominated the sifting step at large
-    /// `n`; the bitmap union is a constant-time mark per element.
+    /// low" set as bitmaps. A writer's resolved status reaches every view as
+    /// clones of one value, so its spilled `ℓ` list is one shared allocation
+    /// however many views hold it. Union is idempotent, so a processor slot
+    /// skips a list that is the very allocation it last unioned, and each
+    /// distinct list is walked once: O(quorum × slots + Σ distinct |ℓ|)
+    /// rather than O(quorum × slots × |ℓ|). The skip compares allocations,
+    /// not writers, so it stays exact when a faulty writer's different lists
+    /// reach different views. Inline lists (at most two members) are simply
+    /// unioned again.
     fn should_die(views: &CollectedViews) -> bool {
-        let mut l_set = fle_model::BitRow::new();
-        let mut low = fle_model::BitRow::new();
+        let mut l_set = BitRow::new();
+        let mut low = BitRow::new();
+        // Per processor slot, the address of the spilled list last unioned
+        // from it (0 for none).
+        let mut unioned: Vec<usize> = Vec::new();
         for (_, view) in views.responses() {
             view.for_each(|slot, value| {
-                if let fle_model::Slot::Proc(j) = slot {
+                let status = value.as_status();
+                if let Slot::Proc(j) = slot {
                     l_set.set(j.index());
-                    if value
-                        .as_status()
-                        .is_some_and(|s| s.priority() == Some(Priority::Low))
-                    {
+                    if status.is_some_and(|s| s.priority() == Some(Priority::Low)) {
                         low.set(j.index());
                     }
                 }
-                if let Some(status) = value.as_status() {
-                    for member in status.list() {
-                        l_set.set(member.index());
+                let Some(Status::Resolved { list, .. }) = status else {
+                    return;
+                };
+                if let (Slot::Proc(j), Some(addr)) = (slot, list.shared_addr()) {
+                    if unioned.len() <= j.index() {
+                        unioned.resize(j.index() + 1, 0);
                     }
+                    if std::mem::replace(&mut unioned[j.index()], addr) == addr {
+                        return;
+                    }
+                }
+                for member in list.iter() {
+                    l_set.set(member.index());
                 }
             });
         }
@@ -210,7 +223,7 @@ impl Protocol for HeterogeneousPoisonPill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fle_model::View;
+    use fle_model::{ProcSet, View};
     use fle_sim::{
         Adversary, CoinAwareAdversary, RandomAdversary, SequentialAdversary, SimConfig, Simulator,
     };
@@ -334,6 +347,198 @@ mod tests {
             (ProcId(1), view2),
         ]);
         assert!(!HeterogeneousPoisonPill::should_die(&views));
+    }
+
+    /// The death rule without the per-list skip: every `ℓ` list of every
+    /// view entry is walked. The reference for the differential test of
+    /// [`HeterogeneousPoisonPill::should_die`].
+    fn should_die_reference(views: &CollectedViews) -> bool {
+        let mut l_set = BitRow::new();
+        let mut low = BitRow::new();
+        for (_, view) in views.responses() {
+            view.for_each(|slot, value| {
+                if let Slot::Proc(j) = slot {
+                    l_set.set(j.index());
+                    if value
+                        .as_status()
+                        .is_some_and(|s| s.priority() == Some(Priority::Low))
+                    {
+                        low.set(j.index());
+                    }
+                }
+                if let Some(status) = value.as_status() {
+                    for member in status.list() {
+                        l_set.set(member.index());
+                    }
+                }
+            });
+        }
+        let dies = l_set.iter().any(|j| !low.contains(j));
+        dies
+    }
+
+    /// A seeded random stream: splitmix64 over a counter.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 += 1;
+            (fle_model::splitmix64(self.0) % bound as u64) as usize
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// What the random cases of the death-rule differential test covered.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        dies: usize,
+        survives: usize,
+        inline_lists: usize,
+        spilled_lists: usize,
+        commit_and_resolved: usize,
+        faulty_split: usize,
+        ghost_members: usize,
+        name_or_global_statuses: usize,
+    }
+
+    /// A seeded random collect result over writers `0..n`.
+    ///
+    /// Each writer has one resolved status, or two with different lists if
+    /// it is faulty, and every view that shows a status shows a clone of
+    /// one value, as in a real run, so a spilled list is one allocation
+    /// shared across views. Lists may name the processors `n` and `n + 1`,
+    /// which have no slot. Every third case is strict: every view reports
+    /// every writer low and honest lists name writers only, so only a
+    /// faulty writer's second list (which may name `n + 1`) can kill.
+    fn random_views(seed: u64, coverage: &mut Coverage) -> CollectedViews {
+        let mut rng = Stream(seed << 32);
+        let n = 1 + rng.below(9);
+        let strict = seed.is_multiple_of(3);
+        let list = |rng: &mut Stream, universe: usize| -> ProcSet {
+            let size = rng.below(6);
+            ProcSet::from_vec((0..size).map(|_| ProcId(rng.below(universe))).collect())
+        };
+        let resolved = |priority, list| Value::Status(Status::Resolved { priority, list });
+        let priority = |rng: &mut Stream| {
+            if strict || rng.chance(70) {
+                Priority::Low
+            } else {
+                Priority::High
+            }
+        };
+        let mut writers: Vec<(Value, Option<Value>)> = Vec::new();
+        for _ in 0..n {
+            let first_list = list(&mut rng, if strict { n } else { n + 1 });
+            let second = rng.chance(35).then(|| {
+                let extra = if rng.chance(50) { n + 1 } else { rng.below(n) };
+                let mut members = first_list.as_slice().to_vec();
+                members.push(ProcId(extra));
+                resolved(priority(&mut rng), ProcSet::from_vec(members))
+            });
+            writers.push((resolved(priority(&mut rng), first_list), second));
+        }
+        // Per writer: shown as Commit, first status, second status.
+        let mut shown = vec![[false; 3]; n];
+        let mut views = Vec::new();
+        for responder in 0..1 + rng.below(5) {
+            let mut entries: Vec<(Slot, Value)> = Vec::new();
+            for (j, (first, second)) in writers.iter().enumerate() {
+                if !strict && rng.chance(25) {
+                    continue;
+                }
+                let value = if !strict && rng.chance(15) {
+                    shown[j][0] = true;
+                    Value::Status(Status::Commit)
+                } else if !strict && rng.chance(5) {
+                    Value::Round(1)
+                } else if let Some(second) = second.as_ref().filter(|_| rng.chance(50)) {
+                    shown[j][2] = true;
+                    second.clone()
+                } else {
+                    shown[j][1] = true;
+                    first.clone()
+                };
+                entries.push((Slot::Proc(ProcId(j)), value));
+            }
+            if !strict && rng.chance(15) {
+                let slot = if rng.chance(50) {
+                    Slot::Name(rng.below(4))
+                } else {
+                    Slot::Global
+                };
+                let status = resolved(priority(&mut rng), list(&mut rng, n + 2));
+                entries.push((slot, status));
+                coverage.name_or_global_statuses += 1;
+            }
+            for (_, value) in &entries {
+                let members = value.as_status().map_or(&[][..], Status::list);
+                match members.len() {
+                    0 => {}
+                    1..=2 => coverage.inline_lists += 1,
+                    _ => coverage.spilled_lists += 1,
+                }
+                if members.iter().any(|p| p.index() >= n) {
+                    coverage.ghost_members += 1;
+                }
+            }
+            views.push((ProcId(responder), entries.into_iter().collect::<View>()));
+        }
+        for (j, (first, second)) in writers.iter().enumerate() {
+            if shown[j][0] && (shown[j][1] || shown[j][2]) {
+                coverage.commit_and_resolved += 1;
+            }
+            let split = second.as_ref().is_some_and(|second| {
+                second.as_status().map(Status::list) != first.as_status().map(Status::list)
+            });
+            if split && shown[j][1] && shown[j][2] {
+                coverage.faulty_split += 1;
+            }
+        }
+        CollectedViews::new(views)
+    }
+
+    #[test]
+    fn death_rule_matches_the_reference_on_random_views() {
+        let mut coverage = Coverage::default();
+        for seed in 0..3000 {
+            let views = random_views(seed, &mut coverage);
+            let expected = should_die_reference(&views);
+            assert_eq!(
+                HeterogeneousPoisonPill::should_die(&views),
+                expected,
+                "seed {seed}: {views:?}"
+            );
+            if expected {
+                coverage.dies += 1;
+            } else {
+                coverage.survives += 1;
+            }
+        }
+        let Coverage {
+            dies,
+            survives,
+            inline_lists,
+            spilled_lists,
+            commit_and_resolved,
+            faulty_split,
+            ghost_members,
+            name_or_global_statuses,
+        } = coverage;
+        for (what, count) in [
+            ("dies", dies),
+            ("survives", survives),
+            ("inline lists", inline_lists),
+            ("spilled lists", spilled_lists),
+            ("commit and resolved writers", commit_and_resolved),
+            ("faulty writers with split lists", faulty_split),
+            ("lists naming slotless processors", ghost_members),
+            ("name or global statuses", name_or_global_statuses),
+        ] {
+            assert!(count >= 100, "only {count} cases with {what}");
+        }
     }
 
     #[test]

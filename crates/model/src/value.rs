@@ -144,6 +144,16 @@ impl ProcSet {
         matches!(self.0, Repr::Shared(_))
     }
 
+    /// The address of a spilled set's shared allocation (`None` for an
+    /// inline set). Clones share the allocation, so while two sets are both
+    /// alive, equal addresses mean the very same list.
+    pub fn shared_addr(&self) -> Option<usize> {
+        match &self.0 {
+            Repr::Inline { .. } => None,
+            Repr::Shared(items) => Some(Arc::as_ptr(items).cast::<ProcId>() as usize),
+        }
+    }
+
     /// Union `other` into `self`; returns whether `self` changed.
     ///
     /// Unchanged unions (in particular the idempotent `a ∪ a`) are detected
@@ -560,6 +570,19 @@ mod tests {
         // Spilled ∪ subset is detected as unchanged without rebuilding.
         assert!(!a.union_with(&b));
         assert_eq!(a.len(), cap + 1);
+    }
+
+    #[test]
+    fn proc_set_shared_addr_identifies_the_allocation() {
+        let inline: ProcSet = (0..ProcSet::INLINE_CAPACITY).map(ProcId).collect();
+        assert_eq!(inline.shared_addr(), None);
+        let spilled: ProcSet = (0..5).map(ProcId).collect();
+        let clone = spilled.clone();
+        assert!(spilled.shared_addr().is_some());
+        assert_eq!(spilled.shared_addr(), clone.shared_addr());
+        let rebuilt: ProcSet = (0..5).map(ProcId).collect();
+        assert_eq!(rebuilt, spilled);
+        assert_ne!(rebuilt.shared_addr(), spilled.shared_addr());
     }
 
     #[test]

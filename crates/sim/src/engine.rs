@@ -8,7 +8,14 @@
 //! messages in an [`OrderedMsgSet`] over a [`MessageSlab`]) as state changes,
 //! so offering the adversary its choices costs O(1) per event plus O(log)
 //! index maintenance — not a scan over all `n` processes and every in-flight
-//! message.
+//! message. Both indexes are one word-parallel bitmap whose Fenwick tree
+//! counts 64-member words, so the tree a selection descends stays a few
+//! cache lines long even with thousands of messages in flight.
+//!
+//! The adversary's observation is maintained the same way. A step, a crash
+//! or a registration rebuilds the processor's entry, including the
+//! protocol's `adversary_view()`; a delivery never steps the protocol, so it
+//! re-syncs only the recipient's phase and step-enabled bit.
 //!
 //! Payload cost is O(1) per event as well: a propagate broadcast builds its
 //! entry list once and refcount-shares it across all `n − 1` sends, collect
@@ -606,34 +613,20 @@ impl Simulator {
 
     /// Rebuild the observation entry for processor `p` and re-sync its
     /// membership in the step-enabled index. Called whenever the processor
-    /// steps, receives a delivery, crashes or is registered.
+    /// steps, crashes or is registered.
     fn refresh_process_observation(&mut self, p: ProcId) {
         let process = &self.processes[p.index()];
         self.enabled_steps.set(p.index(), process.step_enabled());
-        let phase = if process.crashed {
-            ProcessPhase::Crashed
-        } else if !process.participates() {
-            ProcessPhase::Idle
-        } else {
-            match &process.pending {
-                PendingWork::NotStarted => ProcessPhase::NotStarted,
-                PendingWork::LocalResponse(_) | PendingWork::ResponseReady(_) => {
-                    ProcessPhase::StepReady
-                }
-                PendingWork::AwaitingAcks { .. } | PendingWork::AwaitingViews { .. } => {
-                    ProcessPhase::AwaitingQuorum
-                }
-                PendingWork::Finished(_) => ProcessPhase::Finished,
-            }
-        };
-        self.observation.processes[p.index()] = ProcessObservation {
-            proc: p,
-            phase,
-            local_state: process
-                .protocol
-                .as_ref()
-                .map(|proto| proto.adversary_view()),
-        };
+        self.observation.processes[p.index()] = process.observation();
+    }
+
+    /// Re-sync processor `p`'s step-enabled bit and observed phase after a
+    /// delivery. A delivery never steps the protocol, so the observation's
+    /// local state (the protocol's `adversary_view()`) cannot have changed.
+    fn refresh_process_phase(&mut self, p: ProcId) {
+        let process = &self.processes[p.index()];
+        self.enabled_steps.set(p.index(), process.step_enabled());
+        self.observation.processes[p.index()].phase = process.phase();
     }
 
     fn crash(&mut self, victim: ProcId) -> Result<(), SimError> {
@@ -694,7 +687,7 @@ impl Simulator {
             EnabledEvent::Deliver { to, .. } => {
                 let slot = slot.expect("delivery events carry their slab slot");
                 self.execute_delivery(slot);
-                self.refresh_process_observation(to);
+                self.refresh_process_phase(to);
             }
         }
     }
@@ -1133,6 +1126,30 @@ mod tests {
                     Some(Outcome::Win),
                     "n={n}, processor {i} must observe its own propagated write"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn the_maintained_observation_matches_a_full_rebuild_after_every_event() {
+        // A delivery re-syncs only the recipient's phase; the local state it
+        // leaves alone must still equal what a full rebuild reads.
+        let n = 7;
+        for seed in 0..4 {
+            let mut sim = Simulator::new(SimConfig::new(n).with_seed(seed));
+            for i in 0..n {
+                sim.add_participant(ProcId(i), Box::new(PropagateCollect::new(ProcId(i))));
+            }
+            let mut adversary = RandomAdversary::with_seed(seed);
+            while sim.step_once(&mut adversary).unwrap() {
+                for (process, observed) in sim.processes.iter().zip(&sim.observation.processes) {
+                    assert_eq!(
+                        *observed,
+                        process.observation(),
+                        "seed {seed}, after {} events",
+                        sim.events_executed
+                    );
+                }
             }
         }
     }

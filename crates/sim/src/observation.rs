@@ -24,7 +24,7 @@ pub enum ProcessPhase {
 
 /// The adversary's per-processor observation: lifecycle phase plus the local
 /// state the strong adversary is allowed to inspect (coin flips, round, ...).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessObservation {
     /// The processor this observation describes.
     pub proc: ProcId,

@@ -321,37 +321,23 @@ impl PartitionEngine {
     }
 
     /// Re-sync `proc`'s step-enabled bit (and, in adversarial mode, its
-    /// observation entry) after its state changed.
+    /// observation entry) after it stepped, crashed or registered.
     fn sync_proc(&mut self, proc: ProcId) {
         let process = &self.processes[proc.index() - self.lo];
-        let step_enabled = process.step_enabled();
-        self.enabled_steps.set(proc.index(), step_enabled);
+        self.enabled_steps.set(proc.index(), process.step_enabled());
         if let Some(observation) = self.observation.as_mut() {
-            let phase = if process.crashed {
-                ProcessPhase::Crashed
-            } else if !process.participates() {
-                ProcessPhase::Idle
-            } else {
-                match &process.pending {
-                    PendingWork::NotStarted => ProcessPhase::NotStarted,
-                    PendingWork::LocalResponse(_) | PendingWork::ResponseReady(_) => {
-                        ProcessPhase::StepReady
-                    }
-                    PendingWork::AwaitingAcks { .. } | PendingWork::AwaitingViews { .. } => {
-                        ProcessPhase::AwaitingQuorum
-                    }
-                    PendingWork::Finished(_) => ProcessPhase::Finished,
-                }
-            };
-            let local_state = process
-                .protocol
-                .as_ref()
-                .map(|proto| proto.adversary_view());
-            observation.processes[proc.index()] = ProcessObservation {
-                proc,
-                phase,
-                local_state,
-            };
+            observation.processes[proc.index()] = process.observation();
+        }
+    }
+
+    /// Re-sync `proc`'s step-enabled bit (and, in adversarial mode, its
+    /// observed phase) after a delivery, which never steps the protocol and
+    /// so leaves the observed local state as it was.
+    fn sync_phase(&mut self, proc: ProcId) {
+        let process = &self.processes[proc.index() - self.lo];
+        self.enabled_steps.set(proc.index(), process.step_enabled());
+        if let Some(observation) = self.observation.as_mut() {
+            observation.processes[proc.index()].phase = process.phase();
         }
     }
 
@@ -815,7 +801,7 @@ impl PartitionEngine {
                 self.purge_if_completed(to);
             }
         }
-        self.sync_proc(to);
+        self.sync_phase(to);
     }
 
     fn call_outstanding(&self, caller: ProcId, seq: u64) -> bool {
@@ -1407,32 +1393,7 @@ impl ParallelSimulator {
         };
         let mut processes = Vec::with_capacity(self.config.n);
         for engine in &self.engines {
-            for process in &engine.processes {
-                let phase = if process.crashed {
-                    ProcessPhase::Crashed
-                } else if !process.participates() {
-                    ProcessPhase::Idle
-                } else {
-                    match &process.pending {
-                        PendingWork::NotStarted => ProcessPhase::NotStarted,
-                        PendingWork::LocalResponse(_) | PendingWork::ResponseReady(_) => {
-                            ProcessPhase::StepReady
-                        }
-                        PendingWork::AwaitingAcks { .. } | PendingWork::AwaitingViews { .. } => {
-                            ProcessPhase::AwaitingQuorum
-                        }
-                        PendingWork::Finished(_) => ProcessPhase::Finished,
-                    }
-                };
-                processes.push(ProcessObservation {
-                    proc: process.id,
-                    phase,
-                    local_state: process
-                        .protocol
-                        .as_ref()
-                        .map(|proto| proto.adversary_view()),
-                });
-            }
+            processes.extend(engine.processes.iter().map(SimProcess::observation));
         }
         SystemObservation {
             n: self.config.n,

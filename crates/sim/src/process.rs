@@ -1,5 +1,6 @@
 //! Per-processor simulation state.
 
+use crate::observation::{ProcessObservation, ProcessPhase};
 use crate::replica::ReplicaStore;
 use fle_model::wire::CallSeq;
 use fle_model::{BitRow, CollectCache, Outcome, ProcId, Protocol, Response, View, ViewTransfer};
@@ -155,6 +156,36 @@ impl SimProcess {
             self.pending,
             PendingWork::NotStarted | PendingWork::LocalResponse(_) | PendingWork::ResponseReady(_)
         )
+    }
+
+    /// The lifecycle phase the adversary observes.
+    pub fn phase(&self) -> ProcessPhase {
+        if self.crashed {
+            return ProcessPhase::Crashed;
+        }
+        if !self.participates() {
+            return ProcessPhase::Idle;
+        }
+        match &self.pending {
+            PendingWork::NotStarted => ProcessPhase::NotStarted,
+            PendingWork::LocalResponse(_) | PendingWork::ResponseReady(_) => {
+                ProcessPhase::StepReady
+            }
+            PendingWork::AwaitingAcks { .. } | PendingWork::AwaitingViews { .. } => {
+                ProcessPhase::AwaitingQuorum
+            }
+            PendingWork::Finished(_) => ProcessPhase::Finished,
+        }
+    }
+
+    /// The adversary's observation of this processor: its phase plus the
+    /// protocol's inspectable local state.
+    pub fn observation(&self) -> ProcessObservation {
+        ProcessObservation {
+            proc: self.id,
+            phase: self.phase(),
+            local_state: self.protocol.as_ref().map(|proto| proto.adversary_view()),
+        }
     }
 
     /// Allocate a fresh communicate-call sequence number.
