@@ -15,7 +15,10 @@
 //!   instance's [`CancelToken`] is polled before every operation (every
 //!   yield point), fail-stop abandonment converts to [`Outcome::Lose`], and
 //!   a panicking task poisons only its own instance's ticket: the worker
-//!   thread survives and keeps polling everyone else.
+//!   thread survives and keeps polling everyone else. [`run_inline`] runs
+//!   the same participants, burst for burst, on the calling thread instead:
+//!   round-robin, exactly as a one-worker pool runs a lone instance, with no
+//!   queue, no ticket and no pool at all.
 //! * **Gated** ([`run_gated`]): the schedule-gate loop. Before each
 //!   operation a task *parks* at the operation's [`SchedulePoint`] —
 //!   ownership of the suspended task moves into its gate slot — and the
@@ -61,6 +64,11 @@ use std::thread::JoinHandle;
 
 const LOCK: &str = "no executor user panics while holding the lock";
 
+/// The default burst of a free-running participant: shared-memory
+/// operations per poll on the pool ([`ExecutorConfig::new`]), and per turn
+/// in [`run_inline`]'s round-robin.
+const DEFAULT_OPS_PER_POLL: u32 = 8;
+
 /// Configuration of an [`Executor`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutorConfig {
@@ -83,7 +91,7 @@ impl ExecutorConfig {
     pub fn new(workers: usize) -> Self {
         ExecutorConfig {
             workers,
-            ops_per_poll: 8,
+            ops_per_poll: DEFAULT_OPS_PER_POLL,
             start_paused: false,
         }
     }
@@ -281,13 +289,76 @@ impl InstanceShared {
 
 /// One suspended free-running participant: a machine, its protocol, and its
 /// (fault-decorated) register handle. This — not an OS thread — is the unit
-/// the executor multiplexes.
-struct FreeTask {
-    instance: Arc<InstanceShared>,
+/// the executor multiplexes and [`run_inline`] round-robins.
+struct FreeParticipant {
     proc: ProcId,
     machine: DriveMachine,
     protocol: Box<dyn Protocol + Send>,
     memory: FaultyMemory<RegisterHandle>,
+}
+
+/// How one [`FreeParticipant::burst`] ended.
+enum Burst {
+    /// The operation budget ran out; the participant is still live.
+    Yielded,
+    /// The participant returned, or fail-stopped into [`Outcome::Lose`].
+    Finished(Outcome),
+    /// The doom check tripped before an operation.
+    Doomed,
+}
+
+impl FreeParticipant {
+    /// The participants of one free-running instance, in the given order:
+    /// coins from [`SharedRegisters::handle`] (which mixes in `namespace`),
+    /// each handle behind a [`FaultyMemory`] under `plan` as it applies to
+    /// `namespace`.
+    fn build_all<'a>(
+        registers: &'a Arc<SharedRegisters>,
+        namespace: u64,
+        seed: u64,
+        participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
+        plan: &FaultPlan,
+    ) -> impl Iterator<Item = FreeParticipant> + 'a {
+        let plan = plan.for_namespace(namespace);
+        participants
+            .into_iter()
+            .map(move |(proc, protocol)| FreeParticipant {
+                proc,
+                machine: DriveMachine::new(),
+                protocol,
+                memory: FaultyMemory::new(registers.handle(namespace, proc, seed), proc, plan),
+            })
+    }
+
+    /// Run up to `ops` steps. Before each one, poll `doomed` and convert
+    /// fail-stop abandonment to [`Outcome::Lose`]; then step the protocol,
+    /// and perform and resume the operation it needs. A panic in the
+    /// protocol or the memory unwinds to the caller.
+    fn burst(&mut self, ops: u32, doomed: impl Fn() -> bool) -> Burst {
+        for _ in 0..ops {
+            if doomed() {
+                return Burst::Doomed;
+            }
+            if self.memory.abandoned() {
+                return Burst::Finished(Outcome::Lose);
+            }
+            match self.machine.step(self.protocol.as_mut()) {
+                DriveStep::Done(outcome) => return Burst::Finished(outcome),
+                DriveStep::NeedOp(op) => {
+                    let response = op.perform(&mut self.memory);
+                    self.machine.resume(response);
+                }
+            }
+        }
+        Burst::Yielded
+    }
+}
+
+/// A free-running participant queued on the pool, with its instance's
+/// shared bookkeeping.
+struct FreeTask {
+    instance: Arc<InstanceShared>,
+    participant: FreeParticipant,
 }
 
 /// What a granted gated task does when a worker next polls it.
@@ -459,7 +530,9 @@ impl Pool {
     /// Resolve a work item that can no longer run (shutdown drain).
     fn discard(item: WorkItem) {
         match item {
-            WorkItem::Free(task) => task.instance.finish_cancelled(&task.memory.stats()),
+            WorkItem::Free(task) => task
+                .instance
+                .finish_cancelled(&task.participant.memory.stats()),
             WorkItem::Gated(task) => {
                 let gate = Arc::clone(&task.gate);
                 let slot = task.slot;
@@ -553,7 +626,6 @@ impl Executor {
         cancel: CancelToken,
     ) -> InFlight {
         let merge_faults = !plan.is_noop();
-        let plan = plan.for_namespace(namespace);
         let (done, rx) = crossbeam_channel::unbounded();
         if participants.is_empty() {
             let _ = done.send(ExecResult::Completed(ExecReport::default()));
@@ -572,13 +644,12 @@ impl Executor {
             pool: Arc::clone(&self.pool),
             merge_faults,
         });
-        for (proc, protocol) in participants {
+        for participant in
+            FreeParticipant::build_all(registers, namespace, seed, participants, plan)
+        {
             let task = FreeTask {
                 instance: Arc::clone(&instance),
-                proc,
-                machine: DriveMachine::new(),
-                protocol,
-                memory: FaultyMemory::new(registers.handle(namespace, proc, seed), proc, plan),
+                participant,
             };
             if let Err(item) = self.pool.inject(WorkItem::Free(task)) {
                 Pool::discard(*item);
@@ -653,39 +724,27 @@ fn worker_loop(pool: &Arc<Pool>) {
     }
 }
 
-/// Poll one free-running task for up to `ops_per_poll` operations: before
-/// each step, poll the cancel token and convert fail-stop abandonment to
-/// [`Outcome::Lose`]; then step and perform. A panic anywhere in the
-/// protocol or memory poisons only this task's instance; the worker
-/// survives.
+/// Poll one free-running task for one burst of `ops_per_poll` operations
+/// ([`FreeParticipant::burst`], doomed when the instance is). A panic
+/// anywhere in the protocol or memory poisons only this task's instance;
+/// the worker survives.
 fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
     let instance = Arc::clone(&task.instance);
     let polled = catch_unwind(AssertUnwindSafe(move || {
         let mut task = task;
-        for _ in 0..pool.ops_per_poll {
-            if task.instance.is_doomed() {
-                task.instance.finish_cancelled(&task.memory.stats());
-                return None;
-            }
-            if task.memory.abandoned() {
-                let stats = task.memory.stats();
+        let burst = task
+            .participant
+            .burst(pool.ops_per_poll, || task.instance.is_doomed());
+        let stats = task.participant.memory.stats();
+        match burst {
+            Burst::Yielded => return Some(task),
+            Burst::Finished(outcome) => {
                 task.instance
-                    .finish_participant(task.proc, Outcome::Lose, &stats);
-                return None;
+                    .finish_participant(task.participant.proc, outcome, &stats);
             }
-            match task.machine.step(task.protocol.as_mut()) {
-                DriveStep::Done(outcome) => {
-                    let stats = task.memory.stats();
-                    task.instance.finish_participant(task.proc, outcome, &stats);
-                    return None;
-                }
-                DriveStep::NeedOp(op) => {
-                    let response = op.perform(&mut task.memory);
-                    task.machine.resume(response);
-                }
-            }
+            Burst::Doomed => task.instance.finish_cancelled(&stats),
         }
-        Some(task)
+        None
     }));
     match polled {
         Ok(Some(task)) => {
@@ -696,6 +755,45 @@ fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
         Ok(None) => {}
         Err(payload) => instance.finish_panicked(payload),
     }
+}
+
+/// Run one free-running instance to completion on the calling thread.
+///
+/// Takes [`Executor::submit`]'s arguments and builds the same participants.
+/// They take turns in the given order, one burst of the executor's default
+/// 8 operations each, until every one has finished: the order in which a
+/// one-worker pool runs a lone instance, so both do the same register work.
+/// Returns `None` when `cancel` (polled before every operation) trips
+/// first; partial register state may remain under `namespace` — retire it.
+/// Fault counters appear in the report only under a live plan.
+///
+/// # Panics
+/// A participant's panic unwinds to the caller.
+pub fn run_inline(
+    registers: &Arc<SharedRegisters>,
+    namespace: u64,
+    seed: u64,
+    participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
+    plan: &FaultPlan,
+    cancel: &CancelToken,
+) -> Option<ExecReport> {
+    let merge_faults = !plan.is_noop();
+    let mut turns: VecDeque<FreeParticipant> =
+        FreeParticipant::build_all(registers, namespace, seed, participants, plan).collect();
+    let mut report = ExecReport::default();
+    while let Some(mut participant) = turns.pop_front() {
+        match participant.burst(DEFAULT_OPS_PER_POLL, || cancel.is_cancelled()) {
+            Burst::Yielded => turns.push_back(participant),
+            Burst::Finished(outcome) => {
+                report.outcomes.insert(participant.proc, outcome);
+                if merge_faults {
+                    report.faults.merge(&participant.memory.stats());
+                }
+            }
+            Burst::Doomed => return None,
+        }
+    }
+    Some(report)
 }
 
 /// Poll one gated task: execute whatever its last grant authorized, then

@@ -20,7 +20,8 @@
 //!   ([`exec`]), optionally behind a seeded [`FaultyMemory`] ([`faulty`]).
 //!
 //! The executor runs an instance either free-running
-//! ([`Executor::submit`]) or under **schedule control** ([`run_gated`]):
+//! ([`Executor::submit`], or [`run_inline`] on the caller's own thread) or
+//! under **schedule control** ([`run_gated`]):
 //! participant tasks park at [`fle_model::SchedulePoint`] gates and a
 //! pluggable [`GateScheduler`] ([`sched`]) chooses the interleaving, turning
 //! executions deterministic, adversary-drivable and replayable — the bridge
@@ -55,13 +56,13 @@ pub mod report;
 pub mod sched;
 pub mod shm;
 
-use crossbeam_channel::{unbounded, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Sender};
 pub use exec::{
-    run_gated, run_gated_fifo, ExecReport, ExecResult, Executor, ExecutorConfig, ExecutorStats,
-    InFlight,
+    run_gated, run_gated_fifo, run_inline, ExecReport, ExecResult, Executor, ExecutorConfig,
+    ExecutorStats, InFlight,
 };
 pub use faulty::{CrashMode, CrashSpec, CrashVictim, FaultPlan, FaultStats, FaultyMemory};
-use fle_model::{CancelToken, ProcId, Protocol};
+use fle_model::{ProcId, Protocol};
 use node::{Envelope, NodeResult, NodeRunner};
 pub use report::RuntimeReport;
 pub use sched::{
@@ -72,7 +73,6 @@ pub use shm::{RegisterHandle, SharedRegisters};
 use std::error::Error;
 use std::fmt;
 use std::thread;
-use std::time::Duration;
 
 /// Configuration of a threaded execution.
 #[derive(Debug, Clone)]
@@ -87,10 +87,6 @@ pub struct RuntimeConfig {
     /// Nodes that never answer requests (they model crashed/partitioned
     /// replicas). Must stay below `⌈n/2⌉` for quorums to keep forming.
     pub unresponsive: Vec<ProcId>,
-    /// Cooperative cancellation: when the token trips, the coordinator stops
-    /// waiting for outcomes and shuts every node down. Defaults to the inert
-    /// token (never cancels).
-    pub cancel: CancelToken,
 }
 
 impl RuntimeConfig {
@@ -105,7 +101,6 @@ impl RuntimeConfig {
             seed: 0,
             max_delay_micros: 0,
             unresponsive: Vec::new(),
-            cancel: CancelToken::none(),
         }
     }
 
@@ -127,14 +122,6 @@ impl RuntimeConfig {
     #[must_use]
     pub fn with_unresponsive(mut self, nodes: impl IntoIterator<Item = ProcId>) -> Self {
         self.unresponsive = nodes.into_iter().collect();
-        self
-    }
-
-    /// Attach a cancellation token; when it trips mid-run the runtime shuts
-    /// down and reports whatever outcomes had already landed.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
         self
     }
 
@@ -273,27 +260,12 @@ impl ThreadedRuntime {
         drop(done_tx);
 
         // Wait until every participant has reported an outcome, then stop all
-        // nodes (they keep serving replica requests until told to stop). A
-        // cancellable run polls its token between waits; on cancellation the
-        // shutdown broadcast below wakes every node, wherever it is blocked.
-        let cancel = &self.config.cancel;
-        let cancellable = cancel.is_cancellable();
+        // nodes (they keep serving replica requests until told to stop).
         let mut finished = 0usize;
         while finished < participant_ids.len() {
-            if cancellable {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                match done_rx.recv_timeout(Duration::from_micros(500)) {
-                    Ok(_) => finished += 1,
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            } else {
-                match done_rx.recv() {
-                    Ok(_) => finished += 1,
-                    Err(_) => break,
-                }
+            match done_rx.recv() {
+                Ok(_) => finished += 1,
+                Err(_) => break,
             }
         }
         for sender in &senders {

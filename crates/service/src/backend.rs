@@ -2,42 +2,47 @@
 //!
 //! A backend takes an [`InstanceSpec`] and runs one complete protocol
 //! instance — every participant to its outcome — under a cooperative
-//! [`CancelToken`] (the service's in-flight deadline enforcement). The three
-//! implementations cover the repo's three execution substrates:
+//! [`CancelToken`] (the service's in-flight deadline enforcement), on the
+//! calling shard worker's own thread. The two implementations cover the
+//! repo's two serving substrates:
 //!
 //! * [`SimBackend`] — the deterministic discrete-event simulator: each
 //!   instance is a fresh [`fle_sim::Simulator`] run under a seeded fair
 //!   adversary, reproducible bit-for-bit from `(spec.seed, spec.n)`.
-//! * [`ThreadedBackend`] — the message-passing runtime: one OS thread per
-//!   processor and quorum `communicate` traffic over channels.
 //! * [`AsyncBackend`] — the in-process shared-memory backend: each
-//!   participant is a resumable [`fle_model::DriveMachine`] task on a small
-//!   process-wide [`fle_runtime::Executor`] worker pool, all of them over
-//!   one namespaced [`fle_runtime::SharedRegisters`] bank, so thousands of
-//!   in-flight instances share (and contend on) the same sharded registers
-//!   and cost tasks, not OS threads. With a [`FaultPlan`] attached
-//!   ([`BackendKind::build`]'s `faults` argument) every participant's
-//!   handle is wrapped in a [`fle_runtime::FaultyMemory`]: seeded delays,
-//!   transient collect failures, and crash injection.
+//!   participant is a resumable [`fle_model::DriveMachine`] over one
+//!   namespaced [`fle_runtime::SharedRegisters`] bank, so thousands of
+//!   instances share (and contend on) the same sharded registers. The shard
+//!   worker steps the participants itself with [`fle_runtime::run_inline`]:
+//!   round-robin, a burst of operations per turn, which is the asynchronous
+//!   shared-memory model's single sequence of register operations. No
+//!   participant costs a thread, and no instance hops to another one. With
+//!   a [`FaultPlan`] attached ([`BackendKind::build`]'s `faults` argument)
+//!   every participant's handle is wrapped in a
+//!   [`fle_runtime::FaultyMemory`]: seeded delays, transient collect
+//!   failures, and crash injection. Because the inline round-robin order is
+//!   fixed, a delay only adds latency to its instance: it never changes the
+//!   interleaving. Fault coverage under perturbed schedules comes from the
+//!   gated explorer (`explore_faulty_smoke` in `fle-explore`), which runs
+//!   the same plans under adversarial schedulers.
 //!
 //! Fault plans apply **only** to the async backend: the sim's memory is the
-//! event queue itself (the adversary already plays the faults) and the
-//! threaded backend's memory is its node runners, neither of which the
-//! decorator can wrap. The other backends silently ignore the plan.
+//! event queue itself (the adversary already plays the faults), which the
+//! decorator cannot wrap. The sim backend silently ignores the plan.
 //!
-//! Isolation: the sim and threaded backends isolate instances by
-//! construction (each run owns its replicas); the async backend namespaces
-//! every register access by `spec.key`.
+//! Isolation: the sim backend isolates instances by construction (each run
+//! owns its replicas); the async backend namespaces every register access
+//! by `spec.key`. An async run is a pure function of its spec and the fault
+//! plan: the same spec on a fresh (or retired) namespace returns the same
+//! outcomes.
 
 use crate::{InstanceSpec, Workload};
 use fle_model::{CancelToken, Outcome, ProcId, Protocol};
-use fle_runtime::{
-    ExecResult, Executor, FaultPlan, FaultStats, RuntimeConfig, SharedRegisters, ThreadedRuntime,
-};
+use fle_runtime::{FaultPlan, FaultStats, SharedRegisters};
 use fle_sim::{RandomAdversary, SimConfig, Simulator};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Everything one completed run produced: the participants' outcomes plus
 /// the fault-injection counters accumulated along the way (zero for
@@ -66,10 +71,8 @@ impl RunOutput {
 pub enum BackendKind {
     /// Deterministic discrete-event simulation ([`SimBackend`]).
     Sim,
-    /// Real-thread message passing ([`ThreadedBackend`]).
-    Threaded,
-    /// Task-multiplexed cooperative executor over shared registers
-    /// ([`AsyncBackend`]).
+    /// Participant state machines over shared registers, stepped on the
+    /// shard worker ([`AsyncBackend`]).
     Async,
 }
 
@@ -78,7 +81,6 @@ impl BackendKind {
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Sim => "sim",
-            BackendKind::Threaded => "threaded",
             BackendKind::Async => "async",
         }
     }
@@ -92,7 +94,6 @@ impl BackendKind {
     ) -> Box<dyn InstanceBackend> {
         match self {
             BackendKind::Sim => Box::new(SimBackend),
-            BackendKind::Threaded => Box::new(ThreadedBackend),
             BackendKind::Async => Box::new(AsyncBackend {
                 registers: Arc::clone(registers),
                 faults: faults.copied(),
@@ -175,50 +176,10 @@ impl InstanceBackend for SimBackend {
     }
 }
 
-/// Message-passing backend: one [`ThreadedRuntime`] per instance.
-#[derive(Debug, Default)]
-pub struct ThreadedBackend;
-
-impl InstanceBackend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn run(&self, spec: &InstanceSpec, cancel: &CancelToken) -> Option<RunOutput> {
-        let config = RuntimeConfig::new(spec.n)
-            .with_seed(spec.seed)
-            .with_cancel(cancel.clone());
-        let report = ThreadedRuntime::new(config)
-            .run(protocols(spec))
-            .expect("a fault-free threaded instance terminates");
-        // The coordinator stops waiting when the token trips; whatever
-        // outcomes the report holds are then partial — discard them.
-        if cancel.is_cancelled() {
-            None
-        } else {
-            Some(RunOutput::clean(report.outcomes))
-        }
-    }
-}
-
-/// The process-wide task executor behind every [`AsyncBackend`].
-///
-/// [`BackendKind::build`] runs once per shard worker, but the whole point
-/// of the async backend is that instances from every shard multiplex over
-/// one small worker pool — so the pool is a lazily-started process global,
-/// not a per-shard resource. It is never shut down: workers are few
-/// (bounded by [`fle_runtime::ExecutorConfig::default`]), park when idle,
-/// and die with the process.
-fn shared_executor() -> &'static Executor {
-    static EXECUTOR: OnceLock<Executor> = OnceLock::new();
-    EXECUTOR.get_or_init(Executor::with_default_config)
-}
-
-/// Task-multiplexed backend: participants are cooperative
-/// [`fle_model::DriveMachine`] tasks on the process-wide [`Executor`] over
-/// one shared, namespaced register bank, optionally behind a
-/// fault-injection decorator, consuming zero dedicated OS threads per
-/// instance.
+/// Shared-register backend: participants are [`fle_model::DriveMachine`]s
+/// over one shared, namespaced register bank, optionally behind a
+/// fault-injection decorator, stepped round-robin on the calling shard
+/// worker by [`fle_runtime::run_inline`].
 #[derive(Debug)]
 pub struct AsyncBackend {
     pub(crate) registers: Arc<SharedRegisters>,
@@ -230,27 +191,22 @@ impl InstanceBackend for AsyncBackend {
         "async"
     }
 
+    /// A participant's panic unwinds from here into the shard worker's
+    /// `catch_unwind`, which counts it and retires the namespace.
     fn run(&self, spec: &InstanceSpec, cancel: &CancelToken) -> Option<RunOutput> {
         let plan = self.faults.unwrap_or_default();
-        let ticket = shared_executor().submit(
+        let report = fle_runtime::run_inline(
             &self.registers,
             spec.key,
             spec.seed,
             protocols(spec),
             &plan,
-            cancel.clone(),
-        );
-        match ticket.wait() {
-            ExecResult::Completed(report) => Some(RunOutput {
-                outcomes: report.outcomes,
-                faults: report.faults,
-            }),
-            ExecResult::Cancelled => None,
-            // Re-raise on the calling shard worker so the service's panic
-            // containment (and its per-shard fail accounting) sees the
-            // participant's own unwind.
-            ExecResult::Panicked(payload) => std::panic::resume_unwind(payload),
-        }
+            cancel,
+        )?;
+        Some(RunOutput {
+            outcomes: report.outcomes,
+            faults: report.faults,
+        })
     }
 }
 
@@ -261,7 +217,7 @@ mod tests {
     #[test]
     fn every_backend_elects_exactly_one_winner() {
         let registers = Arc::new(SharedRegisters::new(2));
-        for (slot, kind) in [BackendKind::Sim, BackendKind::Threaded, BackendKind::Async]
+        for (slot, kind) in [BackendKind::Sim, BackendKind::Async]
             .into_iter()
             .enumerate()
         {
@@ -284,7 +240,7 @@ mod tests {
     #[test]
     fn every_backend_renames_uniquely() {
         let registers = Arc::new(SharedRegisters::new(2));
-        for (slot, kind) in [BackendKind::Sim, BackendKind::Threaded, BackendKind::Async]
+        for (slot, kind) in [BackendKind::Sim, BackendKind::Async]
             .into_iter()
             .enumerate()
         {
@@ -337,13 +293,38 @@ mod tests {
         let registers = Arc::new(SharedRegisters::new(2));
         let cancel = CancelToken::new();
         cancel.cancel();
-        for kind in [BackendKind::Sim, BackendKind::Threaded, BackendKind::Async] {
+        for kind in [BackendKind::Sim, BackendKind::Async] {
             let backend = kind.build(&registers, None);
             let spec = InstanceSpec::election(44, 4);
             assert!(
                 backend.run(&spec, &cancel).is_none(),
                 "{kind}: a cancelled run returns no outcomes"
             );
+        }
+    }
+
+    #[test]
+    fn an_async_run_is_a_pure_function_of_its_spec_and_plan() {
+        // The shard worker steps every participant itself, so nothing but
+        // the spec and the fault plan decides the interleaving: the same
+        // spec on a retired namespace returns the same outcomes and faults.
+        let registers = Arc::new(SharedRegisters::new(2));
+        let plan = FaultPlan::new(5).with_collect_failures(200, 2);
+        let none = CancelToken::none();
+        for backend in [
+            BackendKind::Async.build(&registers, None),
+            BackendKind::Async.build(&registers, Some(&plan)),
+        ] {
+            for spec in [
+                InstanceSpec::election(48, 16).with_seed(11),
+                InstanceSpec::renaming(49, 16).with_seed(12),
+            ] {
+                let first = backend.run(&spec, &none).unwrap();
+                assert!(registers.retire(spec.key), "the run wrote registers");
+                let second = backend.run(&spec, &none).unwrap();
+                registers.retire(spec.key);
+                assert_eq!(first, second, "key {}", spec.key);
+            }
         }
     }
 
@@ -357,6 +338,8 @@ mod tests {
         let spec = InstanceSpec::election(47, 4);
         let output = backend.run(&spec, &CancelToken::none()).unwrap();
         let winners = output.outcomes.values().filter(|o| o.is_win()).count();
+        // Inline, the delays only add wall time; the collect failures are
+        // what this run has to mask.
         assert_eq!(winners, 1, "delays and transient failures are masked");
         assert!(
             output.faults.ops > 0,

@@ -4,13 +4,12 @@
 //! this crate turns them into a **service**: callers submit instances —
 //! `(key, system size, workload, seed)` — and the service multiplexes
 //! thousands of them across a fixed pool of shard workers, each instance
-//! executing on one of the pluggable [`backend`]s (deterministic simulator,
-//! threaded message passing, or the task-multiplexed async backend, which
-//! runs every participant as a cooperative task on a small process-wide
-//! [`fle_runtime::Executor`] pool over one namespaced
-//! [`fle_runtime::SharedRegisters`] bank, so all instances contend on the
-//! same registers and thousands in flight cost tasks rather than OS
-//! threads).
+//! executing on one of the pluggable [`backend`]s: the deterministic
+//! simulator, or the async backend, whose shard worker steps every
+//! participant's state machine itself ([`fle_runtime::run_inline`]) over one
+//! namespaced [`fle_runtime::SharedRegisters`] bank, so all instances
+//! contend on the same registers and a service runs on exactly its shard
+//! threads, whatever the number of participants.
 //!
 //! Design:
 //!
@@ -40,10 +39,11 @@
 //!   the containments.
 //! * **Fault injection** — [`ServiceConfig::with_fault_plan`] slides a
 //!   [`fle_runtime::FaultyMemory`] under every instance of the *async*
-//!   backend: seeded deterministic delays, transient collect failures and
+//!   backend: seeded deterministic delays (latency only: the inline
+//!   round-robin order is fixed), transient collect failures and
 //!   crash-at-op-k, for robustness tests and overload benchmarks. (The sim
-//!   and threaded backends ignore the plan: their memory is not the
-//!   decorator-friendly register bank.)
+//!   backend ignores the plan: its memory is not the decorator-friendly
+//!   register bank.)
 //! * **Observability** — each shard carries an always-on
 //!   [`fle_obs::ShardRecorder`] (disable with
 //!   [`ServiceConfig::with_metrics`]): queue depth and high-water,
@@ -90,9 +90,7 @@ pub mod admission;
 pub mod backend;
 
 pub use admission::OverloadPolicy;
-pub use backend::{
-    AsyncBackend, BackendKind, InstanceBackend, RunOutput, SimBackend, ThreadedBackend,
-};
+pub use backend::{AsyncBackend, BackendKind, InstanceBackend, RunOutput, SimBackend};
 pub use fle_obs::{MetricsSnapshot, ShardSnapshot};
 
 use admission::{AdmissionQueue, AdmitError};
@@ -193,6 +191,12 @@ impl ServiceConfig {
     }
 
     /// Inject deterministic faults under every async-backend instance.
+    ///
+    /// The async backend steps an instance's participants in a fixed
+    /// round-robin order on its shard worker, so the plan's delays add
+    /// latency but never change the interleaving; its collect failures and
+    /// crashes act as usual. Fault coverage under perturbed schedules comes
+    /// from the gated explorer (`explore_faulty_smoke` in `fle-explore`).
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -1133,9 +1137,8 @@ mod tests {
 
     #[test]
     fn a_storm_of_async_instances_each_elects_one_winner() {
-        // Instances run as cooperative tasks on the process-wide executor:
-        // the service's shard workers submit and wait, the executor
-        // multiplexes every participant over its own small pool.
+        // Each shard worker steps its instances' participants itself, so
+        // 200 instances of 4 participants run on the service's 4 threads.
         let service = ElectionService::new(ServiceConfig::new(4, BackendKind::Async));
         let tickets: Vec<Ticket> = (0..200)
             .map(|key| service.submit(InstanceSpec::election(key, 4)).unwrap())
@@ -1156,11 +1159,11 @@ mod tests {
 
     #[test]
     fn the_async_backend_contains_a_panicking_instance() {
-        // A crash-at-op plan scoped to one key: that instance's executor
-        // task panics, the panic is re-raised on the shard worker, and the
-        // service's containment turns it into InstanceFailed — all other
-        // keys complete. The crash fires at op 1, which every participant
-        // performs (processor 0 can lose after a single collect).
+        // A crash-at-op plan scoped to one key: that instance's participant
+        // panics on the shard worker, and the service's containment turns
+        // it into InstanceFailed — all other keys complete. The crash fires
+        // at op 1, which every participant performs (processor 0 can lose
+        // after a single collect).
         let plan =
             FaultPlan::new(5).with_crash(CrashSpec::panic_proc(ProcId(0), 1).only_namespace(3));
         let config = ServiceConfig::new(2, BackendKind::Async).with_fault_plan(plan);
@@ -1332,9 +1335,9 @@ mod tests {
 
     #[test]
     fn deadlines_cancel_in_flight_and_retire_the_namespace() {
-        // The deadline trips while the instance's tasks are live on the
-        // executor: each task observes the tripped token at its next poll,
-        // drains, and the ticket resolves DeadlineExceeded.
+        // The deadline trips while the instance runs: the shard worker polls
+        // the token before every operation, stops, and the ticket resolves
+        // DeadlineExceeded.
         let config = ServiceConfig::new(1, BackendKind::Async).with_fault_plan(slow_plan());
         let service = ElectionService::new(config);
         let doomed = service
@@ -1395,7 +1398,7 @@ mod tests {
 
     #[test]
     fn racing_submitters_on_one_key_admit_exactly_one() {
-        for kind in [BackendKind::Sim, BackendKind::Threaded, BackendKind::Async] {
+        for kind in [BackendKind::Sim, BackendKind::Async] {
             let service = Arc::new(ElectionService::new(ServiceConfig::new(2, kind)));
             let barrier = Arc::new(std::sync::Barrier::new(8));
             let racers: Vec<_> = (0..8)

@@ -4,9 +4,9 @@
 //! [`ElectionService`] running on the async backend: every instance's
 //! registers live (namespaced) in one shared, sharded register bank, and
 //! finished instances are retired epoch by epoch so the bank stays small no
-//! matter how many instances have been served. The participants are
-//! cooperative tasks multiplexed over one fixed executor pool, so the storm
-//! runs without a single per-participant thread.
+//! matter how many instances have been served. Each shard worker steps its
+//! instances' participants itself, round-robin, so the storm runs on the
+//! service's shard threads alone, without a single per-participant thread.
 //!
 //! Run with `cargo run --release --example service_storm`.
 

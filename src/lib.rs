@@ -14,7 +14,7 @@
 //! |-------|----------|
 //! | [`model`] (`fle-model`) | protocol state-machine interface, the `SharedMemory` backend contract, register values, wire messages, complexity metrics |
 //! | [`sim`] (`fle-sim`) | deterministic discrete-event simulator: quorum `communicate`, adaptive adversaries, crash injection; sequential `SimMemory` adapter |
-//! | [`runtime`] (`fle-runtime`) | real-thread backends: message passing over crossbeam channels, and in-process `SharedRegisters` driven by the task executor, free-running or behind schedule gates (`run_gated`) |
+//! | [`runtime`] (`fle-runtime`) | real-thread backends: message passing over crossbeam channels, and in-process `SharedRegisters` whose participants run inline on the caller's thread (`run_inline`) or on the task executor, free-running or behind schedule gates (`run_gated`) |
 //! | [`core`] (`fle-core`) | PoisonPill, Heterogeneous PoisonPill, doorway, pre-round, the full election, renaming |
 //! | [`baselines`] (`fle-baselines`) | tournament-tree test-and-set (AGTV92), random-order renaming (AAG+10) |
 //! | [`service`] (`fle-service`) | sharded multi-instance election/renaming service over the pluggable backends |
