@@ -4,14 +4,16 @@
 //! * `cargo run --release -p fle-bench --bin bench_service` — sweep the
 //!   async backend at shard counts {1, 4, num_cpus} (2000 four-processor
 //!   elections each, closed loop) plus an overload sweep at multiples of the
-//!   sustainable rate, the density sweep at n ∈ {4, 16, 64} and the
-//!   executor density storm, and write `BENCH_service.json`.
+//!   sustainable rate, the density sweep at n ∈ {4, 16, 64}, the executor
+//!   density storm and the per-shard metrics, and write them as the
+//!   sections of `BENCH_service.json`.
 //! * `-- --smoke` — run 1000 concurrent instances on the async backend with
 //!   correctness assertions (zero lost or duplicate outcomes, exactly one
 //!   winner each, balanced accounting) and gate on a >3x throughput
 //!   regression against the recording.
-//! * `-- --overload-smoke` — offer 2x the sustainable rate under the shed
-//!   policy and gate on the overload properties: nonzero shed, bounded queue
+//! * `-- --overload-smoke` — offer 2x the sustainable rate (the goodput of
+//!   an open-loop pass at 4x a closed-loop rate) under the shed policy and
+//!   gate on the overload properties: nonzero shed, bounded queue
 //!   depth, intact admitted work, balanced accounting, goodput holding up.
 //! * `-- --metrics-smoke` — run the same storm with per-shard metrics on and
 //!   off; assert the snapshot invariants (per-shard sums equal the aggregate
@@ -23,98 +25,56 @@
 use fle_bench::service_load;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|arg| arg == "--smoke") {
-        match service_load::smoke_check() {
-            Ok((measured, recorded)) => {
-                println!(
-                    "service-smoke OK: {} instances across {} shards, measured {measured:.0} \
-                     instances/s (recorded {recorded:.0}), all outcomes verified",
-                    service_load::SMOKE_INSTANCES,
-                    service_load::SMOKE_SHARDS,
-                );
-            }
-            Err(message) => {
-                eprintln!("service-smoke FAILED: {message}");
-                std::process::exit(1);
-            }
+    let has = |flag: &str| std::env::args().any(|arg| arg == flag);
+    let (gate, result) = if has("--smoke") {
+        let result = service_load::smoke_check().map(|(measured, recorded)| {
+            format!(
+                "{} instances across {} shards, measured {measured:.0} instances/s (recorded \
+                 {recorded:.0}), all outcomes verified",
+                service_load::SMOKE_INSTANCES,
+                service_load::SMOKE_SHARDS,
+            )
+        });
+        ("service-smoke", result)
+    } else if has("--overload-smoke") {
+        let result = service_load::overload_smoke_check().map(|(sustainable, result)| {
+            format!(
+                "goodput {:.0} instances/s at 2x the sustainable {sustainable:.0}/s, refused {} \
+                 of {}, queues bounded, admitted work intact",
+                result.goodput_per_sec, result.refused, result.offered,
+            )
+        });
+        ("overload-smoke", result)
+    } else if has("--async-smoke") {
+        let result = service_load::async_smoke_check().map(|storm| {
+            format!(
+                "peak {} concurrent instances (n={}) over {} task workers ({:.0} instances/s \
+                 executor-direct), all outcomes verified",
+                storm.peak_in_flight, storm.n, storm.task_workers, storm.instances_per_sec,
+            )
+        });
+        ("async-smoke", result)
+    } else if has("--metrics-smoke") {
+        let result = service_load::metrics_smoke_check().map(|(with_metrics, without)| {
+            format!(
+                "{with_metrics:.0} instances/s with per-shard recorders vs {without:.0} without \
+                 (floor {:.0}%), snapshot agreed with the aggregate stats",
+                service_load::METRICS_MIN_THROUGHPUT_FRACTION * 100.0
+            )
+        });
+        ("metrics-smoke", result)
+    } else {
+        println!("recording service throughput into BENCH_service.json ...");
+        for (name, section) in &service_load::record_default().sections {
+            println!("\n{name}\n{}", section.table.render());
         }
         return;
-    }
-    if args.iter().any(|arg| arg == "--overload-smoke") {
-        match service_load::overload_smoke_check() {
-            Ok((goodput, shed_fraction)) => {
-                println!(
-                    "overload-smoke OK: goodput {goodput:.0} instances/s at 2x offered load, \
-                     shed fraction {shed_fraction:.2}, queues bounded, admitted work intact"
-                );
-            }
-            Err(message) => {
-                eprintln!("overload-smoke FAILED: {message}");
-                std::process::exit(1);
-            }
+    };
+    match result {
+        Ok(summary) => println!("{gate} OK: {summary}"),
+        Err(message) => {
+            eprintln!("{gate} FAILED: {message}");
+            std::process::exit(1);
         }
-        return;
     }
-
-    if args.iter().any(|arg| arg == "--async-smoke") {
-        match service_load::async_smoke_check() {
-            Ok(storm) => {
-                println!(
-                    "async-smoke OK: peak {} concurrent instances (n={}) over {} task workers \
-                     ({:.0} instances/s executor-direct), all outcomes verified",
-                    storm.peak_in_flight, storm.n, storm.task_workers, storm.instances_per_sec,
-                );
-            }
-            Err(message) => {
-                eprintln!("async-smoke FAILED: {message}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if args.iter().any(|arg| arg == "--metrics-smoke") {
-        match service_load::metrics_smoke_check() {
-            Ok((with_metrics, without)) => {
-                println!(
-                    "metrics-smoke OK: {with_metrics:.0} instances/s with per-shard recorders \
-                     vs {without:.0} without (floor {:.0}%), snapshot agreed with the \
-                     aggregate stats",
-                    service_load::METRICS_MIN_THROUGHPUT_FRACTION * 100.0
-                );
-            }
-            Err(message) => {
-                eprintln!("metrics-smoke FAILED: {message}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    println!("recording service throughput into BENCH_service.json ...");
-    let recording = service_load::record_default();
-    println!(
-        "{:>10} {:>7} {:>5} {:>10} {:>16} {:>12} {:>12} {:>12}",
-        "backend", "shards", "n", "instances", "instances/sec", "p50 us", "p95 us", "p99 us"
-    );
-    for p in recording.points.iter().chain(&recording.density) {
-        println!(
-            "{:>10} {:>7} {:>5} {:>10} {:>16.1} {:>12} {:>12} {:>12}",
-            p.spec.backend.label(),
-            p.spec.shards,
-            p.spec.n,
-            p.spec.instances,
-            p.instances_per_sec,
-            p.p50_micros,
-            p.p95_micros,
-            p.p99_micros,
-        );
-    }
-    let storm = &recording.storm;
-    println!(
-        "executor storm: {} instances of n={} peaked at {} in flight over {} task workers \
-         ({:.0} instances/s)",
-        storm.instances, storm.n, storm.peak_in_flight, storm.task_workers, storm.instances_per_sec,
-    );
 }

@@ -3,6 +3,5 @@ fn main() {
     let title = "E1: plain PoisonPill survivors per phase (bias 1/sqrt(n))";
     println!("{title}\n");
     let table = fle_bench::e1_poisonpill_survivors(&[16, 32, 64, 128], 5);
-    println!("{}", table.render());
-    fle_bench::json::write_table_document("E1", title, &table);
+    fle_bench::experiments::report("E1", title, table);
 }

@@ -3,6 +3,5 @@ fn main() {
     let title = "E2: Heterogeneous PoisonPill survivors per phase";
     println!("{title}\n");
     let table = fle_bench::e2_het_survivors(&[16, 32, 64, 128], 5);
-    println!("{}", table.render());
-    fle_bench::json::write_table_document("E2", title, &table);
+    fle_bench::experiments::report("E2", title, table);
 }

@@ -3,6 +3,5 @@ fn main() {
     let title = "E3: leader election time (max communicate calls per processor)";
     println!("{title}\n");
     let table = fle_bench::e3_election_time(&[4, 8, 16, 32, 64], 3);
-    println!("{}", table.render());
-    fle_bench::json::write_table_document("E3", title, &table);
+    fle_bench::experiments::report("E3", title, table);
 }

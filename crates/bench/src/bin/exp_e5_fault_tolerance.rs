@@ -3,6 +3,5 @@ fn main() {
     let title = "E5: crash tolerance and linearizability of the election";
     println!("{title}\n");
     let table = fle_bench::e5_fault_tolerance(&[5, 9, 17], 10);
-    println!("{}", table.render());
-    fle_bench::json::write_table_document("E5", title, &table);
+    fle_bench::experiments::report("E5", title, table);
 }

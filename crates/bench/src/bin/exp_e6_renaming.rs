@@ -3,6 +3,5 @@ fn main() {
     let title = "E6: tight renaming, paper's algorithm vs random-order baseline";
     println!("{title}\n");
     let table = fle_bench::e6_renaming(&[4, 8, 16, 24], 3);
-    println!("{}", table.render());
-    fle_bench::json::write_table_document("E6", title, &table);
+    fle_bench::experiments::report("E6", title, table);
 }

@@ -3,6 +3,5 @@ fn main() {
     let title = "E7: measured messages vs the kn/16 lower bound";
     println!("{title}\n");
     let table = fle_bench::e7_lower_bound_check(&[8, 16, 32, 48], 3);
-    println!("{}", table.render());
-    fle_bench::json::write_table_document("E7", title, &table);
+    fle_bench::experiments::report("E7", title, table);
 }

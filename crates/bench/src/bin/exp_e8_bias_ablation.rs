@@ -3,6 +3,5 @@ fn main() {
     let title = "E8: sifting bias ablation under coin-aware and sequential adversaries";
     println!("{title}\n");
     let table = fle_bench::e8_bias_ablation(&[64, 128], 5);
-    println!("{}", table.render());
-    fle_bench::json::write_table_document("E8", title, &table);
+    fle_bench::experiments::report("E8", title, table);
 }

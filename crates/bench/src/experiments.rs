@@ -1,6 +1,7 @@
 //! The experiment implementations (E1–E8 of DESIGN.md).
 
 use crate::batch::BatchRunner;
+use crate::json::{Document, Section};
 use fle_analysis::{theory, Summary, Table};
 use fle_baselines::{RandomOrderRenaming, TournamentConfig, TournamentTas};
 use fle_core::checks;
@@ -424,55 +425,12 @@ pub fn e8_bias_ablation(sizes: &[usize], trials: u64) -> Table {
     table
 }
 
-/// Convenience used by the criterion benches: one full election on the
-/// simulator, returning the winner count (so the optimiser cannot discard
-/// the run).
-pub fn bench_one_election(n: usize, seed: u64) -> usize {
-    let setup = ElectionSetup::all_participate(n).with_seed(seed);
-    let report = run_leader_election(&setup, &mut RandomAdversary::with_seed(seed))
-        .expect("election terminates");
-    report.winners().len()
-}
-
-/// Convenience used by the criterion benches: one full tournament election.
-pub fn bench_one_tournament(n: usize, seed: u64) -> usize {
-    run_tournament_election(n, n, seed, &mut RandomAdversary::with_seed(seed))
-        .winners()
-        .len()
-}
-
-/// Convenience used by the criterion benches: one renaming execution.
-pub fn bench_one_renaming(n: usize, seed: u64) -> usize {
-    let setup = RenamingSetup::all_participate(n).with_seed(seed);
-    run_renaming(&setup, &mut RandomAdversary::with_seed(seed))
-        .expect("renaming terminates")
-        .names()
-        .len()
-}
-
-/// Convenience used by the criterion benches: one threaded election on real
-/// OS threads.
-pub fn bench_one_threaded_election(n: usize, seed: u64) -> usize {
-    fle_runtime::run_threaded_leader_election(n, seed)
-        .expect("threaded election completes")
-        .winners()
-        .len()
-}
-
-/// One sifting phase of each flavour, used by `bench_sifting`.
-pub fn bench_one_sift(n: usize, heterogeneous: bool, seed: u64) -> usize {
-    let setup = SiftSetup::all_participate(n).with_seed(seed);
-    let report = if heterogeneous {
-        run_heterogeneous_poison_pill(&setup, &mut RandomAdversary::with_seed(seed))
-    } else {
-        run_poison_pill(
-            &setup,
-            1.0 / (n as f64).sqrt(),
-            &mut RandomAdversary::with_seed(seed),
-        )
-    }
-    .expect("sift terminates");
-    report.survivors().len()
+/// Print an experiment's table and write it as the `results` section of
+/// `BENCH_<experiment>.json` in the current directory.
+pub fn report(experiment: &str, title: &str, table: Table) {
+    println!("{}", table.render());
+    let document = Document::new(experiment).with_section("results", Section::new(title, table));
+    document.write(std::path::Path::new(&format!("BENCH_{experiment}.json")));
 }
 
 #[cfg(test)]
@@ -503,14 +461,5 @@ mod tests {
 
         let t8 = e8_bias_ablation(&[4], 1);
         assert_eq!(t8.len(), 4);
-    }
-
-    #[test]
-    fn bench_helpers_return_sane_values() {
-        assert_eq!(bench_one_election(4, 1), 1);
-        assert_eq!(bench_one_tournament(4, 1), 1);
-        assert_eq!(bench_one_renaming(3, 1), 3);
-        assert!(bench_one_sift(6, true, 1) >= 1);
-        assert!(bench_one_sift(6, false, 1) >= 1);
     }
 }

@@ -1,4 +1,5 @@
-//! Experiment drivers reproducing every complexity claim of the paper.
+//! Experiment drivers reproducing every complexity claim of the paper, and
+//! the recorders and CI gates behind the committed `BENCH_*.json` files.
 //!
 //! The paper is a theory paper: its "evaluation" is a set of proven bounds
 //! rather than measured tables, so the experiments here measure the
@@ -12,8 +13,14 @@
 //!   [`fle_analysis::Table`], used by the integration tests and by
 //!   EXPERIMENTS.md regeneration, and
 //! * a binary (`cargo run --release -p fle-bench --bin exp_e1_poisonpill_survivors`,
-//!   etc.) that prints the table, and
-//! * a criterion benchmark (`cargo bench`) for the wall-clock view.
+//!   etc.) that prints the table and writes it as `BENCH_E<k>.json`.
+//!
+//! [`baseline`], [`parallel`] and [`service_load`] record the simulator
+//! and service throughput trajectories (`BENCH_baseline.json`,
+//! `BENCH_service.json`) and run the CI gates that compare against them.
+//! Every `BENCH_*.json` file has the one layout of [`json`], written and
+//! read by that module alone. End-to-end performance claims are judged by
+//! the repository benchmark (`BENCHMARK.json`, `benchmark/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,8 +44,8 @@ pub use experiments::{
 };
 pub use fle_obs::LogHistogram;
 pub use parallel::{
-    measure_parallel_default, measure_parallel_point, parallel_smoke_check,
-    record_parallel_preserving, ParallelPoint, PartitionSample,
+    measure_parallel_default, measure_parallel_point, parallel_smoke_check, ParallelPoint,
+    PartitionSample,
 };
 pub use service_load::{
     closed_loop, metrics_smoke_check, open_loop, open_loop_overload, overload_smoke_check,

@@ -9,23 +9,21 @@
 //! measurements of the same execution — scaling efficiency is
 //! `events_per_sec(p) / (p × events_per_sec(1))`.
 //!
-//! The results extend `BENCH_baseline.json` with a `parallel` section;
-//! [`record_parallel_preserving`] performs line-oriented surgery that keeps
-//! the recorded sequential `points` byte-for-byte intact, so the historical
-//! engine trajectory is never disturbed by re-running the parallel sweep on
-//! a different machine.
+//! The results are the `parallel` section of `BENCH_baseline.json`
+//! ([`parallel_section`]); recording it keeps the sequential `points`
+//! byte for byte, so the historical engine trajectory is never disturbed by
+//! re-running the parallel sweep on a different machine.
 //!
 //! [`parallel_smoke_check`] is the CI gate: a small run at p = 2 must
 //! produce *exactly* the outcomes, metrics and event count of p = 1 (hard
 //! failure), while the measured efficiency is only reported (single-core CI
 //! runners cannot meaningfully gate on speedup).
 
-use crate::json::write_or_warn;
+use crate::json::Section;
+use fle_analysis::Table;
 use fle_core::LeaderElection;
 use fle_model::ProcId;
 use fle_sim::{ParallelSimulator, RoundCrashPlan, SimConfig};
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
 /// Throughput at one partition count.
@@ -147,90 +145,44 @@ pub fn measure_parallel_default() -> Vec<ParallelPoint> {
     ]
 }
 
-/// Render the `parallel` section lines of `BENCH_baseline.json`.
-pub fn parallel_section_json(points: &[ParallelPoint]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "  \"parallel_workload\": \"k-of-n leader election, canonical super-round schedule, \
-         crash-free, partitioned engine\",\n",
-    );
-    let _ = writeln!(
-        out,
-        "  \"parallel_methodology\": \"wall clock over `trials` seeded canonical runs; reports \
-         are identical at every partition count (differential-tested), so ratios are pure cost; \
-         efficiency = events_per_sec(p) / (p * events_per_sec(1)); measured partition counts \
-         are {{1, 2, num_cpus}} of the recording machine ({} cores)\",",
-        std::thread::available_parallelism().map_or(1, |w| w.get())
-    );
-    out.push_str("  \"parallel\": [\n");
-    for (index, point) in points.iter().enumerate() {
-        let comma = if index + 1 < points.len() { "," } else { "" };
-        let mut samples = String::new();
-        for (j, sample) in point.samples.iter().enumerate() {
-            let inner_comma = if j + 1 < point.samples.len() {
-                ", "
-            } else {
-                ""
-            };
-            let _ = write!(
-                samples,
-                "{{\"p\": {}, \"events_per_sec\": {:.1}, \"speedup\": {:.2}, \
-                 \"efficiency\": {:.2}}}{inner_comma}",
-                sample.partitions,
-                sample.events_per_sec,
-                point.speedup(sample),
-                point.efficiency(sample),
-            );
+/// The `parallel` section of `BENCH_baseline.json`: one row per
+/// (n, p).
+pub fn parallel_section(points: &[ParallelPoint]) -> Section {
+    let mut table = Table::new([
+        "n",
+        "k",
+        "trials",
+        "events",
+        "p",
+        "events_per_sec",
+        "speedup",
+        "efficiency",
+    ]);
+    for point in points {
+        for sample in &point.samples {
+            table.add_row([
+                point.n.to_string(),
+                point.k.to_string(),
+                point.trials.to_string(),
+                point.events.to_string(),
+                sample.partitions.to_string(),
+                format!("{:.1}", sample.events_per_sec),
+                format!("{:.2}", point.speedup(sample)),
+                format!("{:.2}", point.efficiency(sample)),
+            ]);
         }
-        let _ = writeln!(
-            out,
-            "    {{\"n\": {}, \"k\": {}, \"trials\": {}, \"events\": {}, \
-             \"partitions\": [{samples}]}}{comma}",
-            point.n, point.k, point.trials, point.events,
-        );
     }
-    out.push_str("  ]\n");
-    out
-}
-
-/// Splice a `parallel` section into an existing `BENCH_baseline.json`
-/// document, keeping every line up to and including the sequential
-/// `"points"` array byte-for-byte intact. Any previous `parallel*` section
-/// is replaced.
-pub fn splice_parallel_section(existing: &str, points: &[ParallelPoint]) -> String {
-    let mut out = String::new();
-    // Copy the document head verbatim: everything through the line that
-    // closes the sequential points array (`  ],`or `  ]`).
-    let mut lines = existing.lines();
-    let mut in_points = false;
-    for line in lines.by_ref() {
-        let trimmed = line.trim();
-        if trimmed.starts_with("\"points\"") {
-            in_points = true;
-        }
-        if in_points && (trimmed == "]," || trimmed == "]") {
-            out.push_str("  ],\n");
-            break;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.push_str(&parallel_section_json(points));
-    out.push_str("}\n");
-    out
-}
-
-/// Read `path`, splice the parallel section in
-/// ([`splice_parallel_section`]), and write it back.
-pub fn record_parallel_preserving(path: &Path, points: &[ParallelPoint]) {
-    let existing = std::fs::read_to_string(path).unwrap_or_else(|error| {
-        panic!(
-            "cannot read {} to extend it with the parallel section \
-             (run the sequential baseline first): {error}",
-            path.display()
-        )
-    });
-    write_or_warn(path, &splice_parallel_section(&existing, points));
+    Section::new(
+        format!(
+            "k-of-n leader election, canonical super-round schedule, crash-free, partitioned \
+             engine; wall clock over `trials` seeded canonical runs; reports are identical at \
+             every partition count (differential-tested), so ratios are pure cost; efficiency = \
+             events_per_sec(p) / (p * events_per_sec(1)); measured partition counts are \
+             {{1, 2, num_cpus}} of the recording machine ({} cores)",
+            std::thread::available_parallelism().map_or(1, |w| w.get())
+        ),
+        table,
+    )
 }
 
 /// The CI parallel-smoke gate.
@@ -302,10 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn splice_preserves_the_sequential_points_verbatim() {
-        let existing = "{\n  \"benchmark\": \"election_events_per_sec\",\n  \"points\": [\n    \
-                        {\"n\": 16, \"incremental_events_per_sec\": 123.4, \"speedup\": null}\n  \
-                        ]\n}\n";
+    fn the_parallel_section_has_one_row_per_size_and_partition_count() {
         let point = ParallelPoint {
             n: 4096,
             k: 64,
@@ -322,24 +271,11 @@ mod tests {
                 },
             ],
         };
-        let spliced = splice_parallel_section(existing, &[point]);
-        assert!(
-            spliced
-                .contains("{\"n\": 16, \"incremental_events_per_sec\": 123.4, \"speedup\": null}"),
-            "sequential point must survive verbatim: {spliced}"
-        );
-        assert!(spliced.contains("\"parallel\": ["));
-        assert!(spliced.contains("\"p\": 2"));
-        assert!(spliced.contains("\"efficiency\": 0.75"));
-        assert!(spliced.trim_end().ends_with('}'));
-        // Splicing twice replaces, not duplicates.
-        let twice = splice_parallel_section(&spliced, &[]);
-        assert_eq!(twice.matches("parallel_workload").count(), 1);
-        // The sequential smoke parser still reads the spliced document.
-        assert_eq!(
-            crate::baseline::recorded_events_per_sec(&spliced, 16),
-            Some(123.4)
-        );
+        let section = parallel_section(&[point]);
+        assert_eq!(section.table.len(), 2);
+        assert_eq!(section.table.rows()[1][4], "2");
+        assert_eq!(section.number("p", "2", "efficiency"), Ok(0.75));
+        assert_eq!(section.number("p", "2", "speedup"), Ok(1.5));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   capacity with **no** retry: refusals are counted instead, measuring
 //!   goodput, admitted-work tail latency, and shed rate under the service's
 //!   admission control. [`overload_sweep`] runs it at multiples of the
-//!   measured sustainable rate for the `overload` section of
+//!   [`sustainable_rate`] for the `overload` section of
 //!   `BENCH_service.json`.
 //!
 //! Latencies are aggregated in a fixed-footprint log-scaled histogram
@@ -28,18 +28,19 @@
 //! shard counts {1, 4, `num_cpus`}, the density sweep at n ∈ {4, 16, 64}
 //! ([`density_sweep`]), and the executor-direct density storm
 //! ([`executor_density_storm`] — every instance in flight at once,
-//! `peak_in_flight` measured), and writes `BENCH_service.json`;
+//! `peak_in_flight` measured), and writes them as the sections of
+//! `BENCH_service.json` in the one layout of [`crate::json`];
 //! [`smoke_check`], [`overload_smoke_check`], [`metrics_smoke_check`] and
 //! [`async_smoke_check`] are the CI gates.
 
 use crate::hist::LogHistogram;
-use crate::json::write_or_warn;
-use fle_obs::MetricsSnapshot;
+use crate::json::{self, Document, Section};
+use fle_analysis::Table;
+use fle_obs::{HistogramSummary, MetricsSnapshot};
 use fle_runtime::{ExecResult, Executor, ExecutorConfig};
 use fle_service::{
     BackendKind, ElectionService, InstanceSpec, OverloadPolicy, ServiceConfig, SubmitError, Ticket,
 };
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -439,18 +440,34 @@ pub fn open_loop_overload_observed(
     (result, snapshot)
 }
 
-/// Measure the sustainable rate (closed loop), then offer multiples of it
-/// open-loop under [`OverloadPolicy::Shed`]: the overload section of the
-/// standard recording. Returns the sustainable rate and one result per
-/// multiplier. Each sweep point prints its per-shard attribution report
-/// (slowest shard, deepest queue, wait:run split) to stdout.
+/// The rate `shards` shards sustain at size `n`: the goodput of an
+/// open-loop pass of `instances` under [`OverloadPolicy::Shed`], offered at
+/// 4× the rate of a [`closed_loop`] over the same shards.
+///
+/// The closed loop alone understates capacity: its `2 × shards` clients,
+/// one instance each in flight, leave shard workers idle between
+/// instances as short as inline ones, and more clients compete with the
+/// workers for the CPUs. Offered well past that rate, the open-loop pass
+/// keeps every queue non-empty, so its goodput is what the shards serve.
+pub fn sustainable_rate(shards: usize, instances: usize, n: usize) -> f64 {
+    let closed = closed_loop(LoadSpec::concurrent(shards, instances, n)).instances_per_sec;
+    let mut spec = OverloadSpec::shed(shards, instances, n);
+    spec.base_key = 20_000_000;
+    open_loop_overload(spec, closed * 4.0).goodput_per_sec
+}
+
+/// Measure the [`sustainable_rate`], then offer multiples of it open-loop
+/// under [`OverloadPolicy::Shed`]: the overload section of the standard
+/// recording. Returns the sustainable rate and one result per multiplier.
+/// Each sweep point prints its per-shard attribution report (slowest
+/// shard, deepest queue, wait:run split) to stdout.
 pub fn overload_sweep(
     shards: usize,
     instances: usize,
     n: usize,
     multipliers: &[f64],
 ) -> (f64, Vec<OverloadResult>) {
-    let sustainable = closed_loop(LoadSpec::concurrent(shards, instances, n)).instances_per_sec;
+    let sustainable = sustainable_rate(shards, instances, n);
     let results = multipliers
         .iter()
         .enumerate()
@@ -633,150 +650,203 @@ pub fn async_smoke_check() -> Result<DensityStorm, String> {
     Ok(storm)
 }
 
-/// Render load + overload + density results as the `BENCH_service.json`
-/// document. `density` is the [`density_sweep`] n-sweep, `storm` the
-/// executor-direct [`executor_density_storm`] high-water mark, and `metrics`
-/// the per-shard snapshot of one representative closed-loop point (the one
-/// whose shard count the overload sweep reuses), serialized as the
-/// document's `metrics` section.
-pub fn to_json(
-    points: &[LoadResult],
-    overload: &[OverloadResult],
-    density: &[LoadResult],
-    storm: Option<&DensityStorm>,
-    metrics: Option<&MetricsSnapshot>,
-) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"service_instances_per_sec\",\n");
-    out.push_str(
-        "  \"workload\": \"closed-loop election storm: `instances` independent n-processor \
-         elections over a sharded ElectionService\",\n",
+/// Closed-loop results (the `points` and `density` sections) as a section.
+fn load_section(about: &str, results: &[LoadResult]) -> Section {
+    let mut table = Table::new([
+        "backend",
+        "shards",
+        "n",
+        "instances",
+        "clients",
+        "instances_per_sec",
+        "p50_micros",
+        "p95_micros",
+        "p99_micros",
+        "max_micros",
+    ]);
+    for p in results {
+        table.add_row([
+            p.spec.backend.label().to_string(),
+            p.spec.shards.to_string(),
+            p.spec.n.to_string(),
+            p.spec.instances.to_string(),
+            p.spec.clients.to_string(),
+            format!("{:.1}", p.instances_per_sec),
+            p.p50_micros.to_string(),
+            p.p95_micros.to_string(),
+            p.p99_micros.to_string(),
+            p.max_micros.to_string(),
+        ]);
+    }
+    Section::new(about, table)
+}
+
+/// The `overload` section: one row per offered multiple.
+fn overload_section(results: &[OverloadResult]) -> Section {
+    let mut table = Table::new([
+        "policy",
+        "shards",
+        "queue_capacity",
+        "multiplier",
+        "offered_per_sec",
+        "goodput_per_sec",
+        "offered",
+        "admitted",
+        "completed",
+        "refused",
+        "dropped",
+        "shed_fraction",
+        "p50_micros",
+        "p99_micros",
+        "max_queue_depth",
+    ]);
+    for o in results {
+        table.add_row([
+            o.spec.policy.label().to_string(),
+            o.spec.shards.to_string(),
+            o.spec.queue_capacity.to_string(),
+            format!("{:.2}", o.multiplier),
+            format!("{:.1}", o.offered_per_sec),
+            format!("{:.1}", o.goodput_per_sec),
+            o.offered.to_string(),
+            o.admitted.to_string(),
+            o.completed.to_string(),
+            o.refused.to_string(),
+            o.dropped.to_string(),
+            format!("{:.3}", o.shed_fraction),
+            o.p50_micros.to_string(),
+            o.p99_micros.to_string(),
+            o.max_queue_depth.to_string(),
+        ]);
+    }
+    Section::new(
+        "open-loop at multiples of the sustainable rate (the goodput of an open-loop shed \
+         pass offered at 4x the closed-loop rate), shed policy, queue capacity 32 per shard, \
+         no retry: refusals count as shed; goodput = completed/s; latency percentiles cover \
+         admitted work only; accounting invariant submitted = completed + failed + shed + \
+         drained asserted every run",
+        table,
+    )
+}
+
+/// The `executor_storm` section: one row.
+fn storm_section(storm: &DensityStorm) -> Section {
+    let mut table = Table::new([
+        "instances",
+        "n",
+        "task_workers",
+        "peak_in_flight",
+        "wall_secs",
+        "instances_per_sec",
+    ]);
+    table.add_row([
+        storm.instances.to_string(),
+        storm.n.to_string(),
+        storm.task_workers.to_string(),
+        storm.peak_in_flight.to_string(),
+        format!("{:.3}", storm.wall_secs),
+        format!("{:.1}", storm.instances_per_sec),
+    ]);
+    Section::new(
+        "drives the executor pool directly, which the service storms no longer use: the \
+         whole batch is staged on a paused pool, then the workers are released to drain it; \
+         peak_in_flight is the measured concurrency high-water mark, instances_per_sec the \
+         drain rate, with every outcome verified (none lost, none duplicated, one winner each)",
+        table,
+    )
+}
+
+/// The `metrics` section: one row per shard plus an `all` row for the
+/// aggregate, with each histogram summary and fault counter as columns.
+fn metrics_section(snapshot: &MetricsSnapshot) -> Section {
+    let mut header: Vec<String> = [
+        "shard",
+        "admitted",
+        "completed",
+        "cancelled_in_flight",
+        "panics",
+        "displaced",
+        "expired_in_queue",
+        "rejected_shed",
+        "rejected_block_timeout",
+        "blocked_submitters",
+        "drained",
+        "retired",
+        "epochs_closed",
+        "queue_depth",
+        "queue_high_water",
+    ]
+    .map(String::from)
+    .to_vec();
+    for histogram in ["wait_micros", "run_micros", "retirement_lag"] {
+        for stat in ["count", "mean", "p50", "p95", "p99", "max"] {
+            header.push(format!("{histogram}_{stat}"));
+        }
+    }
+    header.extend(
+        [
+            "wait_run_ratio",
+            "fault_ops",
+            "fault_delays",
+            "fault_delay_micros",
+            "fault_collect_failures",
+            "fault_crashes",
+        ]
+        .map(String::from),
     );
-    out.push_str(
-        "  \"methodology\": \"clients = 2 x shards closed-loop threads, each keeping one \
-         instance in flight; every run asserts exactly one result per key and one winner per \
-         instance; latency is submit-to-completion including queueing; async backend = each \
-         shard worker steps its instance's participants itself, round-robin in bursts of 8 \
-         operations, over namespaced shared registers, with no executor pool; percentiles \
-         from a log-scaled histogram (<= 1.6% bucket error)\",\n",
-    );
-    out.push_str("  \"points\": [\n");
-    for (index, p) in points.iter().enumerate() {
-        let comma = if index + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"backend\": \"{}\", \"shards\": {}, \"instances\": {}, \"n\": {}, \
-             \"clients\": {}, \"instances_per_sec\": {:.1}, \"p50_micros\": {}, \
-             \"p95_micros\": {}, \"p99_micros\": {}, \"max_micros\": {}}}{comma}",
-            p.spec.backend.label(),
-            p.spec.shards,
-            p.spec.instances,
-            p.spec.n,
-            p.spec.clients,
-            p.instances_per_sec,
-            p.p50_micros,
-            p.p95_micros,
-            p.p99_micros,
-            p.max_micros,
-        );
+    let mut table = Table::new(header);
+    let aggregate = snapshot.aggregate();
+    let labelled = snapshot.per_shard.iter().map(|s| (s.shard.to_string(), s));
+    for (label, s) in labelled.chain([("all".to_string(), &aggregate)]) {
+        let mut row = vec![label];
+        let counters = [
+            s.admitted,
+            s.completed,
+            s.cancelled_in_flight,
+            s.panics,
+            s.displaced,
+            s.expired_in_queue,
+            s.rejected_shed,
+            s.rejected_block_timeout,
+            s.blocked_submitters,
+            s.drained,
+            s.retired,
+            s.epochs_closed,
+            s.queue_depth as u64,
+            s.queue_high_water as u64,
+        ];
+        row.extend(counters.map(|count| count.to_string()));
+        for histogram in [&s.queue_wait_micros, &s.run_micros, &s.retirement_lag] {
+            let h = HistogramSummary::of(histogram);
+            row.extend([
+                h.count.to_string(),
+                format!("{:.2}", h.mean),
+                h.p50.to_string(),
+                h.p95.to_string(),
+                h.p99.to_string(),
+                h.max.to_string(),
+            ]);
+        }
+        row.push(format!("{:.4}", s.wait_run_ratio()));
+        let f = &s.faults;
+        let faults = [
+            f.ops,
+            f.delays,
+            f.delay_micros,
+            f.collect_failures,
+            f.crashes,
+        ];
+        row.extend(faults.map(|count| count.to_string()));
+        table.add_row(row);
     }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"overload_methodology\": \"open-loop at multiples of the measured sustainable \
-         rate, shed policy, queue capacity 32 per shard, no retry: refusals count as shed; \
-         goodput = completed/s; latency percentiles cover admitted work only; accounting \
-         invariant submitted = completed + failed + shed + drained asserted every run\",\n",
-    );
-    // NOTE: entries here must not contain the bare key `\"shards\":` — the
-    // line-oriented closed-loop parser above matches on it.
-    out.push_str("  \"overload\": [\n");
-    for (index, o) in overload.iter().enumerate() {
-        let comma = if index + 1 < overload.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"policy\": \"{}\", \"worker_shards\": {}, \"queue_capacity\": {}, \
-             \"multiplier\": {:.2}, \"offered_per_sec\": {:.1}, \"goodput_per_sec\": {:.1}, \
-             \"offered\": {}, \"admitted\": {}, \"completed\": {}, \"refused\": {}, \
-             \"dropped\": {}, \"shed_fraction\": {:.3}, \"p50_micros\": {}, \
-             \"p99_micros\": {}, \"max_queue_depth\": {}}}{comma}",
-            o.spec.policy.label(),
-            o.spec.shards,
-            o.spec.queue_capacity,
-            o.multiplier,
-            o.offered_per_sec,
-            o.goodput_per_sec,
-            o.offered,
-            o.admitted,
-            o.completed,
-            o.refused,
-            o.dropped,
-            o.shed_fraction,
-            o.p50_micros,
-            o.p99_micros,
-            o.max_queue_depth,
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"density_methodology\": \"the same closed-loop storm at n in {4, 16, 64} on the \
-         async backend (instance counts shrink with n to keep total work level), the n \
-         participants of every instance stepped by its shard worker, so the service runs on \
-         its shard threads alone; executor_storm drives the executor pool directly, which the \
-         service storms no longer use: the whole batch is staged on a paused pool, then the \
-         workers are released to drain it — peak_in_flight is the measured concurrency \
-         high-water mark, instances_per_sec the drain rate, with every outcome verified (none \
-         lost, none duplicated, one winner each)\",\n",
-    );
-    // NOTE: density entries use `worker_shards`, never the bare `"shards":`
-    // key the line-oriented closed-loop parser matches on.
-    out.push_str("  \"density\": [\n");
-    for (index, p) in density.iter().enumerate() {
-        let comma = if index + 1 < density.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"backend\": \"{}\", \"worker_shards\": {}, \"n\": {}, \"instances\": {}, \
-             \"clients\": {}, \"instances_per_sec\": {:.1}, \"p50_micros\": {}, \
-             \"p95_micros\": {}, \"p99_micros\": {}, \"max_micros\": {}}}{comma}",
-            p.spec.backend.label(),
-            p.spec.shards,
-            p.spec.n,
-            p.spec.instances,
-            p.spec.clients,
-            p.instances_per_sec,
-            p.p50_micros,
-            p.p95_micros,
-            p.p99_micros,
-            p.max_micros,
-        );
-    }
-    out.push_str("  ]");
-    if let Some(s) = storm {
-        out.push_str(",\n");
-        let _ = write!(
-            out,
-            "  \"executor_storm\": {{\"instances\": {}, \"n\": {}, \"task_workers\": {}, \
-             \"peak_in_flight\": {}, \"wall_secs\": {:.3}, \"instances_per_sec\": {:.1}}}",
-            s.instances, s.n, s.task_workers, s.peak_in_flight, s.wall_secs, s.instances_per_sec,
-        );
-    }
-    if let Some(snapshot) = metrics {
-        out.push_str(",\n");
-        out.push_str(
-            "  \"metrics_methodology\": \"per-shard recorders sampled at shutdown of one \
-             representative closed-loop point; wait = submit-to-dequeue, run = dequeue-to-\
-             terminal; histogram quantiles <= 1.6% bucket error; per-shard sums cross-checked \
-             against the aggregate ServiceStats every run\",\n",
-        );
-        // The snapshot serializer never emits a bare `"shards":` key (it
-        // uses `worker_shards`/`per_shard`), so the line-oriented
-        // closed-loop parser above stays safe.
-        let _ = write!(
-            out,
-            "  \"metrics\": {}",
-            snapshot.to_json("  ").trim_start()
-        );
-    }
-    out.push_str("\n}\n");
-    out
+    Section::new(
+        "per-shard recorders sampled at shutdown of one representative closed-loop point, one \
+         row per shard and an `all` row aggregating them; wait = submit-to-dequeue, run = \
+         dequeue-to-terminal, retirement_lag in terminal events; histogram quantiles <= 1.6% \
+         bucket error; fault_* count injected faults; per-shard sums cross-checked against \
+         the aggregate ServiceStats every run",
+        table,
+    )
 }
 
 /// The tracked `BENCH_service.json` at the workspace root.
@@ -784,48 +854,59 @@ pub fn service_bench_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json")
 }
 
-/// Everything one standard recording measures (and writes to
-/// `BENCH_service.json`).
-#[derive(Debug, Clone)]
-pub struct Recording {
-    /// The closed-loop shard-sweep points.
-    pub points: Vec<LoadResult>,
-    /// The backend-density n-sweep points ([`density_sweep`]).
-    pub density: Vec<LoadResult>,
-    /// The executor-direct density storm ([`executor_density_storm`]).
-    pub storm: DensityStorm,
-}
-
 /// Measure the given specs plus the overload sweep, the backend-density
-/// n-sweep, and the executor density storm, and write the document at
-/// `path`.
-pub fn record(path: &Path, specs: &[LoadSpec], overload_shards: usize) -> Recording {
+/// n-sweep, and the executor density storm, and write them as the
+/// `BENCH_service.json` document at `path`; returns the document.
+pub fn record(path: &Path, specs: &[LoadSpec], overload_shards: usize) -> Document {
     let points: Vec<LoadResult> = specs.iter().map(|&spec| closed_loop(spec)).collect();
     let (_, overload) = overload_sweep(overload_shards, 800, 4, &[0.5, 1.0, 2.0, 4.0]);
     let density = density_sweep(overload_shards);
     let storm = executor_density_storm(DENSITY_STORM_INSTANCES, DENSITY_STORM_N);
-    // The document's `metrics` section: the closed-loop point whose shard
-    // count the overload sweep reuses (falling back to the last point).
+    let mut document = Document::new("service")
+        .with_section(
+            "points",
+            load_section(
+                "closed-loop election storm: `instances` independent n-processor elections \
+                 over a sharded ElectionService; clients = 2 x shards closed-loop threads, each \
+                 keeping one instance in flight; every run asserts exactly one result per key \
+                 and one winner per instance; latency is submit-to-completion including \
+                 queueing; async backend = each shard worker steps its instance's participants \
+                 itself, round-robin in bursts of 8 operations, over namespaced shared \
+                 registers, with no executor pool; percentiles from a log-scaled histogram \
+                 (<= 1.6% bucket error)",
+                &points,
+            ),
+        )
+        .with_section("overload", overload_section(&overload))
+        .with_section(
+            "density",
+            load_section(
+                "the same closed-loop storm at n in {4, 16, 64} on the async backend (instance \
+                 counts shrink with n to keep total work level), the n participants of every \
+                 instance stepped by its shard worker, so the service runs on its shard \
+                 threads alone",
+                &density,
+            ),
+        )
+        .with_section("executor_storm", storm_section(&storm));
+    // The `metrics` section: the closed-loop point whose shard count the
+    // overload sweep reuses (falling back to the last point).
     let metrics = points
         .iter()
         .find(|p| p.spec.shards == overload_shards)
         .or_else(|| points.last())
         .and_then(|p| p.metrics.as_ref());
-    write_or_warn(
-        path,
-        &to_json(&points, &overload, &density, Some(&storm), metrics),
-    );
-    Recording {
-        points,
-        density,
-        storm,
+    if let Some(snapshot) = metrics {
+        document = document.with_section("metrics", metrics_section(snapshot));
     }
+    document.write(path);
+    document
 }
 
 /// The standard recording: the async backend at shard counts
 /// {1, 4, `num_cpus`} (deduplicated), 2000 four-processor elections each,
 /// plus the overload sweep, density n-sweep, and executor storm at 4 shards.
-pub fn record_default() -> Recording {
+pub fn record_default() -> Document {
     let cpus = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
     let mut shard_counts = vec![1usize, 4, cpus];
     shard_counts.sort_unstable();
@@ -835,35 +916,6 @@ pub fn record_default() -> Recording {
         .map(|shards| LoadSpec::concurrent(shards, 2000, 4))
         .collect();
     record(&service_bench_path(), &specs, 4)
-}
-
-/// Extract `instances_per_sec` for one shard count from a recorded
-/// `BENCH_service.json` (line-oriented, like the baseline parser).
-pub fn recorded_instances_per_sec(json: &str, shards: usize) -> Option<f64> {
-    let needle = format!("\"shards\": {shards},");
-    let line = json.lines().find(|line| line.contains(&needle))?;
-    let key = "\"instances_per_sec\": ";
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find(',').unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Extract `instances_per_sec` for one `(backend, n)` point of the recorded
-/// density sweep (line-oriented, like [`recorded_instances_per_sec`];
-/// density lines are the only ones carrying both a `backend` label and a
-/// `worker_shards` key).
-pub fn recorded_density_instances_per_sec(json: &str, backend: &str, n: usize) -> Option<f64> {
-    let backend_needle = format!("\"backend\": \"{backend}\", \"worker_shards\":");
-    let n_needle = format!("\"n\": {n},");
-    let line = json
-        .lines()
-        .find(|line| line.contains(&backend_needle) && line.contains(&n_needle))?;
-    let key = "\"instances_per_sec\": ";
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find(',').unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 /// Instances of the CI smoke run (the "≥ 1000 concurrent instances" gate).
@@ -904,11 +956,9 @@ pub const SMOKE_MIN_SEQUENTIAL_FRACTION: f64 = 1.0 / 12.0;
 /// Returns a description of the failure: unreadable recording or a
 /// regression confirmed by both signals.
 pub fn smoke_check() -> Result<(f64, f64), String> {
-    let path = service_bench_path();
-    let json = std::fs::read_to_string(&path)
-        .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
-    let recorded = recorded_instances_per_sec(&json, SMOKE_SHARDS)
-        .ok_or_else(|| format!("no shards={SMOKE_SHARDS} point in {}", path.display()))?;
+    let recorded = json::read(&service_bench_path())?
+        .section("points")?
+        .number("shards", &SMOKE_SHARDS.to_string(), "instances_per_sec")?;
     let result = closed_loop(LoadSpec::concurrent(SMOKE_SHARDS, SMOKE_INSTANCES, 4));
     let measured = result.instances_per_sec;
     if measured * SMOKE_REGRESSION_FACTOR < recorded {
@@ -1012,9 +1062,9 @@ pub fn metrics_smoke_check() -> Result<(f64, f64), String> {
     Ok((on.instances_per_sec, off.instances_per_sec))
 }
 
-/// The CI overload-smoke gate: offer **2× the sustainable rate** (measured
-/// in the same run) under [`OverloadPolicy::Shed`] and verify that the
-/// service sheds instead of degrading:
+/// The CI overload-smoke gate: offer **2× the [`sustainable_rate`]**
+/// (measured in the same run) under [`OverloadPolicy::Shed`] and verify
+/// that the service sheds instead of degrading:
 ///
 /// * something was refused (the queues actually filled),
 /// * admitted work stayed intact — zero lost/duplicate results, one winner
@@ -1024,11 +1074,13 @@ pub fn metrics_smoke_check() -> Result<(f64, f64), String> {
 /// * goodput stayed above a third of the sustainable rate (the service kept
 ///   serving while turning work away).
 ///
+/// Returns the sustainable rate and the measurement at 2×.
+///
 /// # Errors
 /// Returns a description of the first violated property.
-pub fn overload_smoke_check() -> Result<(f64, f64), String> {
+pub fn overload_smoke_check() -> Result<(f64, OverloadResult), String> {
     let shards = 2;
-    let sustainable = closed_loop(LoadSpec::concurrent(shards, 400, 4)).instances_per_sec;
+    let sustainable = sustainable_rate(shards, 400, 4);
     let mut spec = OverloadSpec::shed(shards, 600, 4);
     spec.base_key = 10_000_000;
     let mut result = open_loop_overload(spec, sustainable * 2.0);
@@ -1055,7 +1107,7 @@ pub fn overload_smoke_check() -> Result<(f64, f64), String> {
             result.goodput_per_sec
         ));
     }
-    Ok((result.goodput_per_sec, result.shed_fraction))
+    Ok((sustainable, result))
 }
 
 #[cfg(test)]
@@ -1123,49 +1175,47 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_the_smoke_parser() {
+    fn the_sustainable_rate_is_the_goodput_of_a_saturated_pass() {
+        let rate = sustainable_rate(1, 64, 3);
+        assert!(rate.is_finite() && rate > 0.0, "{rate}");
+    }
+
+    #[test]
+    fn every_section_reads_back_through_the_one_reader() {
         let points = vec![closed_loop(LoadSpec::concurrent(1, 16, 3))];
         let mut spec = OverloadSpec::shed(1, 40, 3);
         spec.queue_capacity = 2;
         spec.base_key = 500_000;
         let overload = vec![open_loop_overload(spec, 20_000.0)];
-        let density = vec![
-            closed_loop(LoadSpec::concurrent(1, 12, 3).with_backend(BackendKind::Sim)),
-            closed_loop(LoadSpec::concurrent(1, 12, 3)),
-        ];
         let storm = executor_density_storm(32, 3);
-        let metrics = points[0].metrics.clone();
-        let json = to_json(&points, &overload, &density, Some(&storm), metrics.as_ref());
-        assert!(json.contains("\"benchmark\": \"service_instances_per_sec\""));
-        assert!(json.contains("\"overload\": ["));
-        assert!(json.contains("\"policy\": \"shed\""));
-        assert!(json.contains("\"density\": ["));
-        assert!(json.contains("\"executor_storm\": {"));
-        assert!(json.contains("\"peak_in_flight\""));
-        assert!(json.contains("\"metrics\": {"));
-        assert!(json.contains("\"worker_shards\": 1"));
-        assert!(json.contains("\"per_shard\": ["));
-        let parsed = recorded_instances_per_sec(&json, 1).expect("parseable");
-        assert!(
-            (parsed - points[0].instances_per_sec).abs() < 1.0,
-            "the overload, density and metrics sections must not shadow the closed-loop points"
+        let metrics = points[0].metrics.as_ref().expect("metrics are on");
+        let text = Document::new("service")
+            .with_section("points", load_section("closed loop", &points))
+            .with_section("overload", overload_section(&overload))
+            .with_section("executor_storm", storm_section(&storm))
+            .with_section("metrics", metrics_section(metrics))
+            .render();
+        let document = Document::parse(&text).expect("own output parses");
+        let read = document
+            .section("points")
+            .and_then(|section| section.number("shards", "1", "instances_per_sec"))
+            .expect("the smoke gate's lookup");
+        assert!((read - points[0].instances_per_sec).abs() < 0.1);
+        let overload_read = document.section("overload").expect("overload");
+        assert_eq!(
+            overload_read.number("multiplier", "0.00", "refused"),
+            Ok(overload[0].refused as f64)
         );
-        assert_eq!(recorded_instances_per_sec(&json, 99), None);
-        let dense = recorded_density_instances_per_sec(&json, "async", 3).expect("parseable");
-        assert!(
-            (dense - density[1].instances_per_sec).abs() < 1.0,
-            "the density parser must pick the async point, not the sim one"
+        let storm_read = document.section("executor_storm").expect("storm");
+        assert_eq!(storm_read.number("n", "3", "peak_in_flight"), Ok(32.0));
+        let metrics_read = document.section("metrics").expect("metrics");
+        assert_eq!(metrics_read.table.len(), 2, "one shard plus the aggregate");
+        assert_eq!(metrics_read.number("shard", "all", "completed"), Ok(16.0));
+        assert_eq!(
+            metrics_read.number("shard", "0", "run_micros_count"),
+            Ok(16.0)
         );
-        assert_eq!(recorded_density_instances_per_sec(&json, "async", 99), None);
-    }
-
-    #[test]
-    fn json_without_metrics_still_closes_cleanly() {
-        let points = vec![closed_loop(LoadSpec::concurrent(1, 8, 3))];
-        let json = to_json(&points, &[], &[], None, None);
-        assert!(json.trim_end().ends_with('}'));
-        assert!(!json.contains("\"metrics\""));
-        assert!(!json.contains("\"executor_storm\""));
+        assert_eq!(metrics_read.number("shard", "all", "fault_ops"), Ok(0.0));
     }
 
     #[test]

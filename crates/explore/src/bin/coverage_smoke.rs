@@ -16,7 +16,7 @@
 //! Exit code 0 = all gates pass; 1 otherwise.
 
 use fle_analysis::Table;
-use fle_bench::json;
+use fle_bench::json::{Document, Section};
 use fle_explore::sabotage::{SabotagedElectionScenario, SabotagedSiftScenario};
 use fle_explore::{
     compare_kill_time, standard_scenarios, CoverageConfig, CoverageExplorer, ExploreBackend,
@@ -149,11 +149,21 @@ fn main() {
         }
     }
 
-    json::write_multi_table_document(
-        "coverage",
-        "coverage-guided hunts: growth curves and kill-time comparison",
-        &[("growth", &growth_table), ("kills", &kill_table)],
+    let growth = Section::new(
+        "coverage-guided hunts: distinct coverage features after each batch of 12 episodes \
+         (budget 48, sim seeds 0..4), per healthy scenario at n in {4, 8}",
+        growth_table,
     );
+    let kills = Section::new(
+        "coverage-guided hunts: the episode at which the blind strategy grid and the guided \
+         hunt first kill each sabotage mutant, per master seed (budget 160, batch 16, sim \
+         seeds 0..8; miss = not killed within the budget)",
+        kill_table,
+    );
+    Document::new("coverage")
+        .with_section("growth", growth)
+        .with_section("kills", kills)
+        .write(std::path::Path::new("BENCH_coverage.json"));
 
     if failures > 0 {
         println!("coverage-smoke: {failures} failure(s)");

@@ -11,7 +11,7 @@
 //!   runs;
 //! * [`snapshot`] — the cold-path side: [`ShardSnapshot`] and
 //!   [`MetricsSnapshot`], frozen mergeable views with the attribution
-//!   report and the `BENCH_service.json` serialization.
+//!   report.
 //!
 //! The crate has no dependencies (not even the workspace shims) and no
 //! notion of elections: it counts what it is told and buckets what it is

@@ -1,4 +1,4 @@
-//! Frozen, mergeable views of the recorders: snapshots, reports, JSON.
+//! Frozen, mergeable views of the recorders: snapshots and reports.
 //!
 //! A [`ShardSnapshot`] is one shard's metrics at a point in time; a
 //! [`MetricsSnapshot`] is the whole service's. Both are plain owned data —
@@ -9,11 +9,6 @@
 //! [`MetricsSnapshot::attribution_report`] renders the per-shard table the
 //! storm example and the overload sweep print: which shard was slowest,
 //! which queue ran deepest, and how admission wait compares to run time.
-//! [`MetricsSnapshot::to_json`] emits the `metrics` section of
-//! `BENCH_service.json`. The JSON deliberately never uses a bare
-//! `"shards":` key — the bench result parser keys on that exact string to
-//! find recorded throughput lines, so per-shard entries use `"shard"` and
-//! the count is `"worker_shards"`.
 
 use crate::hist::LogHistogram;
 
@@ -41,11 +36,6 @@ impl FaultCounters {
         self.delay_micros += other.delay_micros;
         self.collect_failures += other.collect_failures;
         self.crashes += other.crashes;
-    }
-
-    /// Whether no fault activity was recorded at all.
-    pub fn is_zero(&self) -> bool {
-        *self == FaultCounters::default()
     }
 }
 
@@ -177,7 +167,7 @@ impl ShardSnapshot {
     }
 }
 
-/// Compact summary of one histogram for reports and JSON.
+/// Compact summary of one histogram for reports.
 #[derive(Debug, Clone, Copy)]
 pub struct HistogramSummary {
     /// Sample count.
@@ -205,14 +195,6 @@ impl HistogramSummary {
             p99: hist.value_at_quantile(0.99),
             max: hist.max(),
         }
-    }
-
-    /// Render as a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"mean\": {:.2}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-            self.count, self.mean, self.p50, self.p95, self.p99, self.max
-        )
     }
 }
 
@@ -301,76 +283,6 @@ impl MetricsSnapshot {
         ));
         out
     }
-
-    /// Render the snapshot as a JSON object, each line prefixed by
-    /// `indent`. Uses `"shard"`/`"worker_shards"` keys — never a bare
-    /// `"shards":`, which the bench result parser treats as a throughput
-    /// line marker.
-    pub fn to_json(&self, indent: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{indent}{{\n"));
-        out.push_str(&format!(
-            "{indent}  \"worker_shards\": {},\n",
-            self.per_shard.len()
-        ));
-        out.push_str(&format!("{indent}  \"per_shard\": [\n"));
-        for (i, s) in self.per_shard.iter().enumerate() {
-            let comma = if i + 1 == self.per_shard.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!("{indent}    {}{comma}\n", shard_json_line(s)));
-        }
-        out.push_str(&format!("{indent}  ],\n"));
-        out.push_str(&format!(
-            "{indent}  \"aggregate\": {}\n",
-            shard_json_line(&self.aggregate())
-        ));
-        out.push_str(&format!("{indent}}}"));
-        out
-    }
-}
-
-/// One shard snapshot as a single-line JSON object.
-fn shard_json_line(s: &ShardSnapshot) -> String {
-    let mut fields = vec![
-        format!("\"shard\": {}", s.shard),
-        format!("\"admitted\": {}", s.admitted),
-        format!("\"completed\": {}", s.completed),
-        format!("\"cancelled_in_flight\": {}", s.cancelled_in_flight),
-        format!("\"panics\": {}", s.panics),
-        format!("\"displaced\": {}", s.displaced),
-        format!("\"expired_in_queue\": {}", s.expired_in_queue),
-        format!("\"rejected_shed\": {}", s.rejected_shed),
-        format!("\"rejected_block_timeout\": {}", s.rejected_block_timeout),
-        format!("\"blocked_submitters\": {}", s.blocked_submitters),
-        format!("\"drained\": {}", s.drained),
-        format!("\"retired\": {}", s.retired),
-        format!("\"epochs_closed\": {}", s.epochs_closed),
-        format!("\"queue_depth\": {}", s.queue_depth),
-        format!("\"queue_high_water\": {}", s.queue_high_water),
-        format!(
-            "\"queue_wait_micros\": {}",
-            HistogramSummary::of(&s.queue_wait_micros).to_json()
-        ),
-        format!(
-            "\"run_micros\": {}",
-            HistogramSummary::of(&s.run_micros).to_json()
-        ),
-        format!(
-            "\"retirement_lag\": {}",
-            HistogramSummary::of(&s.retirement_lag).to_json()
-        ),
-        format!("\"wait_run_ratio\": {:.4}", s.wait_run_ratio()),
-    ];
-    if !s.faults.is_zero() {
-        fields.push(format!(
-            "\"faults\": {{\"ops\": {}, \"delays\": {}, \"delay_micros\": {}, \"collect_failures\": {}, \"crashes\": {}}}",
-            s.faults.ops, s.faults.delays, s.faults.delay_micros, s.faults.collect_failures, s.faults.crashes
-        ));
-    }
-    format!("{{{}}}", fields.join(", "))
 }
 
 #[cfg(test)]
@@ -464,34 +376,6 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("aggregate wait:run ratio"), "{report}");
-    }
-
-    #[test]
-    fn json_never_emits_a_bare_shards_key() {
-        let snapshot = MetricsSnapshot {
-            per_shard: vec![sample_shard(0, 1), sample_shard(1, 2)],
-        };
-        let json = snapshot.to_json("  ");
-        assert!(
-            !json.contains("\"shards\":"),
-            "parser-reserved key leaked: {json}"
-        );
-        assert!(json.contains("\"worker_shards\": 2"));
-        assert!(json.contains("\"per_shard\": ["));
-        assert!(json.contains("\"aggregate\": {"));
-        assert!(json.contains("\"wait_run_ratio\""));
-    }
-
-    #[test]
-    fn json_omits_fault_counters_when_zero_and_keeps_them_when_not() {
-        let clean = sample_shard(0, 1);
-        assert!(!shard_json_line(&clean).contains("\"faults\""));
-        let mut faulty = sample_shard(0, 1);
-        faulty.faults.ops = 7;
-        faulty.faults.crashes = 1;
-        let line = shard_json_line(&faulty);
-        assert!(line.contains("\"faults\": {\"ops\": 7"), "{line}");
-        assert!(line.contains("\"crashes\": 1"), "{line}");
     }
 
     #[test]
