@@ -98,7 +98,7 @@ fn main() {
     let mutants: [(&dyn Scenario, &str); 2] = [(&election, "drop-writes"), (&sift, "poison-pill")];
     for (scenario, label) in mutants {
         let mut guided_kills = Vec::new();
-        let mut blind_kill = None;
+        let mut blind = 0;
         let mut worst_ratio_ok = true;
         for master_seed in 0..5u64 {
             let config = CoverageConfig {
@@ -124,7 +124,8 @@ fn main() {
                 cmp.budget.to_string(),
             ]);
             worst_ratio_ok &= cmp.guided_within(2);
-            blind_kill = cmp.blind;
+            // A blind miss counts as the whole budget.
+            blind = cmp.blind.unwrap_or(cmp.budget);
             match cmp.guided {
                 Some(episode) => guided_kills.push(episode),
                 None => {
@@ -138,7 +139,6 @@ fn main() {
             // The acceptance gate: guided median no worse than the blind
             // grid (which is deterministic, so a single number), and every
             // individual run within the 2x CI bound.
-            let blind = blind_kill.unwrap_or(160);
             let status = if guided_median <= 2 * blind && worst_ratio_ok {
                 "ok"
             } else {

@@ -28,19 +28,19 @@
 //! same episode budget and reports how many episodes each needed to first
 //! kill a mutant — the honesty check behind the numbers in EXPERIMENTS.md.
 
-use crate::concurrent::drive_gated;
 use crate::corpus::Corpus;
-use crate::explorer::{drive, DriveOutcome, EpisodePlan, ExploreBackend};
+use crate::explorer::{
+    run_episode, run_schedule, Episode, EpisodeOutcome, EpisodePlan, ExploreBackend, Explorer,
+    Schedule,
+};
 use crate::mutate::MutationEngine;
 use crate::oracles::{OracleCtx, Violation};
-use crate::partitioned::drive_partitioned;
 use crate::scenario::Scenario;
 use crate::strategies::StrategySpec;
 use fle_bench::BatchRunner;
 use fle_model::{splitmix64, Outcome};
-use fle_sim::{
-    Adversary, Decision, DecisionTrace, ProcessPhase, RecordingAdversary, ReplayAdversary,
-};
+use fle_sim::{Decision, DecisionTrace, ProcessPhase};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
@@ -247,150 +247,18 @@ impl CoverageProbe for SignalProbe {
 // Probed episodes
 // ---------------------------------------------------------------------------
 
-/// One unit of work in a coverage hunt.
-#[derive(Debug, Clone)]
-enum CoverageJob {
-    /// A strategy-library episode seeding the corpus.
-    Seed(EpisodePlan),
-    /// A mutated corpus trace replayed under `sim_seed`.
-    Mutant { trace: DecisionTrace, sim_seed: u64 },
-}
-
-/// Degrades crash decisions the partitioned engine would reject. A
-/// partition may only crash processors it owns, and remote processors
-/// appear [`ProcessPhase::Idle`] in its observation — so crashes of
-/// anything but a live local processor (or with no budget left) degrade to
-/// scheduling the oldest enabled event, the same tolerance rule the
-/// replayers apply to illegal crashes everywhere else.
-struct PartitionSafe<A> {
-    inner: A,
-}
-
-impl<A: Adversary> Adversary for PartitionSafe<A> {
-    fn decide(
-        &mut self,
-        observation: &fle_sim::SystemObservation,
-        enabled: &fle_sim::EnabledEvents<'_>,
-    ) -> Decision {
-        match self.inner.decide(observation, enabled) {
-            Decision::Crash(victim) => {
-                let local_live = victim.index() < observation.n
-                    && matches!(
-                        observation.process(victim).phase,
-                        ProcessPhase::NotStarted
-                            | ProcessPhase::StepReady
-                            | ProcessPhase::AwaitingQuorum
-                    );
-                if local_live && observation.crash_budget_left > 0 {
-                    Decision::Crash(victim)
-                } else {
-                    Decision::Schedule(0)
-                }
-            }
-            decision => decision,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "partition-safe"
-    }
-}
-
-/// The outcome of one probed episode.
-struct ProbedEpisode {
-    violation: Option<Violation>,
-    /// The executed schedule: the recording of the (strategy or replay)
-    /// adversary on trace-carrying backends; the *installed* trace on the
-    /// partitioned backend (empty for seed episodes — the plan is the
-    /// replay token there).
-    trace: DecisionTrace,
-    sim_seed: u64,
-    signal: CoverageSignal,
-}
-
-/// Run one job on `backend` with a [`SignalProbe`] attached.
+/// Run one job — a seeding plan or a mutant trace — on `backend` with a
+/// [`SignalProbe`] attached; returns the episode and its coverage signal.
 fn run_probed(
     scenario: &dyn Scenario,
-    backend: ExploreBackend,
-    job: &CoverageJob,
-) -> ProbedEpisode {
+    backend: &ExploreBackend,
+    job: &Schedule<'_>,
+) -> (Episode, CoverageSignal) {
     let mut probe = SignalProbe::new();
-    let sim_seed = match job {
-        CoverageJob::Seed(plan) => plan.sim_seed,
-        CoverageJob::Mutant { sim_seed, .. } => *sim_seed,
-    };
-    let (violation, trace, events) = if let ExploreBackend::Partitioned(config) = backend {
-        let (violation, events) = match job {
-            CoverageJob::Seed(plan) => {
-                let strategy = plan.strategy;
-                let strategy_seed = plan.strategy_seed;
-                drive_partitioned(
-                    scenario,
-                    sim_seed,
-                    |_part, seed| strategy.build(splitmix64(seed ^ strategy_seed)),
-                    &config,
-                    &mut probe,
-                )
-            }
-            CoverageJob::Mutant { trace, .. } => drive_partitioned(
-                scenario,
-                sim_seed,
-                |_part, _seed| {
-                    Box::new(PartitionSafe {
-                        inner: ReplayAdversary::new(trace),
-                    })
-                },
-                &config,
-                &mut probe,
-            ),
-        };
-        let trace = match job {
-            CoverageJob::Seed(_) => DecisionTrace::new(),
-            CoverageJob::Mutant { trace, .. } => trace.clone(),
-        };
-        (violation, trace, events)
-    } else {
-        let adversary: Box<dyn Adversary> = match job {
-            CoverageJob::Seed(plan) => {
-                let strategy = plan.strategy.build(plan.strategy_seed);
-                match backend {
-                    // Honor the gated executor's preemption bound for
-                    // strategy episodes, like the blind explorer does.
-                    ExploreBackend::Async(cfg) => match cfg.preemption_bound {
-                        Some(bound) => {
-                            Box::new(crate::strategies::PreemptionBound::new(strategy, bound))
-                        }
-                        None => strategy,
-                    },
-                    _ => strategy,
-                }
-            }
-            CoverageJob::Mutant { trace, .. } => Box::new(ReplayAdversary::new(trace)),
-        };
-        let mut recording = RecordingAdversary::new(adversary);
-        let (violation, events) = match backend {
-            ExploreBackend::Sim => match drive(scenario, sim_seed, &mut recording, &mut probe) {
-                DriveOutcome::Clean { events } => (None, events),
-                DriveOutcome::Violated(violation) => {
-                    let events = violation.events_executed;
-                    (Some(violation), events)
-                }
-            },
-            ExploreBackend::Async(config) => {
-                drive_gated(scenario, sim_seed, &mut recording, &config, &mut probe)
-            }
-            ExploreBackend::Partitioned(_) => unreachable!("handled above"),
-        };
-        (violation, recording.into_trace(), events)
-    };
-    let class = trace_class(&trace, sim_seed);
-    let signal = probe.into_signal(class, events);
-    ProbedEpisode {
-        violation,
-        trace,
-        sim_seed,
-        signal,
-    }
+    let episode = run_schedule(scenario, job, backend, &mut probe);
+    let class = trace_class(&episode.trace, job.sim_seed());
+    let signal = probe.into_signal(class, episode.events);
+    (episode, signal)
 }
 
 // ---------------------------------------------------------------------------
@@ -564,10 +432,10 @@ impl<'a> CoverageExplorer<'a> {
                 break;
             }
             // Build the next batch from the current corpus snapshot.
-            let mut jobs: Vec<CoverageJob> = Vec::new();
+            let mut jobs: Vec<Schedule<'static>> = Vec::new();
             while jobs.len() < config.batch && report.episodes + jobs.len() < config.budget {
                 if let Some(plan) = pending_seeds.next() {
-                    jobs.push(CoverageJob::Seed(plan));
+                    jobs.push(Schedule::Plan(plan));
                 } else if corpus.is_empty() {
                     // Every considered episode earns *some* feature, so this
                     // only happens with an empty strategy list: grow from
@@ -577,8 +445,8 @@ impl<'a> CoverageExplorer<'a> {
                         .get(engine.choose(config.sim_seeds.len()))
                         .copied()
                         .unwrap_or(0);
-                    jobs.push(CoverageJob::Mutant {
-                        trace: engine.mutate(&empty, &empty),
+                    jobs.push(Schedule::Replay {
+                        trace: Cow::Owned(engine.mutate(&empty, &empty)),
                         sim_seed,
                     });
                 } else {
@@ -593,7 +461,10 @@ impl<'a> CoverageExplorer<'a> {
                     } else {
                         base.sim_seed
                     };
-                    jobs.push(CoverageJob::Mutant { trace, sim_seed });
+                    jobs.push(Schedule::Replay {
+                        trace: Cow::Owned(trace),
+                        sim_seed,
+                    });
                 }
             }
             if jobs.is_empty() {
@@ -601,12 +472,13 @@ impl<'a> CoverageExplorer<'a> {
             }
             let results = self
                 .runner
-                .map(&jobs, |job| run_probed(scenario, backend, job));
+                .map(&jobs, |job| run_probed(scenario, &backend, job));
             // Fold in job order: the corpus (and therefore the next batch)
             // is independent of which worker finished first.
-            for (job, episode) in jobs.iter().zip(results) {
+            for (job, (episode, signal)) in jobs.iter().zip(results) {
                 report.episodes += 1;
-                corpus.consider(&episode.trace, episode.sim_seed, &episode.signal);
+                let sim_seed = job.sim_seed();
+                corpus.consider(&episode.trace, sim_seed, &signal);
                 if let Some(violation) = episode.violation {
                     if report.first_violation_episode.is_none() {
                         report.first_violation_episode = Some(report.episodes);
@@ -614,11 +486,11 @@ impl<'a> CoverageExplorer<'a> {
                     report.violations.push(CoverageViolation {
                         violation,
                         decisions: episode.trace,
-                        sim_seed: episode.sim_seed,
+                        sim_seed,
                         episode: report.episodes,
                         origin: match job {
-                            CoverageJob::Seed(plan) => EpisodeOrigin::Seeded(*plan),
-                            CoverageJob::Mutant { .. } => EpisodeOrigin::Mutated,
+                            Schedule::Plan(plan) => EpisodeOrigin::Seeded(*plan),
+                            Schedule::Replay { .. } => EpisodeOrigin::Mutated,
                         },
                     });
                 }
@@ -678,27 +550,19 @@ pub fn compare_kill_time(
 ) -> KillComparison {
     // Blind side: the Explorer grid order, evaluated in batches so an early
     // kill does not cost the whole budget.
-    let mut plans = Vec::new();
-    'grid: for &strategy in &config.strategies {
-        for &sim_seed in &config.sim_seeds {
-            for strategy_seed in 0..2 {
-                plans.push(EpisodePlan {
-                    strategy,
-                    sim_seed,
-                    strategy_seed,
-                });
-                if plans.len() >= config.budget {
-                    break 'grid;
-                }
-            }
-        }
-    }
+    let mut plans = Explorer::new(scenario)
+        .with_strategies(config.strategies.clone())
+        .with_sim_seeds(config.sim_seeds.iter().copied())
+        .plans();
+    plans.truncate(config.budget);
     let runner = BatchRunner::with_threads(threads);
     let mut blind = None;
     'batches: for (chunk_index, chunk) in plans.chunks(config.batch.max(1)).enumerate() {
         let outcomes = runner.map(chunk, |plan| {
-            let job = CoverageJob::Seed(*plan);
-            run_probed(scenario, backend, &job).violation.is_some()
+            matches!(
+                run_episode(scenario, plan, &backend),
+                EpisodeOutcome::Violated(_)
+            )
         });
         for (offset, violated) in outcomes.iter().enumerate() {
             if *violated {
@@ -775,18 +639,18 @@ mod tests {
             sim_seed: 0,
             strategy_seed: 0,
         };
-        let probed = run_probed(&scenario, ExploreBackend::Sim, &CoverageJob::Seed(plan));
+        let (probed, signal) = run_probed(&scenario, &ExploreBackend::Sim, &Schedule::Plan(plan));
         assert!(probed.violation.is_none(), "healthy election stays clean");
         assert!(
-            probed.signal.features.len() >= 4,
+            signal.features.len() >= 4,
             "a full episode earns several features, got {:?}",
-            probed.signal.features.len()
+            signal.features.len()
         );
         assert!(
             !probed.trace.is_empty(),
             "the executed schedule is recorded"
         );
-        assert_eq!(probed.signal.class, trace_class(&probed.trace, 0));
+        assert_eq!(signal.class, trace_class(&probed.trace, 0));
     }
 
     #[test]
@@ -836,7 +700,12 @@ mod tests {
         assert_eq!(found.violation.oracle, crate::oracles::UNIQUE_LEADER);
         // The executed schedule is a genuine counterexample: replaying it
         // against the same scenario and sim seed refires the same oracle.
-        let (violation, _) = crate::explorer::replay(&scenario, found.sim_seed, &found.decisions);
+        let (violation, _) = crate::explorer::replay(
+            &scenario,
+            found.sim_seed,
+            &found.decisions,
+            &ExploreBackend::Sim,
+        );
         assert_eq!(
             violation.map(|v| v.oracle),
             Some(crate::oracles::UNIQUE_LEADER),

@@ -2,33 +2,40 @@
 //! the oracles online, and record every violation as a replayable decision
 //! trace.
 //!
-//! One *episode* is a deterministic execution: a [`Scenario`] installed into
-//! a fresh simulator (seeded with `sim_seed`), driven by one attack strategy
-//! (built from a [`StrategySpec`] with `strategy_seed`), with the scenario's
-//! oracles checked after **every** event. The [`Explorer`] enumerates the
+//! One *episode* is a deterministic execution: a [`Scenario`] registered
+//! with a fresh engine of one [`ExploreBackend`] (seeded with `sim_seed`),
+//! driven by one attack strategy (built from a [`StrategySpec`] with
+//! `strategy_seed`) or by a trace to replay, with the scenario's oracles
+//! checked after **every** event. One runner maps the backend and the
+//! schedule source to the backend's drive loop; [`run_episode`],
+//! [`replay`], [`crate::shrink()`], the [`Explorer`] and the coverage hunts
+//! all go through it. The [`Explorer`] enumerates the
 //! `strategy × sim_seed × strategy_seed` grid and fans the episodes over OS
 //! threads with [`fle_bench::BatchRunner`]; because each episode is
 //! deterministic and results come back in job order, a hunt's outcome is
 //! bitwise independent of the thread count.
 
-use crate::concurrent::{run_episode_exec, ShmConfig};
 use crate::coverage::{CoverageProbe, NullProbe};
-use crate::oracles::{budget_violation, OracleCtx, Violation};
-use crate::partitioned::{run_episode_partitioned, PartitionedConfig};
+use crate::gated::{drive_gated, GatedConfig};
+use crate::oracles::{budget_violation, Oracle, OracleCtx, Violation};
+use crate::partitioned::{drive_partitioned, PartitionSafe, PartitionedConfig};
 use crate::scenario::Scenario;
-use crate::strategies::StrategySpec;
+use crate::strategies::{PreemptionBound, StrategySpec};
 use fle_bench::BatchRunner;
+use fle_model::splitmix64;
 use fle_sim::{
     Adversary, DecisionTrace, RecordingAdversary, ReplayAdversary, SimConfig, SimError, Simulator,
 };
+use std::borrow::Cow;
 use std::fmt;
 
-/// Which execution substrate a hunt sweeps.
+/// Which execution substrate an episode runs on.
 ///
-/// Episodes on every backend share the strategy library, the oracles and
-/// the seed grids, and the simulator and the gated executor share the
-/// [`DecisionTrace`] codec; only the meaning of a `Schedule(i)` decision
-/// differs (the i-th enabled simulator event versus the i-th gated
+/// Episodes on every backend share the strategy library, the oracles, the
+/// seed grids and one episode runner behind [`run_episode`], [`replay`] and
+/// [`crate::shrink()`]; the simulator and the gated executor share the
+/// [`DecisionTrace`] codec, and only the meaning of a `Schedule(i)`
+/// decision differs (the i-th enabled simulator event versus the i-th gated
 /// participant task).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExploreBackend {
@@ -37,15 +44,16 @@ pub enum ExploreBackend {
     Sim,
     /// The partitioned parallel simulator
     /// (`fle_sim::ParallelSimulator`): one adversary per partition, oracles
-    /// checked at every super-round barrier, violations replayed by plan
-    /// rather than by decision trace (see [`crate::partitioned`]).
+    /// checked at every super-round barrier, strategy violations replayed
+    /// by plan rather than by decision trace (see [`crate::partitioned`]).
     Partitioned(PartitionedConfig),
     /// The task-multiplexed executor behind schedule gates
     /// (`fle_runtime::SharedRegisters` under `fle_runtime::run_gated`):
     /// identical strategies, oracles and trace codec as the simulator, with
     /// participants as cooperative tasks on a shared worker pool — so wide
-    /// hunts do not multiply `episodes × participants` into thread counts.
-    Async(ShmConfig),
+    /// hunts do not multiply `episodes × participants` into thread counts
+    /// (see [`crate::gated`]).
+    Gated(GatedConfig),
 }
 
 /// The coordinates of one episode in the exploration grid.
@@ -64,8 +72,9 @@ pub struct EpisodePlan {
 pub struct FoundViolation {
     /// Which invariant broke, and when.
     pub violation: Violation,
-    /// The decision trace reproducing the violation via
-    /// [`ReplayAdversary`] against the same scenario and `sim_seed`.
+    /// The decision trace reproducing the violation under [`replay`] against
+    /// the same scenario, `sim_seed` and backend (empty on the partitioned
+    /// backend, where the plan is the replay token).
     pub decisions: DecisionTrace,
     /// The scenario name (for reports).
     pub scenario: String,
@@ -100,45 +109,147 @@ pub enum EpisodeOutcome {
     Violated(Box<FoundViolation>),
 }
 
-/// Outcome of driving one simulator under one adversary with oracles.
-#[derive(Debug)]
-pub(crate) enum DriveOutcome {
-    /// Completed without a violation.
-    Clean {
-        /// Events the execution took.
-        events: u64,
+/// Where an episode's decisions come from.
+#[derive(Debug, Clone)]
+pub(crate) enum Schedule<'a> {
+    /// Build the plan's attack strategy and record what it decides.
+    Plan(EpisodePlan),
+    /// Replay a trace under `sim_seed` with the tolerant replayer.
+    Replay {
+        /// The decisions to replay.
+        trace: Cow<'a, DecisionTrace>,
+        /// Seed of the simulator (protocol coin flips).
+        sim_seed: u64,
     },
-    /// An oracle fired after the reported number of events.
-    Violated(Violation),
+}
+
+impl Schedule<'_> {
+    /// The simulator seed the episode runs under.
+    pub(crate) fn sim_seed(&self) -> u64 {
+        match self {
+            Schedule::Plan(plan) => plan.sim_seed,
+            Schedule::Replay { sim_seed, .. } => *sim_seed,
+        }
+    }
+}
+
+/// What one episode did.
+pub(crate) struct Episode {
+    /// The first violation, if any oracle fired.
+    pub(crate) violation: Option<Violation>,
+    /// Events executed (grants on the gated backend).
+    pub(crate) events: u64,
+    /// The executed schedule: every decision the adversary made on the
+    /// simulator and the gated executor; on the partitioned backend the
+    /// installed trace (empty for a plan, which is the replay token there).
+    pub(crate) trace: DecisionTrace,
+}
+
+/// The one episode runner: run `schedule` against `scenario` on `backend`,
+/// with the scenario's oracles checked at every check point and `probe`
+/// observing the same contexts. Every entry point — the blind hunt,
+/// [`replay`], [`crate::shrink()`] and the coverage hunts — runs through
+/// here, so a backend's schedule semantics live in one place.
+pub(crate) fn run_schedule(
+    scenario: &dyn Scenario,
+    schedule: &Schedule<'_>,
+    backend: &ExploreBackend,
+    probe: &mut dyn CoverageProbe,
+) -> Episode {
+    let sim_seed = schedule.sim_seed();
+    if let ExploreBackend::Partitioned(config) = backend {
+        let ((violation, events), trace) = match schedule {
+            // Mix the partition-unique engine seed into the strategy seed so
+            // the partitions run distinct (but reproducible) copies of the
+            // attack.
+            Schedule::Plan(plan) => (
+                drive_partitioned(
+                    scenario,
+                    sim_seed,
+                    |_part, seed| plan.strategy.build(splitmix64(seed ^ plan.strategy_seed)),
+                    config,
+                    probe,
+                ),
+                DecisionTrace::new(),
+            ),
+            Schedule::Replay { trace, .. } => (
+                drive_partitioned(
+                    scenario,
+                    sim_seed,
+                    |_part, _seed| Box::new(PartitionSafe(ReplayAdversary::new(trace))),
+                    config,
+                    probe,
+                ),
+                DecisionTrace::clone(trace),
+            ),
+        };
+        return Episode {
+            violation,
+            events,
+            trace,
+        };
+    }
+    let adversary: Box<dyn Adversary> = match schedule {
+        Schedule::Plan(plan) => {
+            let strategy = plan.strategy.build(plan.strategy_seed);
+            match backend {
+                ExploreBackend::Gated(GatedConfig {
+                    preemption_bound: Some(bound),
+                    ..
+                }) => Box::new(PreemptionBound::new(strategy, *bound)),
+                _ => strategy,
+            }
+        }
+        Schedule::Replay { trace, .. } => Box::new(ReplayAdversary::new(trace)),
+    };
+    let mut recording = RecordingAdversary::new(adversary);
+    let (violation, events) = match backend {
+        ExploreBackend::Gated(config) => {
+            drive_gated(scenario, sim_seed, &mut recording, config, probe)
+        }
+        _ => drive(scenario, sim_seed, &mut recording, probe),
+    };
+    Episode {
+        violation,
+        events,
+        trace: recording.into_trace(),
+    }
+}
+
+/// Show `ctx` to the probe, then to every oracle in order; the first
+/// violation wins. Every backend's drive loop checks through here.
+pub(crate) fn probe_and_check(
+    ctx: &OracleCtx<'_>,
+    oracles: &mut [Box<dyn Oracle>],
+    probe: &mut dyn CoverageProbe,
+) -> Option<Violation> {
+    probe.observe(ctx);
+    oracles.iter_mut().find_map(|oracle| oracle.check(ctx))
 }
 
 /// Build the scenario's simulator, drive it under `adversary`, and check the
-/// scenario's oracles after every event. Shared by the explorer (recording
-/// adversaries), the shrinker (replay adversaries) and the coverage driver
-/// (which passes a real [`CoverageProbe`]; everyone else passes
-/// [`crate::coverage::NullProbe`]).
-pub(crate) fn drive(
+/// scenario's oracles after every event. Returns the violation (if any) and
+/// the events executed.
+fn drive(
     scenario: &dyn Scenario,
     sim_seed: u64,
     adversary: &mut dyn Adversary,
     probe: &mut dyn CoverageProbe,
-) -> DriveOutcome {
+) -> (Option<Violation>, u64) {
     let mut config = SimConfig::new(scenario.n()).with_seed(sim_seed);
     if let Some(budget) = scenario.max_events() {
         config = config.with_max_events(budget);
     }
     let engine_budget = config.max_events;
     let mut sim = Simulator::new(config);
-    scenario.install(&mut sim);
+    for (proc, protocol) in scenario.protocols() {
+        sim.add_participant(proc, protocol);
+    }
     let participants = scenario.participants();
     let mut oracles = scenario.oracles();
-    loop {
+    let violation = loop {
         match sim.step_once(adversary) {
-            Ok(false) => {
-                return DriveOutcome::Clean {
-                    events: sim.events_executed(),
-                }
-            }
+            Ok(false) => break None,
             Ok(true) => {
                 let ctx = OracleCtx {
                     report: sim.report_so_far(),
@@ -146,20 +257,15 @@ pub(crate) fn drive(
                     participants: &participants,
                     events_executed: sim.events_executed(),
                 };
-                probe.observe(&ctx);
-                for oracle in &mut oracles {
-                    if let Some(violation) = oracle.check(&ctx) {
-                        return DriveOutcome::Violated(violation);
-                    }
+                let fired = probe_and_check(&ctx, &mut oracles, probe);
+                if fired.is_some() {
+                    break fired;
                 }
             }
             Err(SimError::EventBudgetExhausted { .. }) => {
                 // A schedule that cannot finish is a quiescence violation,
                 // not an infrastructure error.
-                return DriveOutcome::Violated(budget_violation(
-                    engine_budget,
-                    sim.events_executed(),
-                ));
+                break Some(budget_violation(engine_budget, sim.events_executed()));
             }
             Err(error) => {
                 // The adversaries in this crate only emit valid decisions;
@@ -167,39 +273,51 @@ pub(crate) fn drive(
                 panic!("exploration episode hit a simulator error: {error}");
             }
         }
-    }
+    };
+    (violation, sim.events_executed())
 }
 
-/// Run one episode: build the strategy, record its decisions, evaluate the
-/// oracles online.
-pub fn run_episode(scenario: &dyn Scenario, plan: &EpisodePlan) -> EpisodeOutcome {
-    let mut recording = RecordingAdversary::new(plan.strategy.build(plan.strategy_seed));
-    match drive(scenario, plan.sim_seed, &mut recording, &mut NullProbe) {
-        DriveOutcome::Clean { events } => EpisodeOutcome::Clean { events },
-        DriveOutcome::Violated(violation) => EpisodeOutcome::Violated(Box::new(FoundViolation {
+/// Run one episode on `backend`: build the plan's strategy, record its
+/// decisions, evaluate the oracles online.
+pub fn run_episode(
+    scenario: &dyn Scenario,
+    plan: &EpisodePlan,
+    backend: &ExploreBackend,
+) -> EpisodeOutcome {
+    let episode = run_schedule(scenario, &Schedule::Plan(*plan), backend, &mut NullProbe);
+    match episode.violation {
+        None => EpisodeOutcome::Clean {
+            events: episode.events,
+        },
+        Some(violation) => EpisodeOutcome::Violated(Box::new(FoundViolation {
             violation,
-            decisions: recording.into_trace(),
+            decisions: episode.trace,
             scenario: scenario.name(),
             plan: *plan,
         })),
     }
 }
 
-/// Replay a decision trace against the scenario; returns the violation it
-/// reproduces (if any) and how many trace decisions were consumed before it
-/// fired. Used by the shrinker and by tests asserting reproducibility.
+/// Replay a decision trace against the scenario on `backend`; returns the
+/// violation it reproduces (if any) and how many trace decisions were
+/// consumed before it fired. Used by the shrinker and by tests asserting
+/// reproducibility. A trace only means the same thing on the backend that
+/// recorded it; on the partitioned backend it is installed into every
+/// partition and counts as consumed whole.
 pub fn replay(
     scenario: &dyn Scenario,
     sim_seed: u64,
     decisions: &DecisionTrace,
+    backend: &ExploreBackend,
 ) -> (Option<Violation>, usize) {
-    let mut replayer = ReplayAdversary::new(decisions);
-    let outcome = drive(scenario, sim_seed, &mut replayer, &mut NullProbe);
-    let consumed = replayer.consumed();
-    match outcome {
-        DriveOutcome::Violated(violation) => (Some(violation), consumed),
-        DriveOutcome::Clean { .. } => (None, consumed),
-    }
+    let schedule = Schedule::Replay {
+        trace: Cow::Borrowed(decisions),
+        sim_seed,
+    };
+    let episode = run_schedule(scenario, &schedule, backend, &mut NullProbe);
+    // The replayer consumes one trace decision per decision it makes until
+    // the trace runs out, so the consumed prefix is the shorter of the two.
+    (episode.violation, episode.trace.len().min(decisions.len()))
 }
 
 /// Summary of one hunt over the episode grid.
@@ -307,11 +425,9 @@ impl<'a> Explorer<'a> {
         let plans = self.plans();
         let scenario = self.scenario;
         let backend = self.backend;
-        let outcomes = self.runner.map(&plans, move |plan| match backend {
-            ExploreBackend::Sim => run_episode(scenario, plan),
-            ExploreBackend::Partitioned(config) => run_episode_partitioned(scenario, plan, &config),
-            ExploreBackend::Async(config) => run_episode_exec(scenario, plan, &config),
-        });
+        let outcomes = self
+            .runner
+            .map(&plans, move |plan| run_episode(scenario, plan, &backend));
         let mut report = HuntReport {
             episodes: plans.len(),
             ..HuntReport::default()
@@ -363,6 +479,68 @@ mod tests {
         assert_eq!(serial.clean, parallel.clean);
         assert_eq!(serial.clean_events, parallel.clean_events);
         assert_eq!(serial.violations.len(), parallel.violations.len());
+    }
+
+    /// A scenario whose event budget is capped: the one budget override,
+    /// honoured the same way by every backend.
+    struct Capped {
+        inner: ElectionScenario,
+        budget: u64,
+    }
+
+    impl Scenario for Capped {
+        fn name(&self) -> String {
+            format!("{} capped at {}", self.inner.name(), self.budget)
+        }
+
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+
+        fn participants(&self) -> Vec<fle_model::ProcId> {
+            self.inner.participants()
+        }
+
+        fn protocols(&self) -> Vec<(fle_model::ProcId, Box<dyn fle_model::Protocol + Send>)> {
+            self.inner.protocols()
+        }
+
+        fn oracles(&self) -> Vec<Box<dyn Oracle>> {
+            self.inner.oracles()
+        }
+
+        fn max_events(&self) -> Option<u64> {
+            Some(self.budget)
+        }
+    }
+
+    #[test]
+    fn tiny_event_budgets_surface_as_termination_violations_on_every_backend() {
+        let scenario = Capped {
+            inner: ElectionScenario { n: 4, k: 4 },
+            budget: 3,
+        };
+        let plan = EpisodePlan {
+            strategy: StrategySpec::SplitBrain { burst: 4 },
+            sim_seed: 0,
+            strategy_seed: 0,
+        };
+        for backend in [
+            ExploreBackend::Sim,
+            ExploreBackend::Partitioned(PartitionedConfig::default()),
+            ExploreBackend::Gated(GatedConfig::default()),
+        ] {
+            match run_episode(&scenario, &plan, &backend) {
+                EpisodeOutcome::Violated(found) => assert_eq!(
+                    found.violation.oracle,
+                    crate::oracles::TERMINATION_BUDGET,
+                    "{backend:?}"
+                ),
+                EpisodeOutcome::Clean { .. } => {
+                    panic!("{backend:?}: 3 events cannot finish an election")
+                }
+            }
+        }
     }
 
     #[test]

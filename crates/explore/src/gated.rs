@@ -1,6 +1,6 @@
 //! Hunting the **gate-serialized executor**: the same strategies, oracles,
 //! traces and shrinker as the simulator, pointed at cooperative tasks on the
-//! shared [`Executor`] ([`run_episode_exec`]).
+//! shared [`Executor`] ([`crate::ExploreBackend::Gated`]).
 //!
 //! [`fle_runtime::run_gated`] serializes the participant tasks of a
 //! [`fle_runtime::SharedRegisters`] run at their [`fle_model::SchedulePoint`]
@@ -16,10 +16,10 @@
 //! * every safety oracle ([`crate::oracles`]) is evaluated online after each
 //!   grant, over an [`ExecutionReport`] assembled from the runner's
 //!   progress, and aborts the episode at the first bad grant;
-//! * every violation is recorded by [`RecordingAdversary`] as a
-//!   [`DecisionTrace`] (`s<i>` = grant the i-th waiting participant,
-//!   `c<p>` = crash processor p — same codec as the simulator), replayed by
-//!   [`ReplayAdversary`] and minimized by [`crate::shrink_exec`]'s ddmin.
+//! * every violation is recorded as a [`fle_sim::DecisionTrace`]
+//!   (`s<i>` = grant the i-th waiting participant, `c<p>` = crash
+//!   processor p — same codec as the simulator), replayed by
+//!   [`crate::replay`] and minimized by [`crate::shrink()`] on this backend.
 //!
 //! Determinism: one episode = fresh register bank + seeded per-participant
 //! coin streams + fully serialized grants, so the execution is a pure
@@ -33,11 +33,11 @@
 //! Point a hunt at the executor (the healthy election survives):
 //!
 //! ```
-//! use fle_explore::{ElectionScenario, ExploreBackend, Explorer, ShmConfig};
+//! use fle_explore::{ElectionScenario, ExploreBackend, Explorer, GatedConfig};
 //!
 //! let scenario = ElectionScenario { n: 3, k: 3 };
 //! let report = Explorer::new(&scenario)
-//!     .with_backend(ExploreBackend::Async(ShmConfig::default()))
+//!     .with_backend(ExploreBackend::Gated(GatedConfig::default()))
 //!     .with_sim_seeds(0..1)
 //!     .with_strategy_seeds(0..1)
 //!     .with_threads(2)
@@ -46,37 +46,36 @@
 //! assert!(report.violations.is_empty());
 //! ```
 
-use crate::coverage::{CoverageProbe, NullProbe};
-use crate::explorer::{EpisodeOutcome, EpisodePlan, FoundViolation};
+use crate::coverage::CoverageProbe;
+use crate::explorer::probe_and_check;
 use crate::oracles::{budget_violation, Oracle, OracleCtx, Violation};
 use crate::scenario::Scenario;
-use crate::strategies::PreemptionBound;
 use fle_model::{CancelToken, ProcId};
 use fle_runtime::{
     run_gated, Executor, FaultPlan, GateCommand, GateObservation, GateScheduler, ScheduleConfig,
     SharedRegisters,
 };
 use fle_sim::{
-    Adversary, Decision, DecisionTrace, EnabledEvent, EnabledEvents, ExecutionReport,
-    ProcessObservation, ProcessPhase, RecordingAdversary, ReplayAdversary, SystemObservation,
+    Adversary, Decision, EnabledEvent, EnabledEvents, ExecutionReport, ProcessObservation,
+    ProcessPhase, SystemObservation,
 };
 use std::sync::Arc;
 
-/// How the gated executor is exercised during a hunt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShmConfig {
-    /// Lock shards of the per-episode register bank.
-    pub shards: usize,
-    /// Cap on schedule preemptions per episode (`None` = unbounded): wraps
-    /// the strategy in [`PreemptionBound`] *below* the recorder, so recorded
-    /// traces contain the bounded decisions and replay without the wrapper.
+/// Lock shards of each episode's register bank.
+const REGISTER_SHARDS: usize = 4;
+
+/// How the gated executor is exercised during a hunt. The grant budget is
+/// [`Scenario::max_events`] when set, else the
+/// [`ScheduleConfig::for_participants`] default; running out of it is
+/// reported as a termination-budget violation, like the simulator's event
+/// budget.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GatedConfig {
+    /// Cap on schedule preemptions per strategy episode (`None` =
+    /// unbounded): wraps the strategy in [`crate::PreemptionBound`] *below*
+    /// the recorder, so recorded traces contain the bounded decisions and
+    /// replay without the wrapper.
     pub preemption_bound: Option<u32>,
-    /// Grant budget per episode (`None` defers to
-    /// [`Scenario::max_events`], then to the
-    /// [`ScheduleConfig::for_participants`] default). Exceeding it is
-    /// reported as a termination-budget violation, like the simulator's
-    /// event budget.
-    pub max_grants: Option<u64>,
     /// Deterministic fault injection under every episode (`None` = fault
     /// free): a [`fle_runtime::FaultyMemory`] decorator between the
     /// register bank and each gated participant. The whole exploration
@@ -85,17 +84,6 @@ pub struct ShmConfig {
     /// function of `(scenario, sim_seed, decisions, plan)` because the fault
     /// stream is seeded by the plan, not the clock.
     pub faults: Option<FaultPlan>,
-}
-
-impl Default for ShmConfig {
-    fn default() -> Self {
-        ShmConfig {
-            shards: 4,
-            preemption_bound: None,
-            max_grants: None,
-            faults: None,
-        }
-    }
 }
 
 /// The [`GateScheduler`] that closes the loop: builds the simulator-shaped
@@ -107,7 +95,7 @@ struct OnlineAdversaryScheduler<'a> {
     participants: &'a [ProcId],
     adversary: &'a mut dyn Adversary,
     /// Coverage observer, fed the same per-grant [`OracleCtx`] as the
-    /// oracles ([`NullProbe`] outside coverage hunts).
+    /// oracles ([`crate::coverage::NullProbe`] outside coverage hunts).
     probe: &'a mut dyn CoverageProbe,
     oracles: Vec<Box<dyn Oracle>>,
     /// The first oracle violation, once found (the episode stops there).
@@ -176,12 +164,9 @@ impl GateScheduler for OnlineAdversaryScheduler<'_> {
             participants: self.participants,
             events_executed: obs.grants_made,
         };
-        self.probe.observe(&ctx);
-        for oracle in &mut self.oracles {
-            if let Some(violation) = oracle.check(&ctx) {
-                self.violation = Some(violation);
-                return GateCommand::Stop;
-            }
+        self.violation = probe_and_check(&ctx, &mut self.oracles, self.probe);
+        if self.violation.is_some() {
+            return GateCommand::Stop;
         }
         let enabled: Vec<EnabledEvent> = obs
             .waiting
@@ -217,19 +202,18 @@ pub(crate) fn drive_gated(
     scenario: &dyn Scenario,
     sim_seed: u64,
     adversary: &mut dyn Adversary,
-    config: &ShmConfig,
+    config: &GatedConfig,
     probe: &mut dyn CoverageProbe,
 ) -> (Option<Violation>, u64) {
     let participants = scenario.participants();
-    let k = participants.len();
-    let mut sched_config = ScheduleConfig::for_participants(k)
+    let mut sched_config = ScheduleConfig::for_participants(participants.len())
         .with_crash_budget(scenario.n().div_ceil(2).saturating_sub(1));
-    if let Some(max_grants) = config.max_grants.or_else(|| scenario.max_events()) {
-        sched_config = sched_config.with_max_grants(max_grants);
+    if let Some(budget) = scenario.max_events() {
+        sched_config = sched_config.with_max_grants(budget);
     }
-    let max_grants = sched_config.max_grants;
+    let budget = sched_config.max_grants;
 
-    let registers = Arc::new(SharedRegisters::new(config.shards));
+    let registers = Arc::new(SharedRegisters::new(REGISTER_SHARDS));
     let mut scheduler = OnlineAdversaryScheduler {
         n: scenario.n(),
         participants: &participants,
@@ -251,16 +235,11 @@ pub(crate) fn drive_gated(
         &CancelToken::none(),
     );
 
-    let mut oracles = scheduler.oracles;
-    let probe = scheduler.probe;
     if let Some(violation) = scheduler.violation {
         return (Some(violation), report.grants);
     }
     if report.budget_exhausted {
-        return (
-            Some(budget_violation(max_grants, report.grants)),
-            report.grants,
-        );
+        return (Some(budget_violation(budget, report.grants)), report.grants);
     }
     // The scheduler is never consulted after the final grant (the runner
     // stops once nobody is waiting), so give the oracles one last look at
@@ -301,69 +280,16 @@ pub(crate) fn drive_gated(
         participants: &participants,
         events_executed: report.grants,
     };
-    probe.observe(&ctx);
-    for oracle in &mut oracles {
-        if let Some(violation) = oracle.check(&ctx) {
-            return (Some(violation), report.grants);
-        }
-    }
-    (None, report.grants)
-}
-
-/// Run one episode of `plan` against `scenario` on the task executor:
-/// build the strategy (preemption-bounded if configured), record its
-/// decisions, evaluate the oracles online after every grant.
-pub fn run_episode_exec(
-    scenario: &dyn Scenario,
-    plan: &EpisodePlan,
-    config: &ShmConfig,
-) -> EpisodeOutcome {
-    let strategy = plan.strategy.build(plan.strategy_seed);
-    let bounded: Box<dyn Adversary> = match config.preemption_bound {
-        Some(bound) => Box::new(PreemptionBound::new(strategy, bound)),
-        None => strategy,
-    };
-    let mut recording = RecordingAdversary::new(bounded);
-    let (violation, grants) = drive_gated(
-        scenario,
-        plan.sim_seed,
-        &mut recording,
-        config,
-        &mut NullProbe,
-    );
-    match violation {
-        None => EpisodeOutcome::Clean { events: grants },
-        Some(violation) => EpisodeOutcome::Violated(Box::new(FoundViolation {
-            violation,
-            decisions: recording.into_trace(),
-            scenario: scenario.name(),
-            plan: *plan,
-        })),
-    }
-}
-
-/// Replay a decision trace against the scenario on the task executor;
-/// returns the violation it reproduces (if any) and how many trace
-/// decisions were consumed before it fired. The executor twin of
-/// [`crate::explorer::replay`]: a trace recorded by [`run_episode_exec`]
-/// replays here decision-for-decision.
-pub fn replay_exec(
-    scenario: &dyn Scenario,
-    sim_seed: u64,
-    decisions: &DecisionTrace,
-    config: &ShmConfig,
-) -> (Option<Violation>, usize) {
-    let mut replayer = ReplayAdversary::new(decisions);
-    let (violation, _grants) =
-        drive_gated(scenario, sim_seed, &mut replayer, config, &mut NullProbe);
-    let consumed = replayer.consumed();
-    (violation, consumed)
+    let violation = probe_and_check(&ctx, &mut scheduler.oracles, scheduler.probe);
+    (violation, report.grants)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::{replay, run_episode, EpisodeOutcome, EpisodePlan, ExploreBackend};
     use crate::scenario::ElectionScenario;
+    use crate::shrink::shrink;
     use crate::strategies::StrategySpec;
     use fle_runtime::CrashSpec;
 
@@ -375,20 +301,24 @@ mod tests {
         }
     }
 
+    fn gated(config: GatedConfig) -> ExploreBackend {
+        ExploreBackend::Gated(config)
+    }
+
     #[test]
     fn preemption_bound_zero_is_the_sequential_schedule() {
         // With zero preemptions, every strategy degrades to run-to-
         // completion order and the election still elects exactly one leader.
         let scenario = ElectionScenario { n: 4, k: 4 };
-        let config = ShmConfig {
+        let backend = gated(GatedConfig {
             preemption_bound: Some(0),
-            ..ShmConfig::default()
-        };
+            ..GatedConfig::default()
+        });
         for sim_seed in 0..3 {
-            let outcome = run_episode_exec(
+            let outcome = run_episode(
                 &scenario,
                 &plan(StrategySpec::SplitBrain { burst: 4 }, sim_seed),
-                &config,
+                &backend,
             );
             assert!(matches!(outcome, EpisodeOutcome::Clean { .. }));
         }
@@ -398,15 +328,15 @@ mod tests {
     fn benign_faults_are_masked() {
         // Delays and transient collect failures are masked: still clean.
         let scenario = ElectionScenario { n: 4, k: 4 };
-        let benign = ShmConfig {
+        let benign = gated(GatedConfig {
             faults: Some(
                 FaultPlan::new(1)
                     .with_delays(300, 30)
                     .with_collect_failures(300, 2),
             ),
-            ..ShmConfig::default()
-        };
-        let outcome = run_episode_exec(
+            ..GatedConfig::default()
+        });
+        let outcome = run_episode(
             &scenario,
             &plan(StrategySpec::SplitBrain { burst: 4 }, 0),
             &benign,
@@ -417,10 +347,10 @@ mod tests {
     #[test]
     fn healthy_election_episodes_are_clean_on_the_task_executor() {
         let scenario = ElectionScenario { n: 4, k: 4 };
-        let config = ShmConfig::default();
+        let backend = gated(GatedConfig::default());
         for strategy in StrategySpec::library() {
             for sim_seed in 0..2 {
-                match run_episode_exec(&scenario, &plan(strategy, sim_seed), &config) {
+                match run_episode(&scenario, &plan(strategy, sim_seed), &backend) {
                     EpisodeOutcome::Clean { events } => assert!(events > 0),
                     EpisodeOutcome::Violated(found) => {
                         panic!("healthy election violated on the executor: {found}")
@@ -435,12 +365,12 @@ mod tests {
         // The gate fully serializes the executor, so the same plan executes
         // the identical schedule every time — grant counts included.
         let scenario = ElectionScenario { n: 4, k: 4 };
-        let config = ShmConfig::default();
+        let backend = gated(GatedConfig::default());
         for sim_seed in 0..3 {
             let p = plan(StrategySpec::SplitBrain { burst: 4 }, sim_seed);
             match (
-                run_episode_exec(&scenario, &p, &config),
-                run_episode_exec(&scenario, &p, &config),
+                run_episode(&scenario, &p, &backend),
+                run_episode(&scenario, &p, &backend),
             ) {
                 (EpisodeOutcome::Clean { events: a }, EpisodeOutcome::Clean { events: b }) => {
                     assert_eq!(a, b, "seed {sim_seed}: the executor repeats itself");
@@ -456,11 +386,11 @@ mod tests {
         // fail-stop-everyone plan violates election liveness; the recorded
         // trace replays on the executor; ddmin minimizes it there too.
         let scenario = ElectionScenario { n: 4, k: 4 };
-        let crashing = ShmConfig {
+        let crashing = gated(GatedConfig {
             faults: Some(FaultPlan::new(2).with_crash(CrashSpec::lose_all(2))),
-            ..ShmConfig::default()
-        };
-        let found = match run_episode_exec(
+            ..GatedConfig::default()
+        });
+        let found = match run_episode(
             &scenario,
             &plan(StrategySpec::SplitBrain { burst: 4 }, 0),
             &crashing,
@@ -471,39 +401,19 @@ mod tests {
             }
         };
         assert_eq!(found.violation.oracle, crate::oracles::ELECTION_LIVENESS);
-        let (violation, _) = replay_exec(&scenario, 0, &found.decisions, &crashing);
+        let (violation, _) = replay(&scenario, 0, &found.decisions, &crashing);
         assert_eq!(
             violation.map(|v| v.oracle),
             Some(crate::oracles::ELECTION_LIVENESS),
             "the recorded trace reproduces on the executor"
         );
-        let minimal = crate::shrink::shrink_exec(&scenario, &found, 200, &crashing);
+        let minimal = shrink(&scenario, &found, 200, &crashing);
         assert!(minimal.minimized.len() <= found.decisions.len());
-        let (violation, _) = replay_exec(&scenario, 0, &minimal.minimized, &crashing);
+        let (violation, _) = replay(&scenario, 0, &minimal.minimized, &crashing);
         assert_eq!(
             violation.map(|v| v.oracle),
             Some(crate::oracles::ELECTION_LIVENESS),
             "the minimized trace still reproduces"
         );
-    }
-
-    #[test]
-    fn tiny_grant_budgets_surface_as_termination_violations() {
-        let scenario = ElectionScenario { n: 4, k: 4 };
-        let config = ShmConfig {
-            max_grants: Some(3),
-            ..ShmConfig::default()
-        };
-        let outcome = run_episode_exec(
-            &scenario,
-            &plan(StrategySpec::SplitBrain { burst: 4 }, 0),
-            &config,
-        );
-        match outcome {
-            EpisodeOutcome::Violated(found) => {
-                assert_eq!(found.violation.oracle, crate::oracles::TERMINATION_BUDGET);
-            }
-            EpisodeOutcome::Clean { .. } => panic!("3 grants cannot finish an election"),
-        }
     }
 }

@@ -16,8 +16,11 @@
 //!    at the first bad event.
 //! 3. **The explorer** ([`explorer`]): fans `scenario × strategy × seed`
 //!    episodes across cores with [`fle_bench::BatchRunner`] and records each
-//!    violating schedule as a [`fle_sim::DecisionTrace`] that
-//!    [`fle_sim::ReplayAdversary`] reproduces deterministically.
+//!    violating schedule as a [`fle_sim::DecisionTrace`] that [`replay`]
+//!    reproduces deterministically. Every entry point takes an
+//!    [`ExploreBackend`] — the simulator, the partitioned engine
+//!    ([`partitioned`]) or the gated task executor ([`gated`]) — and runs
+//!    through one episode runner.
 //! 4. **The shrinker** ([`mod@shrink`]): delta-debugs a violating trace to a
 //!    minimal counterexample by dropping decision chunks and keeping every
 //!    edit after which the same oracle still fires.
@@ -32,12 +35,12 @@
 //!
 //! ```
 //! use fle_explore::sabotage::SabotagedElectionScenario;
-//! use fle_explore::{shrink, Explorer};
+//! use fle_explore::{shrink, ExploreBackend, Explorer};
 //!
 //! let scenario = SabotagedElectionScenario { n: 4, k: 4 };
 //! let report = Explorer::new(&scenario).with_sim_seeds(0..6).hunt();
 //! let found = report.first_violation().expect("the mutant gets caught");
-//! let minimal = shrink(&scenario, found, 200);
+//! let minimal = shrink(&scenario, found, 200, &ExploreBackend::Sim);
 //! assert!(minimal.minimized.len() <= found.decisions.len());
 //! println!("replay with: {}", minimal.minimized.to_compact_string());
 //! ```
@@ -45,10 +48,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
 pub mod corpus;
 pub mod coverage;
 pub mod explorer;
+pub mod gated;
 pub mod mutate;
 pub mod oracles;
 pub mod partitioned;
@@ -57,7 +60,6 @@ pub mod scenario;
 pub mod shrink;
 pub mod strategies;
 
-pub use concurrent::{replay_exec, run_episode_exec, ShmConfig};
 pub use corpus::{Corpus, CorpusEntry};
 pub use coverage::{
     compare_kill_time, trace_class, CoverageConfig, CoverageExplorer, CoverageProbe,
@@ -68,11 +70,12 @@ pub use explorer::{
     replay, run_episode, EpisodeOutcome, EpisodePlan, ExploreBackend, Explorer, FoundViolation,
     HuntReport,
 };
+pub use gated::GatedConfig;
 pub use mutate::MutationEngine;
 pub use oracles::{Oracle, OracleCtx, Violation};
-pub use partitioned::{run_episode_partitioned, PartitionedConfig};
+pub use partitioned::PartitionedConfig;
 pub use scenario::{
     standard_scenarios, ElectionScenario, RenamingScenario, Scenario, SiftScenario,
 };
-pub use shrink::{shrink, shrink_exec, shrink_with, ShrinkResult};
+pub use shrink::{shrink, ShrinkResult};
 pub use strategies::{PreemptionBound, StrategySpec};

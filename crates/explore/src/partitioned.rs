@@ -1,30 +1,37 @@
 //! Schedule exploration on the **partitioned** simulator backend
-//! ([`fle_sim::ParallelSimulator`]).
+//! ([`fle_sim::ParallelSimulator`], [`crate::ExploreBackend::Partitioned`]).
 //!
-//! An episode here is one adversarial-mode partitioned run: each partition
-//! gets its own copy of the plan's attack strategy (seeded by a pure
-//! function of the strategy seed and the partition index), and the
-//! scenario's oracles are evaluated at every super-round barrier over the
+//! An episode here is one adversarial-mode partitioned run, with the
+//! scenario's oracles evaluated at every super-round barrier over the
 //! merged report and observation. Checking per *round* rather than per
 //! *event* is the natural granularity of this engine — within a round the
 //! partitions advance concurrently and no global state exists to check.
 //!
-//! **Replay without a decision trace.** A partitioned episode is a pure
-//! function of `(scenario, plan, partitions)`: the per-partition adversaries
-//! are rebuilt from `plan.strategy`/`plan.strategy_seed`, every coin comes
-//! from the per-processor streams of `plan.sim_seed`, and worker threads
-//! cannot affect results. A [`FoundViolation`] from this backend therefore
-//! carries an **empty** [`fle_sim::DecisionTrace`] — rerunning
-//! [`run_episode_partitioned`] with the same arguments *is* the replay — and
-//! the trace shrinker does not apply (there is no decision list to
-//! minimize; shrink over the scenario/plan grid instead).
+//! No global decision order exists either, so the two schedule sources of
+//! [`crate::run_episode`] and [`crate::replay`] mean something different
+//! here:
+//!
+//! * **A strategy plan** gives each partition its own copy of the plan's
+//!   attack strategy, seeded by a pure function of the strategy seed and
+//!   the partition's engine seed. Such an episode is a pure function of
+//!   `(scenario, plan, partitions)` — every coin comes from the
+//!   per-processor streams of `plan.sim_seed`, and worker threads cannot
+//!   affect results — so a [`crate::FoundViolation`] from this backend
+//!   carries an **empty** [`fle_sim::DecisionTrace`]: rerunning the plan
+//!   *is* the replay, and there is no decision list for ddmin to minimize.
+//! * **A trace** is installed into every partition behind a crash filter
+//!   (a crash of a processor the partition does not own degrades to a
+//!   schedule), which is how coverage mutant episodes and [`crate::replay`]
+//!   run here; the whole trace counts as consumed.
 
 use crate::coverage::CoverageProbe;
-use crate::explorer::{EpisodeOutcome, EpisodePlan, FoundViolation};
-use crate::oracles::{budget_violation, OracleCtx};
+use crate::explorer::probe_and_check;
+use crate::oracles::{budget_violation, OracleCtx, Violation};
 use crate::scenario::Scenario;
-use fle_model::splitmix64;
-use fle_sim::{DecisionTrace, ParallelSimulator, SimConfig, SimError};
+use fle_sim::{
+    Adversary, Decision, EnabledEvents, ParallelSimulator, ProcessPhase, SimConfig, SimError,
+    SystemObservation,
+};
 
 /// Configuration of the partitioned exploration backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +52,40 @@ impl Default for PartitionedConfig {
     }
 }
 
+/// Degrades crash decisions the partitioned engine would reject. A
+/// partition may only crash processors it owns, and remote processors
+/// appear [`ProcessPhase::Idle`] in its observation — so crashes of
+/// anything but a live local processor (or with no budget left) degrade to
+/// scheduling the oldest enabled event, the same tolerance rule the
+/// replayers apply to illegal crashes everywhere else.
+pub(crate) struct PartitionSafe<A>(pub(crate) A);
+
+impl<A: Adversary> Adversary for PartitionSafe<A> {
+    fn decide(&mut self, observation: &SystemObservation, enabled: &EnabledEvents<'_>) -> Decision {
+        match self.0.decide(observation, enabled) {
+            Decision::Crash(victim) => {
+                let local_live = victim.index() < observation.n
+                    && matches!(
+                        observation.process(victim).phase,
+                        ProcessPhase::NotStarted
+                            | ProcessPhase::StepReady
+                            | ProcessPhase::AwaitingQuorum
+                    );
+                if local_live && observation.crash_budget_left > 0 {
+                    Decision::Crash(victim)
+                } else {
+                    Decision::Schedule(0)
+                }
+            }
+            decision => decision,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "partition-safe"
+    }
+}
+
 /// Drive one partitioned run of `scenario` under per-partition adversaries
 /// built by `build`, checking the scenario's oracles at every super-round
 /// barrier. Returns the violation (if any) and the events executed. The
@@ -53,10 +94,10 @@ impl Default for PartitionedConfig {
 pub(crate) fn drive_partitioned(
     scenario: &dyn Scenario,
     sim_seed: u64,
-    build: impl FnMut(usize, u64) -> Box<dyn fle_sim::Adversary>,
+    build: impl FnMut(usize, u64) -> Box<dyn Adversary>,
     config: &PartitionedConfig,
     probe: &mut dyn CoverageProbe,
-) -> (Option<crate::oracles::Violation>, u64) {
+) -> (Option<Violation>, u64) {
     let mut sim_config = SimConfig::new(scenario.n())
         .with_seed(sim_seed)
         .with_partitions(config.partitions);
@@ -84,8 +125,7 @@ pub(crate) fn drive_partitioned(
                     participants: &participants,
                     events_executed: sim.events_executed(),
                 };
-                probe.observe(&ctx);
-                let fired = oracles.iter_mut().find_map(|oracle| oracle.check(&ctx));
+                let fired = probe_and_check(&ctx, &mut oracles, probe);
                 if fired.is_some() {
                     break fired;
                 }
@@ -101,43 +141,14 @@ pub(crate) fn drive_partitioned(
     (violation, sim.events_executed())
 }
 
-/// Run one episode of `plan` against `scenario` on the partitioned backend,
-/// evaluating the scenario's oracles at every super-round barrier.
-pub fn run_episode_partitioned(
-    scenario: &dyn Scenario,
-    plan: &EpisodePlan,
-    config: &PartitionedConfig,
-) -> EpisodeOutcome {
-    let strategy = plan.strategy;
-    let strategy_seed = plan.strategy_seed;
-    // Mix the partition-unique engine seed into the strategy seed so the
-    // partitions run distinct (but reproducible) copies of the attack.
-    let (violation, events) = drive_partitioned(
-        scenario,
-        plan.sim_seed,
-        |_part, seed| strategy.build(splitmix64(seed ^ strategy_seed)),
-        config,
-        &mut crate::coverage::NullProbe,
-    );
-    match violation {
-        None => EpisodeOutcome::Clean { events },
-        Some(violation) => EpisodeOutcome::Violated(Box::new(FoundViolation {
-            violation,
-            // Deliberately empty: see the module docs — the episode plan is
-            // the replay token on this backend.
-            decisions: DecisionTrace::default(),
-            scenario: scenario.name(),
-            plan: *plan,
-        })),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::{replay, run_episode, EpisodeOutcome, EpisodePlan, ExploreBackend};
     use crate::sabotage::SabotagedElectionScenario;
     use crate::scenario::ElectionScenario;
     use crate::strategies::StrategySpec;
+    use fle_sim::DecisionTrace;
 
     fn plan(strategy: StrategySpec, sim_seed: u64) -> EpisodePlan {
         EpisodePlan {
@@ -147,13 +158,17 @@ mod tests {
         }
     }
 
+    fn partitioned(config: PartitionedConfig) -> ExploreBackend {
+        ExploreBackend::Partitioned(config)
+    }
+
     #[test]
     fn healthy_election_episodes_are_clean_when_partitioned() {
         let scenario = ElectionScenario { n: 8, k: 8 };
-        let config = PartitionedConfig::default();
+        let backend = partitioned(PartitionedConfig::default());
         for strategy in StrategySpec::library() {
             for sim_seed in 0..2 {
-                match run_episode_partitioned(&scenario, &plan(strategy, sim_seed), &config) {
+                match run_episode(&scenario, &plan(strategy, sim_seed), &backend) {
                     EpisodeOutcome::Clean { events } => assert!(events > 0),
                     EpisodeOutcome::Violated(found) => {
                         panic!("healthy election flagged: {found}")
@@ -166,12 +181,12 @@ mod tests {
     #[test]
     fn sabotaged_election_is_caught_when_partitioned() {
         let scenario = SabotagedElectionScenario { n: 8, k: 8 };
-        let config = PartitionedConfig::default();
+        let backend = partitioned(PartitionedConfig::default());
         let mut caught = false;
         'outer: for strategy in StrategySpec::library() {
             for sim_seed in 0..8 {
                 if let EpisodeOutcome::Violated(found) =
-                    run_episode_partitioned(&scenario, &plan(strategy, sim_seed), &config)
+                    run_episode(&scenario, &plan(strategy, sim_seed), &backend)
                 {
                     assert_eq!(found.violation.oracle, "unique-leader");
                     assert!(
@@ -187,25 +202,41 @@ mod tests {
     }
 
     #[test]
+    fn installed_traces_replay_deterministically_and_count_as_consumed_whole() {
+        // A trace replayed here is installed into every partition (behind
+        // `PartitionSafe`, so the crash of a remote processor degrades):
+        // the verdict is a pure function of the trace, and the consumed
+        // count is the whole trace, whatever the partitions used of it.
+        let scenario = ElectionScenario { n: 8, k: 8 };
+        let backend = partitioned(PartitionedConfig::default());
+        let trace = DecisionTrace::parse("s1 c6 s0 s2 c1 s3").expect("a valid trace");
+        let first = replay(&scenario, 4, &trace, &backend);
+        assert_eq!(first, (None, trace.len()), "the healthy election is clean");
+        assert_eq!(first, replay(&scenario, 4, &trace, &backend));
+        let empty = DecisionTrace::new();
+        assert_eq!(replay(&scenario, 4, &empty, &backend), (None, 0));
+    }
+
+    #[test]
     fn episodes_are_deterministic_across_worker_counts() {
         let scenario = ElectionScenario { n: 12, k: 12 };
-        let base = PartitionedConfig {
+        let base = partitioned(PartitionedConfig {
             partitions: 3,
             workers: 1,
-        };
+        });
         for strategy in [
             StrategySpec::library()[0],
             *StrategySpec::library().last().unwrap(),
         ] {
-            let reference = run_episode_partitioned(&scenario, &plan(strategy, 5), &base);
+            let reference = run_episode(&scenario, &plan(strategy, 5), &base);
             for workers in [2usize, 8] {
-                let candidate = run_episode_partitioned(
+                let candidate = run_episode(
                     &scenario,
                     &plan(strategy, 5),
-                    &PartitionedConfig {
+                    &partitioned(PartitionedConfig {
                         partitions: 3,
                         workers,
-                    },
+                    }),
                 );
                 match (&reference, &candidate) {
                     (EpisodeOutcome::Clean { events: a }, EpisodeOutcome::Clean { events: b }) => {

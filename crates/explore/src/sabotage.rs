@@ -249,19 +249,16 @@ mod tests {
         // sabotage breaks safety, not the state machines.
         use fle_sim::{RandomAdversary, SimConfig, Simulator};
         let election = SabotagedElectionScenario { n: 4, k: 4 };
-        let mut sim = Simulator::new(SimConfig::new(4).with_seed(3));
-        election.install(&mut sim);
-        let report = sim
-            .run(&mut RandomAdversary::with_seed(3))
-            .expect("the mutant still terminates");
-        assert_eq!(report.outcomes.len(), 4);
-
         let sift = SabotagedSiftScenario { n: 4, bias: 0.1 };
-        let mut sim = Simulator::new(SimConfig::new(4).with_seed(3));
-        sift.install(&mut sim);
-        let report = sim
-            .run(&mut RandomAdversary::with_seed(3))
-            .expect("the mutant still terminates");
-        assert_eq!(report.outcomes.len(), 4);
+        for scenario in [&election as &dyn Scenario, &sift] {
+            let mut sim = Simulator::new(SimConfig::new(4).with_seed(3));
+            for (proc, protocol) in scenario.protocols() {
+                sim.add_participant(proc, protocol);
+            }
+            let report = sim
+                .run(&mut RandomAdversary::with_seed(3))
+                .expect("the mutant still terminates");
+            assert_eq!(report.outcomes.len(), 4);
+        }
     }
 }

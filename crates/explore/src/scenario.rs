@@ -14,16 +14,15 @@ use crate::oracles::{
 };
 use fle_core::{HeterogeneousPoisonPill, LeaderElection, PoisonPill, Renaming, RenamingConfig};
 use fle_model::{ProcId, Protocol};
-use fle_sim::Simulator;
 
 /// A reproducible system-under-test: builds fresh protocol instances for any
 /// backend and names the oracles that must hold over the execution.
 ///
 /// A scenario is deliberately backend-agnostic: [`Scenario::protocols`]
-/// returns plain [`fle_model::Protocol`] state machines, which the explorer
-/// either installs into a discrete-event simulator
-/// ([`Scenario::install`], the default implementation) or hands to the
-/// gated executor (`crate::concurrent`) — the same oracles guard both.
+/// returns plain [`fle_model::Protocol`] state machines, which every
+/// backend registers as they are — the simulator, the partitioned engine
+/// and the gated executor (`crate::gated`) — and the same oracles guard all
+/// three.
 ///
 /// Implementations must be `Sync` because the explorer shares one scenario
 /// across its worker threads (each worker builds its own protocol instances
@@ -42,21 +41,14 @@ pub trait Scenario: Sync {
     /// system description.
     fn protocols(&self) -> Vec<(ProcId, Box<dyn Protocol + Send>)>;
 
-    /// Register the protocol instances with a freshly built simulator.
-    /// The default installs exactly [`Scenario::protocols`].
-    fn install(&self, sim: &mut Simulator) {
-        for (proc, protocol) in self.protocols() {
-            sim.add_participant(proc, protocol);
-        }
-    }
-
     /// Fresh oracle instances guarding one episode.
     fn oracles(&self) -> Vec<Box<dyn Oracle>>;
 
-    /// Optional override of the engine's event budget (`None` keeps the
-    /// default `O(n²)` budget of [`fle_sim::SimConfig`] on the simulator and
-    /// the [`fle_runtime::ScheduleConfig`] grant budget on the gated
-    /// executor).
+    /// Optional override of the engine's event budget, the one budget
+    /// override on every backend (`None` keeps the default `O(n²)` budget
+    /// of [`fle_sim::SimConfig`] on the simulator and the partitioned engine
+    /// and the [`fle_runtime::ScheduleConfig`] grant budget on the gated
+    /// executor). Running out is a termination-budget violation.
     fn max_events(&self) -> Option<u64> {
         None
     }
@@ -243,7 +235,7 @@ pub fn standard_scenarios(sizes: &[usize]) -> Vec<Box<dyn Scenario + Send>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fle_sim::SimConfig;
+    use fle_sim::{SimConfig, Simulator};
 
     #[test]
     fn scenarios_install_their_participants() {
@@ -260,7 +252,11 @@ mod tests {
         ];
         for scenario in scenarios {
             let mut sim = Simulator::new(SimConfig::new(scenario.n()));
-            scenario.install(&mut sim);
+            let protocols = scenario.protocols();
+            assert_eq!(protocols.len(), scenario.participants().len());
+            for (proc, protocol) in protocols {
+                sim.add_participant(proc, protocol);
+            }
             assert!(!scenario.participants().is_empty());
             assert!(!scenario.oracles().is_empty());
             assert!(!scenario.name().is_empty());

@@ -20,8 +20,7 @@
 //! can be serialized with [`DecisionTrace::to_compact_string`] and replayed
 //! from text alone.
 
-use crate::concurrent::{replay_exec, ShmConfig};
-use crate::explorer::{replay, FoundViolation};
+use crate::explorer::{replay, ExploreBackend, FoundViolation};
 use crate::oracles::Violation;
 use crate::scenario::Scenario;
 use fle_sim::{Decision, DecisionTrace};
@@ -48,45 +47,32 @@ impl ShrinkResult {
 }
 
 /// Minimize `found` against its scenario with at most `max_replays`
-/// re-executions, replaying on the **simulator**.
+/// re-executions, replaying on `backend` — the backend that found it, since
+/// decision indices only mean the same thing there.
 ///
 /// The predicate for keeping a candidate is that the **same oracle** (by
-/// name) fires under replay with the scenario rebuilt from scratch and the
-/// original `sim_seed` — the exact reproduction setup a human would use.
-pub fn shrink(scenario: &dyn Scenario, found: &FoundViolation, max_replays: usize) -> ShrinkResult {
-    let sim_seed = found.plan.sim_seed;
-    shrink_with(found, max_replays, |trace| {
-        replay(scenario, sim_seed, trace)
-    })
-}
-
-/// Minimize `found` with at most `max_replays` re-executions, replaying on
-/// the **task executor** ([`crate::run_episode_exec`]'s substrate; the
-/// counterexample must have been found there, since grant indices only mean
-/// the same thing on the backend that recorded them). Same ddmin, same
-/// keep-predicate, different substrate.
-pub fn shrink_exec(
+/// name) fires under [`replay`] with the scenario rebuilt from scratch and
+/// the original `sim_seed` — the exact reproduction setup a human would
+/// use. On the partitioned backend a strategy violation carries the empty
+/// trace; it comes back unchanged, and its plan stays the replay token.
+pub fn shrink(
     scenario: &dyn Scenario,
     found: &FoundViolation,
     max_replays: usize,
-    config: &ShmConfig,
+    backend: &ExploreBackend,
 ) -> ShrinkResult {
     let sim_seed = found.plan.sim_seed;
     shrink_with(found, max_replays, |trace| {
-        replay_exec(scenario, sim_seed, trace, config)
+        replay(scenario, sim_seed, trace, backend)
     })
 }
 
-/// The backend-generic ddmin core: `replay_fn` re-executes a candidate trace
-/// and reports the violation it reproduces plus the decisions consumed.
-///
-/// Public so callers with unusual replay setups (a custom backend config, a
-/// corpus-replay harness, a coverage hunt's mutant episode) can minimize
-/// against exactly the reproduction path they use. The keep-predicate is
-/// fixed: a candidate survives iff the **same oracle** (by name) fires under
-/// `replay_fn` — a candidate under which the oracle stops firing is
+/// The ddmin core: `replay_fn` re-executes a candidate trace and reports the
+/// violation it reproduces plus the decisions consumed. The keep-predicate
+/// is fixed: a candidate survives iff the **same oracle** (by name) fires
+/// under `replay_fn` — a candidate under which the oracle stops firing is
 /// rejected, whatever else it does.
-pub fn shrink_with(
+fn shrink_with(
     found: &FoundViolation,
     max_replays: usize,
     mut replay_fn: impl FnMut(&DecisionTrace) -> (Option<Violation>, usize),
@@ -155,7 +141,7 @@ pub fn shrink_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explorer::{replay, EpisodePlan, FoundViolation};
+    use crate::explorer::{replay, EpisodePlan, ExploreBackend, FoundViolation};
     use crate::oracles::{Oracle, OracleCtx, Violation};
     use crate::scenario::Scenario;
     use crate::strategies::StrategySpec;
@@ -230,7 +216,7 @@ mod tests {
         decisions.extend([Decision::Schedule(0); 16]);
         let trace: DecisionTrace = decisions.into_iter().collect();
 
-        let (violation, consumed) = replay(&scenario, 5, &trace);
+        let (violation, consumed) = replay(&scenario, 5, &trace, &ExploreBackend::Sim);
         let violation = violation.expect("the scripted trace crashes processor 3");
         assert_eq!(violation.oracle, "crash-witness");
         assert_eq!(consumed, 34, "the oracle fires on the pivotal crash");
@@ -245,7 +231,7 @@ mod tests {
                 strategy_seed: 0,
             },
         };
-        let result = shrink(&scenario, &found, 300);
+        let result = shrink(&scenario, &found, 300, &ExploreBackend::Sim);
         assert_eq!(
             result.minimized.decisions(),
             &[Decision::Crash(ProcId(3))],
@@ -279,10 +265,10 @@ mod tests {
         // (the empty-trace probe and the single chunk drop both fail).
         let scenario = CrashScenario;
         let trace: DecisionTrace = [Decision::Crash(ProcId(3))].into_iter().collect();
-        let (violation, _) = replay(&scenario, 5, &trace);
+        let (violation, _) = replay(&scenario, 5, &trace, &ExploreBackend::Sim);
         let found = found_with(trace.clone(), "crash-witness", 5);
         assert_eq!(violation.unwrap().oracle, "crash-witness");
-        let result = shrink(&scenario, &found, 100);
+        let result = shrink(&scenario, &found, 100, &ExploreBackend::Sim);
         assert_eq!(result.minimized, trace, "already minimal: unchanged");
         assert_eq!(result.original_len, 1);
     }
@@ -351,34 +337,32 @@ mod tests {
     }
 
     #[test]
-    fn shrink_with_minimizes_on_the_task_executor() {
-        // The backend-generic core pointed at a real gated replay: a
-        // fail-stop fault plan violates election liveness on the executor;
-        // the ddmin core wired to `replay_exec` minimizes the trace and the
-        // result still reproduces there.
-        use crate::concurrent::{replay_exec, run_episode_exec, ShmConfig};
-        use crate::explorer::EpisodeOutcome;
+    fn shrink_minimizes_on_the_task_executor() {
+        // The same ddmin pointed at a real gated replay: a fail-stop fault
+        // plan violates election liveness on the executor; shrinking on
+        // that backend minimizes the trace and the result still reproduces
+        // there.
+        use crate::explorer::{run_episode, EpisodeOutcome};
+        use crate::gated::GatedConfig;
         use fle_runtime::{CrashSpec, FaultPlan};
 
         let scenario = crate::scenario::ElectionScenario { n: 4, k: 4 };
-        let config = ShmConfig {
+        let backend = ExploreBackend::Gated(GatedConfig {
             faults: Some(FaultPlan::new(2).with_crash(CrashSpec::lose_all(2))),
-            ..ShmConfig::default()
-        };
+            ..GatedConfig::default()
+        });
         let plan = EpisodePlan {
             strategy: StrategySpec::SplitBrain { burst: 4 },
             sim_seed: 0,
             strategy_seed: 0,
         };
-        let found = match run_episode_exec(&scenario, &plan, &config) {
+        let found = match run_episode(&scenario, &plan, &backend) {
             EpisodeOutcome::Violated(found) => *found,
             EpisodeOutcome::Clean { .. } => panic!("fail-stopping everyone violates liveness"),
         };
-        let result = shrink_with(&found, 120, |trace| {
-            replay_exec(&scenario, 0, trace, &config)
-        });
+        let result = shrink(&scenario, &found, 120, &backend);
         assert!(result.minimized.len() <= found.decisions.len());
-        let (violation, _) = replay_exec(&scenario, 0, &result.minimized, &config);
+        let (violation, _) = replay(&scenario, 0, &result.minimized, &backend);
         assert_eq!(violation.map(|v| v.oracle), Some(found.violation.oracle));
     }
 

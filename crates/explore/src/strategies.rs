@@ -397,7 +397,9 @@ impl<A: Adversary> Adversary for PreemptionBound<A> {
                 return Decision::Schedule(pos);
             }
         }
-        if let Some(event) = enabled.get(index % enabled.len().max(1)) {
+        // Track the processor that actually runs: the gate and the replayer
+        // clamp an out-of-range pick to the last enabled entry.
+        if let Some(event) = enabled.get(index.min(enabled.len().saturating_sub(1))) {
             let advanced = event.advances();
             if last_pos.is_some() && self.last != Some(advanced) {
                 self.left = self.left.saturating_sub(1);
@@ -681,6 +683,35 @@ mod tests {
             Decision::Schedule(_)
         ));
         assert_eq!(bounded.left(), 0, "free switches never refund the budget");
+    }
+
+    #[test]
+    fn preemption_bound_pins_the_processor_an_out_of_range_pick_ran() {
+        /// Always picks one past the end of the enabled list.
+        struct PastTheEnd;
+        impl Adversary for PastTheEnd {
+            fn decide(
+                &mut self,
+                _observation: &SystemObservation,
+                enabled: &EnabledEvents<'_>,
+            ) -> Decision {
+                Decision::Schedule(enabled.len() + 1)
+            }
+            fn name(&self) -> &'static str {
+                "past-the-end"
+            }
+        }
+
+        let obs = observation(vec![(ProcessPhase::StepReady, 0); 3]);
+        let enabled = step_events(3);
+        let view = EnabledEvents::from_slice(&enabled);
+        // Budget 0: the first pick (4 of 3 entries) passes through and the
+        // gate clamps it to processor 2, so the pin must hold processor 2 —
+        // not processor 1, where a modulo wrap would have put it.
+        let mut bounded = PreemptionBound::new(PastTheEnd, 0);
+        assert_eq!(bounded.decide(&obs, &view), Decision::Schedule(4));
+        assert_eq!(bounded.decide(&obs, &view), Decision::Schedule(2));
+        assert_eq!(bounded.left(), 0);
     }
 
     #[test]

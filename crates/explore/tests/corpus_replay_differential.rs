@@ -12,8 +12,14 @@
 
 use fle_explore::sabotage::SabotagedElectionScenario;
 use fle_explore::{
-    replay_exec, CoverageConfig, CoverageExplorer, ElectionScenario, Explorer, ShmConfig,
+    replay, CoverageConfig, CoverageExplorer, ElectionScenario, ExploreBackend, Explorer,
+    GatedConfig,
 };
+
+const GATED: ExploreBackend = ExploreBackend::Gated(GatedConfig {
+    preemption_bound: None,
+    faults: None,
+});
 
 #[test]
 fn healthy_sim_corpus_traces_replay_clean_on_the_task_executor() {
@@ -32,15 +38,14 @@ fn healthy_sim_corpus_traces_replay_clean_on_the_task_executor() {
         "the hunt retains several healthy traces, got {}",
         report.corpus.len()
     );
-    let config = ShmConfig::default();
     for entry in report.corpus.entries() {
-        let first = replay_exec(&scenario, entry.sim_seed, &entry.trace, &config);
+        let first = replay(&scenario, entry.sim_seed, &entry.trace, &GATED);
         assert!(
             first.0.is_none(),
             "healthy corpus trace flagged on the executor: {:?}",
             first.0
         );
-        let again = replay_exec(&scenario, entry.sim_seed, &entry.trace, &config);
+        let again = replay(&scenario, entry.sim_seed, &entry.trace, &GATED);
         assert_eq!(first, again, "replay on the executor is deterministic");
     }
 }
@@ -55,11 +60,10 @@ fn some_sabotage_counterexamples_transfer_to_the_task_executor() {
         report.violations.len() >= 10,
         "the sabotaged election is easy to kill on the simulator"
     );
-    let config = ShmConfig::default();
     let mut transferred = 0usize;
     for found in &report.violations {
         assert_eq!(found.violation.oracle, "unique-leader");
-        let (exec, _) = replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &config);
+        let (exec, _) = replay(&scenario, found.plan.sim_seed, &found.decisions, &GATED);
         if exec.as_ref().map(|v| v.oracle) == Some("unique-leader") {
             transferred += 1;
         }

@@ -5,8 +5,8 @@
 
 use fle_explore::sabotage::SabotagedElectionScenario;
 use fle_explore::{
-    CoverageConfig, CoverageExplorer, ElectionScenario, ExploreBackend, PartitionedConfig,
-    ShmConfig,
+    CoverageConfig, CoverageExplorer, ElectionScenario, ExploreBackend, GatedConfig,
+    PartitionedConfig,
 };
 
 fn small(budget: usize) -> CoverageConfig {
@@ -24,7 +24,7 @@ fn healthy_elections_stay_clean_while_coverage_grows_on_every_backend() {
     let backends = [
         ExploreBackend::Sim,
         ExploreBackend::Partitioned(PartitionedConfig::default()),
-        ExploreBackend::Async(ShmConfig::default()),
+        ExploreBackend::Gated(GatedConfig::default()),
     ];
     for backend in backends {
         let report = CoverageExplorer::new(&scenario)
@@ -57,7 +57,7 @@ fn healthy_elections_stay_clean_while_coverage_grows_on_every_backend() {
 fn the_guided_hunt_kills_the_mutant_on_the_task_executor() {
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     let report = CoverageExplorer::new(&scenario)
-        .with_backend(ExploreBackend::Async(ShmConfig::default()))
+        .with_backend(ExploreBackend::Gated(GatedConfig::default()))
         .with_config(CoverageConfig {
             budget: 64,
             batch: 8,

@@ -4,7 +4,9 @@
 //! small fraction of the original schedule.
 
 use fle_explore::sabotage::{SabotagedElectionScenario, SabotagedSiftScenario};
-use fle_explore::{oracles, replay, shrink, Explorer};
+use fle_explore::{oracles, replay, shrink, ExploreBackend, Explorer};
+
+const SIM: ExploreBackend = ExploreBackend::Sim;
 use fle_sim::DecisionTrace;
 
 /// The issue's acceptance bar: a sabotaged protocol ("skip the write") is
@@ -25,7 +27,7 @@ fn sabotaged_election_is_caught_shrunk_and_replayable() {
     assert!(original_len > 0, "a violation implies a non-empty schedule");
 
     // The recorded trace replays to the same violation, deterministically.
-    let (replayed, _) = replay(&scenario, found.plan.sim_seed, &found.decisions);
+    let (replayed, _) = replay(&scenario, found.plan.sim_seed, &found.decisions, &SIM);
     assert_eq!(
         replayed.as_ref().map(|v| v.oracle),
         Some(oracles::UNIQUE_LEADER),
@@ -33,7 +35,7 @@ fn sabotaged_election_is_caught_shrunk_and_replayable() {
     );
 
     // Shrink and check the acceptance bound.
-    let minimal = shrink(&scenario, found, 400);
+    let minimal = shrink(&scenario, found, 400, &SIM);
     assert_eq!(minimal.original_len, original_len);
     assert!(
         minimal.minimized.len() * 4 <= original_len,
@@ -43,14 +45,14 @@ fn sabotaged_election_is_caught_shrunk_and_replayable() {
     );
 
     // The minimized trace still reproduces the violation...
-    let (confirmed, _) = replay(&scenario, found.plan.sim_seed, &minimal.minimized);
+    let (confirmed, _) = replay(&scenario, found.plan.sim_seed, &minimal.minimized, &SIM);
     assert_eq!(confirmed.map(|v| v.oracle), Some(oracles::UNIQUE_LEADER));
 
     // ...and survives a round trip through its serialized text form.
     let text = minimal.minimized.to_compact_string();
     let parsed = DecisionTrace::parse(&text).expect("the compact form parses back");
     assert_eq!(parsed, minimal.minimized);
-    let (from_text, _) = replay(&scenario, found.plan.sim_seed, &parsed);
+    let (from_text, _) = replay(&scenario, found.plan.sim_seed, &parsed, &SIM);
     assert_eq!(
         from_text.map(|v| v.oracle),
         Some(oracles::UNIQUE_LEADER),
@@ -72,7 +74,7 @@ fn sabotaged_poison_pill_wipeout_is_caught() {
         .expect("an all-low execution with no priority writes wipes everyone out");
     assert_eq!(found.violation.oracle, oracles::SURVIVOR_BOUND);
     // Replayable here too.
-    let (replayed, _) = replay(&scenario, found.plan.sim_seed, &found.decisions);
+    let (replayed, _) = replay(&scenario, found.plan.sim_seed, &found.decisions, &SIM);
     assert_eq!(replayed.map(|v| v.oracle), Some(oracles::SURVIVOR_BOUND));
 }
 

@@ -4,14 +4,10 @@
 //! simulator.
 
 use fle_explore::sabotage::{SabotagedElectionScenario, SabotagedSiftScenario};
-use fle_explore::{
-    replay_exec, shrink_exec, standard_scenarios, ExploreBackend, Explorer, ShmConfig,
-};
+use fle_explore::{replay, shrink, standard_scenarios, ExploreBackend, Explorer, GatedConfig};
 
-const EXEC: ExploreBackend = ExploreBackend::Async(ShmConfig {
-    shards: 4,
+const EXEC: ExploreBackend = ExploreBackend::Gated(GatedConfig {
     preemption_bound: None,
-    max_grants: None,
     faults: None,
 });
 
@@ -36,10 +32,9 @@ fn healthy_scenarios_survive_every_strategy_on_the_task_executor() {
 
 #[test]
 fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_task_executor() {
-    let config = ShmConfig::default();
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     let hunt = Explorer::new(&scenario)
-        .with_backend(ExploreBackend::Async(config))
+        .with_backend(EXEC)
         .with_sim_seeds(0..8)
         .hunt();
     let found = hunt
@@ -50,8 +45,8 @@ fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_task_executor() {
     // The recorded trace replays deterministically: two independent replays
     // re-execute the tasks and reach the identical verdict at the identical
     // decision.
-    let first = replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &config);
-    let second = replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &config);
+    let first = replay(&scenario, found.plan.sim_seed, &found.decisions, &EXEC);
+    let second = replay(&scenario, found.plan.sim_seed, &found.decisions, &EXEC);
     let violation = first.0.as_ref().expect("replay reproduces the violation");
     assert_eq!(violation.oracle, "unique-leader");
     assert_eq!(first.0, second.0, "replay verdicts must be identical");
@@ -59,7 +54,7 @@ fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_task_executor() {
 
     // ddmin minimizes the executor counterexample; the result is itself a
     // replayable counterexample.
-    let minimal = shrink_exec(&scenario, found, 300, &config);
+    let minimal = shrink(&scenario, found, 300, &EXEC);
     assert!(minimal.minimized.len() <= found.decisions.len());
     assert!(
         minimal.ratio() <= 0.25,
@@ -68,7 +63,7 @@ fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_task_executor() {
         minimal.minimized.len(),
         minimal.ratio()
     );
-    let (replayed, _) = replay_exec(&scenario, found.plan.sim_seed, &minimal.minimized, &config);
+    let (replayed, _) = replay(&scenario, found.plan.sim_seed, &minimal.minimized, &EXEC);
     assert_eq!(
         replayed.expect("the minimized trace still fails").oracle,
         "unique-leader"
@@ -117,19 +112,19 @@ fn preemption_bounded_hunts_still_catch_the_mutant() {
     // CHESS-style: even 2 preemptions per episode are enough to elect two
     // leaders from the write-dropping mutant, and the bounded decisions are
     // what the trace records, so replay needs no bound.
-    let config = ShmConfig {
+    let bounded = ExploreBackend::Gated(GatedConfig {
         preemption_bound: Some(2),
-        ..ShmConfig::default()
-    };
+        ..GatedConfig::default()
+    });
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     let hunt = Explorer::new(&scenario)
-        .with_backend(ExploreBackend::Async(config))
+        .with_backend(bounded)
         .with_sim_seeds(0..8)
         .hunt();
     let found = hunt
         .first_violation()
         .expect("bounded preemption still finds the double election");
-    let (replayed, _) = replay_exec(&scenario, found.plan.sim_seed, &found.decisions, &config);
+    let (replayed, _) = replay(&scenario, found.plan.sim_seed, &found.decisions, &bounded);
     assert_eq!(
         replayed.expect("replays without the bound").oracle,
         "unique-leader"

@@ -18,7 +18,7 @@
 //! | [`core`] (`fle-core`) | PoisonPill, Heterogeneous PoisonPill, doorway, pre-round, the full election, renaming |
 //! | [`baselines`] (`fle-baselines`) | tournament-tree test-and-set (AGTV92), random-order renaming (AAG+10) |
 //! | [`service`] (`fle-service`) | sharded multi-instance election/renaming service over the pluggable backends |
-//! | [`explore`] (`fle-explore`) | adversarial schedule exploration over both the simulator and the gated executor: attack strategies, safety oracles, counterexample shrinking |
+//! | [`explore`] (`fle-explore`) | adversarial schedule exploration over the simulator, the partitioned engine and the gated executor through one episode runner: attack strategies, safety oracles, counterexample shrinking |
 //! | [`analysis`] (`fle-analysis`) | statistics, `log*`/`log²`/`√n` reference curves, table rendering |
 //!
 //! # Quickstart
@@ -81,8 +81,8 @@ pub mod prelude {
         Renaming, RenamingConfig,
     };
     pub use fle_explore::{
-        replay_exec, shrink, shrink_exec, ExploreBackend, Explorer, Oracle, Scenario, ShmConfig,
-        StrategySpec, Violation,
+        replay, shrink, ExploreBackend, Explorer, GatedConfig, Oracle, Scenario, StrategySpec,
+        Violation,
     };
     pub use fle_model::{
         drive, drive_cancellable, Action, CancelToken, ElectionContext, LocalStateView, Outcome,
