@@ -3,8 +3,8 @@
 //! One table of sweeps, one check routine. Each sweep runs the full attack
 //! library on one backend with fixed seeds:
 //!
-//! 1. **simulator** and 2. **gated** (the task-multiplexed executor behind
-//!    schedule gates): every healthy scenario at n ∈ {4, 8} must come back
+//! 1. **simulator** and 2. **gated** (the schedule-gate loop over shared
+//!    registers): every healthy scenario at n ∈ {4, 8} must come back
 //!    clean, and the two sabotaged protocol variants must be caught;
 //! 3. **gated, benign faults**: operation delays and transient collect
 //!    failures ([`GatedConfig::faults`]) must be *masked* — the election

@@ -7,8 +7,8 @@
 //! the way coverage-guided fuzzers do:
 //!
 //! 1. **Signal** ([`SignalProbe`]): every episode is observed at each oracle
-//!    check point (per event on the simulator, per grant on the gated
-//!    executor, per super-round barrier on the partitioned engine) and
+//!    check point (per event on the simulator, per grant on the gate loop,
+//!    per super-round barrier on the partitioned engine) and
 //!    condensed into a set of *feature codes* — per-round sifting-survivor
 //!    profiles, phase footprints, outcome multisets and oracle near-miss
 //!    buckets — plus an interleaving-class hash over the decision sequence.

@@ -33,10 +33,10 @@ use std::fmt;
 ///
 /// Episodes on every backend share the strategy library, the oracles, the
 /// seed grids and one episode runner behind [`run_episode`], [`replay`] and
-/// [`crate::shrink()`]; the simulator and the gated executor share the
+/// [`crate::shrink()`]; the simulator and the gate loop share the
 /// [`DecisionTrace`] codec, and only the meaning of a `Schedule(i)`
-/// decision differs (the i-th enabled simulator event versus the i-th gated
-/// participant task).
+/// decision differs (the i-th enabled simulator event versus the i-th
+/// waiting participant).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExploreBackend {
     /// The discrete-event simulator (`fle_sim::Simulator`).
@@ -47,12 +47,11 @@ pub enum ExploreBackend {
     /// checked at every super-round barrier, strategy violations replayed
     /// by plan rather than by decision trace (see [`crate::partitioned`]).
     Partitioned(PartitionedConfig),
-    /// The task-multiplexed executor behind schedule gates
-    /// (`fle_runtime::SharedRegisters` under `fle_runtime::run_gated`):
-    /// identical strategies, oracles and trace codec as the simulator, with
-    /// participants as cooperative tasks on a shared worker pool — so wide
-    /// hunts do not multiply `episodes × participants` into thread counts
-    /// (see [`crate::gated`]).
+    /// The schedule-gate loop (`fle_runtime::run_gated`): identical
+    /// strategies, oracles and trace codec as the simulator, with the
+    /// participants as machines over `fle_runtime::SharedRegisters`, stepped
+    /// on the episode's own thread — the service's execution shape, with the
+    /// adversary picking each operation (see [`crate::gated`]).
     Gated(GatedConfig),
 }
 
@@ -140,7 +139,7 @@ pub(crate) struct Episode {
     /// Events executed (grants on the gated backend).
     pub(crate) events: u64,
     /// The executed schedule: every decision the adversary made on the
-    /// simulator and the gated executor; on the partitioned backend the
+    /// simulator and the gate loop; on the partitioned backend the
     /// installed trace (empty for a plan, which is the replay token there).
     pub(crate) trace: DecisionTrace,
 }

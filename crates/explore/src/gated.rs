@@ -1,12 +1,13 @@
-//! Hunting the **gate-serialized executor**: the same strategies, oracles,
-//! traces and shrinker as the simulator, pointed at cooperative tasks on the
-//! shared [`Executor`] ([`crate::ExploreBackend::Gated`]).
+//! Hunting the **gate loop**: the same strategies, oracles, traces and
+//! shrinker as the simulator, pointed at participant machines over
+//! [`fle_runtime::SharedRegisters`] ([`crate::ExploreBackend::Gated`]) — the
+//! service's own execution shape, with the adversary picking each operation.
 //!
-//! [`fle_runtime::run_gated`] serializes the participant tasks of a
-//! [`fle_runtime::SharedRegisters`] run at their [`fle_model::SchedulePoint`]
-//! gates and lets a picker choose the interleaving. This module adapts that
-//! picker interface to the simulator's [`Adversary`] so the entire
-//! simulator pipeline transfers unchanged:
+//! [`fle_runtime::run_gated`] steps the participants on the calling thread,
+//! stops each at its [`fle_model::SchedulePoint`] gates and lets a picker
+//! choose the interleaving. This module adapts that picker interface to the
+//! simulator's [`Adversary`] so the entire simulator pipeline transfers
+//! unchanged:
 //!
 //! * every attack strategy ([`crate::strategies`]) sees a synthetic
 //!   [`SystemObservation`] + [`EnabledEvents`] view in which each gated
@@ -24,13 +25,13 @@
 //! Determinism: one episode = fresh register bank + seeded per-participant
 //! coin streams + fully serialized grants, so the execution is a pure
 //! function of `(scenario, sim_seed, decision sequence)` — independent of
-//! machine load, OS scheduling, executor worker count and explorer thread
-//! count. That is what makes a counterexample found on the executor
-//! replayable from its compact text form alone.
+//! machine load, OS scheduling and explorer thread count. That is what makes
+//! a counterexample found on the gate loop replayable from its compact text
+//! form alone.
 //!
 //! # Example
 //!
-//! Point a hunt at the executor (the healthy election survives):
+//! Point a hunt at the gate loop (the healthy election survives):
 //!
 //! ```
 //! use fle_explore::{ElectionScenario, ExploreBackend, Explorer, GatedConfig};
@@ -50,21 +51,16 @@ use crate::coverage::CoverageProbe;
 use crate::explorer::probe_and_check;
 use crate::oracles::{budget_violation, Oracle, OracleCtx, Violation};
 use crate::scenario::Scenario;
-use fle_model::{CancelToken, ProcId};
+use fle_model::ProcId;
 use fle_runtime::{
-    run_gated, Executor, FaultPlan, GateCommand, GateObservation, GateScheduler, ScheduleConfig,
-    SharedRegisters,
+    run_gated, FaultPlan, GateCommand, GateObservation, GateScheduler, ScheduleConfig,
 };
 use fle_sim::{
     Adversary, Decision, EnabledEvent, EnabledEvents, ExecutionReport, ProcessObservation,
     ProcessPhase, SystemObservation,
 };
-use std::sync::Arc;
 
-/// Lock shards of each episode's register bank.
-const REGISTER_SHARDS: usize = 4;
-
-/// How the gated executor is exercised during a hunt. The grant budget is
+/// How the gate loop is exercised during a hunt. The grant budget is
 /// [`Scenario::max_events`] when set, else the
 /// [`ScheduleConfig::for_participants`] default; running out of it is
 /// reported as a termination-budget violation, like the simulator's event
@@ -185,16 +181,7 @@ impl GateScheduler for OnlineAdversaryScheduler<'_> {
     }
 }
 
-/// The process-wide executor hosting every task-backed episode. Episodes
-/// hunted in parallel share the pool safely: each episode's control loop
-/// serializes only its own gate, and a gated schedule admits one task at a
-/// time, so determinism per episode is unaffected by pool sharing.
-fn explore_executor() -> &'static Executor {
-    static EXECUTOR: std::sync::OnceLock<Executor> = std::sync::OnceLock::new();
-    EXECUTOR.get_or_init(Executor::with_default_config)
-}
-
-/// Drive one scenario on the gated executor under `adversary`, checking the
+/// Drive one scenario on the gate loop under `adversary`, checking the
 /// scenario's oracles after every grant. Returns the violation (if any) and
 /// the number of grants executed. The probe sees every ctx the oracles see,
 /// including the post-run final check.
@@ -213,7 +200,6 @@ pub(crate) fn drive_gated(
     }
     let budget = sched_config.max_grants;
 
-    let registers = Arc::new(SharedRegisters::new(REGISTER_SHARDS));
     let mut scheduler = OnlineAdversaryScheduler {
         n: scenario.n(),
         participants: &participants,
@@ -224,15 +210,11 @@ pub(crate) fn drive_gated(
         report: ExecutionReport::default(),
     };
     let report = run_gated(
-        explore_executor(),
-        &registers,
-        0,
         sim_seed,
         scenario.protocols(),
         sched_config,
         &mut scheduler,
         config.faults,
-        &CancelToken::none(),
     );
 
     if let Some(violation) = scheduler.violation {
@@ -345,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn healthy_election_episodes_are_clean_on_the_task_executor() {
+    fn healthy_election_episodes_are_clean_on_the_gate_loop() {
         let scenario = ElectionScenario { n: 4, k: 4 };
         let backend = gated(GatedConfig::default());
         for strategy in StrategySpec::library() {
@@ -353,7 +335,7 @@ mod tests {
                 match run_episode(&scenario, &plan(strategy, sim_seed), &backend) {
                     EpisodeOutcome::Clean { events } => assert!(events > 0),
                     EpisodeOutcome::Violated(found) => {
-                        panic!("healthy election violated on the executor: {found}")
+                        panic!("healthy election violated on the gate loop: {found}")
                     }
                 }
             }
@@ -361,9 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn executor_episodes_are_deterministic() {
-        // The gate fully serializes the executor, so the same plan executes
-        // the identical schedule every time — grant counts included.
+    fn gated_episodes_are_deterministic() {
+        // The gate loop fully serializes the participants, so the same plan
+        // executes the identical schedule every time — grant counts
+        // included.
         let scenario = ElectionScenario { n: 4, k: 4 };
         let backend = gated(GatedConfig::default());
         for sim_seed in 0..3 {
@@ -373,7 +356,7 @@ mod tests {
                 run_episode(&scenario, &p, &backend),
             ) {
                 (EpisodeOutcome::Clean { events: a }, EpisodeOutcome::Clean { events: b }) => {
-                    assert_eq!(a, b, "seed {sim_seed}: the executor repeats itself");
+                    assert_eq!(a, b, "seed {sim_seed}: the gate loop repeats itself");
                 }
                 other => panic!("seed {sim_seed}: unexpected outcomes {other:?}"),
             }
@@ -381,10 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn crash_faults_are_caught_replayed_and_shrunk_on_the_task_executor() {
-        // The full counterexample pipeline on the async substrate: a
+    fn crash_faults_are_caught_replayed_and_shrunk_on_the_gate_loop() {
+        // The full counterexample pipeline on the register substrate: a
         // fail-stop-everyone plan violates election liveness; the recorded
-        // trace replays on the executor; ddmin minimizes it there too.
+        // trace replays on the gate loop; ddmin minimizes it there too.
         let scenario = ElectionScenario { n: 4, k: 4 };
         let crashing = gated(GatedConfig {
             faults: Some(FaultPlan::new(2).with_crash(CrashSpec::lose_all(2))),
@@ -405,7 +388,7 @@ mod tests {
         assert_eq!(
             violation.map(|v| v.oracle),
             Some(crate::oracles::ELECTION_LIVENESS),
-            "the recorded trace reproduces on the executor"
+            "the recorded trace reproduces on the gate loop"
         );
         let minimal = shrink(&scenario, &found, 200, &crashing);
         assert!(minimal.minimized.len() <= found.decisions.len());

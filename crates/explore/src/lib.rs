@@ -19,8 +19,8 @@
 //!    violating schedule as a [`fle_sim::DecisionTrace`] that [`replay`]
 //!    reproduces deterministically. Every entry point takes an
 //!    [`ExploreBackend`] — the simulator, the partitioned engine
-//!    ([`partitioned`]) or the gated task executor ([`gated`]) — and runs
-//!    through one episode runner.
+//!    ([`partitioned`]) or the schedule-gate loop over the service's
+//!    register bank ([`gated`]) — and runs through one episode runner.
 //! 4. **The shrinker** ([`mod@shrink`]): delta-debugs a violating trace to a
 //!    minimal counterexample by dropping decision chunks and keeping every
 //!    edit after which the same oracle still fires.

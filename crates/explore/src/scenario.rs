@@ -21,7 +21,7 @@ use fle_model::{ProcId, Protocol};
 /// A scenario is deliberately backend-agnostic: [`Scenario::protocols`]
 /// returns plain [`fle_model::Protocol`] state machines, which every
 /// backend registers as they are — the simulator, the partitioned engine
-/// and the gated executor (`crate::gated`) — and the same oracles guard all
+/// and the gate loop (`crate::gated`) — and the same oracles guard all
 /// three.
 ///
 /// Implementations must be `Sync` because the explorer shares one scenario
@@ -47,8 +47,8 @@ pub trait Scenario: Sync {
     /// Optional override of the engine's event budget, the one budget
     /// override on every backend (`None` keeps the default `O(n²)` budget
     /// of [`fle_sim::SimConfig`] on the simulator and the partitioned engine
-    /// and the [`fle_runtime::ScheduleConfig`] grant budget on the gated
-    /// executor). Running out is a termination-budget violation.
+    /// and the [`fle_runtime::ScheduleConfig`] grant budget on the gate
+    /// loop). Running out is a termination-budget violation.
     fn max_events(&self) -> Option<u64> {
         None
     }

@@ -337,9 +337,9 @@ mod tests {
     }
 
     #[test]
-    fn shrink_minimizes_on_the_task_executor() {
+    fn shrink_minimizes_on_the_gate_loop() {
         // The same ddmin pointed at a real gated replay: a fail-stop fault
-        // plan violates election liveness on the executor; shrinking on
+        // plan violates election liveness on the gate loop; shrinking on
         // that backend minimizes the trace and the result still reproduces
         // there.
         use crate::explorer::{run_episode, EpisodeOutcome};

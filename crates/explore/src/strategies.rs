@@ -358,7 +358,7 @@ impl Adversary for SplitBrain {
 /// The wrapper composes below [`fle_sim::RecordingAdversary`], so a recorded
 /// trace contains the *bounded* decisions and replays faithfully without the
 /// wrapper. It works against any [`EnabledEvents`] view — simulator events
-/// or the gated executor's schedule points alike.
+/// or the gate loop's schedule points alike.
 #[derive(Debug, Clone)]
 pub struct PreemptionBound<A> {
     inner: A,

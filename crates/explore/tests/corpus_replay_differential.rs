@@ -1,12 +1,12 @@
 //! Cross-backend corpus replay: traces recorded on the simulator are *valid
-//! schedules* on the gated task executor (the tolerant replayers guarantee
-//! it), so a Sim-built corpus can seed executor hunts.
+//! schedules* on the gate loop (the tolerant replayers guarantee it), so a
+//! Sim-built corpus can seed gated hunts.
 //!
 //! Two layers:
 //!
 //! * healthy corpus entries (recorded by a Sim coverage hunt over the real
-//!   election) replay clean on the executor, deterministically;
-//! * sabotage counterexamples found on Sim replay on the executor, and at
+//!   election) replay clean on the gate loop, deterministically;
+//! * sabotage counterexamples found on Sim replay on the gate loop, and at
 //!   least two of them *transfer* (refire `unique-leader` there), which is
 //!   what makes a Sim-built corpus worth seeding gated hunts with.
 
@@ -22,7 +22,7 @@ const GATED: ExploreBackend = ExploreBackend::Gated(GatedConfig {
 });
 
 #[test]
-fn healthy_sim_corpus_traces_replay_clean_on_the_task_executor() {
+fn healthy_sim_corpus_traces_replay_clean_on_the_gate_loop() {
     let scenario = ElectionScenario { n: 4, k: 4 };
     let report = CoverageExplorer::new(&scenario)
         .with_config(CoverageConfig {
@@ -42,16 +42,16 @@ fn healthy_sim_corpus_traces_replay_clean_on_the_task_executor() {
         let first = replay(&scenario, entry.sim_seed, &entry.trace, &GATED);
         assert!(
             first.0.is_none(),
-            "healthy corpus trace flagged on the executor: {:?}",
+            "healthy corpus trace flagged on the gate loop: {:?}",
             first.0
         );
         let again = replay(&scenario, entry.sim_seed, &entry.trace, &GATED);
-        assert_eq!(first, again, "replay on the executor is deterministic");
+        assert_eq!(first, again, "replay on the gate loop is deterministic");
     }
 }
 
 #[test]
-fn some_sabotage_counterexamples_transfer_to_the_task_executor() {
+fn some_sabotage_counterexamples_transfer_to_the_gate_loop() {
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     // Sim-side hunt: the DropWrites mutant yields a pile of unique-leader
     // counterexamples across the seed grid.
@@ -69,7 +69,7 @@ fn some_sabotage_counterexamples_transfer_to_the_task_executor() {
         }
     }
     // Pinned empirically (seeds 0..8, default library): starve@1,
-    // split-brain@4 and several weighted walks refire on the executor. A
+    // split-brain@4 and several weighted walks refire on the gate loop. A
     // regression here means Sim decision indices stopped mapping onto gated
     // grant indices closely enough to transfer.
     assert!(

@@ -54,7 +54,7 @@ fn healthy_elections_stay_clean_while_coverage_grows_on_every_backend() {
 }
 
 #[test]
-fn the_guided_hunt_kills_the_mutant_on_the_task_executor() {
+fn the_guided_hunt_kills_the_mutant_on_the_gate_loop() {
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     let report = CoverageExplorer::new(&scenario)
         .with_backend(ExploreBackend::Gated(GatedConfig::default()))

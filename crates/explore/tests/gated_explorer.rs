@@ -1,4 +1,4 @@
-//! End-to-end exploration of the **gated task executor**: the simulator's
+//! End-to-end exploration of the **gate loop**: the simulator's
 //! pipeline (strategies → online oracles → recorded trace → ddmin shrinker)
 //! pointed at `SharedRegisters` behind schedule gates instead of the
 //! simulator.
@@ -12,7 +12,7 @@ const EXEC: ExploreBackend = ExploreBackend::Gated(GatedConfig {
 });
 
 #[test]
-fn healthy_scenarios_survive_every_strategy_on_the_task_executor() {
+fn healthy_scenarios_survive_every_strategy_on_the_gate_loop() {
     for scenario in standard_scenarios(&[4]) {
         let report = Explorer::new(scenario.as_ref())
             .with_backend(EXEC)
@@ -31,7 +31,7 @@ fn healthy_scenarios_survive_every_strategy_on_the_task_executor() {
 }
 
 #[test]
-fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_task_executor() {
+fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_gate_loop() {
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     let hunt = Explorer::new(&scenario)
         .with_backend(EXEC)
@@ -39,12 +39,12 @@ fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_task_executor() {
         .hunt();
     let found = hunt
         .first_violation()
-        .expect("the write-dropping election mutant must be caught on the executor");
+        .expect("the write-dropping election mutant must be caught on the gate loop");
     assert_eq!(found.violation.oracle, "unique-leader");
 
     // The recorded trace replays deterministically: two independent replays
-    // re-execute the tasks and reach the identical verdict at the identical
-    // decision.
+    // re-execute the participants and reach the identical verdict at the
+    // identical decision.
     let first = replay(&scenario, found.plan.sim_seed, &found.decisions, &EXEC);
     let second = replay(&scenario, found.plan.sim_seed, &found.decisions, &EXEC);
     let violation = first.0.as_ref().expect("replay reproduces the violation");
@@ -52,7 +52,7 @@ fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_task_executor() {
     assert_eq!(first.0, second.0, "replay verdicts must be identical");
     assert_eq!(first.1, second.1, "replay consumption must be identical");
 
-    // ddmin minimizes the executor counterexample; the result is itself a
+    // ddmin minimizes the gated counterexample; the result is itself a
     // replayable counterexample.
     let minimal = shrink(&scenario, found, 300, &EXEC);
     assert!(minimal.minimized.len() <= found.decisions.len());
@@ -71,7 +71,7 @@ fn sabotaged_election_is_caught_replayed_and_shrunk_on_the_task_executor() {
 }
 
 #[test]
-fn sabotaged_sift_wipeout_is_caught_on_the_task_executor() {
+fn sabotaged_sift_wipeout_is_caught_on_the_gate_loop() {
     let scenario = SabotagedSiftScenario { n: 4, bias: 0.1 };
     let hunt = Explorer::new(&scenario)
         .with_backend(EXEC)
@@ -84,7 +84,7 @@ fn sabotaged_sift_wipeout_is_caught_on_the_task_executor() {
 }
 
 #[test]
-fn executor_hunts_are_deterministic_across_worker_thread_counts() {
+fn gated_hunts_are_deterministic_across_worker_thread_counts() {
     // The explorer's worker-thread count must not influence what a hunt
     // finds: episodes are deterministic and results come back in grid order.
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };

@@ -180,9 +180,8 @@ pub enum DriveStep {
 /// participants over a handful of OS threads: a parked participant is just a
 /// `DriveMachine` plus its protocol, not a blocked thread.
 ///
-/// The blocking drivers ([`drive`], [`drive_cancellable`]) are thin
-/// wrappers over this machine and are pinned byte-identical to the original
-/// loops by differential tests.
+/// The blocking driver [`drive`] is a thin wrapper over this machine and is
+/// pinned byte-identical to the original loop by differential tests.
 #[derive(Debug)]
 pub struct DriveMachine {
     /// The response the next protocol step consumes; `None` while an [`Op`]
@@ -333,35 +332,6 @@ impl CancelToken {
     }
 }
 
-/// [`drive`], but polling `cancel` before every protocol step.
-///
-/// Returns `None` when the token trips mid-run; the shared memory is left in
-/// whatever state the completed prefix of operations produced (callers that
-/// namespace their registers should retire the namespace).
-pub fn drive_cancellable<P, M>(
-    protocol: &mut P,
-    mut memory: M,
-    cancel: &CancelToken,
-) -> Option<Outcome>
-where
-    P: Protocol + ?Sized,
-    M: SharedMemory,
-{
-    let mut machine = DriveMachine::new();
-    loop {
-        if cancel.is_cancelled() {
-            return None;
-        }
-        match machine.step(protocol) {
-            DriveStep::Done(outcome) => return Some(outcome),
-            DriveStep::NeedOp(op) => {
-                let response = op.perform(&mut memory);
-                machine.resume(response);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,38 +475,21 @@ mod tests {
     }
 
     #[test]
-    fn inert_token_never_cancels_and_drive_cancellable_completes() {
+    fn inert_token_never_cancels() {
         let cancel = CancelToken::none();
         assert!(!cancel.is_cancellable());
         assert!(!cancel.is_cancelled());
         cancel.cancel(); // no-op
         assert!(!cancel.is_cancelled());
-
-        let mut memory = TestMemory::new(vec![true]);
-        let mut protocol = RoundTrip {
-            stage: 0,
-            saw_flag: false,
-        };
-        assert_eq!(
-            drive_cancellable(&mut protocol, &mut memory, &cancel),
-            Some(Outcome::Win)
-        );
     }
 
     #[test]
-    fn tripped_token_stops_the_drive_loop() {
+    fn tripped_token_reports_cancelled_on_every_clone() {
         let cancel = CancelToken::new();
         assert!(cancel.is_cancellable());
+        assert!(!cancel.is_cancelled());
         cancel.clone().cancel(); // clones share the flag
         assert!(cancel.is_cancelled());
-
-        let mut memory = TestMemory::new(vec![true]);
-        let mut protocol = RoundTrip {
-            stage: 0,
-            saw_flag: false,
-        };
-        assert_eq!(drive_cancellable(&mut protocol, &mut memory, &cancel), None);
-        assert!(memory.calls.is_empty(), "no operation may start");
     }
 
     #[test]

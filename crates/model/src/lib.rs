@@ -76,9 +76,7 @@ pub mod view;
 pub mod wire;
 
 pub use action::{Action, Outcome, Response};
-pub use backend::{
-    drive, drive_cancellable, CancelToken, DriveMachine, DriveStep, Op, SharedMemory,
-};
+pub use backend::{drive, CancelToken, DriveMachine, DriveStep, Op, SharedMemory};
 pub use ids::{splitmix64, ElectionContext, InstanceId, ProcId, Slot};
 pub use metrics::{ExecutionMetrics, ProcessMetrics};
 pub use partition::{PartitionMap, RouteKey};

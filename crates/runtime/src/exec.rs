@@ -1,54 +1,47 @@
-//! The task-multiplexed cooperative executor: thousands of participants per
-//! OS thread.
+//! The participants of a register-bank instance, and the three drivers
+//! that step them.
 //!
 //! A participant is a [`DriveMachine`] plus its protocol and register handle
-//! — a few hundred bytes of suspended state — and a small pool of worker
-//! threads polls those tasks cooperatively from a shared run queue. One OS
-//! thread hosts thousands of participants, and an instance costs no thread
-//! spawn at all.
+//! — a few hundred bytes of suspended state, not an OS thread. Three drivers
+//! step such participants:
 //!
-//! Two execution modes share the pool:
+//! * [`run_inline`] runs one instance free-running on the calling thread:
+//!   round-robin, a burst of 8 shared-memory operations per turn, with the
+//!   instance's [`CancelToken`] polled before every operation. The service
+//!   runs its async instances this way, on its shard workers.
+//! * [`run_gated`] is the schedule-gate loop, also on the calling thread:
+//!   before each operation a participant waits at the operation's
+//!   [`SchedulePoint`], and a [`GateScheduler`] grants one waiting
+//!   participant at a time. The whole exploration stack (strategies,
+//!   oracles, record/replay, ddmin) drives these interleavings.
+//! * The [`Executor`] pool ([`Executor::submit`]) multiplexes free-running
+//!   instances over a few worker threads. Each participant task performs one
+//!   burst per poll and goes back to the shared run queue, so instances
+//!   interleave at operation granularity. Fail-stop abandonment converts to
+//!   [`Outcome::Lose`], and a panicking task poisons only its own instance's
+//!   ticket: the worker thread survives and keeps polling everyone else. A
+//!   one-worker pool running a lone instance takes exactly [`run_inline`]'s
+//!   turns.
 //!
-//! * **Free-running** ([`Executor::submit`]): each participant task performs
-//!   a bounded burst of shared-memory operations per poll and goes back to
-//!   the queue, so instances interleave at operation granularity. The
-//!   instance's [`CancelToken`] is polled before every operation (every
-//!   yield point), fail-stop abandonment converts to [`Outcome::Lose`], and
-//!   a panicking task poisons only its own instance's ticket: the worker
-//!   thread survives and keeps polling everyone else. [`run_inline`] runs
-//!   the same participants, burst for burst, on the calling thread instead:
-//!   round-robin, exactly as a one-worker pool runs a lone instance, with no
-//!   queue, no ticket and no pool at all.
-//! * **Gated** ([`run_gated`]): the schedule-gate loop. Before each
-//!   operation a task *parks* at the operation's [`SchedulePoint`] —
-//!   ownership of the suspended task moves into its gate slot — and the
-//!   caller's control loop wakes exactly one task per grant by re-injecting
-//!   it into the run queue. The whole exploration stack (strategies,
-//!   oracles, record/replay, ddmin) drives the executor's interleavings, and
-//!   the run is deterministic given the scheduler's decisions and the seed,
-//!   independent of the worker count.
-//!
-//! # Determinism ledger (gated mode)
+//! # Determinism ledger (gate loop)
 //!
 //! *Yield points*: every shared-memory operation plus the final return.
-//! *Wake order*: one task at a time, chosen by the [`GateScheduler`] at
-//! quiescence (all live tasks parked), so the waiting set at each decision
-//! is a pure function of the grant history. *Seed policy*: participant
-//! coins come from [`SharedRegisters::handle_seeded`] (`seed + proc·0x9e37`,
-//! the simulator's convention), fault streams from the [`FaultPlan`] seed.
-//! Consequently a FIFO-gated executor run is outcome-identical to
-//! `fle_sim::SimMemory::run_all` for any number of workers — the
-//! differential tests pin the two together.
+//! *Grant order*: one participant at a time, chosen by the
+//! [`GateScheduler`]; nothing else runs between decisions, so the waiting set
+//! at each decision is a pure function of the grant history. *Seed policy*:
+//! participant coins come from [`SharedRegisters::handle_seeded`]
+//! (`seed + proc·0x9e37`, the simulator's convention), fault streams from the
+//! [`FaultPlan`] seed. Consequently a FIFO-gated run is outcome-identical to
+//! `fle_sim::SimMemory::run_all` — the differential tests pin the two
+//! together.
 //!
-//! *Panics*: a task that panics mid-poll is recorded as crashed so the loop
-//! can finish (its worker survives), and [`run_gated`] then re-raises the
-//! first panic's payload on the caller — a protocol bug never passes for an
-//! adversary crash. Tasks lost to executor shutdown stay plain crashes.
+//! *Panics*: a participant's panic unwinds out of [`run_gated`] at the grant
+//! that raised it — a protocol bug never passes for an adversary crash.
 
 use crate::faulty::{FaultPlan, FaultStats, FaultyMemory};
 use crate::sched::{
-    FifoScheduler, GateCommand, GateObservation, GateScheduler, ScheduleConfig, ScheduledReport,
-    WaitingAt,
+    FifoScheduler, GateCommand, GateObservation, GateScheduler, ScheduleConfig, ScheduledProgress,
+    ScheduledReport, WaitingAt,
 };
 use crate::shm::{RegisterHandle, SharedRegisters};
 use fle_model::{
@@ -64,9 +57,8 @@ use std::thread::JoinHandle;
 
 const LOCK: &str = "no executor user panics while holding the lock";
 
-/// The default burst of a free-running participant: shared-memory
-/// operations per poll on the pool ([`ExecutorConfig::new`]), and per turn
-/// in [`run_inline`]'s round-robin.
+/// The burst of a free-running participant: shared-memory operations per
+/// poll on the pool, and per turn in [`run_inline`]'s round-robin.
 const DEFAULT_OPS_PER_POLL: u32 = 8;
 
 /// Configuration of an [`Executor`].
@@ -74,33 +66,20 @@ const DEFAULT_OPS_PER_POLL: u32 = 8;
 pub struct ExecutorConfig {
     /// Worker threads in the pool. 0 is clamped to 1.
     pub workers: usize,
-    /// Shared-memory operations one free-running task may perform per poll
-    /// before yielding the worker (amortizes run-queue traffic; the cancel
-    /// token is still checked before every operation). 0 is clamped to 1.
-    pub ops_per_poll: u32,
     /// Start with the workers holding: submitted tasks queue up but none
     /// runs until [`Executor::release`]. Lets a caller stage an entire batch
     /// so the in-flight high-water mark measures *capacity*, not the race
-    /// between the submit loop and the pool. Nothing makes progress until
-    /// released — don't park a gated run ([`crate::run_gated`]) behind it.
+    /// between the submit loop and the pool.
     pub start_paused: bool,
 }
 
 impl ExecutorConfig {
-    /// `workers` worker threads with the default per-poll operation budget.
+    /// `workers` worker threads, running from the start.
     pub fn new(workers: usize) -> Self {
         ExecutorConfig {
             workers,
-            ops_per_poll: DEFAULT_OPS_PER_POLL,
             start_paused: false,
         }
-    }
-
-    /// Override the per-poll operation budget.
-    #[must_use]
-    pub fn with_ops_per_poll(mut self, ops_per_poll: u32) -> Self {
-        self.ops_per_poll = ops_per_poll;
-        self
     }
 
     /// Hold the workers until [`Executor::release`].
@@ -287,17 +266,18 @@ impl InstanceShared {
     }
 }
 
-/// One suspended free-running participant: a machine, its protocol, and its
+/// One suspended participant: a machine, its protocol, and its
 /// (fault-decorated) register handle. This — not an OS thread — is the unit
-/// the executor multiplexes and [`run_inline`] round-robins.
-struct FreeParticipant {
+/// that [`run_inline`] round-robins, the pool multiplexes and [`run_gated`]
+/// grants.
+struct Participant {
     proc: ProcId,
     machine: DriveMachine,
     protocol: Box<dyn Protocol + Send>,
     memory: FaultyMemory<RegisterHandle>,
 }
 
-/// How one [`FreeParticipant::burst`] ended.
+/// How one [`Participant::burst`] ended.
 enum Burst {
     /// The operation budget ran out; the participant is still live.
     Yielded,
@@ -307,7 +287,26 @@ enum Burst {
     Doomed,
 }
 
-impl FreeParticipant {
+/// What a gated participant does when it is granted.
+enum Pending {
+    /// Perform this operation, then step to the next gate.
+    Op(Op),
+    /// Return with this outcome.
+    Return(Outcome),
+}
+
+/// Where one participant of a gated run is.
+enum Gate {
+    /// Waiting at a gate: the point, the local state the scheduler sees, and
+    /// what the grant will do.
+    Waiting(SchedulePoint, LocalStateView, Pending),
+    /// Returned; its outcome is in the report.
+    Done,
+    /// Crashed by the scheduler or by a stop.
+    Crashed,
+}
+
+impl Participant {
     /// The participants of one free-running instance, in the given order:
     /// coins from [`SharedRegisters::handle`] (which mixes in `namespace`),
     /// each handle behind a [`FaultyMemory`] under `plan` as it applies to
@@ -318,11 +317,11 @@ impl FreeParticipant {
         seed: u64,
         participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
         plan: &FaultPlan,
-    ) -> impl Iterator<Item = FreeParticipant> + 'a {
+    ) -> impl Iterator<Item = Participant> + 'a {
         let plan = plan.for_namespace(namespace);
         participants
             .into_iter()
-            .map(move |(proc, protocol)| FreeParticipant {
+            .map(move |(proc, protocol)| Participant {
                 proc,
                 machine: DriveMachine::new(),
                 protocol,
@@ -352,147 +351,36 @@ impl FreeParticipant {
         }
         Burst::Yielded
     }
+
+    /// Step the protocol to its next gate. A fail-stopped participant gates
+    /// through [`SchedulePoint::Return`] before it loses, so the grant
+    /// accounting stays consistent.
+    fn next_gate(&mut self) -> Gate {
+        let pending = if self.memory.abandoned() {
+            Pending::Return(Outcome::Lose)
+        } else {
+            match self.machine.step(self.protocol.as_mut()) {
+                DriveStep::Done(outcome) => Pending::Return(outcome),
+                DriveStep::NeedOp(op) => Pending::Op(op),
+            }
+        };
+        let point = match &pending {
+            Pending::Op(op) => op.point(),
+            Pending::Return(_) => SchedulePoint::Return,
+        };
+        Gate::Waiting(point, self.protocol.adversary_view(), pending)
+    }
 }
 
 /// A free-running participant queued on the pool, with its instance's
 /// shared bookkeeping.
 struct FreeTask {
     instance: Arc<InstanceShared>,
-    participant: FreeParticipant,
-}
-
-/// What a granted gated task does when a worker next polls it.
-enum GatedPending {
-    /// Initial state: step the protocol to its first gate.
-    Start,
-    /// The gate for this operation was granted: perform it, then step to the
-    /// next gate.
-    Op(Op),
-    /// The `Return` gate was granted: finish with this outcome.
-    Outcome(Outcome),
-}
-
-/// One suspended gated participant.
-struct GatedTask {
-    gate: Arc<GateShared>,
-    slot: usize,
-    machine: DriveMachine,
-    protocol: Box<dyn Protocol + Send>,
-    memory: FaultyMemory<RegisterHandle>,
-    pending: GatedPending,
-}
-
-/// The lifecycle of one gated participant slot: granting re-injects the
-/// parked task (phase goes straight back to `Running`) and dooming drops it
-/// in place.
-enum GatePhase {
-    /// In the run queue or being polled by a worker.
-    Running,
-    /// Parked at a gate; `GateSlot::parked` holds the suspended task.
-    Waiting(SchedulePoint, LocalStateView),
-    /// Returned with the recorded outcome (taken by the harvester).
-    Done(Option<Outcome>),
-    /// Doomed by the control loop, lost to executor shutdown, or panicked.
-    Crashed,
-}
-
-struct GateSlot {
-    proc: ProcId,
-    phase: GatePhase,
-    parked: Option<GatedTask>,
-    harvested: bool,
-}
-
-/// The gate shared by one gated run's tasks and its control loop.
-struct GateShared {
-    slots: Mutex<Vec<GateSlot>>,
-    /// Signalled on every transition out of `Running`, so the control loop
-    /// can wait for quiescence.
-    quiesce: Condvar,
-    fault_totals: Mutex<FaultStats>,
-    /// Whether fault counters should be merged (a [`FaultPlan`] was given).
-    merge_faults: bool,
-    /// The first panic a task raised, re-raised on the caller once the run
-    /// has finished.
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
-impl GateShared {
-    fn new(procs: &[ProcId], merge_faults: bool) -> Self {
-        GateShared {
-            slots: Mutex::new(
-                procs
-                    .iter()
-                    .map(|&proc| GateSlot {
-                        proc,
-                        phase: GatePhase::Running,
-                        parked: None,
-                        harvested: false,
-                    })
-                    .collect(),
-            ),
-            quiesce: Condvar::new(),
-            fault_totals: Mutex::new(FaultStats::default()),
-            merge_faults,
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn merge(&self, stats: &FaultStats) {
-        if !self.merge_faults {
-            return;
-        }
-        match self.fault_totals.lock() {
-            Ok(mut guard) => guard.merge(stats),
-            Err(poisoned) => poisoned.into_inner().merge(stats),
-        }
-    }
-
-    /// Park `task` at its gate: ownership moves into the slot; the control
-    /// loop wakes it by re-injecting it into the run queue.
-    fn park(&self, point: SchedulePoint, state: LocalStateView, task: GatedTask) {
-        let mut slots = self.slots.lock().expect(LOCK);
-        let slot = &mut slots[task.slot];
-        slot.phase = GatePhase::Waiting(point, state);
-        slot.parked = Some(task);
-        self.quiesce.notify_all();
-    }
-
-    /// A task returned: record its outcome and merge its fault counters.
-    fn finish(&self, slot: usize, outcome: Outcome, stats: &FaultStats) {
-        self.merge(stats);
-        let mut slots = self.slots.lock().expect(LOCK);
-        slots[slot].phase = GatePhase::Done(Some(outcome));
-        self.quiesce.notify_all();
-    }
-
-    /// A task panicked mid-poll: keep the first payload for the caller and
-    /// crash the slot so the control loop can finish the run.
-    fn panicked(&self, slot: usize, payload: Box<dyn Any + Send + 'static>) {
-        self.panic.lock().expect(LOCK).get_or_insert(payload);
-        self.crash_slot(slot);
-    }
-
-    /// Terminal fallback: the task panicked or was lost to executor
-    /// shutdown; the participant counts as crashed so the control loop never
-    /// waits on it forever.
-    fn crash_slot(&self, slot: usize) {
-        let mut slots = self.slots.lock().expect(LOCK);
-        if !matches!(slots[slot].phase, GatePhase::Done(_) | GatePhase::Crashed) {
-            slots[slot].phase = GatePhase::Crashed;
-            slots[slot].parked = None;
-            self.quiesce.notify_all();
-        }
-    }
-}
-
-enum WorkItem {
-    Free(FreeTask),
-    Gated(GatedTask),
+    participant: Participant,
 }
 
 struct Queue {
-    tasks: VecDeque<WorkItem>,
+    tasks: VecDeque<FreeTask>,
     shutdown: bool,
     /// While set, workers wait instead of popping — queued work accumulates
     /// until [`Executor::release`] clears it.
@@ -507,18 +395,17 @@ struct Pool {
     in_flight: AtomicUsize,
     peak_in_flight: AtomicUsize,
     workers: usize,
-    ops_per_poll: u32,
 }
 
 impl Pool {
-    /// Enqueue `item`, or hand it back (boxed — the error arm is the cold
+    /// Enqueue `task`, or hand it back (boxed — the error arm is the cold
     /// shutdown path) so the caller can resolve its bookkeeping.
-    fn inject(&self, item: WorkItem) -> Result<(), Box<WorkItem>> {
+    fn inject(&self, task: FreeTask) -> Result<(), Box<FreeTask>> {
         let mut queue = self.queue.lock().expect(LOCK);
         if queue.shutdown {
-            return Err(Box::new(item));
+            return Err(Box::new(task));
         }
-        queue.tasks.push_back(item);
+        queue.tasks.push_back(task);
         let paused = queue.paused;
         drop(queue);
         if !paused {
@@ -527,26 +414,15 @@ impl Pool {
         Ok(())
     }
 
-    /// Resolve a work item that can no longer run (shutdown drain).
-    fn discard(item: WorkItem) {
-        match item {
-            WorkItem::Free(task) => task
-                .instance
-                .finish_cancelled(&task.participant.memory.stats()),
-            WorkItem::Gated(task) => {
-                let gate = Arc::clone(&task.gate);
-                let slot = task.slot;
-                gate.merge(&task.memory.stats());
-                drop(task);
-                gate.crash_slot(slot);
-            }
-        }
+    /// Resolve a task that can no longer run (shutdown drain).
+    fn discard(task: FreeTask) {
+        task.instance
+            .finish_cancelled(&task.participant.memory.stats());
     }
 }
 
 /// The cooperative executor: a fixed pool of worker threads multiplexing
-/// participant tasks from a shared run queue. See the module docs for the
-/// two execution modes and the determinism ledger.
+/// free-running participant tasks from a shared run queue.
 pub struct Executor {
     pool: Arc<Pool>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -576,7 +452,6 @@ impl Executor {
             in_flight: AtomicUsize::new(0),
             peak_in_flight: AtomicUsize::new(0),
             workers,
-            ops_per_poll: config.ops_per_poll.max(1),
         });
         let handles = (0..workers)
             .map(|index| {
@@ -591,12 +466,6 @@ impl Executor {
             pool,
             handles: Mutex::new(handles),
         }
-    }
-
-    /// A pool with the default configuration (one worker per available core,
-    /// clamped to 2..=8).
-    pub fn with_default_config() -> Self {
-        Executor::new(ExecutorConfig::default())
     }
 
     /// Current load counters.
@@ -644,15 +513,13 @@ impl Executor {
             pool: Arc::clone(&self.pool),
             merge_faults,
         });
-        for participant in
-            FreeParticipant::build_all(registers, namespace, seed, participants, plan)
-        {
+        for participant in Participant::build_all(registers, namespace, seed, participants, plan) {
             let task = FreeTask {
                 instance: Arc::clone(&instance),
                 participant,
             };
-            if let Err(item) = self.pool.inject(WorkItem::Free(task)) {
-                Pool::discard(*item);
+            if let Err(task) = self.pool.inject(task) {
+                Pool::discard(*task);
             }
         }
         InFlight { rx }
@@ -668,25 +535,17 @@ impl Executor {
         self.pool.available.notify_all();
     }
 
-    /// Enqueue a gated task (or fail it against its slot on shutdown).
-    fn inject_gated(&self, task: GatedTask) {
-        if let Err(item) = self.pool.inject(WorkItem::Gated(task)) {
-            Pool::discard(*item);
-        }
-    }
-
-    /// Stop the pool: drain the queue (queued free tasks resolve their
-    /// instances [`ExecResult::Cancelled`], queued gated tasks crash their
-    /// slots), wake and join every worker. Idempotent.
+    /// Stop the pool: drain the queue (queued tasks resolve their instances
+    /// [`ExecResult::Cancelled`]), wake and join every worker. Idempotent.
     pub fn shutdown(&self) {
-        let drained: Vec<WorkItem> = {
+        let drained: Vec<FreeTask> = {
             let mut queue = self.pool.queue.lock().expect(LOCK);
             queue.shutdown = true;
             queue.tasks.drain(..).collect()
         };
         self.pool.available.notify_all();
-        for item in drained {
-            Pool::discard(item);
+        for task in drained {
+            Pool::discard(task);
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock().expect(LOCK));
         for handle in handles {
@@ -703,12 +562,12 @@ impl Drop for Executor {
 
 fn worker_loop(pool: &Arc<Pool>) {
     loop {
-        let item = {
+        let task = {
             let mut queue = pool.queue.lock().expect(LOCK);
             loop {
                 if !queue.paused {
-                    if let Some(item) = queue.tasks.pop_front() {
-                        break item;
+                    if let Some(task) = queue.tasks.pop_front() {
+                        break task;
                     }
                 }
                 if queue.shutdown {
@@ -717,15 +576,12 @@ fn worker_loop(pool: &Arc<Pool>) {
                 queue = pool.available.wait(queue).expect(LOCK);
             }
         };
-        match item {
-            WorkItem::Free(task) => poll_free(pool, task),
-            WorkItem::Gated(task) => poll_gated(task),
-        }
+        poll_free(pool, task);
     }
 }
 
-/// Poll one free-running task for one burst of `ops_per_poll` operations
-/// ([`FreeParticipant::burst`], doomed when the instance is). A panic
+/// Poll one free-running task for one burst of operations
+/// ([`Participant::burst`], doomed when the instance is). A panic
 /// anywhere in the protocol or memory poisons only this task's instance;
 /// the worker survives.
 fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
@@ -734,7 +590,7 @@ fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
         let mut task = task;
         let burst = task
             .participant
-            .burst(pool.ops_per_poll, || task.instance.is_doomed());
+            .burst(DEFAULT_OPS_PER_POLL, || task.instance.is_doomed());
         let stats = task.participant.memory.stats();
         match burst {
             Burst::Yielded => return Some(task),
@@ -748,8 +604,8 @@ fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
     }));
     match polled {
         Ok(Some(task)) => {
-            if let Err(item) = pool.inject(WorkItem::Free(task)) {
-                Pool::discard(*item);
+            if let Err(task) = pool.inject(task) {
+                Pool::discard(*task);
             }
         }
         Ok(None) => {}
@@ -760,9 +616,10 @@ fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
 /// Run one free-running instance to completion on the calling thread.
 ///
 /// Takes [`Executor::submit`]'s arguments and builds the same participants.
-/// They take turns in the given order, one burst of the executor's default
-/// 8 operations each, until every one has finished: the order in which a
-/// one-worker pool runs a lone instance, so both do the same register work.
+/// They take turns in the given order, one burst of 8 operations each, until
+/// every one has finished: the order in which a one-worker pool runs a lone
+/// instance, so both do the same register work. The gate loop replays these
+/// turns as a schedule (`tests/inline_equivalence.rs`).
 /// Returns `None` when `cancel` (polled before every operation) trips
 /// first; partial register state may remain under `namespace` — retire it.
 /// Fault counters appear in the report only under a live plan.
@@ -778,8 +635,8 @@ pub fn run_inline(
     cancel: &CancelToken,
 ) -> Option<ExecReport> {
     let merge_faults = !plan.is_noop();
-    let mut turns: VecDeque<FreeParticipant> =
-        FreeParticipant::build_all(registers, namespace, seed, participants, plan).collect();
+    let mut turns: VecDeque<Participant> =
+        Participant::build_all(registers, namespace, seed, participants, plan).collect();
     let mut report = ExecReport::default();
     while let Some(mut participant) = turns.pop_front() {
         match participant.burst(DEFAULT_OPS_PER_POLL, || cancel.is_cancelled()) {
@@ -796,215 +653,111 @@ pub fn run_inline(
     Some(report)
 }
 
-/// Poll one gated task: execute whatever its last grant authorized, then
-/// step the protocol to its next gate and park. Fail-stop abandonment gates
-/// through [`SchedulePoint::Return`] before converting to [`Outcome::Lose`],
-/// so the grant accounting stays consistent. A panic is caught here (a
-/// pooled worker must outlive any one task) and handed to the gate, which
-/// re-raises it on [`run_gated`]'s caller.
-fn poll_gated(task: GatedTask) {
-    let gate = Arc::clone(&task.gate);
-    let slot = task.slot;
-    let polled = catch_unwind(AssertUnwindSafe(move || {
-        let mut task = task;
-        match std::mem::replace(&mut task.pending, GatedPending::Start) {
-            GatedPending::Start => {}
-            GatedPending::Op(op) => {
-                let response = op.perform(&mut task.memory);
-                task.machine.resume(response);
-            }
-            GatedPending::Outcome(outcome) => {
-                let stats = task.memory.stats();
-                task.gate.finish(task.slot, outcome, &stats);
-                return;
-            }
-        }
-        if task.memory.abandoned() {
-            let state = task.protocol.adversary_view();
-            task.pending = GatedPending::Outcome(Outcome::Lose);
-            let gate = Arc::clone(&task.gate);
-            gate.park(SchedulePoint::Return, state, task);
-            return;
-        }
-        match task.machine.step(task.protocol.as_mut()) {
-            DriveStep::Done(outcome) => {
-                let state = task.protocol.adversary_view();
-                task.pending = GatedPending::Outcome(outcome);
-                let gate = Arc::clone(&task.gate);
-                gate.park(SchedulePoint::Return, state, task);
-            }
-            DriveStep::NeedOp(op) => {
-                let state = task.protocol.adversary_view();
-                let point = op.point();
-                task.pending = GatedPending::Op(op);
-                let gate = Arc::clone(&task.gate);
-                gate.park(point, state, task);
-            }
-        }
-    }));
-    if let Err(payload) = polled {
-        gate.panicked(slot, payload);
-    }
-}
-
-/// Run one instance on the executor under an explicit schedule: the
+/// Run one instance under an explicit schedule, on the calling thread: the
 /// schedule-gate loop.
 ///
-/// Participants are sorted by processor id and each is wrapped in a
-/// [`FaultyMemory`] under `plan` (a no-op plan when `None`); coins are
-/// seeded by [`SharedRegisters::handle_seeded`], so a [`FifoScheduler`] run
-/// is coin-for-coin comparable with `fle_sim::SimMemory`. At every
-/// quiescent point the loop harvests returns and crashes, then asks
-/// `scheduler` for one [`GateCommand`]: out-of-range grants clamp to the
-/// last waiting participant, crashes beyond the budget or of participants
-/// that are not waiting degrade to `Run(0)`, and a stop (or the grant
-/// budget running out) crashes everyone still parked. The registers written
-/// under `namespace` are left in place; retire them with
-/// [`SharedRegisters::retire`] when done.
+/// The participants are sorted by processor id and run over a fresh
+/// register bank the loop owns. Each handle sits behind a [`FaultyMemory`]
+/// under `plan` (a no-op plan when `None`), applied as given: a caller that
+/// replays one service instance scopes the plan with
+/// [`FaultPlan::for_namespace`] itself. Coins are seeded by
+/// [`SharedRegisters::handle_seeded`], so a [`FifoScheduler`] run is
+/// coin-for-coin comparable with `fle_sim::SimMemory`.
 ///
-/// Additionally polls `cancel` at every quiescent decision point: a tripped
-/// token aborts the run like a [`GateCommand::Stop`] (every parked task is
-/// doomed, the report is marked `stopped`), which is how in-flight
-/// cancellation reaches tasks parked at gates.
+/// At every decision the loop hands `scheduler` the participants waiting at
+/// their gates and executes the [`GateCommand`] it answers: out-of-range
+/// grants clamp to the last waiting participant, crashes beyond the budget
+/// or of participants that are not waiting degrade to `Run(0)`, and a stop
+/// (or the grant budget running out) crashes everyone still waiting. Fault
+/// counters are merged over every participant when a plan was given.
 ///
-/// Deterministic given (`seed`, scheduler decisions) for **any** worker
-/// count: only the granted task runs between decisions, so the waiting set
-/// at each quiescent point is a pure function of the grant history.
+/// Deterministic given (`seed`, `plan`, scheduler decisions): only the
+/// granted participant runs between two decisions.
 ///
 /// # Panics
-/// Re-raises, once the run has finished, the first panic any participant
-/// task raised.
-#[allow(clippy::too_many_arguments)]
+/// A participant's panic unwinds to the caller at the grant that raised it.
 pub fn run_gated(
-    executor: &Executor,
-    registers: &Arc<SharedRegisters>,
-    namespace: u64,
     seed: u64,
     mut participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
     config: ScheduleConfig,
     scheduler: &mut dyn GateScheduler,
     plan: Option<FaultPlan>,
-    cancel: &CancelToken,
 ) -> ScheduledReport {
     participants.sort_by_key(|(proc, _)| *proc);
-    let procs: Vec<ProcId> = participants.iter().map(|(proc, _)| *proc).collect();
-    let gate = Arc::new(GateShared::new(&procs, plan.is_some()));
+    // One namespace, so one lock shard holds every register.
+    let registers = Arc::new(SharedRegisters::new(1));
+    let mut all: Vec<(Participant, Gate)> = participants
+        .into_iter()
+        .map(|(proc, protocol)| {
+            let mut participant = Participant {
+                proc,
+                machine: DriveMachine::new(),
+                protocol,
+                memory: FaultyMemory::new(
+                    registers.handle_seeded(0, proc, seed),
+                    proc,
+                    plan.unwrap_or_default(),
+                ),
+            };
+            let gate = participant.next_gate();
+            (participant, gate)
+        })
+        .collect();
+
     let mut report = ScheduledReport::default();
-
-    for (slot, (proc, protocol)) in participants.into_iter().enumerate() {
-        let memory = FaultyMemory::new(
-            registers.handle_seeded(namespace, proc, seed),
-            proc,
-            plan.map(|p| p.for_namespace(namespace)).unwrap_or_default(),
-        );
-        executor.inject_gated(GatedTask {
-            gate: Arc::clone(&gate),
-            slot,
-            machine: DriveMachine::new(),
-            protocol,
-            memory,
-            pending: GatedPending::Start,
-        });
-    }
-
     let mut crash_budget_left = config.crash_budget;
-    let mut stopping = false;
     loop {
-        // Wait for quiescence: every slot parked at a gate or terminal.
-        let mut slots = gate.slots.lock().expect(LOCK);
-        while slots.iter().any(|s| matches!(s.phase, GatePhase::Running)) {
-            slots = gate.quiesce.wait(slots).expect(LOCK);
-        }
-
-        // Harvest terminal transitions into the progress report.
-        for slot in slots.iter_mut() {
-            if slot.harvested {
-                continue;
-            }
-            match &mut slot.phase {
-                GatePhase::Done(outcome) => {
-                    let outcome = outcome.take().expect("outcomes are harvested once");
-                    report.progress.outcomes.insert(slot.proc, outcome);
-                    report
-                        .progress
-                        .intervals
-                        .entry(slot.proc)
-                        .or_insert((report.grants, None))
-                        .1 = Some(report.grants);
-                    slot.harvested = true;
-                }
-                GatePhase::Crashed => {
-                    report.progress.crashed.push(slot.proc);
-                    slot.harvested = true;
-                }
-                _ => {}
-            }
-        }
-
-        // Collect the waiting set (slot order = ascending processor id).
-        let mut slot_indices = Vec::new();
-        let mut waiting: Vec<WaitingAt> = Vec::new();
-        for (index, slot) in slots.iter().enumerate() {
-            if let GatePhase::Waiting(point, state) = &slot.phase {
-                slot_indices.push(index);
+        // The waiting set, ascending by processor id.
+        let mut indices = Vec::new();
+        let mut waiting = Vec::new();
+        for (index, (participant, gate)) in all.iter().enumerate() {
+            if let Gate::Waiting(point, state, _) = gate {
+                indices.push(index);
                 waiting.push(WaitingAt {
-                    proc: slot.proc,
+                    proc: participant.proc,
                     point: *point,
                     state: state.clone(),
                 });
             }
         }
         if waiting.is_empty() {
-            break; // every participant finished or crashed
+            break; // every participant returned or crashed
         }
 
-        // In-flight cancellation reaches tasks parked at gates here: a
-        // tripped token aborts the rest of the run like a Stop command.
-        if cancel.is_cancelled() && !stopping {
-            stopping = true;
-        }
-        if report.grants >= config.max_grants && !stopping {
+        let command = if report.grants >= config.max_grants {
             report.budget_exhausted = true;
-            stopping = true;
-        }
-        let command = if stopping {
             GateCommand::Stop
         } else {
-            // Consult the scheduler outside the lock: every live task is
-            // parked, so nothing races the snapshot.
-            drop(slots);
-            let command = scheduler.pick(&GateObservation {
-                participants: procs.len(),
+            scheduler.pick(&GateObservation {
+                participants: all.len(),
                 grants_made: report.grants,
                 crash_budget_left,
                 waiting: &waiting,
                 progress: &report.progress,
-            });
-            slots = gate.slots.lock().expect(LOCK);
-            command
+            })
         };
-
-        match command {
-            GateCommand::Stop => {
+        let victim = match command {
+            GateCommand::Crash(victim) if crash_budget_left > 0 => {
+                waiting.iter().position(|entry| entry.proc == victim)
+            }
+            _ => None,
+        };
+        // Returns and crashes enter the report as they happen. A decision
+        // ends at most one participant, or every waiting one in processor
+        // order on a stop, so the report equals one harvested at the next
+        // decision.
+        match (command, victim) {
+            (GateCommand::Stop, _) => {
                 report.stopped = true;
-                stopping = true;
-                for slot in slots.iter_mut() {
-                    if matches!(slot.phase, GatePhase::Waiting(..)) {
-                        doom(&gate, slot);
-                    }
+                for &index in &indices {
+                    crash(&mut all[index], &mut report.progress);
                 }
             }
-            GateCommand::Crash(victim)
-                if crash_budget_left > 0 && waiting.iter().any(|entry| entry.proc == victim) =>
-            {
+            (_, Some(position)) => {
                 crash_budget_left -= 1;
-                let pos = waiting
-                    .iter()
-                    .position(|entry| entry.proc == victim)
-                    .expect("victim verified waiting above");
-                doom(&gate, &mut slots[slot_indices[pos]]);
+                crash(&mut all[indices[position]], &mut report.progress);
             }
-            command => {
+            (command, None) => {
                 // Out-of-range grants clamp and illegal crashes degrade to
                 // the oldest waiting grant, mirroring the tolerant replay
                 // semantics of the simulator's `ReplayAdversary`.
@@ -1018,62 +771,59 @@ pub fn run_gated(
                 // returning at grant g and a winner starting at grant g+1
                 // would look concurrent to the linearizability check.
                 report.grants += 1;
-                report
+                let (participant, gate) = &mut all[indices[pick]];
+                let interval = report
                     .progress
                     .intervals
-                    .entry(waiting[pick].proc)
+                    .entry(participant.proc)
                     .or_insert((report.grants, None));
-                let slot = &mut slots[slot_indices[pick]];
-                let task = slot.parked.take().expect("a waiting slot holds its task");
-                slot.phase = GatePhase::Running;
-                drop(slots);
-                executor.inject_gated(task);
+                match std::mem::replace(gate, Gate::Done) {
+                    Gate::Waiting(_, _, Pending::Op(op)) => {
+                        let response = op.perform(&mut participant.memory);
+                        participant.machine.resume(response);
+                        *gate = participant.next_gate();
+                    }
+                    Gate::Waiting(_, _, Pending::Return(outcome)) => {
+                        interval.1 = Some(report.grants);
+                        report.progress.outcomes.insert(participant.proc, outcome);
+                    }
+                    Gate::Done | Gate::Crashed => {
+                        unreachable!("only waiting participants are granted")
+                    }
+                }
             }
         }
     }
 
-    if let Some(payload) = gate.panic.lock().expect(LOCK).take() {
-        std::panic::resume_unwind(payload);
+    if plan.is_some() {
+        for (participant, _) in &all {
+            report.faults.merge(&participant.memory.stats());
+        }
     }
-    report.faults = match gate.fault_totals.lock() {
-        Ok(guard) => *guard,
-        Err(poisoned) => *poisoned.into_inner(),
-    };
     report
 }
 
-/// Doom one parked slot in place: merge its task's fault counters (a doomed
-/// participant's faults count like a finished one's), drop the task, and
-/// record the crash.
-fn doom(gate: &GateShared, slot: &mut GateSlot) {
-    if let Some(task) = slot.parked.take() {
-        gate.merge(&task.memory.stats());
-    }
-    slot.phase = GatePhase::Crashed;
+/// Crash one waiting participant of a gated run.
+fn crash((participant, gate): &mut (Participant, Gate), progress: &mut ScheduledProgress) {
+    *gate = Gate::Crashed;
+    progress.crashed.push(participant.proc);
 }
 
-/// Run one instance fully sequentialized on the executor — the gated FIFO
-/// schedule, outcome-identical to `fle_sim::SimMemory::run_all` — and
-/// return its report. The deterministic face of the async backend, used by
-/// the differential suite.
+/// Run one instance fully sequentialized under the gate loop — the FIFO
+/// schedule, outcome-identical to `fle_sim::SimMemory::run_all` — and return
+/// its report. The deterministic face of the register backend, used by the
+/// differential suite.
 pub fn run_gated_fifo(
-    executor: &Executor,
-    registers: &Arc<SharedRegisters>,
-    namespace: u64,
     seed: u64,
     participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
 ) -> ScheduledReport {
     let k = participants.len();
     run_gated(
-        executor,
-        registers,
-        namespace,
         seed,
         participants,
         ScheduleConfig::for_participants(k),
         &mut FifoScheduler,
         None,
-        &CancelToken::none(),
     )
 }
 
@@ -1085,36 +835,9 @@ mod tests {
     use fle_model::{Action, Response};
     use std::collections::BTreeSet;
 
-    fn small_executor(workers: usize) -> Executor {
-        Executor::new(ExecutorConfig::new(workers).with_ops_per_poll(4))
-    }
-
-    /// One fault-free gated run of `participants` at `seed` on a fresh bank.
-    fn gated(
-        workers: usize,
-        seed: u64,
-        participants: Vec<(ProcId, Box<dyn Protocol + Send>)>,
-        config: ScheduleConfig,
-        scheduler: &mut dyn GateScheduler,
-    ) -> ScheduledReport {
-        let executor = small_executor(workers);
-        let registers = Arc::new(SharedRegisters::new(2));
-        run_gated(
-            &executor,
-            &registers,
-            0,
-            seed,
-            participants,
-            config,
-            scheduler,
-            None,
-            &CancelToken::none(),
-        )
-    }
-
     #[test]
     fn free_instances_each_elect_one_winner_with_none_lost() {
-        let executor = small_executor(3);
+        let executor = Executor::new(ExecutorConfig::new(3));
         let registers = Arc::new(SharedRegisters::new(8));
         let tickets: Vec<(u64, InFlight)> = (0..100u64)
             .map(|key| {
@@ -1150,12 +873,12 @@ mod tests {
     #[test]
     fn fifo_schedule_elects_exactly_one_leader() {
         let k = 4;
-        let report = gated(
-            2,
+        let report = run_gated(
             3,
             election_participants(k),
             ScheduleConfig::for_participants(k),
             &mut FifoScheduler,
+            None,
         );
         assert_eq!(report.progress.winners().len(), 1);
         assert_eq!(report.progress.outcomes.len(), k);
@@ -1168,12 +891,12 @@ mod tests {
     fn fifo_schedule_runs_participants_in_order() {
         // Under FIFO, participant i's return grant precedes participant
         // i+1's first grant: the run is genuinely sequential.
-        let report = gated(
-            2,
+        let report = run_gated(
             9,
             election_participants(3),
             ScheduleConfig::for_participants(3),
             &mut FifoScheduler,
+            None,
         );
         assert_eq!(
             report.progress.intervals[&ProcId(0)].0,
@@ -1202,30 +925,28 @@ mod tests {
 
     #[test]
     fn out_of_range_grants_clamp_to_the_highest_waiting_participant() {
-        // Clamping grants the highest-id parked participant every time, so
+        // Clamping grants the highest-id waiting participant every time, so
         // participant 3 runs to completion first — alone, hence the winner —
         // then 2, then 1, then 0. (Wrapping the index modulo the waiting
         // count would grant participant j instead, and elect it.)
-        for workers in [1usize, 3] {
-            for overshoot in 0..3usize {
-                let report = gated(
-                    workers,
-                    7,
-                    election_participants(4),
-                    ScheduleConfig::for_participants(4),
-                    &mut PastTheEnd(overshoot),
+        for overshoot in 0..3usize {
+            let report = run_gated(
+                7,
+                election_participants(4),
+                ScheduleConfig::for_participants(4),
+                &mut PastTheEnd(overshoot),
+                None,
+            );
+            let label = format!("Run(len + {overshoot})");
+            assert_eq!(report.progress.winners(), vec![ProcId(3)], "{label}");
+            for i in 1..4usize {
+                let (_, end) = report.progress.intervals[&ProcId(i)];
+                let (start, _) = report.progress.intervals[&ProcId(i - 1)];
+                assert!(
+                    end.expect("finished") < start,
+                    "{label}: participant {i} must finish before {} starts",
+                    i - 1
                 );
-                let label = format!("workers {workers}, Run(len + {overshoot})");
-                assert_eq!(report.progress.winners(), vec![ProcId(3)], "{label}");
-                for i in 1..4usize {
-                    let (_, end) = report.progress.intervals[&ProcId(i)];
-                    let (start, _) = report.progress.intervals[&ProcId(i - 1)];
-                    assert!(
-                        end.expect("finished") < start,
-                        "{label}: participant {i} must finish before {} starts",
-                        i - 1
-                    );
-                }
             }
         }
     }
@@ -1248,12 +969,12 @@ mod tests {
             }
         }
         // Budget 1: only the first crash lands, the second degrades.
-        let report = gated(
-            2,
+        let report = run_gated(
             2,
             election_participants(5),
             ScheduleConfig::for_participants(5).with_crash_budget(1),
             &mut CrashTwo,
+            None,
         );
         assert_eq!(report.progress.crashed, vec![ProcId(0)]);
         assert_eq!(report.progress.outcomes.len(), 4, "survivors all return");
@@ -1272,12 +993,12 @@ mod tests {
                 }
             }
         }
-        let report = gated(
-            2,
+        let report = run_gated(
             1,
             election_participants(4),
             ScheduleConfig::for_participants(4),
             &mut StopAfter(3),
+            None,
         );
         assert!(report.stopped);
         assert!(!report.budget_exhausted);
@@ -1291,12 +1012,12 @@ mod tests {
 
     #[test]
     fn grant_budget_exhaustion_stops_the_run() {
-        let report = gated(
-            2,
+        let report = run_gated(
             1,
             election_participants(4),
             ScheduleConfig::for_participants(4).with_max_grants(5),
             &mut FifoScheduler,
+            None,
         );
         assert!(report.stopped);
         assert!(report.budget_exhausted);
@@ -1315,24 +1036,17 @@ mod tests {
                 LocalStateView::new("bomb", "armed")
             }
         }
-        // The panicking task is crashed so the loop can finish (this test
-        // hanging = the crash fallback is broken), then the payload reaches
-        // the caller instead of passing for an adversary crash.
-        let executor = small_executor(2);
-        let registers = Arc::new(SharedRegisters::new(1));
+        // The payload reaches the caller instead of passing for an
+        // adversary crash.
         let mut participants = election_participants(2);
         participants.push((ProcId(2), Box::new(Bomb)));
         let raised = catch_unwind(AssertUnwindSafe(|| {
             run_gated(
-                &executor,
-                &registers,
-                0,
                 4,
                 participants,
                 ScheduleConfig::for_participants(3),
                 &mut FifoScheduler,
                 None,
-                &CancelToken::none(),
             )
         }));
         let payload = raised.expect_err("a protocol panic must reach the caller");
@@ -1340,10 +1054,6 @@ mod tests {
             payload.downcast_ref::<&str>(),
             Some(&"deliberate test panic")
         );
-        // The workers outlive the panic: the same pool runs the next
-        // instance to completion.
-        let report = run_gated_fifo(&executor, &registers, 1, 4, election_participants(3));
-        assert_eq!(report.progress.winners().len(), 1);
     }
 
     /// Round-robin over waiting participants, for interleaving tests.
@@ -1360,29 +1070,23 @@ mod tests {
     }
 
     #[test]
-    fn gated_runs_are_deterministic_across_worker_counts() {
-        let run = |workers: usize| {
-            let executor = small_executor(workers);
-            let registers = Arc::new(SharedRegisters::new(3));
+    fn gated_runs_are_deterministic() {
+        let run = || {
             run_gated(
-                &executor,
-                &registers,
-                0,
                 9,
                 renaming_participants(5, 5),
                 ScheduleConfig::for_participants(5),
                 &mut RoundRobin { next: 0 },
                 None,
-                &CancelToken::none(),
             )
         };
-        let lone = run(1);
-        let pooled = run(4);
-        assert_eq!(lone.progress.outcomes, pooled.progress.outcomes);
-        assert_eq!(lone.progress.intervals, pooled.progress.intervals);
-        assert_eq!(lone.progress.crashed, pooled.progress.crashed);
-        assert_eq!(lone.grants, pooled.grants);
-        let names: BTreeSet<usize> = lone.progress.names().values().copied().collect();
+        let first = run();
+        let again = run();
+        assert_eq!(first.progress.outcomes, again.progress.outcomes);
+        assert_eq!(first.progress.intervals, again.progress.intervals);
+        assert_eq!(first.progress.crashed, again.progress.crashed);
+        assert_eq!(first.grants, again.grants);
+        let names: BTreeSet<usize> = first.progress.names().values().copied().collect();
         assert_eq!(names.len(), 5, "renaming still assigns unique names");
         assert!(
             names.iter().all(|&u| (1..=5).contains(&u)),
@@ -1390,60 +1094,9 @@ mod tests {
         );
     }
 
-    /// Trips a cancel token once enough grants have happened, then keeps
-    /// granting FIFO — the control loop must notice the token at its next
-    /// quiescent point, while every live task is parked at a gate.
-    struct TripAfter {
-        cancel: CancelToken,
-        grants: u64,
-    }
-
-    impl GateScheduler for TripAfter {
-        fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
-            if obs.grants_made >= self.grants {
-                self.cancel.cancel();
-            }
-            GateCommand::Run(0)
-        }
-    }
-
-    #[test]
-    fn cancel_expiry_while_parked_at_a_gate_aborts_the_run() {
-        let executor = small_executor(2);
-        let registers = Arc::new(SharedRegisters::new(2));
-        let cancel = CancelToken::new();
-        let mut scheduler = TripAfter {
-            cancel: cancel.clone(),
-            grants: 5,
-        };
-        let report = run_gated(
-            &executor,
-            &registers,
-            0,
-            3,
-            election_participants(4),
-            ScheduleConfig::for_participants(4),
-            &mut scheduler,
-            None,
-            &cancel,
-        );
-        assert!(report.stopped, "a tripped token aborts like a Stop");
-        assert!(!report.budget_exhausted);
-        assert_eq!(report.grants, 6, "one grant lands after the trip");
-        assert!(
-            !report.progress.crashed.is_empty(),
-            "parked tasks are doomed on cancellation"
-        );
-        assert_eq!(
-            report.progress.outcomes.len() + report.progress.crashed.len(),
-            4,
-            "every participant is accounted for"
-        );
-    }
-
     #[test]
     fn free_cancel_token_resolves_cancelled() {
-        let executor = small_executor(2);
+        let executor = Executor::new(ExecutorConfig::new(2));
         let registers = Arc::new(SharedRegisters::new(1));
         let cancel = CancelToken::new();
         cancel.cancel();
@@ -1464,7 +1117,7 @@ mod tests {
         // One worker, many instances: most tasks are still queued (or parked
         // between polls) when shutdown lands. Every ticket must resolve —
         // completed or cancelled, never hung or lost.
-        let executor = small_executor(1);
+        let executor = Executor::new(ExecutorConfig::new(1));
         let registers = Arc::new(SharedRegisters::new(4));
         let tickets: Vec<InFlight> = (0..50u64)
             .map(|key| {
@@ -1568,7 +1221,7 @@ mod tests {
         // Processor 0 of namespace 13 panics at its second operation; every
         // other instance on the same pool completes, and the workers survive
         // to serve submissions made afterwards.
-        let executor = small_executor(2);
+        let executor = Executor::new(ExecutorConfig::new(2));
         let registers = Arc::new(SharedRegisters::new(4));
         let plan =
             FaultPlan::new(5).with_crash(CrashSpec::panic_proc(ProcId(0), 2).only_namespace(13));
@@ -1618,7 +1271,7 @@ mod tests {
 
     #[test]
     fn free_fault_counters_surface_only_when_a_plan_is_live() {
-        let executor = small_executor(2);
+        let executor = Executor::new(ExecutorConfig::new(2));
         let registers = Arc::new(SharedRegisters::new(2));
         let clean = executor
             .submit(
@@ -1660,7 +1313,7 @@ mod tests {
 
     #[test]
     fn empty_participant_lists_complete_immediately() {
-        let executor = small_executor(1);
+        let executor = Executor::new(ExecutorConfig::new(1));
         let registers = Arc::new(SharedRegisters::new(1));
         let ticket = executor.submit(
             &registers,

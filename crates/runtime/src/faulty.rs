@@ -25,11 +25,12 @@
 //!   fail-stop that keeps every participant's outcome observable so
 //!   liveness oracles can fire on it).
 //!
-//! The executor wraps every participant's register handle in a
-//! [`FaultyMemory`] in both of its modes, so the whole exploration stack
-//! (strategies, oracles, record/replay, ddmin shrinking) hunts the backend
-//! *under injected faults* without modification — see [`crate::run_gated`]
-//! and `fle_explore`.
+//! Every driver of register-bank participants — [`crate::run_inline`], the
+//! [`crate::Executor`] pool and the gate loop [`crate::run_gated`] — wraps
+//! each participant's register handle in a [`FaultyMemory`], so the whole
+//! exploration stack (strategies, oracles, record/replay, ddmin shrinking)
+//! hunts the backend *under injected faults* without modification — see
+//! `fle_explore`.
 
 use fle_model::{CollectedViews, InstanceId, Key, ProcId, SharedMemory, Value};
 use rand::{Rng, SeedableRng};
@@ -246,8 +247,8 @@ impl<M> FaultyMemory<M> {
     }
 
     /// Whether a [`CrashMode::Lose`] crash has triggered: the processor must
-    /// perform no further protocol steps (the executor checks this before
-    /// every step and returns
+    /// perform no further protocol steps (the drivers check this before
+    /// every step and return
     /// [`Outcome::Lose`](fle_model::Outcome::Lose)).
     pub fn abandoned(&self) -> bool {
         self.abandoned
@@ -348,26 +349,18 @@ impl<M: SharedMemory> SharedMemory for FaultyMemory<M> {
 mod tests {
     use super::*;
     use crate::sched::{FifoScheduler, ScheduleConfig, ScheduledReport};
-    use crate::{
-        election_participants, run_gated, ExecResult, Executor, ExecutorConfig, SharedRegisters,
-    };
+    use crate::{election_participants, run_gated, run_inline, SharedRegisters};
     use fle_model::{CancelToken, Outcome};
     use std::sync::Arc;
 
     /// A FIFO-gated four-participant election at `seed` under `plan`.
     fn gated(seed: u64, plan: Option<FaultPlan>) -> ScheduledReport {
-        let executor = Executor::new(ExecutorConfig::new(2));
-        let registers = Arc::new(SharedRegisters::new(2));
         run_gated(
-            &executor,
-            &registers,
-            0,
             seed,
             election_participants(4),
             ScheduleConfig::for_participants(4),
             &mut FifoScheduler,
             plan,
-            &CancelToken::none(),
         )
     }
 
@@ -399,21 +392,17 @@ mod tests {
 
     #[test]
     fn lose_all_crash_leaves_no_winner() {
-        let executor = Executor::new(ExecutorConfig::new(2));
         let registers = Arc::new(SharedRegisters::new(2));
         let plan = FaultPlan::new(3).with_crash(CrashSpec::lose_all(2));
-        let ticket = executor.submit(
+        let report = run_inline(
             &registers,
             0,
             11,
             election_participants(4),
             &plan,
-            CancelToken::none(),
-        );
-        let report = match ticket.wait() {
-            ExecResult::Completed(report) => report,
-            other => panic!("unexpected {other:?}"),
-        };
+            &CancelToken::none(),
+        )
+        .expect("an uncancelled run completes");
         assert_eq!(report.outcomes.len(), 4, "every participant returns");
         assert!(report.winners().is_empty(), "a crashed field elects nobody");
         assert_eq!(report.faults.crashes, 4);

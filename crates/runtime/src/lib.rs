@@ -16,17 +16,17 @@
 //! * [`SharedRegisters`] — the **in-process shared-memory** backend: the
 //!   registers as real shared state behind sharded locks, where `propagate`
 //!   is a locked merge and `collect` an atomic copy-on-write snapshot; see
-//!   [`shm`]. Its participants run as cooperative tasks on the [`Executor`]
-//!   ([`exec`]), optionally behind a seeded [`FaultyMemory`] ([`faulty`]).
+//!   [`shm`]. Its participants are suspended state machines ([`exec`]),
+//!   each optionally behind a seeded [`FaultyMemory`] ([`faulty`]).
 //!
-//! The executor runs an instance either free-running
-//! ([`Executor::submit`], or [`run_inline`] on the caller's own thread) or
-//! under **schedule control** ([`run_gated`]):
-//! participant tasks park at [`fle_model::SchedulePoint`] gates and a
-//! pluggable [`GateScheduler`] ([`sched`]) chooses the interleaving, turning
-//! executions deterministic, adversary-drivable and replayable — the bridge
-//! `fle-explore` uses to hunt this backend with the same strategies and
-//! oracles as the simulator.
+//! Those participants run free on the caller's thread ([`run_inline`], how
+//! the service runs its async instances), free on the task pool
+//! ([`Executor::submit`]), or under **schedule control** on the caller's
+//! thread ([`run_gated`]): each participant stops at
+//! [`fle_model::SchedulePoint`] gates and a pluggable [`GateScheduler`]
+//! ([`sched`]) chooses the interleaving, turning executions deterministic,
+//! adversary-drivable and replayable — the bridge `fle-explore` uses to hunt
+//! this backend with the same strategies and oracles as the simulator.
 //!
 //! # Example
 //!

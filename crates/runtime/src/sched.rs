@@ -1,15 +1,14 @@
 //! The schedule-gate vocabulary: what a gate scheduler observes at every
 //! decision and what it may command.
 //!
-//! [`run_gated`](crate::run_gated) hosts every participant of an instance as
-//! a task on the [`Executor`](crate::Executor) and parks it at a
-//! [`SchedulePoint`] gate before each of its shared-memory operations
-//! (`propagate` / `collect` / `flip` / `choose`, plus the final return). At
-//! every decision the loop hands a [`GateObservation`] to a pluggable
-//! [`GateScheduler`], which answers with one [`GateCommand`]: grant one
-//! parked participant, crash one, or stop. Only one grant is ever
-//! outstanding, so the execution is serialized into an explicit interleaving
-//! of real backend operations:
+//! [`run_gated`](crate::run_gated) steps every participant of an instance on
+//! the calling thread and stops it at a [`SchedulePoint`] gate before each of
+//! its shared-memory operations (`propagate` / `collect` / `flip` /
+//! `choose`, plus the final return). At every decision the loop hands a
+//! [`GateObservation`] to a pluggable [`GateScheduler`], which answers with
+//! one [`GateCommand`]: grant one waiting participant, crash one, or stop.
+//! Only one grant is ever outstanding, so the execution is serialized into
+//! an explicit interleaving of real backend operations:
 //!
 //! * the *operations* are the genuine article — the same sharded locks and
 //!   copy-on-write snapshots of [`crate::SharedRegisters`] that production
@@ -19,14 +18,13 @@
 //!   each processor's [`LocalStateView`] including coins, the crash budget);
 //! * the whole run is **deterministic** in the scheduler's choices: with
 //!   seeded per-processor RNGs, replaying the same grant sequence reproduces
-//!   the same registers, coins and outcomes regardless of OS scheduling,
-//!   machine load or worker count — which is what makes decision-trace
-//!   record/replay and ddmin shrinking (in `fle-explore`) work.
+//!   the same registers, coins and outcomes regardless of OS scheduling or
+//!   machine load — which is what makes decision-trace record/replay and
+//!   ddmin shrinking (in `fle-explore`) work.
 //!
-//! Quiescence is the key invariant: the loop waits until every live
-//! participant is parked at a gate before consulting the scheduler, so the
-//! picker always sees the complete set of enabled operations (the analogue
-//! of the simulator's enabled-event set) and never races a running task.
+//! Every live participant waits at a gate whenever the scheduler is
+//! consulted, so the picker always sees the complete set of enabled
+//! operations (the analogue of the simulator's enabled-event set).
 //!
 //! Bounded preemption — limiting how often the schedule may switch away
 //! from a participant that could continue (the CHESS heuristic) — is a
@@ -36,15 +34,13 @@
 //!
 //! # Example
 //!
-//! A scheduler that always grants the highest-id parked participant:
+//! A scheduler that always grants the highest-id waiting participant:
 //!
 //! ```
-//! use fle_model::CancelToken;
 //! use fle_runtime::{
-//!     election_participants, run_gated, Executor, ExecutorConfig, GateCommand, GateObservation,
-//!     GateScheduler, ScheduleConfig, SharedRegisters,
+//!     election_participants, run_gated, GateCommand, GateObservation, GateScheduler,
+//!     ScheduleConfig,
 //! };
-//! use std::sync::Arc;
 //!
 //! struct Newest;
 //!
@@ -54,18 +50,12 @@
 //!     }
 //! }
 //!
-//! let executor = Executor::new(ExecutorConfig::new(2));
-//! let registers = Arc::new(SharedRegisters::new(4));
 //! let report = run_gated(
-//!     &executor,
-//!     &registers,
-//!     0,
 //!     7,
 //!     election_participants(3),
 //!     ScheduleConfig::for_participants(3),
 //!     &mut Newest,
 //!     None,
-//!     &CancelToken::none(),
 //! );
 //! assert_eq!(report.progress.winners().len(), 1);
 //! assert!(!report.stopped);
@@ -113,10 +103,10 @@ impl ScheduleConfig {
     }
 }
 
-/// One participant parked at its gate, as the scheduler sees it.
+/// One participant waiting at its gate, as the scheduler sees it.
 #[derive(Debug, Clone)]
 pub struct WaitingAt {
-    /// The parked processor.
+    /// The waiting processor.
     pub proc: ProcId,
     /// The shared-memory operation it is about to perform.
     pub point: SchedulePoint,
@@ -125,9 +115,9 @@ pub struct WaitingAt {
     pub state: LocalStateView,
 }
 
-/// Everything a [`GateScheduler`] may inspect before picking: the quiescent
-/// gate state (every live participant is parked in `waiting`, sorted by
-/// processor id) plus the execution's progress so far.
+/// Everything a [`GateScheduler`] may inspect before picking: the gate
+/// state (every live participant waits in `waiting`, sorted by processor id)
+/// plus the execution's progress so far.
 #[derive(Debug)]
 pub struct GateObservation<'a> {
     /// Number of participants in this run.
@@ -136,14 +126,14 @@ pub struct GateObservation<'a> {
     pub grants_made: u64,
     /// Remaining crash budget.
     pub crash_budget_left: usize,
-    /// Live participants parked at their gates, ascending by processor id.
+    /// Live participants waiting at their gates, ascending by processor id.
     /// Never empty when the scheduler is consulted.
     pub waiting: &'a [WaitingAt],
     /// Outcomes, intervals and crashes accumulated so far.
     pub progress: &'a ScheduledProgress,
 }
 
-/// A scheduler's decision at one quiescent point.
+/// A scheduler's decision at one gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateCommand {
     /// Grant the `index`-th entry of [`GateObservation::waiting`] (indices
@@ -162,8 +152,8 @@ pub enum GateCommand {
     Stop,
 }
 
-/// Picks the next grant at every quiescent point of a gated run — the gate
-/// loop's analogue of `fle_sim::Adversary`.
+/// Picks the next grant at every decision of a gated run — the gate loop's
+/// analogue of `fle_sim::Adversary`.
 pub trait GateScheduler {
     /// Choose the next command. `obs.waiting` is never empty.
     fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand;
@@ -198,8 +188,8 @@ pub struct ScheduledProgress {
     /// bounds are 1-based post-increment grant counts, matching the
     /// simulator's event-counter convention for its intervals.
     pub intervals: BTreeMap<ProcId, (u64, Option<u64>)>,
-    /// Participants crashed by the scheduler, by a stop, or by executor
-    /// shutdown.
+    /// Participants crashed by the scheduler, by a stop, or by the grant
+    /// budget running out.
     pub crashed: Vec<ProcId>,
 }
 

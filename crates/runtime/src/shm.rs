@@ -10,8 +10,8 @@
 //! directly: `propagate` is a merge under the owning shard's lock, `collect`
 //! is an atomic copy-on-write snapshot (a refcount bump). Quorums are
 //! trivially satisfied (the one true copy *is* the majority), so contention
-//! comes from the hardware — executor workers racing for shard locks —
-//! rather than from emulated message interleavings.
+//! comes from the hardware — threads racing for shard locks — rather than
+//! from emulated message interleavings.
 //!
 //! Register banks are **namespaced**: every value lives under a caller-chosen
 //! `namespace` key, so thousands of protocol instances can share one bank
@@ -25,25 +25,20 @@
 //!
 //! ```
 //! use fle_model::CancelToken;
-//! use fle_runtime::{
-//!     election_participants, ExecResult, Executor, ExecutorConfig, FaultPlan, SharedRegisters,
-//! };
+//! use fle_runtime::{election_participants, run_inline, FaultPlan, SharedRegisters};
 //! use std::sync::Arc;
 //!
-//! let executor = Executor::new(ExecutorConfig::new(2));
 //! let registers = Arc::new(SharedRegisters::new(8));
-//! let ticket = executor.submit(
+//! let report = run_inline(
 //!     &registers,
 //!     0,
 //!     42,
 //!     election_participants(4),
 //!     &FaultPlan::default(),
-//!     CancelToken::none(),
-//! );
-//! match ticket.wait() {
-//!     ExecResult::Completed(report) => assert_eq!(report.winners().len(), 1),
-//!     other => panic!("unexpected {other:?}"),
-//! }
+//!     &CancelToken::none(),
+//! )
+//! .expect("an uncancelled run completes");
+//! assert_eq!(report.winners().len(), 1);
 //! ```
 
 use fle_model::{
@@ -167,10 +162,12 @@ impl SharedRegisters {
     }
 
     /// A handle whose coin stream ignores the namespace: seeded exactly like
-    /// `fle_sim::SimMemory` (`seed + me·0x9e37`). Used by the gate loop
-    /// ([`crate::run_gated`]) so that a fully sequentialized gated run draws
-    /// the same coins as the sequential simulator adapter and the two can be
-    /// compared outcome-for-outcome.
+    /// `fle_sim::SimMemory` (`seed + me·0x9e37`). The gate loop
+    /// ([`crate::run_gated`]) builds its participants with it, over a bank of
+    /// its own under namespace 0, so that a fully sequentialized gated run
+    /// draws the same coins as the sequential simulator adapter and the two
+    /// can be compared outcome-for-outcome. [`SharedRegisters::handle`] is
+    /// this handle at `seed + splitmix64(namespace)`.
     pub fn handle_seeded(
         self: &Arc<Self>,
         namespace: u64,
@@ -245,10 +242,7 @@ impl SharedMemory for RegisterHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        election_participants, renaming_participants, ExecReport, ExecResult, Executor,
-        ExecutorConfig, FaultPlan,
-    };
+    use crate::{election_participants, renaming_participants, run_inline, ExecReport, FaultPlan};
     use fle_model::{CancelToken, Slot};
 
     #[test]
@@ -298,26 +292,22 @@ mod tests {
         assert_eq!(registers.snapshot(0, InstanceId::Contended).len(), 2);
     }
 
-    /// Run one instance to completion on a small executor.
+    /// Run one instance to completion on the calling thread.
     fn run(
         registers: &Arc<SharedRegisters>,
         namespace: u64,
         seed: u64,
         participants: Vec<(ProcId, Box<dyn fle_model::Protocol + Send>)>,
     ) -> ExecReport {
-        let executor = Executor::new(ExecutorConfig::new(2));
-        let ticket = executor.submit(
+        run_inline(
             registers,
             namespace,
             seed,
             participants,
             &FaultPlan::default(),
-            CancelToken::none(),
-        );
-        match ticket.wait() {
-            ExecResult::Completed(report) => report,
-            other => panic!("namespace {namespace}: unexpected {other:?}"),
-        }
+            &CancelToken::none(),
+        )
+        .expect("an uncancelled run completes")
     }
 
     #[test]

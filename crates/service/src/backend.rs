@@ -23,8 +23,9 @@
 //!   failures, and crash injection. Because the inline round-robin order is
 //!   fixed, a delay only adds latency to its instance: it never changes the
 //!   interleaving. Fault coverage under perturbed schedules comes from the
-//!   gated explorer (`explore_faulty_smoke` in `fle-explore`), which runs
-//!   the same plans under adversarial schedulers.
+//!   gated explorer (the "gated, benign faults" and "gated, fail-stop"
+//!   sweeps of `explore_smoke` in `fle-explore`), which runs the same plans
+//!   under adversarial schedulers.
 //!
 //! Fault plans apply **only** to the async backend: the sim's memory is the
 //! event queue itself (the adversary already plays the faults), which the

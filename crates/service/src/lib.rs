@@ -196,7 +196,8 @@ impl ServiceConfig {
     /// round-robin order on its shard worker, so the plan's delays add
     /// latency but never change the interleaving; its collect failures and
     /// crashes act as usual. Fault coverage under perturbed schedules comes
-    /// from the gated explorer (`explore_faulty_smoke` in `fle-explore`).
+    /// from the gated explorer (the "gated, benign faults" and "gated,
+    /// fail-stop" sweeps of `explore_smoke` in `fle-explore`).
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);

@@ -1,12 +1,13 @@
 //! Hunt for schedules that violate the paper's guarantees, then shrink a
 //! real counterexample to its minimal replayable form — on the simulator
-//! and on the gated task executor, through the same calls.
+//! and on the schedule-gate loop over shared registers, through the same
+//! calls.
 //!
 //! Part 1 turns the explorer loose on the healthy protocols: every attack
 //! strategy in the library (adaptive front-runner crashes, targeted
 //! starvation, split-brain orderings, weighted random walks) across a grid
 //! of seeds, with the safety oracles checked after every event (on the
-//! executor: after every grant). The paper holds: nothing fires.
+//! gate loop: after every grant). The paper holds: nothing fires.
 //!
 //! Part 2 demonstrates what a hit looks like. A sabotaged leader election
 //! (every `Round` write dropped — the "skip the write" mutation) is caught
@@ -16,8 +17,8 @@
 //! and replayed from that text alone.
 //!
 //! A `Schedule(i)` decision means "run the i-th enabled simulator event" on
-//! the simulator and "grant the i-th participant task parked at its
-//! schedule gate" on the executor; everything else — strategies, oracles,
+//! the simulator and "grant the i-th participant waiting at its schedule
+//! gate" on the gate loop; everything else — strategies, oracles,
 //! `run_episode`, `replay`, `shrink` — is the same call with a different
 //! `ExploreBackend`.
 //!
@@ -30,10 +31,7 @@ use fast_leader_election::prelude::*;
 fn main() {
     let backends = [
         ("simulator", ExploreBackend::Sim),
-        (
-            "gated executor",
-            ExploreBackend::Gated(GatedConfig::default()),
-        ),
+        ("gate loop", ExploreBackend::Gated(GatedConfig::default())),
     ];
     for (name, backend) in backends {
         println!("== {name}, part 1: the healthy protocols survive the attack library ==");

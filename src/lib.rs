@@ -14,11 +14,11 @@
 //! |-------|----------|
 //! | [`model`] (`fle-model`) | protocol state-machine interface, the `SharedMemory` backend contract, register values, wire messages, complexity metrics |
 //! | [`sim`] (`fle-sim`) | deterministic discrete-event simulator: quorum `communicate`, adaptive adversaries, crash injection; sequential `SimMemory` adapter |
-//! | [`runtime`] (`fle-runtime`) | real-thread backends: message passing over crossbeam channels, and in-process `SharedRegisters` whose participants run inline on the caller's thread (`run_inline`) or on the task executor, free-running or behind schedule gates (`run_gated`) |
+//! | [`runtime`] (`fle-runtime`) | real-thread backends: message passing over crossbeam channels, and in-process `SharedRegisters` whose participants run on the caller's thread, free-running (`run_inline`) or behind schedule gates (`run_gated`), or free-running on the task-pool `Executor` |
 //! | [`core`] (`fle-core`) | PoisonPill, Heterogeneous PoisonPill, doorway, pre-round, the full election, renaming |
 //! | [`baselines`] (`fle-baselines`) | tournament-tree test-and-set (AGTV92), random-order renaming (AAG+10) |
 //! | [`service`] (`fle-service`) | sharded multi-instance election/renaming service over the pluggable backends |
-//! | [`explore`] (`fle-explore`) | adversarial schedule exploration over the simulator, the partitioned engine and the gated executor through one episode runner: attack strategies, safety oracles, counterexample shrinking |
+//! | [`explore`] (`fle-explore`) | adversarial schedule exploration over the simulator, the partitioned engine and the schedule-gate loop through one episode runner: attack strategies, safety oracles, counterexample shrinking |
 //! | [`analysis`] (`fle-analysis`) | statistics, `log*`/`log²`/`√n` reference curves, table rendering |
 //!
 //! # Quickstart
@@ -85,8 +85,8 @@ pub mod prelude {
         Violation,
     };
     pub use fle_model::{
-        drive, drive_cancellable, Action, CancelToken, ElectionContext, LocalStateView, Outcome,
-        ProcId, Protocol, Response, SharedMemory,
+        drive, Action, CancelToken, ElectionContext, LocalStateView, Outcome, ProcId, Protocol,
+        Response, SharedMemory,
     };
     pub use fle_runtime::{
         election_participants, renaming_participants, run_gated, run_gated_fifo,

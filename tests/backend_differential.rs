@@ -9,9 +9,8 @@
 //!   tight names),
 //! * where determinism allows, the outputs are *identical*: the sequential
 //!   backends agree bit-for-bit across repetitions, a lone participant
-//!   wins on every backend, and the task-multiplexed executor's FIFO-gated
-//!   schedule reproduces `SimMemory::run_all` outcome-for-outcome at any
-//!   worker count.
+//!   wins on every backend, and the gate loop's FIFO schedule over shared
+//!   registers reproduces `SimMemory::run_all` outcome-for-outcome.
 //!
 //! Byte-identical sim schedules are covered separately and exhaustively by
 //! `tests/event_set_equivalence.rs`.
@@ -200,18 +199,16 @@ fn renaming_is_tight_and_unique_on_every_backend() {
 
 #[test]
 fn gated_async_elections_match_the_sequential_adapter_bit_for_bit() {
-    // The executor's FIFO-gated schedule serializes participants exactly
-    // like `SimMemory::run_all`, and both seed their coins with the
-    // simulator convention — so for a fixed seed the outcome maps must be
-    // *equal*, not merely invariant-preserving. This is the async backend's
-    // entry into the deterministic tier of the differential suite.
-    let executor = Executor::new(ExecutorConfig::new(3));
+    // The gate loop's FIFO schedule serializes participants exactly like
+    // `SimMemory::run_all`, and both seed their coins with the simulator
+    // convention — so for a fixed seed the outcome maps must be *equal*, not
+    // merely invariant-preserving. This is the async backend's entry into
+    // the deterministic tier of the differential suite.
     for (n, k) in [(3usize, 3usize), (4, 4), (5, 3), (6, 6), (8, 8)] {
         for seed in 0..4u64 {
             let mut memory = SimMemory::new(n, seed);
             let sequential = memory.run_all(election_participants(k));
-            let registers = Arc::new(SharedRegisters::new(2));
-            let report = run_gated_fifo(&executor, &registers, 0, seed, election_participants(k));
+            let report = run_gated_fifo(seed, election_participants(k));
             let label = format!("n={n} k={k} seed={seed}");
             assert!(
                 !report.stopped,
@@ -226,14 +223,11 @@ fn gated_async_elections_match_the_sequential_adapter_bit_for_bit() {
 
 #[test]
 fn gated_async_renaming_matches_the_sequential_adapter_bit_for_bit() {
-    let executor = Executor::new(ExecutorConfig::new(3));
     for n in [4usize, 5] {
         for seed in 0..4u64 {
             let mut memory = SimMemory::new(n, seed);
             let sequential = memory.run_all(renaming_participants(n, n));
-            let registers = Arc::new(SharedRegisters::new(2));
-            let report =
-                run_gated_fifo(&executor, &registers, 0, seed, renaming_participants(n, n));
+            let report = run_gated_fifo(seed, renaming_participants(n, n));
             assert_eq!(report.progress.outcomes, sequential, "n={n} seed={seed}");
             let names: BTreeSet<usize> = report.progress.names().values().copied().collect();
             assert_eq!(names.len(), n, "n={n} seed={seed}: names distinct");
@@ -246,27 +240,22 @@ fn gated_async_renaming_matches_the_sequential_adapter_bit_for_bit() {
 }
 
 #[test]
-fn the_executor_is_deterministic_per_seed_and_any_worker_count() {
-    // Same seed, different pool widths: the gated schedule admits one task
-    // at a time, so the worker count must be invisible in the result.
-    for workers in [1usize, 2, 6] {
-        let executor = Executor::new(ExecutorConfig::new(workers));
-        let registers = Arc::new(SharedRegisters::new(2));
-        let first = run_gated_fifo(&executor, &registers, 0, 11, election_participants(6));
-        let registers = Arc::new(SharedRegisters::new(2));
-        let again = run_gated_fifo(&executor, &registers, 0, 11, election_participants(6));
-        assert_eq!(
-            first.progress.outcomes, again.progress.outcomes,
-            "workers={workers}: repeatable"
-        );
-        assert_eq!(first.grants, again.grants, "workers={workers}");
-        let mut memory = SimMemory::new(6, 11);
-        assert_eq!(
-            first.progress.outcomes,
-            memory.run_all(election_participants(6)),
-            "workers={workers}: and equal to the sequential adapter"
-        );
-    }
+fn the_gate_loop_is_deterministic_per_seed() {
+    // Same seed, two runs: each builds a fresh register bank, so the second
+    // run must repeat the first grant for grant.
+    let first = run_gated_fifo(11, election_participants(6));
+    let again = run_gated_fifo(11, election_participants(6));
+    assert_eq!(
+        first.progress.outcomes, again.progress.outcomes,
+        "repeatable"
+    );
+    assert_eq!(first.grants, again.grants);
+    let mut memory = SimMemory::new(6, 11);
+    assert_eq!(
+        first.progress.outcomes,
+        memory.run_all(election_participants(6)),
+        "and equal to the sequential adapter"
+    );
 }
 
 #[test]

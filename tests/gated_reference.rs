@@ -1,16 +1,15 @@
-//! A single-threaded reference model of the schedule-gate loop, and the
-//! differential tests that pin `fle_runtime::run_gated` to it.
+//! A reference model of the schedule-gate loop, and the differential tests
+//! that pin `fle_runtime::run_gated` to it.
 //!
-//! The reference keeps one `DriveMachine` and one
-//! `FaultyMemory<RegisterHandle>` per participant and steps them on the
-//! caller's thread under the same `GateScheduler` / `GateCommand` rules:
-//! no threads, no locks, no executor. It writes each rule of the loop out
-//! once more in its plainest form — grant accounting and the interval
+//! Both step one `DriveMachine` and one `FaultyMemory<RegisterHandle>` per
+//! participant on the caller's thread under the same `GateScheduler` /
+//! `GateCommand` rules. The reference writes each rule of the loop out once
+//! more in its plainest form — harvesting returns and crashes in processor
+//! order at the next decision, grant accounting and the interval
 //! convention, the crash budget, degradation of illegal crashes, clamping
 //! of out-of-range grants, `Stop`, the grant budget, fail-stop abandonment
 //! gating through `Return`, fault-counter merging — so any difference
-//! between the two `ScheduledReport`s is a bug in the executor's parking,
-//! waking or dooming machinery, or in the loop itself.
+//! between the two `ScheduledReport`s is a bug in one of the two loops.
 
 use fast_leader_election::model::{DriveMachine, DriveStep, Op, SchedulePoint};
 use fast_leader_election::prelude::*;
@@ -106,7 +105,7 @@ fn reference_gated(
             memory: FaultyMemory::new(
                 registers.handle_seeded(0, proc, seed),
                 proc,
-                plan.map(|p| p.for_namespace(0)).unwrap_or_default(),
+                plan.unwrap_or_default(),
             ),
             phase: Phase::Crashed,
             harvested: false,
@@ -349,10 +348,9 @@ fn assert_same(reference: &ScheduledReport, gated: &ScheduledReport, label: &str
     assert_eq!(gated.faults, reference.faults, "{label}: faults");
 }
 
-/// Diff `run_gated` against the reference on every case of the grid, at 1
-/// and 3 workers, for the participants `build` makes.
+/// Diff `run_gated` against the reference on every case of the grid, for
+/// the participants `build` makes.
 fn diff_grid(workload: &str, build: fn() -> Participants) {
-    let executors = [1usize, 3].map(|workers| Executor::new(ExecutorConfig::new(workers)));
     for case in cases() {
         for seed in 0..3u64 {
             let k = build().len();
@@ -363,26 +361,15 @@ fn diff_grid(workload: &str, build: fn() -> Participants) {
                 (case.scheduler)().as_mut(),
                 case.plan,
             );
-            for executor in &executors {
-                let registers = Arc::new(SharedRegisters::new(2));
-                let gated = run_gated(
-                    executor,
-                    &registers,
-                    0,
-                    seed,
-                    build(),
-                    (case.config)(k),
-                    (case.scheduler)().as_mut(),
-                    case.plan,
-                    &CancelToken::none(),
-                );
-                let label = format!(
-                    "{workload} / {} / seed {seed} / {} workers",
-                    case.name,
-                    executor.stats().workers
-                );
-                assert_same(&reference, &gated, &label);
-            }
+            let gated = run_gated(
+                seed,
+                build(),
+                (case.config)(k),
+                (case.scheduler)().as_mut(),
+                case.plan,
+            );
+            let label = format!("{workload} / {} / seed {seed}", case.name);
+            assert_same(&reference, &gated, &label);
         }
     }
 }

@@ -1,13 +1,19 @@
-//! The inline driver against the pool it stands in for.
+//! The inline driver against the pool it stands in for, and against the
+//! gate loop replaying its turns.
 //!
 //! `fle_runtime::run_inline` steps an instance's participants round-robin on
-//! the calling thread, one burst of the executor's default operation budget
-//! per turn. A one-worker `Executor` running a lone instance takes the same
-//! turns: its run queue holds the participants in submission order, and a
-//! task that yields goes to the back. So the two must agree exactly, in
-//! outcomes and in injected-fault counters, for every workload, size, seed
-//! and fault plan. A different burst length changes which register writes
-//! a collect sees, and shows here as a different outcome.
+//! the calling thread, one burst of 8 operations per turn. A one-worker
+//! `Executor` running a lone instance takes the same turns: its run queue
+//! holds the participants in submission order, and a task that yields goes
+//! to the back. So the two must agree exactly, in outcomes and in
+//! injected-fault counters, for every workload, size, seed and fault plan.
+//! A different burst length changes which register writes a collect sees,
+//! and shows here as a different outcome.
+//!
+//! The gate loop (`run_gated`) under a scheduler that grants the same turns,
+//! one operation per grant, must agree with `run_inline` just as exactly:
+//! the turn order the service runs an instance in is a schedule the
+//! explorer can replay.
 //!
 //! Both drivers share one burst routine, so each case also checks what the
 //! paper's model demands of any run: every participant returns, an
@@ -16,9 +22,10 @@
 //! fail-stopped loses. A participant that kept stepping after its crash
 //! would break the last rule on both drivers at once.
 
+use fast_leader_election::model::{splitmix64, SchedulePoint};
 use fast_leader_election::prelude::*;
-use fast_leader_election::runtime::run_inline;
-use std::collections::BTreeSet;
+use fast_leader_election::runtime::{run_inline, GateCommand, GateObservation};
+use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -165,6 +172,83 @@ fn the_inline_driver_matches_a_one_worker_pool() {
     assert!(yielded > 0, "some participant must need a second turn");
     assert!(failures > 0, "the collect-failure plan must fire");
     assert!(crashes > 0, "the fail-stop plan must fire");
+}
+
+/// Grants `run_inline`'s turns one operation at a time: the participants
+/// take turns in order, each granted up to 8 operations per turn, and a
+/// granted `Return` ends that participant.
+struct InlineTurns {
+    turns: VecDeque<ProcId>,
+    ops_this_turn: u32,
+}
+
+impl GateScheduler for InlineTurns {
+    fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
+        if self.ops_this_turn == 8 {
+            self.turns.rotate_left(1);
+            self.ops_this_turn = 0;
+        }
+        let proc = self.turns[0];
+        let index = obs
+            .waiting
+            .iter()
+            .position(|entry| entry.proc == proc)
+            .expect("the participant whose turn it is waits at a gate");
+        if obs.waiting[index].point == SchedulePoint::Return {
+            self.turns.pop_front();
+            self.ops_this_turn = 0;
+        } else {
+            self.ops_this_turn += 1;
+        }
+        GateCommand::Run(index)
+    }
+}
+
+#[test]
+fn the_gate_loop_replays_the_inline_drivers_turns() {
+    let none = CancelToken::none();
+    let mut cases = 0;
+    for workload in [Workload::Election, Workload::Renaming] {
+        for n in [1usize, 2, 5, 16] {
+            for seed in 0..8u64 {
+                for plan in plans(seed) {
+                    let label = format!("{workload:?}, n {n}, seed {seed}, {plan:?}");
+                    let registers = Arc::new(SharedRegisters::new(2));
+                    let namespace = 1_000 + seed;
+                    let inline = run_inline(
+                        &registers,
+                        namespace,
+                        seed,
+                        participants(workload, n),
+                        &plan,
+                        &none,
+                    )
+                    .expect("an uncancelled run completes");
+                    // `handle` mixes the namespace into the coin seed; the
+                    // gate loop's `handle_seeded` takes the mixed seed as is.
+                    let gated = run_gated(
+                        seed.wrapping_add(splitmix64(namespace)),
+                        participants(workload, n),
+                        ScheduleConfig::for_participants(n),
+                        &mut InlineTurns {
+                            turns: (0..n).map(ProcId).collect(),
+                            ops_this_turn: 0,
+                        },
+                        (!plan.is_noop()).then_some(plan),
+                    );
+                    assert!(!gated.stopped, "{label}: the replay completes");
+                    assert!(gated.progress.crashed.is_empty(), "{label}");
+                    assert_eq!(
+                        gated.progress.outcomes, inline.outcomes,
+                        "{label}: outcomes"
+                    );
+                    assert_eq!(gated.faults, inline.faults, "{label}: fault counters");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 192);
 }
 
 #[test]
