@@ -18,8 +18,9 @@
 //! `points` byte for byte.
 //!
 //! `--parallel-smoke` runs the CI parallel gate: an n = 4096 election at
-//! p = 2 must match p = 1 exactly (outcomes, metrics, event count); the
-//! measured efficiency is printed but never gates.
+//! p = 2, and on the sequential engine under the super-round schedule, must
+//! match p = 1 exactly (outcomes, metrics, event count); the measured
+//! efficiency is printed but never gates.
 
 use fle_bench::{baseline, json, parallel};
 
@@ -28,7 +29,7 @@ fn main() {
     let (mode, result) = if has("--parallel-smoke") {
         let result = parallel::parallel_smoke_check().map(|(speedup, efficiency)| {
             println!(
-                "parallel-smoke OK: p=2 report identical to p=1; \
+                "parallel-smoke OK: p=2 and sequential reports identical to p=1; \
                  speedup {speedup:.2}x, efficiency {efficiency:.2} (not gated)"
             );
         });

@@ -14,16 +14,19 @@
 //! byte for byte, so the historical engine trajectory is never disturbed by
 //! re-running the parallel sweep on a different machine.
 //!
-//! [`parallel_smoke_check`] is the CI gate: a small run at p = 2 must
-//! produce *exactly* the outcomes, metrics and event count of p = 1 (hard
-//! failure), while the measured efficiency is only reported (single-core CI
-//! runners cannot meaningfully gate on speedup).
+//! [`parallel_smoke_check`] is the CI gate: a small run at p = 2, and the
+//! same schedule on the sequential engine, must produce *exactly* the
+//! outcomes, metrics and event count of p = 1 (hard failure), while the
+//! measured efficiency is only reported (single-core CI runners cannot
+//! meaningfully gate on speedup).
 
 use crate::json::Section;
 use fle_analysis::Table;
 use fle_core::LeaderElection;
 use fle_model::ProcId;
-use fle_sim::{ParallelSimulator, RoundCrashPlan, SimConfig};
+use fle_sim::{
+    ExecutionReport, ParallelSimulator, RoundCrashPlan, SimConfig, Simulator, SuperRoundAdversary,
+};
 use std::time::Instant;
 
 /// Throughput at one partition count.
@@ -187,25 +190,31 @@ pub fn parallel_section(points: &[ParallelPoint]) -> Section {
 
 /// The CI parallel-smoke gate.
 ///
-/// Runs one n = 4096 election at p = 1 and at p = 2 and **fails** if any
-/// report field that canonical mode promises to be partition-count
-/// independent differs: outcomes, crash list, event count, total messages,
-/// max communicate calls. The p = 2 efficiency is returned for logging but
-/// never gates — CI runners are routinely single-core.
+/// Runs one n = 4096 election on the partitioned engine at p = 1 and at
+/// p = 2, and once on the sequential engine under the
+/// [`SuperRoundAdversary`] (the release-mode, n = 4096 twin of
+/// `partition_differential.rs`). It **fails** if any report field that the
+/// canonical schedule promises to be independent of the partition count and
+/// of the engine differs from p = 1: outcomes, crash list, event count,
+/// total messages, max communicate calls. The p = 2 efficiency is returned
+/// for logging but never gates — CI runners are routinely single-core.
 ///
 /// # Errors
 /// A description of the first mismatching field.
 pub fn parallel_smoke_check() -> Result<(f64, f64), String> {
     let (n, k, seed) = (4096usize, 32usize, 7u64);
+    let config = |partitions| {
+        SimConfig::new(n)
+            .with_seed(seed)
+            .with_partitions(partitions)
+    };
+    let elect = |proc| Box::new(LeaderElection::new(proc));
     let mut reports = Vec::new();
     let mut rates = Vec::new();
     for partitions in [1usize, 2] {
-        let config = SimConfig::new(n)
-            .with_seed(seed)
-            .with_partitions(partitions);
-        let mut sim = ParallelSimulator::new(config);
+        let mut sim = ParallelSimulator::new(config(partitions));
         for i in 0..k {
-            sim.add_participant(ProcId(i), Box::new(LeaderElection::new(ProcId(i))));
+            sim.add_participant(ProcId(i), elect(ProcId(i)));
         }
         let start = Instant::now();
         let report = sim
@@ -214,27 +223,45 @@ pub fn parallel_smoke_check() -> Result<(f64, f64), String> {
         rates.push(report.events_executed as f64 / start.elapsed().as_secs_f64());
         reports.push(report);
     }
-    let (a, b) = (&reports[0], &reports[1]);
-    if a.outcomes != b.outcomes {
-        return Err("p=2 outcomes differ from p=1".to_string());
+    let mut sequential = Simulator::new(config(1));
+    for i in 0..k {
+        sequential.add_participant(ProcId(i), elect(ProcId(i)));
     }
-    if a.crashed != b.crashed {
-        return Err("p=2 crash list differs from p=1".to_string());
-    }
-    if a.events_executed != b.events_executed {
-        return Err(format!(
-            "p=2 executed {} events, p=1 executed {}",
-            b.events_executed, a.events_executed
-        ));
-    }
-    if a.metrics.total_messages() != b.metrics.total_messages() {
-        return Err("p=2 message totals differ from p=1".to_string());
-    }
-    if a.metrics.max_communicate_calls() != b.metrics.max_communicate_calls() {
-        return Err("p=2 communicate-call maxima differ from p=1".to_string());
-    }
+    let report = sequential
+        .run(&mut SuperRoundAdversary::new(&RoundCrashPlan::none()))
+        .map_err(|error| format!("sequential run failed: {error}"))?;
+    same_outcome(&reports[0], &reports[1], "p=2")?;
+    same_outcome(&reports[0], &report, "the sequential engine")?;
     let efficiency = rates[1] / (2.0 * rates[0]);
     Ok((rates[1] / rates[0], efficiency))
+}
+
+/// Whether `other` (named `label`) matches the p = 1 `reference` in every
+/// field the smoke gate checks.
+fn same_outcome(
+    reference: &ExecutionReport,
+    other: &ExecutionReport,
+    label: &str,
+) -> Result<(), String> {
+    if reference.outcomes != other.outcomes {
+        return Err(format!("{label}: outcomes differ from p=1"));
+    }
+    if reference.crashed != other.crashed {
+        return Err(format!("{label}: crash list differs from p=1"));
+    }
+    if reference.events_executed != other.events_executed {
+        return Err(format!(
+            "{label} executed {} events, p=1 executed {}",
+            other.events_executed, reference.events_executed
+        ));
+    }
+    if reference.metrics.total_messages() != other.metrics.total_messages() {
+        return Err(format!("{label}: message totals differ from p=1"));
+    }
+    if reference.metrics.max_communicate_calls() != other.metrics.max_communicate_calls() {
+        return Err(format!("{label}: communicate-call maxima differ from p=1"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

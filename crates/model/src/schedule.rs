@@ -11,9 +11,11 @@
 //! locks, same copy-on-write snapshots, same register bank — while staying
 //! deterministic enough to record, replay and delta-debug.
 //!
-//! The gate loop itself lives in `fle_runtime::exec` (`run_gated`): each
-//! participant is a resumable [`crate::DriveMachine`] task that parks at its
-//! gate, and [`crate::Op::point`] names the point an operation executes at.
+//! The gate loop itself lives in `fle_runtime::exec` (`run_gated`). It
+//! steps every participant, a resumable [`crate::DriveMachine`], on the
+//! caller's thread: a participant runs up to its next gate and waits there,
+//! holding the operation it is about to perform, until the scheduler grants
+//! it. [`crate::Op::point`] names the point an operation executes at.
 //! The scheduler vocabulary (`GateScheduler`, `GateCommand`, …) lives in
 //! `fle_runtime::sched`.
 //!

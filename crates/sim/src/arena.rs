@@ -33,10 +33,8 @@
 //! `tests/event_set_equivalence.rs` re-run identical configurations
 //! back-to-back and require byte-identical reports).
 
-use crate::event_set::{IndexedBitSet, OrderedMsgSet};
-use crate::message::MessageSlab;
 use crate::observation::ProcessObservation;
-use crate::process::SimProcess;
+use crate::quorum::QuorumCore;
 use fle_model::ProcId;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,12 +43,10 @@ use std::sync::Mutex;
 /// The recyclable buffers of one simulator instance.
 #[derive(Default)]
 pub struct SimArena {
-    pub(crate) slab: MessageSlab,
-    pub(crate) enabled_msgs: OrderedMsgSet,
-    pub(crate) enabled_steps: IndexedBitSet,
-    pub(crate) processes: Vec<SimProcess>,
+    /// The processor shells, message slab, event indexes and crash scratch
+    /// buffer.
+    pub(crate) core: QuorumCore,
     pub(crate) crashes: Vec<ProcId>,
-    pub(crate) scratch_slots: Vec<u32>,
     pub(crate) observations: Vec<ProcessObservation>,
     /// How many times this bundle of buffers has been taken from the pool.
     pub(crate) reuses: u64,
@@ -59,8 +55,8 @@ pub struct SimArena {
 impl std::fmt::Debug for SimArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimArena")
-            .field("slab_capacity", &self.slab.capacity())
-            .field("processes", &self.processes.len())
+            .field("slab_capacity", &self.core.slab_capacity())
+            .field("processes", &self.core.processes().len())
             .field("reuses", &self.reuses)
             .finish()
     }
@@ -75,7 +71,7 @@ impl SimArena {
     /// Number of processor shells currently held (diagnostic; the arena
     /// resizes itself to whatever the next simulator needs).
     pub fn capacity(&self) -> usize {
-        self.processes.len()
+        self.core.processes().len()
     }
 
     /// How many times this arena's buffers have been recycled through the
@@ -84,6 +80,26 @@ impl SimArena {
     /// pooled an arena themselves.
     pub fn reuses(&self) -> u64 {
         self.reuses
+    }
+
+    /// Bundle an engine's buffers for the pool, emptied but with their
+    /// capacity kept: an arena parked in the pool holds no protocol boxes,
+    /// replica contents or undelivered message payloads.
+    pub(crate) fn emptied(
+        mut core: QuorumCore,
+        mut crashes: Vec<ProcId>,
+        mut observations: Vec<ProcessObservation>,
+        reuses: u64,
+    ) -> SimArena {
+        core.clear();
+        crashes.clear();
+        observations.clear();
+        SimArena {
+            core,
+            crashes,
+            observations,
+            reuses,
+        }
     }
 
     /// Take a pooled arena: the calling thread's slot first, then the

@@ -1,16 +1,36 @@
-//! The simulation engine: event loop, network, quorum engine and adversary
+//! The sequential simulation engine: the event loop and the adversary
 //! interface.
+//!
+//! # What this engine owns
+//!
+//! The processor side of `communicate` (taking a step's response, starting
+//! a propagate or collect call, drawing a per-processor coin, completing a
+//! quorum and purging the call, answering requests and recording replies,
+//! retiring a crashed processor's traffic) is written once, in the crate's
+//! quorum core (`quorum.rs`), and the partitioned engine
+//! ([`crate::partition`]) runs the same code. A [`Simulator`] holds one core
+//! over all `n` processors and keeps only what a sequential run decides:
+//!
+//! * where a send goes: into the core's slab at once, under the next global
+//!   message id;
+//! * the global event number of a first step or a return, which is the
+//!   event count itself;
+//! * the global ChaCha8 coin stream of `partitions == 0` (with
+//!   `partitions ≥ 1` the core draws the per-processor streams);
+//! * the reference mode below, the event and crash budgets, and the
+//!   adversary observation's header.
 //!
 //! # Per-event cost
 //!
-//! The scheduling hot path is incremental: the engine maintains the set of
-//! enabled events (step-ready processors in an [`IndexedBitSet`], deliverable
-//! messages in an [`OrderedMsgSet`] over a [`MessageSlab`]) as state changes,
-//! so offering the adversary its choices costs O(1) per event plus O(log)
-//! index maintenance — not a scan over all `n` processes and every in-flight
-//! message. Both indexes are one word-parallel bitmap whose Fenwick tree
-//! counts 64-member words, so the tree a selection descends stays a few
-//! cache lines long even with thousands of messages in flight.
+//! The scheduling hot path is incremental: the core maintains the set of
+//! enabled events (step-ready processors in an [`crate::IndexedBitSet`],
+//! deliverable messages in an [`crate::OrderedMsgSet`] over a
+//! [`crate::MessageSlab`]) as state changes, so offering the adversary its
+//! choices costs O(1) per event plus O(log) index maintenance — not a scan
+//! over all `n` processes and every in-flight message. Both indexes are one
+//! word-parallel bitmap whose Fenwick tree counts 64-member words, so the
+//! tree a selection descends stays a few cache lines long even with
+//! thousands of messages in flight.
 //!
 //! The adversary's observation is maintained the same way. A step, a crash
 //! or a registration rebuilds the processor's entry, including the
@@ -42,21 +62,18 @@
 use crate::adversary::Adversary;
 use crate::arena::SimArena;
 use crate::error::SimError;
-use crate::event_set::{IndexedBitSet, OrderedMsgSet};
-use crate::message::{InFlightMessage, MessageId, MessageSlab};
+use crate::message::{InFlightMessage, MessageId};
 use crate::observation::{
-    Decision, EnabledEvent, EnabledEvents, ProcessObservation, ProcessPhase, SystemObservation,
+    Decision, EnabledEvent, ProcessObservation, ProcessPhase, SystemObservation,
 };
-use crate::process::{PendingWork, SimProcess};
+use crate::quorum::{Network, QuorumCore, Scheduled};
 use crate::report::ExecutionReport;
 use crate::trace::{Trace, TraceEvent};
 use fle_model::{
-    Action, CollectedViews, InstanceId, Key, ProcId, Protocol, Response, Value, ViewTransfer,
-    WireMessage,
+    ExecutionMetrics, InstanceId, ProcId, Protocol, RouteKey, ViewTransfer, WireMessage,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
 /// Configuration of a simulated execution.
 #[derive(Debug, Clone)]
@@ -180,21 +197,12 @@ fn default_event_budget(n: usize) -> u64 {
 /// [`Adversary`].
 pub struct Simulator {
     config: SimConfig,
-    processes: Vec<SimProcess>,
-    /// In-flight messages, slot-addressed with a free-list.
-    in_flight: MessageSlab,
-    /// Step-enabled processors, ascending by processor id.
-    enabled_steps: IndexedBitSet,
-    /// Deliverable messages (recipient not crashed), ascending by message id.
-    enabled_msgs: OrderedMsgSet,
-    /// Live (registered, not crashed, not returned) participants.
-    live_participants: usize,
+    /// Every processor, its in-flight messages and the enabled-event
+    /// indexes over both.
+    core: QuorumCore,
     next_message_id: u64,
     events_executed: u64,
     crashes: Vec<ProcId>,
-    /// Reusable buffer for slots retired in [`Simulator::crash`], so a crash
-    /// does not allocate on the hot path.
-    scratch_slots: Vec<u32>,
     /// Whether the buffers return to the thread-local arena pool on drop
     /// (set by [`Simulator::new`]; explicit arenas use
     /// [`Simulator::into_arena`] instead).
@@ -207,6 +215,87 @@ pub struct Simulator {
     /// Pool-recycle count of the arena this simulator was built from
     /// (restored into the arena on extraction; see [`SimArena::reuses`]).
     arena_reuses: u64,
+}
+
+/// The sequential engine's [`Network`]: a send goes into the slab at once,
+/// under the next global message id.
+struct Direct<'a> {
+    next_message_id: &'a mut u64,
+    now: u64,
+    report: &'a mut ExecutionReport,
+    /// The global coin stream of `partitions == 0`, if that is the mode.
+    legacy_coins: Option<&'a mut ChaCha8Rng>,
+    validate: bool,
+}
+
+impl Network for Direct<'_> {
+    fn send(
+        &mut self,
+        core: &mut QuorumCore,
+        _key: RouteKey,
+        from: ProcId,
+        to: ProcId,
+        payload: WireMessage,
+    ) -> Option<u32> {
+        let id = MessageId(*self.next_message_id);
+        *self.next_message_id += 1;
+        core.store(InFlightMessage {
+            id,
+            from,
+            to,
+            payload,
+            sent_at: self.now,
+        })
+    }
+
+    fn metrics(&mut self) -> &mut ExecutionMetrics {
+        &mut self.report.metrics
+    }
+
+    fn flip(&mut self, core: &mut QuorumCore, proc: ProcId, prob_one: f64) -> bool {
+        match self.legacy_coins.as_mut() {
+            Some(rng) => rng.gen_bool(prob_one.clamp(0.0, 1.0)),
+            None => core.flip(proc, prob_one),
+        }
+    }
+
+    fn choose(&mut self, core: &mut QuorumCore, proc: ProcId, len: usize) -> usize {
+        match self.legacy_coins.as_mut() {
+            Some(rng) => rng.gen_range(0..len),
+            None => core.choose(proc, len),
+        }
+    }
+
+    /// The reference check on a collect reply: resolving `transfer` against
+    /// a copy of the requester's delta cache must give the responder's full
+    /// view. The check is exact because the requester's cache entry for this
+    /// responder cannot change between this send and the reply's record:
+    /// the call is still outstanding (so no new `prepare`), and a responder
+    /// answers each call once.
+    fn check_reply(
+        &self,
+        core: &QuorumCore,
+        requester: ProcId,
+        responder: ProcId,
+        instance: InstanceId,
+        transfer: &ViewTransfer,
+    ) {
+        if !self.validate {
+            return;
+        }
+        let resolved = core
+            .process(requester)
+            .collect_cache
+            .clone()
+            .resolve(responder, transfer.clone());
+        let full = core.process(responder).replica.view_arc(instance);
+        assert_eq!(
+            *resolved, *full,
+            "collect reply from {responder} to {requester} for {instance} does not resolve \
+             to the responder's view after {} events",
+            self.now
+        );
+    }
 }
 
 impl Simulator {
@@ -229,27 +318,13 @@ impl Simulator {
     /// [`Simulator::into_arena`].
     pub fn from_arena(config: SimConfig, arena: SimArena) -> Self {
         let SimArena {
-            mut slab,
-            mut enabled_msgs,
-            mut enabled_steps,
-            mut processes,
+            mut core,
             mut crashes,
-            mut scratch_slots,
             mut observations,
             reuses,
         } = arena;
-        slab.clear();
-        enabled_msgs.clear();
-        enabled_steps.reset(config.n);
+        core.reset(0..config.n, &config);
         crashes.clear();
-        scratch_slots.clear();
-        for (index, process) in processes.iter_mut().enumerate().take(config.n) {
-            process.recycle(ProcId(index));
-        }
-        processes.truncate(config.n);
-        while processes.len() < config.n {
-            processes.push(SimProcess::replica_only(ProcId(processes.len())));
-        }
         observations.clear();
         observations.extend((0..config.n).map(|i| ProcessObservation {
             proc: ProcId(i),
@@ -270,16 +345,11 @@ impl Simulator {
             processes: observations,
         };
         Simulator {
-            enabled_steps,
-            enabled_msgs,
-            live_participants: 0,
             config,
-            processes,
-            in_flight: slab,
+            core,
             next_message_id: 0,
             events_executed: 0,
             crashes,
-            scratch_slots,
             pooled: false,
             rng,
             report: ExecutionReport {
@@ -306,29 +376,12 @@ impl Simulator {
     }
 
     fn extract_arena(&mut self) -> SimArena {
-        let mut arena = SimArena {
-            slab: std::mem::take(&mut self.in_flight),
-            enabled_msgs: std::mem::take(&mut self.enabled_msgs),
-            enabled_steps: std::mem::take(&mut self.enabled_steps),
-            processes: std::mem::take(&mut self.processes),
-            crashes: std::mem::take(&mut self.crashes),
-            scratch_slots: std::mem::take(&mut self.scratch_slots),
-            observations: std::mem::take(&mut self.observation.processes),
-            reuses: self.arena_reuses,
-        };
-        // Empty everything now (keeping capacity) rather than lazily on next
-        // reuse: an arena parked in the thread-local pool must hold only
-        // buffer capacity, not the last trial's protocol boxes, replica
-        // contents and undelivered message payloads.
-        arena.slab.clear();
-        arena.enabled_msgs.clear();
-        arena.crashes.clear();
-        arena.scratch_slots.clear();
-        arena.observations.clear();
-        for process in &mut arena.processes {
-            process.recycle(process.id);
-        }
-        arena
+        SimArena::emptied(
+            std::mem::take(&mut self.core),
+            std::mem::take(&mut self.crashes),
+            std::mem::take(&mut self.observation.processes),
+            self.arena_reuses,
+        )
     }
 
     /// Register `proc` as a participant running `protocol`.
@@ -347,15 +400,8 @@ impl Simulator {
                 reason: format!("system only has {} processors", self.config.n),
             });
         }
-        if self.processes[proc.index()].participates() {
-            return Err(SimError::InvalidParticipant {
-                proc,
-                reason: "already registered".to_string(),
-            });
-        }
-        self.processes[proc.index()].participate(protocol);
-        self.live_participants += 1;
-        self.refresh_process_observation(proc);
+        self.core.register(proc, protocol)?;
+        self.core.sync(proc, Some(&mut self.observation));
         Ok(())
     }
 
@@ -410,14 +456,14 @@ impl Simulator {
     /// # Errors
     /// Same conditions as [`Simulator::run`].
     pub fn step_once(&mut self, adversary: &mut dyn Adversary) -> Result<bool, SimError> {
-        if self.live_participants == 0 {
+        if self.core.live() == 0 {
             return Ok(false);
         }
         if self.events_executed >= self.config.max_events {
             return Err(self.budget_exhausted());
         }
 
-        let enabled_len = self.enabled_steps.len() + self.enabled_msgs.len();
+        let enabled_len = self.core.enabled_len();
 
         if enabled_len == 0 {
             // Every live participant is blocked on a quorum that can never
@@ -434,25 +480,21 @@ impl Simulator {
             self.assert_event_set_matches_brute_force();
         }
 
-        let decision = {
-            let enabled =
-                EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.in_flight);
-            adversary.decide(&self.observation, &enabled)
-        };
+        let decision = adversary.decide(&self.observation, &self.core.enabled());
 
         match decision {
             Decision::Crash(victim) => {
                 self.crash(victim)?;
             }
             Decision::Schedule(index) => {
-                let Some((event, slot)) = self.resolve_live(index) else {
+                let Some(event) = self.core.resolve(index) else {
                     return Err(SimError::InvalidDecision {
                         reason: format!(
                             "index {index} out of bounds for {enabled_len} enabled events"
                         ),
                     });
                 };
-                self.execute(event, slot);
+                self.execute(event);
             }
         }
         // Re-sync the observation's scalar header so callers inspecting the
@@ -479,7 +521,7 @@ impl Simulator {
 
     /// Whether every live participant has returned (the run is over).
     pub fn is_complete(&self) -> bool {
-        self.live_participants == 0
+        self.core.live() == 0
     }
 
     /// Number of events executed so far.
@@ -502,63 +544,33 @@ impl Simulator {
         &self.observation
     }
 
-    /// Convenience wrapper: run and panic on simulator errors. Useful in
-    /// benchmarks and examples where an error is always a bug.
-    ///
-    /// # Panics
-    /// Panics if [`Simulator::run`] returns an error.
-    pub fn run_to_completion(&mut self, adversary: &mut dyn Adversary) -> ExecutionReport {
-        self.run(adversary).expect("simulation failed")
-    }
-
     fn budget_exhausted(&self) -> SimError {
         SimError::EventBudgetExhausted {
             budget: self.config.max_events,
-            unfinished: self
-                .processes
-                .iter()
-                .filter(|p| p.is_live_participant())
-                .map(|p| p.id)
-                .collect(),
+            unfinished: self.core.live_participants().collect(),
         }
-    }
-
-    /// Resolve an index into the live view: steps (ascending processor id)
-    /// first, then deliveries (ascending message id) with their slab slot.
-    fn resolve_live(&self, index: usize) -> Option<(EnabledEvent, Option<u32>)> {
-        if index < self.enabled_steps.len() {
-            let proc = ProcId(self.enabled_steps.select(index)?);
-            return Some((EnabledEvent::Step(proc), None));
-        }
-        let (_, slot) = self.enabled_msgs.select(index - self.enabled_steps.len())?;
-        let message = self
-            .in_flight
-            .get(slot)
-            .expect("enabled message indexes a live slab slot");
-        Some((message.to_event(), Some(slot)))
     }
 
     /// The enabled events as the adversary sees them, materialized from the
     /// incremental indexes.
     pub fn enabled_events_vec(&self) -> Vec<EnabledEvent> {
-        EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.in_flight).to_vec()
+        self.core.enabled().to_vec()
     }
 
     /// The enabled events recomputed from first principles: a full scan of
     /// all processors and all in-flight messages, ignoring the incremental
     /// indexes. Reference implementation for the differential tests.
     pub fn enabled_events_brute_force(&self) -> Vec<EnabledEvent> {
-        let mut events: Vec<EnabledEvent> = self
-            .processes
+        let processes = self.core.processes();
+        let mut events: Vec<EnabledEvent> = processes
             .iter()
             .filter(|p| p.step_enabled())
             .map(|p| EnabledEvent::Step(p.id))
             .collect();
         let mut deliveries: Vec<&InFlightMessage> = self
-            .in_flight
-            .iter()
-            .map(|(_, message)| message)
-            .filter(|message| !self.processes[message.to.index()].crashed)
+            .core
+            .stored()
+            .filter(|message| !processes[message.to.index()].crashed)
             .collect();
         deliveries.sort_by_key(|message| message.id);
         events.extend(deliveries.into_iter().map(InFlightMessage::to_event));
@@ -575,58 +587,14 @@ impl Simulator {
         );
     }
 
-    /// The reference check on a collect reply: resolving `transfer` against
-    /// a copy of the requester's delta cache must give the responder's full
-    /// view. The check is exact because the requester's cache entry for this
-    /// responder cannot change between this send and the reply's record:
-    /// the call is still outstanding (so no new `prepare`), and a responder
-    /// answers each call once.
-    fn assert_reply_resolves_to_full_view(
-        &self,
-        requester: ProcId,
-        responder: ProcId,
-        instance: InstanceId,
-        transfer: &ViewTransfer,
-    ) {
-        let resolved = self.processes[requester.index()]
-            .collect_cache
-            .clone()
-            .resolve(responder, transfer.clone());
-        let full = self.processes[responder.index()].replica.view_arc(instance);
-        assert_eq!(
-            *resolved, *full,
-            "collect reply from {responder} to {requester} for {instance} does not resolve \
-             to the responder's view after {} events",
-            self.events_executed
-        );
-    }
-
     /// Update the scalar fields of the persistent observation. The
-    /// per-processor entries are refreshed incrementally by
-    /// [`Simulator::refresh_process_observation`] whenever a processor's
-    /// state changes, which keeps the per-event cost independent of `n`.
+    /// per-processor entries are refreshed incrementally by the core's
+    /// `sync` and `sync_phase` whenever a processor's state changes, which
+    /// keeps the per-event cost independent of `n`.
     fn refresh_observation_header(&mut self) {
         self.observation.events_executed = self.events_executed;
         self.observation.crash_budget_left =
             self.config.crash_budget.saturating_sub(self.crashes.len());
-    }
-
-    /// Rebuild the observation entry for processor `p` and re-sync its
-    /// membership in the step-enabled index. Called whenever the processor
-    /// steps, crashes or is registered.
-    fn refresh_process_observation(&mut self, p: ProcId) {
-        let process = &self.processes[p.index()];
-        self.enabled_steps.set(p.index(), process.step_enabled());
-        self.observation.processes[p.index()] = process.observation();
-    }
-
-    /// Re-sync processor `p`'s step-enabled bit and observed phase after a
-    /// delivery. A delivery never steps the protocol, so the observation's
-    /// local state (the protocol's `adversary_view()`) cannot have changed.
-    fn refresh_process_phase(&mut self, p: ProcId) {
-        let process = &self.processes[p.index()];
-        self.enabled_steps.set(p.index(), process.step_enabled());
-        self.observation.processes[p.index()].phase = process.phase();
     }
 
     fn crash(&mut self, victim: ProcId) -> Result<(), SimError> {
@@ -641,394 +609,81 @@ impl Simulator {
                 reason: format!("cannot crash non-existent processor {victim}"),
             });
         }
-        if self.processes[victim.index()].crashed {
+        if self.core.process(victim).crashed {
             return Err(SimError::InvalidDecision {
                 reason: format!("{victim} is already crashed"),
             });
         }
-        if self.processes[victim.index()].is_live_participant() {
-            self.live_participants -= 1;
-        }
-        self.processes[victim.index()].crashed = true;
+        self.core.crash(victim);
         self.crashes.push(victim);
-        // Deliveries to the victim can never unblock anyone now; retire them
-        // from the enabled set (the messages stay in flight, and
-        // `enabled_events_brute_force` skips them the same way).
-        let mut doomed = std::mem::take(&mut self.scratch_slots);
-        doomed.clear();
-        doomed.extend(
-            self.enabled_msgs
-                .iter()
-                .filter(|&(_, slot)| {
-                    self.in_flight
-                        .get(slot)
-                        .expect("enabled message indexes a live slab slot")
-                        .to
-                        == victim
-                })
-                .map(|(_, slot)| slot),
-        );
-        for &slot in &doomed {
-            self.enabled_msgs.remove_slot(slot);
-        }
-        self.scratch_slots = doomed;
         self.report.trace.push(TraceEvent::Crash { proc: victim });
-        self.refresh_process_observation(victim);
+        self.core.sync(victim, Some(&mut self.observation));
         Ok(())
     }
 
-    fn execute(&mut self, event: EnabledEvent, slot: Option<u32>) {
+    /// The core's view of the network for one event.
+    fn direct(&mut self) -> (&mut QuorumCore, Direct<'_>) {
+        let legacy = self.config.partitions == 0;
+        (
+            &mut self.core,
+            Direct {
+                next_message_id: &mut self.next_message_id,
+                now: self.events_executed,
+                report: &mut self.report,
+                legacy_coins: legacy.then_some(&mut self.rng),
+                validate: self.config.validate_event_set,
+            },
+        )
+    }
+
+    fn execute(&mut self, event: Scheduled) {
         self.events_executed += 1;
         match event {
-            EnabledEvent::Step(proc) => {
-                self.execute_step(proc);
-                self.refresh_process_observation(proc);
-            }
-            EnabledEvent::Deliver { to, .. } => {
-                let slot = slot.expect("delivery events carry their slab slot");
-                self.execute_delivery(slot);
-                self.refresh_process_phase(to);
+            Scheduled::Step(proc) => self.execute_step(proc),
+            Scheduled::Deliver(slot) => {
+                let (core, mut net) = self.direct();
+                let (id, from, to) = core.deliver(&mut net, slot);
+                self.report.trace.push(TraceEvent::Deliver { id, from, to });
+                self.core.sync_phase(to, Some(&mut self.observation));
             }
         }
     }
 
     fn execute_step(&mut self, proc: ProcId) {
         self.report.trace.push(TraceEvent::Step { proc });
-        let index = proc.index();
-
-        // Take the ready response out of the pending state.
-        let response = {
-            let process = &mut self.processes[index];
-            if process.started_at.is_none() {
-                process.started_at = Some(self.events_executed);
-                self.report
-                    .intervals
-                    .insert(proc, (self.events_executed, None));
-            }
-            match std::mem::replace(&mut process.pending, PendingWork::NotStarted) {
-                PendingWork::NotStarted => Response::Start,
-                PendingWork::LocalResponse(r) | PendingWork::ResponseReady(r) => r,
-                other => {
-                    // step_enabled() guarantees this cannot happen; restore and bail.
-                    process.pending = other;
-                    return;
-                }
-            }
-        };
-
-        let action = {
-            let process = &mut self.processes[index];
-            let protocol = process
-                .protocol
-                .as_mut()
-                .expect("only participants take steps");
-            protocol.step(response)
-        };
-
-        self.apply_action(proc, action);
-    }
-
-    fn apply_action(&mut self, proc: ProcId, action: Action) {
-        let quorum = self.config.quorum();
-        let n = self.config.n;
-        let index = proc.index();
-        match action {
-            Action::Propagate { entries } => {
-                let seq = self.processes[index].fresh_seq();
-                self.processes[index].replica.apply_all(&entries);
-                {
-                    let metrics = self.report.metrics.proc_mut(proc);
-                    metrics.communicate_calls += 1;
-                }
-                let mut seen = fle_model::BitRow::new();
-                seen.set(index);
-                self.processes[index].call_msgs.clear();
-                self.processes[index].pending = PendingWork::AwaitingAcks {
-                    seq,
-                    acked: 1,
-                    seen,
-                };
-                // One shared payload for the whole broadcast: every send is a
-                // refcount bump.
-                let shared: Arc<[(Key, Value)]> = entries.into();
-                for target in 0..n {
-                    if target == index {
-                        continue;
-                    }
-                    self.send(
-                        proc,
-                        ProcId(target),
-                        WireMessage::Propagate {
-                            seq,
-                            entries: shared.clone(),
-                        },
-                    );
-                }
-                self.maybe_complete_quorum(proc, quorum);
-            }
-            Action::Collect { instance } => {
-                let seq = self.processes[index].fresh_seq();
-                let own_view = self.processes[index].replica.view_arc(instance);
-                {
-                    let metrics = self.report.metrics.proc_mut(proc);
-                    metrics.communicate_calls += 1;
-                }
-                let mut seen = fle_model::BitRow::new();
-                seen.set(index);
-                self.processes[index].call_msgs.clear();
-                self.processes[index].pending = PendingWork::AwaitingViews {
-                    seq,
-                    views: vec![(proc, own_view)],
-                    seen,
-                };
-                self.processes[index].collect_cache.prepare(instance, n);
-                for target in 0..n {
-                    if target == index {
-                        continue;
-                    }
-                    // Tell each responder which of its versions we already
-                    // hold, so it can reply with a delta.
-                    let known = self.processes[index].collect_cache.known(ProcId(target));
-                    self.send(
-                        proc,
-                        ProcId(target),
-                        WireMessage::Collect {
-                            seq,
-                            instance,
-                            known,
-                        },
-                    );
-                }
-                self.maybe_complete_quorum(proc, quorum);
-            }
-            Action::Flip { prob_one } => {
-                let value = if self.config.partitions > 0 {
-                    let word = crate::partition::coin_word(
-                        self.config.seed,
-                        proc,
-                        self.processes[index].flips,
-                    );
-                    self.processes[index].flips += 1;
-                    crate::partition::coin_bool(word, prob_one)
-                } else {
-                    self.rng.gen_bool(prob_one.clamp(0.0, 1.0))
-                };
-                self.report.metrics.proc_mut(proc).coin_flips += 1;
-                self.report.trace.push(TraceEvent::Coin { proc, value });
-                self.processes[index].pending = PendingWork::LocalResponse(Response::Coin(value));
-            }
-            Action::Choose { choices } => {
-                self.report.metrics.proc_mut(proc).coin_flips += 1;
-                let chosen = if choices.is_empty() {
-                    0
-                } else if self.config.partitions > 0 {
-                    let word = crate::partition::coin_word(
-                        self.config.seed,
-                        proc,
-                        self.processes[index].flips,
-                    );
-                    self.processes[index].flips += 1;
-                    choices[(word % choices.len() as u64) as usize]
-                } else {
-                    choices[self.rng.gen_range(0..choices.len())]
-                };
-                self.processes[index].pending =
-                    PendingWork::LocalResponse(Response::Chosen(chosen));
-            }
-            Action::Return(outcome) => {
-                self.processes[index].pending = PendingWork::Finished(outcome);
-                self.processes[index].finished_at = Some(self.events_executed);
-                self.live_participants -= 1;
-                self.report.outcomes.insert(proc, outcome);
-                // The interval entry normally exists since the first step,
-                // but an early `finish()` takes the report with it; rebuild
-                // the start from `started_at` (which survives the take) so a
-                // later report never carries an outcome without an interval.
-                let started = self.processes[index]
-                    .started_at
-                    .expect("a returning participant has taken at least one step");
-                self.report
-                    .intervals
-                    .entry(proc)
-                    .or_insert((started, None))
-                    .1 = Some(self.events_executed);
-                self.report.trace.push(TraceEvent::Return { proc, outcome });
-            }
+        let now = self.events_executed;
+        let (core, mut net) = self.direct();
+        let stepped = core.step(&mut net, proc, now);
+        if stepped.first {
+            self.report.intervals.insert(proc, (now, None));
         }
-    }
-
-    /// In degenerate systems (n = 1, or a quorum of 1) the caller's own
-    /// acknowledgement already forms a quorum; promote the pending state.
-    fn maybe_complete_quorum(&mut self, proc: ProcId, quorum: usize) {
-        let process = &mut self.processes[proc.index()];
-        let completed_seq = match &mut process.pending {
-            PendingWork::AwaitingAcks { seq, acked, .. } if *acked >= quorum => {
-                let seq = *seq;
-                process.pending = PendingWork::ResponseReady(Response::AckQuorum);
-                Some(seq)
-            }
-            PendingWork::AwaitingViews { seq, views, .. } if views.len() >= quorum => {
-                let seq = *seq;
-                let collected = std::mem::take(views);
-                process.pending = PendingWork::ResponseReady(Response::Views(
-                    CollectedViews::from_shared(collected),
-                ));
-                Some(seq)
-            }
-            _ => None,
-        };
-        if let Some(seq) = completed_seq {
-            self.purge_completed_call(proc, seq);
+        if let Some(value) = stepped.coin {
+            self.report.trace.push(TraceEvent::Coin { proc, value });
         }
-    }
-
-    /// Drop the in-flight messages of a communicate call that has already
-    /// reached its quorum: the leftover requests and replies can never affect
-    /// the caller again, and keeping them around only slows the adversary
-    /// down. Semantically this is the adversary delaying them forever, which
-    /// the asynchronous model allows.
-    ///
-    /// The caller's `call_msgs` list records exactly the slots its current
-    /// call touched (its outgoing requests plus the replies addressed back to
-    /// it), so this costs O(call size) — not a scan of every in-flight
-    /// message. A listed slot may have been delivered and re-used by an
-    /// unrelated message in the meantime; the sequence-number-and-direction
-    /// check below rejects those, because sequence numbers are scoped to
-    /// their caller.
-    fn purge_completed_call(&mut self, caller: ProcId, seq: u64) {
-        let candidates = std::mem::take(&mut self.processes[caller.index()].call_msgs);
-        for slot in candidates {
-            let Some(message) = self.in_flight.get(slot) else {
-                continue;
-            };
-            let belongs_to_call = message.payload.seq() == seq
-                && ((message.from == caller && message.is_request())
-                    || (message.to == caller && message.is_reply()));
-            if belongs_to_call {
-                self.remove_message(slot);
-            }
+        if let Some(outcome) = stepped.returned {
+            self.report.outcomes.insert(proc, outcome);
+            // The interval entry normally exists since the first step, but
+            // an early `finish()` takes the report with it; rebuild the start
+            // from `started_at` (which survives the take) so a later report
+            // never carries an outcome without an interval.
+            let started = self
+                .core
+                .process(proc)
+                .started_at
+                .expect("a returning participant has taken at least one step");
+            self.report
+                .intervals
+                .entry(proc)
+                .or_insert((started, None))
+                .1 = Some(now);
+            self.report.trace.push(TraceEvent::Return { proc, outcome });
         }
-    }
-
-    /// Whether `caller` still has the communicate call `seq` outstanding.
-    fn call_outstanding(&self, caller: ProcId, seq: u64) -> bool {
-        match &self.processes[caller.index()].pending {
-            PendingWork::AwaitingAcks { seq: s, .. }
-            | PendingWork::AwaitingViews { seq: s, .. } => *s == seq,
-            _ => false,
-        }
-    }
-
-    fn send(&mut self, from: ProcId, to: ProcId, payload: WireMessage) {
-        let id = MessageId(self.next_message_id);
-        self.next_message_id += 1;
-        self.report.metrics.proc_mut(from).messages_sent += 1;
-        let is_request = payload.is_request();
-        let slot = self.in_flight.insert(InFlightMessage {
-            id,
-            from,
-            to,
-            payload,
-            sent_at: self.events_executed,
-        });
-        // Track the slot under the communicate call it belongs to: requests
-        // under their sender, replies under the caller awaiting them.
-        let call_owner = if is_request { from } else { to };
-        self.processes[call_owner.index()].call_msgs.push(slot);
-        if !self.processes[to.index()].crashed {
-            self.enabled_msgs.insert(id, slot);
-        }
-    }
-
-    /// Remove a message from the slab and every index that may reference it.
-    fn remove_message(&mut self, slot: u32) -> Option<InFlightMessage> {
-        let message = self.in_flight.remove(slot)?;
-        self.enabled_msgs.remove_slot(slot);
-        Some(message)
-    }
-
-    fn execute_delivery(&mut self, slot: u32) {
-        let Some(message) = self.remove_message(slot) else {
-            return;
-        };
-        self.report.trace.push(TraceEvent::Deliver {
-            id: message.id,
-            from: message.from,
-            to: message.to,
-        });
-        let to_index = message.to.index();
-        self.report.metrics.proc_mut(message.to).messages_received += 1;
-
-        if self.processes[to_index].crashed {
-            // Messages are delivered to faulty processors but produce no
-            // replies and no protocol progress.
-            return;
-        }
-
-        let quorum = self.config.quorum();
-        match message.payload {
-            WireMessage::Propagate { seq, entries } => {
-                self.processes[to_index].replica.apply_all(&entries);
-                // Replying to a call the sender has already completed can
-                // never matter; skip it (equivalently: delay it forever).
-                if self.call_outstanding(message.from, seq) {
-                    self.send(message.to, message.from, WireMessage::Ack { seq });
-                }
-            }
-            WireMessage::Collect {
-                seq,
-                instance,
-                known,
-            } => {
-                if self.call_outstanding(message.from, seq) {
-                    // A copy-on-write snapshot when the requester holds
-                    // nothing, otherwise only the entries written since the
-                    // version it reported.
-                    let view = self.processes[to_index]
-                        .replica
-                        .transfer_since(instance, known);
-                    if self.config.validate_event_set {
-                        self.assert_reply_resolves_to_full_view(
-                            message.from,
-                            message.to,
-                            instance,
-                            &view,
-                        );
-                    }
-                    self.send(
-                        message.to,
-                        message.from,
-                        WireMessage::CollectReply { seq, view },
-                    );
-                }
-            }
-            WireMessage::Ack { seq } => {
-                self.processes[to_index].record_ack(message.from, seq, quorum);
-                self.purge_if_completed(message.to);
-            }
-            WireMessage::CollectReply { seq, view } => {
-                self.processes[to_index].record_view(message.from, seq, view, quorum);
-                self.purge_if_completed(message.to);
-            }
-        }
-    }
-
-    /// After a reply was recorded, purge the call's leftover traffic if the
-    /// quorum has just been reached.
-    fn purge_if_completed(&mut self, caller: ProcId) {
-        if matches!(
-            self.processes[caller.index()].pending,
-            PendingWork::ResponseReady(_)
-        ) {
-            // The completed call's sequence number is the caller's latest.
-            let seq = self.processes[caller.index()].next_seq;
-            self.purge_completed_call(caller, seq);
-        }
+        self.core.sync(proc, Some(&mut self.observation));
     }
 
     fn finalize(&mut self) {
         self.report.events_executed = self.events_executed;
-        if self.live_participants == 0 {
+        if self.core.live() == 0 {
             // The crash list is only needed by the report from here on; move
             // it instead of cloning (the drained engine copy is never read
             // again on a completed run).
@@ -1054,8 +709,10 @@ impl Drop for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{RandomAdversary, SequentialAdversary};
-    use fle_model::{InstanceId, Key, LocalStateView, Outcome, Slot, Value};
+    use crate::adversary::{CrashPlan, CrashingAdversary, RandomAdversary, SequentialAdversary};
+    use crate::observation::EnabledEvents;
+    use crate::quorum::tests::{assert_stored_traffic_is_live, Chatter};
+    use fle_model::{Action, Key, LocalStateView, Outcome, Response, Slot, Value};
 
     /// A protocol that propagates a flag, collects, and returns WIN if it saw
     /// its own flag in some view (it always should).
@@ -1142,7 +799,9 @@ mod tests {
             }
             let mut adversary = RandomAdversary::with_seed(seed);
             while sim.step_once(&mut adversary).unwrap() {
-                for (process, observed) in sim.processes.iter().zip(&sim.observation.processes) {
+                for (process, observed) in
+                    sim.core.processes().iter().zip(&sim.observation.processes)
+                {
                     assert_eq!(
                         *observed,
                         process.observation(),
@@ -1151,6 +810,67 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Run six-call participants on every processor of an `n`-processor
+    /// system under `adversary`, checking the stored traffic after every
+    /// event; returns the crash count.
+    fn run_checking_stored_traffic(
+        n: usize,
+        seed: u64,
+        adversary: &mut dyn Adversary,
+        context: &str,
+    ) -> usize {
+        let mut sim = Simulator::new(SimConfig::new(n).with_seed(seed));
+        for i in 0..n {
+            sim.add_participant(ProcId(i), Chatter::boxed(ProcId(i), 6));
+        }
+        while sim.step_once(adversary).unwrap() {
+            assert_stored_traffic_is_live(&sim.core, context, sim.events_executed);
+        }
+        sim.finish().crashed.len()
+    }
+
+    #[test]
+    fn stored_requests_and_replies_belong_to_outstanding_calls() {
+        for n in [1usize, 2, 5, 8] {
+            let budget = SimConfig::new(n).crash_budget;
+            for seed in 0..6 {
+                let context = format!("n={n}, seed {seed}");
+                run_checking_stored_traffic(
+                    n,
+                    seed,
+                    &mut RandomAdversary::with_seed(seed),
+                    &context,
+                );
+                let plan = (0..budget).fold(CrashPlan::none(), |plan, i| {
+                    plan.and_then(7 * i as u64, ProcId(n - 1 - i))
+                });
+                let mut crashing = CrashingAdversary::new(RandomAdversary::with_seed(seed), plan);
+                let crashed = run_checking_stored_traffic(n, seed, &mut crashing, &context);
+                assert_eq!(crashed, budget, "{context}: every planned crash happens");
+            }
+        }
+    }
+
+    #[test]
+    fn a_crash_heavy_run_stores_no_message_for_a_crashed_processor() {
+        // The whole crash budget of 16 processors, spent from the first
+        // event to the middle of the run, on participants that keep
+        // calling.
+        let n = 16;
+        for seed in 0..4 {
+            let plan = CrashPlan::immediately([ProcId(1), ProcId(3)])
+                .and_then(60, ProcId(5))
+                .and_then(150, ProcId(8))
+                .and_then(300, ProcId(10))
+                .and_then(600, ProcId(12))
+                .and_then(900, ProcId(15));
+            let mut crashing = CrashingAdversary::new(RandomAdversary::with_seed(seed), plan);
+            let context = format!("n={n}, seed {seed}");
+            let crashed = run_checking_stored_traffic(n, seed, &mut crashing, &context);
+            assert_eq!(crashed, 7, "{context}: the whole budget is spent");
         }
     }
 

@@ -62,7 +62,7 @@ pub mod message;
 pub mod observation;
 pub mod partition;
 pub mod process;
-pub mod replica;
+mod quorum;
 pub mod report;
 pub mod trace;
 

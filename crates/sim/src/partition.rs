@@ -45,24 +45,37 @@
 //!   independent of the worker-thread count, but *not* partition-count
 //!   independent (different partition counts are simply different
 //!   adversaries).
+//!
+//! # What a partition owns
+//!
+//! A partition's engine runs the processor side of `communicate` through
+//! the crate's quorum core (`quorum.rs`), the same code the sequential
+//! engine runs, over the partition's processors. It keeps only what
+//! partitioning changes:
+//!
+//! * where a send goes: into the partition's outbox with a [`RouteKey`],
+//!   for the barrier to number and route;
+//! * the global event number of a first step or a return, which the leader
+//!   assigns at the barrier from a marker;
+//! * the canonical-mode trace split (deliveries merged by id across
+//!   partitions, steps concatenated in partition order);
+//! * the per-partition adversary and its share of the crash budget.
 
 use crate::adversary::Adversary;
 use crate::arena::SimArena;
 use crate::engine::SimConfig;
 use crate::error::SimError;
-use crate::event_set::{IndexedBitSet, OrderedMsgSet};
-use crate::message::{InFlightMessage, MessageId, MessageSlab};
+use crate::message::{InFlightMessage, MessageId};
 use crate::observation::{
     Decision, EnabledEvent, EnabledEvents, ProcessObservation, ProcessPhase, SystemObservation,
 };
-use crate::process::{PendingWork, SimProcess};
+use crate::process::SimProcess;
+use crate::quorum::{Network, QuorumCore, Scheduled};
 use crate::report::ExecutionReport;
 use crate::trace::{Trace, TraceEvent};
 use fle_model::{
-    splitmix64, Action, CollectedViews, Outcome, PartitionMap, ProcId, Protocol, Response,
-    RouteKey, WireMessage,
+    splitmix64, ExecutionMetrics, Outcome, PartitionMap, ProcId, Protocol, RouteKey, WireMessage,
 };
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Deterministic per-processor coin streams
@@ -200,28 +213,18 @@ enum MarkerKind {
     Ret(Outcome),
 }
 
-/// One partition's share of the simulation: local processors, local message
-/// slab and event indexes, plus the round buffers the barrier reads.
+/// One partition's share of the simulation: the quorum core over its
+/// processors, plus the round buffers the barrier reads.
 struct PartitionEngine {
     part: usize,
-    lo: usize,
-    hi: usize,
-    config: SimConfig,
-    /// Local processors, indexed by `proc - lo`.
-    processes: Vec<SimProcess>,
-    slab: MessageSlab,
-    enabled_msgs: OrderedMsgSet,
-    /// Step-enabled processors. Indexed by **global** processor id (only
-    /// local bits are ever set) so enabled-event views hand adversaries
-    /// correct global `ProcId`s.
-    enabled_steps: IndexedBitSet,
-    /// Live (registered, not crashed, not returned) local participants.
-    live: usize,
-    metrics: fle_model::ExecutionMetrics,
+    record_trace: bool,
+    /// The partition's processors, the messages routed to them and the
+    /// enabled-event indexes over both.
+    core: QuorumCore,
+    metrics: ExecutionMetrics,
     /// Local crash log (adversarial mode; canonical crashes are applied and
     /// logged by the leader).
     crashes: Vec<ProcId>,
-    scratch_slots: Vec<u32>,
     /// Messages routed to this partition at the last barrier.
     inbox: Vec<InFlightMessage>,
     /// Messages sent this round, in [`RouteKey`] order by construction.
@@ -250,48 +253,61 @@ struct PartitionEngine {
     arena_reuses: u64,
 }
 
+/// A partition's [`Network`]: every send goes to the outbox, keyed for the
+/// barrier, and becomes deliverable only next round.
+struct Outgoing<'a> {
+    outbox: &'a mut Vec<Outbound>,
+    metrics: &'a mut ExecutionMetrics,
+    /// Whether keys must arrive in ascending order: the canonical phase
+    /// order (all deliveries, then step-runs in ascending processor order)
+    /// produces them that way; an adversarial round interleaves freely and
+    /// sorts its outbox at the end of the round instead.
+    ascending: bool,
+}
+
+impl Network for Outgoing<'_> {
+    fn send(
+        &mut self,
+        _core: &mut QuorumCore,
+        key: RouteKey,
+        from: ProcId,
+        to: ProcId,
+        payload: WireMessage,
+    ) -> Option<u32> {
+        debug_assert!(
+            !self.ascending || self.outbox.last().is_none_or(|last| last.key < key),
+            "outbox keys must be generated in strictly ascending order"
+        );
+        self.outbox.push(Outbound {
+            key,
+            from,
+            to,
+            payload,
+        });
+        None
+    }
+
+    fn metrics(&mut self) -> &mut ExecutionMetrics {
+        self.metrics
+    }
+}
+
 impl PartitionEngine {
     fn new(part: usize, map: &PartitionMap, config: &SimConfig) -> Self {
-        let range = map.range_of(part);
-        let (lo, hi) = (range.start, range.end);
-        let arena = SimArena::take_pooled();
-        let arena_reuses = arena.reuses();
         let SimArena {
-            mut slab,
-            mut enabled_msgs,
-            mut enabled_steps,
-            mut processes,
+            mut core,
             mut crashes,
-            mut scratch_slots,
-            observations: _,
+            reuses,
             ..
-        } = arena;
-        slab.clear();
-        enabled_msgs.clear();
-        enabled_steps.reset(config.n);
+        } = SimArena::take_pooled();
+        core.reset(map.range_of(part), config);
         crashes.clear();
-        scratch_slots.clear();
-        let local = hi - lo;
-        for (offset, process) in processes.iter_mut().enumerate().take(local) {
-            process.recycle(ProcId(lo + offset));
-        }
-        processes.truncate(local);
-        while processes.len() < local {
-            processes.push(SimProcess::replica_only(ProcId(lo + processes.len())));
-        }
         PartitionEngine {
             part,
-            lo,
-            hi,
-            config: config.clone(),
-            processes,
-            slab,
-            enabled_msgs,
-            enabled_steps,
-            live: 0,
-            metrics: fle_model::ExecutionMetrics::default(),
+            record_trace: config.record_trace,
+            core,
+            metrics: ExecutionMetrics::default(),
             crashes,
-            scratch_slots,
             inbox: Vec::new(),
             outbox: Vec::new(),
             markers: Vec::new(),
@@ -304,64 +320,28 @@ impl PartitionEngine {
             adversary: None,
             observation: None,
             crash_budget: 0,
-            arena_reuses,
+            arena_reuses: reuses,
         }
     }
 
-    fn owns(&self, proc: ProcId) -> bool {
-        (self.lo..self.hi).contains(&proc.index())
-    }
-
-    fn process(&self, proc: ProcId) -> &SimProcess {
-        &self.processes[proc.index() - self.lo]
-    }
-
-    fn process_mut(&mut self, proc: ProcId) -> &mut SimProcess {
-        &mut self.processes[proc.index() - self.lo]
-    }
-
-    /// Re-sync `proc`'s step-enabled bit (and, in adversarial mode, its
-    /// observation entry) after it stepped, crashed or registered.
-    fn sync_proc(&mut self, proc: ProcId) {
-        let process = &self.processes[proc.index() - self.lo];
-        self.enabled_steps.set(proc.index(), process.step_enabled());
-        if let Some(observation) = self.observation.as_mut() {
-            observation.processes[proc.index()] = process.observation();
-        }
-    }
-
-    /// Re-sync `proc`'s step-enabled bit (and, in adversarial mode, its
-    /// observed phase) after a delivery, which never steps the protocol and
-    /// so leaves the observed local state as it was.
-    fn sync_phase(&mut self, proc: ProcId) {
-        let process = &self.processes[proc.index() - self.lo];
-        self.enabled_steps.set(proc.index(), process.step_enabled());
-        if let Some(observation) = self.observation.as_mut() {
-            observation.processes[proc.index()].phase = process.phase();
-        }
+    /// The core's view of the network for one event.
+    fn outgoing(&mut self) -> (&mut QuorumCore, Outgoing<'_>) {
+        (
+            &mut self.core,
+            Outgoing {
+                outbox: &mut self.outbox,
+                metrics: &mut self.metrics,
+                ascending: self.adversary.is_none(),
+            },
+        )
     }
 
     /// Pull the messages routed to this partition at the last barrier into
-    /// the slab and the enabled index (skipping enabling for crashed
-    /// recipients, which mirrors the sequential engine retiring a victim's
-    /// deliveries at crash time).
+    /// the core (which drops those addressed to crashed processors).
     fn intake(&mut self) {
-        let mut inbox = std::mem::take(&mut self.inbox);
-        for message in inbox.drain(..) {
-            debug_assert!(self.owns(message.to), "message routed to wrong partition");
-            let id = message.id;
-            let to = message.to;
-            let is_reply = message.is_reply();
-            let crashed = self.process(to).crashed;
-            let slot = self.slab.insert(message);
-            if is_reply {
-                self.process_mut(to).call_msgs.push(slot);
-            }
-            if !crashed {
-                self.enabled_msgs.insert(id, slot);
-            }
+        for message in self.inbox.drain(..) {
+            self.core.store(message);
         }
-        self.inbox = inbox;
     }
 
     /// Run one canonical super-round: intake, deliver everything in ascending
@@ -370,13 +350,13 @@ impl PartitionEngine {
         self.round_delivered = 0;
         self.round_steps = 0;
         self.intake();
-        while let Some((_, slot)) = self.enabled_msgs.select(0) {
+        while let Some(slot) = self.core.first_delivery() {
             self.round_delivered += 1;
             self.execute_delivery(slot, false);
         }
-        while let Some(index) = self.enabled_steps.select(0) {
+        while let Some(proc) = self.core.first_step() {
             self.round_steps += 1;
-            self.execute_step(ProcId(index), self.round_steps);
+            self.execute_step(proc, self.round_steps);
         }
     }
 
@@ -386,25 +366,18 @@ impl PartitionEngine {
         self.round_delivered = 0;
         self.round_steps = 0;
         self.intake();
-        while self.enabled_steps.len() + self.enabled_msgs.len() > 0 {
-            if let Some(observation) = self.observation.as_mut() {
-                observation.events_executed = self.events_local;
-                observation.crash_budget_left =
-                    self.crash_budget.saturating_sub(self.crashes.len());
-            }
-            let decision = {
-                let observation = self
-                    .observation
-                    .as_ref()
-                    .expect("adversarial mode maintains an observation");
-                let enabled =
-                    EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.slab);
-                let adversary = self
-                    .adversary
-                    .as_mut()
-                    .expect("adversarial mode installs an adversary");
-                adversary.decide(observation, &enabled)
-            };
+        while self.core.enabled_len() > 0 {
+            let observation = self
+                .observation
+                .as_mut()
+                .expect("adversarial mode maintains an observation");
+            observation.events_executed = self.events_local;
+            observation.crash_budget_left = self.crash_budget.saturating_sub(self.crashes.len());
+            let decision = self
+                .adversary
+                .as_mut()
+                .expect("adversarial mode installs an adversary")
+                .decide(observation, &self.core.enabled());
             match decision {
                 Decision::Crash(victim) => {
                     if let Err(error) = self.crash_local(victim) {
@@ -412,31 +385,25 @@ impl PartitionEngine {
                         return;
                     }
                 }
-                Decision::Schedule(index) => {
-                    if index < self.enabled_steps.len() {
-                        let proc = ProcId(
-                            self.enabled_steps
-                                .select(index)
-                                .expect("index checked against len"),
-                        );
+                Decision::Schedule(index) => match self.core.resolve(index) {
+                    Some(Scheduled::Step(proc)) => {
                         self.round_steps += 1;
-                        let pos = self.round_delivered + self.round_steps;
-                        self.execute_step(proc, pos);
-                    } else if let Some((_, slot)) =
-                        self.enabled_msgs.select(index - self.enabled_steps.len())
-                    {
+                        self.execute_step(proc, self.round_delivered + self.round_steps);
+                    }
+                    Some(Scheduled::Deliver(slot)) => {
                         self.round_delivered += 1;
                         self.execute_delivery(slot, true);
-                    } else {
+                    }
+                    None => {
                         self.round_error = Some(SimError::InvalidDecision {
                             reason: format!(
                                 "index {index} out of bounds for {} enabled events",
-                                self.enabled_steps.len() + self.enabled_msgs.len()
+                                self.core.enabled_len()
                             ),
                         });
                         return;
                     }
-                }
+                },
             }
         }
         // The barrier's p-way merge requires key-sorted outboxes. Keys are
@@ -456,7 +423,7 @@ impl PartitionEngine {
                 budget: self.crash_budget,
             });
         }
-        if !self.owns(victim) {
+        if !self.core.owns(victim) {
             return Err(SimError::InvalidDecision {
                 reason: format!(
                     "partition {} cannot crash remote processor {victim}",
@@ -464,382 +431,77 @@ impl PartitionEngine {
                 ),
             });
         }
-        if self.process(victim).crashed {
+        if self.core.process(victim).crashed {
             return Err(SimError::InvalidDecision {
                 reason: format!("{victim} is already crashed"),
             });
         }
-        if self.process(victim).is_live_participant() {
-            self.live -= 1;
-        }
-        self.process_mut(victim).crashed = true;
+        self.core.crash(victim);
         self.crashes.push(victim);
-        let mut doomed = std::mem::take(&mut self.scratch_slots);
-        doomed.clear();
-        doomed.extend(
-            self.enabled_msgs
-                .iter()
-                .filter(|&(_, slot)| {
-                    self.slab
-                        .get(slot)
-                        .expect("enabled message indexes a live slab slot")
-                        .to
-                        == victim
-                })
-                .map(|(_, slot)| slot),
-        );
-        for &slot in &doomed {
-            self.enabled_msgs.remove_slot(slot);
-        }
-        self.scratch_slots = doomed;
-        if self.config.record_trace {
+        if self.record_trace {
             self.trace_other.push(TraceEvent::Crash { proc: victim });
         }
-        self.sync_proc(victim);
+        self.core.sync(victim, self.observation.as_mut());
         Ok(())
     }
 
+    /// Step `proc`. `pos` is the event's position in this partition's round;
+    /// the leader turns it into a global event number at the barrier, so
+    /// the core keeps it only as a "has started" flag.
     fn execute_step(&mut self, proc: ProcId, pos: u64) {
         self.events_local += 1;
-        if self.config.record_trace {
+        if self.record_trace {
             self.trace_other.push(TraceEvent::Step { proc });
         }
-        let response = {
-            let lo = self.lo;
-            let process = &mut self.processes[proc.index() - lo];
-            if process.started_at.is_none() {
-                // The real (global) event number is assigned by the leader at
-                // the barrier from the marker; the local value is only a
-                // "has started" flag here.
-                process.started_at = Some(pos);
-                self.markers.push(Marker {
-                    pos,
-                    proc,
-                    kind: MarkerKind::Start,
-                });
-            }
-            match std::mem::replace(&mut process.pending, PendingWork::NotStarted) {
-                PendingWork::NotStarted => Response::Start,
-                PendingWork::LocalResponse(r) | PendingWork::ResponseReady(r) => r,
-                other => {
-                    process.pending = other;
-                    return;
-                }
-            }
-        };
-        let action = {
-            let lo = self.lo;
-            let process = &mut self.processes[proc.index() - lo];
-            let protocol = process
-                .protocol
-                .as_mut()
-                .expect("only participants take steps");
-            protocol.step(response)
-        };
-        self.apply_action(proc, action, pos);
-        self.sync_proc(proc);
-    }
-
-    fn apply_action(&mut self, proc: ProcId, action: Action, pos: u64) {
-        let quorum = self.config.quorum();
-        let n = self.config.n;
-        let lo = self.lo;
-        match action {
-            Action::Propagate { entries } => {
-                let seq = self.processes[proc.index() - lo].fresh_seq();
-                self.processes[proc.index() - lo]
-                    .replica
-                    .apply_all(&entries);
-                self.metrics.proc_mut(proc).communicate_calls += 1;
-                let mut seen = fle_model::BitRow::new();
-                seen.set(proc.index());
-                self.processes[proc.index() - lo].call_msgs.clear();
-                self.processes[proc.index() - lo].pending = PendingWork::AwaitingAcks {
-                    seq,
-                    acked: 1,
-                    seen,
-                };
-                let shared: Arc<[(fle_model::Key, fle_model::Value)]> = entries.into();
-                let mut sub = 0u32;
-                for target in 0..n {
-                    if target == proc.index() {
-                        continue;
-                    }
-                    self.send(
-                        RouteKey::broadcast(proc, sub),
-                        proc,
-                        ProcId(target),
-                        WireMessage::Propagate {
-                            seq,
-                            entries: shared.clone(),
-                        },
-                    );
-                    sub += 1;
-                }
-                self.maybe_complete_quorum(proc, quorum);
-            }
-            Action::Collect { instance } => {
-                let seq = self.processes[proc.index() - lo].fresh_seq();
-                let own_view = self.processes[proc.index() - lo].replica.view_arc(instance);
-                self.metrics.proc_mut(proc).communicate_calls += 1;
-                let mut seen = fle_model::BitRow::new();
-                seen.set(proc.index());
-                self.processes[proc.index() - lo].call_msgs.clear();
-                self.processes[proc.index() - lo].pending = PendingWork::AwaitingViews {
-                    seq,
-                    views: vec![(proc, own_view)],
-                    seen,
-                };
-                self.processes[proc.index() - lo]
-                    .collect_cache
-                    .prepare(instance, n);
-                let mut sub = 0u32;
-                for target in 0..n {
-                    if target == proc.index() {
-                        continue;
-                    }
-                    let known = self.processes[proc.index() - lo]
-                        .collect_cache
-                        .known(ProcId(target));
-                    self.send(
-                        RouteKey::broadcast(proc, sub),
-                        proc,
-                        ProcId(target),
-                        WireMessage::Collect {
-                            seq,
-                            instance,
-                            known,
-                        },
-                    );
-                    sub += 1;
-                }
-                self.maybe_complete_quorum(proc, quorum);
-            }
-            Action::Flip { prob_one } => {
-                let flips = self.processes[proc.index() - lo].flips;
-                let word = coin_word(self.config.seed, proc, flips);
-                self.processes[proc.index() - lo].flips += 1;
-                let value = coin_bool(word, prob_one);
-                self.metrics.proc_mut(proc).coin_flips += 1;
-                if self.config.record_trace {
-                    self.trace_other.push(TraceEvent::Coin { proc, value });
-                }
-                self.processes[proc.index() - lo].pending =
-                    PendingWork::LocalResponse(Response::Coin(value));
-            }
-            Action::Choose { choices } => {
-                self.metrics.proc_mut(proc).coin_flips += 1;
-                let chosen = if choices.is_empty() {
-                    0
-                } else {
-                    let flips = self.processes[proc.index() - lo].flips;
-                    let word = coin_word(self.config.seed, proc, flips);
-                    self.processes[proc.index() - lo].flips += 1;
-                    choices[(word % choices.len() as u64) as usize]
-                };
-                self.processes[proc.index() - lo].pending =
-                    PendingWork::LocalResponse(Response::Chosen(chosen));
-            }
-            Action::Return(outcome) => {
-                self.processes[proc.index() - lo].pending = PendingWork::Finished(outcome);
-                self.live -= 1;
-                self.markers.push(Marker {
-                    pos,
-                    proc,
-                    kind: MarkerKind::Ret(outcome),
-                });
-                if self.config.record_trace {
-                    self.trace_other.push(TraceEvent::Return { proc, outcome });
-                }
+        let (core, mut net) = self.outgoing();
+        let stepped = core.step(&mut net, proc, pos);
+        if stepped.first {
+            self.markers.push(Marker {
+                pos,
+                proc,
+                kind: MarkerKind::Start,
+            });
+        }
+        if let Some(value) = stepped.coin.filter(|_| self.record_trace) {
+            self.trace_other.push(TraceEvent::Coin { proc, value });
+        }
+        if let Some(outcome) = stepped.returned {
+            self.markers.push(Marker {
+                pos,
+                proc,
+                kind: MarkerKind::Ret(outcome),
+            });
+            if self.record_trace {
+                self.trace_other.push(TraceEvent::Return { proc, outcome });
             }
         }
-    }
-
-    fn maybe_complete_quorum(&mut self, proc: ProcId, quorum: usize) {
-        let process = &mut self.processes[proc.index() - self.lo];
-        let completed_seq = match &mut process.pending {
-            PendingWork::AwaitingAcks { seq, acked, .. } if *acked >= quorum => {
-                let seq = *seq;
-                process.pending = PendingWork::ResponseReady(Response::AckQuorum);
-                Some(seq)
-            }
-            PendingWork::AwaitingViews { seq, views, .. } if views.len() >= quorum => {
-                let seq = *seq;
-                let collected = std::mem::take(views);
-                process.pending = PendingWork::ResponseReady(Response::Views(
-                    CollectedViews::from_shared(collected),
-                ));
-                Some(seq)
-            }
-            _ => None,
-        };
-        if let Some(seq) = completed_seq {
-            self.purge_completed_call(proc, seq);
-        }
-    }
-
-    /// Drop the undelivered leftovers of a completed communicate call.
-    ///
-    /// Under super-round semantics every request of a call is delivered one
-    /// round after it was sent, and every reply one round after that — so by
-    /// the time a quorum completes, the only leftovers are replies sitting in
-    /// the *caller's own* partition. (The one exception: requests addressed
-    /// to processors that crashed before delivery stay in their partitions'
-    /// slabs forever — never enabled, never reported, just parked — where
-    /// the sequential engine reclaims them. Behaviorally invisible.)
-    fn purge_completed_call(&mut self, caller: ProcId, seq: u64) {
-        let candidates = std::mem::take(&mut self.processes[caller.index() - self.lo].call_msgs);
-        for slot in candidates {
-            let Some(message) = self.slab.get(slot) else {
-                continue;
-            };
-            let belongs_to_call = message.payload.seq() == seq
-                && ((message.from == caller && message.is_request())
-                    || (message.to == caller && message.is_reply()));
-            if belongs_to_call {
-                self.slab.remove(slot);
-                self.enabled_msgs.remove_slot(slot);
-            }
-        }
-    }
-
-    fn purge_if_completed(&mut self, caller: ProcId) {
-        if matches!(
-            self.processes[caller.index() - self.lo].pending,
-            PendingWork::ResponseReady(_)
-        ) {
-            let seq = self.processes[caller.index() - self.lo].next_seq;
-            self.purge_completed_call(caller, seq);
-        }
-    }
-
-    fn send(&mut self, key: RouteKey, from: ProcId, to: ProcId, payload: WireMessage) {
-        self.metrics.proc_mut(from).messages_sent += 1;
-        // The canonical phase order (all deliveries, then step-runs in
-        // ascending processor order) produces keys in strictly ascending
-        // order by construction; an adversarial round interleaves freely and
-        // sorts its outbox at the end of the round instead.
-        debug_assert!(
-            self.adversary.is_some() || self.outbox.last().is_none_or(|last| last.key < key),
-            "outbox keys must be generated in strictly ascending order"
-        );
-        self.outbox.push(Outbound {
-            key,
-            from,
-            to,
-            payload,
-        });
+        self.core.sync(proc, self.observation.as_mut());
     }
 
     fn execute_delivery(&mut self, slot: u32, adversarial: bool) {
         self.events_local += 1;
-        let Some(message) = self.slab.remove(slot) else {
-            return;
-        };
-        self.enabled_msgs.remove_slot(slot);
-        if self.config.record_trace {
-            let event = TraceEvent::Deliver {
-                id: message.id,
-                from: message.from,
-                to: message.to,
-            };
+        let (core, mut net) = self.outgoing();
+        let (id, from, to) = core.deliver(&mut net, slot);
+        if self.record_trace {
+            let event = TraceEvent::Deliver { id, from, to };
             if adversarial {
                 self.trace_other.push(event);
             } else {
                 self.trace_deliver.push(event);
             }
         }
-        let to = message.to;
-        self.metrics.proc_mut(to).messages_received += 1;
-        if self.process(to).crashed {
-            return;
-        }
-        let quorum = self.config.quorum();
-        match message.payload {
-            WireMessage::Propagate { seq, entries } => {
-                self.process_mut(to).replica.apply_all(&entries);
-                // Super-round semantics guarantee the caller still has this
-                // call outstanding when the request arrives (requests are
-                // delivered exactly one round after they were sent, and the
-                // quorum needs the replies of the round after that), so the
-                // reply is unconditional — no cross-partition peek needed.
-                debug_assert!(
-                    !self.owns(message.from) || self.call_outstanding(message.from, seq),
-                    "super-round invariant: requests arrive while their call is outstanding"
-                );
-                self.send(
-                    RouteKey::reply(message.id.0),
-                    to,
-                    message.from,
-                    WireMessage::Ack { seq },
-                );
-            }
-            WireMessage::Collect {
-                seq,
-                instance,
-                known,
-            } => {
-                debug_assert!(
-                    !self.owns(message.from) || self.call_outstanding(message.from, seq),
-                    "super-round invariant: requests arrive while their call is outstanding"
-                );
-                let view = self.process_mut(to).replica.transfer_since(instance, known);
-                self.send(
-                    RouteKey::reply(message.id.0),
-                    to,
-                    message.from,
-                    WireMessage::CollectReply { seq, view },
-                );
-            }
-            WireMessage::Ack { seq } => {
-                self.process_mut(to).record_ack(message.from, seq, quorum);
-                self.purge_if_completed(to);
-            }
-            WireMessage::CollectReply { seq, view } => {
-                self.process_mut(to)
-                    .record_view(message.from, seq, view, quorum);
-                self.purge_if_completed(to);
-            }
-        }
-        self.sync_phase(to);
-    }
-
-    fn call_outstanding(&self, caller: ProcId, seq: u64) -> bool {
-        match &self.process(caller).pending {
-            PendingWork::AwaitingAcks { seq: s, .. }
-            | PendingWork::AwaitingViews { seq: s, .. } => *s == seq,
-            _ => false,
-        }
-    }
-
-    fn live_participants(&self) -> impl Iterator<Item = ProcId> + '_ {
-        self.processes
-            .iter()
-            .filter(|p| p.is_live_participant())
-            .map(|p| p.id)
+        self.core.sync_phase(to, self.observation.as_mut());
     }
 }
 
 impl Drop for PartitionEngine {
     fn drop(&mut self) {
-        let mut arena = SimArena {
-            slab: std::mem::take(&mut self.slab),
-            enabled_msgs: std::mem::take(&mut self.enabled_msgs),
-            enabled_steps: std::mem::take(&mut self.enabled_steps),
-            processes: std::mem::take(&mut self.processes),
-            crashes: std::mem::take(&mut self.crashes),
-            scratch_slots: std::mem::take(&mut self.scratch_slots),
-            observations: Vec::new(),
-            reuses: self.arena_reuses,
-        };
-        arena.slab.clear();
-        arena.enabled_msgs.clear();
-        arena.crashes.clear();
-        arena.scratch_slots.clear();
-        for process in &mut arena.processes {
-            process.recycle(process.id);
-        }
-        SimArena::pool(arena);
+        SimArena::pool(SimArena::emptied(
+            std::mem::take(&mut self.core),
+            std::mem::take(&mut self.crashes),
+            Vec::new(),
+            self.arena_reuses,
+        ));
     }
 }
 
@@ -959,15 +621,8 @@ impl ParallelSimulator {
             });
         }
         let engine = &mut self.engines[self.map.partition_of(proc)];
-        if engine.process(proc).participates() {
-            return Err(SimError::InvalidParticipant {
-                proc,
-                reason: "already registered".to_string(),
-            });
-        }
-        engine.process_mut(proc).participate(protocol);
-        engine.live += 1;
-        engine.sync_proc(proc);
+        engine.core.register(proc, protocol)?;
+        engine.core.sync(proc, engine.observation.as_mut());
         Ok(())
     }
 
@@ -1010,7 +665,7 @@ impl ParallelSimulator {
             ));
             engine.crash_budget = budget / parts + usize::from(part < budget % parts);
             if engine.observation.is_none() {
-                let mut observation = SystemObservation {
+                engine.observation = Some(SystemObservation {
                     n,
                     events_executed: 0,
                     crash_budget_left: engine.crash_budget,
@@ -1021,16 +676,10 @@ impl ParallelSimulator {
                             local_state: None,
                         })
                         .collect(),
-                };
+                });
                 // Fill in the local processors' real phases.
-                for offset in 0..(engine.hi - engine.lo) {
-                    let proc = engine.processes[offset].id;
-                    let _ = proc;
-                    observation.processes[engine.lo + offset].proc = ProcId(engine.lo + offset);
-                }
-                engine.observation = Some(observation);
-                for index in engine.lo..engine.hi {
-                    engine.sync_proc(ProcId(index));
+                for index in self.map.range_of(part) {
+                    engine.core.sync(ProcId(index), engine.observation.as_mut());
                 }
             }
         }
@@ -1053,7 +702,7 @@ impl ParallelSimulator {
     }
 
     fn live(&self) -> usize {
-        self.engines.iter().map(|e| e.live).sum()
+        self.engines.iter().map(|e| e.core.live()).sum()
     }
 
     fn budget_exhausted(&self) -> SimError {
@@ -1062,23 +711,23 @@ impl ParallelSimulator {
             unfinished: self
                 .engines
                 .iter()
-                .flat_map(|e| e.live_participants())
+                .flat_map(|e| e.core.live_participants())
                 .collect(),
         }
     }
 
-    /// Apply one canonical-mode crash at the barrier (leader context: all
-    /// enabled-message indexes are empty between rounds, so there is nothing
-    /// to retire — undelivered messages to the victim are simply never
-    /// enabled at intake).
+    /// Apply one canonical-mode crash at the barrier (leader context: every
+    /// partition delivered all it held this round, so the victim has no
+    /// stored messages to retire, and intake drops the ones routed to it
+    /// from now on).
     fn crash_at_barrier(&mut self, victim: ProcId) {
         let engine = &mut self.engines[self.map.partition_of(victim)];
-        debug_assert!(!engine.process(victim).crashed, "plan victims are unique");
-        if engine.process(victim).is_live_participant() {
-            engine.live -= 1;
-        }
-        engine.process_mut(victim).crashed = true;
-        engine.sync_proc(victim);
+        debug_assert!(
+            !engine.core.process(victim).crashed,
+            "plan victims are unique"
+        );
+        engine.core.crash(victim);
+        engine.core.sync(victim, engine.observation.as_mut());
         self.crashes.push(victim);
         self.report.trace.push(TraceEvent::Crash { proc: victim });
     }
@@ -1347,53 +996,48 @@ impl ParallelSimulator {
     /// partition; crashes are reported in application order (canonical) or
     /// partition order (adversarial).
     pub fn finish(&mut self) -> ExecutionReport {
-        let mut report = std::mem::take(&mut self.report);
-        report.events_executed = self.events_executed;
-        for engine in &self.engines {
-            report.metrics.absorb(&engine.metrics);
-        }
-        report.crashed = if matches!(self.mode, RoundMode::Adversarial) {
-            self.engines
-                .iter()
-                .flat_map(|e| e.crashes.clone())
-                .collect()
-        } else {
-            std::mem::take(&mut self.crashes)
-        };
-        report
+        let report = std::mem::take(&mut self.report);
+        self.merged(report)
     }
 
     /// A merged snapshot of the in-progress report (outcomes, intervals,
     /// metrics, crashes, trace so far). O(n) — built for online oracles
     /// between rounds, not for hot loops.
     pub fn merged_report_so_far(&self) -> ExecutionReport {
-        let mut report = self.report.clone();
+        self.merged(self.report.clone())
+    }
+
+    /// `report` with the event count, every partition's metrics and the
+    /// crash list filled in.
+    fn merged(&self, mut report: ExecutionReport) -> ExecutionReport {
         report.events_executed = self.events_executed;
         for engine in &self.engines {
             report.metrics.absorb(&engine.metrics);
         }
-        report.crashed = if matches!(self.mode, RoundMode::Adversarial) {
+        report.crashed = self.crash_list();
+        report
+    }
+
+    /// The crashes so far, in application order (canonical) or partition
+    /// order (adversarial).
+    fn crash_list(&self) -> Vec<ProcId> {
+        if matches!(self.mode, RoundMode::Adversarial) {
             self.engines
                 .iter()
-                .flat_map(|e| e.crashes.clone())
+                .flat_map(|e| e.crashes.iter().copied())
                 .collect()
         } else {
             self.crashes.clone()
-        };
-        report
+        }
     }
 
     /// A merged full-system observation as of the last barrier (O(n); for
     /// online oracles between rounds).
     pub fn merged_observation(&self) -> SystemObservation {
-        let crashes: usize = if matches!(self.mode, RoundMode::Adversarial) {
-            self.engines.iter().map(|e| e.crashes.len()).sum()
-        } else {
-            self.crashes.len()
-        };
+        let crashes = self.crash_list().len();
         let mut processes = Vec::with_capacity(self.config.n);
         for engine in &self.engines {
-            processes.extend(engine.processes.iter().map(SimProcess::observation));
+            processes.extend(engine.core.processes().iter().map(SimProcess::observation));
         }
         SystemObservation {
             n: self.config.n,
@@ -1401,17 +1045,6 @@ impl ParallelSimulator {
             crash_budget_left: self.config.crash_budget.saturating_sub(crashes),
             processes,
         }
-    }
-
-    /// Smallest arena-recycle count over this simulator's partitions
-    /// (diagnostic for the arena-pool tests: > 0 means every partition got a
-    /// recycled buffer set instead of fresh allocations).
-    pub fn min_arena_reuses(&self) -> u64 {
-        self.engines
-            .iter()
-            .map(|e| e.arena_reuses)
-            .min()
-            .unwrap_or(0)
     }
 }
 
@@ -1505,5 +1138,82 @@ impl Adversary for SuperRoundAdversary {
 
     fn name(&self) -> &'static str {
         "super-round"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adversary::{CrashPlan, CrashingAdversary, RandomAdversary};
+    use crate::quorum::tests::{assert_stored_traffic_is_live, Chatter};
+
+    /// 16 processors in two partitions, every one making six calls.
+    fn chatty(seed: u64) -> ParallelSimulator {
+        let n = 16;
+        let mut sim = ParallelSimulator::new(SimConfig::new(n).with_seed(seed).with_partitions(2));
+        for i in 0..n {
+            sim.add_participant(ProcId(i), Chatter::boxed(ProcId(i), 6));
+        }
+        sim
+    }
+
+    /// Step `sim` to completion, checking every partition's stored traffic
+    /// at every barrier; returns the crash count.
+    fn run_checking_stored_traffic(mut sim: ParallelSimulator, context: &str) -> usize {
+        while sim.step_round().unwrap() {
+            for engine in &sim.engines {
+                assert_stored_traffic_is_live(&engine.core, context, sim.events_executed);
+            }
+        }
+        sim.finish().crashed.len()
+    }
+
+    #[test]
+    fn crash_heavy_partitioned_runs_store_no_message_for_a_crashed_processor() {
+        for seed in 0..4 {
+            let mut canonical = chatty(seed);
+            let plan = RoundCrashPlan::new(vec![
+                (0, ProcId(1)),
+                (0, ProcId(3)),
+                (1, ProcId(5)),
+                (2, ProcId(8)),
+                (3, ProcId(10)),
+                (4, ProcId(12)),
+                (5, ProcId(15)),
+            ]);
+            canonical.set_crash_plan(&plan).unwrap();
+            let context = format!("canonical, seed {seed}");
+            assert_eq!(run_checking_stored_traffic(canonical, &context), 7);
+
+            // Each partition's adversary spends its whole share of the
+            // budget (4 and 3) on its own processors, mid-round.
+            let mut adversarial = chatty(seed);
+            adversarial.set_adversaries(|part, seed| {
+                let plan = (0..4 - part).fold(CrashPlan::none(), |plan, i| {
+                    plan.and_then(25 * i as u64, ProcId(8 * part + 2 * i + 1))
+                });
+                Box::new(CrashingAdversary::new(
+                    RandomAdversary::with_seed(seed),
+                    plan,
+                ))
+            });
+            let context = format!("adversarial, seed {seed}");
+            assert_eq!(run_checking_stored_traffic(adversarial, &context), 7);
+        }
+    }
+
+    #[test]
+    fn an_early_finish_keeps_the_crash_accounting() {
+        // A report taken mid-run lists the crashes so far, and the run goes
+        // on with them still counted against the budget.
+        let mut sim = chatty(0);
+        sim.set_crash_plan(&RoundCrashPlan::new(vec![(0, ProcId(1))]))
+            .unwrap();
+        assert!(sim.step_round().unwrap());
+        assert_eq!(sim.finish().crashed, vec![ProcId(1)]);
+        let budget = sim.config().crash_budget;
+        assert_eq!(sim.merged_observation().crash_budget_left, budget - 1);
+        while sim.step_round().unwrap() {}
+        assert_eq!(sim.finish().crashed, vec![ProcId(1)]);
     }
 }

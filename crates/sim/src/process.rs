@@ -1,9 +1,11 @@
 //! Per-processor simulation state.
 
 use crate::observation::{ProcessObservation, ProcessPhase};
-use crate::replica::ReplicaStore;
 use fle_model::wire::CallSeq;
-use fle_model::{BitRow, CollectCache, Outcome, ProcId, Protocol, Response, View, ViewTransfer};
+use fle_model::{
+    BitRow, CollectCache, CollectedViews, Outcome, ProcId, Protocol, ReplicaStore, Response, View,
+    ViewTransfer,
+};
 use std::sync::Arc;
 
 /// What a participating processor is currently waiting for.
@@ -58,14 +60,13 @@ pub struct SimProcess {
     pub crashed: bool,
     /// Event index of the first protocol step (invocation time), if any.
     pub started_at: Option<u64>,
-    /// Event index at which the protocol returned, if it has.
-    pub finished_at: Option<u64>,
     /// Sequence number generator for communicate calls.
     pub next_seq: CallSeq,
     /// Slab slots of the messages belonging to this processor's *current*
-    /// communicate call: its outgoing requests plus the replies addressed
-    /// back to it. Lets the engine purge a completed call's leftover traffic
-    /// in O(call size) instead of scanning every in-flight message.
+    /// communicate call: its outgoing requests (where the engine stores a
+    /// send at once) plus the replies addressed back to it. Lets the engine
+    /// purge a completed call's leftover traffic in O(call size) instead of
+    /// scanning every in-flight message.
     pub call_msgs: Vec<u32>,
     /// Requester-side delta-collect state: per responder, the most recent
     /// view received for the instance currently being collected.
@@ -97,7 +98,6 @@ impl SimProcess {
             replica: ReplicaStore::new(),
             crashed: false,
             started_at: None,
-            finished_at: None,
             next_seq: 0,
             call_msgs: Vec::new(),
             collect_cache: CollectCache::new(),
@@ -115,7 +115,6 @@ impl SimProcess {
         self.replica.clear();
         self.crashed = false;
         self.started_at = None;
-        self.finished_at = None;
         self.next_seq = 0;
         self.call_msgs.clear();
         self.collect_cache.clear();
@@ -194,10 +193,9 @@ impl SimProcess {
         self.next_seq
     }
 
-    /// Record an acknowledgement for the outstanding propagate call, and
-    /// promote the pending state to [`PendingWork::ResponseReady`] once a
-    /// quorum has been reached.
-    pub fn record_ack(&mut self, from: ProcId, seq: CallSeq, quorum: usize) {
+    /// Record an acknowledgement for the outstanding propagate call, then
+    /// [`SimProcess::complete_quorum`].
+    pub fn record_ack(&mut self, from: ProcId, seq: CallSeq, quorum: usize) -> Option<CallSeq> {
         if let PendingWork::AwaitingAcks {
             seq: want,
             acked,
@@ -206,15 +204,13 @@ impl SimProcess {
         {
             if *want == seq && seen.set(from.index()) {
                 *acked += 1;
-                if *acked >= quorum {
-                    self.pending = PendingWork::ResponseReady(Response::AckQuorum);
-                }
             }
         }
+        self.complete_quorum(quorum)
     }
 
-    /// Record a collect reply for the outstanding collect call, promoting to
-    /// [`PendingWork::ResponseReady`] once a quorum has been reached.
+    /// Record a collect reply for the outstanding collect call, then
+    /// [`SimProcess::complete_quorum`].
     ///
     /// `transfer` is resolved against the delta cache only when the reply is
     /// actually recorded (right sequence number, responder not yet counted),
@@ -225,7 +221,7 @@ impl SimProcess {
         seq: CallSeq,
         transfer: ViewTransfer,
         quorum: usize,
-    ) {
+    ) -> Option<CallSeq> {
         if let PendingWork::AwaitingViews {
             seq: want,
             views,
@@ -234,14 +230,28 @@ impl SimProcess {
         {
             if *want == seq && seen.set(from.index()) {
                 views.push((from, self.collect_cache.resolve(from, transfer)));
-                if views.len() >= quorum {
-                    let collected = std::mem::take(views);
-                    self.pending = PendingWork::ResponseReady(Response::Views(
-                        fle_model::CollectedViews::from_shared(collected),
-                    ));
-                }
             }
         }
+        self.complete_quorum(quorum)
+    }
+
+    /// If the outstanding call has `quorum` replies (the caller's own
+    /// included), promote the pending state to
+    /// [`PendingWork::ResponseReady`] and return the completed call's
+    /// sequence number.
+    pub fn complete_quorum(&mut self, quorum: usize) -> Option<CallSeq> {
+        let (seq, response) = match &mut self.pending {
+            PendingWork::AwaitingAcks { seq, acked, .. } if *acked >= quorum => {
+                (*seq, Response::AckQuorum)
+            }
+            PendingWork::AwaitingViews { seq, views, .. } if views.len() >= quorum => {
+                let views = std::mem::take(views);
+                (*seq, Response::Views(CollectedViews::from_shared(views)))
+            }
+            _ => return None,
+        };
+        self.pending = PendingWork::ResponseReady(response);
+        Some(seq)
     }
 }
 

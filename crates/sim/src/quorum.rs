@@ -1,0 +1,690 @@
+//! The processor side of `communicate`, written once for both engines.
+//!
+//! `communicate(propagate / collect)` is the quorum emulation of shared
+//! memory over message passing (ABND95) that the paper's model runs on. A
+//! [`QuorumCore`] owns the processor shells of one contiguous id range, the
+//! slab of messages addressed to them, the enabled-event indexes over both
+//! and the crash scratch buffer, and it runs every step of a call: taking a
+//! step's pending response, starting a propagate or collect call, drawing a
+//! per-processor coin, completing a quorum and purging the call's leftover
+//! messages, answering a request as a replica, recording an ack or a view,
+//! and retiring a crashed processor's traffic. The sequential
+//! [`crate::Simulator`] holds one core over all `n` processors; each
+//! partition of the [`crate::ParallelSimulator`] holds one over its range.
+//! Where a send goes is the engine's [`Network`], a generic parameter, so a
+//! send is a direct call.
+//!
+//! Two rules hold for every stored message. The tests check them after
+//! every event of the sequential engine and at every barrier of the
+//! partitioned one, crash-heavy runs included:
+//!
+//! * **None is addressed to a crashed processor.** A crash drops the
+//!   victim's undelivered messages, and [`QuorumCore::store`] drops a later
+//!   one; the send still counts in `messages_sent` and uses up a message id.
+//! * **Each belongs to a call still outstanding at its caller** (a request
+//!   at its sender, a reply at its recipient), because a call's leftovers
+//!   are purged the moment its quorum forms. So a replica answers every
+//!   request it is delivered, and the core only debug-asserts the rule.
+
+use crate::engine::SimConfig;
+use crate::error::SimError;
+use crate::event_set::{IndexedBitSet, OrderedMsgSet};
+use crate::message::{InFlightMessage, MessageId, MessageSlab};
+use crate::observation::{EnabledEvents, SystemObservation};
+use crate::partition::{coin_bool, coin_word};
+use crate::process::{PendingWork, SimProcess};
+use fle_model::wire::CallSeq;
+use fle_model::{
+    Action, BitRow, ExecutionMetrics, InstanceId, Key, Outcome, ProcId, Protocol, Response,
+    RouteKey, Value, ViewTransfer, WireMessage,
+};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// What an engine decides about the traffic its [`QuorumCore`] produces.
+pub(crate) trait Network {
+    /// Send one message. `key` names the event that triggered the send (the
+    /// delivered message for a reply, the stepping processor and the
+    /// target's position for a request); the partitioned engine orders its
+    /// barrier by it. The core has already counted the send.
+    ///
+    /// Returns the slot if the message went into `core`'s slab at once. Only
+    /// such a request can still be undelivered when its call completes, so
+    /// only then does the caller's call track it for the purge; a partition
+    /// delivers every request the round after it was sent, before any reply
+    /// to it can arrive.
+    fn send(
+        &mut self,
+        core: &mut QuorumCore,
+        key: RouteKey,
+        from: ProcId,
+        to: ProcId,
+        payload: WireMessage,
+    ) -> Option<u32>;
+
+    /// The metrics the core's counters go to.
+    fn metrics(&mut self) -> &mut ExecutionMetrics;
+
+    /// The value of `proc`'s next coin flip.
+    fn flip(&mut self, core: &mut QuorumCore, proc: ProcId, prob_one: f64) -> bool {
+        core.flip(proc, prob_one)
+    }
+
+    /// The index of `proc`'s next random choice among `len > 0` options.
+    fn choose(&mut self, core: &mut QuorumCore, proc: ProcId, len: usize) -> usize {
+        core.choose(proc, len)
+    }
+
+    /// Inspect a collect reply before it is sent (the sequential engine's
+    /// reference mode checks it against the responder's full view).
+    fn check_reply(
+        &self,
+        _core: &QuorumCore,
+        _requester: ProcId,
+        _responder: ProcId,
+        _instance: InstanceId,
+        _transfer: &ViewTransfer,
+    ) {
+    }
+}
+
+/// An event an engine resolved from an adversary's decision.
+pub(crate) enum Scheduled {
+    /// A step of this processor.
+    Step(ProcId),
+    /// The delivery of the message in this slab slot.
+    Deliver(u32),
+}
+
+/// What a protocol step did, for the engine's own bookkeeping.
+pub(crate) struct Stepped {
+    /// This was the processor's first step (its invocation).
+    pub(crate) first: bool,
+    /// The step flipped a coin with this value.
+    pub(crate) coin: Option<bool>,
+    /// The protocol returned this outcome.
+    pub(crate) returned: Option<Outcome>,
+}
+
+/// The processor side of `communicate` for the processors `lo..lo + len`
+/// of an `n`-processor system. See the module documentation.
+#[derive(Default)]
+pub(crate) struct QuorumCore {
+    /// The first processor id this core holds.
+    lo: usize,
+    n: usize,
+    quorum: usize,
+    seed: u64,
+    /// The processor shells, indexed by `proc - lo`.
+    processes: Vec<SimProcess>,
+    /// Undelivered messages addressed to this core's processors.
+    slab: MessageSlab,
+    /// Step-enabled processors. Indexed by **global** processor id (only
+    /// this core's bits are ever set), so enabled-event views hand
+    /// adversaries global `ProcId`s.
+    enabled_steps: IndexedBitSet,
+    /// Deliverable messages, ascending by message id.
+    enabled_msgs: OrderedMsgSet,
+    /// Reusable buffer for the slots a crash retires.
+    scratch_slots: Vec<u32>,
+    /// Registered participants that have neither crashed nor returned.
+    live: usize,
+}
+
+// The small methods the engines call on every event are `#[inline]`: the
+// engines live in other modules, which rustc may put in other codegen units,
+// and without the hint those calls are not inlined (about 3% of `sim-n96`
+// and `sim-part-n256` throughput on a 2-vCPU host).
+impl QuorumCore {
+    /// Make the core hold the pristine processors `range` of the system
+    /// `config` describes, reusing its buffers.
+    pub(crate) fn reset(&mut self, range: Range<usize>, config: &SimConfig) {
+        self.lo = range.start;
+        self.n = config.n;
+        self.quorum = config.quorum();
+        self.seed = config.seed;
+        self.slab.clear();
+        self.enabled_msgs.clear();
+        self.enabled_steps.reset(config.n);
+        self.scratch_slots.clear();
+        self.live = 0;
+        let len = range.len();
+        for (offset, process) in self.processes.iter_mut().enumerate().take(len) {
+            process.recycle(ProcId(range.start + offset));
+        }
+        self.processes.truncate(len);
+        while self.processes.len() < len {
+            let id = ProcId(range.start + self.processes.len());
+            self.processes.push(SimProcess::replica_only(id));
+        }
+    }
+
+    /// Empty every buffer, keeping its capacity: a core parked in the arena
+    /// pool holds no protocol boxes, replica contents or message payloads.
+    pub(crate) fn clear(&mut self) {
+        self.slab.clear();
+        self.enabled_msgs.clear();
+        self.scratch_slots.clear();
+        for process in &mut self.processes {
+            process.recycle(process.id);
+        }
+    }
+
+    /// Number of message slots ever allocated.
+    pub(crate) fn slab_capacity(&self) -> usize {
+        self.slab.capacity()
+    }
+
+    /// Whether `proc` is one of this core's processors.
+    #[inline]
+    pub(crate) fn owns(&self, proc: ProcId) -> bool {
+        (self.lo..self.lo + self.processes.len()).contains(&proc.index())
+    }
+
+    /// The shell of `proc`, which this core must own.
+    #[inline]
+    pub(crate) fn process(&self, proc: ProcId) -> &SimProcess {
+        &self.processes[proc.index() - self.lo]
+    }
+
+    #[inline]
+    fn process_mut(&mut self, proc: ProcId) -> &mut SimProcess {
+        &mut self.processes[proc.index() - self.lo]
+    }
+
+    /// Every shell, ascending by processor id.
+    pub(crate) fn processes(&self) -> &[SimProcess] {
+        &self.processes
+    }
+
+    /// The undelivered messages, in slot order.
+    pub(crate) fn stored(&self) -> impl Iterator<Item = &InFlightMessage> {
+        self.slab.iter().map(|(_, message)| message)
+    }
+
+    /// Registered participants that have neither crashed nor returned.
+    #[inline]
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Those participants, ascending by id.
+    pub(crate) fn live_participants(&self) -> impl Iterator<Item = ProcId> + '_ {
+        self.processes
+            .iter()
+            .filter(|p| p.is_live_participant())
+            .map(|p| p.id)
+    }
+
+    /// Number of enabled events.
+    #[inline]
+    pub(crate) fn enabled_len(&self) -> usize {
+        self.enabled_steps.len() + self.enabled_msgs.len()
+    }
+
+    /// The enabled events as an adversary sees them: steps ascending by
+    /// processor, then deliveries ascending by message id.
+    #[inline]
+    pub(crate) fn enabled(&self) -> EnabledEvents<'_> {
+        EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.slab)
+    }
+
+    /// The event at `index` of [`QuorumCore::enabled`].
+    #[inline]
+    pub(crate) fn resolve(&self, index: usize) -> Option<Scheduled> {
+        let steps = self.enabled_steps.len();
+        if index < steps {
+            return self
+                .enabled_steps
+                .select(index)
+                .map(|p| Scheduled::Step(ProcId(p)));
+        }
+        let (_, slot) = self.enabled_msgs.select(index - steps)?;
+        Some(Scheduled::Deliver(slot))
+    }
+
+    /// The slot of the enabled message with the smallest id.
+    #[inline]
+    pub(crate) fn first_delivery(&self) -> Option<u32> {
+        self.enabled_msgs.select(0).map(|(_, slot)| slot)
+    }
+
+    /// The step-enabled processor with the smallest id.
+    #[inline]
+    pub(crate) fn first_step(&self) -> Option<ProcId> {
+        self.enabled_steps.select(0).map(ProcId)
+    }
+
+    /// Attach `protocol` to `proc`.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidParticipant`] if `proc` already participates.
+    pub(crate) fn register(
+        &mut self,
+        proc: ProcId,
+        protocol: Box<dyn Protocol>,
+    ) -> Result<(), SimError> {
+        let process = self.process_mut(proc);
+        if process.participates() {
+            return Err(SimError::InvalidParticipant {
+                proc,
+                reason: "already registered".to_string(),
+            });
+        }
+        process.participate(protocol);
+        self.live += 1;
+        Ok(())
+    }
+
+    /// Re-sync `proc`'s step-enabled bit, and its entry in `observation` if
+    /// the engine keeps one, after it stepped, crashed or registered.
+    #[inline]
+    pub(crate) fn sync(&mut self, proc: ProcId, observation: Option<&mut SystemObservation>) {
+        let process = &self.processes[proc.index() - self.lo];
+        self.enabled_steps.set(proc.index(), process.step_enabled());
+        if let Some(observation) = observation {
+            observation.processes[proc.index()] = process.observation();
+        }
+    }
+
+    /// Re-sync `proc`'s step-enabled bit and observed phase after a
+    /// delivery. A delivery never steps the protocol, so the observed local
+    /// state (the protocol's `adversary_view()`) cannot have changed.
+    #[inline]
+    pub(crate) fn sync_phase(&mut self, proc: ProcId, observation: Option<&mut SystemObservation>) {
+        let process = &self.processes[proc.index() - self.lo];
+        self.enabled_steps.set(proc.index(), process.step_enabled());
+        if let Some(observation) = observation {
+            observation.processes[proc.index()].phase = process.phase();
+        }
+    }
+
+    /// Crash `victim`, which must not have crashed yet, and drop its
+    /// undelivered messages: they can never be delivered now.
+    pub(crate) fn crash(&mut self, victim: ProcId) {
+        let process = self.process_mut(victim);
+        let was_live = process.is_live_participant();
+        process.crashed = true;
+        if was_live {
+            self.live -= 1;
+        }
+        let mut doomed = std::mem::take(&mut self.scratch_slots);
+        doomed.clear();
+        doomed.extend(
+            self.enabled_msgs
+                .iter()
+                .filter(|&(_, slot)| {
+                    self.slab
+                        .get(slot)
+                        .expect("enabled message indexes a live slab slot")
+                        .to
+                        == victim
+                })
+                .map(|(_, slot)| slot),
+        );
+        for &slot in &doomed {
+            self.remove(slot);
+        }
+        self.scratch_slots = doomed;
+    }
+
+    /// Store a message addressed to one of this core's processors and
+    /// return its slot; a reply is tracked under the call awaiting it. A
+    /// message to a crashed processor is dropped instead.
+    #[inline]
+    pub(crate) fn store(&mut self, message: InFlightMessage) -> Option<u32> {
+        debug_assert!(self.owns(message.to), "message stored at the wrong core");
+        if self.process(message.to).crashed {
+            return None;
+        }
+        let (id, to, is_reply) = (message.id, message.to, message.is_reply());
+        let slot = self.slab.insert(message);
+        if is_reply {
+            self.process_mut(to).call_msgs.push(slot);
+        }
+        self.enabled_msgs.insert(id, slot);
+        Some(slot)
+    }
+
+    #[inline]
+    fn remove(&mut self, slot: u32) -> Option<InFlightMessage> {
+        let message = self.slab.remove(slot)?;
+        self.enabled_msgs.remove_slot(slot);
+        Some(message)
+    }
+
+    /// Count one send and hand it to the engine (see [`Network::send`]).
+    fn send<N: Network>(
+        &mut self,
+        net: &mut N,
+        key: RouteKey,
+        from: ProcId,
+        to: ProcId,
+        payload: WireMessage,
+    ) -> Option<u32> {
+        net.metrics().proc_mut(from).messages_sent += 1;
+        net.send(self, key, from, to, payload)
+    }
+
+    /// `proc`'s next coin flip from its own stream: `coin_bool` of the
+    /// next `coin_word(seed, proc, k)`.
+    pub(crate) fn flip(&mut self, proc: ProcId, prob_one: f64) -> bool {
+        coin_bool(self.next_coin(proc), prob_one)
+    }
+
+    /// `proc`'s next choice among `len > 0` options from its own stream:
+    /// the next coin word modulo `len`.
+    pub(crate) fn choose(&mut self, proc: ProcId, len: usize) -> usize {
+        (self.next_coin(proc) % len as u64) as usize
+    }
+
+    fn next_coin(&mut self, proc: ProcId) -> u64 {
+        let seed = self.seed;
+        let process = self.process_mut(proc);
+        let word = coin_word(seed, proc, process.flips);
+        process.flips += 1;
+        word
+    }
+
+    /// Take `proc`'s pending response, run one protocol step on it and
+    /// apply the action. `now` is stored as the processor's start if this is
+    /// its first step.
+    pub(crate) fn step<N: Network>(&mut self, net: &mut N, proc: ProcId, now: u64) -> Stepped {
+        let process = self.process_mut(proc);
+        let first = process.started_at.is_none();
+        if first {
+            process.started_at = Some(now);
+        }
+        let response = match std::mem::replace(&mut process.pending, PendingWork::NotStarted) {
+            PendingWork::NotStarted => Response::Start,
+            PendingWork::LocalResponse(r) | PendingWork::ResponseReady(r) => r,
+            other => unreachable!("{proc} stepped while {other:?}"),
+        };
+        let action = process
+            .protocol
+            .as_mut()
+            .expect("only participants take steps")
+            .step(response);
+        let mut stepped = Stepped {
+            first,
+            coin: None,
+            returned: None,
+        };
+        match action {
+            Action::Propagate { entries } => self.start_propagate(net, proc, entries),
+            Action::Collect { instance } => self.start_collect(net, proc, instance),
+            Action::Flip { prob_one } => {
+                let value = net.flip(self, proc, prob_one);
+                net.metrics().proc_mut(proc).coin_flips += 1;
+                self.process_mut(proc).pending = PendingWork::LocalResponse(Response::Coin(value));
+                stepped.coin = Some(value);
+            }
+            Action::Choose { choices } => {
+                net.metrics().proc_mut(proc).coin_flips += 1;
+                let chosen = if choices.is_empty() {
+                    0
+                } else {
+                    choices[net.choose(self, proc, choices.len())]
+                };
+                self.process_mut(proc).pending =
+                    PendingWork::LocalResponse(Response::Chosen(chosen));
+            }
+            Action::Return(outcome) => {
+                self.process_mut(proc).pending = PendingWork::Finished(outcome);
+                self.live -= 1;
+                stepped.returned = Some(outcome);
+            }
+        }
+        stepped
+    }
+
+    /// Count a new call of `proc` and forget the last one's messages;
+    /// returns the call's sequence number and its reply set, which holds the
+    /// caller's own reply.
+    fn open_call<N: Network>(&mut self, net: &mut N, proc: ProcId) -> (CallSeq, BitRow) {
+        net.metrics().proc_mut(proc).communicate_calls += 1;
+        let process = self.process_mut(proc);
+        process.call_msgs.clear();
+        let mut seen = BitRow::new();
+        seen.set(proc.index());
+        (process.fresh_seq(), seen)
+    }
+
+    fn start_propagate<N: Network>(
+        &mut self,
+        net: &mut N,
+        proc: ProcId,
+        entries: Vec<(Key, Value)>,
+    ) {
+        let (seq, seen) = self.open_call(net, proc);
+        let process = self.process_mut(proc);
+        process.replica.apply_all(&entries);
+        process.pending = PendingWork::AwaitingAcks {
+            seq,
+            acked: 1,
+            seen,
+        };
+        // One shared payload for the whole broadcast: every send is a
+        // refcount bump.
+        let entries: Arc<[(Key, Value)]> = entries.into();
+        self.broadcast(net, proc, |_, _| WireMessage::Propagate {
+            seq,
+            entries: entries.clone(),
+        });
+    }
+
+    fn start_collect<N: Network>(&mut self, net: &mut N, proc: ProcId, instance: InstanceId) {
+        let (seq, seen) = self.open_call(net, proc);
+        let n = self.n;
+        let process = self.process_mut(proc);
+        let own_view = process.replica.view_arc(instance);
+        process.pending = PendingWork::AwaitingViews {
+            seq,
+            views: vec![(proc, own_view)],
+            seen,
+        };
+        process.collect_cache.prepare(instance, n);
+        // Tell each responder which of its versions the caller already
+        // holds, so it can reply with a delta.
+        self.broadcast(net, proc, |core, target| WireMessage::Collect {
+            seq,
+            instance,
+            known: core.process(proc).collect_cache.known(target),
+        });
+    }
+
+    /// Send `request(target)` to every other processor in ascending order,
+    /// then complete the call at once if the caller alone is a quorum.
+    fn broadcast<N: Network>(
+        &mut self,
+        net: &mut N,
+        proc: ProcId,
+        mut request: impl FnMut(&Self, ProcId) -> WireMessage,
+    ) {
+        let targets = (0..self.n)
+            .filter(|&target| target != proc.index())
+            .map(ProcId);
+        for (sub, target) in targets.enumerate() {
+            let (key, payload) = (RouteKey::broadcast(proc, sub as u32), request(self, target));
+            if let Some(slot) = self.send(net, key, proc, target, payload) {
+                self.process_mut(proc).call_msgs.push(slot);
+            }
+        }
+        self.complete_quorum(proc);
+    }
+
+    /// If `caller`'s outstanding call has its quorum, make the response
+    /// ready and purge the call's leftover messages.
+    fn complete_quorum(&mut self, caller: ProcId) {
+        let quorum = self.quorum;
+        if let Some(seq) = self.process_mut(caller).complete_quorum(quorum) {
+            self.purge_completed_call(caller, seq);
+        }
+    }
+
+    /// Drop the undelivered messages of a communicate call that has reached
+    /// its quorum: the leftover requests and replies can never affect the
+    /// caller again. Semantically this is the adversary delaying them
+    /// forever, which the asynchronous model allows.
+    ///
+    /// The caller's `call_msgs` list records exactly the slots its current
+    /// call touched, so this costs O(call size), not a scan of every stored
+    /// message. A listed slot may have been delivered and re-used by an
+    /// unrelated message in the meantime; the sequence-number-and-direction
+    /// check rejects those, because sequence numbers are scoped to their
+    /// caller.
+    fn purge_completed_call(&mut self, caller: ProcId, seq: CallSeq) {
+        let candidates = std::mem::take(&mut self.process_mut(caller).call_msgs);
+        for slot in candidates {
+            let Some(message) = self.slab.get(slot) else {
+                continue;
+            };
+            let belongs_to_call = message.payload.seq() == seq
+                && ((message.from == caller && message.is_request())
+                    || (message.to == caller && message.is_reply()));
+            if belongs_to_call {
+                self.remove(slot);
+            }
+        }
+    }
+
+    /// Deliver the enabled message in `slot`: a request is answered by the
+    /// recipient's replica, a reply is recorded by the caller awaiting it.
+    /// Returns the delivered message's id, sender and recipient.
+    pub(crate) fn deliver<N: Network>(
+        &mut self,
+        net: &mut N,
+        slot: u32,
+    ) -> (MessageId, ProcId, ProcId) {
+        let InFlightMessage {
+            id,
+            from,
+            to,
+            payload,
+            ..
+        } = self
+            .remove(slot)
+            .expect("an enabled message occupies its slot");
+        net.metrics().proc_mut(to).messages_received += 1;
+        debug_assert!(
+            !self.process(to).crashed,
+            "messages to crashed processors are dropped"
+        );
+        let (quorum, reply_key) = (self.quorum, RouteKey::reply(id.0));
+        match payload {
+            WireMessage::Propagate { seq, entries } => {
+                self.debug_assert_outstanding(from, seq);
+                self.process_mut(to).replica.apply_all(&entries);
+                self.send(net, reply_key, to, from, WireMessage::Ack { seq });
+            }
+            WireMessage::Collect {
+                seq,
+                instance,
+                known,
+            } => {
+                self.debug_assert_outstanding(from, seq);
+                // A copy-on-write snapshot when the requester holds nothing,
+                // otherwise only the entries written since the version it
+                // reported.
+                let view = self.process(to).replica.transfer_since(instance, known);
+                net.check_reply(self, from, to, instance, &view);
+                let reply = WireMessage::CollectReply { seq, view };
+                self.send(net, reply_key, to, from, reply);
+            }
+            WireMessage::Ack { seq } => {
+                if let Some(seq) = self.process_mut(to).record_ack(from, seq, quorum) {
+                    self.purge_completed_call(to, seq);
+                }
+            }
+            WireMessage::CollectReply { seq, view } => {
+                if let Some(seq) = self.process_mut(to).record_view(from, seq, view, quorum) {
+                    self.purge_completed_call(to, seq);
+                }
+            }
+        }
+        (id, from, to)
+    }
+
+    /// A delivered request's call is still outstanding at its sender, when
+    /// the sender is ours to look at (see the module documentation).
+    fn debug_assert_outstanding(&self, caller: ProcId, seq: CallSeq) {
+        debug_assert!(
+            !self.owns(caller)
+                || matches!(
+                    self.process(caller).pending,
+                    PendingWork::AwaitingAcks { seq: s, .. } | PendingWork::AwaitingViews { seq: s, .. }
+                        if s == seq
+                ),
+            "a request of {caller}'s completed call {seq} was delivered"
+        );
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use fle_model::LocalStateView;
+
+    /// A participant that makes `calls` communicate calls, alternating
+    /// propagate and collect, then returns.
+    pub(crate) struct Chatter {
+        me: ProcId,
+        calls: usize,
+    }
+
+    impl Chatter {
+        pub(crate) fn boxed(me: ProcId, calls: usize) -> Box<dyn Protocol> {
+            Box::new(Chatter { me, calls })
+        }
+    }
+
+    impl Protocol for Chatter {
+        fn step(&mut self, _response: Response) -> Action {
+            let instance = InstanceId::custom(1, 1);
+            if self.calls == 0 {
+                return Action::Return(Outcome::Proceed);
+            }
+            self.calls -= 1;
+            if self.calls % 2 == 1 {
+                Action::Propagate {
+                    entries: vec![(Key::proc(instance, self.me), Value::Flag(true))],
+                }
+            } else {
+                Action::Collect { instance }
+            }
+        }
+
+        fn adversary_view(&self) -> LocalStateView {
+            LocalStateView::new("chatter", "running").with_round(self.calls as u64)
+        }
+    }
+
+    /// The rules of the module documentation, on every message `core`
+    /// stores: none is addressed to a crashed processor, and each belongs to
+    /// a call still outstanding at its caller (checked where the caller is
+    /// one of `core`'s processors).
+    pub(crate) fn assert_stored_traffic_is_live(core: &QuorumCore, context: &str, events: u64) {
+        for message in core.stored() {
+            assert!(
+                !core.process(message.to).crashed,
+                "{context}, after {events} events: {message} is addressed to a crashed processor"
+            );
+            let caller = if message.is_request() {
+                message.from
+            } else {
+                message.to
+            };
+            if core.owns(caller) {
+                let seq = message.payload.seq();
+                assert!(
+                    matches!(
+                        core.process(caller).pending,
+                        PendingWork::AwaitingAcks { seq: s, .. }
+                            | PendingWork::AwaitingViews { seq: s, .. } if s == seq
+                    ),
+                    "{context}, after {events} events: {message} belongs to a completed call"
+                );
+            }
+        }
+    }
+}
