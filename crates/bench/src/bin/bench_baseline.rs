@@ -21,12 +21,40 @@
 //! p = 2, and on the sequential engine under the super-round schedule, must
 //! match p = 1 exactly (outcomes, metrics, event count); the measured
 //! efficiency is printed but never gates.
+//!
+//! `--memory N K` runs one canonical p = 1 election (seed 0) of `K`
+//! contenders among `N` processors and prints its run time and the
+//! process's peak resident set (`VmHWM`), in total and per processor.
+//! Nothing is recorded.
 
 use fle_bench::{baseline, json, parallel};
 
 fn main() {
-    let has = |flag: &str| std::env::args().any(|arg| arg == flag);
-    let (mode, result) = if has("--parallel-smoke") {
+    let args: Vec<String> = std::env::args().collect();
+    let has = |flag: &str| args.iter().any(|arg| arg == flag);
+    let (mode, result) = if let Some(at) = args.iter().position(|arg| arg == "--memory") {
+        let size = |offset: usize| {
+            args.get(at + offset)
+                .and_then(|arg| arg.parse::<usize>().ok())
+        };
+        let result = match (size(1), size(2)) {
+            (Some(n), Some(k)) => parallel::memory_probe(n, k).map(|probe| {
+                println!(
+                    "memory: n={} k={} p=1 seed=0: {} events in {:.1} s; VmHWM {} KiB \
+                     ({:.2} GiB), {:.1} KiB per processor",
+                    probe.n,
+                    probe.k,
+                    probe.events,
+                    probe.seconds,
+                    probe.vm_hwm_kib,
+                    probe.vm_hwm_kib as f64 / (1024.0 * 1024.0),
+                    probe.kib_per_processor(),
+                );
+            }),
+            _ => Err("usage: bench_baseline --memory N K".to_string()),
+        };
+        ("memory", result)
+    } else if has("--parallel-smoke") {
         let result = parallel::parallel_smoke_check().map(|(speedup, efficiency)| {
             println!(
                 "parallel-smoke OK: p=2 and sequential reports identical to p=1; \

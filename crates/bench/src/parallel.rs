@@ -188,6 +188,61 @@ pub fn parallel_section(points: &[ParallelPoint]) -> Section {
     )
 }
 
+/// One canonical election's time and the process's peak resident set.
+#[derive(Debug, Clone, Copy)]
+pub struct MemoryProbe {
+    /// System size (replica count).
+    pub n: usize,
+    /// Number of contenders (processors `0..k` participate).
+    pub k: usize,
+    /// Events the election executed.
+    pub events: u64,
+    /// Wall-clock seconds of the election, setup included.
+    pub seconds: f64,
+    /// The process's peak resident set afterwards (`VmHWM`), in KiB.
+    pub vm_hwm_kib: u64,
+}
+
+impl MemoryProbe {
+    /// Peak resident KiB per processor of the system.
+    pub fn kib_per_processor(&self) -> f64 {
+        self.vm_hwm_kib as f64 / self.n as f64
+    }
+}
+
+/// `bench_baseline --memory N K`: one canonical p = 1 election (seed 0,
+/// crash-free) of `k` contenders among `n` processors, then the process's
+/// peak resident set. Run it in a fresh process, so the peak is this
+/// election's.
+///
+/// # Errors
+/// An invalid `k`, a failed run, or no `VmHWM` to read (not Linux).
+pub fn memory_probe(n: usize, k: usize) -> Result<MemoryProbe, String> {
+    if k == 0 || k > n {
+        return Err(format!("need 0 < k <= n, got n={n} k={k}"));
+    }
+    let (seconds, events) = run_parallel_elections(n, k, 1, 1);
+    Ok(MemoryProbe {
+        n,
+        k,
+        events,
+        seconds,
+        vm_hwm_kib: vm_hwm_kib()?,
+    })
+}
+
+/// The `VmHWM` line of `/proc/self/status`, in KiB.
+fn vm_hwm_kib() -> Result<u64, String> {
+    let status = std::fs::read_to_string("/proc/self/status")
+        .map_err(|error| format!("cannot read /proc/self/status: {error}"))?;
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().strip_suffix("kB"))
+        .and_then(|kib| kib.trim().parse().ok())
+        .ok_or_else(|| "no VmHWM line in /proc/self/status".to_string())
+}
+
 /// The CI parallel-smoke gate.
 ///
 /// Runs one n = 4096 election on the partitioned engine at p = 1 and at
@@ -303,6 +358,15 @@ mod tests {
         assert_eq!(section.table.rows()[1][4], "2");
         assert_eq!(section.number("p", "2", "efficiency"), Ok(0.75));
         assert_eq!(section.number("p", "2", "speedup"), Ok(1.5));
+    }
+
+    #[test]
+    fn the_memory_probe_reads_a_peak_for_one_election() {
+        assert!(memory_probe(64, 0).is_err());
+        assert!(memory_probe(64, 65).is_err());
+        let probe = memory_probe(64, 8).expect("Linux exposes VmHWM");
+        assert_eq!(probe.events, run_parallel_elections(64, 8, 1, 1).1);
+        assert!(probe.vm_hwm_kib > 0 && probe.kib_per_processor() > 0.0);
     }
 
     #[test]

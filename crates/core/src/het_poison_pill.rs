@@ -91,7 +91,7 @@ impl HeterogeneousPoisonPill {
     /// distinct list is walked once: O(quorum × slots + Σ distinct |ℓ|)
     /// rather than O(quorum × slots × |ℓ|). The skip compares allocations,
     /// not writers, so it stays exact when a faulty writer's different lists
-    /// reach different views. Inline lists (at most two members) are simply
+    /// reach different views. Inline lists (at most one member) are simply
     /// unioned again.
     fn should_die(views: &CollectedViews) -> bool {
         let mut l_set = BitRow::new();
@@ -367,7 +367,7 @@ mod tests {
                     }
                 }
                 if let Some(status) = value.as_status() {
-                    for member in status.list() {
+                    for member in status.list().iter() {
                         l_set.set(member.index());
                     }
                 }
@@ -434,7 +434,7 @@ mod tests {
             let first_list = list(&mut rng, if strict { n } else { n + 1 });
             let second = rng.chance(35).then(|| {
                 let extra = if rng.chance(50) { n + 1 } else { rng.below(n) };
-                let mut members = first_list.as_slice().to_vec();
+                let mut members: Vec<ProcId> = first_list.iter().collect();
                 members.push(ProcId(extra));
                 resolved(priority(&mut rng), ProcSet::from_vec(members))
             });
@@ -474,10 +474,11 @@ mod tests {
                 coverage.name_or_global_statuses += 1;
             }
             for (_, value) in &entries {
-                let members = value.as_status().map_or(&[][..], Status::list);
+                let members = value.as_status().map(Status::list).cloned();
+                let members = members.unwrap_or_default();
                 match members.len() {
                     0 => {}
-                    1..=2 => coverage.inline_lists += 1,
+                    1..=ProcSet::INLINE_CAPACITY => coverage.inline_lists += 1,
                     _ => coverage.spilled_lists += 1,
                 }
                 if members.iter().any(|p| p.index() >= n) {

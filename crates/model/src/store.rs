@@ -82,7 +82,7 @@ impl ReplicaStore {
     /// written since, or a full snapshot when the requester holds nothing
     /// (`known == 0`) or reports a version from the future (malformed input;
     /// the full view is always a correct answer).
-    pub fn transfer_since(&self, instance: InstanceId, known: u64) -> ViewTransfer {
+    pub fn transfer_since(&self, instance: InstanceId, known: u32) -> ViewTransfer {
         let view = match self.instances.get(&instance) {
             Some(view) => view,
             None => &self.empty,
@@ -148,14 +148,14 @@ impl ReplicaStore {
 #[derive(Debug, Clone, Default)]
 struct CacheEntry {
     epoch: u64,
-    version: u64,
+    version: u32,
     view: Option<Arc<View>>,
 }
 
 /// Most effective writes a collect reply answers with a partial delta for;
 /// past this the responder falls back to a copy-on-write full snapshot
 /// (cheaper than a large entry list on an in-process wire).
-const DELTA_ENTRY_BUDGET: u64 = 32;
+const DELTA_ENTRY_BUDGET: u32 = 32;
 
 /// The shared empty entry list used by deltas that carry nothing new.
 fn empty_delta_entries() -> Arc<[(crate::ids::Slot, Value)]> {
@@ -180,8 +180,8 @@ fn empty_delta_entries() -> Arc<[(crate::ids::Slot, Value)]> {
 pub struct CollectCache {
     instance: Option<InstanceId>,
     /// Bumped whenever the tracked instance changes; entries from older
-    /// epochs are treated as absent (O(1) invalidation of the whole cache —
-    /// no per-entry reset loop on the collect hot path).
+    /// epochs are treated as absent. Their versions stay behind, hidden by
+    /// the epoch; only their views are released.
     epoch: u64,
     entries: Vec<CacheEntry>,
 }
@@ -194,10 +194,18 @@ impl CollectCache {
 
     /// Point the cache at `instance` ahead of a collect broadcast to `n`
     /// responders, dropping everything known about any other instance.
+    ///
+    /// A switch releases every cached view at once, so a finished
+    /// instance's snapshots do not stay pinned until a later reply
+    /// overwrites their entries. That costs O(entries) once per switch, and
+    /// the collect that follows sends `n − 1` requests anyway.
     pub fn prepare(&mut self, instance: InstanceId, n: usize) {
         if self.instance != Some(instance) {
             self.instance = Some(instance);
             self.epoch += 1;
+            for entry in &mut self.entries {
+                entry.view = None;
+            }
         }
         if self.entries.len() < n {
             self.entries.resize(n, CacheEntry::default());
@@ -206,7 +214,7 @@ impl CollectCache {
 
     /// The responder-local version this requester holds for `responder`
     /// (0 when it holds nothing). Sent in the `Collect` request.
-    pub fn known(&self, responder: ProcId) -> u64 {
+    pub fn known(&self, responder: ProcId) -> u32 {
         self.entries
             .get(responder.index())
             .filter(|entry| entry.epoch == self.epoch)
@@ -392,7 +400,7 @@ mod tests {
         }
         // A version from the future falls back to the full view.
         assert!(matches!(
-            store.transfer_since(contended, u64::MAX),
+            store.transfer_since(contended, u32::MAX),
             ViewTransfer::Full(_)
         ));
     }
@@ -468,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn collect_cache_epoch_invalidation_is_constant_time_and_safe() {
+    fn collect_cache_epoch_invalidation_releases_views_and_is_safe() {
         let instance_a = InstanceId::Contended;
         let instance_b = InstanceId::door(ElectionContext::Standalone);
         let responder_id = ProcId(1);
@@ -485,12 +493,14 @@ mod tests {
         );
         assert_eq!(cache.known(responder_id), version_a);
 
-        // Switching instances must invalidate in O(1): the entry is *not*
-        // rewritten (it still physically holds the old version and view),
-        // only the epoch moves on — which is what makes the entry invisible.
+        // Switching instances invalidates through the epoch: the entry's
+        // version is *not* rewritten (it still physically holds the old
+        // version), only the epoch moves on — which is what makes the entry
+        // invisible. The stale view is released at once, not left pinned
+        // until a later reply overwrites the entry.
         cache.prepare(instance_b, 2);
         assert_eq!(cache.entries[responder_id.index()].version, version_a);
-        assert!(cache.entries[responder_id.index()].view.is_some());
+        assert!(cache.entries[responder_id.index()].view.is_none());
         assert_eq!(cache.known(responder_id), 0, "stale epoch reads as unknown");
 
         // Switching *back* bumps the epoch again: the version from the

@@ -14,11 +14,13 @@
 //! transfer, so cloning must not scale with the value's logical size:
 //!
 //! * [`ProcSet`] keeps up to [`ProcSet::INLINE_CAPACITY`] processors inline
-//!   (no heap allocation at all) and spills larger sets into an
-//!   `Arc<[ProcId]>`, making `clone` a refcount bump instead of an O(set)
-//!   copy. The participant lists `ℓ` carried by heterogeneous PoisonPill
-//!   statuses — the largest values in the system, up to `k` entries — are
-//!   stored this way.
+//!   (no heap allocation at all) and spills larger sets into an `Arc<[u32]>`,
+//!   making `clone` a refcount bump instead of an O(set) copy. The
+//!   participant lists `ℓ` carried by heterogeneous PoisonPill statuses — the
+//!   largest values in the system, up to `k` entries — are stored this way.
+//! * A [`Value`] is 24 bytes and an `Option<Value>` (one view cell's value)
+//!   too; the assertions below pin both, because every replica holds one
+//!   per slot it has heard of.
 //! * [`Value::merge`] reports whether the merge actually changed the value,
 //!   which the versioned [`crate::View`] uses to stamp modified slots for
 //!   delta collect replies.
@@ -49,17 +51,21 @@ impl fmt::Display for Priority {
 /// Number of processors a [`ProcSet`] stores without touching the heap.
 /// Deliberately small: it bounds `size_of::<Value>()` — and with it the cost
 /// of every view-cell copy — while still keeping the empty and singleton
-/// sets (the overwhelmingly common cases) allocation-free.
-const PROC_SET_INLINE: usize = 2;
+/// sets (the overwhelmingly common cases) allocation-free. One member keeps
+/// the inline variant no larger than the shared pointer, so a `Value` is 24
+/// bytes.
+const PROC_SET_INLINE: usize = 1;
 
 /// A sorted, deduplicated set of processors with small-set inline storage.
 ///
-/// Sets of up to [`ProcSet::INLINE_CAPACITY`] processors live entirely inside
-/// the value (cloning is a memcpy); larger sets are stored behind an
-/// `Arc<[ProcId]>` so cloning is a refcount bump either way. The contents are
-/// always sorted ascending and free of duplicates, and the comparison order
-/// is the lexicographic slice order (identical to the `Vec<ProcId>` order the
-/// merge tie-break historically used).
+/// Members are stored as `u32` (a processor id past `u32::MAX` panics at
+/// construction; it never wraps). Sets of up to [`ProcSet::INLINE_CAPACITY`]
+/// processors live entirely inside the value (cloning is a memcpy); larger
+/// sets are stored behind an `Arc<[u32]>`, so cloning is a refcount bump
+/// either way. The contents are always sorted ascending and free of
+/// duplicates, and the comparison order is the lexicographic order of the
+/// member sequences (identical to the `Vec<ProcId>` order the merge
+/// tie-break historically used, whichever representation either side has).
 #[derive(Clone, Serialize, Deserialize)]
 pub struct ProcSet(Repr);
 
@@ -70,11 +76,20 @@ enum Repr {
         /// Number of live entries in `items`.
         len: u8,
         /// Inline storage; entries at `len..` are padding.
-        items: [ProcId; PROC_SET_INLINE],
+        items: [u32; PROC_SET_INLINE],
     },
     /// Sorted members shared behind a refcount (always `> INLINE_CAPACITY`
     /// when built through the public constructors).
-    Shared(Arc<[ProcId]>),
+    Shared(Arc<[u32]>),
+}
+
+/// The stored form of a member.
+///
+/// # Panics
+/// Panics if the id does not fit in `u32`.
+fn member(p: ProcId) -> u32 {
+    u32::try_from(p.index())
+        .unwrap_or_else(|_| panic!("{p} does not fit a ProcSet, whose members are u32"))
 }
 
 impl ProcSet {
@@ -82,25 +97,29 @@ impl ProcSet {
     pub const INLINE_CAPACITY: usize = PROC_SET_INLINE;
 
     /// The empty set.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         ProcSet(Repr::Inline {
             len: 0,
-            items: [ProcId(0); PROC_SET_INLINE],
+            items: [0; PROC_SET_INLINE],
         })
     }
 
     /// Build a set from arbitrary members (sorted and deduplicated here).
-    pub fn from_vec(mut members: Vec<ProcId>) -> Self {
+    ///
+    /// # Panics
+    /// Panics if a member's id exceeds `u32::MAX`.
+    pub fn from_vec(members: Vec<ProcId>) -> Self {
+        let mut members: Vec<u32> = members.into_iter().map(member).collect();
         members.sort_unstable();
         members.dedup();
         Self::from_sorted_vec(members)
     }
 
     /// `members` must already be sorted ascending with no duplicates.
-    fn from_sorted_vec(members: Vec<ProcId>) -> Self {
+    fn from_sorted_vec(members: Vec<u32>) -> Self {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         if members.len() <= PROC_SET_INLINE {
-            let mut items = [ProcId(0); PROC_SET_INLINE];
+            let mut items = [0; PROC_SET_INLINE];
             items[..members.len()].copy_from_slice(&members);
             ProcSet(Repr::Inline {
                 len: members.len() as u8,
@@ -111,8 +130,8 @@ impl ProcSet {
         }
     }
 
-    /// The members, sorted ascending.
-    pub fn as_slice(&self) -> &[ProcId] {
+    /// The stored members, sorted ascending.
+    fn members(&self) -> &[u32] {
         match &self.0 {
             Repr::Inline { len, items } => &items[..*len as usize],
             Repr::Shared(items) => items,
@@ -121,7 +140,7 @@ impl ProcSet {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.members().len()
     }
 
     /// Whether the set is empty.
@@ -131,12 +150,12 @@ impl ProcSet {
 
     /// Whether `p` is a member (binary search).
     pub fn contains(&self, p: ProcId) -> bool {
-        self.as_slice().binary_search(&p).is_ok()
+        u32::try_from(p.index()).is_ok_and(|p| self.members().binary_search(&p).is_ok())
     }
 
     /// Iterate over the members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = ProcId> + '_ {
-        self.as_slice().iter().copied()
+        self.members().iter().map(|&p| ProcId(p as usize))
     }
 
     /// Whether the set has spilled out of the inline storage.
@@ -150,7 +169,7 @@ impl ProcSet {
     pub fn shared_addr(&self) -> Option<usize> {
         match &self.0 {
             Repr::Inline { .. } => None,
-            Repr::Shared(items) => Some(Arc::as_ptr(items).cast::<ProcId>() as usize),
+            Repr::Shared(items) => Some(Arc::as_ptr(items).cast::<u32>() as usize),
         }
     }
 
@@ -159,8 +178,8 @@ impl ProcSet {
     /// Unchanged unions (in particular the idempotent `a ∪ a`) are detected
     /// without allocating; a changed union builds the merged set once.
     pub fn union_with(&mut self, other: &ProcSet) -> bool {
-        let a = self.as_slice();
-        let b = other.as_slice();
+        let a = self.members();
+        let b = other.members();
         if b.iter().all(|p| a.binary_search(p).is_ok()) {
             return false;
         }
@@ -202,13 +221,13 @@ impl Default for ProcSet {
 
 impl fmt::Debug for ProcSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.as_slice()).finish()
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
 impl PartialEq for ProcSet {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        self.members() == other.members()
     }
 }
 
@@ -222,13 +241,13 @@ impl PartialOrd for ProcSet {
 
 impl Ord for ProcSet {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
+        self.members().cmp(other.members())
     }
 }
 
 impl std::hash::Hash for ProcSet {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        self.members().hash(state);
     }
 }
 
@@ -292,11 +311,12 @@ impl Status {
         }
     }
 
-    /// The participant list `ℓ`, if the status is resolved.
-    pub fn list(&self) -> &[ProcId] {
+    /// The participant list `ℓ` (empty unless the status is resolved).
+    pub fn list(&self) -> &ProcSet {
+        static EMPTY: ProcSet = ProcSet::new();
         match self {
-            Status::Commit => &[],
-            Status::Resolved { list, .. } => list.as_slice(),
+            Status::Commit => &EMPTY,
+            Status::Resolved { list, .. } => list,
         }
     }
 
@@ -319,6 +339,10 @@ impl fmt::Display for Status {
         }
     }
 }
+
+// Every replica holds one `Option<Value>` per slot it has heard of.
+const _: () = assert!(std::mem::size_of::<Value>() <= 24);
+const _: () = assert!(std::mem::size_of::<Option<Value>>() <= 24);
 
 /// A value stored in a replicated register.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -519,7 +543,7 @@ mod tests {
     #[test]
     fn resolved_list_is_sorted_and_deduped() {
         let s = Status::resolved_with_list(Priority::High, vec![ProcId(5), ProcId(1), ProcId(5)]);
-        assert_eq!(s.list(), &[ProcId(1), ProcId(5)]);
+        assert!(s.list().iter().eq([ProcId(1), ProcId(5)]));
     }
 
     #[test]
@@ -542,12 +566,9 @@ mod tests {
         let spilled: ProcSet = (0..=ProcSet::INLINE_CAPACITY).map(ProcId).collect();
         assert!(spilled.is_spilled());
         assert_eq!(spilled.len(), ProcSet::INLINE_CAPACITY + 1);
-        assert_eq!(
-            spilled.as_slice(),
-            (0..=ProcSet::INLINE_CAPACITY)
-                .map(ProcId)
-                .collect::<Vec<_>>()
-        );
+        assert!(spilled
+            .iter()
+            .eq((0..=ProcSet::INLINE_CAPACITY).map(ProcId)));
     }
 
     #[test]
@@ -565,7 +586,7 @@ mod tests {
         assert!(a.union_with(&c));
         assert_eq!(a.len(), cap + 1);
         assert!(a.is_spilled());
-        assert!(a.contains(ProcId(200)) && a.contains(ProcId(0)));
+        assert!(a.contains(ProcId(200)) && a.contains(ProcId(100)));
 
         // Spilled ∪ subset is detected as unchanged without rebuilding.
         assert!(!a.union_with(&b));
@@ -603,14 +624,15 @@ mod tests {
 
     #[test]
     fn proc_set_order_matches_slice_order() {
-        let small: ProcSet = [ProcId(1), ProcId(2)].into_iter().collect();
+        let small: ProcSet = [ProcId(1)].into_iter().collect();
         let large: ProcSet = (0..9).map(ProcId).collect();
+        assert!(!small.is_spilled() && large.is_spilled());
         assert_eq!(
             small.cmp(&large),
-            small.as_slice().cmp(large.as_slice()),
-            "comparison must be the lexicographic slice order regardless of representation"
+            small.iter().cmp(large.iter()),
+            "comparison must be the lexicographic order regardless of representation"
         );
-        assert!(small > large, "lexicographic: [1,2] > [0,1,...]");
+        assert!(small > large, "lexicographic: [1] > [0,1,...]");
     }
 
     #[test]

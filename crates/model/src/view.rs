@@ -20,44 +20,83 @@ use crate::value::{Status, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// One slot of a view: the merged value plus the version stamp of its last
-/// effective write.
+/// The [`Slot::Global`] cell of a view: the merged value plus the version
+/// stamp of its last effective write.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Cell {
     value: Option<Value>,
-    stamp: u64,
+    stamp: u32,
 }
 
-/// Cells per copy-on-write block of a slot family.
-const CHUNK: usize = 32;
+/// Cells per copy-on-write block of a slot family. A write after a snapshot
+/// re-copies one block, and a family of `k` writers costs `⌈k/8⌉·8` cells.
+const CHUNK: usize = 8;
 
 /// A fixed block of cells with summary metadata for fast skipping.
+///
+/// Values and stamps sit in separate arrays, so a cell costs an
+/// `Option<Value>` plus a `u32` stamp (28 bytes) with no padding between
+/// cells.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Chunk {
-    cells: [Cell; CHUNK],
+    values: [Option<Value>; CHUNK],
+    /// The version stamp of each cell's last effective write (0 when never
+    /// written).
+    stamps: [u32; CHUNK],
     /// Maximum stamp of any cell in the block (0 when untouched), so
     /// [`View::delta_since`] can skip whole blocks.
-    max_stamp: u64,
+    max_stamp: u32,
     /// Number of occupied cells, so iteration can skip empty blocks.
-    occupied: u32,
+    occupied: u8,
 }
+
+// A cell costs at most 28 bytes, and a block adds at most 8 bytes of header.
+const _: () = assert!(std::mem::size_of::<Option<Value>>() + std::mem::size_of::<u32>() <= 28);
+const _: () = assert!(std::mem::size_of::<Chunk>() <= CHUNK * 28 + 8);
 
 impl Default for Chunk {
     fn default() -> Self {
         Chunk {
-            cells: std::array::from_fn(|_| Cell::default()),
+            values: std::array::from_fn(|_| None),
+            stamps: [0; CHUNK],
             max_stamp: 0,
             occupied: 0,
         }
     }
 }
 
+impl Chunk {
+    /// `(offset, value)` over the occupied cells accepted by `keep`.
+    fn occupied_where(
+        &self,
+        keep: impl Fn(usize) -> bool,
+    ) -> impl Iterator<Item = (usize, &Value)> {
+        self.values
+            .iter()
+            .enumerate()
+            .filter(move |&(offset, _)| keep(offset))
+            .filter_map(|(offset, value)| Some((offset, value.as_ref()?)))
+    }
+}
+
+/// Advance a view's version counter and return the new stamp.
+///
+/// # Panics
+/// Panics when the counter would pass `u32::MAX`; it never wraps, because a
+/// wrapped stamp would hide later writes from [`View::delta_since`].
+fn next_stamp(version: &mut u32) -> u32 {
+    *version = version
+        .checked_add(1)
+        .expect("a view's version passed u32::MAX effective writes");
+    *version
+}
+
 /// A dense, index-addressed cell array stored as `Arc`-shared fixed-size
-/// blocks.
+/// blocks of [`CHUNK`] cells.
 ///
 /// The block structure makes snapshots cheap to *diverge from*: cloning the
 /// table is one `Arc` bump per block, and a write after a snapshot
-/// copy-on-writes only the CHUNK-cell block it lands in instead of the whole
+/// copy-on-writes only the 8-cell block it lands in instead of the whole
 /// array. Untouched tails share one global empty block, so growing a view
 /// allocates nothing until a block is actually written.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -72,9 +111,8 @@ fn empty_chunk() -> Arc<Chunk> {
 }
 
 impl CellTable {
-    fn get(&self, index: usize) -> Option<&Cell> {
-        let cell = &self.chunks.get(index / CHUNK)?.cells[index % CHUNK];
-        cell.value.is_some().then_some(cell)
+    fn get(&self, index: usize) -> Option<&Value> {
+        self.chunks.get(index / CHUNK)?.values[index % CHUNK].as_ref()
     }
 
     /// The block containing `index`, unshared and ready to mutate.
@@ -86,38 +124,46 @@ impl CellTable {
         Arc::make_mut(&mut self.chunks[block])
     }
 
-    /// Iterate `(index, cell)` over occupied cells in ascending index order,
-    /// skipping entirely empty blocks.
-    fn iter(&self) -> impl Iterator<Item = (usize, &Cell)> {
+    /// Iterate `(index, value)` over occupied cells in ascending index
+    /// order, skipping entirely empty blocks.
+    fn iter(&self) -> impl Iterator<Item = (usize, &Value)> {
         self.chunks
             .iter()
             .enumerate()
             .filter(|(_, chunk)| chunk.occupied > 0)
             .flat_map(|(block, chunk)| {
                 chunk
-                    .cells
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, cell)| cell.value.is_some())
-                    .map(move |(offset, cell)| (block * CHUNK + offset, cell))
+                    .occupied_where(|_| true)
+                    .map(move |(offset, value)| (block * CHUNK + offset, value))
             })
     }
 
-    /// Iterate `(index, cell)` over cells stamped after `since`, skipping
+    /// Iterate `(index, value)` over cells stamped after `since`, skipping
     /// blocks whose newest stamp is not.
-    fn delta_since(&self, since: u64) -> impl Iterator<Item = (usize, &Cell)> {
+    fn delta_since(&self, since: u32) -> impl Iterator<Item = (usize, &Value)> {
         self.chunks
             .iter()
             .enumerate()
             .filter(move |(_, chunk)| chunk.max_stamp > since)
             .flat_map(move |(block, chunk)| {
                 chunk
-                    .cells
-                    .iter()
-                    .enumerate()
-                    .filter(move |(_, cell)| cell.stamp > since && cell.value.is_some())
-                    .map(move |(offset, cell)| (block * CHUNK + offset, cell))
+                    .occupied_where(move |offset| chunk.stamps[offset] > since)
+                    .map(move |(offset, value)| (block * CHUNK + offset, value))
             })
+    }
+
+    /// Visit every occupied cell in ascending index order.
+    fn for_each(&self, mut f: impl FnMut(usize, &Value)) {
+        for (block, chunk) in self.chunks.iter().enumerate() {
+            if chunk.occupied == 0 {
+                continue;
+            }
+            for (offset, value) in chunk.values.iter().enumerate() {
+                if let Some(value) = value {
+                    f(block * CHUNK + offset, value);
+                }
+            }
+        }
     }
 }
 
@@ -139,7 +185,7 @@ pub struct View {
     /// Number of non-`⊥` entries across all three families.
     occupied: usize,
     /// Count of effective writes; each one stamps the written cell.
-    version: u64,
+    version: u32,
 }
 
 impl View {
@@ -151,21 +197,22 @@ impl View {
     /// The value of `slot`, or `None` if the responder's view is `⊥` there.
     pub fn get(&self, slot: &Slot) -> Option<&Value> {
         match slot {
-            Slot::Proc(p) => self.procs.get(p.index())?.value.as_ref(),
-            Slot::Name(u) => self.names.get(*u)?.value.as_ref(),
+            Slot::Proc(p) => self.procs.get(p.index()),
+            Slot::Name(u) => self.names.get(*u),
             Slot::Global => self.global.value.as_ref(),
         }
     }
 
     /// The number of effective writes this view has absorbed. Monotone;
     /// replica-local (never comparable across views).
-    pub fn version(&self) -> u64 {
+    pub fn version(&self) -> u32 {
         self.version
     }
 
-    /// Merge `value` into `cell`; returns `(changed, newly_occupied)`.
-    fn merge_cell(cell: &mut Cell, value: Value) -> (bool, bool) {
-        match &mut cell.value {
+    /// Merge `value` into a cell's value; returns `(changed,
+    /// newly_occupied)`.
+    fn merge_value(cell: &mut Option<Value>, value: Value) -> (bool, bool) {
+        match cell {
             Some(existing) => (existing.merge(&value), false),
             empty => {
                 *empty = Some(value);
@@ -175,13 +222,15 @@ impl View {
     }
 
     /// Record (merge) `value` into `slot`; returns whether the view changed.
+    ///
+    /// # Panics
+    /// Panics if an effective write would take the version past `u32::MAX`.
     pub fn insert(&mut self, slot: Slot, value: Value) -> bool {
         let (changed, newly_occupied) = match slot {
             Slot::Global => {
-                let (changed, newly) = Self::merge_cell(&mut self.global, value);
+                let (changed, newly) = Self::merge_value(&mut self.global.value, value);
                 if changed {
-                    self.version += 1;
-                    self.global.stamp = self.version;
+                    self.global.stamp = next_stamp(&mut self.version);
                 }
                 (changed, newly)
             }
@@ -198,17 +247,17 @@ impl View {
 
     fn insert_indexed(
         table: &mut CellTable,
-        version: &mut u64,
+        version: &mut u32,
         index: usize,
         value: Value,
     ) -> (bool, bool) {
         let chunk = table.chunk_mut(index);
         let offset = index % CHUNK;
-        let (changed, newly) = Self::merge_cell(&mut chunk.cells[offset], value);
+        let (changed, newly) = Self::merge_value(&mut chunk.values[offset], value);
         if changed {
-            *version += 1;
-            chunk.cells[offset].stamp = *version;
-            chunk.max_stamp = *version;
+            let stamp = next_stamp(version);
+            chunk.stamps[offset] = stamp;
+            chunk.max_stamp = stamp;
         }
         if newly {
             chunk.occupied += 1;
@@ -229,35 +278,31 @@ impl View {
         let procs = self
             .procs
             .iter()
-            .map(|(i, cell)| (Slot::Proc(ProcId(i)), cell));
-        let names = self.names.iter().map(|(u, cell)| (Slot::Name(u), cell));
-        let global =
-            std::iter::once((Slot::Global, &self.global)).filter(|(_, cell)| cell.value.is_some());
-        procs
-            .chain(names)
-            .chain(global)
-            .map(|(slot, cell)| (slot, cell.value.as_ref().expect("occupied cell")))
+            .map(|(i, value)| (Slot::Proc(ProcId(i)), value));
+        let names = self.names.iter().map(|(u, value)| (Slot::Name(u), value));
+        let global = self.global.value.iter().map(|value| (Slot::Global, value));
+        procs.chain(names).chain(global)
     }
 
     /// Iterate over the entries whose last effective write is newer than
     /// `since` (a value previously obtained from [`View::version`] of this
     /// same view), in slot order. `delta_since(0)` enumerates every entry.
-    pub fn delta_since(&self, since: u64) -> impl Iterator<Item = (Slot, &Value)> {
+    pub fn delta_since(&self, since: u32) -> impl Iterator<Item = (Slot, &Value)> {
         let procs = self
             .procs
             .delta_since(since)
-            .map(|(i, cell)| (Slot::Proc(ProcId(i)), cell));
+            .map(|(i, value)| (Slot::Proc(ProcId(i)), value));
         let names = self
             .names
             .delta_since(since)
-            .map(|(u, cell)| (Slot::Name(u), cell));
-        let global = std::iter::once(&self.global)
-            .filter(move |cell| cell.stamp > since && cell.value.is_some())
-            .map(|cell| (Slot::Global, cell));
-        procs
-            .chain(names)
-            .chain(global)
-            .map(|(slot, cell)| (slot, cell.value.as_ref().expect("stamped cell")))
+            .map(|(u, value)| (Slot::Name(u), value));
+        let global = self
+            .global
+            .value
+            .iter()
+            .filter(move |_| self.global.stamp > since)
+            .map(|value| (Slot::Global, value));
+        procs.chain(names).chain(global)
     }
 
     /// Visit every non-`⊥` entry in slot order with a plain nested loop.
@@ -267,26 +312,9 @@ impl View {
     /// visit quorum × entries cells per decision, where a tight loop beats
     /// the layered iterator chain.
     pub fn for_each(&self, mut f: impl FnMut(Slot, &Value)) {
-        for (block, chunk) in self.procs.chunks.iter().enumerate() {
-            if chunk.occupied == 0 {
-                continue;
-            }
-            for (offset, cell) in chunk.cells.iter().enumerate() {
-                if let Some(value) = &cell.value {
-                    f(Slot::Proc(ProcId(block * CHUNK + offset)), value);
-                }
-            }
-        }
-        for (block, chunk) in self.names.chunks.iter().enumerate() {
-            if chunk.occupied == 0 {
-                continue;
-            }
-            for (offset, cell) in chunk.cells.iter().enumerate() {
-                if let Some(value) = &cell.value {
-                    f(Slot::Name(block * CHUNK + offset), value);
-                }
-            }
-        }
+        self.procs
+            .for_each(|i, value| f(Slot::Proc(ProcId(i)), value));
+        self.names.for_each(|u, value| f(Slot::Name(u), value));
         if let Some(value) = &self.global.value {
             f(Slot::Global, value);
         }
@@ -688,6 +716,48 @@ mod tests {
     }
 
     #[test]
+    fn a_family_of_writers_costs_whole_eight_cell_blocks() {
+        // Writers at slots 0..24 fill exactly three 8-cell blocks.
+        let mut view = View::new();
+        for i in 0..24 {
+            view.insert(Slot::Proc(ProcId(i)), Value::Round(1));
+        }
+        assert_eq!(CHUNK, 8);
+        assert_eq!(view.procs.chunks.len(), 3);
+        for chunk in &view.procs.chunks {
+            assert!(!Arc::ptr_eq(chunk, &empty_chunk()));
+            assert_eq!(chunk.occupied as usize, CHUNK);
+        }
+
+        // A write after a snapshot re-copies exactly one block: the one it
+        // lands in, whose eight cells the copy carries.
+        let snapshot = view.clone();
+        view.insert(Slot::Proc(ProcId(13)), Value::Round(2));
+        let recopied: Vec<usize> = (0..3)
+            .filter(|&b| !Arc::ptr_eq(&view.procs.chunks[b], &snapshot.procs.chunks[b]))
+            .collect();
+        assert_eq!(recopied, vec![1]);
+        assert_eq!(view.procs.chunks[1].values.len(), 8);
+        assert_eq!(
+            snapshot.get(&Slot::Proc(ProcId(13))),
+            Some(&Value::Round(1))
+        );
+        assert_eq!(view.get(&Slot::Proc(ProcId(13))), Some(&Value::Round(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "passed u32::MAX")]
+    fn the_version_never_wraps() {
+        let mut view = View::new();
+        view.version = u32::MAX - 1;
+        view.insert(Slot::Proc(ProcId(0)), Value::Round(1));
+        assert_eq!(view.version(), u32::MAX);
+        assert_eq!(view.delta_since(u32::MAX - 1).count(), 1);
+        // The next effective write would wrap the stamp to 0.
+        view.insert(Slot::Global, Value::Flag(true));
+    }
+
+    #[test]
     fn untouched_tail_blocks_share_the_global_empty_chunk() {
         let mut view = View::new();
         // Growing straight to block 2 fills blocks 0-1 with the shared
@@ -704,14 +774,14 @@ mod tests {
         let mut view = View::new();
         view.insert(Slot::Proc(ProcId(3)), Value::Round(5));
         let version = view.version();
-        assert_eq!(view.procs.chunks[0].cells[3].stamp, version);
+        assert_eq!(view.procs.chunks[0].stamps[3], version);
 
         // An idempotent re-delivery and a stale (smaller) round are both
         // merge no-ops: no version advance, no restamp, no delta entries.
         assert!(!view.insert(Slot::Proc(ProcId(3)), Value::Round(5)));
         assert!(!view.insert(Slot::Proc(ProcId(3)), Value::Round(2)));
         assert_eq!(view.version(), version);
-        assert_eq!(view.procs.chunks[0].cells[3].stamp, version);
+        assert_eq!(view.procs.chunks[0].stamps[3], version);
         assert_eq!(view.procs.chunks[0].max_stamp, version);
         assert_eq!(view.delta_since(version).count(), 0);
 

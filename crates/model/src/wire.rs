@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Sequence number identifying one `communicate` call of one processor.
-pub type CallSeq = u64;
+pub type CallSeq = u32;
 
 /// The payload of a collect reply: the responder's view, either whole or as
 /// the entries written since the version the requester already holds.
@@ -43,9 +43,9 @@ pub enum ViewTransfer {
     /// ones).
     Delta {
         /// The responder-local version the delta starts from.
-        since: u64,
+        since: u32,
         /// The responder-local version the delta brings the requester to.
-        version: u64,
+        version: u32,
         /// The changed entries, in slot order.
         entries: Arc<[(Slot, Value)]>,
     },
@@ -53,7 +53,7 @@ pub enum ViewTransfer {
 
 impl ViewTransfer {
     /// The responder-local view version this transfer represents.
-    pub fn version(&self) -> u64 {
+    pub fn version(&self) -> u32 {
         match self {
             ViewTransfer::Full(view) => view.version(),
             ViewTransfer::Delta { version, .. } => *version,
@@ -88,7 +88,7 @@ pub enum WireMessage {
         /// this responder and instance (0 when it holds nothing), from a
         /// previous reply. The responder may answer with only the entries
         /// written since.
-        known: u64,
+        known: u32,
     },
     /// Reply to a `Collect` carrying the responder's view.
     CollectReply {

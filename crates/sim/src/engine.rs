@@ -244,7 +244,6 @@ impl Network for Direct<'_> {
             from,
             to,
             payload,
-            sent_at: self.now,
         })
     }
 

@@ -20,6 +20,11 @@ impl fmt::Display for MessageId {
 }
 
 /// A message that has been sent but not yet delivered.
+///
+/// Every undelivered message of a run is one slab entry of this type, so it
+/// is kept to 56 bytes: the id, the two endpoints and the payload, nothing
+/// else. Adversaries see only [`InFlightMessage::to_event`]'s fields; an
+/// age-based policy can order by id, which is assigned in send order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InFlightMessage {
     /// The message identifier.
@@ -30,10 +35,9 @@ pub struct InFlightMessage {
     pub to: ProcId,
     /// Payload.
     pub payload: WireMessage,
-    /// Event count at which the message was sent (for adversaries that want
-    /// FIFO-ish or age-based policies).
-    pub sent_at: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<InFlightMessage>() <= 56);
 
 impl InFlightMessage {
     /// Whether the payload is a request (propagate or collect).
@@ -169,8 +173,7 @@ mod tests {
             id: MessageId(id),
             from: ProcId(0),
             to: ProcId(1),
-            payload: WireMessage::Ack { seq: id },
-            sent_at: 0,
+            payload: WireMessage::Ack { seq: id as u32 },
         }
     }
 
@@ -198,7 +201,6 @@ mod tests {
             from: ProcId(0),
             to: ProcId(1),
             payload: WireMessage::Ack { seq: 3 },
-            sent_at: 0,
         };
         assert!(msg.is_reply());
         assert!(!msg.is_request());

@@ -9,21 +9,22 @@
 //!    a time in ascending victim order, stopping early if the last live
 //!    participant dies (mirroring the sequential engine's check before every
 //!    decision).
-//! 2. **Round (workers, parallel):** every partition *intakes* the messages
-//!    routed to it at the previous barrier, then delivers **all** of them in
-//!    ascending message-id order, then runs step-runs in ascending processor
-//!    order (a processor keeps stepping until it blocks). Every message a
-//!    partition sends — local or remote — goes to its *outbox* tagged with a
-//!    [`RouteKey`] and becomes deliverable only next round, so partitions are
-//!    causally isolated within a round and the execution cannot depend on
-//!    which worker thread ran which partition.
+//! 2. **Round (workers, parallel):** every partition delivers **all** the
+//!    messages routed to it at the previous barrier in ascending message-id
+//!    order, then runs step-runs in ascending processor order (a processor
+//!    keeps stepping until it blocks). Every message a partition sends —
+//!    local or remote — goes to its *outbox* tagged with a [`RouteKey`] and
+//!    becomes deliverable only next round, so partitions are causally
+//!    isolated within a round and the execution cannot depend on which
+//!    worker thread ran which partition.
 //! 3. **Barrier (leader, serial):** merge the outboxes in [`RouteKey`] order,
-//!    assign global message ids in that order, and route each message to its
-//!    recipient's partition. The key is a pure function of what *triggered*
-//!    the send (the delivered message id for replies, the stepping processor
-//!    for broadcasts), so the id sequence is independent of the partition
-//!    count — and in this canonical mode it reproduces the sequential
-//!    engine's send order exactly.
+//!    assign global message ids in that order, and store each message
+//!    straight into its recipient's partition (its quorum core's slab). The
+//!    key is a pure function of what *triggered* the send (the delivered
+//!    message id for replies, the stepping processor for broadcasts), so the
+//!    id sequence is independent of the partition count — and in this
+//!    canonical mode it reproduces the sequential engine's send order
+//!    exactly.
 //!
 //! The same schedule can be driven through the sequential [`crate::Simulator`]
 //! by the [`SuperRoundAdversary`], which is how the differential tests pin the
@@ -225,8 +226,6 @@ struct PartitionEngine {
     /// Local crash log (adversarial mode; canonical crashes are applied and
     /// logged by the leader).
     crashes: Vec<ProcId>,
-    /// Messages routed to this partition at the last barrier.
-    inbox: Vec<InFlightMessage>,
     /// Messages sent this round, in [`RouteKey`] order by construction.
     outbox: Vec<Outbound>,
     markers: Vec<Marker>,
@@ -308,7 +307,6 @@ impl PartitionEngine {
             core,
             metrics: ExecutionMetrics::default(),
             crashes,
-            inbox: Vec::new(),
             outbox: Vec::new(),
             markers: Vec::new(),
             trace_deliver: Vec::new(),
@@ -336,20 +334,12 @@ impl PartitionEngine {
         )
     }
 
-    /// Pull the messages routed to this partition at the last barrier into
-    /// the core (which drops those addressed to crashed processors).
-    fn intake(&mut self) {
-        for message in self.inbox.drain(..) {
-            self.core.store(message);
-        }
-    }
-
-    /// Run one canonical super-round: intake, deliver everything in ascending
-    /// id order, then step-runs in ascending processor order.
+    /// Run one canonical super-round: deliver everything routed here at the
+    /// last barrier in ascending id order, then step-runs in ascending
+    /// processor order.
     fn run_round_canonical(&mut self) {
         self.round_delivered = 0;
         self.round_steps = 0;
-        self.intake();
         while let Some(slot) = self.core.first_delivery() {
             self.round_delivered += 1;
             self.execute_delivery(slot, false);
@@ -360,12 +350,11 @@ impl PartitionEngine {
         }
     }
 
-    /// Run one adversarial super-round: intake, then let this partition's
-    /// adversary order (and crash) until every enabled event is consumed.
+    /// Run one adversarial super-round: let this partition's adversary
+    /// order (and crash) until every enabled event is consumed.
     fn run_round_adversarial(&mut self) {
         self.round_delivered = 0;
         self.round_steps = 0;
-        self.intake();
         while self.core.enabled_len() > 0 {
             let observation = self
                 .observation
@@ -716,17 +705,17 @@ impl ParallelSimulator {
         }
     }
 
-    /// Apply one canonical-mode crash at the barrier (leader context: every
-    /// partition delivered all it held this round, so the victim has no
-    /// stored messages to retire, and intake drops the ones routed to it
-    /// from now on).
+    /// Apply one canonical-mode crash at the barrier (leader context). The
+    /// messages the last barrier routed to the victim stay stored until the
+    /// round's crashes are all applied (`drop_crashed_traffic`), and the
+    /// core drops the ones routed to it from now on.
     fn crash_at_barrier(&mut self, victim: ProcId) {
         let engine = &mut self.engines[self.map.partition_of(victim)];
         debug_assert!(
             !engine.core.process(victim).crashed,
             "plan victims are unique"
         );
-        engine.core.crash(victim);
+        engine.core.mark_crashed(victim);
         engine.core.sync(victim, engine.observation.as_mut());
         self.crashes.push(victim);
         self.report.trace.push(TraceEvent::Crash { proc: victim });
@@ -805,10 +794,15 @@ impl ParallelSimulator {
             }
             for victim in due {
                 if self.live() == 0 {
-                    return Ok(false);
+                    break;
                 }
                 self.crash_at_barrier(victim);
                 crashes_this_round += 1;
+            }
+            if crashes_this_round > 0 {
+                for engine in &mut self.engines {
+                    engine.core.drop_crashed_traffic();
+                }
             }
             if self.live() == 0 {
                 return Ok(false);
@@ -904,18 +898,14 @@ impl ParallelSimulator {
         }
 
         // Barrier, part 3: merge the outboxes in RouteKey order, assign
-        // global message ids, and route each message to its recipient's
-        // partition. Each outbox is already key-sorted (keys are generated
-        // in ascending trigger order), so this is a p-way merge.
+        // global message ids, and store each message in its recipient's
+        // core (which drops those addressed to crashed processors). Each
+        // outbox is already key-sorted (keys are generated in ascending
+        // trigger order), so this is a p-way merge.
         let mut outboxes: Vec<Vec<Outbound>> = self
             .engines
             .iter_mut()
             .map(|e| std::mem::take(&mut e.outbox))
-            .collect();
-        let mut inboxes: Vec<Vec<InFlightMessage>> = self
-            .engines
-            .iter_mut()
-            .map(|e| std::mem::take(&mut e.inbox))
             .collect();
         let mut cursors = vec![0usize; outboxes.len()];
         let mut routed = 0u64;
@@ -934,25 +924,17 @@ impl ParallelSimulator {
             let id = MessageId(self.next_message_id);
             self.next_message_id += 1;
             let dest = self.map.partition_of(out.to);
-            inboxes[dest].push(InFlightMessage {
+            self.engines[dest].core.store(InFlightMessage {
                 id,
                 from: out.from,
                 to: out.to,
                 payload: out.payload,
-                // Messages live exactly one barrier; the send round is
-                // recorded for diagnostics only (the sequential engine
-                // stamps an event count here — neither value reaches any
-                // report).
-                sent_at: self.round,
             });
             routed += 1;
         }
         for (engine, mut outbox) in self.engines.iter_mut().zip(outboxes) {
             outbox.clear();
             engine.outbox = outbox;
-        }
-        for (engine, inbox) in self.engines.iter_mut().zip(inboxes) {
-            engine.inbox = inbox;
         }
 
         if d_total + s_total == 0 && crashes_this_round == 0 && routed == 0 && self.live() > 0 {

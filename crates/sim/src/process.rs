@@ -188,8 +188,15 @@ impl SimProcess {
     }
 
     /// Allocate a fresh communicate-call sequence number.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` calls of one processor rather than reuse a
+    /// sequence number.
     pub fn fresh_seq(&mut self) -> CallSeq {
-        self.next_seq += 1;
+        self.next_seq = self
+            .next_seq
+            .checked_add(1)
+            .expect("a processor made more than u32::MAX communicate calls");
         self.next_seq
     }
 

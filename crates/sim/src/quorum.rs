@@ -302,23 +302,37 @@ impl QuorumCore {
     /// Crash `victim`, which must not have crashed yet, and drop its
     /// undelivered messages: they can never be delivered now.
     pub(crate) fn crash(&mut self, victim: ProcId) {
+        self.mark_crashed(victim);
+        self.drop_crashed_traffic();
+    }
+
+    /// Crash `victim`, which must not have crashed yet, but leave its
+    /// undelivered messages until [`QuorumCore::drop_crashed_traffic`]: a
+    /// barrier that crashes many processors at once scans its messages once,
+    /// not once per victim.
+    pub(crate) fn mark_crashed(&mut self, victim: ProcId) {
         let process = self.process_mut(victim);
         let was_live = process.is_live_participant();
         process.crashed = true;
         if was_live {
             self.live -= 1;
         }
+    }
+
+    /// Drop every undelivered message addressed to a crashed processor.
+    pub(crate) fn drop_crashed_traffic(&mut self) {
         let mut doomed = std::mem::take(&mut self.scratch_slots);
         doomed.clear();
         doomed.extend(
             self.enabled_msgs
                 .iter()
                 .filter(|&(_, slot)| {
-                    self.slab
+                    let to = self
+                        .slab
                         .get(slot)
                         .expect("enabled message indexes a live slab slot")
-                        .to
-                        == victim
+                        .to;
+                    self.process(to).crashed
                 })
                 .map(|(_, slot)| slot),
         );
