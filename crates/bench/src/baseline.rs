@@ -3,8 +3,8 @@
 //! Measures full leader elections (all `n` processors participate, fair
 //! random adversary) in events per second in the production configuration:
 //! enabled events served from incrementally maintained indexes, O(1)
-//! payloads (refcount-shared broadcasts, copy-on-write snapshot / delta
-//! collect replies) and arena-recycled trial buffers. The result is the
+//! payloads (refcount-shared broadcasts, copy-on-write snapshot collect
+//! replies) and arena-recycled trial buffers. The result is the
 //! `points` section of `BENCH_baseline.json`, the trajectory future
 //! performance changes compare against; [`smoke_check`] re-measures one
 //! point and fails loudly if throughput regressed far below the recording
@@ -93,7 +93,7 @@ pub fn points_section(points: &[BaselinePoint]) -> Section {
     Section::new(
         "full leader election, all n participate, random adversary; single-threaded wall \
          clock over `trials` seeded runs of the production engine: incremental enabled-event \
-         indexes, shared broadcast payloads, copy-on-write or delta collect replies, \
+         indexes, shared broadcast payloads, copy-on-write snapshot collect replies, \
          arena-recycled trial buffers",
         table,
     )
@@ -140,12 +140,12 @@ pub const SMOKE_REGRESSION_FACTOR: f64 = 3.0;
 /// production slowdown by `s` moves the ratio from `R` to `1 + (R − 1)/s`,
 /// and the floor `F` trips at `s = (R − 1)/(F − 1)`. `F` is
 /// `1 + (R − 1)/4.9`, rounded up, so that it trips at a slowdown of no
-/// more than 4.9×, as the floor did when it was first derived. Compact
-/// replicas made production faster than the checks, and over 12 smoke
-/// runs on a 2-vCPU host the median `R` was 90.5 (range 70.3–113.5), so
-/// `F` = 1 + 89.5/4.9 = 19.3, rounded up to 20: it trips at
-/// `s` = 89.5/19 ≈ 4.7× at the median (arithmetic in EXPERIMENTS.md).
-pub const SMOKE_MIN_VALIDATION_RATIO: f64 = 20.0;
+/// more than 4.9×, as the floor did when it was first derived.
+/// Snapshot-only collect replies made production faster, and over 12
+/// smoke runs on a 2-vCPU host the median `R` was 112.7 (range
+/// 58.3–138.8), so `F` = 1 + 111.7/4.9 = 23.8, rounded up to 24: it trips
+/// at `s` = 111.7/23 ≈ 4.9× at the median (arithmetic in EXPERIMENTS.md).
+pub const SMOKE_MIN_VALIDATION_RATIO: f64 = 24.0;
 
 /// Run the smoke gate; returns `(measured, recorded, ratio)` on success:
 /// production events/s at n = 64, the recorded value, and the same-run
@@ -228,6 +228,6 @@ mod tests {
                     .number("n", "64", "events_per_sec")
             })
             .expect("BENCH_baseline.json records n = 64");
-        assert_eq!(recorded, 1_691_878.6);
+        assert_eq!(recorded, 2_246_252.0);
     }
 }

@@ -26,8 +26,26 @@
 //! contenders among `N` processors and prints its run time and the
 //! process's peak resident set (`VmHWM`), in total and per processor.
 //! Nothing is recorded.
+//!
+//! `--memory-smoke` runs the CI memory gate: `--memory 65536 24`, which
+//! fails above 10 KiB of `VmHWM` per processor.
 
 use fle_bench::{baseline, json, parallel};
+
+/// Print one memory probe's line.
+fn print_memory(probe: &parallel::MemoryProbe) {
+    println!(
+        "memory: n={} k={} p=1 seed=0: {} events in {:.1} s; VmHWM {} KiB \
+         ({:.2} GiB), {:.1} KiB per processor",
+        probe.n,
+        probe.k,
+        probe.events,
+        probe.seconds,
+        probe.vm_hwm_kib,
+        probe.vm_hwm_kib as f64 / (1024.0 * 1024.0),
+        probe.kib_per_processor(),
+    );
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -38,22 +56,19 @@ fn main() {
                 .and_then(|arg| arg.parse::<usize>().ok())
         };
         let result = match (size(1), size(2)) {
-            (Some(n), Some(k)) => parallel::memory_probe(n, k).map(|probe| {
-                println!(
-                    "memory: n={} k={} p=1 seed=0: {} events in {:.1} s; VmHWM {} KiB \
-                     ({:.2} GiB), {:.1} KiB per processor",
-                    probe.n,
-                    probe.k,
-                    probe.events,
-                    probe.seconds,
-                    probe.vm_hwm_kib,
-                    probe.vm_hwm_kib as f64 / (1024.0 * 1024.0),
-                    probe.kib_per_processor(),
-                );
-            }),
+            (Some(n), Some(k)) => parallel::memory_probe(n, k).map(|probe| print_memory(&probe)),
             _ => Err("usage: bench_baseline --memory N K".to_string()),
         };
         ("memory", result)
+    } else if has("--memory-smoke") {
+        let result = parallel::memory_smoke_check().map(|probe| {
+            print_memory(&probe);
+            println!(
+                "memory-smoke OK: at most {} KiB per processor",
+                parallel::MEMORY_SMOKE_MAX_KIB_PER_PROCESSOR
+            );
+        });
+        ("memory-smoke", result)
     } else if has("--parallel-smoke") {
         let result = parallel::parallel_smoke_check().map(|(speedup, efficiency)| {
             println!(

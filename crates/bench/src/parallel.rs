@@ -231,6 +231,29 @@ pub fn memory_probe(n: usize, k: usize) -> Result<MemoryProbe, String> {
     })
 }
 
+/// The most peak resident KiB per processor that `--memory-smoke` allows.
+pub const MEMORY_SMOKE_MAX_KIB_PER_PROCESSOR: f64 = 10.0;
+
+/// `bench_baseline --memory-smoke`, the CI memory gate: one
+/// [`memory_probe`] at n = 65,536, k = 24, which fails above
+/// [`MEMORY_SMOKE_MAX_KIB_PER_PROCESSOR`] of `VmHWM` per processor. Run it
+/// in a fresh process, so the peak is this election's.
+///
+/// # Errors
+/// A [`memory_probe`] error, or the peak over the bound.
+pub fn memory_smoke_check() -> Result<MemoryProbe, String> {
+    let probe = memory_probe(65_536, 24)?;
+    let per_processor = probe.kib_per_processor();
+    if per_processor > MEMORY_SMOKE_MAX_KIB_PER_PROCESSOR {
+        return Err(format!(
+            "peak resident set {:.1} KiB per processor at n={} k={} is above the \
+             {MEMORY_SMOKE_MAX_KIB_PER_PROCESSOR} KiB bound (VmHWM {} KiB)",
+            per_processor, probe.n, probe.k, probe.vm_hwm_kib
+        ));
+    }
+    Ok(probe)
+}
+
 /// The `VmHWM` line of `/proc/self/status`, in KiB.
 fn vm_hwm_kib() -> Result<u64, String> {
     let status = std::fs::read_to_string("/proc/self/status")

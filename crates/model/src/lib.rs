@@ -82,7 +82,7 @@ pub use metrics::{ExecutionMetrics, ProcessMetrics};
 pub use partition::{PartitionMap, RouteKey};
 pub use protocol::{LocalStateView, Protocol};
 pub use schedule::SchedulePoint;
-pub use store::{CollectCache, ReplicaStore};
+pub use store::ReplicaStore;
 pub use value::{Key, Priority, ProcSet, Status, Value};
 pub use view::{BitRow, CollectedViews, View};
-pub use wire::{ViewTransfer, WireMessage};
+pub use wire::WireMessage;

@@ -10,8 +10,9 @@
 //!
 //! # Cost model
 //!
-//! Values are cloned on every propagate delivery and inside every view
-//! transfer, so cloning must not scale with the value's logical size:
+//! Values are cloned on every propagate delivery and whenever a write after
+//! a snapshot re-copies a view block, so cloning must not scale with the
+//! value's logical size:
 //!
 //! * [`ProcSet`] keeps up to [`ProcSet::INLINE_CAPACITY`] processors inline
 //!   (no heap allocation at all) and spills larger sets into an `Arc<[u32]>`,
@@ -22,8 +23,8 @@
 //!   too; the assertions below pin both, because every replica holds one
 //!   per slot it has heard of.
 //! * [`Value::merge`] reports whether the merge actually changed the value,
-//!   which the versioned [`crate::View`] uses to stamp modified slots for
-//!   delta collect replies.
+//!   and [`crate::View::insert`] hands that on to its caller. A view keeps
+//!   no per-cell write stamps: every collect reply is a whole snapshot.
 
 use crate::ids::{InstanceId, ProcId, Slot};
 use serde::{Deserialize, Serialize};
@@ -371,9 +372,8 @@ impl Value {
     /// The merge is a join: commutative, associative, idempotent. Mixed-type
     /// merges keep `self` unchanged (they cannot arise in the protocols, but
     /// the replica store must not panic on malformed input). The returned
-    /// flag is exact — `true` iff the merged value differs from the previous
-    /// one — because the versioned view relies on it to decide which slots a
-    /// delta collect reply must carry.
+    /// flag is exact: `true` iff the merged value differs from the previous
+    /// one.
     pub fn merge(&mut self, other: &Value) -> bool {
         match (self, other) {
             // Commit < Resolved; between two Resolved values (which only a

@@ -6,89 +6,40 @@
 //! (or by name for the renaming algorithm), which makes `get`/`insert` O(1)
 //! array accesses and `merge` a linear sweep without tree rebalancing.
 //!
-//! On top of the dense layout every view is **versioned**: a per-view write
-//! counter ([`View::version`]) and a per-slot stamp recording the counter
-//! value of the slot's last *effective* write (one that actually changed the
-//! merged value). [`View::delta_since`] then enumerates exactly the entries
-//! written after a given version, which is what lets a collect reply ship
-//! only the entries the requester has not seen yet instead of a full copy of
-//! the slot array. Version numbers are replica-local bookkeeping: they are
-//! never compared across replicas and do not participate in view equality.
+//! A cell is just its merged value, an `Option<Value>` of 24 bytes. Every
+//! collect reply ships the responder's whole view as a copy-on-write
+//! snapshot, so a view keeps no write history: a replica's state is a
+//! join-semilattice, and the latest state subsumes every earlier one.
 
 use crate::ids::{ProcId, Slot};
 use crate::value::{Status, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// The [`Slot::Global`] cell of a view: the merged value plus the version
-/// stamp of its last effective write.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct Cell {
-    value: Option<Value>,
-    stamp: u32,
-}
-
 /// Cells per copy-on-write block of a slot family. A write after a snapshot
 /// re-copies one block, and a family of `k` writers costs `⌈k/8⌉·8` cells.
 const CHUNK: usize = 8;
 
-/// A fixed block of cells with summary metadata for fast skipping.
-///
-/// Values and stamps sit in separate arrays, so a cell costs an
-/// `Option<Value>` plus a `u32` stamp (28 bytes) with no padding between
-/// cells.
+/// A fixed block of cells plus its occupancy count, so iteration can skip
+/// empty blocks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Chunk {
     values: [Option<Value>; CHUNK],
-    /// The version stamp of each cell's last effective write (0 when never
-    /// written).
-    stamps: [u32; CHUNK],
-    /// Maximum stamp of any cell in the block (0 when untouched), so
-    /// [`View::delta_since`] can skip whole blocks.
-    max_stamp: u32,
-    /// Number of occupied cells, so iteration can skip empty blocks.
+    /// Number of occupied cells.
     occupied: u8,
 }
 
-// A cell costs at most 28 bytes, and a block adds at most 8 bytes of header.
-const _: () = assert!(std::mem::size_of::<Option<Value>>() + std::mem::size_of::<u32>() <= 28);
-const _: () = assert!(std::mem::size_of::<Chunk>() <= CHUNK * 28 + 8);
+// A cell costs at most 24 bytes, and a block adds at most 8 bytes of header.
+const _: () = assert!(std::mem::size_of::<Option<Value>>() <= 24);
+const _: () = assert!(std::mem::size_of::<Chunk>() <= CHUNK * 24 + 8);
 
 impl Default for Chunk {
     fn default() -> Self {
         Chunk {
             values: std::array::from_fn(|_| None),
-            stamps: [0; CHUNK],
-            max_stamp: 0,
             occupied: 0,
         }
     }
-}
-
-impl Chunk {
-    /// `(offset, value)` over the occupied cells accepted by `keep`.
-    fn occupied_where(
-        &self,
-        keep: impl Fn(usize) -> bool,
-    ) -> impl Iterator<Item = (usize, &Value)> {
-        self.values
-            .iter()
-            .enumerate()
-            .filter(move |&(offset, _)| keep(offset))
-            .filter_map(|(offset, value)| Some((offset, value.as_ref()?)))
-    }
-}
-
-/// Advance a view's version counter and return the new stamp.
-///
-/// # Panics
-/// Panics when the counter would pass `u32::MAX`; it never wraps, because a
-/// wrapped stamp would hide later writes from [`View::delta_since`].
-fn next_stamp(version: &mut u32) -> u32 {
-    *version = version
-        .checked_add(1)
-        .expect("a view's version passed u32::MAX effective writes");
-    *version
 }
 
 /// A dense, index-addressed cell array stored as `Arc`-shared fixed-size
@@ -133,22 +84,12 @@ impl CellTable {
             .filter(|(_, chunk)| chunk.occupied > 0)
             .flat_map(|(block, chunk)| {
                 chunk
-                    .occupied_where(|_| true)
-                    .map(move |(offset, value)| (block * CHUNK + offset, value))
-            })
-    }
-
-    /// Iterate `(index, value)` over cells stamped after `since`, skipping
-    /// blocks whose newest stamp is not.
-    fn delta_since(&self, since: u32) -> impl Iterator<Item = (usize, &Value)> {
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter(move |(_, chunk)| chunk.max_stamp > since)
-            .flat_map(move |(block, chunk)| {
-                chunk
-                    .occupied_where(move |offset| chunk.stamps[offset] > since)
-                    .map(move |(offset, value)| (block * CHUNK + offset, value))
+                    .values
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(offset, value)| {
+                        Some((block * CHUNK + offset, value.as_ref()?))
+                    })
             })
     }
 
@@ -181,11 +122,9 @@ pub struct View {
     /// Values of `Slot::Name(u)`, indexed by `u`.
     names: CellTable,
     /// Value of `Slot::Global`.
-    global: Cell,
+    global: Option<Value>,
     /// Number of non-`⊥` entries across all three families.
     occupied: usize,
-    /// Count of effective writes; each one stamps the written cell.
-    version: u32,
 }
 
 impl View {
@@ -199,14 +138,8 @@ impl View {
         match slot {
             Slot::Proc(p) => self.procs.get(p.index()),
             Slot::Name(u) => self.names.get(*u),
-            Slot::Global => self.global.value.as_ref(),
+            Slot::Global => self.global.as_ref(),
         }
-    }
-
-    /// The number of effective writes this view has absorbed. Monotone;
-    /// replica-local (never comparable across views).
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Merge `value` into a cell's value; returns `(changed,
@@ -222,22 +155,11 @@ impl View {
     }
 
     /// Record (merge) `value` into `slot`; returns whether the view changed.
-    ///
-    /// # Panics
-    /// Panics if an effective write would take the version past `u32::MAX`.
     pub fn insert(&mut self, slot: Slot, value: Value) -> bool {
         let (changed, newly_occupied) = match slot {
-            Slot::Global => {
-                let (changed, newly) = Self::merge_value(&mut self.global.value, value);
-                if changed {
-                    self.global.stamp = next_stamp(&mut self.version);
-                }
-                (changed, newly)
-            }
-            Slot::Proc(p) => {
-                Self::insert_indexed(&mut self.procs, &mut self.version, p.index(), value)
-            }
-            Slot::Name(u) => Self::insert_indexed(&mut self.names, &mut self.version, u, value),
+            Slot::Global => Self::merge_value(&mut self.global, value),
+            Slot::Proc(p) => Self::insert_indexed(&mut self.procs, p.index(), value),
+            Slot::Name(u) => Self::insert_indexed(&mut self.names, u, value),
         };
         if newly_occupied {
             self.occupied += 1;
@@ -245,20 +167,9 @@ impl View {
         changed
     }
 
-    fn insert_indexed(
-        table: &mut CellTable,
-        version: &mut u32,
-        index: usize,
-        value: Value,
-    ) -> (bool, bool) {
+    fn insert_indexed(table: &mut CellTable, index: usize, value: Value) -> (bool, bool) {
         let chunk = table.chunk_mut(index);
-        let offset = index % CHUNK;
-        let (changed, newly) = Self::merge_value(&mut chunk.values[offset], value);
-        if changed {
-            let stamp = next_stamp(version);
-            chunk.stamps[offset] = stamp;
-            chunk.max_stamp = stamp;
-        }
+        let (changed, newly) = Self::merge_value(&mut chunk.values[index % CHUNK], value);
         if newly {
             chunk.occupied += 1;
         }
@@ -280,28 +191,7 @@ impl View {
             .iter()
             .map(|(i, value)| (Slot::Proc(ProcId(i)), value));
         let names = self.names.iter().map(|(u, value)| (Slot::Name(u), value));
-        let global = self.global.value.iter().map(|value| (Slot::Global, value));
-        procs.chain(names).chain(global)
-    }
-
-    /// Iterate over the entries whose last effective write is newer than
-    /// `since` (a value previously obtained from [`View::version`] of this
-    /// same view), in slot order. `delta_since(0)` enumerates every entry.
-    pub fn delta_since(&self, since: u32) -> impl Iterator<Item = (Slot, &Value)> {
-        let procs = self
-            .procs
-            .delta_since(since)
-            .map(|(i, value)| (Slot::Proc(ProcId(i)), value));
-        let names = self
-            .names
-            .delta_since(since)
-            .map(|(u, value)| (Slot::Name(u), value));
-        let global = self
-            .global
-            .value
-            .iter()
-            .filter(move |_| self.global.stamp > since)
-            .map(|value| (Slot::Global, value));
+        let global = self.global.iter().map(|value| (Slot::Global, value));
         procs.chain(names).chain(global)
     }
 
@@ -315,7 +205,7 @@ impl View {
         self.procs
             .for_each(|i, value| f(Slot::Proc(ProcId(i)), value));
         self.names.for_each(|u, value| f(Slot::Name(u), value));
-        if let Some(value) = &self.global.value {
+        if let Some(value) = &self.global {
             f(Slot::Global, value);
         }
     }
@@ -334,8 +224,7 @@ impl View {
 impl PartialEq for View {
     fn eq(&self, other: &Self) -> bool {
         // Trailing `⊥` padding differs between views built in different
-        // orders, and version stamps are replica-local bookkeeping, so
-        // compare contents only.
+        // orders, so compare contents only.
         self.occupied == other.occupied && self.iter().eq(other.iter())
     }
 }
@@ -356,8 +245,8 @@ impl FromIterator<(Slot, Value)> for View {
 /// quorum (more than `n/2`) of responders.
 ///
 /// Views are held behind [`Arc`] so that a copy-on-write snapshot taken by a
-/// responder can travel to the requester, into this collection and into the
-/// requester's delta cache without ever duplicating the slot array.
+/// responder can travel to the requester and into this collection without
+/// ever duplicating the slot array.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CollectedViews {
     responses: Vec<(ProcId, Arc<View>)>,
@@ -612,7 +501,7 @@ mod tests {
         b.insert(Slot::Proc(ProcId(5)), Value::Flag(true));
         assert_ne!(a, b);
         a.insert(Slot::Proc(ProcId(0)), Value::Flag(true));
-        assert_eq!(a, b, "version stamps and padding must not affect equality");
+        assert_eq!(a, b, "padding must not affect equality");
     }
 
     #[test]
@@ -636,51 +525,6 @@ mod tests {
             ]
         );
         assert_eq!(view.len(), 4);
-    }
-
-    #[test]
-    fn version_counts_effective_writes_only() {
-        let mut view = View::new();
-        assert_eq!(view.version(), 0);
-        view.insert(Slot::Proc(ProcId(2)), Value::Round(1));
-        assert_eq!(view.version(), 1);
-        // Idempotent re-delivery does not advance the version.
-        view.insert(Slot::Proc(ProcId(2)), Value::Round(1));
-        assert_eq!(view.version(), 1);
-        view.insert(Slot::Proc(ProcId(2)), Value::Round(5));
-        assert_eq!(view.version(), 2);
-    }
-
-    #[test]
-    fn delta_since_enumerates_exactly_the_newer_entries() {
-        let mut view = View::new();
-        view.insert(Slot::Proc(ProcId(0)), Value::Round(1));
-        view.insert(Slot::Name(1), Value::Flag(true));
-        let checkpoint = view.version();
-
-        // Unchanged merge: delta stays empty.
-        view.insert(Slot::Proc(ProcId(0)), Value::Round(1));
-        assert_eq!(view.delta_since(checkpoint).count(), 0);
-
-        // One re-written slot and one new slot after the checkpoint.
-        view.insert(Slot::Proc(ProcId(0)), Value::Round(7));
-        view.insert(Slot::Global, Value::Flag(true));
-        let delta: Vec<Slot> = view.delta_since(checkpoint).map(|(slot, _)| slot).collect();
-        assert_eq!(delta, vec![Slot::Proc(ProcId(0)), Slot::Global]);
-
-        // Replaying the delta over a copy taken at the checkpoint
-        // reconstructs the current view exactly.
-        let mut replayed: View = [
-            (Slot::Proc(ProcId(0)), Value::Round(1)),
-            (Slot::Name(1), Value::Flag(true)),
-        ]
-        .into_iter()
-        .collect();
-        for (slot, value) in view.delta_since(checkpoint) {
-            replayed.insert(slot, value.clone());
-        }
-        assert_eq!(replayed, view);
-        assert_eq!(view.delta_since(0).count(), view.len());
     }
 
     #[test]
@@ -746,18 +590,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "passed u32::MAX")]
-    fn the_version_never_wraps() {
-        let mut view = View::new();
-        view.version = u32::MAX - 1;
-        view.insert(Slot::Proc(ProcId(0)), Value::Round(1));
-        assert_eq!(view.version(), u32::MAX);
-        assert_eq!(view.delta_since(u32::MAX - 1).count(), 1);
-        // The next effective write would wrap the stamp to 0.
-        view.insert(Slot::Global, Value::Flag(true));
-    }
-
-    #[test]
     fn untouched_tail_blocks_share_the_global_empty_chunk() {
         let mut view = View::new();
         // Growing straight to block 2 fills blocks 0-1 with the shared
@@ -770,24 +602,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_no_op_writes_leave_versions_and_stamps_alone() {
+    fn a_no_op_write_after_a_snapshot_unshares_one_block_and_keeps_the_contents() {
         let mut view = View::new();
         view.insert(Slot::Proc(ProcId(3)), Value::Round(5));
-        let version = view.version();
-        assert_eq!(view.procs.chunks[0].stamps[3], version);
 
         // An idempotent re-delivery and a stale (smaller) round are both
-        // merge no-ops: no version advance, no restamp, no delta entries.
+        // merge no-ops.
         assert!(!view.insert(Slot::Proc(ProcId(3)), Value::Round(5)));
         assert!(!view.insert(Slot::Proc(ProcId(3)), Value::Round(2)));
-        assert_eq!(view.version(), version);
-        assert_eq!(view.procs.chunks[0].stamps[3], version);
-        assert_eq!(view.procs.chunks[0].max_stamp, version);
-        assert_eq!(view.delta_since(version).count(), 0);
+        assert_eq!(view.get(&Slot::Proc(ProcId(3))), Some(&Value::Round(5)));
 
         // A no-op write after a snapshot still unshares the block it lands
-        // in (`chunk_mut` runs before the merge outcome is known) — the
-        // price is one block copy, never a wrong stamp or a false delta.
+        // in (`chunk_mut` runs before the merge outcome is known): the
+        // price is one block copy, never a changed value.
         let snapshot = view.clone();
         assert!(!view.insert(Slot::Proc(ProcId(3)), Value::Round(5)));
         assert!(!Arc::ptr_eq(
@@ -795,8 +622,6 @@ mod tests {
             &snapshot.procs.chunks[0]
         ));
         assert_eq!(view, snapshot, "contents must be untouched");
-        assert_eq!(view.version(), snapshot.version());
-        assert_eq!(view.delta_since(version).count(), 0);
     }
 
     #[test]

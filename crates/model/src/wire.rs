@@ -12,12 +12,12 @@
 //!   `Arc<[(Key, Value)]>` built **once** per communicate call and
 //!   refcount-shared across all `n − 1` sends, so broadcasting is O(1) per
 //!   recipient instead of one entry-list clone each.
-//! * [`WireMessage::Collect`] carries the requester's `known` version of the
-//!   responder's view, and the responder answers with a [`ViewTransfer`]:
-//!   either a copy-on-write snapshot of its whole view (O(1) to produce) or
-//!   a delta containing only the entries written since `known`.
+//! * [`WireMessage::CollectReply`] carries the responder's whole view as a
+//!   copy-on-write snapshot ([`crate::ReplicaStore::view_arc`]): producing
+//!   it is a refcount bump, and a view is a join-semilattice, so the whole
+//!   state is always a correct reply whatever the requester holds already.
 
-use crate::ids::{InstanceId, Slot};
+use crate::ids::InstanceId;
 use crate::value::{Key, Value};
 use crate::view::View;
 use serde::{Deserialize, Serialize};
@@ -26,40 +26,6 @@ use std::sync::Arc;
 
 /// Sequence number identifying one `communicate` call of one processor.
 pub type CallSeq = u32;
-
-/// The payload of a collect reply: the responder's view, either whole or as
-/// the entries written since the version the requester already holds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ViewTransfer {
-    /// The responder's complete view. A copy-on-write snapshot: producing it
-    /// is a refcount bump, and the underlying slot array is only copied if
-    /// the responder keeps writing while the snapshot is alive.
-    Full(Arc<View>),
-    /// The entries whose last effective write is newer than `since`
-    /// (a version the requester reported in its [`WireMessage::Collect`]).
-    /// Merging them into the requester's copy of the responder's view at
-    /// `since` reconstructs the responder's view at `version` exactly,
-    /// because values are join-semilattices (later values absorb earlier
-    /// ones).
-    Delta {
-        /// The responder-local version the delta starts from.
-        since: u32,
-        /// The responder-local version the delta brings the requester to.
-        version: u32,
-        /// The changed entries, in slot order.
-        entries: Arc<[(Slot, Value)]>,
-    },
-}
-
-impl ViewTransfer {
-    /// The responder-local view version this transfer represents.
-    pub fn version(&self) -> u32 {
-        match self {
-            ViewTransfer::Full(view) => view.version(),
-            ViewTransfer::Delta { version, .. } => *version,
-        }
-    }
-}
 
 /// A point-to-point message.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,19 +50,15 @@ pub enum WireMessage {
         seq: CallSeq,
         /// The register array whose view is requested.
         instance: InstanceId,
-        /// The responder-local view version the requester already holds for
-        /// this responder and instance (0 when it holds nothing), from a
-        /// previous reply. The responder may answer with only the entries
-        /// written since.
-        known: u32,
     },
     /// Reply to a `Collect` carrying the responder's view.
     CollectReply {
         /// Sequence number being answered.
         seq: CallSeq,
-        /// The responder's current view of the requested instance, whole or
-        /// as a delta against `known`.
-        view: ViewTransfer,
+        /// A copy-on-write snapshot of the responder's current view of the
+        /// requested instance: the slot blocks are only copied if the
+        /// responder keeps writing while the snapshot is alive.
+        view: Arc<View>,
     },
 }
 
@@ -132,25 +94,10 @@ impl fmt::Display for WireMessage {
                 write!(f, "propagate#{seq}({} entries)", entries.len())
             }
             WireMessage::Ack { seq } => write!(f, "ack#{seq}"),
-            WireMessage::Collect {
-                seq,
-                instance,
-                known,
-            } => write!(f, "collect#{seq}({instance}, known={known})"),
-            WireMessage::CollectReply { seq, view } => match view {
-                ViewTransfer::Full(view) => {
-                    write!(f, "collect-reply#{seq}(full, {} entries)", view.len())
-                }
-                ViewTransfer::Delta {
-                    since,
-                    version,
-                    entries,
-                } => write!(
-                    f,
-                    "collect-reply#{seq}(delta {since}→{version}, {} entries)",
-                    entries.len()
-                ),
-            },
+            WireMessage::Collect { seq, instance } => write!(f, "collect#{seq}({instance})"),
+            WireMessage::CollectReply { seq, view } => {
+                write!(f, "collect-reply#{seq}({} entries)", view.len())
+            }
         }
     }
 }
@@ -170,11 +117,10 @@ mod tests {
         let c = WireMessage::Collect {
             seq: 2,
             instance: InstanceId::door(ElectionContext::Standalone),
-            known: 0,
         };
         let r = WireMessage::CollectReply {
             seq: 2,
-            view: ViewTransfer::Full(Arc::new(View::new())),
+            view: Arc::new(View::new()),
         };
         assert!(p.is_request() && c.is_request());
         assert!(a.is_reply() && r.is_reply());
@@ -188,13 +134,9 @@ mod tests {
         assert_eq!(msg.to_string(), "ack#17");
         let reply = WireMessage::CollectReply {
             seq: 4,
-            view: ViewTransfer::Delta {
-                since: 2,
-                version: 5,
-                entries: Vec::new().into(),
-            },
+            view: Arc::new(View::new()),
         };
-        assert_eq!(reply.to_string(), "collect-reply#4(delta 2→5, 0 entries)");
+        assert_eq!(reply.to_string(), "collect-reply#4(0 entries)");
     }
 
     #[test]
@@ -215,20 +157,5 @@ mod tests {
         assert_eq!(Arc::strong_count(&entries), 9);
         drop(sends);
         assert_eq!(Arc::strong_count(&entries), 1);
-    }
-
-    #[test]
-    fn transfer_version_accessors() {
-        let mut view = View::new();
-        view.insert(crate::ids::Slot::Global, Value::Flag(true));
-        let full = ViewTransfer::Full(Arc::new(view));
-        assert_eq!(full.version(), 1);
-
-        let delta = ViewTransfer::Delta {
-            since: 3,
-            version: 9,
-            entries: vec![(crate::ids::Slot::Global, Value::Flag(true))].into(),
-        };
-        assert_eq!(delta.version(), 9);
     }
 }

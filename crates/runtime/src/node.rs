@@ -15,8 +15,8 @@ use crate::RuntimeConfig;
 use crossbeam_channel::{Receiver, Sender};
 use fle_model::wire::CallSeq;
 use fle_model::{
-    CollectCache, CollectedViews, InstanceId, Key, Outcome, ProcId, ProcessMetrics, Protocol,
-    ReplicaStore, SharedMemory, Value, View, WireMessage,
+    CollectedViews, InstanceId, Key, Outcome, ProcId, ProcessMetrics, Protocol, ReplicaStore,
+    SharedMemory, Value, View, WireMessage,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -89,9 +89,6 @@ pub struct NodeRunner {
     metrics: ProcessMetrics,
     next_seq: CallSeq,
     outstanding: Outstanding,
-    /// Requester-side delta-collect state: per responder, the most recent
-    /// view received for the instance currently being collected.
-    collect_cache: CollectCache,
     outcome: Option<Outcome>,
     unresponsive: bool,
     /// Set when the inbox disconnects or a shutdown arrives while a
@@ -123,7 +120,6 @@ impl NodeRunner {
             metrics: ProcessMetrics::default(),
             next_seq: 0,
             outstanding: Outstanding::None,
-            collect_cache: CollectCache::new(),
             outcome: None,
             unresponsive,
             stopped: false,
@@ -205,13 +201,9 @@ impl NodeRunner {
                     self.send(from, WireMessage::Ack { seq });
                 }
             }
-            WireMessage::Collect {
-                seq,
-                instance,
-                known,
-            } => {
+            WireMessage::Collect { seq, instance } => {
                 if !self.unresponsive {
-                    let view = self.replica.transfer_since(instance, known);
+                    let view = self.replica.view_arc(instance);
                     self.send(from, WireMessage::CollectReply { seq, view });
                 }
             }
@@ -228,11 +220,7 @@ impl NodeRunner {
             }
             WireMessage::CollectReply { seq, view } => {
                 if let Outstanding::Views { seq: want, views } = &mut self.outstanding {
-                    // Resolve against the delta cache only when the reply is
-                    // actually recorded, so stale or duplicate replies never
-                    // perturb the cached versions.
                     if *want == seq && !views.iter().any(|(p, _)| *p == from) {
-                        let view = self.collect_cache.resolve(from, view);
                         views.push((from, view));
                     }
                 }
@@ -250,7 +238,7 @@ impl NodeRunner {
     }
 
     /// Owned copy of the replica's view (test helper; the hot paths use the
-    /// copy-on-write `view_arc`/`transfer_since` instead).
+    /// copy-on-write `view_arc` instead).
     #[cfg(test)]
     fn view_of(&self, instance: InstanceId) -> View {
         self.replica.view_of(instance)
@@ -301,23 +289,7 @@ impl SharedMemory for NodeRunner {
             seq,
             views: vec![(self.me, own_view)],
         };
-        self.collect_cache.prepare(instance, self.config.n);
-        // Each responder learns which of its versions we already hold, so it
-        // can reply with a delta.
-        for index in 0..self.config.n {
-            if index == self.me.index() {
-                continue;
-            }
-            let known = self.collect_cache.known(ProcId(index));
-            self.send(
-                ProcId(index),
-                WireMessage::Collect {
-                    seq,
-                    instance,
-                    known,
-                },
-            );
-        }
+        self.broadcast(WireMessage::Collect { seq, instance });
         match self.await_quorum() {
             Outstanding::Views { views, .. } => CollectedViews::from_shared(views),
             _ => CollectedViews::default(),
@@ -343,7 +315,6 @@ impl SharedMemory for NodeRunner {
 mod tests {
     use super::*;
     use crossbeam_channel::unbounded;
-    use fle_model::wire::ViewTransfer;
     use fle_model::InstanceId;
 
     fn test_node(
@@ -430,15 +401,13 @@ mod tests {
     #[test]
     fn duplicate_and_stale_collect_replies_are_dropped() {
         let (mut node, _peers) = test_node(3, ProcId(0), RuntimeConfig::new(3));
-        let instance = InstanceId::Contended;
-        node.collect_cache.prepare(instance, 3);
         node.outstanding = Outstanding::Views {
             seq: 2,
             views: vec![(ProcId(0), Arc::new(View::new()))],
         };
         let reply = |seq| WireMessage::CollectReply {
             seq,
-            view: ViewTransfer::Full(Arc::new(View::new())),
+            view: Arc::new(View::new()),
         };
         // A reply for a completed call's sequence number is ignored.
         node.handle_wire(ProcId(1), reply(1));

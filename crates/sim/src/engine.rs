@@ -38,26 +38,20 @@
 //! re-syncs only the recipient's phase and step-enabled bit.
 //!
 //! Payload cost is O(1) per event as well: a propagate broadcast builds its
-//! entry list once and refcount-shares it across all `n − 1` sends, collect
-//! replies are copy-on-write snapshots or per-responder deltas (only the
-//! entries the requester has not seen), and back-to-back trials recycle the
-//! engine's buffers through a [`crate::SimArena`].
+//! entry list once and refcount-shares it across all `n − 1` sends, a
+//! collect reply is the responder's copy-on-write snapshot (a refcount
+//! bump), and back-to-back trials recycle the engine's buffers through a
+//! [`crate::SimArena`].
 //!
 //! # The reference mode
 //!
 //! [`SimConfig::with_event_set_validation`] is the engine's one reference
-//! mode. It runs the production engine and checks both optimizations as it
-//! goes:
-//!
-//! * before every decision, the incremental indexes must materialize to
-//!   exactly the event list a brute-force scan of all processors and
-//!   in-flight messages yields ([`Simulator::enabled_events_brute_force`]);
-//! * whenever a responder builds a collect reply, resolving the reply
-//!   against a copy of the requester's delta cache must give the responder's
-//!   full view.
-//!
-//! The checks only read engine state, so a validated run executes the same
-//! schedule as a production run. They cost O(n + messages) per event.
+//! mode. It runs the production engine and checks its one optimization as
+//! it goes: before every decision, the incremental indexes must materialize
+//! to exactly the event list a brute-force scan of all processors and
+//! in-flight messages yields ([`Simulator::enabled_events_brute_force`]).
+//! The check only reads engine state, so a validated run executes the same
+//! schedule as a production run. It costs O(n + messages) per event.
 
 use crate::adversary::Adversary;
 use crate::arena::SimArena;
@@ -69,9 +63,7 @@ use crate::observation::{
 use crate::quorum::{Network, QuorumCore, Scheduled};
 use crate::report::ExecutionReport;
 use crate::trace::{Trace, TraceEvent};
-use fle_model::{
-    ExecutionMetrics, InstanceId, ProcId, Protocol, RouteKey, ViewTransfer, WireMessage,
-};
+use fle_model::{ExecutionMetrics, ProcId, Protocol, RouteKey, WireMessage};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -92,8 +84,7 @@ pub struct SimConfig {
     pub record_trace: bool,
     /// Run the reference mode (see the module docs): assert before every
     /// decision that the incremental enabled-event indexes exactly match a
-    /// brute-force recomputation, and that every collect reply resolves to
-    /// the responder's full view. For tests; costs O(n + messages) per
+    /// brute-force recomputation. For tests; costs O(n + messages) per
     /// event.
     pub validate_event_set: bool,
     /// Number of partitions for the partitioned parallel engine
@@ -156,8 +147,7 @@ impl SimConfig {
     }
 
     /// Run the reference mode: cross-check the incremental event indexes
-    /// against brute force before every decision, and every collect reply
-    /// against the responder's full view.
+    /// against brute force before every decision.
     #[must_use]
     pub fn with_event_set_validation(mut self) -> Self {
         self.validate_event_set = true;
@@ -221,11 +211,9 @@ pub struct Simulator {
 /// under the next global message id.
 struct Direct<'a> {
     next_message_id: &'a mut u64,
-    now: u64,
     report: &'a mut ExecutionReport,
     /// The global coin stream of `partitions == 0`, if that is the mode.
     legacy_coins: Option<&'a mut ChaCha8Rng>,
-    validate: bool,
 }
 
 impl Network for Direct<'_> {
@@ -263,37 +251,6 @@ impl Network for Direct<'_> {
             Some(rng) => rng.gen_range(0..len),
             None => core.choose(proc, len),
         }
-    }
-
-    /// The reference check on a collect reply: resolving `transfer` against
-    /// a copy of the requester's delta cache must give the responder's full
-    /// view. The check is exact because the requester's cache entry for this
-    /// responder cannot change between this send and the reply's record:
-    /// the call is still outstanding (so no new `prepare`), and a responder
-    /// answers each call once.
-    fn check_reply(
-        &self,
-        core: &QuorumCore,
-        requester: ProcId,
-        responder: ProcId,
-        instance: InstanceId,
-        transfer: &ViewTransfer,
-    ) {
-        if !self.validate {
-            return;
-        }
-        let resolved = core
-            .process(requester)
-            .collect_cache
-            .clone()
-            .resolve(responder, transfer.clone());
-        let full = core.process(responder).replica.view_arc(instance);
-        assert_eq!(
-            *resolved, *full,
-            "collect reply from {responder} to {requester} for {instance} does not resolve \
-             to the responder's view after {} events",
-            self.now
-        );
     }
 }
 
@@ -627,10 +584,8 @@ impl Simulator {
             &mut self.core,
             Direct {
                 next_message_id: &mut self.next_message_id,
-                now: self.events_executed,
                 report: &mut self.report,
                 legacy_coins: legacy.then_some(&mut self.rng),
-                validate: self.config.validate_event_set,
             },
         )
     }
@@ -710,8 +665,15 @@ mod tests {
     use super::*;
     use crate::adversary::{CrashPlan, CrashingAdversary, RandomAdversary, SequentialAdversary};
     use crate::observation::EnabledEvents;
-    use crate::quorum::tests::{assert_stored_traffic_is_live, Chatter};
-    use fle_model::{Action, Key, LocalStateView, Outcome, Response, Slot, Value};
+    use crate::process::{PendingWork, SimProcess};
+    use crate::quorum::tests::{
+        assert_stored_traffic_is_live, assert_views_are_held_by_their_stores_alone, Chatter,
+    };
+    use fle_model::{
+        Action, InstanceId, Key, LocalStateView, Outcome, Response, Slot, Value, View,
+    };
+    use std::collections::HashMap;
+    use std::sync::Arc;
 
     /// A protocol that propagates a flag, collects, and returns WIN if it saw
     /// its own flag in some view (it always should).
@@ -870,6 +832,79 @@ mod tests {
             let context = format!("n={n}, seed {seed}");
             let crashed = run_checking_stored_traffic(n, seed, &mut crashing, &context);
             assert_eq!(crashed, 7, "{context}: the whole budget is spent");
+        }
+    }
+
+    #[test]
+    fn after_an_election_every_replica_view_is_held_by_its_store_alone() {
+        for (n, contenders, seed) in [(8, 8, 1), (16, 5, 2), (33, 33, 3)] {
+            let mut sim = Simulator::new(SimConfig::new(n).with_seed(seed));
+            for i in 0..contenders {
+                let election = fle_core::LeaderElection::new(ProcId(i));
+                sim.add_participant(ProcId(i), Box::new(election));
+            }
+            let report = sim.run(&mut RandomAdversary::with_seed(seed)).unwrap();
+            assert_eq!(report.winners().len(), 1);
+            let context = format!("n={n}, {contenders} contenders, seed {seed}");
+            assert_views_are_held_by_their_stores_alone(&sim.core, &context);
+        }
+    }
+
+    /// The view `process` recorded from `responder` for its current or just
+    /// completed collect call.
+    fn recorded_view(process: &SimProcess, responder: ProcId) -> Option<&Arc<View>> {
+        let responses = match &process.pending {
+            PendingWork::AwaitingViews { views, .. } => views.as_slice(),
+            PendingWork::ResponseReady(Response::Views(views)) => views.responses(),
+            _ => return None,
+        };
+        responses
+            .iter()
+            .find(|(from, _)| *from == responder)
+            .map(|(_, view)| view)
+    }
+
+    #[test]
+    fn a_collect_reply_is_the_responders_snapshot() {
+        // The quorum core answers a collect with the responder's
+        // copy-on-write snapshot (`view_arc`, not a copy), and the
+        // requester records that same allocation.
+        let instance = InstanceId::custom(1, 1);
+        for seed in 0..4 {
+            let n = 5;
+            let mut sim = Simulator::new(SimConfig::new(n).with_seed(seed).with_trace());
+            for i in 0..n {
+                sim.add_participant(ProcId(i), Chatter::boxed(ProcId(i), 6));
+            }
+            let mut adversary = RandomAdversary::with_seed(seed);
+            let mut replies: HashMap<MessageId, Arc<View>> = HashMap::new();
+            let (mut sent, mut delivered) = (0, 0);
+            let mut first_new = sim.next_message_id;
+            while sim.step_once(&mut adversary).unwrap() {
+                if let Some(&TraceEvent::Deliver { id, from, to }) =
+                    sim.report_so_far().trace.events().last()
+                {
+                    if let Some(reply) = replies.remove(&id) {
+                        let recorded = recorded_view(sim.core.process(to), from)
+                            .expect("a delivered reply is recorded");
+                        assert!(Arc::ptr_eq(recorded, &reply), "seed {seed}: {id}");
+                        delivered += 1;
+                    }
+                }
+                for message in sim.core.stored().filter(|m| m.id.0 >= first_new) {
+                    if let WireMessage::CollectReply { view, .. } = &message.payload {
+                        let live = sim.core.process(message.from).replica.view_arc(instance);
+                        assert!(Arc::ptr_eq(view, &live), "seed {seed}: {message}");
+                        replies.insert(message.id, view.clone());
+                        sent += 1;
+                    }
+                }
+                first_new = sim.next_message_id;
+            }
+            assert!(
+                sent > 0 && delivered > 0,
+                "seed {seed}: {sent} sent, {delivered} delivered"
+            );
         }
     }
 

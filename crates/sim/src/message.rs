@@ -22,7 +22,7 @@ impl fmt::Display for MessageId {
 /// A message that has been sent but not yet delivered.
 ///
 /// Every undelivered message of a run is one slab entry of this type, so it
-/// is kept to 56 bytes: the id, the two endpoints and the payload, nothing
+/// is kept to 48 bytes: the id, the two endpoints and the payload, nothing
 /// else. Adversaries see only [`InFlightMessage::to_event`]'s fields; an
 /// age-based policy can order by id, which is assigned in send order.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +37,7 @@ pub struct InFlightMessage {
     pub payload: WireMessage,
 }
 
-const _: () = assert!(std::mem::size_of::<InFlightMessage>() <= 56);
+const _: () = assert!(std::mem::size_of::<InFlightMessage>() <= 48);
 
 impl InFlightMessage {
     /// Whether the payload is a request (propagate or collect).

@@ -1127,7 +1127,9 @@ impl Adversary for SuperRoundAdversary {
 mod tests {
     use super::*;
     use crate::adversary::{CrashPlan, CrashingAdversary, RandomAdversary};
-    use crate::quorum::tests::{assert_stored_traffic_is_live, Chatter};
+    use crate::quorum::tests::{
+        assert_stored_traffic_is_live, assert_views_are_held_by_their_stores_alone, Chatter,
+    };
 
     /// 16 processors in two partitions, every one making six calls.
     fn chatty(seed: u64) -> ParallelSimulator {
@@ -1181,6 +1183,26 @@ mod tests {
             });
             let context = format!("adversarial, seed {seed}");
             assert_eq!(run_checking_stored_traffic(adversarial, &context), 7);
+        }
+    }
+
+    #[test]
+    fn after_an_election_every_replica_view_is_held_by_its_store_alone() {
+        for (n, contenders, partitions, seed) in [(8, 8, 2, 1), (16, 5, 3, 2), (33, 33, 2, 3)] {
+            let config = SimConfig::new(n)
+                .with_seed(seed)
+                .with_partitions(partitions);
+            let mut sim = ParallelSimulator::new(config);
+            for i in 0..contenders {
+                let election = fle_core::LeaderElection::new(ProcId(i));
+                sim.add_participant(ProcId(i), Box::new(election));
+            }
+            let report = sim.run_canonical(&RoundCrashPlan::none()).unwrap();
+            assert_eq!(report.winners().len(), 1);
+            for (part, engine) in sim.engines.iter().enumerate() {
+                let context = format!("n={n}, {contenders} contenders, seed {seed}, part {part}");
+                assert_views_are_held_by_their_stores_alone(&engine.core, &context);
+            }
         }
     }
 

@@ -2,10 +2,7 @@
 
 use crate::observation::{ProcessObservation, ProcessPhase};
 use fle_model::wire::CallSeq;
-use fle_model::{
-    BitRow, CollectCache, CollectedViews, Outcome, ProcId, Protocol, ReplicaStore, Response, View,
-    ViewTransfer,
-};
+use fle_model::{BitRow, CollectedViews, Outcome, ProcId, Protocol, ReplicaStore, Response, View};
 use std::sync::Arc;
 
 /// What a participating processor is currently waiting for.
@@ -68,9 +65,6 @@ pub struct SimProcess {
     /// purge a completed call's leftover traffic in O(call size) instead of
     /// scanning every in-flight message.
     pub call_msgs: Vec<u32>,
-    /// Requester-side delta-collect state: per responder, the most recent
-    /// view received for the instance currently being collected.
-    pub collect_cache: CollectCache,
     /// Number of coin words this processor has drawn from its per-processor
     /// stream (the `k` of `coin_word(seed, proc, k)`); unused (stays 0) in
     /// legacy global-stream mode. See [`crate::partition`].
@@ -100,14 +94,13 @@ impl SimProcess {
             started_at: None,
             next_seq: 0,
             call_msgs: Vec::new(),
-            collect_cache: CollectCache::new(),
             flips: 0,
         }
     }
 
     /// Reset this node to the pristine `replica_only` state while keeping its
-    /// buffers (call-message list, cache entries) allocated, for trial reuse
-    /// through [`crate::SimArena`].
+    /// call-message list allocated, for trial reuse through
+    /// [`crate::SimArena`].
     pub fn recycle(&mut self, id: ProcId) {
         self.id = id;
         self.protocol = None;
@@ -117,7 +110,6 @@ impl SimProcess {
         self.started_at = None;
         self.next_seq = 0;
         self.call_msgs.clear();
-        self.collect_cache.clear();
         self.flips = 0;
     }
 
@@ -218,15 +210,11 @@ impl SimProcess {
 
     /// Record a collect reply for the outstanding collect call, then
     /// [`SimProcess::complete_quorum`].
-    ///
-    /// `transfer` is resolved against the delta cache only when the reply is
-    /// actually recorded (right sequence number, responder not yet counted),
-    /// so stale or duplicate traffic never perturbs the cache.
     pub fn record_view(
         &mut self,
         from: ProcId,
         seq: CallSeq,
-        transfer: ViewTransfer,
+        view: Arc<View>,
         quorum: usize,
     ) -> Option<CallSeq> {
         if let PendingWork::AwaitingViews {
@@ -236,7 +224,7 @@ impl SimProcess {
         } = &mut self.pending
         {
             if *want == seq && seen.set(from.index()) {
-                views.push((from, self.collect_cache.resolve(from, transfer)));
+                views.push((from, view));
             }
         }
         self.complete_quorum(quorum)
@@ -275,10 +263,6 @@ mod tests {
         fn adversary_view(&self) -> LocalStateView {
             LocalStateView::new("nop", "nop")
         }
-    }
-
-    fn full(view: View) -> ViewTransfer {
-        ViewTransfer::Full(Arc::new(view))
     }
 
     #[test]
@@ -333,13 +317,13 @@ mod tests {
             views: vec![(ProcId(0), Arc::new(View::new()))],
             seen,
         };
-        p.record_view(ProcId(1), 4, full(View::new()), 3);
-        p.record_view(ProcId(1), 4, full(View::new()), 3);
+        p.record_view(ProcId(1), 4, Arc::new(View::new()), 3);
+        p.record_view(ProcId(1), 4, Arc::new(View::new()), 3);
         assert!(
             !p.step_enabled(),
             "duplicate responder must not fill the quorum"
         );
-        p.record_view(ProcId(2), 4, full(View::new()), 3);
+        p.record_view(ProcId(2), 4, Arc::new(View::new()), 3);
         assert!(p.step_enabled());
     }
 

@@ -36,7 +36,7 @@ use crate::process::{PendingWork, SimProcess};
 use fle_model::wire::CallSeq;
 use fle_model::{
     Action, BitRow, ExecutionMetrics, InstanceId, Key, Outcome, ProcId, Protocol, Response,
-    RouteKey, Value, ViewTransfer, WireMessage,
+    RouteKey, Value, WireMessage,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -73,18 +73,6 @@ pub(crate) trait Network {
     /// The index of `proc`'s next random choice among `len > 0` options.
     fn choose(&mut self, core: &mut QuorumCore, proc: ProcId, len: usize) -> usize {
         core.choose(proc, len)
-    }
-
-    /// Inspect a collect reply before it is sent (the sequential engine's
-    /// reference mode checks it against the responder's full view).
-    fn check_reply(
-        &self,
-        _core: &QuorumCore,
-        _requester: ProcId,
-        _responder: ProcId,
-        _instance: InstanceId,
-        _transfer: &ViewTransfer,
-    ) {
     }
 }
 
@@ -481,15 +469,11 @@ impl QuorumCore {
         // One shared payload for the whole broadcast: every send is a
         // refcount bump.
         let entries: Arc<[(Key, Value)]> = entries.into();
-        self.broadcast(net, proc, |_, _| WireMessage::Propagate {
-            seq,
-            entries: entries.clone(),
-        });
+        self.broadcast(net, proc, WireMessage::Propagate { seq, entries });
     }
 
     fn start_collect<N: Network>(&mut self, net: &mut N, proc: ProcId, instance: InstanceId) {
         let (seq, seen) = self.open_call(net, proc);
-        let n = self.n;
         let process = self.process_mut(proc);
         let own_view = process.replica.view_arc(instance);
         process.pending = PendingWork::AwaitingViews {
@@ -497,29 +481,17 @@ impl QuorumCore {
             views: vec![(proc, own_view)],
             seen,
         };
-        process.collect_cache.prepare(instance, n);
-        // Tell each responder which of its versions the caller already
-        // holds, so it can reply with a delta.
-        self.broadcast(net, proc, |core, target| WireMessage::Collect {
-            seq,
-            instance,
-            known: core.process(proc).collect_cache.known(target),
-        });
+        self.broadcast(net, proc, WireMessage::Collect { seq, instance });
     }
 
-    /// Send `request(target)` to every other processor in ascending order,
-    /// then complete the call at once if the caller alone is a quorum.
-    fn broadcast<N: Network>(
-        &mut self,
-        net: &mut N,
-        proc: ProcId,
-        mut request: impl FnMut(&Self, ProcId) -> WireMessage,
-    ) {
+    /// Send `request` to every other processor in ascending order, then
+    /// complete the call at once if the caller alone is a quorum.
+    fn broadcast<N: Network>(&mut self, net: &mut N, proc: ProcId, request: WireMessage) {
         let targets = (0..self.n)
             .filter(|&target| target != proc.index())
             .map(ProcId);
         for (sub, target) in targets.enumerate() {
-            let (key, payload) = (RouteKey::broadcast(proc, sub as u32), request(self, target));
+            let (key, payload) = (RouteKey::broadcast(proc, sub as u32), request.clone());
             if let Some(slot) = self.send(net, key, proc, target, payload) {
                 self.process_mut(proc).call_msgs.push(slot);
             }
@@ -591,17 +563,10 @@ impl QuorumCore {
                 self.process_mut(to).replica.apply_all(&entries);
                 self.send(net, reply_key, to, from, WireMessage::Ack { seq });
             }
-            WireMessage::Collect {
-                seq,
-                instance,
-                known,
-            } => {
+            WireMessage::Collect { seq, instance } => {
                 self.debug_assert_outstanding(from, seq);
-                // A copy-on-write snapshot when the requester holds nothing,
-                // otherwise only the entries written since the version it
-                // reported.
-                let view = self.process(to).replica.transfer_since(instance, known);
-                net.check_reply(self, from, to, instance, &view);
+                // The whole view as a copy-on-write snapshot: a refcount bump.
+                let view = self.process(to).replica.view_arc(instance);
                 let reply = WireMessage::CollectReply { seq, view };
                 self.send(net, reply_key, to, from, reply);
             }
@@ -671,6 +636,25 @@ pub(crate) mod tests {
         fn adversary_view(&self) -> LocalStateView {
             LocalStateView::new("chatter", "running").with_round(self.calls as u64)
         }
+    }
+
+    /// Every view in every replica of `core` is held by its store alone: no
+    /// reply or collected response still pins a snapshot, so a later write
+    /// would copy no block.
+    pub(crate) fn assert_views_are_held_by_their_stores_alone(core: &QuorumCore, context: &str) {
+        let mut views = 0;
+        for process in core.processes() {
+            for (instance, view) in process.replica.views() {
+                assert_eq!(
+                    Arc::strong_count(view),
+                    1,
+                    "{context}: {}'s view of {instance} is shared",
+                    process.id
+                );
+                views += 1;
+            }
+        }
+        assert!(views > 0, "{context}: no replica holds a view");
     }
 
     /// The rules of the module documentation, on every message `core`

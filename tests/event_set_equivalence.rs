@@ -1,21 +1,14 @@
 //! Differential tests for the simulator's reference mode.
 //!
 //! The simulator maintains its enabled-event set incrementally (see
-//! `fle_sim::event_set`) and ships message payloads as refcount-shared
-//! broadcasts and copy-on-write / delta view transfers (see
-//! `fle_model::wire`). `with_event_set_validation()` is the engine's one
-//! reference mode and pins both optimizations to first principles as the
-//! run goes:
+//! `fle_sim::event_set`). `with_event_set_validation()` is the engine's one
+//! reference mode and pins that optimization to first principles as the
+//! run goes: before *every* adversary decision, the incremental indexes
+//! must materialize to exactly the same ordered event list as a brute-force
+//! rescan of all processors and in-flight messages.
 //!
-//! * before *every* adversary decision, the incremental indexes must
-//!   materialize to exactly the same ordered event list as a brute-force
-//!   rescan of all processors and in-flight messages;
-//! * whenever a responder builds a collect reply, resolving it against a
-//!   copy of the requester's delta cache must give the responder's full
-//!   view.
-//!
-//! The checks only read engine state, so a validated run must also produce a
-//! byte-identical report to the production run of the same configuration.
+//! The check only reads engine state, so a validated run must also produce
+//! a byte-identical report to the production run of the same configuration.
 
 use fast_leader_election::prelude::*;
 
@@ -103,8 +96,7 @@ fn assert_reports_identical(a: &ExecutionReport, b: &ExecutionReport, context: &
 }
 
 /// The incremental enabled-event set matches a brute-force rebuild at every
-/// single decision point, and every collect reply resolves to the
-/// responder's full view, across system sizes, seeds and all four adversary
+/// single decision point, across system sizes, seeds and all four adversary
 /// families — including renaming and executions with crashes. Each validated
 /// run also reproduces the production run's report byte for byte.
 #[test]

@@ -154,102 +154,3 @@ proptest! {
         );
     }
 }
-
-/// Decode a small integer into one register write, covering every value
-/// family and slot family the protocols use.
-fn decoded_write(
-    code: u64,
-) -> (
-    fast_leader_election::model::Slot,
-    fast_leader_election::model::Value,
-) {
-    use fast_leader_election::model::{Priority, ProcId, ProcSet, Slot, Status, Value};
-    let slot = match code % 3 {
-        0 => Slot::Proc(ProcId((code / 3 % 7) as usize)),
-        1 => Slot::Name((code / 3 % 5) as usize),
-        _ => Slot::Global,
-    };
-    let value = match code % 5 {
-        0 => Value::Flag(code.is_multiple_of(2)),
-        1 => Value::Round((code / 5 % 9) as u32),
-        2 => Value::Int((code / 5 % 11) as i64 - 5),
-        3 => Value::Status(if code.is_multiple_of(2) {
-            Status::Commit
-        } else {
-            Status::resolved_with_list(
-                if code % 4 == 1 {
-                    Priority::Low
-                } else {
-                    Priority::High
-                },
-                (0..(code / 5 % 6) as usize).map(ProcId).collect(),
-            )
-        }),
-        _ => Value::ProcSet(ProcSet::from_vec(
-            (0..(code / 5 % 8) as usize)
-                .map(|i| ProcId(i * 2))
-                .collect(),
-        )),
-    };
-    (slot, value)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 48,
-        .. ProptestConfig::default()
-    })]
-
-    /// Delta collect replies reconstruct the responder's view exactly: for a
-    /// random write sequence with a collect after every prefix, the view a
-    /// requester accumulates from deltas (with full snapshots as fallback)
-    /// equals the full view the responder holds — and equals what the
-    /// retained clone path would have shipped.
-    #[test]
-    fn delta_collect_merge_equals_full_view_merge(
-        writes in 4u64..90,
-        seed in 0u64..10_000,
-        checkpoints in 2u64..9,
-    ) {
-        use fast_leader_election::model::store::{CollectCache, ReplicaStore};
-        use fast_leader_election::model::{InstanceId, Key, ProcId};
-
-        let instance = InstanceId::custom(9, 9);
-        let mut responder = ReplicaStore::new();
-        let mut cache = CollectCache::new();
-        let responder_id = ProcId(1);
-
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-
-        for _ in 0..checkpoints {
-            // A random burst of writes lands at the responder...
-            for _ in 0..(writes / checkpoints).max(1) {
-                let (slot, value) = decoded_write(next());
-                responder.apply(Key::new(instance, slot), &value);
-            }
-            // ...then the requester collects: the responder answers relative
-            // to the version the requester reports, and the reconstructed
-            // view must equal the responder's actual full view.
-            cache.prepare(instance, 2);
-            let transfer = responder.transfer_since(instance, cache.known(responder_id));
-            let reconstructed = cache.resolve(responder_id, transfer);
-            let full = responder.view_of(instance);
-            prop_assert_eq!(&*reconstructed, &full, "delta reconstruction diverged");
-        }
-
-        // Interleaving a collect of a *different* instance resets the cache;
-        // the next collect falls back to a full snapshot and still agrees.
-        cache.prepare(InstanceId::custom(9, 10), 2);
-        cache.prepare(instance, 2);
-        prop_assert_eq!(cache.known(responder_id), 0, "switch must invalidate");
-        let transfer = responder.transfer_since(instance, cache.known(responder_id));
-        let reconstructed = cache.resolve(responder_id, transfer);
-        prop_assert_eq!(&*reconstructed, &responder.view_of(instance));
-    }
-}
