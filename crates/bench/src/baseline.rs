@@ -59,10 +59,18 @@ fn run_elections(n: usize, trials: u64, validate: bool) -> (f64, u64) {
     (start.elapsed().as_secs_f64(), events)
 }
 
+/// How many times [`measure_point`] runs a point's trials. Interference
+/// from other work on the host only slows a run, so the fastest repetition
+/// is the one closest to the engine's own speed.
+pub const REPETITIONS: usize = 5;
+
 /// Measure the production engine at one size (single-threaded, for
-/// comparable timings).
+/// comparable timings): the fastest of [`REPETITIONS`] runs of its trials.
 pub fn measure_point(n: usize, trials: u64) -> BaselinePoint {
-    let (secs, events) = run_elections(n, trials, false);
+    let (secs, events) = (0..REPETITIONS)
+        .map(|_| run_elections(n, trials, false))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("at least one repetition");
     BaselinePoint {
         n,
         trials,
@@ -91,10 +99,12 @@ pub fn points_section(points: &[BaselinePoint]) -> Section {
         ]);
     }
     Section::new(
-        "full leader election, all n participate, random adversary; single-threaded wall \
-         clock over `trials` seeded runs of the production engine: incremental enabled-event \
-         indexes, shared broadcast payloads, copy-on-write snapshot collect replies, \
-         arena-recycled trial buffers",
+        format!(
+            "full leader election, all n participate, random adversary; single-threaded wall \
+             clock over `trials` seeded runs of the production engine, the fastest of \
+             {REPETITIONS} repetitions: incremental enabled-event indexes, shared broadcast \
+             payloads, copy-on-write snapshot collect replies, arena-recycled trial buffers"
+        ),
         table,
     )
 }
@@ -118,7 +128,8 @@ pub fn record(path: &Path, specs: &[(usize, u64)]) -> Result<Vec<BaselinePoint>,
 }
 
 /// The standard baseline: n ∈ {16, 64, 256} with 3 trials each plus a single
-/// n = 1024 trial, recorded in the tracked `BENCH_baseline.json`.
+/// n = 1024 trial, each point the fastest of [`REPETITIONS`], recorded in the
+/// tracked `BENCH_baseline.json`.
 ///
 /// # Errors
 /// As [`record`].
@@ -228,6 +239,6 @@ mod tests {
                     .number("n", "64", "events_per_sec")
             })
             .expect("BENCH_baseline.json records n = 64");
-        assert_eq!(recorded, 2_246_252.0);
+        assert_eq!(recorded, 2_220_830.8);
     }
 }

@@ -1,7 +1,7 @@
 //! Record the simulator-throughput baseline: full leader elections at
-//! n ∈ {16, 64, 256, 1024} in events/sec on the production engine, recorded
-//! as the `points` section of `BENCH_baseline.json`; the other sections are
-//! kept byte for byte.
+//! n ∈ {16, 64, 256, 1024} in events/sec on the production engine, each
+//! point the fastest of 5 repetitions, recorded as the `points` section of
+//! `BENCH_baseline.json`; the other sections are kept byte for byte.
 //!
 //! Run with `cargo run --release -p fle-bench --bin bench_baseline`.
 //!

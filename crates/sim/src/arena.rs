@@ -43,8 +43,7 @@ use std::sync::Mutex;
 /// The recyclable buffers of one simulator instance.
 #[derive(Default)]
 pub struct SimArena {
-    /// The processor shells, message slab, event indexes and crash scratch
-    /// buffer.
+    /// The processor shells, message slab and batch, and event indexes.
     pub(crate) core: QuorumCore,
     pub(crate) crashes: Vec<ProcId>,
     pub(crate) observations: Vec<ProcessObservation>,

@@ -2,7 +2,7 @@
 //!
 //! [`ParallelSimulator`] splits one simulation's `n` processors into
 //! contiguous partitions ([`fle_model::PartitionMap`]), gives each partition
-//! its own engine (message slab, event indexes, processor state) and advances
+//! its own engine (message store, event indexes, processor state) and advances
 //! all partitions in deterministic **super-rounds**:
 //!
 //! 1. **Barrier (leader, serial):** apply the crashes due this round, one at
@@ -11,15 +11,18 @@
 //!    decision).
 //! 2. **Round (workers, parallel):** every partition delivers **all** the
 //!    messages routed to it at the previous barrier in ascending message-id
-//!    order, then runs step-runs in ascending processor order (a processor
-//!    keeps stepping until it blocks). Every message a partition sends —
-//!    local or remote — goes to its *outbox* tagged with a [`RouteKey`] and
-//!    becomes deliverable only next round, so partitions are causally
-//!    isolated within a round and the execution cannot depend on which
-//!    worker thread ran which partition.
+//!    order (less those to processors crashed at the barrier, and replies
+//!    that arrive after their call's quorum formed, which the sequential
+//!    engine purges), then runs step-runs in ascending processor order (a
+//!    processor keeps stepping until it blocks). Every message a partition
+//!    sends — local or remote — goes to its *outbox* tagged with a
+//!    [`RouteKey`] and becomes deliverable only next round, so partitions
+//!    are causally isolated within a round and the execution cannot depend
+//!    on which worker thread ran which partition.
 //! 3. **Barrier (leader, serial):** merge the outboxes in [`RouteKey`] order,
-//!    assign global message ids in that order, and store each message
-//!    straight into its recipient's partition (its quorum core's slab). The
+//!    assign global message ids in that order, and append each message to
+//!    its recipient's partition's batch, which is therefore id-ordered (an
+//!    adversarial round stores it in the partition's slab instead). The
 //!    key is a pure function of what *triggered* the send (the delivered
 //!    message id for replies, the stepping processor for broadcasts), so the
 //!    id sequence is independent of the partition count — and in this
@@ -56,6 +59,10 @@
 //!
 //! * where a send goes: into the partition's outbox with a [`RouteKey`],
 //!   for the barrier to number and route;
+//! * where a routed message waits: a canonical round drains it from the
+//!   core's batch, a plain id-ordered buffer, because nobody picks among
+//!   its messages; an adversarial round keeps the core's slab and its
+//!   order-statistics index, from which its adversary picks by rank;
 //! * the global event number of a first step or a return, which the leader
 //!   assigns at the barrier from a marker;
 //! * the canonical-mode trace split (deliveries merged by id across
@@ -181,19 +188,6 @@ struct Outbound {
     from: ProcId,
     to: ProcId,
     payload: WireMessage,
-}
-
-impl Outbound {
-    /// Placeholder left behind when the router moves a message out of an
-    /// outbox slot (the outbox is cleared wholesale right after the merge).
-    fn tombstone() -> Self {
-        Outbound {
-            key: RouteKey::reply(u64::MAX),
-            from: ProcId(0),
-            to: ProcId(0),
-            payload: WireMessage::Ack { seq: 0 },
-        }
-    }
 }
 
 /// An interval/outcome event observed by a worker mid-round; the leader
@@ -338,12 +332,22 @@ impl PartitionEngine {
     /// last barrier in ascending id order, then step-runs in ascending
     /// processor order.
     fn run_round_canonical(&mut self) {
-        self.round_delivered = 0;
+        let mut delivered = 0;
+        let (record_trace, trace) = (self.record_trace, &mut self.trace_deliver);
+        let mut net = Outgoing {
+            outbox: &mut self.outbox,
+            metrics: &mut self.metrics,
+            ascending: true,
+        };
+        self.core.drain_batch(&mut net, |id, from, to| {
+            delivered += 1;
+            if record_trace {
+                trace.push(TraceEvent::Deliver { id, from, to });
+            }
+        });
+        self.round_delivered = delivered;
+        self.events_local += delivered;
         self.round_steps = 0;
-        while let Some(slot) = self.core.first_delivery() {
-            self.round_delivered += 1;
-            self.execute_delivery(slot, false);
-        }
         while let Some(proc) = self.core.first_step() {
             self.round_steps += 1;
             self.execute_step(proc, self.round_steps);
@@ -381,7 +385,7 @@ impl PartitionEngine {
                     }
                     Some(Scheduled::Deliver(slot)) => {
                         self.round_delivered += 1;
-                        self.execute_delivery(slot, true);
+                        self.execute_delivery(slot);
                     }
                     None => {
                         self.round_error = Some(SimError::InvalidDecision {
@@ -467,17 +471,13 @@ impl PartitionEngine {
         self.core.sync(proc, self.observation.as_mut());
     }
 
-    fn execute_delivery(&mut self, slot: u32, adversarial: bool) {
+    /// Deliver the message in slab `slot` (adversarial mode).
+    fn execute_delivery(&mut self, slot: u32) {
         self.events_local += 1;
         let (core, mut net) = self.outgoing();
         let (id, from, to) = core.deliver(&mut net, slot);
         if self.record_trace {
-            let event = TraceEvent::Deliver { id, from, to };
-            if adversarial {
-                self.trace_other.push(event);
-            } else {
-                self.trace_deliver.push(event);
-            }
+            self.trace_other.push(TraceEvent::Deliver { id, from, to });
         }
         self.core.sync_phase(to, self.observation.as_mut());
     }
@@ -706,9 +706,9 @@ impl ParallelSimulator {
     }
 
     /// Apply one canonical-mode crash at the barrier (leader context). The
-    /// messages the last barrier routed to the victim stay stored until the
-    /// round's crashes are all applied (`drop_crashed_traffic`), and the
-    /// core drops the ones routed to it from now on.
+    /// messages the last barrier batched for the victim stay batched, and
+    /// the next drain skips them; the core batches none routed to it from
+    /// now on.
     fn crash_at_barrier(&mut self, victim: ProcId) {
         let engine = &mut self.engines[self.map.partition_of(victim)];
         debug_assert!(
@@ -799,11 +799,6 @@ impl ParallelSimulator {
                 self.crash_at_barrier(victim);
                 crashes_this_round += 1;
             }
-            if crashes_this_round > 0 {
-                for engine in &mut self.engines {
-                    engine.core.drop_crashed_traffic();
-                }
-            }
             if self.live() == 0 {
                 return Ok(false);
             }
@@ -881,11 +876,7 @@ impl ParallelSimulator {
                 }
             }
             for engine in &mut self.engines {
-                for event in engine.trace_deliver.drain(..) {
-                    if adversarial {
-                        self.report.trace.push(event);
-                    }
-                }
+                engine.trace_deliver.clear();
                 for event in engine.trace_other.drain(..) {
                     self.report.trace.push(event);
                 }
@@ -898,8 +889,9 @@ impl ParallelSimulator {
         }
 
         // Barrier, part 3: merge the outboxes in RouteKey order, assign
-        // global message ids, and store each message in its recipient's
-        // core (which drops those addressed to crashed processors). Each
+        // global message ids, and hand each message to its recipient's core:
+        // onto its batch in canonical mode, into its slab in adversarial
+        // mode (the core drops those addressed to crashed processors). Each
         // outbox is already key-sorted (keys are generated in ascending
         // trigger order), so this is a p-way merge.
         let mut outboxes: Vec<Vec<Outbound>> = self
@@ -907,33 +899,39 @@ impl ParallelSimulator {
             .iter_mut()
             .map(|e| std::mem::take(&mut e.outbox))
             .collect();
-        let mut cursors = vec![0usize; outboxes.len()];
+        let mut heads: Vec<_> = outboxes
+            .iter_mut()
+            .map(|outbox| outbox.drain(..).peekable())
+            .collect();
         let mut routed = 0u64;
         loop {
             let mut best: Option<(RouteKey, usize)> = None;
-            for (part, outbox) in outboxes.iter().enumerate() {
-                if let Some(out) = outbox.get(cursors[part]) {
+            for (part, head) in heads.iter_mut().enumerate() {
+                if let Some(out) = head.peek() {
                     if best.is_none_or(|(key, _)| out.key < key) {
                         best = Some((out.key, part));
                     }
                 }
             }
             let Some((_, part)) = best else { break };
-            let out = std::mem::replace(&mut outboxes[part][cursors[part]], Outbound::tombstone());
-            cursors[part] += 1;
-            let id = MessageId(self.next_message_id);
-            self.next_message_id += 1;
-            let dest = self.map.partition_of(out.to);
-            self.engines[dest].core.store(InFlightMessage {
-                id,
+            let out = heads[part].next().expect("the head just peeked");
+            let message = InFlightMessage {
+                id: MessageId(self.next_message_id),
                 from: out.from,
                 to: out.to,
                 payload: out.payload,
-            });
+            };
+            self.next_message_id += 1;
+            let core = &mut self.engines[self.map.partition_of(out.to)].core;
+            if adversarial {
+                core.store(message);
+            } else {
+                core.enqueue(message);
+            }
             routed += 1;
         }
-        for (engine, mut outbox) in self.engines.iter_mut().zip(outboxes) {
-            outbox.clear();
+        drop(heads);
+        for (engine, outbox) in self.engines.iter_mut().zip(outboxes) {
             engine.outbox = outbox;
         }
 

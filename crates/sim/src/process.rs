@@ -179,6 +179,16 @@ impl SimProcess {
         }
     }
 
+    /// Whether call `seq` is this processor's outstanding communicate call.
+    #[inline]
+    pub fn awaits(&self, seq: CallSeq) -> bool {
+        matches!(
+            self.pending,
+            PendingWork::AwaitingAcks { seq: s, .. } | PendingWork::AwaitingViews { seq: s, .. }
+                if s == seq
+        )
+    }
+
     /// Allocate a fresh communicate-call sequence number.
     ///
     /// # Panics

@@ -3,28 +3,44 @@
 //! `communicate(propagate / collect)` is the quorum emulation of shared
 //! memory over message passing (ABND95) that the paper's model runs on. A
 //! [`QuorumCore`] owns the processor shells of one contiguous id range, the
-//! slab of messages addressed to them, the enabled-event indexes over both
-//! and the crash scratch buffer, and it runs every step of a call: taking a
-//! step's pending response, starting a propagate or collect call, drawing a
-//! per-processor coin, completing a quorum and purging the call's leftover
-//! messages, answering a request as a replica, recording an ack or a view,
-//! and retiring a crashed processor's traffic. The sequential
-//! [`crate::Simulator`] holds one core over all `n` processors; each
-//! partition of the [`crate::ParallelSimulator`] holds one over its range.
-//! Where a send goes is the engine's [`Network`], a generic parameter, so a
-//! send is a direct call.
+//! messages addressed to them and the step-enabled index, and it runs every
+//! step of a call: taking a step's pending response, starting a propagate
+//! or collect call, drawing a per-processor coin, completing a quorum,
+//! answering a request as a replica and recording an ack or a view. The
+//! sequential [`crate::Simulator`] holds one core over all `n` processors;
+//! each partition of the [`crate::ParallelSimulator`] holds one over its
+//! range. Where a send goes is the engine's [`Network`], a generic
+//! parameter, so a send is a direct call.
 //!
-//! Two rules hold for every stored message. The tests check them after
-//! every event of the sequential engine and at every barrier of the
-//! partitioned one, crash-heavy runs included:
+//! A core keeps its messages in one of two stores, which feed one delivery
+//! body:
+//!
+//! * **The slab**, where an adversary picks by rank: the sequential engine
+//!   and adversarial partitions [`QuorumCore::store`] each message under an
+//!   id-ordered index. A completed call's leftovers are purged from it, and
+//!   a crash drops the victim's messages.
+//! * **The batch**, where nobody picks: a canonical round delivers every
+//!   message the last barrier routed to it, in id order, so the barrier
+//!   [`QuorumCore::enqueue`]s them on a `Vec` that
+//!   [`QuorumCore::drain_batch`] delivers front to back. It skips, without
+//!   an event, a message to a processor crashed at the barrier and a reply
+//!   to a call no longer outstanding. All replies to one call are routed at
+//!   one barrier, so such a reply arrived after its quorum formed earlier in
+//!   the same drain: it is exactly one the purge would have removed.
+//!
+//! Two rules hold for every stored message, in either store. The tests
+//! check them after every event of the sequential engine and after every
+//! round of the partitioned one, crash-heavy runs included:
 //!
 //! * **None is addressed to a crashed processor.** A crash drops the
-//!   victim's undelivered messages, and [`QuorumCore::store`] drops a later
-//!   one; the send still counts in `messages_sent` and uses up a message id.
+//!   victim's messages from the slab, the next drain skips its batched ones,
+//!   and a later message to it is neither stored nor batched; the send still
+//!   counts in `messages_sent` and uses up a message id.
 //! * **Each belongs to a call still outstanding at its caller** (a request
-//!   at its sender, a reply at its recipient), because a call's leftovers
-//!   are purged the moment its quorum forms. So a replica answers every
-//!   request it is delivered, and the core only debug-asserts the rule.
+//!   at its sender, a reply at its recipient): the slab purges a call's
+//!   leftovers the moment its quorum forms, and a batch is filled before
+//!   any of its replies is delivered. So a replica answers every request it
+//!   is delivered, and the core only debug-asserts the rule.
 
 use crate::engine::SimConfig;
 use crate::error::SimError;
@@ -105,16 +121,18 @@ pub(crate) struct QuorumCore {
     seed: u64,
     /// The processor shells, indexed by `proc - lo`.
     processes: Vec<SimProcess>,
-    /// Undelivered messages addressed to this core's processors.
+    /// Undelivered messages addressed to this core's processors, where an
+    /// adversary picks.
     slab: MessageSlab,
+    /// The messages a canonical barrier routed to this core's processors,
+    /// ascending by id, for the next round to drain.
+    batch: Vec<InFlightMessage>,
     /// Step-enabled processors. Indexed by **global** processor id (only
     /// this core's bits are ever set), so enabled-event views hand
     /// adversaries global `ProcId`s.
     enabled_steps: IndexedBitSet,
     /// Deliverable messages, ascending by message id.
     enabled_msgs: OrderedMsgSet,
-    /// Reusable buffer for the slots a crash retires.
-    scratch_slots: Vec<u32>,
     /// Registered participants that have neither crashed nor returned.
     live: usize,
 }
@@ -132,9 +150,9 @@ impl QuorumCore {
         self.quorum = config.quorum();
         self.seed = config.seed;
         self.slab.clear();
+        self.batch.clear();
         self.enabled_msgs.clear();
         self.enabled_steps.reset(config.n);
-        self.scratch_slots.clear();
         self.live = 0;
         let len = range.len();
         for (offset, process) in self.processes.iter_mut().enumerate().take(len) {
@@ -151,8 +169,8 @@ impl QuorumCore {
     /// pool holds no protocol boxes, replica contents or message payloads.
     pub(crate) fn clear(&mut self) {
         self.slab.clear();
+        self.batch.clear();
         self.enabled_msgs.clear();
-        self.scratch_slots.clear();
         for process in &mut self.processes {
             process.recycle(process.id);
         }
@@ -185,9 +203,10 @@ impl QuorumCore {
         &self.processes
     }
 
-    /// The undelivered messages, in slot order.
+    /// The undelivered messages: the slab's in slot order, then the batch.
     pub(crate) fn stored(&self) -> impl Iterator<Item = &InFlightMessage> {
-        self.slab.iter().map(|(_, message)| message)
+        let slab = self.slab.iter().map(|(_, message)| message);
+        slab.chain(&self.batch)
     }
 
     /// Registered participants that have neither crashed nor returned.
@@ -229,12 +248,6 @@ impl QuorumCore {
         }
         let (_, slot) = self.enabled_msgs.select(index - steps)?;
         Some(Scheduled::Deliver(slot))
-    }
-
-    /// The slot of the enabled message with the smallest id.
-    #[inline]
-    pub(crate) fn first_delivery(&self) -> Option<u32> {
-        self.enabled_msgs.select(0).map(|(_, slot)| slot)
     }
 
     /// The step-enabled processor with the smallest id.
@@ -288,16 +301,28 @@ impl QuorumCore {
     }
 
     /// Crash `victim`, which must not have crashed yet, and drop its
-    /// undelivered messages: they can never be delivered now.
+    /// undelivered messages from the slab: they can never be delivered now.
     pub(crate) fn crash(&mut self, victim: ProcId) {
         self.mark_crashed(victim);
-        self.drop_crashed_traffic();
+        let doomed: Vec<u32> = self
+            .enabled_msgs
+            .iter()
+            .map(|(_, slot)| slot)
+            .filter(|&slot| {
+                let message = self
+                    .slab
+                    .get(slot)
+                    .expect("enabled message indexes a live slab slot");
+                message.to == victim
+            })
+            .collect();
+        for slot in doomed {
+            self.remove(slot);
+        }
     }
 
-    /// Crash `victim`, which must not have crashed yet, but leave its
-    /// undelivered messages until [`QuorumCore::drop_crashed_traffic`]: a
-    /// barrier that crashes many processors at once scans its messages once,
-    /// not once per victim.
+    /// Crash `victim`, which must not have crashed yet, and leave its
+    /// batched messages for the next drain to skip.
     pub(crate) fn mark_crashed(&mut self, victim: ProcId) {
         let process = self.process_mut(victim);
         let was_live = process.is_live_participant();
@@ -307,32 +332,9 @@ impl QuorumCore {
         }
     }
 
-    /// Drop every undelivered message addressed to a crashed processor.
-    pub(crate) fn drop_crashed_traffic(&mut self) {
-        let mut doomed = std::mem::take(&mut self.scratch_slots);
-        doomed.clear();
-        doomed.extend(
-            self.enabled_msgs
-                .iter()
-                .filter(|&(_, slot)| {
-                    let to = self
-                        .slab
-                        .get(slot)
-                        .expect("enabled message indexes a live slab slot")
-                        .to;
-                    self.process(to).crashed
-                })
-                .map(|(_, slot)| slot),
-        );
-        for &slot in &doomed {
-            self.remove(slot);
-        }
-        self.scratch_slots = doomed;
-    }
-
-    /// Store a message addressed to one of this core's processors and
-    /// return its slot; a reply is tracked under the call awaiting it. A
-    /// message to a crashed processor is dropped instead.
+    /// Store a message addressed to one of this core's processors in the
+    /// slab and return its slot; a reply is tracked under the call awaiting
+    /// it. A message to a crashed processor is dropped instead.
     #[inline]
     pub(crate) fn store(&mut self, message: InFlightMessage) -> Option<u32> {
         debug_assert!(self.owns(message.to), "message stored at the wrong core");
@@ -346,6 +348,21 @@ impl QuorumCore {
         }
         self.enabled_msgs.insert(id, slot);
         Some(slot)
+    }
+
+    /// Append a message addressed to one of this core's processors to the
+    /// batch; its id must exceed every batched one. A message to a crashed
+    /// processor is dropped instead.
+    #[inline]
+    pub(crate) fn enqueue(&mut self, message: InFlightMessage) {
+        debug_assert!(self.owns(message.to), "message batched at the wrong core");
+        debug_assert!(
+            self.batch.last().is_none_or(|last| last.id < message.id),
+            "batched ids must ascend"
+        );
+        if !self.process(message.to).crashed {
+            self.batch.push(message);
+        }
     }
 
     #[inline]
@@ -534,34 +551,79 @@ impl QuorumCore {
         }
     }
 
-    /// Deliver the enabled message in `slot`: a request is answered by the
-    /// recipient's replica, a reply is recorded by the caller awaiting it.
-    /// Returns the delivered message's id, sender and recipient.
+    /// Deliver the enabled message in `slot` and purge the leftovers of the
+    /// call it completes, if any. Returns the delivered message's id, sender
+    /// and recipient.
+    #[inline]
     pub(crate) fn deliver<N: Network>(
         &mut self,
         net: &mut N,
         slot: u32,
     ) -> (MessageId, ProcId, ProcId) {
+        let message = self
+            .remove(slot)
+            .expect("an enabled message occupies its slot");
+        let ((id, from, to), completed) = self.receive(net, message);
+        if let Some(seq) = completed {
+            self.purge_completed_call(to, seq);
+        }
+        (id, from, to)
+    }
+
+    /// Deliver the batch front to back, skipping the stale messages of the
+    /// module documentation, and call `delivered` with each delivered
+    /// message's id, sender and recipient. A request to a live processor is
+    /// never stale: a round delivers every request sent the round before,
+    /// before any reply to it can arrive.
+    #[inline]
+    pub(crate) fn drain_batch<N: Network>(
+        &mut self,
+        net: &mut N,
+        mut delivered: impl FnMut(MessageId, ProcId, ProcId),
+    ) {
+        let mut batch = std::mem::take(&mut self.batch);
+        for message in batch.drain(..) {
+            let recipient = self.process(message.to);
+            let stale = recipient.crashed
+                || (message.is_reply() && !recipient.awaits(message.payload.seq()));
+            if stale {
+                continue;
+            }
+            let ((id, from, to), _) = self.receive(net, message);
+            self.sync_phase(to, None);
+            delivered(id, from, to);
+        }
+        self.batch = batch;
+    }
+
+    /// The delivery body both stores share: a request is answered by the
+    /// recipient's replica, a reply is recorded by the caller awaiting it.
+    /// Returns the message's id, sender and recipient, and the sequence
+    /// number of the call the reply completed, if it did.
+    #[inline]
+    fn receive<N: Network>(
+        &mut self,
+        net: &mut N,
+        message: InFlightMessage,
+    ) -> ((MessageId, ProcId, ProcId), Option<CallSeq>) {
         let InFlightMessage {
             id,
             from,
             to,
             payload,
-            ..
-        } = self
-            .remove(slot)
-            .expect("an enabled message occupies its slot");
+        } = message;
         net.metrics().proc_mut(to).messages_received += 1;
         debug_assert!(
             !self.process(to).crashed,
             "messages to crashed processors are dropped"
         );
         let (quorum, reply_key) = (self.quorum, RouteKey::reply(id.0));
-        match payload {
+        let completed = match payload {
             WireMessage::Propagate { seq, entries } => {
                 self.debug_assert_outstanding(from, seq);
                 self.process_mut(to).replica.apply_all(&entries);
                 self.send(net, reply_key, to, from, WireMessage::Ack { seq });
+                None
             }
             WireMessage::Collect { seq, instance } => {
                 self.debug_assert_outstanding(from, seq);
@@ -569,31 +631,21 @@ impl QuorumCore {
                 let view = self.process(to).replica.view_arc(instance);
                 let reply = WireMessage::CollectReply { seq, view };
                 self.send(net, reply_key, to, from, reply);
+                None
             }
-            WireMessage::Ack { seq } => {
-                if let Some(seq) = self.process_mut(to).record_ack(from, seq, quorum) {
-                    self.purge_completed_call(to, seq);
-                }
-            }
+            WireMessage::Ack { seq } => self.process_mut(to).record_ack(from, seq, quorum),
             WireMessage::CollectReply { seq, view } => {
-                if let Some(seq) = self.process_mut(to).record_view(from, seq, view, quorum) {
-                    self.purge_completed_call(to, seq);
-                }
+                self.process_mut(to).record_view(from, seq, view, quorum)
             }
-        }
-        (id, from, to)
+        };
+        ((id, from, to), completed)
     }
 
     /// A delivered request's call is still outstanding at its sender, when
     /// the sender is ours to look at (see the module documentation).
     fn debug_assert_outstanding(&self, caller: ProcId, seq: CallSeq) {
         debug_assert!(
-            !self.owns(caller)
-                || matches!(
-                    self.process(caller).pending,
-                    PendingWork::AwaitingAcks { seq: s, .. } | PendingWork::AwaitingViews { seq: s, .. }
-                        if s == seq
-                ),
+            !self.owns(caller) || self.process(caller).awaits(seq),
             "a request of {caller}'s completed call {seq} was delivered"
         );
     }
@@ -672,17 +724,10 @@ pub(crate) mod tests {
             } else {
                 message.to
             };
-            if core.owns(caller) {
-                let seq = message.payload.seq();
-                assert!(
-                    matches!(
-                        core.process(caller).pending,
-                        PendingWork::AwaitingAcks { seq: s, .. }
-                            | PendingWork::AwaitingViews { seq: s, .. } if s == seq
-                    ),
-                    "{context}, after {events} events: {message} belongs to a completed call"
-                );
-            }
+            assert!(
+                !core.owns(caller) || core.process(caller).awaits(message.payload.seq()),
+                "{context}, after {events} events: {message} belongs to a completed call"
+            );
         }
     }
 }
