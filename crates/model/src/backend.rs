@@ -9,9 +9,6 @@
 //!
 //! * the deterministic **simulator adapter** (`fle_sim::SimMemory`), registers
 //!   as plain [`crate::ReplicaStore`]s driven sequentially,
-//! * the **threaded message-passing runtime** (`fle_runtime`), registers
-//!   emulated by quorum `communicate(propagate / collect)` traffic over real
-//!   channels (ABND95),
 //! * the **in-process shared registers** (`fle_runtime::SharedRegisters`),
 //!   registers as real shared state behind sharded locks, where contention
 //!   comes from the hardware rather than from emulated quorums; the task

@@ -19,10 +19,10 @@
 //!   grants it becomes adversarially schedulable (and hence replayable),
 //! * [`wire`] — the wire messages exchanged by the backends,
 //! * [`metrics`] — the complexity accounting shared by the simulator and the
-//!   threaded runtime (message complexity, communicate-call counts).
+//!   shared registers (message complexity, communicate-call counts).
 //!
 //! Algorithms written against this crate run unmodified on the deterministic
-//! adversarial simulator (`fle-sim`) and on the real-thread runtime
+//! adversarial simulator (`fle-sim`) and on the in-process shared registers
 //! (`fle-runtime`).
 //!
 //! # Example

@@ -88,9 +88,9 @@ impl fmt::Display for LocalStateView {
 ///
 /// Writing algorithms this way keeps them completely independent of the
 /// execution substrate: the deterministic adversarial simulator and the
-/// real-thread runtime drive the same code. Protocols must be [`Send`] so a
-/// backend may migrate a state machine to a worker thread (the partitioned
-/// simulator and the threaded runtime both do).
+/// in-process shared registers drive the same code. Protocols must be
+/// [`Send`] so a backend may migrate a state machine to a worker thread (the
+/// partitioned simulator and the task executor both do).
 pub trait Protocol: Send {
     /// Advance the state machine with the response to the previous action and
     /// obtain the next action.

@@ -13,8 +13,7 @@
 //! (`Arc::make_mut`, one 8-cell block at a time). A requester keeps a reply
 //! only for the call that collected it, so once every call of a run has
 //! returned, each store is again the one holder of its views. Both
-//! execution backends (the simulator and the threaded runtime) share this
-//! type.
+//! simulator engines and the sequential `SimMemory` adapter share this type.
 
 use crate::ids::InstanceId;
 use crate::value::{Key, Value};

@@ -1,12 +1,12 @@
 //! Wire messages exchanged between processors.
 //!
-//! Both backends (the simulator and the threaded runtime) implement the
-//! `communicate` primitive of ABND95 with the same four message kinds: a
-//! propagate and its acknowledgement, and a collect and its reply. Message
-//! complexity is counted per [`WireMessage`] sent, which matches the paper's
-//! accounting (a communicate call costs `n` requests plus up to `n` replies,
-//! i.e. `O(n)` messages) — the accounting counts messages, not bytes, so the
-//! in-memory payload representation is free to be optimized:
+//! Both simulator engines implement the `communicate` primitive of ABND95
+//! with the same four message kinds: a propagate and its acknowledgement,
+//! and a collect and its reply. Message complexity is counted per
+//! [`WireMessage`] sent, which matches the paper's accounting (a
+//! communicate call costs `n` requests plus up to `n` replies, i.e. `O(n)`
+//! messages) — the accounting counts messages, not bytes, so the in-memory
+//! payload representation is free to be optimized:
 //!
 //! * [`WireMessage::Propagate`] carries its register writes behind an
 //!   `Arc<[(Key, Value)]>` built **once** per communicate call and

@@ -961,6 +961,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one processor")]
+    fn zero_processors_are_rejected() {
+        let _ = SimConfig::new(0);
+    }
+
+    #[test]
     fn single_processor_system_terminates_immediately() {
         let mut sim = Simulator::new(SimConfig::new(1));
         sim.add_participant(ProcId(0), Box::new(PropagateCollect::new(ProcId(0))));

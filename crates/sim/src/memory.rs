@@ -12,7 +12,7 @@
 //! This is the backend of choice for unit-testing protocols against
 //! [`fle_model::drive`] and for differential tests across backends: the same
 //! register representation ([`ReplicaStore`] / [`fle_model::View`]) as the
-//! simulator and the threaded runtime, none of the scheduling.
+//! simulator, none of the scheduling.
 
 use fle_model::{
     CollectedViews, InstanceId, Key, Outcome, ProcId, Protocol, ReplicaStore, SharedMemory, Value,

@@ -333,6 +333,10 @@ mod tests {
             !p.step_enabled(),
             "duplicate responder must not fill the quorum"
         );
+        // A reply to an earlier call is ignored, and does not mark its
+        // responder as heard from.
+        p.record_view(ProcId(2), 3, Arc::new(View::new()), 3);
+        assert!(!p.step_enabled(), "a stale reply must not fill the quorum");
         p.record_view(ProcId(2), 4, Arc::new(View::new()), 3);
         assert!(p.step_enabled());
     }

@@ -14,7 +14,7 @@
 //! |-------|----------|
 //! | [`model`] (`fle-model`) | protocol state-machine interface, the `SharedMemory` backend contract, register values, wire messages, complexity metrics |
 //! | [`sim`] (`fle-sim`) | deterministic discrete-event simulator: quorum `communicate`, adaptive adversaries, crash injection; sequential `SimMemory` adapter |
-//! | [`runtime`] (`fle-runtime`) | real-thread backends: message passing over crossbeam channels, and in-process `SharedRegisters` whose participants run on the caller's thread, free-running (`run_inline`) or behind schedule gates (`run_gated`), or free-running on the task-pool `Executor` |
+//! | [`runtime`] (`fle-runtime`) | in-process `SharedRegisters` whose participants run on the caller's thread, free-running (`run_inline`) or behind schedule gates (`run_gated`), or free-running on the task-pool `Executor` |
 //! | [`core`] (`fle-core`) | PoisonPill, Heterogeneous PoisonPill, doorway, pre-round, the full election, renaming |
 //! | [`baselines`] (`fle-baselines`) | tournament-tree test-and-set (AGTV92), random-order renaming (AAG+10) |
 //! | [`service`] (`fle-service`) | sharded multi-instance election/renaming service over the pluggable backends |
@@ -89,11 +89,10 @@ pub mod prelude {
         Response, SharedMemory,
     };
     pub use fle_runtime::{
-        election_participants, renaming_participants, run_gated, run_gated_fifo,
-        run_threaded_leader_election, run_threaded_renaming, CrashMode, CrashSpec, CrashVictim,
-        ExecReport, ExecResult, Executor, ExecutorConfig, FaultPlan, FaultStats, FaultyMemory,
-        FifoScheduler, GateScheduler, InFlight, RuntimeConfig, ScheduleConfig, SharedRegisters,
-        ThreadedRuntime,
+        election_participants, renaming_participants, run_gated, run_gated_fifo, run_inline,
+        CrashMode, CrashSpec, CrashVictim, ExecReport, ExecResult, Executor, ExecutorConfig,
+        FaultPlan, FaultStats, FaultyMemory, FifoScheduler, GateScheduler, InFlight,
+        ScheduleConfig, SharedRegisters,
     };
     pub use fle_service::{
         BackendKind, ElectionService, FailStats, InstanceResult, InstanceSpec, InstanceStatus,

@@ -42,13 +42,7 @@ fn election_on_all_backends(
     let mut memory = SimMemory::new(n, seed);
     results.push(("sim-memory", memory.run_all(election_participants(k))));
 
-    // 3. The threaded message-passing runtime.
-    let report = ThreadedRuntime::new(RuntimeConfig::new(n).with_seed(seed))
-        .run(election_participants(k))
-        .expect("the threaded election terminates");
-    results.push(("threaded", report.outcomes));
-
-    // 4. The task-multiplexed executor, free-running: participants are
+    // 3. The task-multiplexed executor, free-running: participants are
     // cooperative tasks on a small worker pool over shared registers.
     let executor = Executor::new(ExecutorConfig::new(2));
     let registers = Arc::new(SharedRegisters::new(4));
@@ -151,11 +145,6 @@ fn renaming_is_tight_and_unique_on_every_backend() {
             })
             .collect(),
     ));
-
-    let report = ThreadedRuntime::new(RuntimeConfig::new(n).with_seed(seed))
-        .run(renaming_participants(n, n))
-        .expect("the threaded renaming terminates");
-    all.push(("threaded", report.names()));
 
     let executor = Executor::new(ExecutorConfig::new(2));
     let registers = Arc::new(SharedRegisters::new(2));

@@ -122,8 +122,10 @@ fn late_arrivals_lose_once_the_door_is_closed() {
 }
 
 #[test]
-fn simulated_and_threaded_backends_agree_on_correctness() {
-    // Same protocol code, two backends: both elect exactly one leader.
+fn simulated_and_shared_register_backends_agree_on_correctness() {
+    // Same protocol code, two substrates: the simulated message-passing
+    // system and the shared registers the service runs on. Both elect
+    // exactly one leader.
     let sim_report = run_leader_election(
         &ElectionSetup::all_participate(6).with_seed(9),
         &mut RandomAdversary::with_seed(9),
@@ -131,9 +133,18 @@ fn simulated_and_threaded_backends_agree_on_correctness() {
     .expect("sim election terminates");
     assert_eq!(sim_report.winners().len(), 1);
 
-    let threaded_report = run_threaded_leader_election(6, 9).expect("threaded election terminates");
-    assert_eq!(threaded_report.winners().len(), 1);
-    assert_eq!(threaded_report.outcomes.len(), 6);
+    let registers = std::sync::Arc::new(SharedRegisters::new(1));
+    let inline_report = run_inline(
+        &registers,
+        0,
+        9,
+        election_participants(6),
+        &FaultPlan::default(),
+        &CancelToken::none(),
+    )
+    .expect("an uncancelled inline election completes");
+    assert_eq!(inline_report.winners().len(), 1);
+    assert_eq!(inline_report.outcomes.len(), 6);
 }
 
 #[test]

@@ -89,9 +89,25 @@ fn naive_baseline_is_correct_but_needs_more_attempts() {
 }
 
 #[test]
-fn threaded_renaming_matches_the_simulated_semantics() {
-    let report = run_threaded_renaming(5, 3).expect("threaded renaming completes");
-    let names: std::collections::BTreeSet<usize> = report.names().values().copied().collect();
+fn shared_register_renaming_matches_the_simulated_semantics() {
+    let registers = std::sync::Arc::new(SharedRegisters::new(1));
+    let report = run_inline(
+        &registers,
+        0,
+        3,
+        renaming_participants(5, 5),
+        &FaultPlan::default(),
+        &CancelToken::none(),
+    )
+    .expect("an uncancelled inline renaming completes");
+    let names: std::collections::BTreeSet<usize> = report
+        .outcomes
+        .values()
+        .filter_map(|o| match o {
+            Outcome::Name(u) => Some(*u),
+            _ => None,
+        })
+        .collect();
     assert_eq!(names.len(), 5);
     assert!(names.into_iter().all(|u| (1..=5).contains(&u)));
 }
