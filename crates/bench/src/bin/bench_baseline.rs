@@ -18,9 +18,10 @@
 //! `points` byte for byte.
 //!
 //! `--parallel-smoke` runs the CI parallel gate: an n = 4096 election at
-//! p = 2, and on the sequential engine under the super-round schedule, must
-//! match p = 1 exactly (outcomes, metrics, event count); the measured
-//! efficiency is printed but never gates.
+//! p = 2 and 3, and on the sequential engine under the super-round
+//! schedule, must match p = 1 exactly (outcomes, metrics, event count), and
+//! so must p = 2 and 3 and the sequential engine under a crash plan; the
+//! measured efficiency is printed but never gates.
 //!
 //! `--memory N K` runs one canonical p = 1 election (seed 0) of `K`
 //! contenders among `N` processors and prints its run time and the
@@ -72,7 +73,8 @@ fn main() {
     } else if has("--parallel-smoke") {
         let result = parallel::parallel_smoke_check().map(|(speedup, efficiency)| {
             println!(
-                "parallel-smoke OK: p=2 and sequential reports identical to p=1; \
+                "parallel-smoke OK: p=2, p=3 and sequential reports identical to p=1, \
+                 and p=2, p=3 and sequential under the crash plan identical to its p=1; \
                  speedup {speedup:.2}x, efficiency {efficiency:.2} (not gated)"
             );
         });

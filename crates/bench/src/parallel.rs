@@ -14,16 +14,17 @@
 //! byte for byte, so the historical engine trajectory is never disturbed by
 //! re-running the parallel sweep on a different machine.
 //!
-//! [`parallel_smoke_check`] is the CI gate: a small run at p = 2, and the
-//! same schedule on the sequential engine, must produce *exactly* the
-//! outcomes, metrics and event count of p = 1 (hard failure), while the
+//! [`parallel_smoke_check`] is the CI gate: a small run at p = 2 and 3, and
+//! the same schedule on the sequential engine, must produce *exactly* the
+//! outcomes, metrics and event count of p = 1, and so must p = 2 and 3 and
+//! the sequential engine under a crash plan (hard failure), while the
 //! measured efficiency is only reported (single-core CI runners cannot
 //! meaningfully gate on speedup).
 
 use crate::json::Section;
 use fle_analysis::Table;
 use fle_core::LeaderElection;
-use fle_model::ProcId;
+use fle_model::{PartitionMap, ProcId};
 use fle_sim::{
     ExecutionReport, ParallelSimulator, RoundCrashPlan, SimConfig, Simulator, SuperRoundAdversary,
 };
@@ -268,14 +269,18 @@ fn vm_hwm_kib() -> Result<u64, String> {
 
 /// The CI parallel-smoke gate.
 ///
-/// Runs one n = 4096 election on the partitioned engine at p = 1 and at
-/// p = 2, and once on the sequential engine under the
-/// [`SuperRoundAdversary`] (the release-mode, n = 4096 twin of
-/// `partition_differential.rs`). It **fails** if any report field that the
+/// Runs one n = 4096 election on the partitioned engine at p = 1, 2 and 3,
+/// and once on the sequential engine under the [`SuperRoundAdversary`] (the
+/// release-mode, n = 4096 twin of `partition_differential.rs`); then the
+/// same election under `smoke_crash_plan` at p = 1, 2 and 3 and on the
+/// sequential engine, so that the barrier routes three ways and around
+/// crashed recipients. It **fails** if
+/// a run's report differs from its p = 1 run in any field that the
 /// canonical schedule promises to be independent of the partition count and
-/// of the engine differs from p = 1: outcomes, crash list, event count,
-/// total messages, max communicate calls. The p = 2 efficiency is returned
-/// for logging but never gates — CI runners are routinely single-core.
+/// of the engine: outcomes, crash list, event count, total messages, max
+/// communicate calls; or if a planned crash did not happen. The crash-free
+/// p = 2 speedup and efficiency are returned for logging but never gate —
+/// CI runners are routinely single-core.
 ///
 /// # Errors
 /// A description of the first mismatching field.
@@ -287,31 +292,71 @@ pub fn parallel_smoke_check() -> Result<(f64, f64), String> {
             .with_partitions(partitions)
     };
     let elect = |proc| Box::new(LeaderElection::new(proc));
-    let mut reports = Vec::new();
-    let mut rates = Vec::new();
-    for partitions in [1usize, 2] {
+    let run = |partitions, plan: &RoundCrashPlan| {
         let mut sim = ParallelSimulator::new(config(partitions));
         for i in 0..k {
             sim.add_participant(ProcId(i), elect(ProcId(i)));
         }
         let start = Instant::now();
         let report = sim
-            .run_canonical(&RoundCrashPlan::none())
+            .run_canonical(plan)
             .map_err(|error| format!("p={partitions} run failed: {error}"))?;
-        rates.push(report.events_executed as f64 / start.elapsed().as_secs_f64());
-        reports.push(report);
+        let rate = report.events_executed as f64 / start.elapsed().as_secs_f64();
+        Ok::<_, String>((report, rate))
+    };
+    let sequential = |plan: &RoundCrashPlan| {
+        let mut sim = Simulator::new(config(1));
+        for i in 0..k {
+            sim.add_participant(ProcId(i), elect(ProcId(i)));
+        }
+        sim.run(&mut SuperRoundAdversary::new(plan))
+            .map_err(|error| format!("sequential run failed: {error}"))
+    };
+    let none = RoundCrashPlan::none();
+    let (reference, base_rate) = run(1, &none)?;
+    let (two, two_rate) = run(2, &none)?;
+    same_outcome(&reference, &two, "p=2")?;
+    same_outcome(&reference, &run(3, &none)?.0, "p=3")?;
+    same_outcome(&reference, &sequential(&none)?, "the sequential engine")?;
+
+    let plan = smoke_crash_plan(n, k);
+    let (crashed, _) = run(1, &plan)?;
+    if crashed.crashed.len() != plan.entries().len() {
+        return Err(format!(
+            "p=1 under the crash plan crashed {} of {} planned processors",
+            crashed.crashed.len(),
+            plan.entries().len()
+        ));
     }
-    let mut sequential = Simulator::new(config(1));
-    for i in 0..k {
-        sequential.add_participant(ProcId(i), elect(ProcId(i)));
+    same_outcome(&crashed, &run(2, &plan)?.0, "p=2 under the crash plan")?;
+    same_outcome(&crashed, &run(3, &plan)?.0, "p=3 under the crash plan")?;
+    let label = "the sequential engine under the crash plan";
+    same_outcome(&crashed, &sequential(&plan)?, label)?;
+    Ok((two_rate / base_rate, two_rate / (2.0 * base_rate)))
+}
+
+/// The crash plan of [`parallel_smoke_check`] for `k` contenders among `n`
+/// processors: every fourth contender from processor 1, and every
+/// sixteenth replica from processor `k`, plus the processors on either
+/// side of each partition boundary at p = 2 and p = 3, crashed over rounds
+/// 0 to 7.
+fn smoke_crash_plan(n: usize, k: usize) -> RoundCrashPlan {
+    let mut victims: Vec<usize> = (1..k).step_by(4).chain((k..n).step_by(16)).collect();
+    for partitions in [2, 3] {
+        let map = PartitionMap::new(n, partitions);
+        for part in 1..partitions {
+            let start = map.range_of(part).start;
+            victims.extend([start - 1, start]);
+        }
     }
-    let report = sequential
-        .run(&mut SuperRoundAdversary::new(&RoundCrashPlan::none()))
-        .map_err(|error| format!("sequential run failed: {error}"))?;
-    same_outcome(&reports[0], &reports[1], "p=2")?;
-    same_outcome(&reports[0], &report, "the sequential engine")?;
-    let efficiency = rates[1] / (2.0 * rates[0]);
-    Ok((rates[1] / rates[0], efficiency))
+    victims.sort_unstable();
+    victims.dedup();
+    let entries = victims
+        .into_iter()
+        .enumerate()
+        .map(|(i, victim)| ((i % 8) as u64, ProcId(victim)))
+        .collect();
+    RoundCrashPlan::new(entries)
 }
 
 /// Whether `other` (named `label`) matches the p = 1 `reference` in every

@@ -130,6 +130,38 @@ impl RouteKey {
             sub,
         }
     }
+
+    /// The key as one `u64` that sorts exactly as the key does, for a
+    /// barrier that compares keys in its inner loop. The class is the top
+    /// bit. Below it, a reply keeps its whole trigger, a delivered message
+    /// id under 2⁶³, and a broadcast keeps its processor (under 2³¹) above
+    /// its `sub` (the low 32 bits).
+    ///
+    /// # Panics
+    /// Panics, rather than wrap into another key's order, on a class other
+    /// than 0 and 1, a reply with a trigger of 2⁶³ or more or a nonzero
+    /// `sub`, and a broadcast with a trigger of 2³¹ or more.
+    #[inline]
+    pub fn packed(self) -> u64 {
+        const CLASS: u64 = 1 << 63;
+        match self.class {
+            0 => {
+                assert!(
+                    self.trigger < CLASS && self.sub == 0,
+                    "{self:?} does not pack: a reply's trigger is under 2^63 and its sub 0"
+                );
+                self.trigger
+            }
+            1 => {
+                assert!(
+                    self.trigger < 1 << 31,
+                    "{self:?} does not pack: a broadcast's trigger is under 2^31"
+                );
+                CLASS | self.trigger << 32 | u64::from(self.sub)
+            }
+            _ => panic!("{self:?} does not pack: the class is 0 or 1"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -173,5 +205,42 @@ mod tests {
         assert!(RouteKey::reply(1) < RouteKey::reply(2));
         assert!(RouteKey::broadcast(ProcId(1), 5) < RouteKey::broadcast(ProcId(2), 0));
         assert!(RouteKey::broadcast(ProcId(1), 0) < RouteKey::broadcast(ProcId(1), 1));
+    }
+
+    #[test]
+    fn packed_keys_sort_as_route_keys_do_and_panic_past_their_ranges() {
+        let key = |class, trigger, sub| RouteKey {
+            class,
+            trigger,
+            sub,
+        };
+        let mut keys = Vec::new();
+        for trigger in [0, 1, 2, (1 << 63) - 2, (1 << 63) - 1] {
+            keys.push(key(0, trigger, 0));
+        }
+        for trigger in [0, 1, 2, (1 << 31) - 2, (1 << 31) - 1] {
+            for sub in [0, 1, u32::MAX - 1, u32::MAX] {
+                keys.push(key(1, trigger, sub));
+            }
+        }
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(a.packed().cmp(&b.packed()), a.cmp(b), "{a:?} against {b:?}");
+            }
+        }
+        let past = [
+            key(0, 1 << 63, 0),
+            key(0, u64::MAX, 0),
+            key(0, 5, 1),
+            key(1, 1 << 31, 0),
+            key(1, u64::MAX, u32::MAX),
+            key(2, 0, 0),
+        ];
+        for key in past {
+            assert!(
+                std::panic::catch_unwind(|| key.packed()).is_err(),
+                "{key:?} packed"
+            );
+        }
     }
 }

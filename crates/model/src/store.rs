@@ -10,7 +10,9 @@
 //! [`View`] per instance (`Arc<View>`): answering a collect is a refcount
 //! bump ([`ReplicaStore::view_arc`]), and the slot array is only duplicated
 //! if the replica keeps absorbing writes while a snapshot is still alive
-//! (`Arc::make_mut`, one 8-cell block at a time). A requester keeps a reply
+//! (`Arc::make_mut`, one 8-cell block at a time; the first such write also
+//! copies the view's block table, ⌈n/8⌉ refcounted block pointers for `n`
+//! processor slots). A requester keeps a reply
 //! only for the call that collected it, so once every call of a run has
 //! returned, each store is again the one holder of its views. Both
 //! simulator engines and the sequential `SimMemory` adapter share this type.

@@ -43,7 +43,8 @@ use std::sync::Mutex;
 /// The recyclable buffers of one simulator instance.
 #[derive(Default)]
 pub struct SimArena {
-    /// The processor shells, message slab and batch, and event indexes.
+    /// The processor shells, message slab, batch and outbox, and event
+    /// indexes.
     pub(crate) core: QuorumCore,
     pub(crate) crashes: Vec<ProcId>,
     pub(crate) observations: Vec<ProcessObservation>,

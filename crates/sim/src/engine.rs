@@ -227,12 +227,7 @@ impl Network for Direct<'_> {
     ) -> Option<u32> {
         let id = MessageId(*self.next_message_id);
         *self.next_message_id += 1;
-        core.store(InFlightMessage {
-            id,
-            from,
-            to,
-            payload,
-        })
+        core.store(InFlightMessage::new(id, from, to, payload))
     }
 
     fn metrics(&mut self) -> &mut ExecutionMetrics {
@@ -526,7 +521,7 @@ impl Simulator {
         let mut deliveries: Vec<&InFlightMessage> = self
             .core
             .stored()
-            .filter(|message| !processes[message.to.index()].crashed)
+            .filter(|message| !processes[message.to().index()].crashed)
             .collect();
         deliveries.sort_by_key(|message| message.id);
         events.extend(deliveries.into_iter().map(InFlightMessage::to_event));
@@ -893,7 +888,7 @@ mod tests {
                 }
                 for message in sim.core.stored().filter(|m| m.id.0 >= first_new) {
                     if let WireMessage::CollectReply { view, .. } = &message.payload {
-                        let live = sim.core.process(message.from).replica.view_arc(instance);
+                        let live = sim.core.process(message.from()).replica.view_arc(instance);
                         assert!(Arc::ptr_eq(view, &live), "seed {seed}: {message}");
                         replies.insert(message.id, view.clone());
                         sent += 1;

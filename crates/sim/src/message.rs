@@ -21,25 +21,62 @@ impl fmt::Display for MessageId {
 
 /// A message that has been sent but not yet delivered.
 ///
-/// Every undelivered message of a run is one slab entry of this type, so it
-/// is kept to 48 bytes: the id, the two endpoints and the payload, nothing
-/// else. Adversaries see only [`InFlightMessage::to_event`]'s fields; an
-/// age-based policy can order by id, which is assigned in send order.
+/// Every undelivered message of a run is one slab or batch entry of this
+/// type, so it is kept to 40 bytes: the id, the payload and the two
+/// endpoints stored as `u32` (read them through [`InFlightMessage::from`]
+/// and [`InFlightMessage::to`]), nothing else. Adversaries see only
+/// [`InFlightMessage::to_event`]'s fields; an age-based policy can order by
+/// id, which is assigned in send order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InFlightMessage {
     /// The message identifier.
     pub id: MessageId,
-    /// Sender.
-    pub from: ProcId,
-    /// Recipient.
-    pub to: ProcId,
+    from: u32,
+    to: u32,
     /// Payload.
     pub payload: WireMessage,
 }
 
-const _: () = assert!(std::mem::size_of::<InFlightMessage>() <= 48);
+const _: () = assert!(std::mem::size_of::<InFlightMessage>() == 40);
+const _: () = assert!(std::mem::size_of::<Option<InFlightMessage>>() == 40);
+
+/// A message endpoint as messages store it.
+///
+/// # Panics
+/// Panics if the id does not fit in `u32`; it never wraps.
+#[inline]
+pub(crate) fn endpoint(proc: ProcId) -> u32 {
+    u32::try_from(proc.index())
+        .unwrap_or_else(|_| panic!("{proc} does not fit a message endpoint, which is u32"))
+}
 
 impl InFlightMessage {
+    /// The message `id` from `from` to `to`.
+    ///
+    /// # Panics
+    /// Panics if an endpoint's id does not fit in `u32`.
+    #[inline]
+    pub fn new(id: MessageId, from: ProcId, to: ProcId, payload: WireMessage) -> Self {
+        InFlightMessage {
+            id,
+            from: endpoint(from),
+            to: endpoint(to),
+            payload,
+        }
+    }
+
+    /// Sender.
+    #[inline]
+    pub fn from(&self) -> ProcId {
+        ProcId(self.from as usize)
+    }
+
+    /// Recipient.
+    #[inline]
+    pub fn to(&self) -> ProcId {
+        ProcId(self.to as usize)
+    }
+
     /// Whether the payload is a request (propagate or collect).
     pub fn is_request(&self) -> bool {
         self.payload.is_request()
@@ -55,8 +92,8 @@ impl InFlightMessage {
     pub fn to_event(&self) -> crate::observation::EnabledEvent {
         crate::observation::EnabledEvent::Deliver {
             id: self.id,
-            from: self.from,
-            to: self.to,
+            from: self.from(),
+            to: self.to(),
             is_request: self.is_request(),
         }
     }
@@ -64,7 +101,8 @@ impl InFlightMessage {
 
 impl fmt::Display for InFlightMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}→{} {}", self.id, self.from, self.to, self.payload)
+        let (from, to) = (self.from(), self.to());
+        write!(f, "{} {from}→{to} {}", self.id, self.payload)
     }
 }
 
@@ -169,12 +207,8 @@ mod tests {
     use super::*;
 
     fn message(id: u64) -> InFlightMessage {
-        InFlightMessage {
-            id: MessageId(id),
-            from: ProcId(0),
-            to: ProcId(1),
-            payload: WireMessage::Ack { seq: id as u32 },
-        }
+        let payload = WireMessage::Ack { seq: id as u32 };
+        InFlightMessage::new(MessageId(id), ProcId(0), ProcId(1), payload)
     }
 
     #[test]
@@ -196,15 +230,31 @@ mod tests {
 
     #[test]
     fn classification_follows_payload() {
-        let msg = InFlightMessage {
-            id: MessageId(1),
-            from: ProcId(0),
-            to: ProcId(1),
-            payload: WireMessage::Ack { seq: 3 },
-        };
+        let msg = InFlightMessage::new(
+            MessageId(1),
+            ProcId(0),
+            ProcId(1),
+            WireMessage::Ack { seq: 3 },
+        );
         assert!(msg.is_reply());
         assert!(!msg.is_request());
         assert!(msg.to_string().contains("p0→p1"));
+    }
+
+    #[test]
+    fn endpoints_keep_u32_ids_and_panic_past_them() {
+        let top = ProcId(u32::MAX as usize);
+        let msg = InFlightMessage::new(MessageId(0), top, ProcId(0), WireMessage::Ack { seq: 1 });
+        assert_eq!((msg.from(), msg.to()), (top, ProcId(0)));
+        let past = ProcId(u32::MAX as usize + 1);
+        let ack = || WireMessage::Ack { seq: 1 };
+        let from =
+            std::panic::catch_unwind(|| InFlightMessage::new(MessageId(0), past, top, ack()));
+        let to = std::panic::catch_unwind(|| InFlightMessage::new(MessageId(0), top, past, ack()));
+        assert!(
+            from.is_err() && to.is_err(),
+            "an endpoint past u32 must not wrap"
+        );
     }
 
     #[test]

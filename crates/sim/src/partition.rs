@@ -27,7 +27,11 @@
 //!    message id for replies, the stepping processor for broadcasts), so the
 //!    id sequence is independent of the partition count — and in this
 //!    canonical mode it reproduces the sequential engine's send order
-//!    exactly.
+//!    exactly. Each outbox is already key-sorted, so the merge moves runs:
+//!    the outbox with the smallest head gives up every entry below the other
+//!    heads at once, keys (packed into a `u64`) are compared only where
+//!    outboxes interleave, and each message moves once. A recipient's
+//!    partition is found by comparing with the partitions' range ends.
 //!
 //! The same schedule can be driven through the sequential [`crate::Simulator`]
 //! by the [`SuperRoundAdversary`], which is how the differential tests pin the
@@ -58,7 +62,8 @@
 //! partitioning changes:
 //!
 //! * where a send goes: into the partition's outbox with a [`RouteKey`],
-//!   for the barrier to number and route;
+//!   for the barrier to number and route (the outbox sits in the core, so
+//!   its allocation is recycled with the batch's);
 //! * where a routed message waits: a canonical round drains it from the
 //!   core's batch, a plain id-ordered buffer, because nobody picks among
 //!   its messages; an adversarial round keeps the core's slab and its
@@ -73,7 +78,7 @@ use crate::adversary::Adversary;
 use crate::arena::SimArena;
 use crate::engine::SimConfig;
 use crate::error::SimError;
-use crate::message::{InFlightMessage, MessageId};
+use crate::message::{endpoint, InFlightMessage, MessageId};
 use crate::observation::{
     Decision, EnabledEvent, EnabledEvents, ProcessObservation, ProcessPhase, SystemObservation,
 };
@@ -182,12 +187,104 @@ impl RoundCrashPlan {
 // ---------------------------------------------------------------------------
 
 /// A message leaving a partition during a round, waiting for the barrier to
-/// assign it a global id and route it.
-struct Outbound {
-    key: RouteKey,
-    from: ProcId,
-    to: ProcId,
+/// assign it a global id and route it. 40 bytes, like the
+/// [`InFlightMessage`] it becomes: the [`RouteKey`] packed into a `u64`
+/// ([`RouteKey::packed`]), the endpoints as `u32`.
+pub(crate) struct Outbound {
+    key: u64,
+    from: u32,
+    to: u32,
     payload: WireMessage,
+}
+
+const _: () = assert!(std::mem::size_of::<Outbound>() == 40);
+
+impl Outbound {
+    /// # Panics
+    /// Panics if the key does not pack or an endpoint does not fit `u32`.
+    #[inline]
+    fn new(key: RouteKey, from: ProcId, to: ProcId, payload: WireMessage) -> Self {
+        Outbound {
+            key: key.packed(),
+            from: endpoint(from),
+            to: endpoint(to),
+            payload,
+        }
+    }
+
+    /// The message under the global id the barrier assigned it.
+    #[inline]
+    fn numbered(self, id: u64) -> InFlightMessage {
+        let (from, to) = (ProcId(self.from as usize), ProcId(self.to as usize));
+        InFlightMessage::new(MessageId(id), from, to, self.payload)
+    }
+}
+
+/// Barrier, part 3's merge: hand every entry of `outboxes` to `route`, in
+/// key order, with its recipient's partition. Each outbox must ascend by
+/// key, and no key may be in two outboxes (a key names the event that
+/// triggered the send). The outboxes are left empty, their capacity kept.
+///
+/// The merge moves runs, not single messages: the outbox with the smallest
+/// head gives up, at once, every entry below the smallest head of the
+/// others ([`run_below`]), so keys are compared only where outboxes
+/// interleave, and the last outbox with entries moves without a
+/// comparison. The recipient's partition is the number of `ends` at or
+/// below it: `ends` holds every partition's range end but the last's, so
+/// routing compares and never divides.
+fn merge_outboxes(
+    outboxes: &mut [Vec<Outbound>],
+    ends: &[u32],
+    mut route: impl FnMut(usize, Outbound),
+) {
+    let mut heads: Vec<_> = outboxes.iter_mut().map(|outbox| outbox.drain(..)).collect();
+    loop {
+        // The smallest head, and the smallest head of the other outboxes.
+        let (mut first, mut bound) = (None, None);
+        for (part, head) in heads.iter().enumerate() {
+            let Some(key) = head.as_slice().first().map(|out| out.key) else {
+                continue;
+            };
+            match first {
+                Some((min, _)) if min < key => {
+                    bound = Some(bound.map_or(key, |bound: u64| bound.min(key)));
+                }
+                _ => {
+                    bound = first.map(|(min, _)| min);
+                    first = Some((key, part));
+                }
+            }
+        }
+        let Some((_, part)) = first else { break };
+        let head = &mut heads[part];
+        let run = bound.map_or(head.len(), |bound| run_below(head.as_slice(), bound));
+        for out in head.by_ref().take(run) {
+            let to = out.to;
+            route(ends.partition_point(|&end| end <= to), out);
+        }
+    }
+}
+
+/// The `ends` of [`merge_outboxes`]: every partition's range end but the
+/// last's, ascending.
+fn range_ends(map: &PartitionMap) -> Vec<u32> {
+    (1..map.partitions())
+        .map(|part| endpoint(ProcId(map.range_of(part).start)))
+        .collect()
+}
+
+/// How many of `outs`, which ascend by key from a first key below `bound`,
+/// have keys below `bound`: an exponential search from the front, so a run
+/// of `r` entries costs about 2·log₂ `r` comparisons however long `outs`
+/// is.
+fn run_below(outs: &[Outbound], bound: u64) -> usize {
+    let mut end = 1;
+    while end < outs.len() && outs[end].key < bound {
+        end *= 2;
+    }
+    // Every entry up to `end / 2` is below `bound`.
+    let known = end / 2 + 1;
+    known + outs[known..end.min(outs.len())].partition_point(|out| out.key < bound)
 }
 
 /// An interval/outcome event observed by a worker mid-round; the leader
@@ -220,8 +317,6 @@ struct PartitionEngine {
     /// Local crash log (adversarial mode; canonical crashes are applied and
     /// logged by the leader).
     crashes: Vec<ProcId>,
-    /// Messages sent this round, in [`RouteKey`] order by construction.
-    outbox: Vec<Outbound>,
     markers: Vec<Marker>,
     /// `Deliver` trace events of this round, ascending message id
     /// (canonical mode; merged by id across partitions at the barrier).
@@ -246,10 +341,9 @@ struct PartitionEngine {
     arena_reuses: u64,
 }
 
-/// A partition's [`Network`]: every send goes to the outbox, keyed for the
-/// barrier, and becomes deliverable only next round.
+/// A partition's [`Network`]: every send goes to the core's outbox, keyed
+/// for the barrier, and becomes deliverable only next round.
 struct Outgoing<'a> {
-    outbox: &'a mut Vec<Outbound>,
     metrics: &'a mut ExecutionMetrics,
     /// Whether keys must arrive in ascending order: the canonical phase
     /// order (all deliveries, then step-runs in ascending processor order)
@@ -259,24 +353,22 @@ struct Outgoing<'a> {
 }
 
 impl Network for Outgoing<'_> {
+    #[inline]
     fn send(
         &mut self,
-        _core: &mut QuorumCore,
+        core: &mut QuorumCore,
         key: RouteKey,
         from: ProcId,
         to: ProcId,
         payload: WireMessage,
     ) -> Option<u32> {
+        let out = Outbound::new(key, from, to, payload);
+        let outbox = core.outbox();
         debug_assert!(
-            !self.ascending || self.outbox.last().is_none_or(|last| last.key < key),
+            !self.ascending || outbox.last().is_none_or(|last| last.key < out.key),
             "outbox keys must be generated in strictly ascending order"
         );
-        self.outbox.push(Outbound {
-            key,
-            from,
-            to,
-            payload,
-        });
+        outbox.push(out);
         None
     }
 
@@ -301,7 +393,6 @@ impl PartitionEngine {
             core,
             metrics: ExecutionMetrics::default(),
             crashes,
-            outbox: Vec::new(),
             markers: Vec::new(),
             trace_deliver: Vec::new(),
             trace_other: Vec::new(),
@@ -321,7 +412,6 @@ impl PartitionEngine {
         (
             &mut self.core,
             Outgoing {
-                outbox: &mut self.outbox,
                 metrics: &mut self.metrics,
                 ascending: self.adversary.is_none(),
             },
@@ -335,7 +425,6 @@ impl PartitionEngine {
         let mut delivered = 0;
         let (record_trace, trace) = (self.record_trace, &mut self.trace_deliver);
         let mut net = Outgoing {
-            outbox: &mut self.outbox,
             metrics: &mut self.metrics,
             ascending: true,
         };
@@ -404,7 +493,7 @@ impl PartitionEngine {
         // processor sends at most one broadcast batch per round, since a
         // fresh communicate call cannot complete before the next barrier),
         // so this sort is deterministic regardless of adversary order.
-        self.outbox.sort_by_key(|out| out.key);
+        self.core.outbox().sort_unstable_by_key(|out| out.key);
     }
 
     /// Adversarial-mode crash: victims must be local, and the partition pays
@@ -516,6 +605,9 @@ enum RoundMode {
 pub struct ParallelSimulator {
     config: SimConfig,
     map: PartitionMap,
+    /// Every partition's range end but the last's, ascending: the barrier
+    /// routes a message to the number of them at or below its recipient.
+    ends: Vec<u32>,
     engines: Vec<PartitionEngine>,
     workers: usize,
     mode: RoundMode,
@@ -541,6 +633,7 @@ impl ParallelSimulator {
         );
         config.partitions = config.partitions.clamp(1, config.n);
         let map = PartitionMap::new(config.n, config.partitions);
+        let ends = range_ends(&map);
         let engines = (0..map.partitions())
             .map(|part| PartitionEngine::new(part, &map, &config))
             .collect();
@@ -551,6 +644,7 @@ impl ParallelSimulator {
         };
         ParallelSimulator {
             map,
+            ends,
             engines,
             workers: 0,
             mode: RoundMode::Canonical {
@@ -888,51 +982,32 @@ impl ParallelSimulator {
             }
         }
 
-        // Barrier, part 3: merge the outboxes in RouteKey order, assign
-        // global message ids, and hand each message to its recipient's core:
-        // onto its batch in canonical mode, into its slab in adversarial
-        // mode (the core drops those addressed to crashed processors). Each
-        // outbox is already key-sorted (keys are generated in ascending
-        // trigger order), so this is a p-way merge.
+        // Barrier, part 3: merge the outboxes in key order, assign global
+        // message ids in that order, and hand each message to its
+        // recipient's core: onto its batch in canonical mode, into its slab
+        // in adversarial mode (the core drops those addressed to crashed
+        // processors).
         let mut outboxes: Vec<Vec<Outbound>> = self
             .engines
             .iter_mut()
-            .map(|e| std::mem::take(&mut e.outbox))
+            .map(|e| std::mem::take(e.core.outbox()))
             .collect();
-        let mut heads: Vec<_> = outboxes
-            .iter_mut()
-            .map(|outbox| outbox.drain(..).peekable())
-            .collect();
-        let mut routed = 0u64;
-        loop {
-            let mut best: Option<(RouteKey, usize)> = None;
-            for (part, head) in heads.iter_mut().enumerate() {
-                if let Some(out) = head.peek() {
-                    if best.is_none_or(|(key, _)| out.key < key) {
-                        best = Some((out.key, part));
-                    }
-                }
-            }
-            let Some((_, part)) = best else { break };
-            let out = heads[part].next().expect("the head just peeked");
-            let message = InFlightMessage {
-                id: MessageId(self.next_message_id),
-                from: out.from,
-                to: out.to,
-                payload: out.payload,
-            };
-            self.next_message_id += 1;
-            let core = &mut self.engines[self.map.partition_of(out.to)].core;
+        let (engines, first_id) = (&mut self.engines, self.next_message_id);
+        let mut next_id = first_id;
+        merge_outboxes(&mut outboxes, &self.ends, |part, out| {
+            let message = out.numbered(next_id);
+            next_id += 1;
+            let core = &mut engines[part].core;
             if adversarial {
                 core.store(message);
             } else {
                 core.enqueue(message);
             }
-            routed += 1;
-        }
-        drop(heads);
+        });
+        let routed = next_id - first_id;
+        self.next_message_id = next_id;
         for (engine, outbox) in self.engines.iter_mut().zip(outboxes) {
-            engine.outbox = outbox;
+            *engine.core.outbox() = outbox;
         }
 
         if d_total + s_total == 0 && crashes_this_round == 0 && routed == 0 && self.live() > 0 {
@@ -1148,6 +1223,73 @@ mod tests {
             }
         }
         sim.finish().crashed.len()
+    }
+
+    #[test]
+    fn the_barrier_routes_in_key_order_to_each_recipients_partition() {
+        let mut state = 0x5eed;
+        let mut below = |bound: usize| {
+            state = splitmix64(state);
+            (state % bound as u64) as usize
+        };
+        for parts in [1, 2, 3, 5, 8] {
+            for case in 0..50 {
+                let n = parts + below(300);
+                let map = PartitionMap::new(n, parts);
+                let mut outboxes: Vec<Vec<Outbound>> = (0..parts).map(|_| Vec::new()).collect();
+                // Some cases leave one outbox empty; the rest get the round's
+                // keys in ascending order: replies dealt one at a time to
+                // random outboxes (interleaved, often one-entry runs), then
+                // broadcasts, each whole to one outbox, either its sender's
+                // partition (a long run) or a random one.
+                let empty = if case % 3 == 0 { below(parts) } else { parts };
+                let mut deal = |key: RouteKey, part: usize, to: usize| {
+                    let part = if part == empty {
+                        (part + 1) % parts
+                    } else {
+                        part
+                    };
+                    let ack = WireMessage::Ack { seq: 0 };
+                    outboxes[part].push(Outbound::new(key, ProcId(0), ProcId(to), ack));
+                };
+                let mut id = 0;
+                for _ in 0..below(4 * n) {
+                    id += 1 + below(3) as u64;
+                    deal(RouteKey::reply(id), below(parts), below(n));
+                }
+                for proc in 0..n {
+                    if below(4) != 0 {
+                        continue;
+                    }
+                    let home = if below(2) == 0 {
+                        map.partition_of(ProcId(proc))
+                    } else {
+                        below(parts)
+                    };
+                    for sub in 0..below(n) {
+                        deal(
+                            RouteKey::broadcast(ProcId(proc), sub as u32),
+                            home,
+                            below(n),
+                        );
+                    }
+                }
+                let mut expected: Vec<(u64, u32)> = outboxes
+                    .iter()
+                    .flatten()
+                    .map(|out| (out.key, out.to))
+                    .collect();
+                expected.sort_unstable();
+                let mut routed = Vec::new();
+                merge_outboxes(&mut outboxes, &range_ends(&map), |part, out| {
+                    let owner = map.partition_of(ProcId(out.to as usize));
+                    assert_eq!(part, owner, "p={parts}, n={n}, case {case}");
+                    routed.push((out.key, out.to));
+                });
+                assert_eq!(routed, expected, "p={parts}, n={n}, case {case}");
+                assert!(outboxes.iter().all(Vec::is_empty));
+            }
+        }
     }
 
     #[test]

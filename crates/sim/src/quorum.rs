@@ -28,6 +28,10 @@
 //!   one barrier, so such a reply arrived after its quorum formed earlier in
 //!   the same drain: it is exactly one the purge would have removed.
 //!
+//! A partition's core also holds the partition's outbox, the round's sends
+//! before the barrier numbers and routes them, so that its allocation is
+//! recycled through the arena with the batch's.
+//!
 //! Two rules hold for every stored message, in either store. The tests
 //! check them after every event of the sequential engine and after every
 //! round of the partitioned one, crash-heavy runs included:
@@ -47,7 +51,7 @@ use crate::error::SimError;
 use crate::event_set::{IndexedBitSet, OrderedMsgSet};
 use crate::message::{InFlightMessage, MessageId, MessageSlab};
 use crate::observation::{EnabledEvents, SystemObservation};
-use crate::partition::{coin_bool, coin_word};
+use crate::partition::{coin_bool, coin_word, Outbound};
 use crate::process::{PendingWork, SimProcess};
 use fle_model::wire::CallSeq;
 use fle_model::{
@@ -127,6 +131,10 @@ pub(crate) struct QuorumCore {
     /// The messages a canonical barrier routed to this core's processors,
     /// ascending by id, for the next round to drain.
     batch: Vec<InFlightMessage>,
+    /// A partition's sends of the current round, for the barrier to number
+    /// and route; kept here so that its allocation is recycled with the
+    /// batch's.
+    outbox: Vec<Outbound>,
     /// Step-enabled processors. Indexed by **global** processor id (only
     /// this core's bits are ever set), so enabled-event views hand
     /// adversaries global `ProcId`s.
@@ -151,6 +159,7 @@ impl QuorumCore {
         self.seed = config.seed;
         self.slab.clear();
         self.batch.clear();
+        self.outbox.clear();
         self.enabled_msgs.clear();
         self.enabled_steps.reset(config.n);
         self.live = 0;
@@ -170,6 +179,7 @@ impl QuorumCore {
     pub(crate) fn clear(&mut self) {
         self.slab.clear();
         self.batch.clear();
+        self.outbox.clear();
         self.enabled_msgs.clear();
         for process in &mut self.processes {
             process.recycle(process.id);
@@ -207,6 +217,12 @@ impl QuorumCore {
     pub(crate) fn stored(&self) -> impl Iterator<Item = &InFlightMessage> {
         let slab = self.slab.iter().map(|(_, message)| message);
         slab.chain(&self.batch)
+    }
+
+    /// The partitioned engine's outbox for this core's processors.
+    #[inline]
+    pub(crate) fn outbox(&mut self) -> &mut Vec<Outbound> {
+        &mut self.outbox
     }
 
     /// Registered participants that have neither crashed nor returned.
@@ -313,7 +329,7 @@ impl QuorumCore {
                     .slab
                     .get(slot)
                     .expect("enabled message indexes a live slab slot");
-                message.to == victim
+                message.to() == victim
             })
             .collect();
         for slot in doomed {
@@ -337,11 +353,11 @@ impl QuorumCore {
     /// it. A message to a crashed processor is dropped instead.
     #[inline]
     pub(crate) fn store(&mut self, message: InFlightMessage) -> Option<u32> {
-        debug_assert!(self.owns(message.to), "message stored at the wrong core");
-        if self.process(message.to).crashed {
+        let (id, to, is_reply) = (message.id, message.to(), message.is_reply());
+        debug_assert!(self.owns(to), "message stored at the wrong core");
+        if self.process(to).crashed {
             return None;
         }
-        let (id, to, is_reply) = (message.id, message.to, message.is_reply());
         let slot = self.slab.insert(message);
         if is_reply {
             self.process_mut(to).call_msgs.push(slot);
@@ -355,12 +371,12 @@ impl QuorumCore {
     /// processor is dropped instead.
     #[inline]
     pub(crate) fn enqueue(&mut self, message: InFlightMessage) {
-        debug_assert!(self.owns(message.to), "message batched at the wrong core");
+        debug_assert!(self.owns(message.to()), "message batched at the wrong core");
         debug_assert!(
             self.batch.last().is_none_or(|last| last.id < message.id),
             "batched ids must ascend"
         );
-        if !self.process(message.to).crashed {
+        if !self.process(message.to()).crashed {
             self.batch.push(message);
         }
     }
@@ -449,7 +465,10 @@ impl QuorumCore {
                     PendingWork::LocalResponse(Response::Chosen(chosen));
             }
             Action::Return(outcome) => {
-                self.process_mut(proc).pending = PendingWork::Finished(outcome);
+                // A returned processor calls no more: its list goes.
+                let process = self.process_mut(proc);
+                process.pending = PendingWork::Finished(outcome);
+                process.call_msgs = Vec::new();
                 self.live -= 1;
                 stepped.returned = Some(outcome);
             }
@@ -491,13 +510,12 @@ impl QuorumCore {
 
     fn start_collect<N: Network>(&mut self, net: &mut N, proc: ProcId, instance: InstanceId) {
         let (seq, seen) = self.open_call(net, proc);
+        // Room for the whole quorum up front: the call completes with
+        // exactly that many views.
+        let mut views = Vec::with_capacity(self.quorum);
         let process = self.process_mut(proc);
-        let own_view = process.replica.view_arc(instance);
-        process.pending = PendingWork::AwaitingViews {
-            seq,
-            views: vec![(proc, own_view)],
-            seen,
-        };
+        views.push((proc, process.replica.view_arc(instance)));
+        process.pending = PendingWork::AwaitingViews { seq, views, seen };
         self.broadcast(net, proc, WireMessage::Collect { seq, instance });
     }
 
@@ -535,20 +553,22 @@ impl QuorumCore {
     /// message. A listed slot may have been delivered and re-used by an
     /// unrelated message in the meantime; the sequence-number-and-direction
     /// check rejects those, because sequence numbers are scoped to their
-    /// caller.
+    /// caller. The emptied list goes back to the caller, allocation and all,
+    /// for its next call.
     fn purge_completed_call(&mut self, caller: ProcId, seq: CallSeq) {
-        let candidates = std::mem::take(&mut self.process_mut(caller).call_msgs);
-        for slot in candidates {
+        let mut candidates = std::mem::take(&mut self.process_mut(caller).call_msgs);
+        for slot in candidates.drain(..) {
             let Some(message) = self.slab.get(slot) else {
                 continue;
             };
             let belongs_to_call = message.payload.seq() == seq
-                && ((message.from == caller && message.is_request())
-                    || (message.to == caller && message.is_reply()));
+                && ((message.from() == caller && message.is_request())
+                    || (message.to() == caller && message.is_reply()));
             if belongs_to_call {
                 self.remove(slot);
             }
         }
+        self.process_mut(caller).call_msgs = candidates;
     }
 
     /// Deliver the enabled message in `slot` and purge the leftovers of the
@@ -583,7 +603,7 @@ impl QuorumCore {
     ) {
         let mut batch = std::mem::take(&mut self.batch);
         for message in batch.drain(..) {
-            let recipient = self.process(message.to);
+            let recipient = self.process(message.to());
             let stale = recipient.crashed
                 || (message.is_reply() && !recipient.awaits(message.payload.seq()));
             if stale {
@@ -606,12 +626,8 @@ impl QuorumCore {
         net: &mut N,
         message: InFlightMessage,
     ) -> ((MessageId, ProcId, ProcId), Option<CallSeq>) {
-        let InFlightMessage {
-            id,
-            from,
-            to,
-            payload,
-        } = message;
+        let (id, from, to) = (message.id, message.from(), message.to());
+        let payload = message.payload;
         net.metrics().proc_mut(to).messages_received += 1;
         debug_assert!(
             !self.process(to).crashed,
@@ -690,6 +706,83 @@ pub(crate) mod tests {
         }
     }
 
+    /// Stores every send in the slab at once, as the sequential engine does.
+    struct Direct {
+        next_id: u64,
+        metrics: ExecutionMetrics,
+    }
+
+    impl Network for Direct {
+        fn send(
+            &mut self,
+            core: &mut QuorumCore,
+            _key: RouteKey,
+            from: ProcId,
+            to: ProcId,
+            payload: WireMessage,
+        ) -> Option<u32> {
+            self.next_id += 1;
+            core.store(InFlightMessage::new(
+                MessageId(self.next_id),
+                from,
+                to,
+                payload,
+            ))
+        }
+
+        fn metrics(&mut self) -> &mut ExecutionMetrics {
+            &mut self.metrics
+        }
+    }
+
+    #[test]
+    fn a_processors_second_call_reuses_its_call_msgs_allocation_until_it_returns() {
+        let (n, caller) = (9, ProcId(0));
+        let mut core = QuorumCore::default();
+        core.reset(0..n, &SimConfig::new(n));
+        core.register(caller, Chatter::boxed(caller, 2)).unwrap();
+        let mut net = Direct {
+            next_id: 0,
+            metrics: ExecutionMetrics::default(),
+        };
+        // Deliver until the call has its quorum and its leftovers are purged.
+        let complete = |core: &mut QuorumCore, net: &mut Direct| {
+            while !core.process(caller).step_enabled() {
+                let Some(Scheduled::Deliver(slot)) = core.resolve(0) else {
+                    panic!("the call's messages are enabled");
+                };
+                core.deliver(net, slot);
+            }
+        };
+        core.step(&mut net, caller, 0);
+        assert_eq!(core.process(caller).call_msgs.len(), n - 1, "its requests");
+        complete(&mut core, &mut net);
+        let kept = &core.process(caller).call_msgs;
+        assert!(
+            kept.is_empty() && kept.capacity() >= n - 1,
+            "the purge keeps the list"
+        );
+        let allocation = kept.as_ptr();
+        core.step(&mut net, caller, 1);
+        assert_eq!(
+            core.process(caller).call_msgs.len(),
+            n - 1,
+            "its collect's requests"
+        );
+        assert_eq!(core.process(caller).call_msgs.as_ptr(), allocation);
+        complete(&mut core, &mut net);
+        core.step(&mut net, caller, 2);
+        assert!(
+            core.process(caller).outcome().is_some(),
+            "two calls, then it returns"
+        );
+        assert_eq!(
+            core.process(caller).call_msgs.capacity(),
+            0,
+            "a returned caller keeps none"
+        );
+    }
+
     /// Every view in every replica of `core` is held by its store alone: no
     /// reply or collected response still pins a snapshot, so a later write
     /// would copy no block.
@@ -716,13 +809,13 @@ pub(crate) mod tests {
     pub(crate) fn assert_stored_traffic_is_live(core: &QuorumCore, context: &str, events: u64) {
         for message in core.stored() {
             assert!(
-                !core.process(message.to).crashed,
+                !core.process(message.to()).crashed,
                 "{context}, after {events} events: {message} is addressed to a crashed processor"
             );
             let caller = if message.is_request() {
-                message.from
+                message.from()
             } else {
-                message.to
+                message.to()
             };
             assert!(
                 !core.owns(caller) || core.process(caller).awaits(message.payload.seq()),
