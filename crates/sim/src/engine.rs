@@ -520,7 +520,7 @@ impl Simulator {
             .collect();
         let mut deliveries: Vec<&InFlightMessage> = self
             .core
-            .stored()
+            .slab_messages()
             .filter(|message| !processes[message.to().index()].crashed)
             .collect();
         deliveries.sort_by_key(|message| message.id);

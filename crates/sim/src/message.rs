@@ -22,7 +22,8 @@ impl fmt::Display for MessageId {
 /// A message that has been sent but not yet delivered.
 ///
 /// Every undelivered message of a run is one slab or batch entry of this
-/// type, so it is kept to 40 bytes: the id, the payload and the two
+/// type (a partition batches a broadcast's requests as one entry, a
+/// record), so it is kept to 40 bytes: the id, the payload and the two
 /// endpoints stored as `u32` (read them through [`InFlightMessage::from`]
 /// and [`InFlightMessage::to`]), nothing else. Adversaries see only
 /// [`InFlightMessage::to_event`]'s fields; an age-based policy can order by

@@ -27,10 +27,13 @@
 //!    message id for replies, the stepping processor for broadcasts), so the
 //!    id sequence is independent of the partition count — and in this
 //!    canonical mode it reproduces the sequential engine's send order
-//!    exactly. Each outbox is already key-sorted, so the merge moves runs:
-//!    the outbox with the smallest head gives up every entry below the other
+//!    exactly. A broadcast is one outbox entry, a *record*: it takes the
+//!    `n − 1` consecutive ids of its requests, and each partition that holds
+//!    a target batches it once, for the next drain to expand (`quorum.rs`).
+//!    Each outbox is already key-sorted, so the merge moves runs: the
+//!    outbox with the smallest head gives up every entry below the other
 //!    heads at once, keys (packed into a `u64`) are compared only where
-//!    outboxes interleave, and each message moves once. A recipient's
+//!    outboxes interleave, and each entry moves once. A recipient's
 //!    partition is found by comparing with the partitions' range ends.
 //!
 //! The same schedule can be driven through the sequential [`crate::Simulator`]
@@ -62,8 +65,9 @@
 //! partitioning changes:
 //!
 //! * where a send goes: into the partition's outbox with a [`RouteKey`],
-//!   for the barrier to number and route (the outbox sits in the core, so
-//!   its allocation is recycled with the batch's);
+//!   for the barrier to number and route, a broadcast as one record (the
+//!   outbox sits in the core, so its allocation is recycled with the
+//!   batch's);
 //! * where a routed message waits: a canonical round drains it from the
 //!   core's batch, a plain id-ordered buffer, because nobody picks among
 //!   its messages; an adversarial round keeps the core's slab and its
@@ -186,10 +190,10 @@ impl RoundCrashPlan {
 // Per-partition engine
 // ---------------------------------------------------------------------------
 
-/// A message leaving a partition during a round, waiting for the barrier to
-/// assign it a global id and route it. 40 bytes, like the
-/// [`InFlightMessage`] it becomes: the [`RouteKey`] packed into a `u64`
-/// ([`RouteKey::packed`]), the endpoints as `u32`.
+/// A message or a broadcast record leaving a partition during a round,
+/// waiting for the barrier to assign it global ids and route it. 40 bytes,
+/// like the [`InFlightMessage`] it becomes: the [`RouteKey`] packed into a
+/// `u64` ([`RouteKey::packed`]), the endpoints as `u32`.
 pub(crate) struct Outbound {
     key: u64,
     from: u32,
@@ -212,7 +216,8 @@ impl Outbound {
         }
     }
 
-    /// The message under the global id the barrier assigned it.
+    /// The message under the global id the barrier assigned it (a record
+    /// under the first of its ids).
     #[inline]
     fn numbered(self, id: u64) -> InFlightMessage {
         let (from, to) = (ProcId(self.from as usize), ProcId(self.to as usize));
@@ -220,23 +225,32 @@ impl Outbound {
     }
 }
 
-/// Barrier, part 3's merge: hand every entry of `outboxes` to `route`, in
-/// key order, with its recipient's partition. Each outbox must ascend by
-/// key, and no key may be in two outboxes (a key names the event that
-/// triggered the send). The outboxes are left empty, their capacity kept.
+/// Barrier, part 3's merge: number every entry of `outboxes` in key order,
+/// from `next_id` on, and hand it to `route` with the partition it goes to.
+/// Each outbox must ascend by key, and no key may be in two outboxes (a key
+/// names the event that triggered the send). The outboxes are left empty,
+/// their capacity kept.
 ///
-/// The merge moves runs, not single messages: the outbox with the smallest
+/// `ends` holds every partition's range end, ascending, so the last is `n`.
+/// A message takes the next id and goes to its recipient's partition: the
+/// number of `ends` at or below the recipient, so routing compares and
+/// never divides. A broadcast record (a request: `quorum.rs`) takes the
+/// `n − 1` ids of the requests it stands for and goes, under the first, to
+/// every partition that holds one of its targets: every partition but one
+/// that holds the sender alone.
+///
+/// The merge moves runs, not single entries: the outbox with the smallest
 /// head gives up, at once, every entry below the smallest head of the
 /// others ([`run_below`]), so keys are compared only where outboxes
 /// interleave, and the last outbox with entries moves without a
-/// comparison. The recipient's partition is the number of `ends` at or
-/// below it: `ends` holds every partition's range end but the last's, so
-/// routing compares and never divides.
+/// comparison.
 fn merge_outboxes(
     outboxes: &mut [Vec<Outbound>],
     ends: &[u32],
-    mut route: impl FnMut(usize, Outbound),
+    next_id: &mut u64,
+    mut route: impl FnMut(usize, InFlightMessage),
 ) {
+    let requests = u64::from(ends[ends.len() - 1]) - 1;
     let mut heads: Vec<_> = outboxes.iter_mut().map(|outbox| outbox.drain(..)).collect();
     loop {
         // The smallest head, and the smallest head of the other outboxes.
@@ -259,17 +273,32 @@ fn merge_outboxes(
         let head = &mut heads[part];
         let run = bound.map_or(head.len(), |bound| run_below(head.as_slice(), bound));
         for out in head.by_ref().take(run) {
-            let to = out.to;
-            route(ends.partition_point(|&end| end <= to), out);
+            let id = *next_id;
+            if out.payload.is_request() {
+                *next_id += requests;
+                let sender = out.from;
+                let record = out.numbered(id);
+                let mut start = 0;
+                for (part, &end) in ends.iter().enumerate() {
+                    if end - start > 1 || start != sender {
+                        route(part, record.clone());
+                    }
+                    start = end;
+                }
+            } else {
+                *next_id += 1;
+                let to = out.to;
+                route(ends.partition_point(|&end| end <= to), out.numbered(id));
+            }
         }
     }
 }
 
-/// The `ends` of [`merge_outboxes`]: every partition's range end but the
-/// last's, ascending.
+/// The `ends` of [`merge_outboxes`]: every partition's range end,
+/// ascending.
 fn range_ends(map: &PartitionMap) -> Vec<u32> {
-    (1..map.partitions())
-        .map(|part| endpoint(ProcId(map.range_of(part).start)))
+    (0..map.partitions())
+        .map(|part| endpoint(ProcId(map.range_of(part).end)))
         .collect()
 }
 
@@ -370,6 +399,13 @@ impl Network for Outgoing<'_> {
         );
         outbox.push(out);
         None
+    }
+
+    /// One outbox entry for all the requests: a record under the key of
+    /// the first, addressed to its sender.
+    #[inline]
+    fn broadcast(&mut self, core: &mut QuorumCore, from: ProcId, request: WireMessage) {
+        self.send(core, RouteKey::broadcast(from, 0), from, from, request);
     }
 
     fn metrics(&mut self) -> &mut ExecutionMetrics {
@@ -605,10 +641,13 @@ enum RoundMode {
 pub struct ParallelSimulator {
     config: SimConfig,
     map: PartitionMap,
-    /// Every partition's range end but the last's, ascending: the barrier
-    /// routes a message to the number of them at or below its recipient.
+    /// Every partition's range end, ascending: the barrier routes a message
+    /// to the number of them at or below its recipient.
     ends: Vec<u32>,
     engines: Vec<PartitionEngine>,
+    /// Worker threads for the round bodies, 0 until the first round with
+    /// more than one partition resolves the default: the OS is asked for
+    /// the CPU count once per simulator, not once per round.
     workers: usize,
     mode: RoundMode,
     round: u64,
@@ -822,15 +861,11 @@ impl ParallelSimulator {
     fn dispatch_round(&mut self) {
         let adversarial = matches!(self.mode, RoundMode::Adversarial);
         let parts = self.engines.len();
-        let workers = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-                .min(parts)
-        } else {
-            self.workers.min(parts)
-        };
-        if workers <= 1 || parts == 1 {
+        if parts > 1 && self.workers == 0 {
+            self.workers = std::thread::available_parallelism().map_or(1, |w| w.get());
+        }
+        let workers = self.workers.min(parts);
+        if workers <= 1 {
             for engine in &mut self.engines {
                 if adversarial {
                     engine.run_round_adversarial();
@@ -983,10 +1018,10 @@ impl ParallelSimulator {
         }
 
         // Barrier, part 3: merge the outboxes in key order, assign global
-        // message ids in that order, and hand each message to its
-        // recipient's core: onto its batch in canonical mode, into its slab
-        // in adversarial mode (the core drops those addressed to crashed
-        // processors).
+        // message ids in that order, and hand each message or record to its
+        // recipients' cores: onto the batch in canonical mode, into the slab
+        // in adversarial mode, a record as the requests it stands for (the
+        // core drops those addressed to crashed processors).
         let mut outboxes: Vec<Vec<Outbound>> = self
             .engines
             .iter_mut()
@@ -994,14 +1029,14 @@ impl ParallelSimulator {
             .collect();
         let (engines, first_id) = (&mut self.engines, self.next_message_id);
         let mut next_id = first_id;
-        merge_outboxes(&mut outboxes, &self.ends, |part, out| {
-            let message = out.numbered(next_id);
-            next_id += 1;
+        merge_outboxes(&mut outboxes, &self.ends, &mut next_id, |part, message| {
             let core = &mut engines[part].core;
-            if adversarial {
-                core.store(message);
-            } else {
+            if !adversarial {
                 core.enqueue(message);
+            } else if message.is_request() {
+                core.store_record(&message);
+            } else {
+                core.store(message);
             }
         });
         let routed = next_id - first_id;
@@ -1232,30 +1267,44 @@ mod tests {
             state = splitmix64(state);
             (state % bound as u64) as usize
         };
+        let collect = WireMessage::Collect {
+            seq: 0,
+            instance: fle_model::InstanceId::custom(1, 1),
+        };
         for parts in [1, 2, 3, 5, 8] {
             for case in 0..50 {
-                let n = parts + below(300);
+                // Every fifth system has one processor per partition, so a
+                // record's sender is alone in its partition.
+                let n = if case % 5 == 4 {
+                    parts
+                } else {
+                    parts + below(300)
+                };
                 let map = PartitionMap::new(n, parts);
                 let mut outboxes: Vec<Vec<Outbound>> = (0..parts).map(|_| Vec::new()).collect();
                 // Some cases leave one outbox empty; the rest get the round's
-                // keys in ascending order: replies dealt one at a time to
-                // random outboxes (interleaved, often one-entry runs), then
-                // broadcasts, each whole to one outbox, either its sender's
-                // partition (a long run) or a random one.
+                // keys in ascending order: replies dealt to random outboxes a
+                // random run at a time (often one entry, interleaved), then
+                // broadcast records, each to its sender's partition (runs of
+                // consecutive senders) or a random one.
                 let empty = if case % 3 == 0 { below(parts) } else { parts };
-                let mut deal = |key: RouteKey, part: usize, to: usize| {
+                let mut deal = |key, part: usize, from: usize, to: usize, payload| {
                     let part = if part == empty {
                         (part + 1) % parts
                     } else {
                         part
                     };
-                    let ack = WireMessage::Ack { seq: 0 };
-                    outboxes[part].push(Outbound::new(key, ProcId(0), ProcId(to), ack));
+                    let out = Outbound::new(key, ProcId(from), ProcId(to), payload);
+                    outboxes[part].push(out);
                 };
-                let mut id = 0;
+                let (mut id, mut part) = (0, 0);
                 for _ in 0..below(4 * n) {
+                    if below(3) == 0 {
+                        part = below(parts);
+                    }
                     id += 1 + below(3) as u64;
-                    deal(RouteKey::reply(id), below(parts), below(n));
+                    let ack = WireMessage::Ack { seq: 0 };
+                    deal(RouteKey::reply(id), part, below(n), below(n), ack);
                 }
                 for proc in 0..n {
                     if below(4) != 0 {
@@ -1266,30 +1315,110 @@ mod tests {
                     } else {
                         below(parts)
                     };
-                    for sub in 0..below(n) {
-                        deal(
-                            RouteKey::broadcast(ProcId(proc), sub as u32),
-                            home,
-                            below(n),
-                        );
-                    }
+                    let key = RouteKey::broadcast(ProcId(proc), 0);
+                    deal(key, home, proc, proc, collect.clone());
                 }
-                let mut expected: Vec<(u64, u32)> = outboxes
+                // In key order, a message takes the next id to its
+                // recipient's partition, and a record takes n - 1 ids to
+                // every partition but one that holds its sender alone.
+                let mut sorted: Vec<(u64, u32, u32, bool)> = outboxes
                     .iter()
                     .flatten()
-                    .map(|out| (out.key, out.to))
+                    .map(|out| (out.key, out.from, out.to, out.payload.is_request()))
                     .collect();
-                expected.sort_unstable();
-                let mut routed = Vec::new();
-                merge_outboxes(&mut outboxes, &range_ends(&map), |part, out| {
-                    let owner = map.partition_of(ProcId(out.to as usize));
-                    assert_eq!(part, owner, "p={parts}, n={n}, case {case}");
-                    routed.push((out.key, out.to));
+                sorted.sort_unstable();
+                let (mut expected, mut next) = (Vec::new(), 1_000);
+                for (_, from, to, record) in sorted {
+                    if record {
+                        let alone = from as usize..from as usize + 1;
+                        for part in (0..parts).filter(|&part| map.range_of(part) != alone) {
+                            expected.push((part, next, from, to));
+                        }
+                        next += n as u64 - 1;
+                    } else {
+                        expected.push((map.partition_of(ProcId(to as usize)), next, from, to));
+                        next += 1;
+                    }
+                }
+                let (mut routed, mut next_id) = (Vec::new(), 1_000);
+                merge_outboxes(&mut outboxes, &range_ends(&map), &mut next_id, |part, m| {
+                    routed.push((part, m.id.0, endpoint(m.from()), endpoint(m.to())));
                 });
                 assert_eq!(routed, expected, "p={parts}, n={n}, case {case}");
+                assert_eq!(next_id, next, "p={parts}, n={n}, case {case}");
                 assert!(outboxes.iter().all(Vec::is_empty));
             }
         }
+    }
+
+    #[test]
+    fn a_broadcast_costs_one_outbox_entry_and_n_minus_1_sends() {
+        let (n, sender) = (12, ProcId(8));
+        let config = SimConfig::new(n).with_partitions(2);
+        let mut engine = PartitionEngine::new(1, &PartitionMap::new(n, 2), &config);
+        engine
+            .core
+            .register(sender, Chatter::boxed(sender, 2))
+            .unwrap();
+        engine.execute_step(sender, 1);
+        let outbox = engine.core.outbox();
+        assert_eq!(outbox.len(), 1, "one entry for the whole broadcast");
+        let record = &outbox[0];
+        let key = RouteKey::broadcast(sender, 0).packed();
+        assert_eq!((record.key, record.from, record.to), (key, 8, 8));
+        assert!(record.payload.is_request());
+        let sent = engine.metrics.proc(sender).map(|m| m.messages_sent);
+        assert_eq!(sent, Some(n as u64 - 1), "every request counts");
+    }
+
+    #[test]
+    fn a_record_delivers_ids_first_plus_sub_in_order_skipping_the_sender_and_the_crashed() {
+        // p8 of n = 12 collects in round 0, so the barrier routes its record
+        // under first id 0 to both partitions, 0..6 and 6..12. p10 crashes
+        // before that barrier, p2 and p6 at the next one.
+        let (n, sender) = (12, ProcId(8));
+        let mut sim = ParallelSimulator::new(SimConfig::new(n).with_partitions(2).with_trace());
+        sim.add_participant(sender, Chatter::boxed(sender, 1));
+        let plan = [(0, ProcId(10)), (1, ProcId(2)), (1, ProcId(6))];
+        sim.set_crash_plan(&RoundCrashPlan::new(plan.to_vec()))
+            .unwrap();
+        let requests = |targets: &[(u64, usize)]| -> Vec<(MessageId, ProcId, ProcId)> {
+            let request = |&(id, to)| (MessageId(id), sender, ProcId(to));
+            targets.iter().map(request).collect()
+        };
+        assert!(sim.step_round().unwrap());
+        let stored: Vec<_> = sim
+            .engines
+            .iter()
+            .flat_map(|engine| engine.core.stored())
+            .map(|message| (message.id, message.from(), message.to()))
+            .collect();
+        let standing = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)];
+        let standing = [&standing[..], &[(6, 6), (7, 7), (8, 9), (10, 11)]].concat();
+        assert_eq!(stored, requests(&standing), "what the records stand for");
+        while sim.step_round().unwrap() {}
+        let report = sim.finish();
+        let delivered: Vec<_> = report
+            .trace
+            .events()
+            .iter()
+            .filter_map(|event| match *event {
+                TraceEvent::Deliver { id, from, to } if from == sender => Some((id, from, to)),
+                _ => None,
+            })
+            .collect();
+        let expected = [
+            (0, 0),
+            (1, 1),
+            (3, 3),
+            (4, 4),
+            (5, 5),
+            (7, 7),
+            (8, 9),
+            (10, 11),
+        ];
+        assert_eq!(delivered, requests(&expected));
+        assert_eq!(report.outcomes.get(&sender), Some(&Outcome::Proceed));
     }
 
     #[test]

@@ -28,6 +28,17 @@
 //!   one barrier, so such a reply arrived after its quorum formed earlier in
 //!   the same drain: it is exactly one the purge would have removed.
 //!
+//! A partition routes each broadcast once. Its [`Network::broadcast`] puts
+//! one entry for all `n − 1` requests of a call in the outbox, and the
+//! barrier numbers it with their `n − 1` consecutive ids and batches one
+//! **record** of it (the first id, the sender and the one request payload)
+//! at each partition that holds a target. The drain delivers a record as
+//! the requests it stands for ([`QuorumCore::expand`]): one to each of the
+//! core's processors but the sender and the crashed, ascending, each under
+//! its own id, all answered from the record's payload. Every request in an
+//! outbox or a batch is such a record, so that is what marks one; a record
+//! is addressed to its sender, as no message is.
+//!
 //! A partition's core also holds the partition's outbox, the round's sends
 //! before the barrier numbers and routes them, so that its allocation is
 //! recycled through the arena with the batch's.
@@ -37,9 +48,10 @@
 //! round of the partitioned one, crash-heavy runs included:
 //!
 //! * **None is addressed to a crashed processor.** A crash drops the
-//!   victim's messages from the slab, the next drain skips its batched ones,
-//!   and a later message to it is neither stored nor batched; the send still
-//!   counts in `messages_sent` and uses up a message id.
+//!   victim's messages from the slab, the next drain skips its batched ones
+//!   and the requests of every record to it, and a later message to it is
+//!   neither stored nor batched; the send still counts in `messages_sent`
+//!   and uses up a message id.
 //! * **Each belongs to a call still outstanding at its caller** (a request
 //!   at its sender, a reply at its recipient): the slab purges a call's
 //!   leftovers the moment its quorum forms, and a batch is filled before
@@ -81,6 +93,23 @@ pub(crate) trait Network {
         to: ProcId,
         payload: WireMessage,
     ) -> Option<u32>;
+
+    /// Send `request` from `from` to every other processor: the `n − 1`
+    /// requests of one call, which the core has already counted. By
+    /// default, one [`Network::send`] per target in ascending order, keyed
+    /// by the target's position, each request that went into the slab
+    /// tracked under the caller's call for the purge.
+    fn broadcast(&mut self, core: &mut QuorumCore, from: ProcId, request: WireMessage) {
+        let targets = (0..core.n)
+            .filter(|&target| target != from.index())
+            .map(ProcId);
+        for (sub, target) in targets.enumerate() {
+            let key = RouteKey::broadcast(from, sub as u32);
+            if let Some(slot) = self.send(core, key, from, target, request.clone()) {
+                core.process_mut(from).call_msgs.push(slot);
+            }
+        }
+    }
 
     /// The metrics the core's counters go to.
     fn metrics(&mut self) -> &mut ExecutionMetrics;
@@ -128,8 +157,8 @@ pub(crate) struct QuorumCore {
     /// Undelivered messages addressed to this core's processors, where an
     /// adversary picks.
     slab: MessageSlab,
-    /// The messages a canonical barrier routed to this core's processors,
-    /// ascending by id, for the next round to drain.
+    /// The messages and broadcast records a canonical barrier routed to this
+    /// core's processors, ascending by id, for the next round to drain.
     batch: Vec<InFlightMessage>,
     /// A partition's sends of the current round, for the barrier to number
     /// and route; kept here so that its allocation is recycled with the
@@ -213,10 +242,44 @@ impl QuorumCore {
         &self.processes
     }
 
-    /// The undelivered messages: the slab's in slot order, then the batch.
-    pub(crate) fn stored(&self) -> impl Iterator<Item = &InFlightMessage> {
-        let slab = self.slab.iter().map(|(_, message)| message);
-        slab.chain(&self.batch)
+    /// The slab's messages, in slot order: every undelivered message of
+    /// the sequential engine.
+    pub(crate) fn slab_messages(&self) -> impl Iterator<Item = &InFlightMessage> {
+        self.slab.iter().map(|(_, message)| message)
+    }
+
+    /// The undelivered messages: the slab's in slot order, then the
+    /// batch's, each record as the requests it stands for.
+    #[cfg(test)]
+    pub(crate) fn stored(&self) -> impl Iterator<Item = std::borrow::Cow<'_, InFlightMessage>> {
+        use std::borrow::Cow;
+        let slab = self.slab_messages().map(Cow::Borrowed);
+        let batch = self.batch.iter().flat_map(|message| {
+            let record = message.is_request();
+            let expanded = record.then(|| self.expand(message).map(Cow::Owned));
+            let single = (!record).then_some(Cow::Borrowed(message));
+            expanded.into_iter().flatten().chain(single)
+        });
+        slab.chain(batch)
+    }
+
+    /// The requests a broadcast `record` stands for at this core, which the
+    /// drain delivers: one to each of the core's processors but the sender
+    /// and the crashed, ascending by id.
+    fn expand<'a>(
+        &'a self,
+        record: &'a InFlightMessage,
+    ) -> impl Iterator<Item = InFlightMessage> + 'a {
+        let sender = record.from();
+        self.processes.iter().filter_map(move |target| {
+            let id = request_id(record, target)?;
+            Some(InFlightMessage::new(
+                id,
+                sender,
+                target.id,
+                record.payload.clone(),
+            ))
+        })
     }
 
     /// The partitioned engine's outbox for this core's processors.
@@ -366,18 +429,31 @@ impl QuorumCore {
         Some(slot)
     }
 
-    /// Append a message addressed to one of this core's processors to the
-    /// batch; its id must exceed every batched one. A message to a crashed
-    /// processor is dropped instead.
+    /// Append a message addressed to one of this core's processors, or a
+    /// broadcast record with a target here, to the batch; its id must
+    /// exceed every batched one. A message to a crashed processor is dropped
+    /// instead; the drain skips a record's crashed targets.
     #[inline]
     pub(crate) fn enqueue(&mut self, message: InFlightMessage) {
-        debug_assert!(self.owns(message.to()), "message batched at the wrong core");
+        debug_assert!(
+            message.is_request() || self.owns(message.to()),
+            "message batched at the wrong core"
+        );
         debug_assert!(
             self.batch.last().is_none_or(|last| last.id < message.id),
             "batched ids must ascend"
         );
-        if !self.process(message.to()).crashed {
+        if message.is_request() || !self.process(message.to()).crashed {
             self.batch.push(message);
+        }
+    }
+
+    /// Store the requests a broadcast record stands for in the slab, as an
+    /// adversarial round needs them.
+    pub(crate) fn store_record(&mut self, record: &InFlightMessage) {
+        let requests: Vec<_> = self.expand(record).collect();
+        for request in requests {
+            self.store(request);
         }
     }
 
@@ -519,18 +595,12 @@ impl QuorumCore {
         self.broadcast(net, proc, WireMessage::Collect { seq, instance });
     }
 
-    /// Send `request` to every other processor in ascending order, then
-    /// complete the call at once if the caller alone is a quorum.
+    /// Count and send `request` to every other processor
+    /// ([`Network::broadcast`]), then complete the call at once if the
+    /// caller alone is a quorum.
     fn broadcast<N: Network>(&mut self, net: &mut N, proc: ProcId, request: WireMessage) {
-        let targets = (0..self.n)
-            .filter(|&target| target != proc.index())
-            .map(ProcId);
-        for (sub, target) in targets.enumerate() {
-            let (key, payload) = (RouteKey::broadcast(proc, sub as u32), request.clone());
-            if let Some(slot) = self.send(net, key, proc, target, payload) {
-                self.process_mut(proc).call_msgs.push(slot);
-            }
-        }
+        net.metrics().proc_mut(proc).messages_sent += self.n as u64 - 1;
+        net.broadcast(self, proc, request);
         self.complete_quorum(proc);
     }
 
@@ -592,9 +662,10 @@ impl QuorumCore {
 
     /// Deliver the batch front to back, skipping the stale messages of the
     /// module documentation, and call `delivered` with each delivered
-    /// message's id, sender and recipient. A request to a live processor is
-    /// never stale: a round delivers every request sent the round before,
-    /// before any reply to it can arrive.
+    /// message's id, sender and recipient. A record is delivered as the
+    /// requests it stands for, all answered from its one payload. A request
+    /// to a live processor is never stale: a round delivers every request
+    /// sent the round before, before any reply to it can arrive.
     #[inline]
     pub(crate) fn drain_batch<N: Network>(
         &mut self,
@@ -603,10 +674,12 @@ impl QuorumCore {
     ) {
         let mut batch = std::mem::take(&mut self.batch);
         for message in batch.drain(..) {
+            if message.is_request() {
+                self.deliver_record(net, &message, &mut delivered);
+                continue;
+            }
             let recipient = self.process(message.to());
-            let stale = recipient.crashed
-                || (message.is_reply() && !recipient.awaits(message.payload.seq()));
-            if stale {
+            if recipient.crashed || !recipient.awaits(message.payload.seq()) {
                 continue;
             }
             let ((id, from, to), _) = self.receive(net, message);
@@ -614,6 +687,30 @@ impl QuorumCore {
             delivered(id, from, to);
         }
         self.batch = batch;
+    }
+
+    /// Deliver the requests [`QuorumCore::expand`] yields for `record`, in
+    /// its order, without copying them. Answering a request changes no
+    /// processor's phase, so nothing needs a re-sync.
+    #[inline]
+    fn deliver_record<N: Network>(
+        &mut self,
+        net: &mut N,
+        record: &InFlightMessage,
+        delivered: &mut impl FnMut(MessageId, ProcId, ProcId),
+    ) {
+        let sender = record.from();
+        self.debug_assert_outstanding(sender, record.payload.seq());
+        for index in 0..self.processes.len() {
+            let target = &self.processes[index];
+            let Some(id) = request_id(record, target) else {
+                continue;
+            };
+            let to = target.id;
+            net.metrics().proc_mut(to).messages_received += 1;
+            self.answer(net, id, sender, to, &record.payload);
+            delivered(id, sender, to);
+        }
     }
 
     /// The delivery body both stores share: a request is answered by the
@@ -627,34 +724,50 @@ impl QuorumCore {
         message: InFlightMessage,
     ) -> ((MessageId, ProcId, ProcId), Option<CallSeq>) {
         let (id, from, to) = (message.id, message.from(), message.to());
-        let payload = message.payload;
         net.metrics().proc_mut(to).messages_received += 1;
         debug_assert!(
             !self.process(to).crashed,
             "messages to crashed processors are dropped"
         );
-        let (quorum, reply_key) = (self.quorum, RouteKey::reply(id.0));
-        let completed = match payload {
-            WireMessage::Propagate { seq, entries } => {
-                self.debug_assert_outstanding(from, seq);
-                self.process_mut(to).replica.apply_all(&entries);
-                self.send(net, reply_key, to, from, WireMessage::Ack { seq });
-                None
-            }
-            WireMessage::Collect { seq, instance } => {
-                self.debug_assert_outstanding(from, seq);
-                // The whole view as a copy-on-write snapshot: a refcount bump.
-                let view = self.process(to).replica.view_arc(instance);
-                let reply = WireMessage::CollectReply { seq, view };
-                self.send(net, reply_key, to, from, reply);
-                None
-            }
+        let quorum = self.quorum;
+        let completed = match message.payload {
             WireMessage::Ack { seq } => self.process_mut(to).record_ack(from, seq, quorum),
             WireMessage::CollectReply { seq, view } => {
                 self.process_mut(to).record_view(from, seq, view, quorum)
             }
+            request => {
+                self.debug_assert_outstanding(from, request.seq());
+                self.answer(net, id, from, to, &request);
+                None
+            }
         };
         ((id, from, to), completed)
+    }
+
+    /// Answer request `id` from `from` at `to`'s replica, which merges a
+    /// propagate or snapshots a collected view, and replies.
+    #[inline]
+    fn answer<N: Network>(
+        &mut self,
+        net: &mut N,
+        id: MessageId,
+        from: ProcId,
+        to: ProcId,
+        request: &WireMessage,
+    ) {
+        let reply = match request {
+            WireMessage::Propagate { seq, entries } => {
+                self.process_mut(to).replica.apply_all(entries);
+                WireMessage::Ack { seq: *seq }
+            }
+            WireMessage::Collect { seq, instance } => {
+                // The whole view as a copy-on-write snapshot: a refcount bump.
+                let view = self.process(to).replica.view_arc(*instance);
+                WireMessage::CollectReply { seq: *seq, view }
+            }
+            reply => unreachable!("{reply} is not a request"),
+        };
+        self.send(net, RouteKey::reply(id.0), to, from, reply);
     }
 
     /// A delivered request's call is still outstanding at its sender, when
@@ -665,6 +778,20 @@ impl QuorumCore {
             "a request of {caller}'s completed call {seq} was delivered"
         );
     }
+}
+
+/// The id of the request a broadcast `record` stands for to `target`, or
+/// `None` if `target` is the sender or has crashed: the record's first id
+/// plus the target's position among the broadcast's targets, which ascend
+/// and skip the sender.
+#[inline]
+fn request_id(record: &InFlightMessage, target: &SimProcess) -> Option<MessageId> {
+    let (sender, to) = (record.from(), target.id);
+    if to == sender || target.crashed {
+        return None;
+    }
+    let sub = to.index() - usize::from(to > sender);
+    Some(MessageId(record.id.0 + sub as u64))
 }
 
 #[cfg(test)]
