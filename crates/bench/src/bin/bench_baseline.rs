@@ -13,9 +13,9 @@
 //! gate; generous thresholds, loud not flaky).
 //!
 //! `--parallel` measures the partitioned-engine sweep (one giant k-of-n
-//! election at n ∈ {4096, 65536, 262144}, partition counts {1, 2, num_cpus})
-//! and records it as the `parallel` section, keeping the sequential
-//! `points` byte for byte.
+//! election at n ∈ {4096, 65536, 262144}, partition counts {1, 2, num_cpus},
+//! each row the fastest of 5 repetitions) and records it as the `parallel`
+//! section, keeping the sequential `points` byte for byte.
 //!
 //! `--parallel-smoke` runs the CI parallel gate: an n = 4096 election at
 //! p = 2 and 3, and on the sequential engine under the super-round

@@ -90,22 +90,18 @@ impl PartitionMap {
 /// them: first all sends triggered by message deliveries, in ascending order
 /// of the *delivered* message id (replies to earlier deliveries come first);
 /// then all sends triggered by processor steps, in ascending processor order
-/// (a broadcast's targets keep their ascending-target order via `sub`). Both
-/// trigger coordinates are globally meaningful and partition-blind, so
-/// sorting the union of all outboxes by `RouteKey` yields the same id
-/// assignment for every partition count.
+/// (a processor's step sends one broadcast, whose targets the engines take
+/// in ascending order). Both trigger coordinates are globally meaningful and
+/// partition-blind, so sorting the union of all outboxes by `RouteKey`
+/// yields the same id assignment for every partition count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RouteKey {
     /// Trigger class: 0 = sent while delivering a message (a reply),
-    /// 1 = sent while stepping a processor (a broadcast request).
+    /// 1 = sent while stepping a processor (a broadcast's requests).
     pub class: u8,
     /// The trigger coordinate: the delivered message id (class 0) or the
     /// stepping processor's index (class 1).
     pub trigger: u64,
-    /// Tie-breaker within one trigger: the send's position in its batch
-    /// (ascending-target order for broadcasts; always 0 for replies, which
-    /// are single sends).
-    pub sub: u32,
 }
 
 impl RouteKey {
@@ -115,52 +111,35 @@ impl RouteKey {
         RouteKey {
             class: 0,
             trigger: delivered_id,
-            sub: 0,
         }
     }
 
-    /// The key of the `sub`-th send of the broadcast `proc` issued during its
-    /// step this round. Sound because a processor can complete at most one
-    /// communicate call per round (quorum replies only arrive a round later),
-    /// so `(proc, sub)` is unique within the round.
-    pub fn broadcast(proc: ProcId, sub: u32) -> Self {
+    /// The key of the broadcast `proc` issued during its step this round.
+    /// Sound because a processor can complete at most one communicate call
+    /// per round (quorum replies only arrive a round later), so `proc` sends
+    /// at most one broadcast within the round.
+    pub fn broadcast(proc: ProcId) -> Self {
         RouteKey {
             class: 1,
             trigger: proc.index() as u64,
-            sub,
         }
     }
 
     /// The key as one `u64` that sorts exactly as the key does, for a
-    /// barrier that compares keys in its inner loop. The class is the top
-    /// bit. Below it, a reply keeps its whole trigger, a delivered message
-    /// id under 2⁶³, and a broadcast keeps its processor (under 2³¹) above
-    /// its `sub` (the low 32 bits).
+    /// barrier that compares keys in its inner loop: the class as the top
+    /// bit, above the trigger (a delivered message id or a processor).
     ///
     /// # Panics
     /// Panics, rather than wrap into another key's order, on a class other
-    /// than 0 and 1, a reply with a trigger of 2⁶³ or more or a nonzero
-    /// `sub`, and a broadcast with a trigger of 2³¹ or more.
+    /// than 0 and 1 and on a trigger of 2⁶³ or more.
     #[inline]
     pub fn packed(self) -> u64 {
         const CLASS: u64 = 1 << 63;
-        match self.class {
-            0 => {
-                assert!(
-                    self.trigger < CLASS && self.sub == 0,
-                    "{self:?} does not pack: a reply's trigger is under 2^63 and its sub 0"
-                );
-                self.trigger
-            }
-            1 => {
-                assert!(
-                    self.trigger < 1 << 31,
-                    "{self:?} does not pack: a broadcast's trigger is under 2^31"
-                );
-                CLASS | self.trigger << 32 | u64::from(self.sub)
-            }
-            _ => panic!("{self:?} does not pack: the class is 0 or 1"),
-        }
+        assert!(
+            self.class <= 1 && self.trigger < CLASS,
+            "{self:?} does not pack: the class is 0 or 1 and the trigger under 2^63"
+        );
+        u64::from(self.class) << 63 | self.trigger
     }
 }
 
@@ -200,27 +179,19 @@ mod tests {
     #[test]
     fn route_keys_order_replies_before_broadcasts() {
         let reply_late = RouteKey::reply(900);
-        let broadcast_early = RouteKey::broadcast(ProcId(0), 0);
+        let broadcast_early = RouteKey::broadcast(ProcId(0));
         assert!(reply_late < broadcast_early, "deliveries precede steps");
         assert!(RouteKey::reply(1) < RouteKey::reply(2));
-        assert!(RouteKey::broadcast(ProcId(1), 5) < RouteKey::broadcast(ProcId(2), 0));
-        assert!(RouteKey::broadcast(ProcId(1), 0) < RouteKey::broadcast(ProcId(1), 1));
+        assert!(RouteKey::broadcast(ProcId(1)) < RouteKey::broadcast(ProcId(2)));
     }
 
     #[test]
     fn packed_keys_sort_as_route_keys_do_and_panic_past_their_ranges() {
-        let key = |class, trigger, sub| RouteKey {
-            class,
-            trigger,
-            sub,
-        };
+        let key = |class, trigger| RouteKey { class, trigger };
         let mut keys = Vec::new();
-        for trigger in [0, 1, 2, (1 << 63) - 2, (1 << 63) - 1] {
-            keys.push(key(0, trigger, 0));
-        }
-        for trigger in [0, 1, 2, (1 << 31) - 2, (1 << 31) - 1] {
-            for sub in [0, 1, u32::MAX - 1, u32::MAX] {
-                keys.push(key(1, trigger, sub));
+        for class in [0, 1] {
+            for trigger in [0, 1, 2, (1 << 63) - 2, (1 << 63) - 1] {
+                keys.push(key(class, trigger));
             }
         }
         for a in &keys {
@@ -229,12 +200,11 @@ mod tests {
             }
         }
         let past = [
-            key(0, 1 << 63, 0),
-            key(0, u64::MAX, 0),
-            key(0, 5, 1),
-            key(1, 1 << 31, 0),
-            key(1, u64::MAX, u32::MAX),
-            key(2, 0, 0),
+            key(0, 1 << 63),
+            key(0, u64::MAX),
+            key(1, 1 << 63),
+            key(1, u64::MAX),
+            key(2, 0),
         ];
         for key in past {
             assert!(

@@ -11,14 +11,17 @@
 //!    decision).
 //! 2. **Round (workers, parallel):** every partition delivers **all** the
 //!    messages routed to it at the previous barrier in ascending message-id
-//!    order (less those to processors crashed at the barrier, and replies
-//!    that arrive after their call's quorum formed, which the sequential
-//!    engine purges), then runs step-runs in ascending processor order (a
-//!    processor keeps stepping until it blocks). Every message a partition
-//!    sends — local or remote — goes to its *outbox* tagged with a
-//!    [`RouteKey`] and becomes deliverable only next round, so partitions
-//!    are causally isolated within a round and the execution cannot depend
-//!    on which worker thread ran which partition.
+//!    order (less those to processors crashed at the barrier), then runs
+//!    step-runs in ascending processor order (a processor keeps stepping
+//!    until it blocks). Every message a partition sends — local or remote —
+//!    goes to its *outbox* tagged with a [`RouteKey`] and becomes
+//!    deliverable only next round, so partitions are causally isolated
+//!    within a round and the execution cannot depend on which worker thread
+//!    ran which partition. A partition builds only the replies that can
+//!    complete their call's quorum, the first `quorum − 1` answerers' by id
+//!    (`quorum.rs`); the later ones, which the sequential engine purges
+//!    undelivered, take their ids through one outbox entry per broadcast
+//!    and partition.
 //! 3. **Barrier (leader, serial):** merge the outboxes in [`RouteKey`] order,
 //!    assign global message ids in that order, and append each message to
 //!    its recipient's partition's batch, which is therefore id-ordered (an
@@ -30,6 +33,8 @@
 //!    exactly. A broadcast is one outbox entry, a *record*: it takes the
 //!    `n − 1` consecutive ids of its requests, and each partition that holds
 //!    a target batches it once, for the next drain to expand (`quorum.rs`).
+//!    A partition's unbuilt replies to one broadcast are one entry too: it
+//!    takes their consecutive ids and goes nowhere.
 //!    Each outbox is already key-sorted, so the merge moves runs: the
 //!    outbox with the smallest head gives up every entry below the other
 //!    heads at once, keys (packed into a `u64`) are compared only where
@@ -190,10 +195,13 @@ impl RoundCrashPlan {
 // Per-partition engine
 // ---------------------------------------------------------------------------
 
-/// A message or a broadcast record leaving a partition during a round,
-/// waiting for the barrier to assign it global ids and route it. 40 bytes,
-/// like the [`InFlightMessage`] it becomes: the [`RouteKey`] packed into a
-/// `u64` ([`RouteKey::packed`]), the endpoints as `u32`.
+/// A message, a broadcast record or a run of unbuilt replies leaving a
+/// partition during a round, waiting for the barrier to assign it global ids
+/// and route it. 40 bytes, like the [`InFlightMessage`] it becomes: the
+/// [`RouteKey`] packed into a `u64` ([`RouteKey::packed`]), the endpoints
+/// as `u32`. An entry addressed to its sender stands for several messages,
+/// since no message goes from a processor to itself: a request for a
+/// record's `n − 1`, a reply for as many unbuilt replies as its `seq`.
 pub(crate) struct Outbound {
     key: u64,
     from: u32,
@@ -214,6 +222,14 @@ impl Outbound {
             to: endpoint(to),
             payload,
         }
+    }
+
+    /// The run of `count` replies to `caller` that a canonical drain did not
+    /// build (`quorum.rs`), the first keyed `key`: they are consecutive in
+    /// key order, and the barrier gives them consecutive ids.
+    #[inline]
+    pub(crate) fn unbuilt(key: RouteKey, caller: ProcId, count: u32) -> Self {
+        Outbound::new(key, caller, caller, WireMessage::Ack { seq: count })
     }
 
     /// The message under the global id the barrier assigned it (a record
@@ -237,7 +253,8 @@ impl Outbound {
 /// never divides. A broadcast record (a request: `quorum.rs`) takes the
 /// `n − 1` ids of the requests it stands for and goes, under the first, to
 /// every partition that holds one of its targets: every partition but one
-/// that holds the sender alone.
+/// that holds the sender alone. A run of unbuilt replies takes their ids
+/// and goes nowhere.
 ///
 /// The merge moves runs, not single entries: the outbox with the smallest
 /// head gives up, at once, every entry below the smallest head of the
@@ -274,7 +291,11 @@ fn merge_outboxes(
         let run = bound.map_or(head.len(), |bound| run_below(head.as_slice(), bound));
         for out in head.by_ref().take(run) {
             let id = *next_id;
-            if out.payload.is_request() {
+            if out.from != out.to {
+                *next_id += 1;
+                let to = out.to;
+                route(ends.partition_point(|&end| end <= to), out.numbered(id));
+            } else if out.payload.is_request() {
                 *next_id += requests;
                 let sender = out.from;
                 let record = out.numbered(id);
@@ -286,9 +307,7 @@ fn merge_outboxes(
                     start = end;
                 }
             } else {
-                *next_id += 1;
-                let to = out.to;
-                route(ends.partition_point(|&end| end <= to), out.numbered(id));
+                *next_id += u64::from(out.payload.seq());
             }
         }
     }
@@ -401,11 +420,11 @@ impl Network for Outgoing<'_> {
         None
     }
 
-    /// One outbox entry for all the requests: a record under the key of
-    /// the first, addressed to its sender.
+    /// One outbox entry for all the requests: a record under the
+    /// broadcast's key, addressed to its sender.
     #[inline]
     fn broadcast(&mut self, core: &mut QuorumCore, from: ProcId, request: WireMessage) {
-        self.send(core, RouteKey::broadcast(from, 0), from, from, request);
+        self.send(core, RouteKey::broadcast(from), from, from, request);
     }
 
     fn metrics(&mut self) -> &mut ExecutionMetrics {
@@ -931,6 +950,13 @@ impl ParallelSimulator {
             if self.live() == 0 {
                 return Ok(false);
             }
+            // Each core learns how many processors below its range have not
+            // crashed, for the ranks of the replies its drain builds.
+            let mut below = 0;
+            for engine in &mut self.engines {
+                engine.core.set_uncrashed_below(below);
+                below += engine.core.uncrashed();
+            }
         }
 
         // The round body: all partitions in parallel.
@@ -1260,6 +1286,16 @@ mod tests {
         sim.finish().crashed.len()
     }
 
+    /// What an outbox entry of the routing test stands for.
+    enum Dealt {
+        /// A message from and to these processors.
+        Message(u32, u32),
+        /// A broadcast record of this sender.
+        Record(u32),
+        /// A run of this many unbuilt replies.
+        Unbuilt(u64),
+    }
+
     #[test]
     fn the_barrier_routes_in_key_order_to_each_recipients_partition() {
         let mut state = 0x5eed;
@@ -1283,18 +1319,21 @@ mod tests {
                 let map = PartitionMap::new(n, parts);
                 let mut outboxes: Vec<Vec<Outbound>> = (0..parts).map(|_| Vec::new()).collect();
                 // Some cases leave one outbox empty; the rest get the round's
-                // keys in ascending order: replies dealt to random outboxes a
-                // random run at a time (often one entry, interleaved), then
-                // broadcast records, each to its sender's partition (runs of
-                // consecutive senders) or a random one.
+                // keys in ascending order: replies and runs of unbuilt
+                // replies dealt to random outboxes a random run at a time
+                // (often one entry, interleaved), then broadcast records,
+                // each to its sender's partition (runs of consecutive
+                // senders) or a random one. `dealt` keeps what each key
+                // stands for.
                 let empty = if case % 3 == 0 { below(parts) } else { parts };
-                let mut deal = |key, part: usize, from: usize, to: usize, payload| {
+                let mut dealt = Vec::new();
+                let mut deal = |part: usize, out: Outbound, kind: Dealt| {
                     let part = if part == empty {
                         (part + 1) % parts
                     } else {
                         part
                     };
-                    let out = Outbound::new(key, ProcId(from), ProcId(to), payload);
+                    dealt.push((out.key, kind));
                     outboxes[part].push(out);
                 };
                 let (mut id, mut part) = (0, 0);
@@ -1303,8 +1342,17 @@ mod tests {
                         part = below(parts);
                     }
                     id += 1 + below(3) as u64;
-                    let ack = WireMessage::Ack { seq: 0 };
-                    deal(RouteKey::reply(id), part, below(n), below(n), ack);
+                    let (key, from) = (RouteKey::reply(id), below(n));
+                    if below(4) == 0 {
+                        let count = 1 + below(300) as u32;
+                        let out = Outbound::unbuilt(key, ProcId(from), count);
+                        deal(part, out, Dealt::Unbuilt(count.into()));
+                    } else if n > 1 {
+                        let to = (from + 1 + below(n - 1)) % n;
+                        let ack = WireMessage::Ack { seq: 0 };
+                        let out = Outbound::new(key, ProcId(from), ProcId(to), ack);
+                        deal(part, out, Dealt::Message(from as u32, to as u32));
+                    }
                 }
                 for proc in 0..n {
                     if below(4) != 0 {
@@ -1315,29 +1363,32 @@ mod tests {
                     } else {
                         below(parts)
                     };
-                    let key = RouteKey::broadcast(ProcId(proc), 0);
-                    deal(key, home, proc, proc, collect.clone());
+                    let (key, sender) = (RouteKey::broadcast(ProcId(proc)), ProcId(proc));
+                    let out = Outbound::new(key, sender, sender, collect.clone());
+                    deal(home, out, Dealt::Record(proc as u32));
                 }
                 // In key order, a message takes the next id to its
-                // recipient's partition, and a record takes n - 1 ids to
-                // every partition but one that holds its sender alone.
-                let mut sorted: Vec<(u64, u32, u32, bool)> = outboxes
-                    .iter()
-                    .flatten()
-                    .map(|out| (out.key, out.from, out.to, out.payload.is_request()))
-                    .collect();
-                sorted.sort_unstable();
+                // recipient's partition, a record takes n - 1 ids to every
+                // partition but one that holds its sender alone, and a run
+                // of unbuilt replies takes as many ids as it has replies, to
+                // no partition.
+                dealt.sort_unstable_by_key(|&(key, _)| key);
                 let (mut expected, mut next) = (Vec::new(), 1_000);
-                for (_, from, to, record) in sorted {
-                    if record {
-                        let alone = from as usize..from as usize + 1;
-                        for part in (0..parts).filter(|&part| map.range_of(part) != alone) {
+                for (_, kind) in dealt {
+                    match kind {
+                        Dealt::Message(from, to) => {
+                            let part = map.partition_of(ProcId(to as usize));
                             expected.push((part, next, from, to));
+                            next += 1;
                         }
-                        next += n as u64 - 1;
-                    } else {
-                        expected.push((map.partition_of(ProcId(to as usize)), next, from, to));
-                        next += 1;
+                        Dealt::Record(sender) => {
+                            let alone = sender as usize..sender as usize + 1;
+                            for part in (0..parts).filter(|&part| map.range_of(part) != alone) {
+                                expected.push((part, next, sender, sender));
+                            }
+                            next += n as u64 - 1;
+                        }
+                        Dealt::Unbuilt(count) => next += count,
                     }
                 }
                 let (mut routed, mut next_id) = (Vec::new(), 1_000);
@@ -1364,7 +1415,7 @@ mod tests {
         let outbox = engine.core.outbox();
         assert_eq!(outbox.len(), 1, "one entry for the whole broadcast");
         let record = &outbox[0];
-        let key = RouteKey::broadcast(sender, 0).packed();
+        let key = RouteKey::broadcast(sender).packed();
         assert_eq!((record.key, record.from, record.to), (key, 8, 8));
         assert!(record.payload.is_request());
         let sent = engine.metrics.proc(sender).map(|m| m.messages_sent);
@@ -1419,6 +1470,63 @@ mod tests {
         ];
         assert_eq!(delivered, requests(&expected));
         assert_eq!(report.outcomes.get(&sender), Some(&Outcome::Proceed));
+    }
+
+    #[test]
+    fn a_crash_free_canonical_drain_skips_no_reply() {
+        // Contenders in every partition, so a record's sender sits below,
+        // inside and above the partitions that answer it; odd and even n.
+        for n in [15, 16, 33] {
+            for partitions in [1, 2, 3] {
+                let config = SimConfig::new(n)
+                    .with_seed(n as u64)
+                    .with_partitions(partitions);
+                let mut sim = ParallelSimulator::new(config);
+                for i in (0..n).step_by(3) {
+                    let election = fle_core::LeaderElection::new(ProcId(i));
+                    sim.add_participant(ProcId(i), Box::new(election));
+                }
+                let report = sim.run_canonical(&RoundCrashPlan::none()).unwrap();
+                assert_eq!(report.winners().len(), 1);
+                for engine in &sim.engines {
+                    let skipped = &engine.core.skipped;
+                    assert!(
+                        skipped.is_empty(),
+                        "n={n}, p={partitions}: {} replies were skipped, the first to {}",
+                        skipped.len(),
+                        skipped[0]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_canonical_drain_skips_only_replies_to_crashed_processors() {
+        // Every processor broadcasts in round 0. p7, below the boundary at
+        // 8, crashes at the next barrier, so partition 1 ranks p7's
+        // answerers one too low and builds one reply too many, which the
+        // barrier after drops. p3 and p12 crash at the barrier after the
+        // one that routed the replies to them, so the drain skips those.
+        for seed in 0..4 {
+            let mut sim = chatty(seed);
+            let plan = [(1, ProcId(7)), (2, ProcId(3)), (2, ProcId(12))];
+            sim.set_crash_plan(&RoundCrashPlan::new(plan.to_vec()))
+                .unwrap();
+            while sim.step_round().unwrap() {}
+            let skipped: Vec<ProcId> = sim
+                .engines
+                .iter()
+                .flat_map(|engine| engine.core.skipped.iter().copied())
+                .collect();
+            assert!(!skipped.is_empty(), "seed {seed}: no reply was skipped");
+            for proc in skipped {
+                assert!(
+                    sim.crashes.contains(&proc),
+                    "seed {seed}: a drain skipped a reply to {proc}, which is up"
+                );
+            }
+        }
     }
 
     #[test]

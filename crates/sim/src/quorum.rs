@@ -23,10 +23,9 @@
 //!   message the last barrier routed to it, in id order, so the barrier
 //!   [`QuorumCore::enqueue`]s them on a `Vec` that
 //!   [`QuorumCore::drain_batch`] delivers front to back. It skips, without
-//!   an event, a message to a processor crashed at the barrier and a reply
-//!   to a call no longer outstanding. All replies to one call are routed at
-//!   one barrier, so such a reply arrived after its quorum formed earlier in
-//!   the same drain: it is exactly one the purge would have removed.
+//!   an event, only a message to a processor crashed at the barrier: the
+//!   round before built no reply that would arrive after its call's quorum
+//!   formed (below).
 //!
 //! A partition routes each broadcast once. Its [`Network::broadcast`] puts
 //! one entry for all `n − 1` requests of a call in the outbox, and the
@@ -38,6 +37,23 @@
 //! its own id, all answered from the record's payload. Every request in an
 //! outbox or a batch is such a record, so that is what marks one; a record
 //! is addressed to its sender, as no message is.
+//!
+//! A canonical round builds only the replies that can complete a quorum. A
+//! call's requests are all delivered in one round and its replies in the
+//! next, in id order, which is the order of the answerers' ids (the
+//! processors not crashed in the first round, less the caller). So the
+//! caller's quorum forms at the reply of its `quorum − 1`-th answerer, and
+//! every later reply would arrive after it, to be skipped (the slab would
+//! purge it). A target ranked `quorum − 1` or more among the answerers
+//! still answers the request, merging a propagate into its replica, and
+//! its reply still counts in `messages_sent` and takes a message id, but
+//! the reply is not built: all such replies of one record take their ids
+//! through one outbox entry, a run. The rank counts the core's uncrashed
+//! processors below the target, plus those below the core's range
+//! ([`QuorumCore::set_uncrashed_below`]), less one for a sender below the
+//! range. It is never too high, and it is one too low only when such a
+//! sender crashed at this round's barrier, and the next barrier drops the
+//! replies to it.
 //!
 //! A partition's core also holds the partition's outbox, the round's sends
 //! before the barrier numbers and routes them, so that its allocation is
@@ -54,9 +70,10 @@
 //!   and uses up a message id.
 //! * **Each belongs to a call still outstanding at its caller** (a request
 //!   at its sender, a reply at its recipient): the slab purges a call's
-//!   leftovers the moment its quorum forms, and a batch is filled before
-//!   any of its replies is delivered. So a replica answers every request it
-//!   is delivered, and the core only debug-asserts the rule.
+//!   leftovers the moment its quorum forms, and a batch holds no reply to a
+//!   call past the one that completes its quorum. So a replica answers
+//!   every request it is delivered, a caller records every reply it is
+//!   delivered, and the core only debug-asserts the rule.
 
 use crate::engine::SimConfig;
 use crate::error::SimError;
@@ -76,9 +93,9 @@ use std::sync::Arc;
 /// What an engine decides about the traffic its [`QuorumCore`] produces.
 pub(crate) trait Network {
     /// Send one message. `key` names the event that triggered the send (the
-    /// delivered message for a reply, the stepping processor and the
-    /// target's position for a request); the partitioned engine orders its
-    /// barrier by it. The core has already counted the send.
+    /// delivered message for a reply, the stepping processor for a
+    /// request); the partitioned engine orders its barrier by it. The core
+    /// has already counted the send.
     ///
     /// Returns the slot if the message went into `core`'s slab at once. Only
     /// such a request can still be undelivered when its call completes, so
@@ -96,16 +113,13 @@ pub(crate) trait Network {
 
     /// Send `request` from `from` to every other processor: the `n − 1`
     /// requests of one call, which the core has already counted. By
-    /// default, one [`Network::send`] per target in ascending order, keyed
-    /// by the target's position, each request that went into the slab
-    /// tracked under the caller's call for the purge.
+    /// default, one [`Network::send`] per target in ascending order, each
+    /// request that went into the slab tracked under the caller's call for
+    /// the purge.
     fn broadcast(&mut self, core: &mut QuorumCore, from: ProcId, request: WireMessage) {
-        let targets = (0..core.n)
-            .filter(|&target| target != from.index())
-            .map(ProcId);
-        for (sub, target) in targets.enumerate() {
-            let key = RouteKey::broadcast(from, sub as u32);
-            if let Some(slot) = self.send(core, key, from, target, request.clone()) {
+        let key = RouteKey::broadcast(from);
+        for target in (0..core.n).filter(|&target| target != from.index()) {
+            if let Some(slot) = self.send(core, key, from, ProcId(target), request.clone()) {
                 core.process_mut(from).call_msgs.push(slot);
             }
         }
@@ -172,6 +186,14 @@ pub(crate) struct QuorumCore {
     enabled_msgs: OrderedMsgSet,
     /// Registered participants that have neither crashed nor returned.
     live: usize,
+    /// This core's processors that have not crashed.
+    uncrashed: usize,
+    /// The processors below this core's range that had not crashed at the
+    /// last canonical barrier, for the ranks of the drain's replies.
+    uncrashed_below: usize,
+    /// The recipients of the replies the drain skipped.
+    #[cfg(test)]
+    pub(crate) skipped: Vec<ProcId>,
 }
 
 // The small methods the engines call on every event are `#[inline]`: the
@@ -192,6 +214,10 @@ impl QuorumCore {
         self.enabled_msgs.clear();
         self.enabled_steps.reset(config.n);
         self.live = 0;
+        self.uncrashed = range.len();
+        self.uncrashed_below = 0;
+        #[cfg(test)]
+        self.skipped.clear();
         let len = range.len();
         for (offset, process) in self.processes.iter_mut().enumerate().take(len) {
             process.recycle(ProcId(range.start + offset));
@@ -292,6 +318,19 @@ impl QuorumCore {
     #[inline]
     pub(crate) fn live(&self) -> usize {
         self.live
+    }
+
+    /// This core's processors that have not crashed.
+    #[inline]
+    pub(crate) fn uncrashed(&self) -> usize {
+        self.uncrashed
+    }
+
+    /// Set how many processors below this core's range have not crashed,
+    /// after a canonical barrier's crashes and before the round drains.
+    #[inline]
+    pub(crate) fn set_uncrashed_below(&mut self, count: usize) {
+        self.uncrashed_below = count;
     }
 
     /// Those participants, ascending by id.
@@ -409,6 +448,7 @@ impl QuorumCore {
         if was_live {
             self.live -= 1;
         }
+        self.uncrashed -= 1;
     }
 
     /// Store a message addressed to one of this core's processors in the
@@ -660,12 +700,10 @@ impl QuorumCore {
         (id, from, to)
     }
 
-    /// Deliver the batch front to back, skipping the stale messages of the
-    /// module documentation, and call `delivered` with each delivered
+    /// Deliver the batch front to back, skipping the messages to processors
+    /// crashed at the barrier, and call `delivered` with each delivered
     /// message's id, sender and recipient. A record is delivered as the
-    /// requests it stands for, all answered from its one payload. A request
-    /// to a live processor is never stale: a round delivers every request
-    /// sent the round before, before any reply to it can arrive.
+    /// requests it stands for, all answered from its one payload.
     #[inline]
     pub(crate) fn drain_batch<N: Network>(
         &mut self,
@@ -678,8 +716,9 @@ impl QuorumCore {
                 self.deliver_record(net, &message, &mut delivered);
                 continue;
             }
-            let recipient = self.process(message.to());
-            if recipient.crashed || !recipient.awaits(message.payload.seq()) {
+            if self.process(message.to()).crashed {
+                #[cfg(test)]
+                self.skipped.push(message.to());
                 continue;
             }
             let ((id, from, to), _) = self.receive(net, message);
@@ -690,8 +729,11 @@ impl QuorumCore {
     }
 
     /// Deliver the requests [`QuorumCore::expand`] yields for `record`, in
-    /// its order, without copying them. Answering a request changes no
-    /// processor's phase, so nothing needs a re-sync.
+    /// its order, without copying them, and answer each. Only the replies
+    /// of answerers ranked below `quorum − 1` are built; the rest take
+    /// their ids through one outbox entry (see the module documentation).
+    /// Answering a request changes no processor's phase, so nothing needs a
+    /// re-sync.
     #[inline]
     fn deliver_record<N: Network>(
         &mut self,
@@ -701,6 +743,10 @@ impl QuorumCore {
     ) {
         let sender = record.from();
         self.debug_assert_outstanding(sender, record.payload.seq());
+        // The next target's rank among the call's answerers.
+        let below = usize::from(sender.index() < self.lo);
+        let mut rank = self.uncrashed_below.saturating_sub(below);
+        let mut unbuilt: Option<(MessageId, u32)> = None;
         for index in 0..self.processes.len() {
             let target = &self.processes[index];
             let Some(id) = request_id(record, target) else {
@@ -708,8 +754,21 @@ impl QuorumCore {
             };
             let to = target.id;
             net.metrics().proc_mut(to).messages_received += 1;
-            self.answer(net, id, sender, to, &record.payload);
+            if rank < self.quorum - 1 {
+                self.answer(net, id, sender, to, &record.payload);
+            } else {
+                if let WireMessage::Propagate { entries, .. } = &record.payload {
+                    self.process_mut(to).replica.apply_all(entries);
+                }
+                net.metrics().proc_mut(to).messages_sent += 1;
+                unbuilt.get_or_insert((id, 0)).1 += 1;
+            }
+            rank += 1;
             delivered(id, sender, to);
+        }
+        if let Some((first, count)) = unbuilt {
+            let run = Outbound::unbuilt(RouteKey::reply(first.0), sender, count);
+            self.outbox.push(run);
         }
     }
 
@@ -729,6 +788,8 @@ impl QuorumCore {
             !self.process(to).crashed,
             "messages to crashed processors are dropped"
         );
+        let caller = if message.is_request() { from } else { to };
+        self.debug_assert_outstanding(caller, message.payload.seq());
         let quorum = self.quorum;
         let completed = match message.payload {
             WireMessage::Ack { seq } => self.process_mut(to).record_ack(from, seq, quorum),
@@ -736,7 +797,6 @@ impl QuorumCore {
                 self.process_mut(to).record_view(from, seq, view, quorum)
             }
             request => {
-                self.debug_assert_outstanding(from, request.seq());
                 self.answer(net, id, from, to, &request);
                 None
             }
@@ -770,12 +830,12 @@ impl QuorumCore {
         self.send(net, RouteKey::reply(id.0), to, from, reply);
     }
 
-    /// A delivered request's call is still outstanding at its sender, when
-    /// the sender is ours to look at (see the module documentation).
+    /// A delivered message's call is still outstanding at its caller, when
+    /// the caller is ours to look at (see the module documentation).
     fn debug_assert_outstanding(&self, caller: ProcId, seq: CallSeq) {
         debug_assert!(
             !self.owns(caller) || self.process(caller).awaits(seq),
-            "a request of {caller}'s completed call {seq} was delivered"
+            "a message of {caller}'s completed call {seq} was delivered"
         );
     }
 }
