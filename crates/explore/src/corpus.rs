@@ -17,8 +17,7 @@ use std::collections::BTreeSet;
 /// One retained trace: enough to re-run the episode that earned it.
 #[derive(Debug, Clone)]
 pub struct CorpusEntry {
-    /// The decision trace (on the partitioned backend: the trace *installed
-    /// into every partition*, empty for plan-seeded episodes).
+    /// The decision trace.
     pub trace: DecisionTrace,
     /// The simulator seed the episode ran under.
     pub sim_seed: u64,

@@ -7,9 +7,8 @@
 //! the way coverage-guided fuzzers do:
 //!
 //! 1. **Signal** ([`SignalProbe`]): every episode is observed at each oracle
-//!    check point (per event on the simulator, per grant on the gate loop,
-//!    per super-round barrier on the partitioned engine) and
-//!    condensed into a set of *feature codes* — per-round sifting-survivor
+//!    check point (per event on the simulator, per grant on the gate loop)
+//!    and condensed into a set of *feature codes* — per-round sifting-survivor
 //!    profiles, phase footprints, outcome multisets and oracle near-miss
 //!    buckets — plus an interleaving-class hash over the decision sequence.
 //! 2. **Corpus** ([`crate::corpus::Corpus`]): episodes that produced a novel
@@ -306,9 +305,7 @@ pub enum EpisodeOrigin {
 }
 
 /// A violation found by a coverage hunt, replayable from
-/// `(scenario, sim_seed, decisions)` alone on the trace-carrying backends
-/// (on the partitioned backend `decisions` is the trace installed into every
-/// partition: re-running the mutant episode is the replay).
+/// `(scenario, sim_seed, decisions)` alone on the backend that found it.
 #[derive(Debug, Clone)]
 pub struct CoverageViolation {
     /// Which invariant broke, and when.

@@ -18,11 +18,9 @@
 use crate::coverage::{CoverageProbe, NullProbe};
 use crate::gated::{drive_gated, GatedConfig};
 use crate::oracles::{budget_violation, Oracle, OracleCtx, Violation};
-use crate::partitioned::{drive_partitioned, PartitionSafe, PartitionedConfig};
 use crate::scenario::Scenario;
 use crate::strategies::{PreemptionBound, StrategySpec};
 use fle_bench::BatchRunner;
-use fle_model::splitmix64;
 use fle_sim::{
     Adversary, DecisionTrace, RecordingAdversary, ReplayAdversary, SimConfig, SimError, Simulator,
 };
@@ -31,22 +29,16 @@ use std::fmt;
 
 /// Which execution substrate an episode runs on.
 ///
-/// Episodes on every backend share the strategy library, the oracles, the
-/// seed grids and one episode runner behind [`run_episode`], [`replay`] and
-/// [`crate::shrink()`]; the simulator and the gate loop share the
-/// [`DecisionTrace`] codec, and only the meaning of a `Schedule(i)`
-/// decision differs (the i-th enabled simulator event versus the i-th
-/// waiting participant).
+/// Episodes on both backends share the strategy library, the oracles, the
+/// seed grids, the [`DecisionTrace`] codec and one episode runner behind
+/// [`run_episode`], [`replay`] and [`crate::shrink()`]; only the meaning of
+/// a `Schedule(i)` decision differs (the i-th enabled simulator event
+/// versus the i-th waiting participant).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExploreBackend {
     /// The discrete-event simulator (`fle_sim::Simulator`).
     #[default]
     Sim,
-    /// The partitioned parallel simulator
-    /// (`fle_sim::ParallelSimulator`): one adversary per partition, oracles
-    /// checked at every super-round barrier, strategy violations replayed
-    /// by plan rather than by decision trace (see [`crate::partitioned`]).
-    Partitioned(PartitionedConfig),
     /// The schedule-gate loop (`fle_runtime::run_gated`): identical
     /// strategies, oracles and trace codec as the simulator, with the
     /// participants as machines over `fle_runtime::SharedRegisters`, stepped
@@ -72,8 +64,7 @@ pub struct FoundViolation {
     /// Which invariant broke, and when.
     pub violation: Violation,
     /// The decision trace reproducing the violation under [`replay`] against
-    /// the same scenario, `sim_seed` and backend (empty on the partitioned
-    /// backend, where the plan is the replay token).
+    /// the same scenario, `sim_seed` and backend.
     pub decisions: DecisionTrace,
     /// The scenario name (for reports).
     pub scenario: String,
@@ -138,9 +129,7 @@ pub(crate) struct Episode {
     pub(crate) violation: Option<Violation>,
     /// Events executed (grants on the gated backend).
     pub(crate) events: u64,
-    /// The executed schedule: every decision the adversary made on the
-    /// simulator and the gate loop; on the partitioned backend the
-    /// installed trace (empty for a plan, which is the replay token there).
+    /// The executed schedule: every decision the adversary made.
     pub(crate) trace: DecisionTrace,
 }
 
@@ -156,38 +145,6 @@ pub(crate) fn run_schedule(
     probe: &mut dyn CoverageProbe,
 ) -> Episode {
     let sim_seed = schedule.sim_seed();
-    if let ExploreBackend::Partitioned(config) = backend {
-        let ((violation, events), trace) = match schedule {
-            // Mix the partition-unique engine seed into the strategy seed so
-            // the partitions run distinct (but reproducible) copies of the
-            // attack.
-            Schedule::Plan(plan) => (
-                drive_partitioned(
-                    scenario,
-                    sim_seed,
-                    |_part, seed| plan.strategy.build(splitmix64(seed ^ plan.strategy_seed)),
-                    config,
-                    probe,
-                ),
-                DecisionTrace::new(),
-            ),
-            Schedule::Replay { trace, .. } => (
-                drive_partitioned(
-                    scenario,
-                    sim_seed,
-                    |_part, _seed| Box::new(PartitionSafe(ReplayAdversary::new(trace))),
-                    config,
-                    probe,
-                ),
-                DecisionTrace::clone(trace),
-            ),
-        };
-        return Episode {
-            violation,
-            events,
-            trace,
-        };
-    }
     let adversary: Box<dyn Adversary> = match schedule {
         Schedule::Plan(plan) => {
             let strategy = plan.strategy.build(plan.strategy_seed);
@@ -203,10 +160,10 @@ pub(crate) fn run_schedule(
     };
     let mut recording = RecordingAdversary::new(adversary);
     let (violation, events) = match backend {
+        ExploreBackend::Sim => drive(scenario, sim_seed, &mut recording, probe),
         ExploreBackend::Gated(config) => {
             drive_gated(scenario, sim_seed, &mut recording, config, probe)
         }
-        _ => drive(scenario, sim_seed, &mut recording, probe),
     };
     Episode {
         violation,
@@ -301,8 +258,7 @@ pub fn run_episode(
 /// violation it reproduces (if any) and how many trace decisions were
 /// consumed before it fired. Used by the shrinker and by tests asserting
 /// reproducibility. A trace only means the same thing on the backend that
-/// recorded it; on the partitioned backend it is installed into every
-/// partition and counts as consumed whole.
+/// recorded it.
 pub fn replay(
     scenario: &dyn Scenario,
     sim_seed: u64,
@@ -526,7 +482,6 @@ mod tests {
         };
         for backend in [
             ExploreBackend::Sim,
-            ExploreBackend::Partitioned(PartitionedConfig::default()),
             ExploreBackend::Gated(GatedConfig::default()),
         ] {
             match run_episode(&scenario, &plan, &backend) {

@@ -18,9 +18,9 @@
 //!    episodes across cores with [`fle_bench::BatchRunner`] and records each
 //!    violating schedule as a [`fle_sim::DecisionTrace`] that [`replay`]
 //!    reproduces deterministically. Every entry point takes an
-//!    [`ExploreBackend`] — the simulator, the partitioned engine
-//!    ([`partitioned`]) or the schedule-gate loop over the service's
-//!    register bank ([`gated`]) — and runs through one episode runner.
+//!    [`ExploreBackend`] — the simulator or the schedule-gate loop over the
+//!    service's register bank ([`gated`]) — and runs through one episode
+//!    runner.
 //! 4. **The shrinker** ([`mod@shrink`]): delta-debugs a violating trace to a
 //!    minimal counterexample by dropping decision chunks and keeping every
 //!    edit after which the same oracle still fires.
@@ -54,7 +54,6 @@ pub mod explorer;
 pub mod gated;
 pub mod mutate;
 pub mod oracles;
-pub mod partitioned;
 pub mod sabotage;
 pub mod scenario;
 pub mod shrink;
@@ -73,7 +72,6 @@ pub use explorer::{
 pub use gated::GatedConfig;
 pub use mutate::MutationEngine;
 pub use oracles::{Oracle, OracleCtx, Violation};
-pub use partitioned::PartitionedConfig;
 pub use scenario::{
     standard_scenarios, ElectionScenario, RenamingScenario, Scenario, SiftScenario,
 };

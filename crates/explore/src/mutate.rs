@@ -7,7 +7,7 @@
 //! one, and an exhausted trace completes deterministically. A mutated trace
 //! is therefore **always** a valid schedule — the engine never has to know
 //! how many events will be enabled at any point, which is what makes the
-//! same operators work unchanged on all four exploration backends.
+//! same operators work unchanged on both exploration backends.
 //!
 //! The engine is a pure function of its seed: the `k`-th mutation of the
 //! same `(base, donor)` pair under the same seed is always the same trace,
@@ -20,9 +20,8 @@ use fle_sim::{Decision, DecisionTrace};
 /// Seeded structural mutations over decision traces.
 ///
 /// The five operators — truncate, extend, perturb, splice, duplicate — are
-/// chosen uniformly; an empty base degrades to *extend* so seeding a corpus
-/// with empty traces (the partitioned backend's replay token) still
-/// explores.
+/// chosen uniformly; an empty base degrades to *extend*, so a hunt can
+/// grow traces from nothing.
 #[derive(Debug, Clone)]
 pub struct MutationEngine {
     state: u64,

@@ -19,10 +19,9 @@ use fle_model::{ProcId, Protocol};
 /// backend and names the oracles that must hold over the execution.
 ///
 /// A scenario is deliberately backend-agnostic: [`Scenario::protocols`]
-/// returns plain [`fle_model::Protocol`] state machines, which every
-/// backend registers as they are — the simulator, the partitioned engine
-/// and the gate loop (`crate::gated`) — and the same oracles guard all
-/// three.
+/// returns plain [`fle_model::Protocol`] state machines, which both
+/// backends register as they are — the simulator and the gate loop
+/// (`crate::gated`) — and the same oracles guard both.
 ///
 /// Implementations must be `Sync` because the explorer shares one scenario
 /// across its worker threads (each worker builds its own protocol instances
@@ -46,9 +45,9 @@ pub trait Scenario: Sync {
 
     /// Optional override of the engine's event budget, the one budget
     /// override on every backend (`None` keeps the default `O(n²)` budget
-    /// of [`fle_sim::SimConfig`] on the simulator and the partitioned engine
-    /// and the [`fle_runtime::ScheduleConfig`] grant budget on the gate
-    /// loop). Running out is a termination-budget violation.
+    /// of [`fle_sim::SimConfig`] on the simulator and the
+    /// [`fle_runtime::ScheduleConfig`] grant budget on the gate loop).
+    /// Running out is a termination-budget violation.
     fn max_events(&self) -> Option<u64> {
         None
     }

@@ -53,8 +53,7 @@ impl ShrinkResult {
 /// The predicate for keeping a candidate is that the **same oracle** (by
 /// name) fires under [`replay`] with the scenario rebuilt from scratch and
 /// the original `sim_seed` — the exact reproduction setup a human would
-/// use. On the partitioned backend a strategy violation carries the empty
-/// trace; it comes back unchanged, and its plan stays the replay token.
+/// use.
 pub fn shrink(
     scenario: &dyn Scenario,
     found: &FoundViolation,

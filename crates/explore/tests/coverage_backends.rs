@@ -1,12 +1,10 @@
 //! The coverage-guided driver works on every [`ExploreBackend`]: healthy
-//! scenarios stay clean while coverage grows, sabotage mutants get killed,
-//! and the partitioned backend (whose episodes carry no recorded trace)
-//! still participates through installed mutant traces.
+//! scenarios stay clean while coverage grows, and sabotage mutants get
+//! killed.
 
 use fle_explore::sabotage::SabotagedElectionScenario;
 use fle_explore::{
     CoverageConfig, CoverageExplorer, ElectionScenario, ExploreBackend, GatedConfig,
-    PartitionedConfig,
 };
 
 fn small(budget: usize) -> CoverageConfig {
@@ -23,7 +21,6 @@ fn healthy_elections_stay_clean_while_coverage_grows_on_every_backend() {
     let scenario = ElectionScenario { n: 4, k: 4 };
     let backends = [
         ExploreBackend::Sim,
-        ExploreBackend::Partitioned(PartitionedConfig::default()),
         ExploreBackend::Gated(GatedConfig::default()),
     ];
     for backend in backends {
@@ -72,31 +69,4 @@ fn the_guided_hunt_kills_the_mutant_on_the_gate_loop() {
         .expect("the DropWrites mutant must be killed on the gated backend");
     assert!(kill <= report.episodes);
     assert_eq!(report.violations[0].violation.oracle, "unique-leader");
-}
-
-#[test]
-fn coverage_hunts_on_the_partitioned_backend_are_deterministic() {
-    // The partitioned backend has no recorded traces (episodes replay by
-    // plan); the coverage loop must still be a pure function of the config —
-    // including across worker-thread counts of both the engine and the
-    // batch runner.
-    let scenario = ElectionScenario { n: 8, k: 8 };
-    let backend = ExploreBackend::Partitioned(PartitionedConfig {
-        partitions: 2,
-        workers: 0,
-    });
-    let a = CoverageExplorer::new(&scenario)
-        .with_backend(backend)
-        .with_config(small(12))
-        .with_threads(1)
-        .explore();
-    let b = CoverageExplorer::new(&scenario)
-        .with_backend(backend)
-        .with_config(small(12))
-        .with_threads(8)
-        .explore();
-    assert_eq!(a.episodes, b.episodes);
-    assert_eq!(a.growth, b.growth);
-    assert_eq!(a.distinct_features(), b.distinct_features());
-    assert_eq!(a.corpus.len(), b.corpus.len());
 }

@@ -44,8 +44,8 @@ use rand_chacha::ChaCha8Rng;
 /// [`EnabledEvents::iter`], which costs time linear in the number of enabled
 /// events.
 ///
-/// Adversaries must be [`Send`] so the partitioned simulator can hand each
-/// partition's adversary to its worker thread.
+/// Adversaries must be [`Send`], so a boxed adversary can move to another
+/// thread with the simulation it drives.
 pub trait Adversary: Send {
     /// Choose the next event (or a crash). `enabled` is never empty.
     fn decide(&mut self, observation: &SystemObservation, enabled: &EnabledEvents<'_>) -> Decision;

@@ -79,9 +79,6 @@ pub use message::{InFlightMessage, MessageId, MessageSlab};
 pub use observation::{
     Decision, EnabledEvent, EnabledEvents, ProcessObservation, ProcessPhase, SystemObservation,
 };
-pub use partition::{
-    coin_bool, coin_word, partition_adversary_seed, ParallelSimulator, RoundCrashPlan,
-    SuperRoundAdversary,
-};
+pub use partition::{coin_bool, coin_word, ParallelSimulator, RoundCrashPlan, SuperRoundAdversary};
 pub use report::ExecutionReport;
 pub use trace::{DecisionTrace, Trace, TraceEvent};

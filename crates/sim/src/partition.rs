@@ -2,7 +2,7 @@
 //!
 //! [`ParallelSimulator`] splits one simulation's `n` processors into
 //! contiguous partitions ([`fle_model::PartitionMap`]), gives each partition
-//! its own engine (message store, event indexes, processor state) and advances
+//! its own engine (message batch, step index, processor state) and advances
 //! all partitions in deterministic **super-rounds**:
 //!
 //! 1. **Barrier (leader, serial):** apply the crashes due this round, one at
@@ -24,15 +24,14 @@
 //!    and partition.
 //! 3. **Barrier (leader, serial):** merge the outboxes in [`RouteKey`] order,
 //!    assign global message ids in that order, and append each message to
-//!    its recipient's partition's batch, which is therefore id-ordered (an
-//!    adversarial round stores it in the partition's slab instead). The
+//!    its recipient's partition's batch, which is therefore id-ordered. The
 //!    key is a pure function of what *triggered* the send (the delivered
 //!    message id for replies, the stepping processor for broadcasts), so the
-//!    id sequence is independent of the partition count — and in this
-//!    canonical mode it reproduces the sequential engine's send order
-//!    exactly. A broadcast is one outbox entry, a *record*: it takes the
-//!    `n − 1` consecutive ids of its requests, and each partition that holds
-//!    a target batches it once, for the next drain to expand (`quorum.rs`).
+//!    id sequence is independent of the partition count — and it reproduces
+//!    the sequential engine's send order exactly. A broadcast is one outbox
+//!    entry, a *record*: it takes the `n − 1` consecutive ids of its
+//!    requests, and each partition that holds a target batches it once, for
+//!    the next drain to expand (`quorum.rs`).
 //!    A partition's unbuilt replies to one broadcast are one entry too: it
 //!    takes their consecutive ids and goes nowhere.
 //!    Each outbox is already key-sorted, so the merge moves runs: the
@@ -46,21 +45,14 @@
 //! partitioned engine to the reference engine event for event (same reports,
 //! same metrics, same trace digests).
 //!
-//! Two scheduling modes:
-//!
-//! * **Canonical** ([`ParallelSimulator::run_canonical`]): crashes come from a
-//!   pre-declared [`RoundCrashPlan`]; the schedule — and therefore every
-//!   report field — is a pure function of `(seed, n, crash plan)` and is
-//!   *identical for every partition count*. This is the mode the benchmarks
-//!   and differential tests use.
-//! * **Adversarial** ([`ParallelSimulator::run_adversarial`]): each partition
-//!   gets its own [`Adversary`] (seeded by a pure function of the
-//!   configuration seed and the partition index) which orders that
-//!   partition's events within each round and spends a partition share of the
-//!   crash budget. Deterministic for a fixed `(seed, n, partitions)` and
-//!   independent of the worker-thread count, but *not* partition-count
-//!   independent (different partition counts are simply different
-//!   adversaries).
+//! This *canonical* schedule is the engine's only one. Crashes come from a
+//! [`RoundCrashPlan`] fixed before the first round
+//! ([`ParallelSimulator::set_crash_plan`] refuses one later), so the
+//! schedule — and therefore every report field — is a pure function of
+//! `(seed, n, crash plan)` and is *identical for every partition count and
+//! every worker count*. An adversary that picks events runs on the
+//! sequential engine, where it sees every processor and may hold any
+//! message for as long as it likes.
 //!
 //! # What a partition owns
 //!
@@ -73,26 +65,21 @@
 //!   for the barrier to number and route, a broadcast as one record (the
 //!   outbox sits in the core, so its allocation is recycled with the
 //!   batch's);
-//! * where a routed message waits: a canonical round drains it from the
-//!   core's batch, a plain id-ordered buffer, because nobody picks among
-//!   its messages; an adversarial round keeps the core's slab and its
-//!   order-statistics index, from which its adversary picks by rank;
+//! * where a routed message waits: the core's batch, a plain id-ordered
+//!   buffer that the round drains front to back, because nobody picks
+//!   among its messages;
 //! * the global event number of a first step or a return, which the leader
 //!   assigns at the barrier from a marker;
-//! * the canonical-mode trace split (deliveries merged by id across
-//!   partitions, steps concatenated in partition order);
-//! * the per-partition adversary and its share of the crash budget.
+//! * the trace split (deliveries merged by id across partitions, steps
+//!   concatenated in partition order).
 
 use crate::adversary::Adversary;
 use crate::arena::SimArena;
 use crate::engine::SimConfig;
 use crate::error::SimError;
 use crate::message::{endpoint, InFlightMessage, MessageId};
-use crate::observation::{
-    Decision, EnabledEvent, EnabledEvents, ProcessObservation, ProcessPhase, SystemObservation,
-};
-use crate::process::SimProcess;
-use crate::quorum::{Network, QuorumCore, Scheduled};
+use crate::observation::{Decision, EnabledEvent, EnabledEvents, SystemObservation};
+use crate::quorum::{Network, QuorumCore};
 use crate::report::ExecutionReport;
 use crate::trace::{Trace, TraceEvent};
 use fle_model::{
@@ -122,18 +109,12 @@ pub fn coin_bool(word: u64, prob_one: f64) -> bool {
     unit < prob_one.clamp(0.0, 1.0)
 }
 
-/// The seed handed to partition `partition`'s adversary in adversarial mode:
-/// `splitmix64(seed ^ splitmix64(0xAD5E_0000_0000_0000 | partition))`.
-pub fn partition_adversary_seed(seed: u64, partition: usize) -> u64 {
-    splitmix64(seed ^ splitmix64(0xAD5E_0000_0000_0000 | partition as u64))
-}
-
 // ---------------------------------------------------------------------------
 // Crash plans
 // ---------------------------------------------------------------------------
 
-/// A pre-declared crash schedule for canonical mode: `(round, victim)` pairs,
-/// applied at the start of the given super-round in ascending victim order.
+/// A pre-declared crash schedule: `(round, victim)` pairs, applied at the
+/// start of the given super-round in ascending victim order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundCrashPlan {
     entries: Vec<(u64, ProcId)>,
@@ -338,9 +319,8 @@ fn run_below(outs: &[Outbound], bound: u64) -> usize {
 /// An interval/outcome event observed by a worker mid-round; the leader
 /// assigns its global event number at the barrier.
 struct Marker {
-    /// Position of the triggering event inside this partition's round:
-    /// canonical mode counts step-phase events only (1-based local step
-    /// index), adversarial mode counts all local events (1-based).
+    /// Position of the triggering step among this partition's steps of the
+    /// round, 1-based.
     pos: u64,
     proc: ProcId,
     kind: MarkerKind,
@@ -356,48 +336,30 @@ enum MarkerKind {
 /// One partition's share of the simulation: the quorum core over its
 /// processors, plus the round buffers the barrier reads.
 struct PartitionEngine {
-    part: usize,
     record_trace: bool,
     /// The partition's processors, the messages routed to them and the
-    /// enabled-event indexes over both.
+    /// step index.
     core: QuorumCore,
     metrics: ExecutionMetrics,
-    /// Local crash log (adversarial mode; canonical crashes are applied and
-    /// logged by the leader).
-    crashes: Vec<ProcId>,
     markers: Vec<Marker>,
-    /// `Deliver` trace events of this round, ascending message id
-    /// (canonical mode; merged by id across partitions at the barrier).
+    /// `Deliver` trace events of this round, ascending message id (merged
+    /// by id across partitions at the barrier).
     trace_deliver: Vec<TraceEvent>,
-    /// The round's other trace events in execution order (canonical: step
-    /// phase only; adversarial: every event including deliveries).
+    /// The round's step-phase trace events in execution order.
     trace_other: Vec<TraceEvent>,
     round_delivered: u64,
     round_steps: u64,
-    /// Total events this partition executed across all rounds (adversarial
-    /// observations report this partition-local count).
-    events_local: u64,
-    /// Error raised by this partition during the round, if any.
-    round_error: Option<SimError>,
-    /// Adversarial mode only: this partition's adversary, its full-`n`
-    /// observation (remote processors appear as [`ProcessPhase::Idle`]) and
-    /// its share of the crash budget.
-    adversary: Option<Box<dyn Adversary>>,
-    observation: Option<SystemObservation>,
-    crash_budget: usize,
     /// How many times this engine's arena has been recycled through the pool.
     arena_reuses: u64,
 }
 
 /// A partition's [`Network`]: every send goes to the core's outbox, keyed
-/// for the barrier, and becomes deliverable only next round.
+/// for the barrier, and becomes deliverable only next round. The round's
+/// phase order (all deliveries, then step-runs in ascending processor
+/// order) produces the keys in ascending order, as the barrier's merge
+/// needs them.
 struct Outgoing<'a> {
     metrics: &'a mut ExecutionMetrics,
-    /// Whether keys must arrive in ascending order: the canonical phase
-    /// order (all deliveries, then step-runs in ascending processor order)
-    /// produces them that way; an adversarial round interleaves freely and
-    /// sorts its outbox at the end of the round instead.
-    ascending: bool,
 }
 
 impl Network for Outgoing<'_> {
@@ -413,7 +375,7 @@ impl Network for Outgoing<'_> {
         let out = Outbound::new(key, from, to, payload);
         let outbox = core.outbox();
         debug_assert!(
-            !self.ascending || outbox.last().is_none_or(|last| last.key < out.key),
+            outbox.last().is_none_or(|last| last.key < out.key),
             "outbox keys must be generated in strictly ascending order"
         );
         outbox.push(out);
@@ -435,53 +397,30 @@ impl Network for Outgoing<'_> {
 impl PartitionEngine {
     fn new(part: usize, map: &PartitionMap, config: &SimConfig) -> Self {
         let SimArena {
-            mut core,
-            mut crashes,
-            reuses,
-            ..
+            mut core, reuses, ..
         } = SimArena::take_pooled();
         core.reset(map.range_of(part), config);
-        crashes.clear();
         PartitionEngine {
-            part,
             record_trace: config.record_trace,
             core,
             metrics: ExecutionMetrics::default(),
-            crashes,
             markers: Vec::new(),
             trace_deliver: Vec::new(),
             trace_other: Vec::new(),
             round_delivered: 0,
             round_steps: 0,
-            events_local: 0,
-            round_error: None,
-            adversary: None,
-            observation: None,
-            crash_budget: 0,
             arena_reuses: reuses,
         }
     }
 
-    /// The core's view of the network for one event.
-    fn outgoing(&mut self) -> (&mut QuorumCore, Outgoing<'_>) {
-        (
-            &mut self.core,
-            Outgoing {
-                metrics: &mut self.metrics,
-                ascending: self.adversary.is_none(),
-            },
-        )
-    }
-
-    /// Run one canonical super-round: deliver everything routed here at the
-    /// last barrier in ascending id order, then step-runs in ascending
-    /// processor order.
-    fn run_round_canonical(&mut self) {
+    /// Run one super-round: deliver everything routed here at the last
+    /// barrier in ascending id order, then step-runs in ascending processor
+    /// order.
+    fn run_round(&mut self) {
         let mut delivered = 0;
         let (record_trace, trace) = (self.record_trace, &mut self.trace_deliver);
         let mut net = Outgoing {
             metrics: &mut self.metrics,
-            ascending: true,
         };
         self.core.drain_batch(&mut net, |id, from, to| {
             delivered += 1;
@@ -490,7 +429,6 @@ impl PartitionEngine {
             }
         });
         self.round_delivered = delivered;
-        self.events_local += delivered;
         self.round_steps = 0;
         while let Some(proc) = self.core.first_step() {
             self.round_steps += 1;
@@ -498,100 +436,17 @@ impl PartitionEngine {
         }
     }
 
-    /// Run one adversarial super-round: let this partition's adversary
-    /// order (and crash) until every enabled event is consumed.
-    fn run_round_adversarial(&mut self) {
-        self.round_delivered = 0;
-        self.round_steps = 0;
-        while self.core.enabled_len() > 0 {
-            let observation = self
-                .observation
-                .as_mut()
-                .expect("adversarial mode maintains an observation");
-            observation.events_executed = self.events_local;
-            observation.crash_budget_left = self.crash_budget.saturating_sub(self.crashes.len());
-            let decision = self
-                .adversary
-                .as_mut()
-                .expect("adversarial mode installs an adversary")
-                .decide(observation, &self.core.enabled());
-            match decision {
-                Decision::Crash(victim) => {
-                    if let Err(error) = self.crash_local(victim) {
-                        self.round_error = Some(error);
-                        return;
-                    }
-                }
-                Decision::Schedule(index) => match self.core.resolve(index) {
-                    Some(Scheduled::Step(proc)) => {
-                        self.round_steps += 1;
-                        self.execute_step(proc, self.round_delivered + self.round_steps);
-                    }
-                    Some(Scheduled::Deliver(slot)) => {
-                        self.round_delivered += 1;
-                        self.execute_delivery(slot);
-                    }
-                    None => {
-                        self.round_error = Some(SimError::InvalidDecision {
-                            reason: format!(
-                                "index {index} out of bounds for {} enabled events",
-                                self.core.enabled_len()
-                            ),
-                        });
-                        return;
-                    }
-                },
-            }
-        }
-        // The barrier's p-way merge requires key-sorted outboxes. Keys are
-        // unique within a round (replies carry distinct trigger ids; a
-        // processor sends at most one broadcast batch per round, since a
-        // fresh communicate call cannot complete before the next barrier),
-        // so this sort is deterministic regardless of adversary order.
-        self.core.outbox().sort_unstable_by_key(|out| out.key);
-    }
-
-    /// Adversarial-mode crash: victims must be local, and the partition pays
-    /// from its own share of the crash budget.
-    fn crash_local(&mut self, victim: ProcId) -> Result<(), SimError> {
-        if self.crashes.len() >= self.crash_budget {
-            return Err(SimError::CrashBudgetExceeded {
-                victim,
-                budget: self.crash_budget,
-            });
-        }
-        if !self.core.owns(victim) {
-            return Err(SimError::InvalidDecision {
-                reason: format!(
-                    "partition {} cannot crash remote processor {victim}",
-                    self.part
-                ),
-            });
-        }
-        if self.core.process(victim).crashed {
-            return Err(SimError::InvalidDecision {
-                reason: format!("{victim} is already crashed"),
-            });
-        }
-        self.core.crash(victim);
-        self.crashes.push(victim);
-        if self.record_trace {
-            self.trace_other.push(TraceEvent::Crash { proc: victim });
-        }
-        self.core.sync(victim, self.observation.as_mut());
-        Ok(())
-    }
-
-    /// Step `proc`. `pos` is the event's position in this partition's round;
+    /// Step `proc`. `pos` is the step's position in this partition's round;
     /// the leader turns it into a global event number at the barrier, so
     /// the core keeps it only as a "has started" flag.
     fn execute_step(&mut self, proc: ProcId, pos: u64) {
-        self.events_local += 1;
         if self.record_trace {
             self.trace_other.push(TraceEvent::Step { proc });
         }
-        let (core, mut net) = self.outgoing();
-        let stepped = core.step(&mut net, proc, pos);
+        let mut net = Outgoing {
+            metrics: &mut self.metrics,
+        };
+        let stepped = self.core.step(&mut net, proc, pos);
         if stepped.first {
             self.markers.push(Marker {
                 pos,
@@ -612,18 +467,7 @@ impl PartitionEngine {
                 self.trace_other.push(TraceEvent::Return { proc, outcome });
             }
         }
-        self.core.sync(proc, self.observation.as_mut());
-    }
-
-    /// Deliver the message in slab `slot` (adversarial mode).
-    fn execute_delivery(&mut self, slot: u32) {
-        self.events_local += 1;
-        let (core, mut net) = self.outgoing();
-        let (id, from, to) = core.deliver(&mut net, slot);
-        if self.record_trace {
-            self.trace_other.push(TraceEvent::Deliver { id, from, to });
-        }
-        self.core.sync_phase(to, self.observation.as_mut());
+        self.core.sync(proc, None);
     }
 }
 
@@ -631,7 +475,7 @@ impl Drop for PartitionEngine {
     fn drop(&mut self) {
         SimArena::pool(SimArena::emptied(
             std::mem::take(&mut self.core),
-            std::mem::take(&mut self.crashes),
+            Vec::new(),
             Vec::new(),
             self.arena_reuses,
         ));
@@ -642,21 +486,14 @@ impl Drop for PartitionEngine {
 // The parallel simulator (leader + barrier)
 // ---------------------------------------------------------------------------
 
-/// What drives a run: a pre-declared crash plan (canonical mode) or one
-/// adversary per partition (adversarial mode).
-enum RoundMode {
-    Canonical { plan: RoundCrashPlan, cursor: usize },
-    Adversarial,
-}
-
 /// The partitioned parallel simulator. See the module documentation for the
 /// super-round execution model.
 ///
 /// Construction mirrors the sequential [`crate::Simulator`]: build a
 /// [`SimConfig`] (with [`SimConfig::with_partitions`]), register
-/// participants, then either [`ParallelSimulator::run_canonical`] /
-/// [`ParallelSimulator::run_adversarial`] to completion or drive
-/// [`ParallelSimulator::step_round`] round by round (online oracles).
+/// participants, then either [`ParallelSimulator::run_canonical`] to
+/// completion or set a plan with [`ParallelSimulator::set_crash_plan`] and
+/// drive [`ParallelSimulator::step_round`] round by round.
 pub struct ParallelSimulator {
     config: SimConfig,
     map: PartitionMap,
@@ -668,18 +505,21 @@ pub struct ParallelSimulator {
     /// more than one partition resolves the default: the OS is asked for
     /// the CPU count once per simulator, not once per round.
     workers: usize,
-    mode: RoundMode,
+    /// The crash plan, and how many of its entries the barriers have
+    /// applied.
+    plan: RoundCrashPlan,
+    cursor: usize,
     round: u64,
     next_message_id: u64,
     events_executed: u64,
-    /// Canonical-mode crash log, in application order.
+    /// The crash log, in application order.
     crashes: Vec<ProcId>,
     report: ExecutionReport,
 }
 
 impl ParallelSimulator {
     /// Create a parallel simulator over `config.partitions` partitions
-    /// (a value of 0 means 1). Defaults to canonical mode with no crashes.
+    /// (a value of 0 means 1), with no crashes planned.
     ///
     /// # Panics
     /// Panics if the config enables `validate_event_set` — the reference
@@ -705,10 +545,8 @@ impl ParallelSimulator {
             ends,
             engines,
             workers: 0,
-            mode: RoundMode::Canonical {
-                plan: RoundCrashPlan::none(),
-                cursor: 0,
-            },
+            plan: RoundCrashPlan::none(),
+            cursor: 0,
             round: 0,
             next_message_id: 0,
             events_executed: 0,
@@ -763,7 +601,7 @@ impl ParallelSimulator {
         }
         let engine = &mut self.engines[self.map.partition_of(proc)];
         engine.core.register(proc, protocol)?;
-        engine.core.sync(proc, engine.observation.as_mut());
+        engine.core.sync(proc, None);
         Ok(())
     }
 
@@ -777,54 +615,23 @@ impl ParallelSimulator {
             .expect("invalid participant registration");
     }
 
-    /// Switch to canonical mode with the given crash plan.
+    /// Set the crash plan the barriers apply. A run is a pure function of
+    /// `(seed, n, crash plan)` only if the plan is fixed before the first
+    /// round, so a plan cannot be set once a round has run.
     ///
     /// # Errors
-    /// The plan's [`RoundCrashPlan::validate`] errors.
+    /// The plan's [`RoundCrashPlan::validate`] errors, and
+    /// [`SimError::InvalidDecision`] once a round has run.
     pub fn set_crash_plan(&mut self, plan: &RoundCrashPlan) -> Result<(), SimError> {
-        plan.validate(&self.config)?;
-        self.mode = RoundMode::Canonical {
-            plan: plan.clone(),
-            cursor: 0,
-        };
-        Ok(())
-    }
-
-    /// Switch to adversarial mode: `factory(partition, seed)` builds one
-    /// adversary per partition, where `seed` is
-    /// [`partition_adversary_seed`]`(config.seed, partition)`. Each partition
-    /// gets `budget/p` of the crash budget plus one of the first
-    /// `budget % p` remainder units, and may only crash its own processors.
-    pub fn set_adversaries(&mut self, mut factory: impl FnMut(usize, u64) -> Box<dyn Adversary>) {
-        let parts = self.engines.len();
-        let budget = self.config.crash_budget;
-        let n = self.config.n;
-        for (part, engine) in self.engines.iter_mut().enumerate() {
-            engine.adversary = Some(factory(
-                part,
-                partition_adversary_seed(self.config.seed, part),
-            ));
-            engine.crash_budget = budget / parts + usize::from(part < budget % parts);
-            if engine.observation.is_none() {
-                engine.observation = Some(SystemObservation {
-                    n,
-                    events_executed: 0,
-                    crash_budget_left: engine.crash_budget,
-                    processes: (0..n)
-                        .map(|i| ProcessObservation {
-                            proc: ProcId(i),
-                            phase: ProcessPhase::Idle,
-                            local_state: None,
-                        })
-                        .collect(),
-                });
-                // Fill in the local processors' real phases.
-                for index in self.map.range_of(part) {
-                    engine.core.sync(ProcId(index), engine.observation.as_mut());
-                }
-            }
+        if self.round > 0 {
+            return Err(SimError::InvalidDecision {
+                reason: format!("{} rounds ran before the crash plan was set", self.round),
+            });
         }
-        self.mode = RoundMode::Adversarial;
+        plan.validate(&self.config)?;
+        self.plan = plan.clone();
+        self.cursor = 0;
+        Ok(())
     }
 
     /// Whether every live participant has returned.
@@ -857,7 +664,7 @@ impl ParallelSimulator {
         }
     }
 
-    /// Apply one canonical-mode crash at the barrier (leader context). The
+    /// Apply one planned crash at the barrier (leader context). The
     /// messages the last barrier batched for the victim stay batched, and
     /// the next drain skips them; the core batches none routed to it from
     /// now on.
@@ -868,7 +675,7 @@ impl ParallelSimulator {
             "plan victims are unique"
         );
         engine.core.mark_crashed(victim);
-        engine.core.sync(victim, engine.observation.as_mut());
+        engine.core.sync(victim, None);
         self.crashes.push(victim);
         self.report.trace.push(TraceEvent::Crash { proc: victim });
     }
@@ -878,50 +685,33 @@ impl ParallelSimulator {
     /// partitions share no state within a round — which is what the
     /// worker-count determinism tests pin down.
     fn dispatch_round(&mut self) {
-        let adversarial = matches!(self.mode, RoundMode::Adversarial);
         let parts = self.engines.len();
         if parts > 1 && self.workers == 0 {
             self.workers = std::thread::available_parallelism().map_or(1, |w| w.get());
         }
         let workers = self.workers.min(parts);
         if workers <= 1 {
-            for engine in &mut self.engines {
-                if adversarial {
-                    engine.run_round_adversarial();
-                } else {
-                    engine.run_round_canonical();
-                }
-            }
+            self.engines.iter_mut().for_each(PartitionEngine::run_round);
             return;
         }
         let chunk = parts.div_ceil(workers);
         std::thread::scope(|scope| {
             for engines in self.engines.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for engine in engines {
-                        if adversarial {
-                            engine.run_round_adversarial();
-                        } else {
-                            engine.run_round_canonical();
-                        }
-                    }
-                });
+                scope.spawn(move || engines.iter_mut().for_each(PartitionEngine::run_round));
             }
         });
     }
 
-    /// Execute one super-round. Returns `Ok(false)` — without running
-    /// anything — once every live participant has returned.
+    /// Execute one super-round. Returns `Ok(false)` once no live
+    /// participant is left: at once when every one has returned, or after
+    /// the barrier's crashes when they leave none.
     ///
     /// # Errors
-    /// * [`SimError::EventBudgetExhausted`] if the event budget ran out or
-    ///   the system can no longer make progress (quorums that can never
-    ///   form). Unlike the sequential engine, the budget is enforced at
-    ///   round granularity, so a run may overshoot `max_events` by up to one
-    ///   round before erroring.
-    /// * Adversarial mode: any error a partition adversary provokes
-    ///   ([`SimError::InvalidDecision`], [`SimError::CrashBudgetExceeded`]),
-    ///   reported for the lowest-numbered failing partition.
+    /// [`SimError::EventBudgetExhausted`] if the event budget ran out or the
+    /// system can no longer make progress (quorums that can never form).
+    /// Unlike the sequential engine, the budget is enforced at round
+    /// granularity, so a run may overshoot `max_events` by up to one round
+    /// before erroring.
     pub fn step_round(&mut self) -> Result<bool, SimError> {
         if self.live() == 0 {
             return Ok(false);
@@ -930,57 +720,43 @@ impl ParallelSimulator {
             return Err(self.budget_exhausted());
         }
 
-        // Barrier, part 1: due crashes (canonical mode), applied one at a
-        // time with the sequential engine's "did the last live participant
-        // just die" check between them.
+        // Barrier, part 1: due crashes, applied one at a time with the
+        // sequential engine's "did the last live participant just die"
+        // check between them.
         let mut crashes_this_round = 0u64;
-        if let RoundMode::Canonical { plan, cursor } = &mut self.mode {
-            let mut due = Vec::new();
-            while *cursor < plan.entries().len() && plan.entries()[*cursor].0 <= self.round {
-                due.push(plan.entries()[*cursor].1);
-                *cursor += 1;
+        while let Some(&(round, victim)) = self.plan.entries().get(self.cursor) {
+            if round > self.round {
+                break;
             }
-            for victim in due {
-                if self.live() == 0 {
-                    break;
-                }
+            self.cursor += 1;
+            if self.live() > 0 {
                 self.crash_at_barrier(victim);
                 crashes_this_round += 1;
             }
-            if self.live() == 0 {
-                return Ok(false);
-            }
-            // Each core learns how many processors below its range have not
-            // crashed, for the ranks of the replies its drain builds.
-            let mut below = 0;
-            for engine in &mut self.engines {
-                engine.core.set_uncrashed_below(below);
-                below += engine.core.uncrashed();
-            }
+        }
+        if self.live() == 0 {
+            return Ok(false);
+        }
+        // Each core learns how many processors below its range have not
+        // crashed, for the ranks of the replies its drain builds.
+        let mut below = 0;
+        for engine in &mut self.engines {
+            engine.core.set_uncrashed_below(below);
+            below += engine.core.uncrashed();
         }
 
         // The round body: all partitions in parallel.
         self.dispatch_round();
-        for engine in &self.engines {
-            if let Some(error) = &engine.round_error {
-                return Err(error.clone());
-            }
-        }
 
         // Barrier, part 2: global event numbering and interval/outcome
         // bookkeeping from the markers — O(partitions + markers), not
-        // O(events), so the serial fraction stays flat as n grows.
-        let adversarial = matches!(self.mode, RoundMode::Adversarial);
-        let base = self.events_executed;
+        // O(events), so the serial fraction stays flat as n grows. A step's
+        // number follows the round's deliveries and the steps of the
+        // partitions before its own.
         let d_total: u64 = self.engines.iter().map(|e| e.round_delivered).sum();
         let s_total: u64 = self.engines.iter().map(|e| e.round_steps).sum();
-        let mut prefix = 0u64;
+        let mut marker_base = self.events_executed + d_total;
         for engine in &mut self.engines {
-            let marker_base = if adversarial {
-                base + prefix
-            } else {
-                base + d_total + prefix
-            };
             for marker in engine.markers.drain(..) {
                 let global = marker_base + marker.pos;
                 match marker.kind {
@@ -997,38 +773,31 @@ impl ParallelSimulator {
                     }
                 }
             }
-            prefix += if adversarial {
-                engine.round_delivered + engine.round_steps
-            } else {
-                engine.round_steps
-            };
+            marker_base += engine.round_steps;
         }
         self.events_executed += d_total + s_total;
 
-        // Trace merge (only when recording): canonical rounds interleave the
-        // delivery sections by message id and concatenate the step sections
-        // in partition order (= ascending processor order, since partitions
-        // are contiguous); adversarial rounds concatenate each partition's
-        // local event sequence.
+        // Trace merge (only when recording): interleave the delivery
+        // sections by message id and concatenate the step sections in
+        // partition order (= ascending processor order, since partitions
+        // are contiguous).
         if self.config.record_trace {
-            if !adversarial {
-                let mut cursors = vec![0usize; self.engines.len()];
-                loop {
-                    let mut best: Option<(u64, usize)> = None;
-                    for (part, engine) in self.engines.iter().enumerate() {
-                        if let Some(TraceEvent::Deliver { id, .. }) =
-                            engine.trace_deliver.get(cursors[part])
-                        {
-                            if best.is_none_or(|(bid, _)| id.0 < bid) {
-                                best = Some((id.0, part));
-                            }
+            let mut cursors = vec![0usize; self.engines.len()];
+            loop {
+                let mut best: Option<(u64, usize)> = None;
+                for (part, engine) in self.engines.iter().enumerate() {
+                    if let Some(TraceEvent::Deliver { id, .. }) =
+                        engine.trace_deliver.get(cursors[part])
+                    {
+                        if best.is_none_or(|(bid, _)| id.0 < bid) {
+                            best = Some((id.0, part));
                         }
                     }
-                    let Some((_, part)) = best else { break };
-                    let event = self.engines[part].trace_deliver[cursors[part]];
-                    self.report.trace.push(event);
-                    cursors[part] += 1;
                 }
+                let Some((_, part)) = best else { break };
+                let event = self.engines[part].trace_deliver[cursors[part]];
+                self.report.trace.push(event);
+                cursors[part] += 1;
             }
             for engine in &mut self.engines {
                 engine.trace_deliver.clear();
@@ -1044,10 +813,9 @@ impl ParallelSimulator {
         }
 
         // Barrier, part 3: merge the outboxes in key order, assign global
-        // message ids in that order, and hand each message or record to its
-        // recipients' cores: onto the batch in canonical mode, into the slab
-        // in adversarial mode, a record as the requests it stands for (the
-        // core drops those addressed to crashed processors).
+        // message ids in that order, and batch each message or record at
+        // its recipients' cores (a core drops a message to a crashed
+        // processor; its drain skips a record's crashed targets).
         let mut outboxes: Vec<Vec<Outbound>> = self
             .engines
             .iter_mut()
@@ -1056,14 +824,7 @@ impl ParallelSimulator {
         let (engines, first_id) = (&mut self.engines, self.next_message_id);
         let mut next_id = first_id;
         merge_outboxes(&mut outboxes, &self.ends, &mut next_id, |part, message| {
-            let core = &mut engines[part].core;
-            if !adversarial {
-                core.enqueue(message);
-            } else if message.is_request() {
-                core.store_record(&message);
-            } else {
-                core.store(message);
-            }
+            engines[part].core.enqueue(message);
         });
         let routed = next_id - first_id;
         self.next_message_id = next_id;
@@ -1082,85 +843,28 @@ impl ParallelSimulator {
         Ok(true)
     }
 
-    /// Run to completion in canonical mode under `plan`.
+    /// Run to completion under `plan`.
     ///
     /// # Errors
-    /// [`RoundCrashPlan::validate`] errors and [`ParallelSimulator::step_round`]
-    /// errors.
+    /// [`ParallelSimulator::set_crash_plan`] errors and
+    /// [`ParallelSimulator::step_round`] errors.
     pub fn run_canonical(&mut self, plan: &RoundCrashPlan) -> Result<ExecutionReport, SimError> {
         self.set_crash_plan(plan)?;
         while self.step_round()? {}
         Ok(self.finish())
     }
 
-    /// Run to completion in adversarial mode; see
-    /// [`ParallelSimulator::set_adversaries`] for the factory contract.
-    ///
-    /// # Errors
-    /// [`ParallelSimulator::step_round`] errors.
-    pub fn run_adversarial(
-        &mut self,
-        factory: impl FnMut(usize, u64) -> Box<dyn Adversary>,
-    ) -> Result<ExecutionReport, SimError> {
-        self.set_adversaries(factory);
-        while self.step_round()? {}
-        Ok(self.finish())
-    }
-
-    /// Merge and take the report (counterpart of the sequential engine's
-    /// [`crate::Simulator::finish`]). Metrics are absorbed from every
-    /// partition; crashes are reported in application order (canonical) or
-    /// partition order (adversarial).
+    /// Take the report (counterpart of the sequential engine's
+    /// [`crate::Simulator::finish`]), with the event count, every
+    /// partition's metrics and the crashes so far, in application order.
     pub fn finish(&mut self) -> ExecutionReport {
-        let report = std::mem::take(&mut self.report);
-        self.merged(report)
-    }
-
-    /// A merged snapshot of the in-progress report (outcomes, intervals,
-    /// metrics, crashes, trace so far). O(n) — built for online oracles
-    /// between rounds, not for hot loops.
-    pub fn merged_report_so_far(&self) -> ExecutionReport {
-        self.merged(self.report.clone())
-    }
-
-    /// `report` with the event count, every partition's metrics and the
-    /// crash list filled in.
-    fn merged(&self, mut report: ExecutionReport) -> ExecutionReport {
+        let mut report = std::mem::take(&mut self.report);
         report.events_executed = self.events_executed;
         for engine in &self.engines {
             report.metrics.absorb(&engine.metrics);
         }
-        report.crashed = self.crash_list();
+        report.crashed = self.crashes.clone();
         report
-    }
-
-    /// The crashes so far, in application order (canonical) or partition
-    /// order (adversarial).
-    fn crash_list(&self) -> Vec<ProcId> {
-        if matches!(self.mode, RoundMode::Adversarial) {
-            self.engines
-                .iter()
-                .flat_map(|e| e.crashes.iter().copied())
-                .collect()
-        } else {
-            self.crashes.clone()
-        }
-    }
-
-    /// A merged full-system observation as of the last barrier (O(n); for
-    /// online oracles between rounds).
-    pub fn merged_observation(&self) -> SystemObservation {
-        let crashes = self.crash_list().len();
-        let mut processes = Vec::with_capacity(self.config.n);
-        for engine in &self.engines {
-            processes.extend(engine.core.processes().iter().map(SimProcess::observation));
-        }
-        SystemObservation {
-            n: self.config.n,
-            events_executed: self.events_executed,
-            crash_budget_left: self.config.crash_budget.saturating_sub(crashes),
-            processes,
-        }
     }
 }
 
@@ -1260,7 +964,6 @@ impl Adversary for SuperRoundAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{CrashPlan, CrashingAdversary, RandomAdversary};
     use crate::quorum::tests::{
         assert_stored_traffic_is_live, assert_views_are_held_by_their_stores_alone, Chatter,
     };
@@ -1532,7 +1235,7 @@ mod tests {
     #[test]
     fn crash_heavy_partitioned_runs_store_no_message_for_a_crashed_processor() {
         for seed in 0..4 {
-            let mut canonical = chatty(seed);
+            let mut sim = chatty(seed);
             let plan = RoundCrashPlan::new(vec![
                 (0, ProcId(1)),
                 (0, ProcId(3)),
@@ -1542,24 +1245,9 @@ mod tests {
                 (4, ProcId(12)),
                 (5, ProcId(15)),
             ]);
-            canonical.set_crash_plan(&plan).unwrap();
-            let context = format!("canonical, seed {seed}");
-            assert_eq!(run_checking_stored_traffic(canonical, &context), 7);
-
-            // Each partition's adversary spends its whole share of the
-            // budget (4 and 3) on its own processors, mid-round.
-            let mut adversarial = chatty(seed);
-            adversarial.set_adversaries(|part, seed| {
-                let plan = (0..4 - part).fold(CrashPlan::none(), |plan, i| {
-                    plan.and_then(25 * i as u64, ProcId(8 * part + 2 * i + 1))
-                });
-                Box::new(CrashingAdversary::new(
-                    RandomAdversary::with_seed(seed),
-                    plan,
-                ))
-            });
-            let context = format!("adversarial, seed {seed}");
-            assert_eq!(run_checking_stored_traffic(adversarial, &context), 7);
+            sim.set_crash_plan(&plan).unwrap();
+            let context = format!("seed {seed}");
+            assert_eq!(run_checking_stored_traffic(sim, &context), 7);
         }
     }
 
@@ -1585,16 +1273,39 @@ mod tests {
 
     #[test]
     fn an_early_finish_keeps_the_crash_accounting() {
-        // A report taken mid-run lists the crashes so far, and the run goes
-        // on with them still counted against the budget.
+        // A report taken mid-run lists the crashes so far, and taking it
+        // keeps them: the report at the end lists them again.
         let mut sim = chatty(0);
         sim.set_crash_plan(&RoundCrashPlan::new(vec![(0, ProcId(1))]))
             .unwrap();
         assert!(sim.step_round().unwrap());
         assert_eq!(sim.finish().crashed, vec![ProcId(1)]);
-        let budget = sim.config().crash_budget;
-        assert_eq!(sim.merged_observation().crash_budget_left, budget - 1);
         while sim.step_round().unwrap() {}
         assert_eq!(sim.finish().crashed, vec![ProcId(1)]);
+    }
+
+    #[test]
+    fn a_crash_plan_cannot_be_set_once_a_round_has_run() {
+        // Setting the plan again would replay its applied entries: p9 would
+        // crash twice, and the uncrashed count that ranks a drain's replies
+        // would fall twice.
+        let n = 16;
+        let mut sim = ParallelSimulator::new(SimConfig::new(n).with_seed(3).with_partitions(2));
+        for i in 0..n {
+            let election = fle_core::LeaderElection::new(ProcId(i));
+            sim.add_participant(ProcId(i), Box::new(election));
+        }
+        let plan = RoundCrashPlan::new(vec![(0, ProcId(9))]);
+        sim.set_crash_plan(&plan).unwrap();
+        assert!(sim.step_round().unwrap());
+        assert!(sim.step_round().unwrap());
+        assert!(matches!(
+            sim.run_canonical(&plan),
+            Err(SimError::InvalidDecision { .. })
+        ));
+        while sim.step_round().unwrap() {}
+        let report = sim.finish();
+        assert_eq!(report.crashed, vec![ProcId(9)]);
+        assert_eq!(report.winners().len(), 1);
     }
 }

@@ -12,14 +12,14 @@
 //! range. Where a send goes is the engine's [`Network`], a generic
 //! parameter, so a send is a direct call.
 //!
-//! A core keeps its messages in one of two stores, which feed one delivery
-//! body:
+//! A core keeps its messages in one of two stores, one per engine, which
+//! feed one delivery body:
 //!
 //! * **The slab**, where an adversary picks by rank: the sequential engine
-//!   and adversarial partitions [`QuorumCore::store`] each message under an
-//!   id-ordered index. A completed call's leftovers are purged from it, and
-//!   a crash drops the victim's messages.
-//! * **The batch**, where nobody picks: a canonical round delivers every
+//!   [`QuorumCore::store`]s each message under an id-ordered index. A
+//!   completed call's leftovers are purged from it, and a crash drops the
+//!   victim's messages.
+//! * **The batch**, where nobody picks: a partition's round delivers every
 //!   message the last barrier routed to it, in id order, so the barrier
 //!   [`QuorumCore::enqueue`]s them on a `Vec` that
 //!   [`QuorumCore::drain_batch`] delivers front to back. It skips, without
@@ -32,9 +32,9 @@
 //! barrier numbers it with their `n − 1` consecutive ids and batches one
 //! **record** of it (the first id, the sender and the one request payload)
 //! at each partition that holds a target. The drain delivers a record as
-//! the requests it stands for ([`QuorumCore::expand`]): one to each of the
-//! core's processors but the sender and the crashed, ascending, each under
-//! its own id, all answered from the record's payload. Every request in an
+//! the requests it stands for: one to each of the core's processors but
+//! the sender and the crashed, ascending, each under its own id
+//! (`request_id`), all answered from the record's payload. Every request in an
 //! outbox or a batch is such a record, so that is what marks one; a record
 //! is addressed to its sender, as no message is.
 //!
@@ -291,7 +291,9 @@ impl QuorumCore {
 
     /// The requests a broadcast `record` stands for at this core, which the
     /// drain delivers: one to each of the core's processors but the sender
-    /// and the crashed, ascending by id.
+    /// and the crashed, ascending by id. The tests' view of a batched
+    /// record, through [`QuorumCore::stored`].
+    #[cfg(test)]
     fn expand<'a>(
         &'a self,
         record: &'a InFlightMessage,
@@ -485,15 +487,6 @@ impl QuorumCore {
         );
         if message.is_request() || !self.process(message.to()).crashed {
             self.batch.push(message);
-        }
-    }
-
-    /// Store the requests a broadcast record stands for in the slab, as an
-    /// adversarial round needs them.
-    pub(crate) fn store_record(&mut self, record: &InFlightMessage) {
-        let requests: Vec<_> = self.expand(record).collect();
-        for request in requests {
-            self.store(request);
         }
     }
 
@@ -728,8 +721,8 @@ impl QuorumCore {
         self.batch = batch;
     }
 
-    /// Deliver the requests [`QuorumCore::expand`] yields for `record`, in
-    /// its order, without copying them, and answer each. Only the replies
+    /// Deliver the requests `record` stands for, ascending by target, without
+    /// copying them, and answer each. Only the replies
     /// of answerers ranked below `quorum − 1` are built; the rest take
     /// their ids through one outbox entry (see the module documentation).
     /// Answering a request changes no processor's phase, so nothing needs a

@@ -23,12 +23,10 @@
 //!   makes the differential tests possible. Booleans come from
 //!   [`crate::coin_bool`] (top 53 bits as a uniform float, compared against
 //!   the bias); `Choose` picks `word % len`.
-//! * **Partition adversaries** (adversarial mode): partition `i`'s adversary
-//!   is seeded with [`crate::partition_adversary_seed`]`(s, i)` =
-//!   `splitmix64(s ^ splitmix64(0xAD5E_0000_0000_0000 | i))`. Fixed
-//!   `(s, n, partitions)` therefore fixes the whole adversarial execution;
-//!   different partition counts are simply different (but still
-//!   deterministic) adversaries.
+//!
+//! The partitioned engine has no adversary: its schedule is the canonical
+//! super-round order, so `(s, n, crash plan)` fixes its whole execution,
+//! whatever the partition count.
 
 use crate::message::MessageId;
 use crate::observation::Decision;

@@ -1,13 +1,10 @@
 //! Determinism regression tests: a partitioned run is a pure function of
-//! `(seed, n, partitions)` — the number of worker threads driving the
+//! `(seed, n, crash plan)` — the number of worker threads driving the
 //! partitions must never be observable in any report field.
 
 use fle_core::LeaderElection;
-use fle_model::{PartitionMap, ProcId};
-use fle_sim::{
-    partition_adversary_seed, CrashPlan, CrashingAdversary, ParallelSimulator, RandomAdversary,
-    RoundCrashPlan, SimConfig,
-};
+use fle_model::ProcId;
+use fle_sim::{ParallelSimulator, RoundCrashPlan, SimConfig};
 
 fn run_canonical(
     n: usize,
@@ -25,33 +22,6 @@ fn run_canonical(
     }
     let plan = RoundCrashPlan::new(vec![(0, ProcId(2)), (3, ProcId(n - 1))]);
     sim.run_canonical(&plan).expect("canonical run failed")
-}
-
-fn run_adversarial(
-    n: usize,
-    seed: u64,
-    partitions: usize,
-    workers: usize,
-) -> fle_sim::ExecutionReport {
-    let config = SimConfig::new(n)
-        .with_seed(seed)
-        .with_partitions(partitions)
-        .with_trace();
-    let mut sim = ParallelSimulator::new(config).with_workers(workers);
-    for i in 0..n {
-        sim.add_participant(ProcId(i), Box::new(LeaderElection::new(ProcId(i))));
-    }
-    // Each partition's adversary schedules randomly and crashes one of its
-    // own processors early (partition adversaries may only crash locally).
-    let map = PartitionMap::new(n, partitions);
-    sim.run_adversarial(|part, seed| {
-        let victim = ProcId(map.range_of(part).start);
-        Box::new(CrashingAdversary::new(
-            RandomAdversary::with_seed(seed),
-            CrashPlan::none().and_then(4, victim),
-        ))
-    })
-    .expect("adversarial run failed")
 }
 
 fn assert_byte_identical(a: &fle_sim::ExecutionReport, b: &fle_sim::ExecutionReport, label: &str) {
@@ -88,45 +58,10 @@ fn canonical_runs_are_worker_count_independent() {
 }
 
 #[test]
-fn adversarial_runs_are_worker_count_independent() {
-    for (n, partitions) in [(32usize, 4usize), (48, 3)] {
-        let reference = run_adversarial(n, 23, partitions, 1);
-        assert!(
-            !reference.crashed.is_empty(),
-            "sanity: the random adversaries should spend some crash budget"
-        );
-        for workers in [2usize, 4, 16] {
-            let candidate = run_adversarial(n, 23, partitions, workers);
-            assert_byte_identical(
-                &reference,
-                &candidate,
-                &format!("adversarial n={n} p={partitions} workers={workers}"),
-            );
-        }
-    }
-}
-
-#[test]
 fn repeated_runs_are_bitwise_reproducible() {
     // Same (seed, n, partitions) twice in the same process — catches any
     // leak of global state (arena pools, statics) into results.
-    let a = run_adversarial(32, 5, 4, 2);
-    let b = run_adversarial(32, 5, 4, 2);
-    assert_byte_identical(&a, &b, "repeat adversarial");
-    let c = run_canonical(32, 5, 4, 2);
-    let d = run_canonical(32, 5, 4, 2);
-    assert_byte_identical(&c, &d, "repeat canonical");
-}
-
-#[test]
-fn partition_adversary_seeds_are_distinct_per_partition() {
-    let mut seeds: Vec<u64> = (0..64).map(|p| partition_adversary_seed(9, p)).collect();
-    seeds.sort_unstable();
-    seeds.dedup();
-    assert_eq!(seeds.len(), 64, "per-partition seeds must not collide");
-    assert_ne!(
-        partition_adversary_seed(9, 0),
-        partition_adversary_seed(10, 0),
-        "seeds must depend on the configuration seed"
-    );
+    let a = run_canonical(32, 5, 4, 2);
+    let b = run_canonical(32, 5, 4, 2);
+    assert_byte_identical(&a, &b, "repeat canonical");
 }

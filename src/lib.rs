@@ -18,7 +18,7 @@
 //! | [`core`] (`fle-core`) | PoisonPill, Heterogeneous PoisonPill, doorway, pre-round, the full election, renaming |
 //! | [`baselines`] (`fle-baselines`) | tournament-tree test-and-set (AGTV92), random-order renaming (AAG+10) |
 //! | [`service`] (`fle-service`) | sharded multi-instance election/renaming service over the pluggable backends |
-//! | [`explore`] (`fle-explore`) | adversarial schedule exploration over the simulator, the partitioned engine and the schedule-gate loop through one episode runner: attack strategies, safety oracles, counterexample shrinking |
+//! | [`explore`] (`fle-explore`) | adversarial schedule exploration over the simulator and the schedule-gate loop through one episode runner: attack strategies, safety oracles, counterexample shrinking |
 //! | [`analysis`] (`fle-analysis`) | statistics, `log*`/`log²`/`√n` reference curves, table rendering |
 //!
 //! # Quickstart
