@@ -19,7 +19,8 @@
 //!
 //! `--parallel-smoke` runs the CI parallel gate: an n = 4096 election at
 //! p = 2 and 3, and on the sequential engine under the super-round
-//! schedule, must match p = 1 exactly (outcomes, metrics, event count), and
+//! schedule, must match p = 1 exactly (outcomes, intervals, every
+//! processor's metrics, event count), and
 //! so must p = 2 and 3 and the sequential engine under a crash plan; the
 //! measured efficiency is printed but never gates.
 //!

@@ -16,7 +16,8 @@
 //!
 //! [`parallel_smoke_check`] is the CI gate: a small run at p = 2 and 3, and
 //! the same schedule on the sequential engine, must produce *exactly* the
-//! outcomes, metrics and event count of p = 1, and so must p = 2 and 3 and
+//! outcomes, intervals, per-processor metrics and event count of p = 1, and
+//! so must p = 2 and 3 and
 //! the sequential engine under a crash plan (hard failure), while the
 //! measured efficiency is only reported (single-core CI runners cannot
 //! meaningfully gate on speedup).
@@ -284,7 +285,8 @@ fn vm_hwm_kib() -> Result<u64, String> {
 /// a run's report differs from its p = 1 run in any field that the
 /// canonical schedule promises to be independent of the partition count and
 /// of the engine: outcomes, crash list, event count, total messages, max
-/// communicate calls; or if a planned crash did not happen. The crash-free
+/// communicate calls, every processor's metrics and the invocation/return
+/// intervals; or if a planned crash did not happen. The crash-free
 /// p = 2 speedup and efficiency are returned for logging but never gate —
 /// CI runners are routinely single-core.
 ///
@@ -389,6 +391,12 @@ fn same_outcome(
     }
     if reference.metrics.max_communicate_calls() != other.metrics.max_communicate_calls() {
         return Err(format!("{label}: communicate-call maxima differ from p=1"));
+    }
+    if reference.metrics != other.metrics {
+        return Err(format!("{label}: per-processor metrics differ from p=1"));
+    }
+    if reference.intervals != other.intervals {
+        return Err(format!("{label}: intervals differ from p=1"));
     }
     Ok(())
 }

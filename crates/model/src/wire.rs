@@ -16,6 +16,9 @@
 //!   copy-on-write snapshot ([`crate::ReplicaStore::view_arc`]): producing
 //!   it is a refcount bump, and a view is a join-semilattice, so the whole
 //!   state is always a correct reply whatever the requester holds already.
+//! * [`WireMessage::Replies`] is not a message of the model but a bundle
+//!   of them: the partitioned simulator's answers of one partition to one
+//!   broadcast, which never leave that engine.
 
 use crate::ids::InstanceId;
 use crate::value::{Key, Value};
@@ -60,6 +63,23 @@ pub enum WireMessage {
         /// responder keeps writing while the snapshot is alive.
         view: Arc<View>,
     },
+    /// A **reply run**: one partition's replies to one broadcast of the
+    /// partitioned simulator, which never leave that engine. It stands for
+    /// `count` replies to the caller under consecutive message ids, one from
+    /// each of the partition's answerers in ascending order. Only the first
+    /// `built.len()` are built, those that can complete the call's quorum:
+    /// the `i`-th comes from processor `built[i].0` and carries the
+    /// responder's view snapshot for a collect, nothing for an ack. The box
+    /// keeps the variant within the size of the others.
+    Replies {
+        /// Sequence number being answered.
+        seq: CallSeq,
+        /// How many replies, built or not, the run stands for.
+        count: u32,
+        /// The built replies' responders, ascending, each with its view
+        /// snapshot for a collect.
+        built: Box<Vec<(u32, Option<Arc<View>>)>>,
+    },
 }
 
 impl WireMessage {
@@ -69,7 +89,8 @@ impl WireMessage {
             WireMessage::Propagate { seq, .. }
             | WireMessage::Ack { seq }
             | WireMessage::Collect { seq, .. }
-            | WireMessage::CollectReply { seq, .. } => *seq,
+            | WireMessage::CollectReply { seq, .. }
+            | WireMessage::Replies { seq, .. } => *seq,
         }
     }
 
@@ -81,7 +102,7 @@ impl WireMessage {
         )
     }
 
-    /// Whether this is a reply (ack or collect reply).
+    /// Whether this is a reply (ack, collect reply or reply run).
     pub fn is_reply(&self) -> bool {
         !self.is_request()
     }
@@ -97,6 +118,9 @@ impl fmt::Display for WireMessage {
             WireMessage::Collect { seq, instance } => write!(f, "collect#{seq}({instance})"),
             WireMessage::CollectReply { seq, view } => {
                 write!(f, "collect-reply#{seq}({} entries)", view.len())
+            }
+            WireMessage::Replies { seq, count, built } => {
+                write!(f, "replies#{seq}({} of {count} built)", built.len())
             }
         }
     }
@@ -122,10 +146,17 @@ mod tests {
             seq: 2,
             view: Arc::new(View::new()),
         };
+        let run = WireMessage::Replies {
+            seq: 3,
+            count: 5,
+            built: Box::new(vec![(4, None)]),
+        };
         assert!(p.is_request() && c.is_request());
-        assert!(a.is_reply() && r.is_reply());
+        assert!(a.is_reply() && r.is_reply() && run.is_reply());
         assert_eq!(p.seq(), 1);
         assert_eq!(r.seq(), 2);
+        assert_eq!(run.seq(), 3);
+        assert_eq!(run.to_string(), "replies#3(1 of 5 built)");
     }
 
     #[test]

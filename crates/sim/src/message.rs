@@ -21,9 +21,10 @@ impl fmt::Display for MessageId {
 
 /// A message that has been sent but not yet delivered.
 ///
-/// Every undelivered message of a run is one slab or batch entry of this
-/// type (a partition batches a broadcast's requests as one entry, a
-/// record), so it is kept to 40 bytes: the id, the payload and the two
+/// Every undelivered message of an execution is one slab or batch entry of
+/// this type, or part of one (a partition batches a broadcast's requests as
+/// one entry, a record, and its built replies to one broadcast as one, a
+/// reply run), so it is kept to 40 bytes: the id, the payload and the two
 /// endpoints stored as `u32` (read them through [`InFlightMessage::from`]
 /// and [`InFlightMessage::to`]), nothing else. Adversaries see only
 /// [`InFlightMessage::to_event`]'s fields; an age-based policy can order by

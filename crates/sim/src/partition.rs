@@ -17,23 +17,24 @@
 //!    goes to its *outbox* tagged with a [`RouteKey`] and becomes
 //!    deliverable only next round, so partitions are causally isolated
 //!    within a round and the execution cannot depend on which worker thread
-//!    ran which partition. A partition builds only the replies that can
+//!    ran which partition. A partition answers each broadcast with one
+//!    outbox entry, a reply run, which builds only the replies that can
 //!    complete their call's quorum, the first `quorum − 1` answerers' by id
 //!    (`quorum.rs`); the later ones, which the sequential engine purges
-//!    undelivered, take their ids through one outbox entry per broadcast
-//!    and partition.
+//!    undelivered, only take their ids.
 //! 3. **Barrier (leader, serial):** merge the outboxes in [`RouteKey`] order,
-//!    assign global message ids in that order, and append each message to
-//!    its recipient's partition's batch, which is therefore id-ordered. The
+//!    assign global message ids in that order, and append each entry to its
+//!    recipients' partitions' batches, which are therefore id-ordered. The
 //!    key is a pure function of what *triggered* the send (the delivered
 //!    message id for replies, the stepping processor for broadcasts), so the
 //!    id sequence is independent of the partition count — and it reproduces
-//!    the sequential engine's send order exactly. A broadcast is one outbox
-//!    entry, a *record*: it takes the `n − 1` consecutive ids of its
-//!    requests, and each partition that holds a target batches it once, for
-//!    the next drain to expand (`quorum.rs`).
-//!    A partition's unbuilt replies to one broadcast are one entry too: it
-//!    takes their consecutive ids and goes nowhere.
+//!    the sequential engine's send order exactly. Every entry stands for
+//!    messages with consecutive ids. A broadcast is one outbox entry, a
+//!    *record*: it takes the `n − 1` ids of its requests, and each
+//!    partition that holds a target batches it once, for the next drain to
+//!    expand (`quorum.rs`). A partition's replies to one broadcast are one
+//!    entry too, a *reply run*: it takes one id per answerer and goes to
+//!    the caller's partition if it holds a built reply, nowhere otherwise.
 //!    Each outbox is already key-sorted, so the merge moves runs: the
 //!    outbox with the smallest head gives up every entry below the other
 //!    heads at once, keys (packed into a `u64`) are compared only where
@@ -62,14 +63,16 @@
 //! partitioning changes:
 //!
 //! * where a send goes: into the partition's outbox with a [`RouteKey`],
-//!   for the barrier to number and route, a broadcast as one record (the
-//!   outbox sits in the core, so its allocation is recycled with the
-//!   batch's);
+//!   for the barrier to number and route, a broadcast as one record and the
+//!   partition's answers to it as one reply run (the outbox sits in the
+//!   core, so its allocation is recycled with the batch's);
 //! * where a routed message waits: the core's batch, a plain id-ordered
 //!   buffer that the round drains front to back, because nobody picks
 //!   among its messages;
 //! * the global event number of a first step or a return, which the leader
-//!   assigns at the barrier from a marker;
+//!   assigns at the barrier from a marker (and keeps a first step's as the
+//!   processor's start, for a return after an early
+//!   [`ParallelSimulator::finish`]);
 //! * the trace split (deliveries merged by id across partitions, steps
 //!   concatenated in partition order).
 
@@ -176,13 +179,13 @@ impl RoundCrashPlan {
 // Per-partition engine
 // ---------------------------------------------------------------------------
 
-/// A message, a broadcast record or a run of unbuilt replies leaving a
-/// partition during a round, waiting for the barrier to assign it global ids
-/// and route it. 40 bytes, like the [`InFlightMessage`] it becomes: the
-/// [`RouteKey`] packed into a `u64` ([`RouteKey::packed`]), the endpoints
-/// as `u32`. An entry addressed to its sender stands for several messages,
-/// since no message goes from a processor to itself: a request for a
-/// record's `n − 1`, a reply for as many unbuilt replies as its `seq`.
+/// A broadcast record or a reply run leaving a partition during a round,
+/// waiting for the barrier to assign it global ids and route it. 40 bytes,
+/// like the [`InFlightMessage`] it becomes: the [`RouteKey`] packed into a
+/// `u64` ([`RouteKey::packed`]), the endpoints as `u32`. Either stands for
+/// several messages and is addressed from and to its call's caller: a
+/// record for the `n − 1` requests of its broadcast, a run
+/// ([`WireMessage::Replies`]) for its `count` replies.
 pub(crate) struct Outbound {
     key: u64,
     from: u32,
@@ -205,16 +208,8 @@ impl Outbound {
         }
     }
 
-    /// The run of `count` replies to `caller` that a canonical drain did not
-    /// build (`quorum.rs`), the first keyed `key`: they are consecutive in
-    /// key order, and the barrier gives them consecutive ids.
-    #[inline]
-    pub(crate) fn unbuilt(key: RouteKey, caller: ProcId, count: u32) -> Self {
-        Outbound::new(key, caller, caller, WireMessage::Ack { seq: count })
-    }
-
-    /// The message under the global id the barrier assigned it (a record
-    /// under the first of its ids).
+    /// The entry as the batch holds it, under the first of the global ids
+    /// the barrier assigned it.
     #[inline]
     fn numbered(self, id: u64) -> InFlightMessage {
         let (from, to) = (ProcId(self.from as usize), ProcId(self.to as usize));
@@ -229,15 +224,16 @@ impl Outbound {
 /// their capacity kept.
 ///
 /// `ends` holds every partition's range end, ascending, so the last is `n`.
-/// A message takes the next id and goes to its recipient's partition: the
-/// number of `ends` at or below the recipient, so routing compares and
-/// never divides. A broadcast record (a request: `quorum.rs`) takes the
-/// `n − 1` ids of the requests it stands for and goes, under the first, to
-/// every partition that holds one of its targets: every partition but one
-/// that holds the sender alone. A run of unbuilt replies takes their ids
-/// and goes nowhere.
+/// An entry takes the ids of the messages it stands for and goes, under the
+/// first: a broadcast record (a request: `quorum.rs`) takes `n − 1` and
+/// goes to every partition that holds one of its targets, every partition
+/// but one that holds the sender alone; a reply run takes its `count` and
+/// goes to its caller's partition if it holds a built reply, nowhere
+/// otherwise. A caller's partition is the number of `ends` at or below it,
+/// so routing compares and never divides.
 ///
-/// The merge moves runs, not single entries: the outbox with the smallest
+/// The merge moves key-ordered runs of entries, not single entries (a run
+/// here is not a reply run): the outbox with the smallest
 /// head gives up, at once, every entry below the smallest head of the
 /// others ([`run_below`]), so keys are compared only where outboxes
 /// interleave, and the last outbox with entries moves without a
@@ -271,24 +267,22 @@ fn merge_outboxes(
         let head = &mut heads[part];
         let run = bound.map_or(head.len(), |bound| run_below(head.as_slice(), bound));
         for out in head.by_ref().take(run) {
-            let id = *next_id;
-            if out.from != out.to {
-                *next_id += 1;
-                let to = out.to;
-                route(ends.partition_point(|&end| end <= to), out.numbered(id));
-            } else if out.payload.is_request() {
-                *next_id += requests;
-                let sender = out.from;
-                let record = out.numbered(id);
-                let mut start = 0;
-                for (part, &end) in ends.iter().enumerate() {
-                    if end - start > 1 || start != sender {
-                        route(part, record.clone());
-                    }
-                    start = end;
+            let (id, caller) = (*next_id, out.to);
+            if let WireMessage::Replies { count, built, .. } = &out.payload {
+                *next_id += u64::from(*count);
+                if !built.is_empty() {
+                    route(ends.partition_point(|&end| end <= caller), out.numbered(id));
                 }
-            } else {
-                *next_id += u64::from(out.payload.seq());
+                continue;
+            }
+            *next_id += requests;
+            let record = out.numbered(id);
+            let mut start = 0;
+            for (part, &end) in ends.iter().enumerate() {
+                if end - start > 1 || start != caller {
+                    route(part, record.clone());
+                }
+                start = end;
             }
         }
     }
@@ -354,10 +348,11 @@ struct PartitionEngine {
 }
 
 /// A partition's [`Network`]: every send goes to the core's outbox, keyed
-/// for the barrier, and becomes deliverable only next round. The round's
-/// phase order (all deliveries, then step-runs in ascending processor
-/// order) produces the keys in ascending order, as the barrier's merge
-/// needs them.
+/// for the barrier, and becomes deliverable only next round. A partition
+/// sends only broadcast records and reply runs, each addressed to its
+/// caller. The round's phase order (all deliveries, then step-runs in
+/// ascending processor order) produces the keys in ascending order, as the
+/// barrier's merge needs them.
 struct Outgoing<'a> {
     metrics: &'a mut ExecutionMetrics,
 }
@@ -372,6 +367,7 @@ impl Network for Outgoing<'_> {
         to: ProcId,
         payload: WireMessage,
     ) -> Option<u32> {
+        debug_assert_eq!(from, to, "a partition sends records and reply runs");
         let out = Outbound::new(key, from, to, payload);
         let outbox = core.outbox();
         debug_assert!(
@@ -437,8 +433,8 @@ impl PartitionEngine {
     }
 
     /// Step `proc`. `pos` is the step's position in this partition's round;
-    /// the leader turns it into a global event number at the barrier, so
-    /// the core keeps it only as a "has started" flag.
+    /// the leader turns it into a global event number at the barrier, and
+    /// sets a first step's as the core's start for `proc`.
     fn execute_step(&mut self, proc: ProcId, pos: u64) {
         if self.record_trace {
             self.trace_other.push(TraceEvent::Step { proc });
@@ -761,14 +757,20 @@ impl ParallelSimulator {
                 let global = marker_base + marker.pos;
                 match marker.kind {
                     MarkerKind::Start => {
+                        engine.core.set_started_at(marker.proc, global);
                         self.report.intervals.insert(marker.proc, (global, None));
                     }
                     MarkerKind::Ret(outcome) => {
                         self.report.outcomes.insert(marker.proc, outcome);
+                        // An early `finish()` takes the interval with the
+                        // report; rebuild its start from the core's, as the
+                        // sequential engine does.
+                        let started = engine.core.process(marker.proc).started_at;
+                        let started = started.expect("a returning participant has started");
                         self.report
                             .intervals
                             .entry(marker.proc)
-                            .or_insert((global, None))
+                            .or_insert((started, None))
                             .1 = Some(global);
                     }
                 }
@@ -813,9 +815,9 @@ impl ParallelSimulator {
         }
 
         // Barrier, part 3: merge the outboxes in key order, assign global
-        // message ids in that order, and batch each message or record at
-        // its recipients' cores (a core drops a message to a crashed
-        // processor; its drain skips a record's crashed targets).
+        // message ids in that order, and batch each record or reply run at
+        // its recipients' cores (a core drops a run to a crashed caller;
+        // its drain skips a record's crashed targets).
         let mut outboxes: Vec<Vec<Outbound>> = self
             .engines
             .iter_mut()
@@ -991,12 +993,11 @@ mod tests {
 
     /// What an outbox entry of the routing test stands for.
     enum Dealt {
-        /// A message from and to these processors.
-        Message(u32, u32),
         /// A broadcast record of this sender.
         Record(u32),
-        /// A run of this many unbuilt replies.
-        Unbuilt(u64),
+        /// A reply run to this caller, of this many replies, which holds a
+        /// built one or not.
+        Run(u32, u64, bool),
     }
 
     #[test]
@@ -1022,12 +1023,12 @@ mod tests {
                 let map = PartitionMap::new(n, parts);
                 let mut outboxes: Vec<Vec<Outbound>> = (0..parts).map(|_| Vec::new()).collect();
                 // Some cases leave one outbox empty; the rest get the round's
-                // keys in ascending order: replies and runs of unbuilt
-                // replies dealt to random outboxes a random run at a time
-                // (often one entry, interleaved), then broadcast records,
-                // each to its sender's partition (runs of consecutive
-                // senders) or a random one. `dealt` keeps what each key
-                // stands for.
+                // keys in ascending order: reply runs, a third of them
+                // without a built reply, dealt to random outboxes a random
+                // stretch at a time (often one entry, interleaved), then
+                // broadcast records, each to its sender's partition
+                // (stretches of consecutive senders) or a random one.
+                // `dealt` keeps what each key stands for.
                 let empty = if case % 3 == 0 { below(parts) } else { parts };
                 let mut dealt = Vec::new();
                 let mut deal = |part: usize, out: Outbound, kind: Dealt| {
@@ -1045,17 +1046,23 @@ mod tests {
                         part = below(parts);
                     }
                     id += 1 + below(3) as u64;
-                    let (key, from) = (RouteKey::reply(id), below(n));
-                    if below(4) == 0 {
-                        let count = 1 + below(300) as u32;
-                        let out = Outbound::unbuilt(key, ProcId(from), count);
-                        deal(part, out, Dealt::Unbuilt(count.into()));
-                    } else if n > 1 {
-                        let to = (from + 1 + below(n - 1)) % n;
-                        let ack = WireMessage::Ack { seq: 0 };
-                        let out = Outbound::new(key, ProcId(from), ProcId(to), ack);
-                        deal(part, out, Dealt::Message(from as u32, to as u32));
-                    }
+                    let (key, caller) = (RouteKey::reply(id), below(n));
+                    let count = 1 + below(300) as u32;
+                    let built = if below(3) == 0 {
+                        0
+                    } else {
+                        1 + below(count as usize)
+                    };
+                    let built = (0..built as u32).map(|responder| (responder, None));
+                    let built = Box::new(built.collect::<Vec<_>>());
+                    let holds = !built.is_empty();
+                    let run = WireMessage::Replies {
+                        seq: 0,
+                        count,
+                        built,
+                    };
+                    let out = Outbound::new(key, ProcId(caller), ProcId(caller), run);
+                    deal(part, out, Dealt::Run(caller as u32, count.into(), holds));
                 }
                 for proc in 0..n {
                     if below(4) != 0 {
@@ -1070,20 +1077,14 @@ mod tests {
                     let out = Outbound::new(key, sender, sender, collect.clone());
                     deal(home, out, Dealt::Record(proc as u32));
                 }
-                // In key order, a message takes the next id to its
-                // recipient's partition, a record takes n - 1 ids to every
-                // partition but one that holds its sender alone, and a run
-                // of unbuilt replies takes as many ids as it has replies, to
-                // no partition.
+                // In key order, a record takes n - 1 ids to every partition
+                // but one that holds its sender alone, and a run takes as
+                // many ids as it has replies, to its caller's partition if
+                // it holds a built reply and to none otherwise.
                 dealt.sort_unstable_by_key(|&(key, _)| key);
                 let (mut expected, mut next) = (Vec::new(), 1_000);
                 for (_, kind) in dealt {
                     match kind {
-                        Dealt::Message(from, to) => {
-                            let part = map.partition_of(ProcId(to as usize));
-                            expected.push((part, next, from, to));
-                            next += 1;
-                        }
                         Dealt::Record(sender) => {
                             let alone = sender as usize..sender as usize + 1;
                             for part in (0..parts).filter(|&part| map.range_of(part) != alone) {
@@ -1091,7 +1092,13 @@ mod tests {
                             }
                             next += n as u64 - 1;
                         }
-                        Dealt::Unbuilt(count) => next += count,
+                        Dealt::Run(caller, count, holds) => {
+                            if holds {
+                                let part = map.partition_of(ProcId(caller as usize));
+                                expected.push((part, next, caller, caller));
+                            }
+                            next += count;
+                        }
                     }
                 }
                 let (mut routed, mut next_id) = (Vec::new(), 1_000);
@@ -1173,6 +1180,48 @@ mod tests {
         ];
         assert_eq!(delivered, requests(&expected));
         assert_eq!(report.outcomes.get(&sender), Some(&Outcome::Proceed));
+    }
+
+    #[test]
+    fn a_run_keeps_the_reply_of_an_answerer_crashed_after_answering() {
+        // p8 of n = 12 collects in round 0; the others answer in round 1,
+        // but for p3, crashed at that round's barrier, and quorum - 1 = 6 of
+        // them build their replies. Partition 0's run holds p0, p1, p2, p4
+        // and p5, under ids 11..=15; partition 1's holds p6 under 16 and
+        // takes ids 17..=20 for the unbuilt replies of p7, p9, p10 and p11.
+        // p2 crashes at the barrier after it answered, before p8's drain.
+        let (n, caller) = (12, ProcId(8));
+        let mut sim = ParallelSimulator::new(SimConfig::new(n).with_partitions(2).with_trace());
+        sim.add_participant(caller, Chatter::boxed(caller, 1));
+        let plan = RoundCrashPlan::new(vec![(1, ProcId(3)), (2, ProcId(2))]);
+        sim.set_crash_plan(&plan).unwrap();
+        let expected = [(11, 0), (12, 1), (13, 2), (14, 4), (15, 5), (16, 6)];
+        let replies = |pairs: &[(u64, usize)]| -> Vec<(MessageId, ProcId, ProcId)> {
+            let reply = |&(id, from)| (MessageId(id), ProcId(from), caller);
+            pairs.iter().map(reply).collect()
+        };
+        assert!(sim.step_round().unwrap() && sim.step_round().unwrap());
+        let batched: Vec<_> = sim.engines[1]
+            .core
+            .stored()
+            .map(|message| (message.id, message.from(), message.to()))
+            .collect();
+        assert_eq!(batched, replies(&expected), "the runs' built replies");
+        while sim.step_round().unwrap() {}
+        let report = sim.finish();
+        let delivered: Vec<_> = report
+            .trace
+            .events()
+            .iter()
+            .filter_map(|event| match *event {
+                TraceEvent::Deliver { id, from, to } if to == caller => Some((id, from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, replies(&expected));
+        assert_eq!(report.outcomes.get(&caller), Some(&Outcome::Proceed));
+        let received = report.metrics.proc(caller).map(|m| m.messages_received);
+        assert_eq!(received, Some(6));
     }
 
     #[test]
@@ -1282,6 +1331,21 @@ mod tests {
         assert_eq!(sim.finish().crashed, vec![ProcId(1)]);
         while sim.step_round().unwrap() {}
         assert_eq!(sim.finish().crashed, vec![ProcId(1)]);
+    }
+
+    #[test]
+    fn an_early_finish_keeps_every_interval_start() {
+        // Every start falls in round 0, so a report taken after it holds
+        // every interval, open. A later return rebuilds its start from the
+        // core's global number, as the sequential engine does.
+        let whole = chatty(0).run_canonical(&RoundCrashPlan::none()).unwrap();
+        let mut sim = chatty(0);
+        assert!(sim.step_round().unwrap());
+        let early = sim.finish();
+        assert_eq!(early.intervals.len(), 16);
+        assert!(early.intervals.values().all(|&(_, end)| end.is_none()));
+        while sim.step_round().unwrap() {}
+        assert_eq!(sim.finish().intervals, whole.intervals);
     }
 
     #[test]

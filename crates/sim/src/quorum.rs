@@ -12,20 +12,22 @@
 //! range. Where a send goes is the engine's [`Network`], a generic
 //! parameter, so a send is a direct call.
 //!
-//! A core keeps its messages in one of two stores, one per engine, which
-//! feed one delivery body:
+//! A core keeps its messages in one of two stores, one per engine. Both
+//! answer a request through one replica body ([`QuorumCore::serve`]) and
+//! record a reply through the caller's `record_ack` or `record_view`:
 //!
 //! * **The slab**, where an adversary picks by rank: the sequential engine
 //!   [`QuorumCore::store`]s each message under an id-ordered index. A
 //!   completed call's leftovers are purged from it, and a crash drops the
 //!   victim's messages.
 //! * **The batch**, where nobody picks: a partition's round delivers every
-//!   message the last barrier routed to it, in id order, so the barrier
+//!   entry the last barrier routed to it, in id order, so the barrier
 //!   [`QuorumCore::enqueue`]s them on a `Vec` that
-//!   [`QuorumCore::drain_batch`] delivers front to back. It skips, without
-//!   an event, only a message to a processor crashed at the barrier: the
-//!   round before built no reply that would arrive after its call's quorum
-//!   formed (below).
+//!   [`QuorumCore::drain_batch`] delivers front to back. An entry is a
+//!   broadcast record or a reply run (below), each standing for messages
+//!   under consecutive ids. The drain skips, without an event, only a run
+//!   whose caller crashed at the barrier: the round before built no reply
+//!   that would arrive after its call's quorum formed.
 //!
 //! A partition routes each broadcast once. Its [`Network::broadcast`] puts
 //! one entry for all `n − 1` requests of a call in the outbox, and the
@@ -38,64 +40,74 @@
 //! outbox or a batch is such a record, so that is what marks one; a record
 //! is addressed to its sender, as no message is.
 //!
-//! A canonical round builds only the replies that can complete a quorum. A
-//! call's requests are all delivered in one round and its replies in the
-//! next, in id order, which is the order of the answerers' ids (the
-//! processors not crashed in the first round, less the caller). So the
-//! caller's quorum forms at the reply of its `quorum − 1`-th answerer, and
-//! every later reply would arrive after it, to be skipped (the slab would
-//! purge it). A target ranked `quorum − 1` or more among the answerers
-//! still answers the request, merging a propagate into its replica, and
-//! its reply still counts in `messages_sent` and takes a message id, but
-//! the reply is not built: all such replies of one record take their ids
-//! through one outbox entry, a run. The rank counts the core's uncrashed
+//! A partition answers each record with one **reply run**, and builds only
+//! the replies that can complete a quorum. A call's requests are all
+//! delivered in one round and its replies in the next, in id order, which
+//! is the order of the answerers' ids (the processors not crashed in the
+//! first round, less the caller). So the caller's quorum forms at the reply
+//! of its `quorum − 1`-th answerer, and every later reply would arrive
+//! after it, to be skipped (the slab would purge it). Every target answers
+//! its request, merging a propagate into its replica, and its reply counts
+//! in `messages_sent`; the drain sends the replies of all the core's
+//! targets as one outbox entry, a [`WireMessage::Replies`] addressed to the
+//! caller under the first target's request id, and the barrier gives the
+//! run one id per target, consecutive, as the replies would have taken
+//! (they are consecutive in key order). Only a target ranked below
+//! `quorum − 1` among the answerers builds its reply into the run: its id,
+//! and its collect snapshot. Those are the run's first replies, and a run
+//! without one goes nowhere. The rank counts the core's uncrashed
 //! processors below the target, plus those below the core's range
 //! ([`QuorumCore::set_uncrashed_below`]), less one for a sender below the
 //! range. It is never too high, and it is one too low only when such a
 //! sender crashed at this round's barrier, and the next barrier drops the
-//! replies to it.
+//! runs to it. The caller's drain delivers a run as its built replies, the
+//! `i`-th from its `i`-th responder under the run's first id plus `i`, each
+//! an event of its own.
 //!
 //! A partition's core also holds the partition's outbox, the round's sends
 //! before the barrier numbers and routes them, so that its allocation is
 //! recycled through the arena with the batch's.
 //!
-//! Two rules hold for every stored message, in either store. The tests
-//! check them after every event of the sequential engine and after every
-//! round of the partitioned one, crash-heavy runs included:
+//! Two rules hold for every stored message, in either store (a batched
+//! record's requests to the core's processors, a batched run's built
+//! replies). The tests check them after every event of the sequential
+//! engine and after every round of the partitioned one, crash-heavy runs
+//! included:
 //!
 //! * **None is addressed to a crashed processor.** A crash drops the
-//!   victim's messages from the slab, the next drain skips its batched ones
-//!   and the requests of every record to it, and a later message to it is
+//!   victim's messages from the slab, the next drain skips the runs to it
+//!   and its requests of every record, and a later message or run to it is
 //!   neither stored nor batched; the send still counts in `messages_sent`
 //!   and uses up a message id.
 //! * **Each belongs to a call still outstanding at its caller** (a request
 //!   at its sender, a reply at its recipient): the slab purges a call's
-//!   leftovers the moment its quorum forms, and a batch holds no reply to a
-//!   call past the one that completes its quorum. So a replica answers
+//!   leftovers the moment its quorum forms, and a call's runs build no
+//!   reply past the one that completes its quorum. So a replica answers
 //!   every request it is delivered, a caller records every reply it is
 //!   delivered, and the core only debug-asserts the rule.
 
 use crate::engine::SimConfig;
 use crate::error::SimError;
 use crate::event_set::{IndexedBitSet, OrderedMsgSet};
-use crate::message::{InFlightMessage, MessageId, MessageSlab};
+use crate::message::{endpoint, InFlightMessage, MessageId, MessageSlab};
 use crate::observation::{EnabledEvents, SystemObservation};
 use crate::partition::{coin_bool, coin_word, Outbound};
 use crate::process::{PendingWork, SimProcess};
 use fle_model::wire::CallSeq;
 use fle_model::{
     Action, BitRow, ExecutionMetrics, InstanceId, Key, Outcome, ProcId, Protocol, Response,
-    RouteKey, Value, WireMessage,
+    RouteKey, Value, View, WireMessage,
 };
 use std::ops::Range;
 use std::sync::Arc;
 
 /// What an engine decides about the traffic its [`QuorumCore`] produces.
 pub(crate) trait Network {
-    /// Send one message. `key` names the event that triggered the send (the
-    /// delivered message for a reply, the stepping processor for a
-    /// request); the partitioned engine orders its barrier by it. The core
-    /// has already counted the send.
+    /// Send one message, or a partition's reply run (a
+    /// [`WireMessage::Replies`] addressed to its caller). `key` names the
+    /// event that triggered the send (the delivered message for a reply,
+    /// the stepping processor for a request); the partitioned engine orders
+    /// its barrier by it. The core has already counted the send.
     ///
     /// Returns the slot if the message went into `core`'s slab at once. Only
     /// such a request can still be undelivered when its call completes, so
@@ -171,7 +183,7 @@ pub(crate) struct QuorumCore {
     /// Undelivered messages addressed to this core's processors, where an
     /// adversary picks.
     slab: MessageSlab,
-    /// The messages and broadcast records a canonical barrier routed to this
+    /// The broadcast records and reply runs the last barrier routed to this
     /// core's processors, ascending by id, for the next round to drain.
     batch: Vec<InFlightMessage>,
     /// A partition's sends of the current round, for the barrier to number
@@ -191,7 +203,8 @@ pub(crate) struct QuorumCore {
     /// The processors below this core's range that had not crashed at the
     /// last canonical barrier, for the ranks of the drain's replies.
     uncrashed_below: usize,
-    /// The recipients of the replies the drain skipped.
+    /// The recipients of the replies the drain skipped, one per built reply
+    /// of a skipped run.
     #[cfg(test)]
     pub(crate) skipped: Vec<ProcId>,
 }
@@ -275,39 +288,50 @@ impl QuorumCore {
     }
 
     /// The undelivered messages: the slab's in slot order, then the
-    /// batch's, each record as the requests it stands for.
+    /// batch's, each entry as the messages it stands for.
     #[cfg(test)]
     pub(crate) fn stored(&self) -> impl Iterator<Item = std::borrow::Cow<'_, InFlightMessage>> {
         use std::borrow::Cow;
         let slab = self.slab_messages().map(Cow::Borrowed);
-        let batch = self.batch.iter().flat_map(|message| {
-            let record = message.is_request();
-            let expanded = record.then(|| self.expand(message).map(Cow::Owned));
-            let single = (!record).then_some(Cow::Borrowed(message));
-            expanded.into_iter().flatten().chain(single)
-        });
-        slab.chain(batch)
+        let batch = self.batch.iter().flat_map(|entry| self.expand(entry));
+        slab.chain(batch.map(Cow::Owned))
     }
 
-    /// The requests a broadcast `record` stands for at this core, which the
-    /// drain delivers: one to each of the core's processors but the sender
-    /// and the crashed, ascending by id. The tests' view of a batched
-    /// record, through [`QuorumCore::stored`].
+    /// The messages a batched entry stands for, which the drain delivers,
+    /// ascending by id: a record's requests, one to each of the core's
+    /// processors but the sender and the crashed; a run's built replies,
+    /// the `i`-th from its `i`-th responder under the run's id plus `i`.
+    /// The tests' view of the batch, through [`QuorumCore::stored`].
     #[cfg(test)]
-    fn expand<'a>(
-        &'a self,
-        record: &'a InFlightMessage,
-    ) -> impl Iterator<Item = InFlightMessage> + 'a {
-        let sender = record.from();
-        self.processes.iter().filter_map(move |target| {
-            let id = request_id(record, target)?;
+    fn expand(&self, entry: &InFlightMessage) -> Vec<InFlightMessage> {
+        if let WireMessage::Replies { seq, built, .. } = &entry.payload {
+            let seq = *seq;
+            let reply = |view: &Option<Arc<View>>| match view {
+                Some(view) => WireMessage::CollectReply {
+                    seq,
+                    view: Arc::clone(view),
+                },
+                None => WireMessage::Ack { seq },
+            };
+            let ids = (entry.id.0..).map(MessageId);
+            return ids
+                .zip(built.iter())
+                .map(|(id, (from, view))| {
+                    InFlightMessage::new(id, ProcId(*from as usize), entry.to(), reply(view))
+                })
+                .collect();
+        }
+        let sender = entry.from();
+        let request = |target| {
+            let id = request_id(entry, target)?;
             Some(InFlightMessage::new(
                 id,
                 sender,
                 target.id,
-                record.payload.clone(),
+                entry.payload.clone(),
             ))
-        })
+        };
+        self.processes.iter().filter_map(request).collect()
     }
 
     /// The partitioned engine's outbox for this core's processors.
@@ -326,6 +350,13 @@ impl QuorumCore {
     #[inline]
     pub(crate) fn uncrashed(&self) -> usize {
         self.uncrashed
+    }
+
+    /// Record `proc`'s first step as global event `event`: a partition
+    /// learns the number only at the barrier after the step.
+    #[inline]
+    pub(crate) fn set_started_at(&mut self, proc: ProcId, event: u64) {
+        self.process_mut(proc).started_at = Some(event);
     }
 
     /// Set how many processors below this core's range have not crashed,
@@ -471,22 +502,22 @@ impl QuorumCore {
         Some(slot)
     }
 
-    /// Append a message addressed to one of this core's processors, or a
-    /// broadcast record with a target here, to the batch; its id must
-    /// exceed every batched one. A message to a crashed processor is dropped
-    /// instead; the drain skips a record's crashed targets.
+    /// Append a broadcast record with a target here, or a reply run to one
+    /// of this core's processors, to the batch; its id must exceed every
+    /// batched one. A run to a crashed processor is dropped instead; the
+    /// drain skips a record's crashed targets.
     #[inline]
-    pub(crate) fn enqueue(&mut self, message: InFlightMessage) {
+    pub(crate) fn enqueue(&mut self, entry: InFlightMessage) {
         debug_assert!(
-            message.is_request() || self.owns(message.to()),
-            "message batched at the wrong core"
+            entry.is_request() || self.owns(entry.to()),
+            "reply run batched at the wrong core"
         );
         debug_assert!(
-            self.batch.last().is_none_or(|last| last.id < message.id),
+            self.batch.last().is_none_or(|last| last.id < entry.id),
             "batched ids must ascend"
         );
-        if message.is_request() || !self.process(message.to()).crashed {
-            self.batch.push(message);
+        if entry.is_request() || !self.process(entry.to()).crashed {
+            self.batch.push(entry);
         }
     }
 
@@ -532,7 +563,8 @@ impl QuorumCore {
 
     /// Take `proc`'s pending response, run one protocol step on it and
     /// apply the action. `now` is stored as the processor's start if this is
-    /// its first step.
+    /// its first step (a partition's round-local position, which the barrier
+    /// replaces: [`QuorumCore::set_started_at`]).
     pub(crate) fn step<N: Network>(&mut self, net: &mut N, proc: ProcId, now: u64) -> Stepped {
         let process = self.process_mut(proc);
         let first = process.started_at.is_none();
@@ -693,10 +725,10 @@ impl QuorumCore {
         (id, from, to)
     }
 
-    /// Deliver the batch front to back, skipping the messages to processors
-    /// crashed at the barrier, and call `delivered` with each delivered
-    /// message's id, sender and recipient. A record is delivered as the
-    /// requests it stands for, all answered from its one payload.
+    /// Deliver the batch front to back and call `delivered` with each
+    /// delivered message's id, sender and recipient: a record as the
+    /// requests it stands for, all answered from its one payload, and a run
+    /// as its built replies, unless its caller crashed at the barrier.
     #[inline]
     pub(crate) fn drain_batch<N: Network>(
         &mut self,
@@ -704,29 +736,21 @@ impl QuorumCore {
         mut delivered: impl FnMut(MessageId, ProcId, ProcId),
     ) {
         let mut batch = std::mem::take(&mut self.batch);
-        for message in batch.drain(..) {
-            if message.is_request() {
-                self.deliver_record(net, &message, &mut delivered);
-                continue;
+        for entry in batch.drain(..) {
+            if entry.is_request() {
+                self.deliver_record(net, &entry, &mut delivered);
+            } else {
+                self.deliver_run(net, entry, &mut delivered);
             }
-            if self.process(message.to()).crashed {
-                #[cfg(test)]
-                self.skipped.push(message.to());
-                continue;
-            }
-            let ((id, from, to), _) = self.receive(net, message);
-            self.sync_phase(to, None);
-            delivered(id, from, to);
         }
         self.batch = batch;
     }
 
     /// Deliver the requests `record` stands for, ascending by target, without
-    /// copying them, and answer each. Only the replies
-    /// of answerers ranked below `quorum − 1` are built; the rest take
-    /// their ids through one outbox entry (see the module documentation).
-    /// Answering a request changes no processor's phase, so nothing needs a
-    /// re-sync.
+    /// copying them, and answer them with one reply run to the sender, which
+    /// builds only the replies of answerers ranked below `quorum − 1` (see
+    /// the module documentation). Answering a request changes no
+    /// processor's phase, so nothing needs a re-sync.
     #[inline]
     fn deliver_record<N: Network>(
         &mut self,
@@ -734,39 +758,75 @@ impl QuorumCore {
         record: &InFlightMessage,
         delivered: &mut impl FnMut(MessageId, ProcId, ProcId),
     ) {
-        let sender = record.from();
-        self.debug_assert_outstanding(sender, record.payload.seq());
+        let (sender, seq) = (record.from(), record.payload.seq());
+        self.debug_assert_outstanding(sender, seq);
         // The next target's rank among the call's answerers.
         let below = usize::from(sender.index() < self.lo);
         let mut rank = self.uncrashed_below.saturating_sub(below);
-        let mut unbuilt: Option<(MessageId, u32)> = None;
+        let room = (self.quorum - 1).saturating_sub(rank);
+        let mut built = Vec::with_capacity(room.min(self.processes.len()));
+        let mut run: Option<(MessageId, u32)> = None;
         for index in 0..self.processes.len() {
             let target = &self.processes[index];
             let Some(id) = request_id(record, target) else {
                 continue;
             };
             let to = target.id;
-            net.metrics().proc_mut(to).messages_received += 1;
-            if rank < self.quorum - 1 {
-                self.answer(net, id, sender, to, &record.payload);
-            } else {
-                if let WireMessage::Propagate { entries, .. } = &record.payload {
-                    self.process_mut(to).replica.apply_all(entries);
-                }
-                net.metrics().proc_mut(to).messages_sent += 1;
-                unbuilt.get_or_insert((id, 0)).1 += 1;
+            let metrics = net.metrics().proc_mut(to);
+            metrics.messages_received += 1;
+            metrics.messages_sent += 1;
+            let build = rank < self.quorum - 1;
+            let view = self.serve(to, &record.payload, build);
+            if build {
+                built.push((endpoint(to), view));
             }
+            run.get_or_insert((id, 0)).1 += 1;
             rank += 1;
             delivered(id, sender, to);
         }
-        if let Some((first, count)) = unbuilt {
-            let run = Outbound::unbuilt(RouteKey::reply(first.0), sender, count);
-            self.outbox.push(run);
+        if let Some((first, count)) = run {
+            let built = Box::new(built);
+            let replies = WireMessage::Replies { seq, count, built };
+            net.send(self, RouteKey::reply(first.0), sender, sender, replies);
         }
     }
 
-    /// The delivery body both stores share: a request is answered by the
-    /// recipient's replica, a reply is recorded by the caller awaiting it.
+    /// Deliver a reply run's built replies to its caller, the `i`-th from its
+    /// `i`-th responder under the run's id plus `i`, or skip them all if the
+    /// caller crashed at the barrier.
+    #[inline]
+    fn deliver_run<N: Network>(
+        &mut self,
+        net: &mut N,
+        run: InFlightMessage,
+        delivered: &mut impl FnMut(MessageId, ProcId, ProcId),
+    ) {
+        let (first, caller) = (run.id.0, run.to());
+        let WireMessage::Replies { seq, built, .. } = run.payload else {
+            unreachable!("a batch holds records and reply runs");
+        };
+        if self.process(caller).crashed {
+            #[cfg(test)]
+            self.skipped
+                .extend(std::iter::repeat_n(caller, built.len()));
+            return;
+        }
+        net.metrics().proc_mut(caller).messages_received += built.len() as u64;
+        let quorum = self.quorum;
+        for (id, (responder, view)) in (first..).zip(*built) {
+            self.debug_assert_outstanding(caller, seq);
+            let (from, process) = (ProcId(responder as usize), self.process_mut(caller));
+            match view {
+                Some(view) => process.record_view(from, seq, view, quorum),
+                None => process.record_ack(from, seq, quorum),
+            };
+            delivered(MessageId(id), from, caller);
+        }
+        self.sync_phase(caller, None);
+    }
+
+    /// The slab's delivery body: a request is answered by the recipient's
+    /// replica, a reply is recorded by the caller awaiting it.
     /// Returns the message's id, sender and recipient, and the sequence
     /// number of the call the reply completed, if it did.
     #[inline]
@@ -797,8 +857,7 @@ impl QuorumCore {
         ((id, from, to), completed)
     }
 
-    /// Answer request `id` from `from` at `to`'s replica, which merges a
-    /// propagate or snapshots a collected view, and replies.
+    /// Answer request `id` from `from` at `to`'s replica and reply.
     #[inline]
     fn answer<N: Network>(
         &mut self,
@@ -808,19 +867,28 @@ impl QuorumCore {
         to: ProcId,
         request: &WireMessage,
     ) {
-        let reply = match request {
-            WireMessage::Propagate { seq, entries } => {
-                self.process_mut(to).replica.apply_all(entries);
-                WireMessage::Ack { seq: *seq }
-            }
-            WireMessage::Collect { seq, instance } => {
-                // The whole view as a copy-on-write snapshot: a refcount bump.
-                let view = self.process(to).replica.view_arc(*instance);
-                WireMessage::CollectReply { seq: *seq, view }
-            }
-            reply => unreachable!("{reply} is not a request"),
+        let seq = request.seq();
+        let reply = match self.serve(to, request, true) {
+            Some(view) => WireMessage::CollectReply { seq, view },
+            None => WireMessage::Ack { seq },
         };
         self.send(net, RouteKey::reply(id.0), to, from, reply);
+    }
+
+    /// Serve `request` at `to`'s replica: merge a propagate, or snapshot the
+    /// collected view if the reply is `built` (the whole view as a
+    /// copy-on-write snapshot: a refcount bump). Returns the snapshot.
+    #[inline]
+    fn serve(&mut self, to: ProcId, request: &WireMessage, built: bool) -> Option<Arc<View>> {
+        let replica = &mut self.process_mut(to).replica;
+        match request {
+            WireMessage::Propagate { entries, .. } => {
+                replica.apply_all(entries);
+                None
+            }
+            WireMessage::Collect { instance, .. } => built.then(|| replica.view_arc(*instance)),
+            reply => unreachable!("{reply} is not a request"),
+        }
     }
 
     /// A delivered message's call is still outstanding at its caller, when
